@@ -155,7 +155,7 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
             draws[0] = 0.0
         for delta in draws:
             shifted = rule.with_shift(tuple(delta))
-            rep = worst_case_error_sq(shifted.cubature(), spec)
+            rep = worst_case_error_sq(shifted, spec)
             used += 1
             if rep.value < best_val:
                 best_val = rep.value

@@ -100,13 +100,22 @@ def _emit_json(obj: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_rule_file(path: str) -> WeightedCubature:
-    """Accept either the lattice or the node/weight format."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    n = int(lines[0].split()[0])
-    if len(lines) == n + 1:
+def _load_rule_file(path: str) -> LatticeRule | WeightedCubature:
+    """Load a lattice or a node/weight file, told apart by line 2's columns.
+
+    Both formats start with "n d"; line 2 holds the d generators of a lattice
+    or the d + 1 values "w t_1 ... t_d" of a node/weight row.
+    """
+    lines = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if len(lines) < 2 or len(lines[0]) != 2:
+        raise ConfigError(f"rule file {path}: expected a header 'n d' and at least one more line")
+    d = int(lines[0][1])
+    if len(lines[1]) == d:
+        return load_lattice(path)
+    if len(lines[1]) == d + 1:
         return load_cubature(path)
-    return load_lattice(path).cubature()
+    raise ConfigError(f"rule file {path}: line 2 has {len(lines[1])} columns; "
+                      f"expected {d} (lattice) or {d + 1} (node/weight)")
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +169,17 @@ def _cmd_error_eval(args) -> int:
     out: dict = {}
     if args.rule:
         rule = _load_rule_file(args.rule)
-        rep = worst_case_error_sq(rule, spec)
-        out["worst_case"] = rep.to_json()
-        lines = [ln for ln in Path(args.rule).read_text().splitlines() if ln.strip()]
-        if len(lines) != rule.n + 1:  # lattice format: also report shift-average
-            lat = load_lattice(args.rule)
+        out["worst_case"] = worst_case_error_sq(rule, spec).to_json()
+        if isinstance(rule, LatticeRule):  # also report the shift average
             method = _param(cfg, args, "method", "fixed_point")
             if method in ("fixed_point", "both"):
-                out["mean_shifted"] = mean_sq_error(lat, spec, "fixed_point").to_json()
+                out["mean_shifted"] = mean_sq_error(rule, spec, "fixed_point").to_json()
             if method in ("spectral", "both"):
                 hw = int(_param(cfg, args, "half_width", 12))
                 out["mean_shifted_spectral"] = mean_sq_error(
-                    lat, spec, "spectral", half_width=hw).to_json()
+                    rule, spec, "spectral", half_width=hw).to_json()
                 out["worst_case_spectral"] = worst_case_error_sq_spectral(
-                    lat, spec, half_width=hw).to_json()
+                    rule, spec, half_width=hw).to_json()
     lam = float(_param(cfg, args, "lam", 1.0))
     c = bound_constant(spec, lam)
     out["bound_constant"] = {"lambda": lam, "lo": c.lo, "hi": c.hi}
@@ -264,7 +270,8 @@ def _cmd_integrate(args) -> int:
         raise ConfigError(f"rule dimension {rule.d} != space dimension {spec.d}")
     integrand_cfg = _load_config(args.integrand) if args.integrand else cfg.get("integrand", {})
     f = integrand_from_config(integrand_cfg, spec)
-    value = rule.apply(f)
+    cub = rule.cubature() if isinstance(rule, LatticeRule) else rule
+    value = cub.apply(f)
     rep = worst_case_error_sq(rule, spec)
     e_wor = math.sqrt(max(rep.value, 0.0))
     defect = invariance_defect(f, spec)

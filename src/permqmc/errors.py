@@ -25,6 +25,7 @@ import numpy as np
 from .kernels import (
     KernelSpec,
     kernel_perminv_gram,
+    lattice_gram_mean,
     partition_sum_masked,
     power_kernel,
     power_kernel_table,
@@ -93,25 +94,38 @@ def initial_error_sq(spec: KernelSpec) -> float:
 # worst-case error of a general weighted cubature rule
 # ---------------------------------------------------------------------------
 
-def worst_case_error_sq(rule: WeightedCubature, spec: KernelSpec) -> ErrorReport:
+def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) -> ErrorReport:
     """Three-term kernel formula for the squared worst-case error.
 
     Both integrals of the kernel reduce to the constant-mode mass beta0^d
     because every oscillatory frequency integrates to zero over the cube.
+    A ``LatticeRule`` takes the lattice route (``lattice_gram_mean``: no
+    n x n Gram matrix, n*(n//2 + 1) pair permanents); any other rule the
+    general route through the full Gram matrix.  ``details`` records the
+    route and the number of pair permanents evaluated.
     """
     t0 = time.perf_counter()
     b0d = initial_error_sq(spec)
     if rule.n == 0:
-        return ErrorReport(b0d, "kernel", 0.0, time.perf_counter() - t0)
+        return ErrorReport(b0d, "kernel", 0.0, time.perf_counter() - t0,
+                           details={"route": "general", "pairs": 0})
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
-    gram, gcert = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
-    rw = rule.raw_weights
-    raw = b0d - 2.0 * b0d * float(rw.sum()) + float(rw @ gram @ rw)
-    cert = gcert * float(np.abs(rw).sum()) ** 2 + 1e-14 * b0d
+    if isinstance(rule, LatticeRule):
+        quad, gcert, pairs = lattice_gram_mean(rule, spec)
+        wsum = wabs = 1.0
+        route = "lattice"
+    else:
+        gram, gcert = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
+        rw = rule.raw_weights
+        quad, wsum, wabs = float(rw @ gram @ rw), float(rw.sum()), float(np.abs(rw).sum())
+        pairs = rule.n ** 2
+        route = "general"
+    raw = b0d - 2.0 * b0d * wsum + quad
+    cert = gcert * wabs ** 2 + 1e-14 * b0d
     value = max(raw, 0.0)
     return ErrorReport(value, "kernel", cert, time.perf_counter() - t0,
-                       details={"raw_value": raw})
+                       details={"raw_value": raw, "route": route, "pairs": pairs})
 
 
 def box_frequencies(d: int, half_width: int, drop_zero: bool = True) -> np.ndarray:

@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .symmetry import PermStructure, permanent_batch, set_partitions
+from .lattice import LatticeRule
+from .symmetry import PermStructure, permanent_bounds, set_partitions
 from .weights import Enclosure, SpectralWeight, spectral_mass
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "kernel_univariate",
     "kernel_perminv",
     "kernel_perminv_gram",
+    "lattice_gram_mean",
     "kernel_shift_invariant",
     "power_kernel",
     "power_kernel_table",
@@ -49,6 +51,8 @@ __all__ = [
 
 _SERIES_CAP = 2_000_000
 _CHUNK = 200_000
+# node pairs per fused Ryser pass in the Gram routes; bounds their memory
+_PAIR_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -337,56 +341,116 @@ def kernel_univariate(x, y, w: SpectralWeight, mode: str = "auto",
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
-def _pair_matrices(X: np.ndarray, Y: np.ndarray, spec: KernelSpec):
-    """K1 values arranged for the permanent: (npairs, s, s) block plus the
-    product of the free-coordinate factors (npairs,)."""
-    inv = spec.perm.invariant_idx
-    free = spec.perm.free_idx
-    s = len(inv)
-    nx, ny = X.shape[0], Y.shape[0]
-    # diffs[a, b, i, j] = x_a[inv_i] - y_b[inv_j]
-    diffs = X[:, None, inv, None] - Y[None, :, None, inv]
-    block_vals, cert1 = spec.univariate(diffs.reshape(-1))
-    block = block_vals.reshape(nx, ny, s, s)
-    if len(free):
-        fd = X[:, None, free] - Y[None, :, free]
-        fvals, certf = spec.univariate(fd.reshape(-1))
-        fvals = fvals.reshape(nx, ny, len(free))
-        free_prod = np.prod(fvals, axis=-1)
-        free_hi = np.prod(np.abs(fvals) + certf, axis=-1)
-        free_cert = free_hi - np.abs(free_prod)
-    else:
-        free_prod = np.ones((nx, ny))
-        free_cert = np.zeros((nx, ny))
-    return block, free_prod, free_cert, cert1
+def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarray]:
+    """Product of the free-coordinate K1 values over the last axis (1 when
+    there are none), with its error bound given a uniform per-value
+    certificate."""
+    free_prod = np.prod(fvals, axis=-1)
+    free_hi = np.prod(np.abs(fvals) + certf, axis=-1)
+    return free_prod, free_hi - np.abs(free_prod)
+
+
+def _gram_entries(block: np.ndarray, cert1: float, free_prod: np.ndarray,
+                  free_cert: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values per(block) * free_prod / s! of a batch-last (s, s, b)
+    block and the error bound of each: K1's certificate through per(|A|+c)
+    minus per(|A|), Ryser's rounding, and the free-factor certificate."""
+    fact = float(spec.perm.group_order)
+    pb = permanent_bounds(block, cert1)
+    values = pb.per * free_prod / fact
+    per_err = pb.per_pad - pb.per_abs + pb.rounding
+    certs = (per_err * (np.abs(free_prod) + free_cert) + pb.per_abs * free_cert) / fact
+    return values, certs
 
 
 def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Gram matrix of the exchange-invariant kernel on point sets X, Y.
 
-    Returns (G, cert) where cert bounds the absolute error of every entry.
+    Rows of X are taken in chunks of about ``_PAIR_CHUNK`` pairs; each chunk
+    goes through one fused Ryser pass (``permanent_bounds``), so memory
+    beyond G itself is O(_PAIR_CHUNK * s^2).  Returns (G, cert) where cert
+    bounds the absolute error of every entry, Ryser's rounding included.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != spec.d or Y.shape[1] != spec.d:
         raise ValueError("point dimension does not match the kernel")
-    block, free_prod, free_cert, cert1 = _pair_matrices(X, Y, spec)
-    nx, ny = free_prod.shape
-    s = spec.perm.size
-    fact = float(spec.perm.group_order)
-    if s == 0:
-        return free_prod, float(np.max(free_cert)) if free_cert.size else 0.0
-    flat = block.reshape(nx * ny, s, s)
-    per = permanent_batch(flat).reshape(nx, ny)
-    gram = per * free_prod / fact
-    # certificate: rerun on |entries| + cert and difference the positive forms
-    per_abs = permanent_batch(np.abs(flat)).reshape(nx, ny)
-    per_hi = permanent_batch(np.abs(flat) + cert1).reshape(nx, ny)
-    ent_cert = (
-        (per_hi - per_abs) * (np.abs(free_prod) + free_cert)
-        + per_abs * free_cert
-    ) / fact
-    return gram, float(np.max(ent_cert))
+    inv = spec.perm.invariant_idx
+    free = spec.perm.free_idx
+    s = len(inv)
+    nx, ny = X.shape[0], Y.shape[0]
+    gram = np.empty((nx, ny))
+    cert = 0.0
+    Yinv = Y[:, inv].T
+    step = max(1, _PAIR_CHUNK // max(ny, 1))
+    for lo in range(0, nx, step):
+        Xc = X[lo:lo + step]
+        cx = Xc.shape[0]
+        # diffs[i, j, a, b] = x_a[inv_i] - y_b[inv_j]
+        diffs = Xc[:, inv].T[:, None, :, None] - Yinv[None, :, None, :]
+        vals, cert1 = spec.univariate(diffs.reshape(-1))
+        fd = Xc[:, None, free] - Y[None, :, free]
+        fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        free_prod, free_cert = _free_factor(fvals.reshape(fd.shape), certf)
+        values, certs = _gram_entries(vals.reshape(s, s, cx * ny), cert1,
+                                      free_prod.reshape(-1), free_cert.reshape(-1), spec)
+        gram[lo:lo + cx] = values.reshape(cx, ny)
+        if certs.size:
+            cert = max(cert, float(np.max(certs)))
+    return gram, cert
+
+
+def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float, int]:
+    """Mean of the exchange-invariant Gram matrix over all node pairs of a
+    (shifted) rank-1 lattice rule, without forming the n x n matrix.
+
+    Node k has coordinates {k*z_i/n + shift_i}, so the invariant block of the
+    pair (k, l) is K1 at (k*z_i - l*z_j mod n)/n + shift_i - shift_j: K1 is
+    tabulated once at those n*s^2 arguments and gathered.  The pair (l, k)
+    has the transposed block (K1 is even) and the same permanent, so pairs
+    are indexed by (k, m = l - k mod n) with m in 0..n//2 only, and every m
+    with m != -m mod n counts twice.  The free-coordinate factor depends on
+    m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs through one
+    fused Ryser pass, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
+
+    Returns (mean, cert, pairs): cert bounds the error of every Gram entry,
+    hence of the mean; pairs counts the pair permanents evaluated.
+    """
+    n = rule.n
+    inv = spec.perm.invariant_idx
+    free = spec.perm.free_idx
+    s = len(inv)
+    z = np.asarray(rule.z, dtype=np.int64)
+    shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
+    grid = np.arange(n, dtype=float) / n
+    zi = z[inv]
+    dshift = shift[inv][:, None] - shift[inv][None, :]
+    table, cert1 = spec.univariate(grid + dshift[:, :, None])        # (s, s, n)
+    # the diagonal of the table is K1 on the grid itself
+    ftable, certf = (table[0, 0], cert1) if s else spec.univariate(grid)
+    # Gather from the flattened table repeated twice along g: entry (i, j, g)
+    # sits at (i*s + j)*2n + g and again at + n, so the index of the pair
+    # (k, m), (k*(z_i - z_j) mod n) + n - (m*z_j mod n), needs no final mod.
+    doubled = np.concatenate([table, table], axis=2).reshape(-1)
+    k = np.arange(n, dtype=np.int64)
+    base = (np.arange(s * s, dtype=np.int64) * 2 * n + n).reshape(s, s, 1)
+    kpart = (zi[:, None, None] - zi[None, :, None]) * k % n + base     # (s, s, n)
+    half = n // 2
+    step = max(1, _PAIR_CHUNK // n)
+    total = 0.0
+    cert = 0.0
+    for lo in range(0, half + 1, step):
+        m = np.arange(lo, min(lo + step, half + 1), dtype=np.int64)
+        # batch ordered (m, k)
+        idx = kpart[:, :, None, :] - (zi[:, None] * m % n)[None, :, :, None]
+        block = doubled.take(idx.reshape(s, s, len(m) * n))
+        free_prod, free_cert = _free_factor(ftable[(m[:, None] * z[free]) % n], certf)
+        values, certs = _gram_entries(block, cert1, np.repeat(free_prod, n),
+                                      np.repeat(free_cert, n), spec)
+        mult = np.where((m == 0) | (2 * m == n), 1.0, 2.0)
+        total += float(mult @ values.reshape(len(m), n).sum(axis=1))
+        cert = max(cert, float(np.max(certs)))
+    return total / float(n) ** 2, cert, n * (half + 1)
 
 
 def kernel_perminv(x, y, spec: KernelSpec) -> float:

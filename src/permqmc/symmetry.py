@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +22,8 @@ __all__ = [
     "restriction_constant",
     "permanent",
     "permanent_batch",
+    "permanent_bounds",
+    "PermanentBounds",
     "sym_perm_sum",
     "set_partitions",
     "PermanentCapError",
@@ -154,58 +156,97 @@ def permanent(A, cap: int = PERMANENT_CAP):
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    s = A.shape[0]
-    if s == 0:
-        return 1.0
-    if s > cap:
-        raise PermanentCapError(
-            f"invariant block of size {s} exceeds the permanent cap {cap}; "
-            "use the truncated spectral evaluation instead"
-        )
-    return permanent_batch(A[None, :, :], cap=cap)[0]
+    return permanent_bounds(A[:, :, None], cap=cap).per[0]
 
 
 def permanent_batch(A, cap: int = PERMANENT_CAP) -> np.ndarray:
     """Permanents of a stack of square matrices, shape (batch, s, s).
 
-    The Gray-code subset loop runs once; all per-subset work is vectorized
-    over the batch axis.
+    Runs the batch-last Gray-code loop of ``permanent_bounds`` on the
+    transposed stack and returns its per(A); the result is bitwise equal to
+    a batch-first Ryser pass on real input.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("A must have shape (batch, s, s)")
-    b, s, _ = A.shape
-    if s == 0:
-        return np.ones(b, dtype=A.dtype if A.dtype.kind == "c" else float)
+    return permanent_bounds(np.moveaxis(A, 0, -1), cap=cap).per
+
+
+class PermanentBounds(NamedTuple):
+    """Per-matrix results of one fused Ryser pass over a batch-last stack."""
+
+    per: np.ndarray       # per(A)
+    per_abs: np.ndarray   # per(|A|)
+    per_pad: np.ndarray   # per(|A| + c), c added to every entry
+    rounding: np.ndarray  # bound on the rounding error of per and per_abs
+
+
+def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBounds:
+    """Ryser permanents of a batch-last stack A of shape (s, s, batch).
+
+    One Gray-code pass over the 2^s column sets S yields per(A), per(|A|)
+    and per(|A| + c).  The row sums of |A| + c over S are the row sums of |A|
+    plus c*|S|, so the padded permanent costs no extra row updates.
+
+    ``rounding`` is gamma_k * sum_S prod_i rowabs_i(S), gamma_k = k*u/(1 - k*u)
+    with k = 2s + 2^s: the standard bound for the signed sum of the 2^s - 1
+    terms, each a product of s row sums, when every row sum is treated as
+    accumulated in at most 2^s additions (the Gray-code updates).
+    """
+    A = np.asarray(A)
+    if A.ndim != 3 or A.shape[0] != A.shape[1]:
+        raise ValueError("A must have shape (s, s, batch)")
+    s, _, b = A.shape
     if s > cap:
         raise PermanentCapError(
             f"invariant block of size {s} exceeds the permanent cap {cap}; "
             "use the truncated spectral evaluation instead"
         )
     dtype = A.dtype if A.dtype.kind in "cf" else np.float64
-    row = np.zeros((b, s), dtype=dtype)
-    total = np.zeros(b, dtype=dtype)
+    if s == 0:
+        return PermanentBounds(np.ones(b, dtype=dtype), np.ones(b), np.ones(b), np.zeros(b))
+    absA = np.abs(A).astype(float, copy=False)
+    row = np.zeros((s, b), dtype=dtype)
+    rowabs = np.zeros((s, b))
+    padded = np.empty((s, b))
+    term_abs = np.empty(b)
+    term_pad = np.empty(b)
+    per = np.zeros(b, dtype=dtype)
+    per_abs = np.zeros(b)
+    per_pad = np.zeros(b)
+    unsigned = np.zeros(b)
     mask = 0
-    popcount = 0
-    for c in range(1, 1 << s):
-        j = (c & -c).bit_length() - 1
+    size = 0
+    for code in range(1, 1 << s):
+        j = (code & -code).bit_length() - 1
         bit = 1 << j
         if mask & bit:
-            row -= A[:, :, j]
-            mask ^= bit
-            popcount -= 1
+            row -= A[:, j]
+            rowabs -= absA[:, j]
+            size -= 1
         else:
-            row += A[:, :, j]
-            mask ^= bit
-            popcount += 1
-        term = np.prod(row, axis=1)
-        if popcount & 1:
-            total -= term
+            row += A[:, j]
+            rowabs += absA[:, j]
+            size += 1
+        mask ^= bit
+        term = np.prod(row, axis=0)
+        np.multiply.reduce(rowabs, axis=0, out=term_abs)
+        np.add(rowabs, c * size, out=padded)
+        np.multiply.reduce(padded, axis=0, out=term_pad)
+        unsigned += term_abs
+        if size & 1:
+            per -= term
+            per_abs -= term_abs
+            per_pad -= term_pad
         else:
-            total += term
+            per += term
+            per_abs += term_abs
+            per_pad += term_pad
     if s & 1:
-        total = -total
-    return total
+        per, per_abs, per_pad = -per, -per_abs, -per_pad
+    k = 2 * s + (1 << s)
+    u = np.finfo(float).eps / 2.0
+    return PermanentBounds(per, per_abs, per_pad, k * u / (1.0 - k * u) * unsigned)
 
 
 def sym_perm_sum(A, fixed: Sequence = (), cap: int = PERMANENT_CAP):

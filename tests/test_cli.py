@@ -103,6 +103,37 @@ class TestPipelines:
         rule.write_text("5 3\n1 2 3\n")
         assert main(["integrate", "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
 
+    def test_two_point_shifted_lattice_file(self, cfg_path, tmp_path):
+        # three lines = n + 1 lines: must still load as a lattice
+        rule = tmp_path / "two.txt"
+        rule.write_text("2 2\n1 1\n0.3 0.7\n")
+        outs = []
+        for tag in ("a", "b"):
+            ej = tmp_path / f"e_{tag}.json"
+            assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                         "--json", str(ej)]) == EXIT_OK
+            outs.append(ej.read_bytes())
+        assert outs[0] == outs[1]
+        rep = json.loads(outs[0])
+        assert rep["worst_case"]["route"] == "lattice"
+        assert rep["worst_case"]["pairs"] == 4
+        assert "mean_shifted" in rep
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"family": "symmetrized_cosine",
+                                 "coefficients": {"0": 1.0, "1": 0.4}}))
+        ij = tmp_path / "i.json"
+        assert main(["integrate", "--config", str(cfg_path), "--rule", str(rule),
+                     "--integrand", str(f), "--json", str(ij)]) == EXIT_OK
+        out = json.loads(ij.read_text())
+        assert out["e_wor"] ** 2 == pytest.approx(rep["worst_case"]["value"], rel=1e-12)
+        assert out["abs_error"] <= out["apriori_bound"] * (1 + 1e-9)
+
+    def test_rule_file_with_wrong_column_count(self, cfg_path, tmp_path):
+        rule = tmp_path / "bad.txt"
+        rule.write_text("5 2\n1 2 3 4\n")
+        for cmd in ("error-eval", "integrate"):
+            assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+
     def test_convergence_study(self, cfg_path, tmp_path):
         csv = tmp_path / "conv.csv"
         cj = tmp_path / "conv.json"

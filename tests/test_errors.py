@@ -77,6 +77,44 @@ class TestWorstCase:
             assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
 
 
+class TestLatticeRoute:
+    """The lattice route of worst_case_error_sq against the general route
+    on the same nodes (the rule's cubature) as reference."""
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 101])
+    @pytest.mark.parametrize("d, inv", [
+        (1, (1,)), (1, ()), (2, (1, 2)), (2, ()), (4, (1, 2, 3, 4)), (4, (1, 3)), (4, ()),
+    ])
+    def test_agrees_with_general_route(self, sobolev, d, inv, n, shifted):
+        spec = KernelSpec(sobolev, PermStructure(d, inv))
+        shift = tuple((0.37 + 0.29 * i) % 1 for i in range(d)) if shifted else None
+        rule = LatticeRule(n, tuple(range(1, d + 1)), shift)
+        a = worst_case_error_sq(rule, spec)
+        b = worst_case_error_sq(rule.cubature(), spec)
+        assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
+        # n = 2: m = 1 is its own mirror and counts once
+        assert a.details["route"] == "lattice"
+        assert a.details["pairs"] == n * (n // 2 + 1)
+        assert b.details["route"] == "general"
+        assert b.details["pairs"] == n * n
+
+    def test_peak_memory_bounded(self):
+        import tracemalloc
+
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
+        worst_case_error_sq(LatticeRule(3, (1, 2, 0, 1, 2)), spec)  # validate the closed form
+        rule = LatticeRule(1009, (1, 286, 53, 80, 500), (0.1, 0.2, 0.3, 0.4, 0.5))
+        tracemalloc.start()
+        try:
+            rep = worst_case_error_sq(rule, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.details["route"] == "lattice"
+        assert peak < 128 * 2 ** 20
+
+
 class TestMeanSquared:
     def test_univariate_exact_value(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.empty(1))

@@ -15,6 +15,7 @@ from permqmc.symmetry import (
     orbit,
     permanent,
     permanent_batch,
+    permanent_bounds,
     restriction_constant,
     set_partitions,
     sym_perm_sum,
@@ -159,6 +160,75 @@ class TestPermanent:
     def test_sym_perm_sum_scalar_block(self, rng):
         A = rng.normal(size=(1, 1))
         assert sym_perm_sum(A, (2.0,)) == pytest.approx(A[0, 0] * 2.0)
+
+
+def gamma(k):
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def unsigned_ryser_sum(B, c):
+    """sum over nonempty column sets S of prod_i (sum_{j in S} B_ij + c*|S|)."""
+    s = B.shape[0]
+    total = 0.0
+    for mask in range(1, 1 << s):
+        cols = [j for j in range(s) if mask >> j & 1]
+        total += np.prod(B[:, cols].sum(axis=1) + c * len(cols))
+    return total
+
+
+class TestFusedRyser:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.floats(0.0, 1.0), st.data())
+    def test_matches_brute_force(self, s, cplx, c, data):
+        entries = st.floats(-3.0, 3.0, allow_nan=False)
+        A = np.array(data.draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
+        if cplx:
+            A = A + 1j * np.array(data.draw(
+                st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
+        pb = permanent_bounds(A[:, :, None], c)
+        absA = np.abs(A)
+        # brute force over s! permutations has error at most gamma_{s + s!} per(|A| + c)
+        g = gamma(s + math.factorial(s))
+        expect, expect_abs, expect_pad = (naive_permanent(B) for B in (A, absA, absA + c))
+        gr = gamma(2 * s + 2 ** s)
+        assert pb.rounding[0] == pytest.approx(gr * unsigned_ryser_sum(absA, 0.0),
+                                               rel=1e-12, abs=1e-300)
+        tol = pb.rounding[0] + g * expect_abs
+        assert abs(pb.per[0] - expect) <= tol
+        assert abs(pb.per_abs[0] - expect_abs) <= tol
+        pad_tol = gr * unsigned_ryser_sum(absA, c) + g * expect_pad
+        assert abs(pb.per_pad[0] - expect_pad) <= pad_tol
+
+    def test_real_per_bitwise_equal_to_batch_first_ryser(self, rng):
+        def batch_first(A):  # one Gray-code Ryser pass over a (batch, s, s) stack
+            b, s, _ = A.shape
+            row, total, mask = np.zeros((b, s)), np.zeros(b), 0
+            for code in range(1, 1 << s):
+                j = (code & -code).bit_length() - 1
+                row = row - A[:, :, j] if mask >> j & 1 else row + A[:, :, j]
+                mask ^= 1 << j
+                term = np.prod(row, axis=1)
+                total = total - term if bin(mask).count("1") & 1 else total + term
+            return -total if s & 1 else total
+
+        for s in range(1, 8):
+            A = rng.normal(size=(40, s, s))
+            pb = permanent_bounds(np.ascontiguousarray(np.moveaxis(A, 0, -1)), 0.5)
+            assert np.array_equal(pb.per, batch_first(A))
+            assert np.array_equal(pb.per_abs, batch_first(np.abs(A)))
+            assert np.array_equal(permanent_batch(A), pb.per)
+
+    def test_empty_block(self):
+        pb = permanent_bounds(np.zeros((0, 0, 3)), 0.5)
+        assert np.array_equal(pb.per, np.ones(3)) and np.array_equal(pb.per_pad, np.ones(3))
+        assert not np.any(pb.rounding)
+
+    def test_shape_and_cap(self):
+        with pytest.raises(ValueError, match="batch"):
+            permanent_bounds(np.zeros((2, 3, 4)))
+        with pytest.raises(PermanentCapError):
+            permanent_bounds(np.zeros((PERMANENT_CAP + 1, PERMANENT_CAP + 1, 1)))
 
 
 class TestPartitions:
