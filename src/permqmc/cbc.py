@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ErrorReport,
+    _check_step_bytes,
     bound_constant,
     cbc_step_objectives,
     mean_sq_error,
@@ -40,6 +41,7 @@ class CbcResult:
 
     rule: LatticeRule
     per_step_objective: list[float]
+    per_step_certificate: list[float]
     certified_bound: float
     achieved_E2: float
     achieved_E2_certificate: float
@@ -55,6 +57,7 @@ class CbcResult:
             "z": list(self.rule.z),
             "shift": None if self.rule.shift is None else list(self.rule.shift),
             "per_step_objective": self.per_step_objective,
+            "per_step_certificate": self.per_step_certificate,
             "certified_bound": self.certified_bound,
             "achieved_E2": self.achieved_E2,
             "achieved_E2_certificate": self.achieved_E2_certificate,
@@ -75,6 +78,16 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     (ties broken toward the smallest candidate); ``mode="better_than_average"``
     accepts the first candidate whose objective^(1/lambda) is at most the
     average over all candidates.
+
+    n must be prime.  Each step evaluates all n candidates at once by fast
+    CBC (``cbc_step_objectives``): O(3^ell * n + 2^ell * n log n) time and
+    O(2^ell * n) memory at step ell.  The last step's predicted working set
+    is checked before the first step runs, so an oversized (d, n) fails at
+    once with a ValueError.  At step 2 the exact ties
+    B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}) get bitwise-equal values,
+    so the smallest member of the best orbit is chosen, independent of
+    rounding.  ``per_step_certificate`` holds each step's objective
+    certificate.
     """
     if mode not in ("minimize", "better_than_average"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -84,14 +97,15 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
         raise ValueError(f"n = {n} must be at least c_R = {spec.weight.c_R}")
     d = spec.d
     c_max = max(1, min(spec.perm.size, d))
+    _check_step_bytes(d, n, c_max)
     tables = power_kernel_table(spec.weight, n, c_max, include_constant=False,
                                 mode=spec.mode, tol=spec.tol)
     z: list[int] = [1]
-    per_step: list[float] = []
-    vals, _ = cbc_step_objectives([], n, spec, tables)
-    per_step.append(float(vals[1]))
+    vals, cert = cbc_step_objectives([], n, spec, tables)
+    per_step = [float(vals[1])]
+    per_cert = [cert]
     for _ell in range(2, d + 1):
-        vals, _ = cbc_step_objectives(z, n, spec, tables)
+        vals, cert = cbc_step_objectives(z, n, spec, tables)
         if mode == "minimize":
             choice = int(np.argmin(vals))
         else:
@@ -99,6 +113,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
             choice = int(np.argmax(scaled <= np.mean(scaled)))
         z.append(choice)
         per_step.append(float(vals[choice]))
+        per_cert.append(cert)
     rule = LatticeRule(n, tuple(z))
     e2 = mean_sq_error(rule, spec, method="fixed_point")
     cbound = float(
@@ -110,6 +125,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     return CbcResult(
         rule=rule,
         per_step_objective=per_step,
+        per_step_certificate=per_cert,
         certified_bound=cbound,
         achieved_E2=e2.value,
         achieved_E2_certificate=e2.truncation_certificate,

@@ -18,21 +18,22 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import (
     KernelSpec,
+    _submasks_with_lowest,
     kernel_perminv_gram,
     lattice_gram_mean,
-    partition_sum_masked,
     power_kernel,
     power_kernel_table,
     shift_invariant_profile,
     symmetrized_mass,
 )
-from .lattice import LatticeRule, WeightedCubature
+from .lattice import LatticeRule, WeightedCubature, is_prime
 from .symmetry import PermStructure, restriction_constant
 from .weights import Enclosure, SpectralWeight, eta_star, min_contraction_order, r_weight_inv_factors, tail_sum
 
@@ -50,9 +51,14 @@ __all__ = [
     "box_frequencies",
     "multiplicity_array",
     "SUBSET_CAP",
+    "STEP_BYTES_CAP",
 ]
 
 SUBSET_CAP = 20
+# Working-set cap of one CBC step in bytes; a larger step is refused before
+# anything is allocated.
+STEP_BYTES_CAP = 1 << 30
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -247,81 +253,263 @@ def _subsets_containing_last(ell: int):
         yield tuple(members + [ell])
 
 
-def _step_partitions(subset: tuple[int, ...], ps: PermStructure):
-    """Partitions of a coordinate subset into exchange blocks.
+def _check_step_bytes(ell: int, n: int, c_max: int) -> None:
+    """Refuse a CBC step whose predicted working set exceeds the cap.
 
-    Only coordinates in the invariant set may share a block; the rest are
-    forced singletons.  Yields tuples of blocks (each a tuple of coords).
+    The prediction counts n doubles for each of the partition sums and the
+    block vectors of the 2^(ell-1) prefix masks, the c_max kernel tables and
+    a few n-vectors.
     """
-    from .symmetry import set_partitions
+    need = 8 * n * ((2 << (ell - 1)) + c_max + 8)
+    if need > STEP_BYTES_CAP:
+        raise ValueError(
+            f"CBC step {ell} at n = {n} needs about {need / 2**30:.1f} GiB "
+            f"({need} bytes), above the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB")
 
-    inv = [c for c in subset if c in set(ps.invariant)]
-    free = [c for c in subset if c not in set(ps.invariant)]
-    for part in set_partitions(len(inv)):
-        blocks = [tuple(inv[i] for i in blk) for blk in part]
-        blocks += [(c,) for c in free]
-        yield tuple(blocks)
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u) for the float64 unit roundoff u."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+@lru_cache(maxsize=8)
+def _fft_rho(N: int) -> float:
+    """Relative rounding bound of a length-N cyclic correlation done by FFT.
+
+    The computed correlation r of x and y differs from the exact one by at
+    most rho * sqrt(N) * ||x||_2 * ||y||_2 in every entry.  Higham, *Accuracy
+    and Stability of Numerical Algorithms* (2nd ed. 2002), section 24.1,
+    Thm 24.2: a computed radix-2 FFT of depth t has relative 2-norm error at
+    most e = t*eta / (1 - t*eta), eta = mu + gamma_4 * (sqrt(2) + mu), mu the
+    error of the twiddle factors.  We take mu = u and t = 3 * ceil(log2(4N)),
+    which covers a Bluestein transform (three power-of-two transforms shorter
+    than 4N).  Two forward transforms, the complex products (error
+    sqrt(2) * gamma_2) and the scaled inverse give
+    rho = (1 + e)^3 * (1 + u) * (1 + sqrt(2) * gamma_2) - 1.
+    """
+    u = _UNIT_ROUNDOFF
+    t = 3 * math.ceil(math.log2(4 * N))
+    eta = u + _gamma(4) * (math.sqrt(2.0) + u)
+    e = t * eta / (1.0 - t * eta)
+    return (1.0 + e) ** 3 * (1.0 + u) * (1.0 + math.sqrt(2.0) * _gamma(2)) - 1.0
+
+
+@lru_cache(maxsize=8)
+def _root_powers(n: int) -> np.ndarray:
+    """g^a mod n for a = 0..n-2, g the smallest primitive root of the prime n.
+
+    The array is read-only: every caller shares the cached one.
+    """
+    order = n - 1
+    factors, m, q = [], order, 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    g = next(g for g in range(1, n) if all(pow(g, order // p, n) != 1 for p in factors))
+    powers, x = [], 1
+    for _ in range(order):
+        powers.append(x)
+        x = x * g % n
+    out = np.array(powers, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _prefix_partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
+                           tmax: np.ndarray, tcerts: np.ndarray):
+    """Partition sums over every mask U of the k = len(zs) prefix coordinates.
+
+    f[U, j] is the sum over partitions of U into admissible blocks B (a
+    singleton, or a subset of ``inv_mask``) of prod_B (|B|-1)! *
+    kappa_|B|[j * S_B mod n], S_B the sum of the generators in B; the
+    ``partition_sum_masked`` recurrence over the block holding U's lowest
+    coordinate, O(3^k * n).  fv[U] and fe[U] run the same recurrence on the
+    scalars (tmax, tcerts) as a value and its first-order term, so fe[U] is
+    the sum over partitions of sum_B tcert_B * prod_{B' != B} tmax_B'.
+    """
+    k = len(zs)
+    size = 1 << k
+    j = np.arange(n, dtype=np.int64)
+    blocks = {}
+    for B in range(1, size):
+        if B & (B - 1) and B & ~inv_mask:
+            continue
+        c = B.bit_count()
+        S = sum(z for i, z in enumerate(zs) if B >> i & 1) % n
+        wt = math.factorial(c - 1)
+        blocks[B] = (wt * table[c - 1].take(j * S % n), wt * float(tmax[c - 1]),
+                     wt * float(tcerts[c - 1]))
+    f = np.empty((size, n))
+    f[0] = 1.0
+    fv, fe = [1.0] * size, [0.0] * size
+    term = np.empty(n)
+    for U in range(1, size):
+        low = U & -U
+        acc = f[U]
+        acc[:] = 0.0
+        v = e = 0.0
+        for B in _submasks_with_lowest((U & inv_mask) | low if low & inv_mask else low):
+            vec, bmax, bcert = blocks[B]
+            R = U ^ B
+            acc += np.multiply(vec, f[R], out=term)
+            v += bmax * fv[R]
+            e += bmax * fe[R] + bcert * fv[R]
+        fv[U], fe[U] = v, e
+    return f, np.asarray(fv), np.asarray(fe)
+
+
+def _multiplicative_correlation(G: np.ndarray, kappa: np.ndarray, powers: np.ndarray,
+                                kappa_hat: np.ndarray, kappa_norm: float) -> tuple[np.ndarray, float]:
+    """F(w) = sum_j G[j] * kappa[j*w mod n] for every w in Z_n, prime n, and
+    a bound on its rounding error.
+
+    F(0) = kappa[0] * sum(G).  For w = g^b and j = g^a, g a primitive root,
+    the sum over j != 0 is the cyclic correlation sum_a G[g^a] * kappa[g^(a+b)]
+    of length n - 1, done by one real FFT; ``kappa_hat`` is the rfft of
+    kappa[powers] and ``kappa_norm`` its 2-norm.
+    """
+    n = G.shape[0]
+    x = G[powers]
+    corr = np.fft.irfft(np.conj(np.fft.rfft(x)) * kappa_hat, n - 1)
+    F = np.empty(n)
+    F[0] = kappa[0] * G.sum()
+    F[powers] = G[0] * kappa[0] + corr
+    err = (_fft_rho(n - 1) * math.sqrt(n - 1) * math.sqrt(float(x @ x)) * kappa_norm
+           + _gamma(n) * abs(float(kappa[0])) * float(np.abs(G).sum()))
+    return F, err
+
+
+def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.ndarray:
+    """Replace the step-2 objective by its mean over each exact-tie orbit.
+
+    With prefix (a), B(z) = B(-z) = B(a^2/z) for z not in {0, a, -a}.  Each
+    orbit's values are summed in the order of its sorted members, so the
+    members come back bitwise equal and ``argmin`` returns the smallest.
+    """
+    z = np.arange(n, dtype=np.int64)
+    orbit = [z, -z % n]
+    if a:
+        inverse = np.zeros(n, dtype=np.int64)
+        inverse[powers] = powers[-np.arange(n - 1) % (n - 1)]
+        t = a * a % n * inverse % n
+        orbit += [t, -t % n]
+    members = np.sort(np.stack(orbit, axis=1), axis=1)
+    mean = vals[members].sum(axis=1) / members.shape[1]
+    tied = (z != 0) & (z != a) & (z != -a % n)
+    return np.where(tied, mean, vals)
 
 
 def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
                         tables: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, float]:
     """Objective values B(prefix, z) for every candidate z in Z_n at once.
 
-    Uses the lattice character property to turn each dual-membership sum into
-    an average over the n lattice nodes of partition sums of zero-mean power
-    kernels sampled on the grid {0, 1/n, ..., (n-1)/n}.  Exact up to the
-    power-kernel table certificates.
+    The lattice character property turns each dual-membership sum into an
+    average over the n lattice nodes j of partition sums of zero-mean power
+    kernels kappa_c on the grid {0, 1/n, ..., (n-1)/n}: over every coordinate
+    subset u containing the candidate coordinate ell = len(prefix) + 1 and
+    every partition of u into blocks B (a block holds more than one
+    coordinate only inside the invariant set), the product of
+    (|B|-1)! * kappa_|B|[j * S_B mod n], S_B the sum of the generators in B,
+    weighted by 1 / (c_u * s_u! * n).  The fast CBC route computes it in
+    three stages:
 
-    Returns (values over z = 0..n-1, certificate).
+    1. a bitmask DP gives the partition sum f[U] of every mask U of the
+       k = ell - 1 prefix coordinates (``_prefix_partition_sums``);
+    2. for every set M of prefix coordinates sharing the candidate's block,
+       rest_M = sum over U disjoint from M of f[U] / (c_u * s_u! * n) is
+       added, times |M|!, into the group of (|M| + 1, S_M);
+    3. each group G is one multiplicative correlation
+       F(w) = sum_j G[j] * kappa_{|M|+1}[j*w mod n], which a primitive root
+       of n turns into a cyclic correlation of length n - 1 done by one real
+       FFT (Nuyens & Cools, Math. Comp. 75 (2006) 903-920), and B(z)
+       collects F((S_M + z) mod n).
+
+    Time O(3^k * n + 2^k * n log n) and memory O(2^k * n) per step.  n must
+    be prime.  A step whose predicted working set (``_check_step_bytes``)
+    exceeds ``STEP_BYTES_CAP`` raises ValueError before anything is
+    allocated.
+
+    Tie rule: at ell = 2 with prefix (a), B(z) = B(-z) = B(a^2/z) for z not
+    in {0, a, -a}.  The lattices (a, z) and (a, -z) differ by reflecting one
+    coordinate, which leaves the multiplicity-weighted dual sums unchanged
+    unless both coordinates are exchangeable and z = +-a; (a, a^2/z) is
+    (a, z) rescaled with its coordinates swapped, which leaves the {1, 2}
+    term unchanged, and the {2} term depends only on z != 0.  Those values
+    are replaced by their orbit mean, so the orbit members are bitwise equal
+    and ``argmin`` picks the smallest.
+
+    Returns (values over z = 0..n-1, certificate).  The certificate is the
+    first-order effect of the power-kernel table errors (one block at its
+    table certificate, every other block at its maximum) plus the a priori
+    rounding bound of the FFT correlations (``_fft_rho``).
     """
     ell = len(prefix) + 1
     if ell > spec.d:
         raise ValueError("prefix already has length d")
     if ell > SUBSET_CAP:
         raise ValueError(f"subset enumeration above cap {SUBSET_CAP}")
+    if not is_prime(n):
+        raise ValueError(f"n = {n} is not prime; the fast CBC step needs a prime n")
     ps = spec.perm
     w = spec.weight
     c_max = max(1, min(ps.size, ell))
+    _check_step_bytes(ell, n, c_max)
     if tables is None:
         tables = power_kernel_table(w, n, c_max, include_constant=False,
                                     mode=spec.mode, tol=spec.tol)
     table, tcerts = tables
     tmax = np.max(np.abs(table), axis=1) + tcerts
-    j = np.arange(n, dtype=np.int64)
-    cand = np.arange(n, dtype=np.int64)
-    zs = {c: int(prefix[c - 1]) % n for c in range(1, ell)}
+    k = ell - 1
+    zs = [int(v) % n for v in prefix]
+    inv = set(ps.invariant)
+    inv_mask = sum(1 << i for i in range(k) if i + 1 in inv)
+    f, fv, fe = _prefix_partition_sums(zs, inv_mask, n, table, tmax, tcerts)
+
+    # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u as in ``restriction_constant``
+    s = ps.size
+    nrm = np.zeros((ell + 1, s + 1))
+    for a in range(1, ell + 1):
+        for b in range(min(a, s) + 1):
+            nrm[a, b] = 1.0 / (w.beta0 ** a * math.comb(s, b) * math.factorial(b) * n)
+    masks = np.arange(1 << k)
+    pc = np.array([U.bit_count() for U in range(1 << k)])
+    pc_inv = np.array([(U & inv_mask).bit_count() for U in range(1 << k)])
+    ell_inv = int(ell in inv)
+    groups: dict[tuple[int, int], list[int]] = {}
+    M = inv_mask if ell_inv else 0
+    while True:
+        S = sum(z for i, z in enumerate(zs) if M >> i & 1) % n
+        groups.setdefault((M.bit_count() + 1, S), []).append(M)
+        if M == 0:
+            break
+        M = (M - 1) & inv_mask
+
+    powers = _root_powers(n)
+    kappa_hat = {}
+    for c in {c for c, _ in groups}:
+        y = table[c - 1][powers]
+        kappa_hat[c] = (np.fft.rfft(y), math.sqrt(float(y @ y)))
     total = np.zeros(n)
     cert = 0.0
-    for subset in _subsets_containing_last(ell):
-        c_u = restriction_constant(subset, ps, w.beta0)
-        s_u = len([c for c in subset if c in set(ps.invariant)])
-        norm = 1.0 / (c_u * math.factorial(s_u) * n)
-        for blocks in _step_partitions(subset, ps):
-            rest = np.ones(n)
-            cand_block = None
-            weight = 1.0
-            for blk in blocks:
-                size = len(blk)
-                weight *= math.factorial(size - 1)
-                if ell in blk:
-                    cand_block = blk
-                    continue
-                S = sum(zs[c] for c in blk) % n
-                rest = rest * table[size - 1][(j * S) % n]
-            size = len(cand_block)
-            S_rest = sum(zs[c] for c in cand_block if c != ell) % n
-            idx = (np.multiply.outer(j, (S_rest + cand) % n)) % n
-            contrib = rest @ table[size - 1][idx]
-            total += weight * norm * contrib
-            # certificate: one block at its table certificate, others at max
-            sizes = [len(b) for b in blocks]
-            prod_max = np.prod([tmax[s - 1] for s in sizes])
-            c_term = sum(
-                tcerts[s - 1] / tmax[s - 1] * prod_max if tmax[s - 1] > 0 else 0.0
-                for s in sizes
-            )
-            cert += weight * norm * n * c_term
-    return total, cert
+    for (c, S), members in groups.items():
+        G = np.zeros(n)
+        for M in members:
+            subs = np.flatnonzero((masks & M) == 0)
+            wts = math.factorial(c - 1) * nrm[pc[subs] + c, pc_inv[subs] + c - 1 + ell_inv]
+            G += wts @ (f if M == 0 else f[subs])
+            cert += n * (tmax[c - 1] * (wts @ fe[subs]) + tcerts[c - 1] * (wts @ fv[subs]))
+        F, err = _multiplicative_correlation(G, table[c - 1], powers, *kappa_hat[c])
+        total += np.roll(F, -S)
+        cert += err
+    if ell == 2:
+        total = _tie_orbit_mean(total, zs[0], n, powers)
+        cert += _gamma(4) * float(np.max(np.abs(total)))
+    return total, float(cert)
 
 
 def cbc_objective(z_prefix: Sequence[int], n: int, spec: KernelSpec,

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import LatticeRule
-from .symmetry import PermStructure, permanent_bounds, set_partitions
+from .symmetry import PermStructure, permanent_bounds
 from .weights import Enclosure, SpectralWeight, spectral_mass
 
 __all__ = [

@@ -1,14 +1,148 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permqmc.cbc import cbc_construct, construct_shifted, shift_search
 from permqmc.errors import bound_constant, cbc_step_objectives, mean_sq_error, worst_case_error_sq
-from permqmc.kernels import KernelSpec
-from permqmc.lattice import LatticeRule
-from permqmc.symmetry import PermStructure
+from permqmc.kernels import KernelSpec, power_kernel_table
+from permqmc.lattice import LatticeRule, is_prime
+from permqmc.symmetry import PermStructure, restriction_constant, set_partitions
 from permqmc.weights import SpectralWeight
+
+
+def reference_step_objectives(prefix, n, spec, tables):
+    """Brute-force CBC step objective, for small n only.
+
+    Enumerates every coordinate subset u containing the candidate coordinate
+    and every partition of u into exchange blocks (only invariant coordinates
+    share a block), and gathers the candidate block's kernel through an n x n
+    index array: O(n^2) per (subset, partition) pair.  The certificate puts
+    one block at its table certificate and the others at their maxima.
+    """
+    ell = len(prefix) + 1
+    ps = spec.perm
+    invariant = set(ps.invariant)
+    table, tcerts = tables
+    tmax = np.max(np.abs(table), axis=1) + tcerts
+    j = np.arange(n, dtype=np.int64)
+    cand = np.arange(n, dtype=np.int64)
+    zs = {c: int(prefix[c - 1]) % n for c in range(1, ell)}
+    total = np.zeros(n)
+    cert = 0.0
+    for mask in range(1 << (ell - 1)):
+        subset = tuple(c for c in range(1, ell) if mask >> (c - 1) & 1) + (ell,)
+        c_u = restriction_constant(subset, ps, spec.weight.beta0)
+        inv = [c for c in subset if c in invariant]
+        norm = 1.0 / (c_u * math.factorial(len(inv)) * n)
+        for part in set_partitions(len(inv)):
+            blocks = [tuple(inv[i] for i in blk) for blk in part]
+            blocks += [(c,) for c in subset if c not in invariant]
+            rest = np.ones(n)
+            weight = 1.0
+            for blk in blocks:
+                weight *= math.factorial(len(blk) - 1)
+                if ell in blk:
+                    cand_block = blk
+                    continue
+                S = sum(zs[c] for c in blk) % n
+                rest = rest * table[len(blk) - 1][(j * S) % n]
+            S_rest = sum(zs[c] for c in cand_block if c != ell) % n
+            idx = (np.multiply.outer(j, (S_rest + cand) % n)) % n
+            total += weight * norm * (rest @ table[len(cand_block) - 1][idx])
+            sizes = [len(b) for b in blocks]
+            prod_max = np.prod([tmax[s - 1] for s in sizes])
+            c_term = sum(tcerts[s - 1] / tmax[s - 1] * prod_max if tmax[s - 1] > 0 else 0.0
+                         for s in sizes)
+            cert += weight * norm * n * c_term
+    return total, cert
+
+
+def _tables(spec, n):
+    return power_kernel_table(spec.weight, n, max(1, min(spec.perm.size, spec.d)),
+                              include_constant=False, mode=spec.mode, tol=spec.tol)
+
+
+@st.composite
+def step_cases(draw):
+    n = draw(st.sampled_from([p for p in range(2, 62) if is_prime(p)]))
+    d = draw(st.integers(1, 5))
+    inv = tuple(c for c in range(1, d + 1) if draw(st.booleans()))
+    ell = draw(st.integers(1, d))
+    prefix = draw(st.lists(st.integers(0, n - 1), min_size=ell - 1, max_size=ell - 1))
+    return n, PermStructure(d, inv), prefix
+
+
+class TestFastStep:
+    @settings(max_examples=60, deadline=None)
+    @given(step_cases())
+    def test_matches_reference_within_certificates(self, case):
+        n, ps, prefix = case
+        spec = KernelSpec(SpectralWeight(), ps)
+        tables = _tables(spec, n)
+        vals, cert = cbc_step_objectives(prefix, n, spec, tables)
+        ref, ref_cert = reference_step_objectives(prefix, n, spec, tables)
+        assert vals.shape == (n,)
+        assert np.max(np.abs(vals - ref)) <= cert + ref_cert
+        assert cert >= ref_cert
+
+    @pytest.mark.parametrize("inv", [(1, 3), (2, 3), (), (1, 2, 3)])
+    def test_step_two_orbits(self, inv):
+        n, a = 61, 7
+        spec = KernelSpec(SpectralWeight(), PermStructure(3, inv))
+        vals, _ = cbc_step_objectives([a], n, spec)
+        ref, _ = reference_step_objectives([a], n, spec, _tables(spec, n))
+        z = np.arange(n)
+        tied = (z != 0) & (z != a) & (z != n - a)
+        inverse = np.array([pow(int(v), n - 2, n) for v in z])
+        swap = a * a * inverse % n
+        images = [-z % n, swap, -swap % n]
+        scale = np.max(np.abs(ref))
+        for img in images:
+            assert np.max(np.abs(ref - ref[img])[tied]) <= 1e-13 * scale
+            assert np.array_equal(vals[tied], vals[img][tied])
+        best = int(np.argmin(vals))
+        orbit = {best} | {int(img[best]) for img in images}
+        assert best == min(orbit)
+
+    def test_rejects_nonprime(self, spec_d3_full):
+        with pytest.raises(ValueError, match="not prime"):
+            cbc_step_objectives([1], 9, spec_d3_full)
+
+    def test_refuses_oversized_step_before_allocating(self):
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB"):
+                cbc_step_objectives([1] * 19, 1009, spec)
+            with pytest.raises(ValueError, match="GiB"):
+                cbc_construct(spec, 1009)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_large_n_memory(self):
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
+        cbc_construct(spec, 13)  # fills the closed-form validation caches
+        tracemalloc.start()
+        try:
+            res = cbc_construct(spec, 10007)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert res.achieved_E2 + res.achieved_E2_certificate < res.certified_bound
+
+    def test_ten_dimensions(self):
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(10))
+        res = cbc_construct(spec, 127)
+        assert len(res.rule.z) == 10
+        assert len(res.per_step_certificate) == 10
+        assert res.achieved_E2 + res.achieved_E2_certificate < res.certified_bound
 
 
 class TestConstruction:

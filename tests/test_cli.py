@@ -42,11 +42,24 @@ class TestCbcCommand:
                          "--json", str(out)]) == EXIT_OK
             outs.append((rule.read_bytes(), out.read_bytes()))
         assert outs[0] == outs[1]
+        payload = json.loads(outs[0][1])
+        assert len(payload["per_step_certificate"]) == len(payload["z"])
+        assert all(c > 0 for c in payload["per_step_certificate"])
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["cbc", "--config", str(bad), "--n", "13"]) == EXIT_CONFIG
+
+    def test_nonprime_n_exit_code(self, cfg_path, capsys):
+        assert main(["cbc", "--config", str(cfg_path), "--n", "9"]) == EXIT_CONFIG
+        assert "not prime" in capsys.readouterr().err
+
+    def test_oversized_step_exit_code(self, cfg_path, capsys):
+        code = main(["cbc", "--config", str(cfg_path), "--n", "1009", "--d", "20",
+                     "--trials", "0"])
+        assert code == EXIT_CONFIG
+        assert "GiB" in capsys.readouterr().err
 
     def test_missing_n(self, cfg_path, tmp_path):
         cfg = json.loads(cfg_path.read_text())
