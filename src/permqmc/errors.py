@@ -26,6 +26,7 @@ import numpy as np
 from .kernels import (
     KernelSpec,
     _submasks_with_lowest,
+    _sum_depth,
     kernel_perminv_gram,
     lattice_gram_mean,
     power_kernel,
@@ -34,7 +35,7 @@ from .kernels import (
     symmetrized_mass,
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
-from .symmetry import PermStructure, restriction_constant
+from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma, restriction_constant
 from .weights import Enclosure, SpectralWeight, eta_star, min_contraction_order, r_weight_inv_factors, tail_sum
 
 __all__ = [
@@ -58,7 +59,6 @@ SUBSET_CAP = 20
 # Working-set cap of one CBC step in bytes; a larger step is refused before
 # anything is allocated.
 STEP_BYTES_CAP = 1 << 30
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -109,6 +109,11 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     n x n Gram matrix, n*(n//2 + 1) pair permanents); any other rule the
     general route through the full Gram matrix.  ``details`` records the
     route and the number of pair permanents evaluated.
+
+    The certificate is the Gram certificate (kernel and Ryser errors, and
+    for the lattice route the rounding of its mean) plus an a priori
+    rounding bound gamma_k * sum |terms| of the quadratic form and the
+    three-term formula.
     """
     t0 = time.perf_counter()
     b0d = initial_error_sq(spec)
@@ -118,17 +123,24 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
     if isinstance(rule, LatticeRule):
-        quad, gcert, pairs = lattice_gram_mean(rule, spec)
+        quad, qcert, pairs = lattice_gram_mean(rule, spec)
         wsum = wabs = 1.0
+        wround = 0.0
         route = "lattice"
     else:
         gram, gcert = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
         rw = rule.raw_weights
-        quad, wsum, wabs = float(rw @ gram @ rw), float(rw.sum()), float(np.abs(rw).sum())
+        arw = np.abs(rw)
+        quad, wsum, wabs = float(rw @ gram @ rw), float(rw.sum()), float(arw.sum())
+        # w_j / n rounds once; two products of n terms each, in whatever
+        # order BLAS takes
+        qcert = gcert * wabs ** 2 + _gamma(2 * rule.n + 2) * float(arw @ np.abs(gram) @ arw)
+        wround = _gamma(_sum_depth(rule.n) + 1) * wabs
         pairs = rule.n ** 2
         route = "general"
     raw = b0d - 2.0 * b0d * wsum + quad
-    cert = gcert * wabs ** 2 + 1e-14 * b0d
+    # b0d is one pow (1 ulp); the formula adds three roundings
+    cert = qcert + 2.0 * b0d * wround + _gamma(5) * (b0d * (1.0 + 2.0 * wabs) + abs(quad))
     value = max(raw, 0.0)
     return ErrorReport(value, "kernel", cert, time.perf_counter() - t0,
                        details={"raw_value": raw, "route": route, "pairs": pairs})
@@ -212,7 +224,9 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
     """Squared worst-case error averaged over all uniform shifts.
 
     method "fixed_point": exact lattice average of the shift-averaged kernel
-    (the shift drops out of node differences).  method "spectral": truncated
+    (the shift drops out of node differences); its certificate is the
+    profile's plus the a priori rounding bound of the mean and the
+    subtraction of beta0^d.  method "spectral": truncated
     multiplicity-weighted sum over dual-lattice members of a frequency box.
     """
     t0 = time.perf_counter()
@@ -224,7 +238,11 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
         prof, cert = shift_invariant_profile(pts, spec)
         b0d = initial_error_sq(spec)
         value = float(np.mean(prof)) - b0d
-        report = ErrorReport(max(value, 0.0), "kernel_sum", cert + 1e-14 * b0d,
+        # numpy's sum and the division; b0d is one pow, and the subtraction
+        # rounds once
+        cert += (_gamma(_sum_depth(prof.size) + 2) * float(np.mean(np.abs(prof)))
+                 + _gamma(3) * b0d)
+        report = ErrorReport(max(value, 0.0), "kernel_sum", cert,
                              time.perf_counter() - t0,
                              details={"raw_value": value, "degenerate": degenerate})
         return report
@@ -265,11 +283,6 @@ def _check_step_bytes(ell: int, n: int, c_max: int) -> None:
         raise ValueError(
             f"CBC step {ell} at n = {n} needs about {need / 2**30:.1f} GiB "
             f"({need} bytes), above the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB")
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k*u / (1 - k*u) for the float64 unit roundoff u."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 @lru_cache(maxsize=8)
@@ -330,7 +343,10 @@ def _prefix_partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarr
     ``partition_sum_masked`` recurrence over the block holding U's lowest
     coordinate, O(3^k * n).  fv[U] and fe[U] run the same recurrence on the
     scalars (tmax, tcerts) as a value and its first-order term, so fe[U] is
-    the sum over partitions of sum_B tcert_B * prod_{B' != B} tmax_B'.
+    the sum over partitions of sum_B tcert_B * prod_{B' != B} tmax_B'.  fv[U]
+    also bounds |f[U, j]|, and each term of f[U, j] meets at most
+    k + 2^k - 1 roundings: two products per block and one addition per
+    other block with the same lowest coordinate, over at most k levels.
     """
     k = len(zs)
     size = 1 << k
@@ -445,8 +461,11 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
 
     Returns (values over z = 0..n-1, certificate).  The certificate is the
     first-order effect of the power-kernel table errors (one block at its
-    table certificate, every other block at its maximum) plus the a priori
-    rounding bound of the FFT correlations (``_fft_rho``).
+    table certificate, every other block at its maximum) plus a priori
+    rounding bounds: of the FFT correlations (``_fft_rho``), and
+    gamma_k * sum |terms| of the direct sums (the DP, the rest_M products,
+    the group and total accumulations), sum |terms| taken from the
+    maximum-value DP.
     """
     ell = len(prefix) + 1
     if ell > spec.d:
@@ -496,6 +515,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
         kappa_hat[c] = (np.fft.rfft(y), math.sqrt(float(y @ y)))
     total = np.zeros(n)
     cert = 0.0
+    absum = 0.0   # bounds sum |terms| of every total[z]
     for (c, S), members in groups.items():
         G = np.zeros(n)
         for M in members:
@@ -503,9 +523,14 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
             wts = math.factorial(c - 1) * nrm[pc[subs] + c, pc_inv[subs] + c - 1 + ell_inv]
             G += wts @ (f if M == 0 else f[subs])
             cert += n * (tmax[c - 1] * (wts @ fe[subs]) + tcerts[c - 1] * (wts @ fv[subs]))
+            absum += n * tmax[c - 1] * (wts @ fv[subs])
         F, err = _multiplicative_correlation(G, table[c - 1], powers, *kappa_hat[c])
         total += np.roll(F, -S)
         cert += err
+    # a term meets the DP (k + 2^k), its weight (8), the product with f
+    # (2^k + 1), the sum over members (2^k), the two products of F and one
+    # addition per group
+    cert += _gamma(k + 3 * (1 << k) + len(groups) + 11) * absum
     if ell == 2:
         total = _tie_orbit_mean(total, zs[0], n, powers)
         cert += _gamma(4) * float(np.max(np.abs(total)))

@@ -10,9 +10,10 @@ Three kernels are evaluated here:
   in the difference argument.
 
 Every univariate series has two evaluation paths: an exact closed form via
-Bernoulli polynomials (linear Korobov generator, integer smoothness), and a
-truncated series carrying a certified remainder bound.  The closed form is
-validated against the certified series before first use.
+Bernoulli polynomials (linear generator, integer smoothness) whose
+certificate is its a priori rounding bound, and a truncated series carrying
+a certified remainder bound.  The closed form is validated against the
+certified series once before first use.
 
 Sums weighted by the multiplicity of a multi-index expand over the fixed
 points of coordinate exchanges: grouping permutations by the partition their
@@ -25,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import LatticeRule
-from .symmetry import PermStructure, permanent_bounds
-from .weights import Enclosure, SpectralWeight, spectral_mass
+from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma, permanent_bounds
+from .weights import Enclosure, GeneratorSpec, SpectralWeight, spectral_mass
 
 __all__ = [
     "KernelSpec",
@@ -50,9 +52,26 @@ __all__ = [
 ]
 
 _SERIES_CAP = 2_000_000
-_CHUNK = 200_000
+# doubles per temporary of the cosine series: a chunk of terms times the
+# number of points stays at about this many
+_SERIES_ELEMS = 1_000_000
 # node pairs per fused Ryser pass in the Gram routes; bounds their memory
 _PAIR_CHUNK = 8192
+# pi to 60 significant digits (error below 1e-59)
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _sum_depth(n: int) -> int:
+    """Most roundings a term meets in numpy's float64 sum of n terms.
+
+    ``np.add.reduce`` sums pairwise within blocks of at most 8192 terms: a
+    leaf of at most 128 terms puts a term through at most 15 additions into
+    one of 8 partial sums, 3 to combine them and 7 for the leftover terms,
+    and every halving above it adds one.  Blocks are added one after
+    another.  The bound gamma_depth * sum |x_i| then covers the sum
+    (Higham 2002, section 4.2).
+    """
+    return 25 + max(1, n - 1).bit_length() + -(-n // 8192)
 
 
 # ---------------------------------------------------------------------------
@@ -62,18 +81,17 @@ _PAIR_CHUNK = 8192
 @lru_cache(maxsize=64)
 def _cosine_poly_coeffs(n: int) -> np.ndarray:
     """Ascending coefficients of the degree-2n polynomial equal to
-    sum_{m>=1} cos(2*pi*m*t) / m^(2n) on [0, 1]."""
-    import sympy
-
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sympy.bernoulli(2 * n, x), x)
-    scale = (
-        sympy.Integer(-1) ** (n + 1)
-        * (2 * sympy.pi) ** (2 * n)
-        / (2 * sympy.factorial(2 * n))
-    )
-    coeffs = [sympy.nsimplify(c) * scale for c in reversed(poly.all_coeffs())]
-    return np.array([float(sympy.N(c, 30)) for c in coeffs], dtype=float)
+    sum_{m>=1} cos(2*pi*m*t) / m^(2n) on [0, 1], the Bernoulli polynomial
+    (-1)^(n+1) (2 pi)^(2n) / (2 (2n)!) * sum_j C(2n, j) B_(2n-j) t^j.  Exact
+    rationals (pi from ``_PI``), each rounded once by ``float``; read-only."""
+    B = [Fraction(1)]
+    for j in range(1, 2 * n + 1):
+        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    scale = (-1) ** (n + 1) * (2 * _PI) ** (2 * n) / (2 * math.factorial(2 * n))
+    out = np.array([float(math.comb(2 * n, j) * B[2 * n - j] * scale)
+                    for j in range(2 * n + 1)])
+    out.flags.writeable = False
+    return out
 
 
 def _cosine_closed(n: int, t: np.ndarray) -> np.ndarray:
@@ -85,89 +103,81 @@ def _cosine_closed(n: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _cosine_closed_error(n: int) -> tuple[float, float]:
+    """Validate the closed form for exponent 2n once; return bounds on
+    |_cosine_closed(n, t) - P(t)| and on |_cosine_closed(n, t)|, P the exact
+    sum.  Higham (2002) section 5.1: the coefficients round by u |c_j|,
+    Horner's rule by gamma_4n * sum |c_j| (Eq. 5.3), and np.mod(t, 1) by u
+    times the Lipschitz bound sum j |c_j| of P; |P| <= c_0 = zeta(2n)."""
+    validate_closed_form(n)
+    c = np.abs(_cosine_poly_coeffs(n))
+    err = _gamma(4 * n + 4) * float(c.sum()) + 2.0 * _UNIT_ROUNDOFF * float(c @ np.arange(c.size))
+    return err, c[0] * (1.0 + _gamma(2)) + err
+
+
 def _cosine_series(weight_of_m: Callable[[np.ndarray], np.ndarray],
                    t: np.ndarray, terms: int) -> np.ndarray:
-    """Partial sum  sum_{m=1}^{terms} weight(m) * cos(2*pi*m*t), chunked."""
+    """Partial sum  sum_{m=1}^{terms} weight(m) * cos(2*pi*m*t), in chunks of
+    about ``_SERIES_ELEMS`` (point, term) pairs."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
-    for lo in range(1, terms + 1, _CHUNK):
-        hi = min(terms, lo + _CHUNK - 1)
-        m = np.arange(lo, hi + 1, dtype=float)
-        wm = weight_of_m(m)
-        out += np.cos(2.0 * math.pi * np.multiply.outer(t, m)) @ wm
+    step = max(1, _SERIES_ELEMS // max(t.size, 1))
+    for lo in range(1, terms + 1, step):
+        m = np.arange(lo, min(terms, lo + step - 1) + 1, dtype=float)
+        arg = np.multiply.outer(t, m)
+        arg *= 2.0 * math.pi
+        out += np.cos(arg, out=arg) @ weight_of_m(m)
     return out
 
 
 def _series_remainder_bound(w: SpectralWeight, s_exp: float, terms: int,
-                            t: np.ndarray | None) -> float:
-    """Certified bound on the dropped cosine tail beyond ``terms``.
+                            t: np.ndarray) -> np.ndarray:
+    """Bound at each point t on |sum_{m > terms} R(m)^(-s_exp) cos(2 pi m t)|.
 
-    Monotone-coefficient bound always applies; for linear generators the
+    The monotone-coefficient bound always applies; for linear generators the
     Dirichlet-kernel bound 1/|sin(pi t)| sharpens it away from t = 0.
     """
-    r1 = float(w.generator(1))
-    lead = (w.c_R / r1) ** s_exp
+    lead = (w.c_R / float(w.generator(1))) ** s_exp
     mono = lead * ((terms + 1) ** (-s_exp) + (terms + 1) ** (1.0 - s_exp) / (s_exp - 1.0))
-    if t is None or not w.generator.is_linear or np.size(t) == 0:
-        return mono
-    frac = np.mod(np.asarray(t, dtype=float), 1.0)
-    sin_t = np.abs(np.sin(math.pi * frac))
+    if not w.generator.is_linear:
+        return np.full(t.shape, mono)
+    sin_t = np.abs(np.sin(math.pi * np.mod(t, 1.0)))
     with np.errstate(divide="ignore"):
-        dirichlet = np.where(sin_t > 0, lead * (terms + 1) ** (-s_exp) / sin_t, np.inf)
-    return float(np.max(np.minimum(mono, dirichlet)))
+        return np.minimum(mono, lead * (terms + 1) ** (-s_exp) / sin_t)
 
 
-@lru_cache(maxsize=64)
-def _closed_form_residual(n: int) -> float:
-    """Validate the Bernoulli closed form for exponent 2n against the
-    certified series; returns a bound on its pointwise error.
+def validate_closed_form(n: int, t: np.ndarray | None = None) -> float:
+    """Check the closed form for exponent 2n against the certified series of
+    the plain generator R(m) = m (100_000 terms for n = 1, else 20_000).
 
-    Raises if the two paths disagree beyond the series certificate, so a bad
-    polynomial can never be used silently.
+    Raises AssertionError if the closed form leaves the series' tail band by
+    more than 1e-9 * (max |series| + 1) at any point of ``t`` (default: 96
+    seeded draws in [0.02, 0.98] and 1/4, 1/2, 3/4, the check run once per
+    exponent before first use).  Returns max |closed - series| + tail bound.
     """
-    rng = np.random.default_rng(2 * n + 1)
-    t = np.concatenate([rng.uniform(0.02, 0.98, size=96), [0.25, 0.5, 0.75]])
+    if t is None:
+        rng = np.random.default_rng(2 * n + 1)
+        t = np.concatenate([rng.uniform(0.02, 0.98, size=96), [0.25, 0.5, 0.75]])
     terms = 100_000 if n == 1 else 20_000
     series = _cosine_series(lambda m: m ** (-2.0 * n), t, terms)
-    # remainder of sum cos(2 pi m t)/m^{2n} beyond ``terms``
-    mono = (terms + 1) ** (-2.0 * n) + (terms + 1) ** (1.0 - 2.0 * n) / (2.0 * n - 1.0)
-    dirichlet = (terms + 1) ** (-2.0 * n) / np.abs(np.sin(math.pi * t))
-    cert = np.minimum(mono, dirichlet)
+    plain = SpectralWeight(alpha=float(n), generator=GeneratorSpec.plain())
+    cert = _series_remainder_bound(plain, 2.0 * n, terms, t)
     diff = np.abs(_cosine_closed(n, t) - series)
-    slack = np.max(diff - cert)
     scale = float(np.max(np.abs(series))) + 1.0
-    if slack > 1e-9 * scale:
+    if np.max(diff - cert) > 1e-9 * scale:
         raise AssertionError(
             f"closed-form cosine series failed validation at exponent {2 * n}"
         )
-    return float(np.max(cert) + 1e-13 * scale)
-
-
-def validate_closed_form(n: int, samples: int = 1000, seed: int = 7) -> float:
-    """Explicit validation of the closed form at ``samples`` random arguments.
-
-    Returns the maximal observed deviation from the certified series value
-    plus the series certificate; used by the test suite.
-    """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.01, 0.99, size=samples)
-    terms = 200_000 if n == 1 else 20_000
-    series = _cosine_series(lambda m: m ** (-2.0 * n), t, terms)
-    mono = (terms + 1) ** (-2.0 * n) + (terms + 1) ** (1.0 - 2.0 * n) / (2.0 * n - 1.0)
-    dirichlet = (terms + 1) ** (-2.0 * n) / np.abs(np.sin(math.pi * t))
-    cert = float(np.max(np.minimum(mono, dirichlet)))
-    return float(np.max(np.abs(_cosine_closed(n, t) - series))) + cert
+    return float(np.max(diff + cert))
 
 
 # ---------------------------------------------------------------------------
 # power kernels kappa_c
 # ---------------------------------------------------------------------------
 
-def _closed_available(w: SpectralWeight, power: int) -> bool:
-    return (
-        w.generator.kind == "korobov_linear"
-        and w.has_integer_alpha
-    )
+def _closed_available(w: SpectralWeight) -> bool:
+    return w.generator.is_linear and w.has_integer_alpha
 
 
 def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True,
@@ -189,21 +199,26 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     -------
     values : ndarray
     certificate : float
-        Bound on the absolute evaluation error, uniform over ``t``.
+        Bound on the absolute evaluation error, uniform over ``t``: the
+        closed form's a priori rounding bound, or the series' tail bound.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
     t_arr = np.asarray(t, dtype=float)
     const = w.beta0 ** power if include_constant else 0.0
     amp = 2.0 * w.beta1 ** power
-    use_closed = mode == "closed" or (mode == "auto" and _closed_available(w, power))
+    use_closed = mode == "closed" or (mode == "auto" and _closed_available(w))
     if use_closed:
-        if not _closed_available(w, power):
-            raise ValueError("closed form requires the Korobov generator and integer alpha")
+        if not _closed_available(w):
+            raise ValueError("closed form requires a linear generator and integer alpha")
         n = round(w.alpha * power)
-        rho = w.generator.linear_slope
-        vals = const + amp * rho ** (-2.0 * n) * _cosine_closed(n, t_arr)
-        cert = amp * rho ** (-2.0 * n) * _closed_form_residual(n)
+        err, top = _cosine_closed_error(n)
+        scale = amp * w.generator.linear_slope ** (-2.0 * n)
+        vals = const + scale * _cosine_closed(n, t_arr)
+        # scale: slope (u, to the power 2n), two pows (1 ulp each), a product;
+        # two more for the product with P and the sum.  const: pow and sum
+        cert = (abs(scale) * ((1.0 + _gamma(2 * n + 5)) * err + _gamma(2 * n + 7) * top)
+                + 3.0 * _UNIT_ROUNDOFF * const)
         return vals, cert
     # certified truncated series
     s_exp = 2.0 * w.alpha * power
@@ -213,7 +228,7 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     vals = const + amp * _cosine_series(
         lambda m: np.asarray(w.generator(m), dtype=float) ** (-s_exp), t_arr, terms
     )
-    cert = amp * _series_remainder_bound(w, s_exp, terms, t_arr)
+    cert = amp * float(np.max(_series_remainder_bound(w, s_exp, terms, t_arr), initial=0.0))
     return vals, cert
 
 
@@ -221,7 +236,7 @@ def _choose_terms(w: SpectralWeight, s_exp: float, amp: float, tol: float,
                   t: np.ndarray) -> int:
     terms = 64
     while terms < _SERIES_CAP:
-        if amp * _series_remainder_bound(w, s_exp, terms, t) <= tol:
+        if amp * np.max(_series_remainder_bound(w, s_exp, terms, t), initial=0.0) <= tol:
             return terms
         terms *= 2
     return _SERIES_CAP
@@ -308,9 +323,9 @@ def permutation_power_sum(p: Sequence[float]) -> float:
 class KernelSpec:
     """Kernel of the exchange-invariant space over a weight system.
 
-    mode "auto" resolves to the closed form whenever the generator is the
-    linear Korobov one with integer smoothness, and to certified truncated
-    series otherwise.
+    mode "auto" resolves to the closed form whenever the generator is linear
+    and the smoothness an integer, and to certified truncated series
+    otherwise.
     """
 
     weight: SpectralWeight
@@ -321,8 +336,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.mode not in ("auto", "closed", "spectral"):
             raise ValueError(f"unknown eval mode {self.mode!r}")
-        if self.mode == "closed" and not _closed_available(self.weight, 1):
-            raise ValueError("closed form requires the Korobov generator and integer alpha")
+        if self.mode == "closed" and not _closed_available(self.weight):
+            raise ValueError("closed form requires a linear generator and integer alpha")
 
     @property
     def d(self) -> int:
@@ -344,22 +359,27 @@ def kernel_univariate(x, y, w: SpectralWeight, mode: str = "auto",
 def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarray]:
     """Product of the free-coordinate K1 values over the last axis (1 when
     there are none), with its error bound given a uniform per-value
-    certificate."""
+    certificate.  The bound adds the rounding of both products, at most 2k
+    roundings each over k factors."""
     free_prod = np.prod(fvals, axis=-1)
     free_hi = np.prod(np.abs(fvals) + certf, axis=-1)
-    return free_prod, free_hi - np.abs(free_prod)
+    rounding = 3.0 * _gamma(2 * fvals.shape[-1]) * free_hi
+    return free_prod, free_hi - np.abs(free_prod) + rounding
 
 
 def _gram_entries(block: np.ndarray, cert1: float, free_prod: np.ndarray,
                   free_cert: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values per(block) * free_prod / s! of a batch-last (s, s, b)
     block and the error bound of each: K1's certificate through per(|A|+c)
-    minus per(|A|), Ryser's rounding, and the free-factor certificate."""
+    minus per(|A|), Ryser's rounding of per(A) and of both of those, the
+    free-factor certificate, and the two roundings of the value itself."""
     fact = float(spec.perm.group_order)
     pb = permanent_bounds(block, cert1)
     values = pb.per * free_prod / fact
-    per_err = pb.per_pad - pb.per_abs + pb.rounding
-    certs = (per_err * (np.abs(free_prod) + free_cert) + pb.per_abs * free_cert) / fact
+    per_err = pb.per_pad - pb.per_abs + 3.0 * pb.rounding
+    free_abs = np.abs(free_prod)
+    certs = (per_err * (free_abs + free_cert)
+             + pb.per_abs * (free_cert + _gamma(2) * free_abs)) / fact
     return values, certs
 
 
@@ -413,8 +433,9 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs through one
     fused Ryser pass, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
 
-    Returns (mean, cert, pairs): cert bounds the error of every Gram entry,
-    hence of the mean; pairs counts the pair permanents evaluated.
+    Returns (mean, cert, pairs): cert bounds the error of the mean, that of
+    every Gram entry plus the rounding of the accumulation; pairs counts the
+    pair permanents evaluated.
     """
     n = rule.n
     inv = spec.perm.invariant_idx
@@ -437,7 +458,7 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     kpart = (zi[:, None, None] - zi[None, :, None]) * k % n + base     # (s, s, n)
     half = n // 2
     step = max(1, _PAIR_CHUNK // n)
-    total = 0.0
+    total = total_abs = 0.0
     cert = 0.0
     for lo in range(0, half + 1, step):
         m = np.arange(lo, min(lo + step, half + 1), dtype=np.int64)
@@ -448,9 +469,15 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
         values, certs = _gram_entries(block, cert1, np.repeat(free_prod, n),
                                       np.repeat(free_cert, n), spec)
         mult = np.where((m == 0) | (2 * m == n), 1.0, 2.0)
-        total += float(mult @ values.reshape(len(m), n).sum(axis=1))
+        rows = values.reshape(len(m), n)
+        total += float(mult @ rows.sum(axis=1))
+        total_abs += float(mult @ np.abs(rows).sum(axis=1))
         cert = max(cert, float(np.max(certs)))
-    return total / float(n) ** 2, cert, n * (half + 1)
+    # a value meets a row sum, the product with mult, a dot of at most step
+    # terms, one addition per chunk and the division
+    depth = _sum_depth(n) + min(step, half + 1) + -(-(half + 1) // step) + 2
+    mean_abs = total_abs / float(n) ** 2
+    return total / float(n) ** 2, cert + _gamma(depth) * mean_abs, n * (half + 1)
 
 
 def kernel_perminv(x, y, spec: KernelSpec) -> float:
@@ -472,7 +499,6 @@ def _shift_invariant_from_diff(diff: np.ndarray, spec: KernelSpec,
     inv = spec.perm.invariant_idx
     free = spec.perm.free_idx
     s = len(inv)
-    kappa_cache: dict[int, tuple[np.ndarray, float]] = {}
 
     def kappa(c: int, args: np.ndarray) -> tuple[np.ndarray, float]:
         return power_kernel(spec.weight, c, args, include_constant=include_constant,
@@ -489,7 +515,12 @@ def _shift_invariant_from_diff(diff: np.ndarray, spec: KernelSpec,
             hi[mask] = np.abs(v) + c_err
         part = partition_sum_masked(vals, s)
         part_hi = partition_sum_masked(hi, s)
-        part_cert = part_hi - np.abs(part)
+        # the recurrence puts a term through at most s + 2^s - 1 roundings (a
+        # product with the block value and one with the rest per level, one
+        # addition per other block); with |v| + err above and the division
+        # below, the bound covers the rounding of part and of part_hi
+        rounding = 3.0 * _gamma(s + (1 << s) + 1) * part_hi
+        part_cert = part_hi - np.abs(part) + rounding
         fact = float(spec.perm.group_order)
         part, part_cert = part / fact, part_cert / fact
     else:
@@ -497,11 +528,10 @@ def _shift_invariant_from_diff(diff: np.ndarray, spec: KernelSpec,
         part_cert = np.zeros(diff.shape[0])
     if len(free):
         fv, fc = kappa(1, np.mod(diff[:, free], 1.0).reshape(-1))
-        fv = fv.reshape(diff.shape[0], len(free))
-        fprod = np.prod(fv, axis=1)
-        fhi = np.prod(np.abs(fv) + fc, axis=1)
+        fprod, fcert = _free_factor(fv.reshape(diff.shape[0], len(free)), fc)
         total = part * fprod
-        cert = np.abs(part) * (fhi - np.abs(fprod)) + part_cert * fhi
+        cert = (np.abs(part) * fcert + part_cert * (np.abs(fprod) + fcert)
+                + _UNIT_ROUNDOFF * np.abs(total))
     else:
         total = part
         cert = part_cert

@@ -34,6 +34,12 @@ __all__ = [
 # pure-Python loop here is comfortable to s ~ 20.  Callers hitting the cap
 # should fall back to truncated spectral sums.
 PERMANENT_CAP = 24
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u) for the float64 unit roundoff u."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 class PermanentCapError(ValueError):
@@ -178,7 +184,7 @@ class PermanentBounds(NamedTuple):
     per: np.ndarray       # per(A)
     per_abs: np.ndarray   # per(|A|)
     per_pad: np.ndarray   # per(|A| + c), c added to every entry
-    rounding: np.ndarray  # bound on the rounding error of per and per_abs
+    rounding: np.ndarray  # bound on the rounding error of each of the three
 
 
 def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBounds:
@@ -188,10 +194,12 @@ def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBo
     and per(|A| + c).  The row sums of |A| + c over S are the row sums of |A|
     plus c*|S|, so the padded permanent costs no extra row updates.
 
-    ``rounding`` is gamma_k * sum_S prod_i rowabs_i(S), gamma_k = k*u/(1 - k*u)
-    with k = 2s + 2^s: the standard bound for the signed sum of the 2^s - 1
-    terms, each a product of s row sums, when every row sum is treated as
-    accumulated in at most 2^s additions (the Gray-code updates).
+    ``rounding`` is gamma_k * sum_S prod_i (rowabs_i(S) + c*|S|),
+    gamma_k = k*u/(1 - k*u) with k = 2s + 2^s: the standard bound for the
+    signed sum of the 2^s - 1 terms, each a product of s row sums, when every
+    row sum is treated as accumulated in at most 2^s additions (the Gray-code
+    updates).  The padded terms dominate the others, so it bounds the
+    rounding of per(A), per(|A|) and per(|A| + c) alike.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[0] != A.shape[1]:
@@ -233,7 +241,7 @@ def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBo
         np.multiply.reduce(rowabs, axis=0, out=term_abs)
         np.add(rowabs, c * size, out=padded)
         np.multiply.reduce(padded, axis=0, out=term_pad)
-        unsigned += term_abs
+        unsigned += term_pad
         if size & 1:
             per -= term
             per_abs -= term_abs
@@ -244,9 +252,7 @@ def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBo
             per_pad += term_pad
     if s & 1:
         per, per_abs, per_pad = -per, -per_abs, -per_pad
-    k = 2 * s + (1 << s)
-    u = np.finfo(float).eps / 2.0
-    return PermanentBounds(per, per_abs, per_pad, k * u / (1.0 - k * u) * unsigned)
+    return PermanentBounds(per, per_abs, per_pad, _gamma(2 * s + (1 << s)) * unsigned)
 
 
 def sym_perm_sum(A, fixed: Sequence = (), cap: int = PERMANENT_CAP):

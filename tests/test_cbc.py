@@ -14,7 +14,7 @@ from permqmc.symmetry import PermStructure, restriction_constant, set_partitions
 from permqmc.weights import SpectralWeight
 
 
-def reference_step_objectives(prefix, n, spec, tables):
+def reference_step_objectives(prefix, n, spec, tables, dtype=np.float64):
     """Brute-force CBC step objective, for small n only.
 
     Enumerates every coordinate subset u containing the candidate coordinate
@@ -22,26 +22,27 @@ def reference_step_objectives(prefix, n, spec, tables):
     share a block), and gathers the candidate block's kernel through an n x n
     index array: O(n^2) per (subset, partition) pair.  The certificate puts
     one block at its table certificate and the others at their maxima.
+    ``dtype`` is the arithmetic of the sums (the table is taken as exact).
     """
     ell = len(prefix) + 1
     ps = spec.perm
     invariant = set(ps.invariant)
-    table, tcerts = tables
+    table, tcerts = np.asarray(tables[0], dtype=dtype), tables[1]
     tmax = np.max(np.abs(table), axis=1) + tcerts
     j = np.arange(n, dtype=np.int64)
     cand = np.arange(n, dtype=np.int64)
     zs = {c: int(prefix[c - 1]) % n for c in range(1, ell)}
-    total = np.zeros(n)
+    total = np.zeros(n, dtype=dtype)
     cert = 0.0
     for mask in range(1 << (ell - 1)):
         subset = tuple(c for c in range(1, ell) if mask >> (c - 1) & 1) + (ell,)
         c_u = restriction_constant(subset, ps, spec.weight.beta0)
         inv = [c for c in subset if c in invariant]
-        norm = 1.0 / (c_u * math.factorial(len(inv)) * n)
+        norm = dtype(1) / (dtype(c_u) * math.factorial(len(inv)) * n)
         for part in set_partitions(len(inv)):
             blocks = [tuple(inv[i] for i in blk) for blk in part]
             blocks += [(c,) for c in subset if c not in invariant]
-            rest = np.ones(n)
+            rest = np.ones(n, dtype=dtype)
             weight = 1.0
             for blk in blocks:
                 weight *= math.factorial(len(blk) - 1)
@@ -108,6 +109,18 @@ class TestFastStep:
         orbit = {best} | {int(img[best]) for img in images}
         assert best == min(orbit)
 
+    @pytest.mark.parametrize("prefix", [[1], [1, 286, 53, 80]])
+    def test_rounding_within_certificate(self, prefix):
+        # with the table taken as exact the certificate is the rounding bound
+        # alone; a long double recomputation of the sums must lie inside it
+        n = 1009
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
+        table, tcerts = _tables(spec, n)
+        exact = (table, np.zeros_like(tcerts))
+        vals, cert = cbc_step_objectives(prefix, n, spec, exact)
+        ref, _ = reference_step_objectives(prefix, n, spec, exact, dtype=np.longdouble)
+        assert 0.0 < float(np.max(np.abs(vals - ref))) < cert
+
     def test_rejects_nonprime(self, spec_d3_full):
         with pytest.raises(ValueError, match="not prime"):
             cbc_step_objectives([1], 9, spec_d3_full)
@@ -136,6 +149,11 @@ class TestFastStep:
             tracemalloc.stop()
         assert peak < 64 << 20
         assert res.achieved_E2 + res.achieved_E2_certificate < res.certified_bound
+
+    def test_certificate_small_at_n_100003(self):
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
+        res = cbc_construct(spec, 100003)
+        assert res.achieved_E2_certificate < 1e-3 * res.achieved_E2
 
     def test_ten_dimensions(self):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(10))

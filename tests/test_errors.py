@@ -1,6 +1,7 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from permqmc.errors import (
 )
 from permqmc.kernels import KernelSpec, kernel_perminv
 from permqmc.lattice import LatticeRule, WeightedCubature
-from permqmc.symmetry import PermStructure, multiplicity
+from permqmc.symmetry import PermStructure, multiplicity, set_partitions
 from permqmc.weights import SpectralWeight, r_weight_inv, r_weight_inv_factors, tail_sum
 
 
@@ -115,6 +116,66 @@ class TestLatticeRoute:
         assert peak < 128 * 2 ** 20
 
 
+def exact_kappa(c, t, w):
+    """kappa_c(t) in mpmath for the Korobov generator and integer alpha:
+    beta0^c + beta1^c (-1)^(n+1) / (2n)! * B_2n(frac t), n = alpha * c."""
+    n = round(w.alpha * c)
+    frac = t - mpmath.floor(t)
+    return (mpmath.mpf(w.beta0) ** c + mpmath.mpf(w.beta1) ** c * (-1) ** (n + 1)
+            / mpmath.factorial(2 * n) * mpmath.bernpoly(2 * n, frac))
+
+
+class TestExactCertificates:
+    """Certified values against 40-digit recomputations of small rules."""
+
+    def test_mean_sq_error(self):
+        w = SpectralWeight(beta0=0.9, beta1=1.1)
+        spec = KernelSpec(w, PermStructure(4, (1, 2, 4)))
+        n, z = 31, (1, 12, 7, 20)
+        rep = mean_sq_error(LatticeRule(n, z), spec)
+        inv, free = spec.perm.invariant_idx, spec.perm.free_idx
+        with mpmath.workdps(40):
+            total = 0
+            for k in range(n):
+                x = [mpmath.mpf(k * zi % n) / n for zi in z]
+                part = 0
+                for blocks in set_partitions(len(inv)):
+                    term = 1
+                    for b in blocks:
+                        arg = sum(x[inv[i]] for i in b)
+                        term *= math.factorial(len(b) - 1) * exact_kappa(len(b), arg, w)
+                    part += term
+                for f in free:
+                    part *= exact_kappa(1, x[f], w)
+                total += part / spec.perm.group_order
+            exact = total / n - mpmath.mpf(w.beta0) ** spec.d
+        assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
+        assert rep.truncation_certificate < 1e-13
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_worst_case_error_sq(self, general):
+        w = SpectralWeight(beta0=0.9, beta1=1.1)
+        spec = KernelSpec(w, PermStructure(3, (1, 3)))
+        rule = LatticeRule(11, (1, 4, 5), (0.3, 0.71, 0.05))
+        rep = worst_case_error_sq(rule.cubature() if general else rule, spec)
+        inv, free = spec.perm.invariant_idx, spec.perm.free_idx
+        with mpmath.workdps(40):
+            pts = [[mpmath.mpf(k * zi % 11) / 11 + mpmath.mpf(d) for zi, d in zip(rule.z, rule.shift)]
+                   for k in range(11)]
+            total = 0
+            for x in pts:
+                for y in pts:
+                    per = sum(mpmath.fprod(exact_kappa(1, x[inv[i]] - y[inv[p[i]]], w)
+                                           for i in range(len(inv)))
+                              for p in permutations(range(len(inv))))
+                    for f in free:
+                        per *= exact_kappa(1, x[f] - y[f], w)
+                    total += per / spec.perm.group_order
+            exact = total / 121 - mpmath.mpf(w.beta0) ** spec.d
+        assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
+        assert rep.truncation_certificate < 1e-13
+
+
 class TestMeanSquared:
     def test_univariate_exact_value(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.empty(1))
@@ -137,6 +198,11 @@ class TestMeanSquared:
             for h in hs
         )
         assert rep.value == pytest.approx(expect, rel=1e-12)
+
+    def test_certificate_small_at_n_10007(self, spec_d3_full):
+        # the CBC rule for (d = 3, n = 10007); E2 is about 2.2e-9
+        rep = mean_sq_error(LatticeRule(10007, (1, 3822, 2827)), spec_d3_full)
+        assert rep.truncation_certificate < 1e-3 * rep.value
 
     def test_shift_does_not_matter(self, spec_d2_full):
         a = mean_sq_error(LatticeRule(13, (1, 5)), spec_d2_full)

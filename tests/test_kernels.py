@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 import pytest
 
 from permqmc.kernels import (
     KernelSpec,
+    _cosine_poly_coeffs,
+    _sum_depth,
     kernel_perminv,
     kernel_perminv_gram,
     kernel_shift_invariant,
@@ -18,7 +25,7 @@ from permqmc.kernels import (
     symmetrized_mass,
     validate_closed_form,
 )
-from permqmc.symmetry import PermStructure, multiplicity
+from permqmc.symmetry import PermStructure, _gamma, multiplicity
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
 
 
@@ -57,7 +64,96 @@ class TestClosedForm:
     def test_validation_thousand_points(self, n):
         # the closed form must agree with the certified series before use
         scale = 2.0 if n == 1 else 1.1
-        assert validate_closed_form(n, samples=1000) < 1e-8 * scale
+        t = np.random.default_rng(7).uniform(0.01, 0.99, size=1000)
+        assert validate_closed_form(n, t) < 1e-8 * scale
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_coefficients_match_mpmath(self, n):
+        with mpmath.workdps(50):
+            scale = (-1) ** (n + 1) * (2 * mpmath.pi) ** (2 * n) / (2 * mpmath.factorial(2 * n))
+            ref = [float(mpmath.binomial(2 * n, j) * mpmath.bernoulli(2 * n - j) * scale)
+                   for j in range(2 * n + 1)]
+        got = _cosine_poly_coeffs(n)
+        assert got.view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("alpha, beta0, beta1, gen, power", [
+        (1.0, 1.0, 1.0, "korobov_linear", 1),
+        (1.0, 1.0, 1.0, "korobov_linear", 4),
+        (2.0, 0.8, 1.3, "korobov_linear", 2),
+        (1.0, 0.7, 0.9, "plain_linear", 1),
+        (3.0, 1.0, 1.0, "plain_linear", 2),
+    ])
+    def test_certificate_bounds_the_closed_form(self, alpha, beta0, beta1, gen, power):
+        # against the Bernoulli polynomial in 50-digit arithmetic at the same
+        # float arguments, negative and large ones included
+        w = SpectralWeight(alpha=alpha, beta0=beta0, beta1=beta1, generator=GeneratorSpec(gen))
+        t = np.concatenate([np.random.default_rng(5).uniform(-3.0, 3.0, size=40),
+                            [0.0, 0.5, 1.0 - 2.0 ** -53, -1e-20, 7.25]])
+        n = round(alpha * power)
+        for include_constant in (True, False):
+            vals, cert = power_kernel(w, power, t, include_constant=include_constant)
+            with mpmath.workdps(50):
+                rho = 2 * mpmath.pi if gen == "korobov_linear" else mpmath.mpf(1)
+                amp = 2 * mpmath.mpf(beta1) ** power * rho ** (-2 * n)
+                scale = (-1) ** (n + 1) * (2 * mpmath.pi) ** (2 * n) / (2 * mpmath.factorial(2 * n))
+                const = mpmath.mpf(beta0) ** power if include_constant else 0
+                for v, x in zip(vals, t):
+                    x = mpmath.mpf(float(x))
+                    exact = const + amp * scale * mpmath.bernpoly(2 * n, x - mpmath.floor(x))
+                    assert abs(mpmath.mpf(float(v)) - exact) <= cert
+        if (alpha, power, gen) == (1.0, 1, "korobov_linear"):
+            assert cert < 2e-15
+
+    def test_plain_linear_closed_form(self):
+        w = SpectralWeight(generator=GeneratorSpec.plain())
+        t = np.random.default_rng(11).uniform(0.05, 0.95, size=50)
+        a, ca = power_kernel(w, 1, t, mode="closed")
+        b, cb = power_kernel(w, 1, t, mode="spectral", tol=1e-9)
+        assert np.max(np.abs(a - b)) <= ca + cb
+        auto, _ = power_kernel(w, 1, t)
+        assert np.array_equal(auto, a)
+        assert KernelSpec(w, PermStructure.full(2), mode="closed").mode == "closed"
+        custom = SpectralWeight(generator=GeneratorSpec("custom", table=(1.0,), slope=1.0))
+        with pytest.raises(ValueError, match="linear generator"):
+            KernelSpec(custom, PermStructure.full(2), mode="closed")
+
+    def test_series_working_set_bounded(self):
+        # 300 points and a tail bound at t = 0 that needs 2^18 > 2e5 terms
+        w = SpectralWeight(generator=GeneratorSpec.plain())
+        t = np.linspace(0.0, 1.0, 300)
+        tracemalloc.start()
+        try:
+            _, cert = power_kernel(w, 1, t, mode="spectral", tol=1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2.0 / (2e5 + 1) > cert  # so the series ran beyond 2e5 terms
+        assert peak < 64 << 20
+
+    def test_no_sympy_import(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from permqmc import KernelSpec, PermStructure, SpectralWeight\n"
+            "from permqmc.cbc import cbc_construct\n"
+            "from permqmc.kernels import power_kernel\n"
+            "power_kernel(SpectralWeight(), 1, np.array([0.3]), mode='closed')\n"
+            "cbc_construct(KernelSpec(SpectralWeight(), PermStructure.full(3)), 13)\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_sum_depth_bounds_numpy_sum(self):
+        # 1 followed by terms of 0.75u: a sequential sum drops every one of
+        # them, numpy's pairwise sum keeps the error within gamma_depth
+        u = 2.0 ** -53
+        for n in (100, 129, 8193, 100_003):
+            x = np.full(n, 0.75 * u)
+            x[0] = 1.0
+            exact = 1.0 + (n - 1) * 0.75 * u
+            assert abs(float(np.sum(x)) - exact) <= _gamma(_sum_depth(n)) * exact
 
     def test_univariate_diagonal(self, sobolev):
         assert kernel_univariate(0.42, 0.42, sobolev) == pytest.approx(1 + 1 / 12, abs=1e-12)

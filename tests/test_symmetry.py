@@ -192,13 +192,12 @@ class TestFusedRyser:
         g = gamma(s + math.factorial(s))
         expect, expect_abs, expect_pad = (naive_permanent(B) for B in (A, absA, absA + c))
         gr = gamma(2 * s + 2 ** s)
-        assert pb.rounding[0] == pytest.approx(gr * unsigned_ryser_sum(absA, 0.0),
-                                               rel=1e-12, abs=1e-300)
-        tol = pb.rounding[0] + g * expect_abs
+        pad_rounding = gr * unsigned_ryser_sum(absA, c)
+        assert pb.rounding[0] == pytest.approx(pad_rounding, rel=1e-12, abs=1e-300)
+        tol = gr * unsigned_ryser_sum(absA, 0.0) + g * expect_abs
         assert abs(pb.per[0] - expect) <= tol
         assert abs(pb.per_abs[0] - expect_abs) <= tol
-        pad_tol = gr * unsigned_ryser_sum(absA, c) + g * expect_pad
-        assert abs(pb.per_pad[0] - expect_pad) <= pad_tol
+        assert abs(pb.per_pad[0] - expect_pad) <= pad_rounding + g * expect_pad
 
     def test_real_per_bitwise_equal_to_batch_first_ryser(self, rng):
         def batch_first(A):  # one Gray-code Ryser pass over a (batch, s, s) stack
