@@ -18,7 +18,6 @@ from .symmetry import (
     multiplicity,
     normalize_to_nabla,
     permanent,
-    sym_perm_sum,
 )
 from .kernels import (
     KernelSpec,

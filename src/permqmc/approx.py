@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations as _perms
 
 import numpy as np
 
 from .errors import worst_case_error_sq
-from .kernels import KernelSpec, kernel_perminv_gram
+from .kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, RateConstants, TailConstants, rate_constants, spectrum_tail_constants
-from .symmetry import multiplicity, normalize_to_nabla
+from .symmetry import multiplicity, normalize_to_nabla, permanent_bounds
 from .weights import Enclosure
 
 __all__ = [
@@ -104,20 +103,34 @@ class SymmetricBasis:
         """Values of the L2-normalized eigenfunctions: shape (m, npoints).
 
         xi_j(x) = (sum over exchanges of exp(2 pi i k.x)) / sqrt(#S * M(k)!),
-        with conjugate pairs mapped to sqrt(2) * (real, imag) parts."""
+        with conjugate pairs mapped to sqrt(2) * (real, imag) parts.  The sum
+        over exchanges is per[exp(2 pi i k_a x_b)] over the invariant
+        coordinates a, b (one fused Ryser pass per chunk of about
+        ``_PAIR_CHUNK`` (mode, point) pairs) times the free coordinates'
+        phase; the phases come from one table over the distinct frequencies.
+        """
         self.ensure(m)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ps = self.spec.perm
-        inv = ps.invariant_idx
-        labels = np.asarray([label for _, _, label in self._modes[:m]], dtype=float)
-        if labels.size == 0:
-            return np.zeros((0, pts.shape[0]))
-        acc = np.zeros((m, pts.shape[0]), dtype=complex)
-        for sigma in _perms(range(ps.size)):
-            permuted = labels.copy()
-            if ps.size:
-                permuted[:, inv] = labels[:, inv[list(sigma)]]
-            acc += np.exp(2j * math.pi * (permuted @ pts.T))
+        inv, free = ps.invariant_idx, ps.free_idx
+        npts = pts.shape[0]
+        if m == 0:
+            return np.zeros((0, npts))
+        labels = np.asarray([label for _, _, label in self._modes[:m]], dtype=np.int64)
+        kvals, kidx = np.unique(labels.ravel(), return_inverse=True)
+        kidx = kidx.reshape(labels.shape)
+        # phase[c, k, p] = exp(2 pi i kvals[k] x_p[c])
+        phase = np.exp(2j * math.pi * (kvals[None, :, None] * pts.T[:, None, :]))
+        phase_inv = phase[inv]
+        acc = np.empty((m, npts), dtype=complex)
+        step = max(1, _PAIR_CHUNK // max(npts, 1))
+        for lo in range(0, m, step):
+            rows = kidx[lo:lo + step]
+            # block[b, a, (j, p)] = exp(2 pi i k_j[a] x_p[b]), a, b invariant
+            block = phase_inv[:, rows[:, inv].T, :]
+            per = permanent_bounds(block.reshape(len(inv), len(inv), len(rows) * npts)).per
+            free_phase = np.prod(phase[free[:, None], rows[:, free].T, :], axis=0)
+            acc[lo:lo + step] = per.reshape(len(rows), npts) * free_phase
         fact = float(ps.group_order)
         mults = np.asarray([
             float(multiplicity(label, ps)) for _, _, label in self._modes[:m]

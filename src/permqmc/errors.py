@@ -19,6 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -187,29 +188,28 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     """Squared worst-case error of a (shifted) lattice rule by direct
     enumeration of the frequency box.
 
-    Sums r^(-1)(h) |T(h)|^2 / (#S)^2 over the box, where T collects the
-    exchange images of h that land in the dual lattice, weighted by the node
-    shift phase.  Independent of the kernel route.
+    The kernel sum is r^(-1)(h) |T(h)|^2 / (#S)^2 over the box, T(h) the sum
+    of the shift phases e^(2 pi i h'.shift) over the exchange images h' of h
+    that lie in the dual lattice.  An orbit O of s!/M(h)! members has
+    T(h) = M(h)! * S_O, S_O the sum of the phases of its dual members, so
+    the sum is computed by orbit grouping as
+    sum over orbits of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!.
+    Independent of the kernel route.
     """
     t0 = time.perf_counter()
-    from itertools import permutations as _perms
-
     d, n = rule.d, rule.n
     ps = spec.perm
     hs = box_frequencies(d, half_width)
-    z = np.asarray(rule.z, dtype=np.int64)
+    hs = hs[(hs @ np.asarray(rule.z, dtype=np.int64)) % n == 0]
     shift = np.zeros(d) if rule.shift is None else np.asarray(rule.shift)
-    inv = ps.invariant_idx
-    T = np.zeros(hs.shape[0], dtype=complex)
-    for sigma in _perms(range(ps.size)):
-        ph = hs.copy()
-        if ps.size:
-            ph[:, inv] = hs[:, inv[list(sigma)]]
-        member = (ph @ z) % n == 0
-        T += member * np.exp(2j * math.pi * (ph @ shift))
-    fac = np.prod(r_weight_inv_factors(hs, spec.weight), axis=1)
-    order = float(ps.group_order)
-    value = float(np.sum(fac * np.abs(T) ** 2)) / order ** 2
+    phase = np.exp(2j * math.pi * (hs @ shift))
+    hs[:, ps.invariant_idx] = np.sort(hs[:, ps.invariant_idx], axis=1)
+    reps, orbit_of = np.unique(hs, axis=0, return_inverse=True)
+    S_O = (np.bincount(orbit_of, phase.real, len(reps))
+           + 1j * np.bincount(orbit_of, phase.imag, len(reps)))
+    fac = np.prod(r_weight_inv_factors(reps, spec.weight), axis=1)
+    mult = multiplicity_array(reps, ps)
+    value = float(np.sum(fac * mult * np.abs(S_O) ** 2)) / float(ps.group_order)
     cert = _box_tail_certificate(spec, half_width)
     return ErrorReport(value, "spectral_dual_sum", cert, time.perf_counter() - t0,
                        details={"half_width": half_width})
@@ -591,7 +591,9 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
 
     lambda = 1 is evaluated exactly (it equals the symmetrized mass minus the
     constant mode); spaces without exchangeable pairs reduce to an exact
-    univariate tensor power; otherwise a certified box sum is used.
+    univariate tensor power; otherwise a certified box sum is used, one term
+    per orbit of the invariant coordinates: C(2H + s, s) terms and memory,
+    not (2H + 1)^d.
     """
     w = spec.weight
     if not (1.0 <= lam < 2.0 * w.alpha):
@@ -607,10 +609,23 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
                + tail_sum(w, exponent=w.alpha / lam).scale(2.0 * w.beta1 ** (1.0 / lam)))
         inner = Enclosure(uni.lo ** d - b0d_l, uni.hi ** d - b0d_l)
         return inner.power(lam)
-    hs = box_frequencies(d, half_width)
-    fac = np.prod(r_weight_inv_factors(hs, w), axis=1)
-    mult = multiplicity_array(hs, spec.perm)
-    inner = float(np.sum((mult / float(spec.perm.group_order) * fac) ** (1.0 / lam)))
+    # one representative per orbit of the invariant coordinates (sorted),
+    # standing for its s!/M! members of equal weight; the free coordinates
+    # factor out as a power of the per-coordinate sum b0 + osc
+    ps = spec.perm
+    s = ps.size
+    reps = np.fromiter(chain.from_iterable(combinations_with_replacement(
+        range(-half_width, half_width + 1), s)), dtype=np.int64).reshape(-1, s)
+    fac = np.prod(r_weight_inv_factors(reps, w), axis=1)
+    share = multiplicity_array(reps, PermStructure.full(s)) / float(ps.group_order)
+    terms = (share * fac) ** (1.0 / lam) / share
+    zero = ~np.any(reps, axis=1)
+    b0 = w.beta0 ** (1.0 / lam)
+    osc = 2.0 * float(np.sum(w.oscillatory_weight_inv(np.arange(1, half_width + 1)) ** (1.0 / lam)))
+    f = d - s
+    # (b0 + osc)^f without the all-zero free vector, free of cancellation
+    free_nonzero = osc * sum((b0 + osc) ** j * b0 ** (f - 1 - j) for j in range(f))
+    inner = float(terms[~zero].sum()) * (b0 + osc) ** f + float(terms[zero].sum()) * free_nonzero
     tail = _box_tail_certificate(spec, half_width, inv_lambda=1.0 / lam)
     return Enclosure(inner, inner + tail).power(lam)
 

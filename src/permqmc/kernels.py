@@ -117,18 +117,35 @@ def _cosine_closed_error(n: int) -> tuple[float, float]:
 
 
 def _cosine_series(weight_of_m: Callable[[np.ndarray], np.ndarray],
-                   t: np.ndarray, terms: int) -> np.ndarray:
+                   t: np.ndarray, terms: int,
+                   weight_roundings: int) -> tuple[np.ndarray, float]:
     """Partial sum  sum_{m=1}^{terms} weight(m) * cos(2*pi*m*t), in chunks of
-    about ``_SERIES_ELEMS`` (point, term) pairs."""
+    about ``_SERIES_ELEMS`` (point, term) pairs, and a bound on its rounding
+    error, uniform over ``t``.
+
+    ``weight_roundings`` bounds each computed weight's relative error in
+    units of u.  The argument 2*pi*m*t meets three roundings (2*pi and two
+    products), which the cosine passes on as gamma_3 * 2*pi*|t|*m; the
+    cosine itself (4u absolute), the weight, its product with the cosine,
+    the dot product of a chunk and the sum over chunks add
+    gamma_k * sum w(m) (Higham 2002, section 3.1).  One more rounding in
+    each term covers the accumulation of sum w(m) and sum m*w(m).
+    """
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     step = max(1, _SERIES_ELEMS // max(t.size, 1))
+    sum_w = sum_mw = 0.0
     for lo in range(1, terms + 1, step):
         m = np.arange(lo, min(terms, lo + step - 1) + 1, dtype=float)
         arg = np.multiply.outer(t, m)
         arg *= 2.0 * math.pi
-        out += np.cos(arg, out=arg) @ weight_of_m(m)
-    return out
+        wm = weight_of_m(m)
+        out += np.cos(arg, out=arg) @ wm
+        sum_w += float(wm.sum())
+        sum_mw += float(m @ wm)
+    k = 4 + weight_roundings + 1 + min(step, terms) + -(-terms // step) + 1
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    return out, _gamma(4) * 2.0 * math.pi * t_max * sum_mw + _gamma(k) * sum_w
 
 
 def _series_remainder_bound(w: SpectralWeight, s_exp: float, terms: int,
@@ -160,7 +177,7 @@ def validate_closed_form(n: int, t: np.ndarray | None = None) -> float:
         rng = np.random.default_rng(2 * n + 1)
         t = np.concatenate([rng.uniform(0.02, 0.98, size=96), [0.25, 0.5, 0.75]])
     terms = 100_000 if n == 1 else 20_000
-    series = _cosine_series(lambda m: m ** (-2.0 * n), t, terms)
+    series, _ = _cosine_series(lambda m: m ** (-2.0 * n), t, terms, weight_roundings=1)
     plain = SpectralWeight(alpha=float(n), generator=GeneratorSpec.plain())
     cert = _series_remainder_bound(plain, 2.0 * n, terms, t)
     diff = np.abs(_cosine_closed(n, t) - series)
@@ -200,7 +217,8 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     values : ndarray
     certificate : float
         Bound on the absolute evaluation error, uniform over ``t``: the
-        closed form's a priori rounding bound, or the series' tail bound.
+        closed form's a priori rounding bound, or the series' tail bound
+        plus its rounding bound.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -225,10 +243,17 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     if s_exp <= 1.0:
         raise ValueError("series divergent: 2*alpha*power must exceed 1")
     terms = _choose_terms(w, s_exp, amp, tol, t_arr)
-    vals = const + amp * _cosine_series(
-        lambda m: np.asarray(w.generator(m), dtype=float) ** (-s_exp), t_arr, terms
-    )
-    cert = amp * float(np.max(_series_remainder_bound(w, s_exp, terms, t_arr), initial=0.0))
+    # R(m) meets at most two roundings, which the power multiplies by s_exp,
+    # and the power one more
+    series, rounding = _cosine_series(
+        lambda m: np.asarray(w.generator(m), dtype=float) ** (-s_exp), t_arr, terms,
+        weight_roundings=2 * math.ceil(s_exp) + 1)
+    vals = const + amp * series
+    tail = float(np.max(_series_remainder_bound(w, s_exp, terms, t_arr), initial=0.0))
+    # amp is one pow, then the product with the series and the sum; const is
+    # one pow and the sum
+    peak = float(np.max(np.abs(series), initial=0.0)) + rounding
+    cert = amp * (tail + rounding + _gamma(3) * peak) + _gamma(2) * const
     return vals, cert
 
 
@@ -487,15 +512,15 @@ def kernel_perminv(x, y, spec: KernelSpec) -> float:
     return float(g[0, 0])
 
 
-def _shift_invariant_from_diff(diff: np.ndarray, spec: KernelSpec,
-                               include_constant: bool = True) -> tuple[np.ndarray, float]:
-    """Shift-averaged kernel evaluated at difference vectors (npts, d).
+def shift_invariant_profile(diffs, spec: KernelSpec,
+                            include_constant: bool = True) -> tuple[np.ndarray, float]:
+    """Shift-averaged kernel at an array of difference vectors (npts, d).
 
     Expands the multiplicity-weighted frequency sum over exchange fixed
     points: for each partition of the invariant block, every block of size c
     contributes kappa_c at the summed difference of its coordinates.
     """
-    diff = np.atleast_2d(np.asarray(diff, dtype=float))
+    diff = np.atleast_2d(np.asarray(diffs, dtype=float))
     inv = spec.perm.invariant_idx
     free = spec.perm.free_idx
     s = len(inv)
@@ -542,14 +567,8 @@ def kernel_shift_invariant(x, y, spec: KernelSpec) -> float:
     """Shift-averaged exchange-invariant kernel; a function of x - y only."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    vals, _ = _shift_invariant_from_diff((x - y)[None, :], spec)
+    vals, _ = shift_invariant_profile((x - y)[None, :], spec)
     return float(vals[0])
-
-
-def shift_invariant_profile(diffs, spec: KernelSpec,
-                            include_constant: bool = True) -> tuple[np.ndarray, float]:
-    """Vectorized shift-averaged kernel over an array of difference vectors."""
-    return _shift_invariant_from_diff(diffs, spec, include_constant=include_constant)
 
 
 def symmetrized_mass(spec: KernelSpec) -> Enclosure:

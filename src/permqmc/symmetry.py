@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -18,13 +17,11 @@ __all__ = [
     "PermStructure",
     "multiplicity",
     "normalize_to_nabla",
-    "orbit",
     "restriction_constant",
     "permanent",
     "permanent_batch",
     "permanent_bounds",
     "PermanentBounds",
-    "sym_perm_sum",
     "set_partitions",
     "PermanentCapError",
     "PERMANENT_CAP",
@@ -130,19 +127,6 @@ def normalize_to_nabla(k: Sequence[int], ps: PermStructure) -> tuple[int, ...]:
     for i, v in zip(ps.invariant, vals):
         k[i - 1] = v
     return tuple(k)
-
-
-def orbit(k: Sequence[int], ps: PermStructure) -> set[tuple[int, ...]]:
-    """All distinct images of k under the coordinate-exchange group."""
-    k = tuple(k)
-    inv = ps.invariant
-    out = set()
-    for perm in permutations(range(len(inv))):
-        kk = list(k)
-        for slot, src in zip(inv, perm):
-            kk[slot - 1] = k[inv[src] - 1]
-        out.add(tuple(kk))
-    return out
 
 
 def restriction_constant(subset: Iterable[int], ps: PermStructure, beta0: float) -> float:
@@ -253,18 +237,6 @@ def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBo
     if s & 1:
         per, per_abs, per_pad = -per, -per_abs, -per_pad
     return PermanentBounds(per, per_abs, per_pad, _gamma(2 * s + (1 << s)) * unsigned)
-
-
-def sym_perm_sum(A, fixed: Sequence = (), cap: int = PERMANENT_CAP):
-    """Symmetrized product sum: permanent(A) times the product of fixed factors.
-
-    Computes sum over all exchanges P of prod_l A[P(l), l], times the scalar
-    contribution of the non-exchangeable coordinates.
-    """
-    scale = 1.0
-    for f in fixed:
-        scale = scale * f
-    return permanent(A, cap=cap) * scale
 
 
 @lru_cache(maxsize=32)

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from permqmc.approx import (
 from permqmc.errors import worst_case_error_sq
 from permqmc.kernels import KernelSpec, kernel_perminv_gram
 from permqmc.spectrum import rate_constants, spectrum_tail_constants
-from permqmc.symmetry import PermStructure
+from permqmc.symmetry import PermStructure, multiplicity
 from permqmc.weights import SpectralWeight
 
 
@@ -77,6 +78,59 @@ class TestBasis:
         # sampled density is bounded below on its support; importance weights finite
         u = basis.density(pts, 6)
         assert np.all(u > 0)
+
+
+def eval_matrix_oracle(basis, points, m):
+    """Eigenfunction values summed over all s! exchanges of every label."""
+    basis.ensure(m)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ps = basis.spec.perm
+    inv = ps.invariant_idx
+    modes = basis._modes[:m]
+    labels = np.asarray([label for _, _, label in modes], dtype=float)
+    acc = np.zeros((m, pts.shape[0]), dtype=complex)
+    for sigma in permutations(range(ps.size)):
+        permuted = labels.copy()
+        permuted[:, inv] = labels[:, inv[list(sigma)]]
+        acc += np.exp(2j * math.pi * (permuted @ pts.T))
+    mults = np.asarray([float(multiplicity(label, ps)) for _, _, label in modes])
+    acc /= np.sqrt(float(ps.group_order) * mults)[:, None]
+    out = np.empty((m, pts.shape[0]))
+    for j, (_, kind, _) in enumerate(modes):
+        out[j] = acc[j].real if kind == "self" else math.sqrt(2.0) * (
+            acc[j].real if kind == "cos" else acc[j].imag)
+    return out
+
+
+class TestEvalMatrixRyser:
+    """eval_matrix (one Ryser permanent per mode and point) against the sum
+    over all exchanges."""
+
+    @pytest.mark.parametrize("d, inv, m", [
+        (1, (), 40), (3, (), 40), (4, (1, 3), 60), (4, (2,), 30), (5, (1, 2, 3, 4, 5), 80),
+    ])
+    def test_matches_permutation_sum(self, d, inv, m, rng):
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(d, inv)))
+        pts = rng.uniform(size=(25, d))
+        got = basis.eval_matrix(pts, m)
+        kinds = {kind for kind, _ in basis.mode_labels(m)}
+        assert kinds == {"self", "cos", "sin"}
+        assert np.max(np.abs(got - eval_matrix_oracle(basis, pts, m))) <= 1e-12
+
+    def test_chunked_batch(self, rng):
+        # more (mode, point) pairs than one Ryser chunk holds
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(3, (1, 2))))
+        pts = rng.uniform(size=(700, 3))
+        got = basis.eval_matrix(pts, 30)
+        assert np.max(np.abs(got - eval_matrix_oracle(basis, pts, 30))) <= 1e-12
+
+    def test_invariant_under_exchange_at_s8(self, rng):
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure.full(8)))
+        pts = rng.uniform(size=(6, 8))
+        a = basis.eval_matrix(pts, 40)
+        b = basis.eval_matrix(pts[:, rng.permutation(8)], 40)
+        assert np.max(np.abs(a)) > 1.0
+        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a))
 
 
 class TestSequence:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permqmc.errors import (
+    box_frequencies,
     bound_constant,
     bound_constants,
     cbc_objective,
@@ -34,6 +35,25 @@ def nabla_box_bound_constant(spec, lam, H):
         m = multiplicity(h, spec.perm)
         total += (m / order * r_weight_inv(h, spec.weight)) ** (1.0 / lam)
     return total ** lam
+
+
+def spectral_permutation_oracle(rule, spec, half_width):
+    """The spectral route summed over all s! exchanges of every box frequency:
+    sum_h r^(-1)(h) |T(h)|^2 / (s!)^2, T(h) the sum over the exchange images
+    of h in the dual lattice of their shift phases."""
+    ps = spec.perm
+    hs = box_frequencies(rule.d, half_width)
+    z = np.asarray(rule.z, dtype=np.int64)
+    shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
+    inv = ps.invariant_idx
+    T = np.zeros(hs.shape[0], dtype=complex)
+    for sigma in permutations(range(ps.size)):
+        ph = hs.copy()
+        ph[:, inv] = hs[:, inv[list(sigma)]]
+        member = (ph @ z) % rule.n == 0
+        T += member * np.exp(2j * math.pi * (ph @ shift))
+    fac = np.prod(r_weight_inv_factors(hs, spec.weight), axis=1)
+    return float(np.sum(fac * np.abs(T) ** 2)) / float(ps.group_order) ** 2
 
 
 class TestWorstCase:
@@ -76,6 +96,29 @@ class TestWorstCase:
             a = worst_case_error_sq(rule.cubature(), spec)
             b = worst_case_error_sq_spectral(rule, spec, half_width=hw)
             assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
+
+
+class TestSpectralOrbitGrouping:
+    """The orbit-grouped spectral route against the sum over all exchanges."""
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("d, inv, n, hw", [
+        (4, (1, 2, 3, 4), 31, 5), (4, (1, 3), 31, 5), (4, (), 31, 5),
+        (3, (1, 2, 3), 7, 8), (2, (1, 2), 5, 14), (1, (1,), 5, 30),
+    ])
+    def test_matches_permutation_sum(self, d, inv, n, hw, shifted):
+        spec = KernelSpec(SpectralWeight(alpha=2.0), PermStructure(d, inv))
+        shift = tuple((0.37 + 0.29 * i) % 1 for i in range(d)) if shifted else None
+        rule = LatticeRule(n, tuple(range(1, d + 1)), shift)
+        rep = worst_case_error_sq_spectral(rule, spec, half_width=hw)
+        expect = spectral_permutation_oracle(rule, spec, hw)
+        assert expect > 0
+        assert abs(rep.value - expect) <= 1e-13 * expect
+
+    def test_no_dual_member_in_the_box(self, sobolev):
+        spec = KernelSpec(sobolev, PermStructure.full(2))
+        rep = worst_case_error_sq_spectral(LatticeRule(101, (1, 10)), spec, half_width=2)
+        assert rep.value == 0.0
 
 
 class TestLatticeRoute:
@@ -300,6 +343,28 @@ class TestBoundConstants:
         oracle = nabla_box_bound_constant(spec, 1.5, 24)
         assert enc.lo <= oracle * (1 + 1e-9)
         assert oracle <= enc.hi
+
+    def test_partial_invariance_lambda(self):
+        w = SpectralWeight(alpha=2.0)
+        for d, inv in [(3, (1, 3)), (4, (2, 3, 4)), (3, (1, 2, 3))]:
+            spec = KernelSpec(w, PermStructure(d, inv))
+            enc = bound_constant(spec, 1.5, half_width=6)
+            oracle = nabla_box_bound_constant(spec, 1.5, 6)
+            assert enc.lo == pytest.approx(oracle, rel=1e-12)
+            assert oracle <= enc.hi
+
+    def test_lambda_box_memory_bounded(self, sobolev):
+        import tracemalloc
+
+        spec = KernelSpec(sobolev, PermStructure.full(5))
+        tracemalloc.start()
+        try:
+            enc = bound_constant(spec, 1.5, half_width=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < enc.lo < enc.hi
+        assert peak < 64 * 2 ** 20
 
     def test_divergent_lambda(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.empty(1))

@@ -43,6 +43,22 @@ class TestFamilies:
         assert f.norm == pytest.approx(2.0)
         assert invariance_defect(f, spec_d3_full) < 1e-10
 
+    def test_invariance_defect_flags_non_invariant_function(self, spec_d3_full):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return np.cos(2.0 * math.pi * x[:, 0])
+
+        assert invariance_defect(f, spec_d3_full) > 1e-8
+        # one call: the samples and their two adjacent transpositions
+        assert calls == [(48, 3)]
+
+    def test_invariance_defect_partial_structure(self):
+        spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 3)))
+        assert invariance_defect(lambda x: np.cos(2.0 * math.pi * x[:, 1]), spec) == 0.0
+        assert invariance_defect(lambda x: x[:, 0] - x[:, 2], spec) > 1e-8
+
     def test_invariance_by_construction(self, rng):
         spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 3)))
         f = random_integrand(spec, 10, seed=1)

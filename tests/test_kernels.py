@@ -11,7 +11,9 @@ import pytest
 
 from permqmc.kernels import (
     KernelSpec,
+    _choose_terms,
     _cosine_poly_coeffs,
+    _series_remainder_bound,
     _sum_depth,
     kernel_perminv,
     kernel_perminv_gram,
@@ -116,6 +118,30 @@ class TestClosedForm:
         custom = SpectralWeight(generator=GeneratorSpec("custom", table=(1.0,), slope=1.0))
         with pytest.raises(ValueError, match="linear generator"):
             KernelSpec(custom, PermStructure.full(2), mode="closed")
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_series_rounding_bound(self, power):
+        # non-integer smoothness takes the series route; its value against the
+        # same partial sum in 30-digit arithmetic at the same float arguments
+        # must stay within the certificate's rounding term alone
+        w = SpectralWeight(alpha=1.25, beta0=0.9, beta1=1.2)
+        t = np.concatenate([np.random.default_rng(3).uniform(-2.0, 2.0, size=6),
+                            [-2.0, 0.0, 2.0 - 2.0 ** -51, 2.0]])
+        s_exp = 2.0 * w.alpha * power
+        amp = 2.0 * w.beta1 ** power
+        terms = _choose_terms(w, s_exp, amp, 1e-6, t)
+        tail = amp * float(np.max(_series_remainder_bound(w, s_exp, terms, t)))
+        vals, cert = power_kernel(w, power, t, tol=1e-6)
+        rounding = cert - tail
+        assert 0.0 < rounding < 1e-12
+        with mpmath.workdps(30):
+            weights = [(2 * mpmath.pi * m) ** (-s_exp) for m in range(1, terms + 1)]
+            for v, x in zip(vals, t):
+                x = mpmath.mpf(float(x))
+                partial = mpmath.fsum(wm * mpmath.cos(2 * mpmath.pi * m * x)
+                                      for m, wm in enumerate(weights, 1))
+                exact = mpmath.mpf(w.beta0) ** power + 2 * mpmath.mpf(w.beta1) ** power * partial
+                assert abs(mpmath.mpf(float(v)) - exact) <= rounding
 
     def test_series_working_set_bounded(self):
         # 300 points and a tail bound at t = 0 that needs 2^18 > 2e5 terms

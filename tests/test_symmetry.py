@@ -1,5 +1,7 @@
+import ast
 import math
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,11 @@ from permqmc.symmetry import (
     PermanentCapError,
     multiplicity,
     normalize_to_nabla,
-    orbit,
     permanent,
     permanent_batch,
     permanent_bounds,
     restriction_constant,
     set_partitions,
-    sym_perm_sum,
 )
 
 
@@ -26,6 +26,19 @@ def naive_permanent(A):
     A = np.asarray(A)
     s = A.shape[0]
     return sum(np.prod([A[p[i], i] for i in range(s)]) for p in permutations(range(s)))
+
+
+def orbit(k, ps):
+    """All distinct images of k under the coordinate-exchange group."""
+    k = tuple(k)
+    inv = ps.invariant
+    out = set()
+    for perm in permutations(range(len(inv))):
+        kk = list(k)
+        for slot, src in zip(inv, perm):
+            kk[slot - 1] = k[inv[src] - 1]
+        out.add(tuple(kk))
+    return out
 
 
 def brute_fix_count(k, ps):
@@ -153,13 +166,14 @@ class TestPermanent:
             permanent(np.eye(PERMANENT_CAP + 1))
 
     def test_sym_perm_sum(self, rng):
+        # symmetrized product sum: the permanent times the fixed factors
         A = rng.normal(size=(3, 3))
         fixed = (1.5, -0.5)
-        assert sym_perm_sum(A, fixed) == pytest.approx(naive_permanent(A) * 1.5 * -0.5, rel=1e-12)
+        assert permanent(A) * np.prod(fixed) == pytest.approx(naive_permanent(A) * 1.5 * -0.5, rel=1e-12)
 
     def test_sym_perm_sum_scalar_block(self, rng):
         A = rng.normal(size=(1, 1))
-        assert sym_perm_sum(A, (2.0,)) == pytest.approx(A[0, 0] * 2.0)
+        assert permanent(A) * np.prod((2.0,)) == pytest.approx(A[0, 0] * 2.0)
 
 
 def gamma(k):
@@ -249,3 +263,20 @@ class TestRestrictionConstant:
     def test_overlapping(self):
         ps = PermStructure(4, (1, 2, 3))
         assert restriction_constant((2, 3), ps, 1.0) == pytest.approx(math.comb(3, 2))
+
+
+def test_no_permutation_loops_in_the_package():
+    """Sums over exchanges go through Ryser permanents or orbit grouping; no
+    module of the package imports itertools.permutations."""
+    src = Path(__file__).resolve().parents[1] / "src" / "permqmc"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                if any(alias.name == "permutations" for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                  and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert len(list(src.glob("*.py"))) > 5
+    assert not offenders, f"itertools.permutations used at {offenders}"
