@@ -9,28 +9,20 @@ from .weights import (
     SpectralWeight,
     eta_star,
     min_contraction_order,
-    r_weight,
-    r_weight_inv,
     tail_sum,
 )
 from .symmetry import (
     PermStructure,
     multiplicity,
     normalize_to_nabla,
-    permanent,
 )
 from .kernels import (
     KernelSpec,
-    kernel_perminv,
-    kernel_shift_invariant,
-    kernel_univariate,
     symmetrized_mass,
 )
 from .lattice import (
     LatticeRule,
     WeightedCubature,
-    character_average,
-    dual_membership,
     is_prime,
     load_cubature,
     load_lattice,
@@ -42,7 +34,6 @@ from .errors import (
     ErrorReport,
     bound_constant,
     bound_constants,
-    cbc_objective,
     initial_error_sq,
     mean_sq_error,
     worst_case_error_sq,
@@ -53,10 +44,8 @@ from .spectrum import (
     EigenSpectrum,
     RateConstants,
     c_prime,
-    multivariate_spectrum,
     rate_constants,
     spectrum_tail_constants,
-    univariate_eigenvalues,
 )
 from .approx import (
     ApproxAlgorithm,

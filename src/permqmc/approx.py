@@ -17,14 +17,14 @@ slack is recorded with the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import worst_case_error_sq
 from .kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from .lattice import WeightedCubature
-from .spectrum import EigenSpectrum, RateConstants, TailConstants, rate_constants, spectrum_tail_constants
+from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
 from .symmetry import multiplicity, normalize_to_nabla, permanent_bounds
 from .weights import Enclosure
 

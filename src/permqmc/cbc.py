@@ -10,12 +10,11 @@ search is retried with doubled budgets before flagging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ErrorReport,
     _check_step_bytes,
     bound_constant,
     cbc_step_objectives,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .kernels import KernelSpec, power_kernel_table
 from .lattice import LatticeRule, is_prime
-from .weights import Enclosure
 
 __all__ = [
     "CbcResult",

@@ -5,8 +5,9 @@ integrate.  Structured inputs come from a JSON config file; flags override
 config values.  Tables are emitted as CSV, structured results as JSON with
 sorted keys, so identical configs and seeds produce byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration error, 3 result carries an
-uncertified (flagged) component.
+Exit codes: 0 success, 2 configuration or input error (including a search
+that runs out of budget), 3 result carries an uncertified (flagged)
+component.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import assemble_rule, gaussian_average_error_sq
+from .approx import assemble_rule
 from .cbc import cbc_construct, construct_shifted, shift_search
 from .errors import (
     bound_constant,
@@ -63,9 +64,7 @@ def _build_spec(cfg: dict, args) -> KernelSpec:
     structure = cfg.get("structure", {})
     try:
         w = weight_from_config(space)
-        d = int(structure.get("d", getattr(args, "d", None) or 0))
-        if getattr(args, "d", None):
-            d = args.d
+        d = getattr(args, "d", None) or int(structure.get("d", 0))
         if d < 1:
             raise ConfigError("dimension d missing or invalid")
         inv = structure.get("invariant", "full")
@@ -232,7 +231,7 @@ def _cmd_convergence(args) -> int:
     trials = int(_param(cfg, args, "trials", 32))
     seed = int(_param(cfg, args, "seed", 0))
     lam = float(_param(cfg, args, "lam", 1.0))
-    threads = max(1, int(getattr(args, "threads", None) or 1))
+    threads = max(1, args.threads or 1)
     if n_list:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             rows = list(ex.map(
@@ -300,7 +299,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="dimension override")
     p.add_argument("--invariant", help="invariant set: 'full', 'none', or e.g. '1,2'")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--threads", type=int, help="worker threads for studies")
     p.add_argument("--tol", type=float, help="spectral certificate target")
     p.add_argument("--json", help="write JSON result here (default: stdout)")
 
@@ -348,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", dest="n_list", help="comma-separated primes")
     p.add_argument("--trials", type=int)
     p.add_argument("--lam", type=float)
+    p.add_argument("--threads", type=int, help="worker threads")
     p.add_argument("--csv", help="write the CSV table here")
     p.set_defaults(func=_cmd_convergence)
 
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,9 +1,7 @@
 """Worst-case error engine.
 
-Every quantity of interest (squared worst-case error of a cubature rule, the
-shift-averaged squared error of a lattice rule, the per-coordinate search
-objective, and the named bound constants) is computable by at least two
-independent routes:
+The squared worst-case error of a cubature rule and the shift-averaged
+squared error of a lattice rule are computable by two independent routes:
 
 * an exact route that expands multiplicity-weighted frequency sums over the
   fixed points of coordinate exchanges (partition sums of power kernels), and
@@ -11,7 +9,9 @@ independent routes:
   membership directly, carrying a certified bound on the omitted mass.
 
 Route agreement within the combined certificates is the engine's basic
-correctness contract.
+correctness contract.  The per-coordinate search objective and the bound
+constants have their second routes as oracles in the test suite
+(``tests/oracles.py`` and the brute-force sums of ``tests/test_errors.py``).
 """
 from __future__ import annotations
 
@@ -30,14 +30,14 @@ from .kernels import (
     _sum_depth,
     kernel_perminv_gram,
     lattice_gram_mean,
-    power_kernel,
     power_kernel_table,
     shift_invariant_profile,
     symmetrized_mass,
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
-from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma, restriction_constant
-from .weights import Enclosure, SpectralWeight, eta_star, min_contraction_order, r_weight_inv_factors, tail_sum
+from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma
+from .weights import (Enclosure, eta_star, min_contraction_order, r_weight_inv_factors,
+                      spectral_mass, tail_sum)
 
 __all__ = [
     "ErrorReport",
@@ -46,7 +46,6 @@ __all__ = [
     "worst_case_error_sq",
     "worst_case_error_sq_spectral",
     "mean_sq_error",
-    "cbc_objective",
     "cbc_step_objectives",
     "bound_constant",
     "bound_constants",
@@ -147,13 +146,11 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
                        details={"raw_value": raw, "route": route, "pairs": pairs})
 
 
-def box_frequencies(d: int, half_width: int, drop_zero: bool = True) -> np.ndarray:
-    """All integer vectors in [-H, H]^d, optionally without the origin."""
+def box_frequencies(d: int, half_width: int) -> np.ndarray:
+    """All integer vectors in [-H, H]^d except the origin."""
     axes = [np.arange(-half_width, half_width + 1)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    if drop_zero:
-        grid = grid[np.any(grid != 0, axis=1)]
-    return grid.astype(np.int64)
+    return grid[np.any(grid != 0, axis=1)].astype(np.int64)
 
 
 def multiplicity_array(h: np.ndarray, ps: PermStructure) -> np.ndarray:
@@ -262,14 +259,6 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
 # ---------------------------------------------------------------------------
 # per-coordinate search objective
 # ---------------------------------------------------------------------------
-
-def _subsets_containing_last(ell: int):
-    """Subsets of {1..ell} containing ell, as sorted tuples of 1-based coords."""
-    rest = list(range(1, ell))
-    for mask in range(1 << len(rest)):
-        members = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        yield tuple(members + [ell])
-
 
 def _check_step_bytes(ell: int, n: int, c_max: int) -> None:
     """Refuse a CBC step whose predicted working set exceeds the cap.
@@ -489,7 +478,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
     inv_mask = sum(1 << i for i in range(k) if i + 1 in inv)
     f, fv, fe = _prefix_partition_sums(zs, inv_mask, n, table, tmax, tcerts)
 
-    # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u as in ``restriction_constant``
+    # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u = beta0^|u| * C(s, |u & I|)
     s = ps.size
     nrm = np.zeros((ell + 1, s + 1))
     for a in range(1, ell + 1):
@@ -537,50 +526,6 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
     return total, float(cert)
 
 
-def cbc_objective(z_prefix: Sequence[int], n: int, spec: KernelSpec,
-                  method: str = "fixed_point", half_width: int = 12) -> ErrorReport:
-    """Search objective for the last coordinate of a generating-vector prefix.
-
-    "fixed_point" evaluates the exact node-average form; "spectral" sums the
-    truncated frequency boxes of every subset directly (oracle route).
-    """
-    t0 = time.perf_counter()
-    z_prefix = [int(v) for v in z_prefix]
-    ell = len(z_prefix)
-    if ell < 1:
-        raise ValueError("prefix must be nonempty")
-    if method == "fixed_point":
-        vals, cert = cbc_step_objectives(z_prefix[:-1], n, spec)
-        return ErrorReport(float(vals[z_prefix[-1] % n]), "fixed_point", cert,
-                           time.perf_counter() - t0)
-    if method != "spectral":
-        raise ValueError(f"unknown method {method!r}")
-    if ell > SUBSET_CAP:
-        raise ValueError(f"subset enumeration above cap {SUBSET_CAP}")
-    ps = spec.perm
-    w = spec.weight
-    nz = np.concatenate([np.arange(-half_width, 0), np.arange(1, half_width + 1)])
-    total = 0.0
-    cert = 0.0
-    nonzero_mass = 2.0 * w.beta1 * tail_sum(w).hi
-    coord_tail = 2.0 * w.beta1 * tail_sum(w, start=half_width + 1).hi
-    for subset in _subsets_containing_last(ell):
-        k = len(subset)
-        sub_ps = ps.restrict(subset)
-        axes = [nz] * k
-        hs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-        zsub = np.asarray([z_prefix[c - 1] for c in subset], dtype=np.int64)
-        member = (hs @ zsub) % n == 0
-        hs = hs[member]
-        fac = np.prod(r_weight_inv_factors(hs, w), axis=1)
-        mult = multiplicity_array(hs, sub_ps)
-        c_u = restriction_constant(subset, ps, w.beta0)
-        total += float(np.sum(fac * mult)) / (float(sub_ps.group_order) * c_u)
-        cert += k * coord_tail * nonzero_mass ** (k - 1) / c_u
-    return ErrorReport(total, "spectral_dual_sum", cert, time.perf_counter() - t0,
-                       details={"half_width": half_width})
-
-
 # ---------------------------------------------------------------------------
 # bound constants
 # ---------------------------------------------------------------------------
@@ -605,8 +550,7 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
         return Enclosure(max(m2.lo - initial_error_sq(spec), 0.0),
                          m2.hi - initial_error_sq(spec))
     if spec.perm.size <= 1:
-        uni = (Enclosure.exact(w.beta0 ** (1.0 / lam))
-               + tail_sum(w, exponent=w.alpha / lam).scale(2.0 * w.beta1 ** (1.0 / lam)))
+        uni = spectral_mass(w, 1.0 / lam)
         inner = Enclosure(uni.lo ** d - b0d_l, uni.hi ** d - b0d_l)
         return inner.power(lam)
     # one representative per orbit of the invariant coordinates (sorted),

@@ -38,11 +38,8 @@ from .weights import Enclosure, GeneratorSpec, SpectralWeight, spectral_mass
 
 __all__ = [
     "KernelSpec",
-    "kernel_univariate",
-    "kernel_perminv",
     "kernel_perminv_gram",
     "lattice_gram_mean",
-    "kernel_shift_invariant",
     "power_kernel",
     "power_kernel_table",
     "partition_sum_masked",
@@ -373,14 +370,6 @@ class KernelSpec:
                             mode=self.mode, tol=self.tol)
 
 
-def kernel_univariate(x, y, w: SpectralWeight, mode: str = "auto",
-                      tol: float = 1e-10) -> float:
-    """K1(x, y); depends on x - y only."""
-    vals, _ = power_kernel(w, 1, np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
-                           mode=mode, tol=tol)
-    return float(vals) if np.ndim(vals) == 0 else vals
-
-
 def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarray]:
     """Product of the free-coordinate K1 values over the last axis (1 when
     there are none), with its error bound given a uniform per-value
@@ -505,13 +494,6 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     return total / float(n) ** 2, cert + _gamma(depth) * mean_abs, n * (half + 1)
 
 
-def kernel_perminv(x, y, spec: KernelSpec) -> float:
-    """Exchange-invariant kernel at a single pair of points."""
-    g, _ = kernel_perminv_gram(np.asarray(x, dtype=float)[None, :],
-                               np.asarray(y, dtype=float)[None, :], spec)
-    return float(g[0, 0])
-
-
 def shift_invariant_profile(diffs, spec: KernelSpec,
                             include_constant: bool = True) -> tuple[np.ndarray, float]:
     """Shift-averaged kernel at an array of difference vectors (npts, d).
@@ -563,29 +545,23 @@ def shift_invariant_profile(diffs, spec: KernelSpec,
     return total, float(np.max(cert)) if np.size(cert) else 0.0
 
 
-def kernel_shift_invariant(x, y, spec: KernelSpec) -> float:
-    """Shift-averaged exchange-invariant kernel; a function of x - y only."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    vals, _ = shift_invariant_profile((x - y)[None, :], spec)
-    return float(vals[0])
+def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:
+    """Enclosure of sum_j lambda_j^(1/tau) over the whole multivariate spectrum.
 
-
-def symmetrized_mass(spec: KernelSpec) -> Enclosure:
-    """Diagonal integral of the exchange-invariant kernel.
-
-    Equals the multiplicity-weighted total spectral mass; computed exactly
-    from the per-order scalar masses through the fixed-point recurrence.
+    At tau = 1 this is the diagonal integral of the exchange-invariant
+    kernel, the multiplicity-weighted total spectral mass.  It splits into
+    the tensor factor over free coordinates and the sorted-tuple sum over the
+    exchangeable block; the latter is the fixed-point recurrence applied to
+    the per-order scalar masses spectral_mass(w, c / tau).
     """
     w = spec.weight
     s = spec.perm.size
     d_free = spec.d - s
-    masses = [spectral_mass(w, c) for c in range(1, s + 1)]
+    masses = [spectral_mass(w, c / tau) for c in range(1, s + 1)]
     lo = permutation_power_sum([m.lo for m in masses]) if s else 1.0
     hi = permutation_power_sum([m.hi for m in masses]) if s else 1.0
     fact = float(math.factorial(s))
     base = Enclosure(lo / fact, hi / fact)
     if d_free:
-        m1 = spectral_mass(w, 1)
-        base = base * m1.power(d_free)
+        base = base * spectral_mass(w, 1.0 / tau).power(d_free)
     return base

@@ -1,9 +1,8 @@
-"""Rank-1 lattice rules, shifts, dual membership, and rule file formats."""
+"""Rank-1 lattice rules, shifts, and rule file formats."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -13,8 +12,6 @@ __all__ = [
     "is_prime",
     "LatticeRule",
     "WeightedCubature",
-    "dual_membership",
-    "character_average",
     "save_lattice",
     "load_lattice",
     "save_cubature",
@@ -28,10 +25,9 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_WITNESSES):
         return False
     d, r = n - 1, 0
     while d % 2 == 0:
@@ -67,6 +63,10 @@ class LatticeRule:
             sh = tuple(float(x) % 1.0 for x in self.shift)
             if len(sh) != len(z):
                 raise ValueError("shift dimension does not match z")
+            if not all(math.isfinite(x) for x in sh):
+                raise ValueError(f"shift {self.shift} is not finite")
+            # x % 1.0 rounds to 1.0 for tiny negative x; 1 and 0 are one shift
+            sh = tuple(0.0 if x == 1.0 else x for x in sh)
             object.__setattr__(self, "shift", sh)
 
     @property
@@ -89,21 +89,6 @@ class LatticeRule:
         return WeightedCubature(self.points(), np.ones(self.n))
 
 
-def dual_membership(h: Sequence[int], rule: LatticeRule) -> bool:
-    """True iff h . z = 0 (mod n); exact integer arithmetic."""
-    if len(h) != rule.d:
-        raise ValueError("dimension mismatch")
-    acc = sum(int(hv) * int(zv) for hv, zv in zip(h, rule.z))
-    return acc % rule.n == 0
-
-
-def character_average(h: int, n: int) -> Fraction:
-    """Average over j of the lattice character at frequency h: 1 if n | h, else 1/n."""
-    if not is_prime(n):
-        raise ValueError(f"{n} is not prime")
-    return Fraction(1, 1) if h % n == 0 else Fraction(1, n)
-
-
 class WeightedCubature:
     """Cubature Q(f) = (1/n) * sum_j w_j f(t_j); QMC rules have all w_j = 1."""
 
@@ -112,6 +97,8 @@ class WeightedCubature:
         weights = np.asarray(weights, dtype=float).reshape(-1)
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError("node and weight counts differ")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("nodes and weights must be finite")
         self.nodes = nodes
         self.weights = weights
 
@@ -151,17 +138,24 @@ def save_lattice(rule: LatticeRule, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _split_lines(path) -> list[list[str]]:
+    return [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+
+
 def load_lattice(path) -> LatticeRule:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError(f"malformed lattice file {path}")
-    n, d = (int(v) for v in lines[0].split())
-    z = tuple(int(v) for v in lines[1].split())
+    """Read a ``save_lattice`` file; malformed content or a non-finite
+    shift raises ValueError."""
+    lines = _split_lines(path)
+    if not 2 <= len(lines) <= 3 or len(lines[0]) != 2:
+        raise ValueError(f"malformed lattice file {path}: expected 'n d', the "
+                         "generators and an optional shift line")
+    n, d = (int(v) for v in lines[0])
+    z = tuple(int(v) for v in lines[1])
     if len(z) != d:
         raise ValueError(f"lattice file {path}: expected {d} components, got {len(z)}")
     shift = None
     if len(lines) > 2:
-        shift = tuple(float(v) for v in lines[2].split())
+        shift = tuple(float(v) for v in lines[2])
         if len(shift) != d:
             raise ValueError(f"lattice file {path}: bad shift length")
     return LatticeRule(n, z, shift)
@@ -176,11 +170,17 @@ def save_cubature(rule: WeightedCubature, path) -> None:
 
 
 def load_cubature(path) -> WeightedCubature:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    n, d = (int(v) for v in lines[0].split())
+    """Read a ``save_cubature`` file; malformed content or a non-finite
+    number raises ValueError."""
+    lines = _split_lines(path)
+    if not lines or len(lines[0]) != 2:
+        raise ValueError(f"malformed cubature file {path}: expected a header 'N d'")
+    n, d = (int(v) for v in lines[0])
+    if n < 1 or d < 1:
+        raise ValueError(f"cubature file {path}: header needs N >= 1 and d >= 1")
     if len(lines) != n + 1:
         raise ValueError(f"cubature file {path}: expected {n} rows")
-    rows = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    if rows.shape[1] != d + 1:
+    if any(len(row) != d + 1 for row in lines[1:]):
         raise ValueError(f"cubature file {path}: expected {d + 1} columns")
+    rows = np.array([[float(v) for v in row] for row in lines[1:]])
     return WeightedCubature(rows[:, 1:], rows[:, 0])

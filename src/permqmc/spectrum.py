@@ -15,25 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, permutation_power_sum, symmetrized_mass
+from .kernels import KernelSpec, symmetrized_mass
 from .symmetry import normalize_to_nabla
 from .weights import Enclosure, SpectralWeight, tail_sum
 
 __all__ = [
-    "univariate_eigenvalues",
     "EigenSpectrum",
-    "multivariate_spectrum",
     "TailConstants",
     "spectrum_tail_constants",
     "RateConstants",
     "rate_constants",
     "c_prime",
 ]
-
-
-def univariate_eigenvalues(w: SpectralWeight, count: int) -> np.ndarray:
-    """Largest ``count`` univariate eigenvalues, non-increasing."""
-    return np.array([lam for lam, _ in univariate_labeled(w, count)])
 
 
 def univariate_labeled(w: SpectralWeight, count: int) -> list[tuple[float, int]]:
@@ -144,11 +137,6 @@ class EigenSpectrum:
         return Enclosure(max(t.lo - p, 0.0), max(t.hi - p, 0.0))
 
 
-def multivariate_spectrum(es: EigenSpectrum, m: int) -> list[tuple[float, tuple[int, ...]]]:
-    """Top-m (eigenvalue, canonical label) pairs."""
-    return list(zip(es.values(m).tolist(), es.labels(m)))
-
-
 @dataclass(frozen=True)
 class TailConstants:
     """Decay data for the spectral tail at a given exponent tau."""
@@ -159,33 +147,6 @@ class TailConstants:
     power_sum: Enclosure
     U_star: int
     rho_star: Enclosure
-
-
-def _power_sum_enclosure(spec: KernelSpec, tau: float) -> Enclosure:
-    """Enclosure of sum_j lambda_j^(1/tau) over the whole multivariate spectrum.
-
-    Splits into the tensor factor over free coordinates and the sorted-tuple
-    sum over the exchangeable block; the latter is the permutation fixed-point
-    recurrence applied to the power sums of the univariate sequence."""
-    w = spec.weight
-    s = spec.perm.size
-    d_free = spec.d - s
-
-    def p_c(c: int) -> Enclosure:
-        return (Enclosure.exact(w.beta0 ** (c / tau))
-                + tail_sum(w, exponent=w.alpha * c / tau).scale(2.0 * w.beta1 ** (c / tau)))
-
-    if s:
-        los = [p_c(c).lo for c in range(1, s + 1)]
-        his = [p_c(c).hi for c in range(1, s + 1)]
-        fact = math.factorial(s)
-        block = Enclosure(permutation_power_sum(los) / fact,
-                          permutation_power_sum(his) / fact)
-    else:
-        block = Enclosure(1.0, 1.0)
-    if d_free:
-        block = block * p_c(1).power(d_free)
-    return block
 
 
 def rho_tail(spec: KernelSpec, tau: float, U: int) -> Enclosure:
@@ -205,7 +166,7 @@ def spectrum_tail_constants(spec: KernelSpec, tau: float,
     w = spec.weight
     if not (1.0 < tau < 2.0 * w.alpha):
         raise ValueError(f"tau must lie in (1, 2*alpha) = (1, {2 * w.alpha})")
-    power_sum = _power_sum_enclosure(spec, tau)
+    power_sum = symmetrized_mass(spec, tau)
     scale = 2.0 ** (tau - 1.0) / (tau - 1.0)
     C_d = power_sum.power(tau).scale(scale)
     if U is None:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,12 +16,9 @@ __all__ = [
     "PermStructure",
     "multiplicity",
     "normalize_to_nabla",
-    "restriction_constant",
-    "permanent",
     "permanent_batch",
     "permanent_bounds",
     "PermanentBounds",
-    "set_partitions",
     "PermanentCapError",
     "PERMANENT_CAP",
 ]
@@ -88,16 +84,6 @@ class PermStructure:
         inv = set(self.invariant)
         return np.asarray([i for i in range(self.d) if i + 1 not in inv], dtype=np.intp)
 
-    def restrict(self, subset: Iterable[int]) -> "PermStructure":
-        """Structure induced on a coordinate subset (1-based labels kept)."""
-        sub = tuple(sorted(set(int(i) for i in subset)))
-        if not sub or sub[0] < 1 or sub[-1] > self.d:
-            raise ValueError("subset must be a nonempty subset of {1..d}")
-        inv = tuple(i for i in sub if i in set(self.invariant))
-        # relabel to 1..len(sub) preserving order
-        pos = {c: i + 1 for i, c in enumerate(sub)}
-        return PermStructure(len(sub), tuple(pos[i] for i in inv))
-
 
 def multiplicity(k: Sequence[int], ps: PermStructure) -> int:
     """Number of admissible coordinate exchanges fixing the multi-index k.
@@ -129,27 +115,7 @@ def normalize_to_nabla(k: Sequence[int], ps: PermStructure) -> tuple[int, ...]:
     return tuple(k)
 
 
-def restriction_constant(subset: Iterable[int], ps: PermStructure, beta0: float) -> float:
-    """Normalizer beta0^(#u) * binom(#I, #(I & u)) of a coordinate subset u."""
-    u = set(int(i) for i in subset)
-    if not u:
-        raise ValueError("subset must be nonempty")
-    overlap = len(u & set(ps.invariant))
-    return beta0 ** len(u) * math.comb(ps.size, overlap)
-
-
-def permanent(A, cap: int = PERMANENT_CAP):
-    """Permanent of a square matrix by Ryser inclusion-exclusion, O(2^s * s).
-
-    Gray-code subset updates keep each step at one column add/subtract.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    return permanent_bounds(A[:, :, None], cap=cap).per[0]
-
-
-def permanent_batch(A, cap: int = PERMANENT_CAP) -> np.ndarray:
+def permanent_batch(A) -> np.ndarray:
     """Permanents of a stack of square matrices, shape (batch, s, s).
 
     Runs the batch-last Gray-code loop of ``permanent_bounds`` on the
@@ -159,7 +125,7 @@ def permanent_batch(A, cap: int = PERMANENT_CAP) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("A must have shape (batch, s, s)")
-    return permanent_bounds(np.moveaxis(A, 0, -1), cap=cap).per
+    return permanent_bounds(np.moveaxis(A, 0, -1)).per
 
 
 class PermanentBounds(NamedTuple):
@@ -171,7 +137,7 @@ class PermanentBounds(NamedTuple):
     rounding: np.ndarray  # bound on the rounding error of each of the three
 
 
-def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBounds:
+def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
     """Ryser permanents of a batch-last stack A of shape (s, s, batch).
 
     One Gray-code pass over the 2^s column sets S yields per(A), per(|A|)
@@ -189,9 +155,9 @@ def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBo
     if A.ndim != 3 or A.shape[0] != A.shape[1]:
         raise ValueError("A must have shape (s, s, batch)")
     s, _, b = A.shape
-    if s > cap:
+    if s > PERMANENT_CAP:
         raise PermanentCapError(
-            f"invariant block of size {s} exceeds the permanent cap {cap}; "
+            f"invariant block of size {s} exceeds the permanent cap {PERMANENT_CAP}; "
             "use the truncated spectral evaluation instead"
         )
     dtype = A.dtype if A.dtype.kind in "cf" else np.float64
@@ -237,32 +203,3 @@ def permanent_bounds(A, c: float = 0.0, cap: int = PERMANENT_CAP) -> PermanentBo
     if s & 1:
         per, per_abs, per_pad = -per, -per_abs, -per_pad
     return PermanentBounds(per, per_abs, per_pad, _gamma(2 * s + (1 << s)) * unsigned)
-
-
-@lru_cache(maxsize=32)
-def set_partitions(s: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All set partitions of {0..s-1} as tuples of sorted blocks.
-
-    Enumerated via restricted-growth strings; Bell(s) partitions.  Used by the
-    exchange-fixed-point expansions where a sum over permutations collapses to
-    a sum over partitions weighted by (block size - 1)! per block.
-    """
-    if s == 0:
-        return ((),)
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def grow(prefix: list[int], max_label: int):
-        i = len(prefix)
-        if i == s:
-            blocks: dict[int, list[int]] = {}
-            for idx, lab in enumerate(prefix):
-                blocks.setdefault(lab, []).append(idx)
-            out.append(tuple(tuple(b) for b in blocks.values()))
-            return
-        for lab in range(max_label + 2):
-            prefix.append(lab)
-            grow(prefix, max(max_label, lab))
-            prefix.pop()
-
-    grow([], -1)
-    return tuple(out)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import zeta as _zeta
@@ -22,15 +21,11 @@ __all__ = [
     "Enclosure",
     "GeneratorSpec",
     "SpectralWeight",
-    "r_weight",
-    "r_weight_inv",
-    "log_r_weight",
     "r_weight_inv_factors",
     "tail_sum",
     "spectral_mass",
     "eta_star",
     "min_contraction_order",
-    "mode_ratio",
     "weight_to_config",
     "weight_from_config",
 ]
@@ -253,35 +248,6 @@ class SpectralWeight:
         return self.beta1 * np.asarray(self.generator(m), dtype=float) ** (-2.0 * self.alpha)
 
 
-def r_weight(k: Sequence[int], w: SpectralWeight) -> float:
-    """Product weight r(k); saturates to inf when R^(2*alpha) overflows."""
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    if k_arr.ndim != 1 or k_arr.size < 1:
-        raise ValueError("k must be a nonempty integer vector")
-    factors = np.full(k_arr.shape, 1.0 / w.beta0)
-    nz = k_arr != 0
-    if np.any(nz):
-        with np.errstate(over="ignore"):
-            factors[nz] = w.generator(np.abs(k_arr[nz])) ** (2.0 * w.alpha) / w.beta1
-    with np.errstate(over="ignore"):
-        return float(np.prod(factors))
-
-
-def log_r_weight(k: Sequence[int], w: SpectralWeight) -> float:
-    """log r(k), overflow-free."""
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    total = -math.log(w.beta0) * int(np.sum(k_arr == 0))
-    nz = np.abs(k_arr[k_arr != 0])
-    if nz.size:
-        total += float(np.sum(2.0 * w.alpha * np.log(w.generator(nz)) - math.log(w.beta1)))
-    return total
-
-
-def r_weight_inv(k: Sequence[int], w: SpectralWeight) -> float:
-    """Reciprocal weight 1/r(k) via log-domain accumulation (never overflows)."""
-    return math.exp(-log_r_weight(k, w))
-
-
 def r_weight_inv_factors(k_columns: np.ndarray, w: SpectralWeight) -> np.ndarray:
     """Elementwise reciprocal factors for an integer array of frequencies.
 
@@ -330,16 +296,6 @@ def min_contraction_order(w: SpectralWeight, v_max: int = 100_000) -> int:
         if eta_star(w, V).hi < 1.0:
             return V
     raise RuntimeError(f"no contraction order found up to V = {v_max}")
-
-
-def mode_ratio(w: SpectralWeight, m: int = 1) -> float:
-    """Ratio beta1 / (beta0 * R(m)^(2*alpha)) of oscillatory to constant weight.
-
-    For monotone R this is maximal at m = 1, so the global conditions
-    ``2*ratio <= 1`` (tractability) and ``ratio <= 1`` (eigenvalue ordering)
-    only need checking there.
-    """
-    return float(w.beta1 / (w.beta0 * w.generator(m) ** (2.0 * w.alpha)))
 
 
 def weight_to_config(w: SpectralWeight) -> dict:

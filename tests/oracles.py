@@ -1,0 +1,90 @@
+"""Reference implementations that the tests compare the package against.
+
+The package does not use any of these: each restates, directly and slowly, a
+quantity that ``permqmc`` computes by a faster route or needs only inside a
+closed formula.
+"""
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from permqmc.errors import multiplicity_array
+from permqmc.symmetry import PermStructure
+from permqmc.weights import r_weight_inv_factors, tail_sum
+
+
+def restriction_constant(subset, ps, beta0):
+    """Normalizer c_u = beta0^(#u) * binom(#I, #(I & u)) of a coordinate subset u."""
+    u = set(int(i) for i in subset)
+    if not u:
+        raise ValueError("subset must be nonempty")
+    overlap = len(u & set(ps.invariant))
+    return beta0 ** len(u) * math.comb(ps.size, overlap)
+
+
+@lru_cache(maxsize=32)
+def set_partitions(s):
+    """All set partitions of {0..s-1} as tuples of sorted blocks, by
+    restricted-growth strings; Bell(s) partitions."""
+    if s == 0:
+        return ((),)
+    out = []
+
+    def grow(prefix, max_label):
+        if len(prefix) == s:
+            blocks = {}
+            for idx, lab in enumerate(prefix):
+                blocks.setdefault(lab, []).append(idx)
+            out.append(tuple(tuple(b) for b in blocks.values()))
+            return
+        for lab in range(max_label + 2):
+            prefix.append(lab)
+            grow(prefix, max(max_label, lab))
+            prefix.pop()
+
+    grow([], -1)
+    return tuple(out)
+
+
+def dual_membership(h, rule):
+    """True iff h . z = 0 (mod n); exact integer arithmetic."""
+    if len(h) != rule.d:
+        raise ValueError("dimension mismatch")
+    return sum(int(hv) * int(zv) for hv, zv in zip(h, rule.z)) % rule.n == 0
+
+
+def character_average(h, n):
+    """Average over j of the lattice character at frequency h for prime n:
+    1 if n | h, else 1/n."""
+    return Fraction(1) if h % n == 0 else Fraction(1, n)
+
+
+def spectral_cbc_objective(z_prefix, n, spec, half_width=12):
+    """Search objective for the last coordinate of a generating-vector prefix
+    by truncated frequency boxes: for every subset u of the prefix
+    coordinates containing the last one, the multiplicity-weighted sum of
+    r^(-1)(h) over the nonzero-entry dual members h of the box [-H, H]^|u|,
+    over c_u * s_u!.  Returns (value, bound on the omitted box tail)."""
+    z_prefix = [int(v) for v in z_prefix]
+    ell = len(z_prefix)
+    ps = spec.perm
+    w = spec.weight
+    inv = set(ps.invariant)
+    nz = np.concatenate([np.arange(-half_width, 0), np.arange(1, half_width + 1)])
+    nonzero_mass = 2.0 * w.beta1 * tail_sum(w).hi
+    coord_tail = 2.0 * w.beta1 * tail_sum(w, start=half_width + 1).hi
+    total = cert = 0.0
+    for mask in range(1 << (ell - 1)):
+        subset = tuple(c for c in range(1, ell) if mask >> (c - 1) & 1) + (ell,)
+        k = len(subset)
+        sub_ps = PermStructure(k, tuple(i + 1 for i, c in enumerate(subset) if c in inv))
+        hs = np.stack(np.meshgrid(*[nz] * k, indexing="ij"), axis=-1).reshape(-1, k)
+        zsub = np.asarray([z_prefix[c - 1] for c in subset], dtype=np.int64)
+        hs = hs[(hs @ zsub) % n == 0]
+        fac = np.prod(r_weight_inv_factors(hs, w), axis=1)
+        c_u = restriction_constant(subset, ps, w.beta0)
+        total += float(np.sum(fac * multiplicity_array(hs, sub_ps))) / (sub_ps.group_order * c_u)
+        cert += k * coord_tail * nonzero_mass ** (k - 1) / c_u
+    return total, cert

@@ -10,8 +10,10 @@ from permqmc.cbc import cbc_construct, construct_shifted, shift_search
 from permqmc.errors import bound_constant, cbc_step_objectives, mean_sq_error, worst_case_error_sq
 from permqmc.kernels import KernelSpec, power_kernel_table
 from permqmc.lattice import LatticeRule, is_prime
-from permqmc.symmetry import PermStructure, restriction_constant, set_partitions
+from permqmc.symmetry import PermStructure
 from permqmc.weights import SpectralWeight
+
+from oracles import restriction_constant, set_partitions
 
 
 def reference_step_objectives(prefix, n, spec, tables, dtype=np.float64):

@@ -61,6 +61,9 @@ class TestCbcCommand:
         assert code == EXIT_CONFIG
         assert "GiB" in capsys.readouterr().err
 
+    def test_threads_only_on_convergence(self, cfg_path):
+        assert main(["cbc", "--config", str(cfg_path), "--threads", "2"]) == EXIT_CONFIG
+
     def test_missing_n(self, cfg_path, tmp_path):
         cfg = json.loads(cfg_path.read_text())
         del cfg["params"]["n"]
@@ -146,6 +149,23 @@ class TestPipelines:
         rule.write_text("5 2\n1 2 3 4\n")
         for cmd in ("error-eval", "integrate"):
             assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["5 2\n1 2\nnan 0.5\n", "1 2\n1 0.5 inf\n"])
+    def test_non_finite_rule_file_exit_code(self, cfg_path, tmp_path, capsys, text):
+        rule = tmp_path / "bad.txt"
+        rule.write_text(text)
+        for cmd in ("error-eval", "integrate"):
+            assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+            assert "finite" in capsys.readouterr().err
+
+    def test_exhausted_search_exit_code(self, tmp_path, capsys):
+        # beta1 = 1e12 leaves no tail offset U <= 100000 with rho(U) < 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": {"alpha": 1, "beta0": 1, "beta1": 1e12},
+                                   "structure": {"d": 2}}))
+        code = main(["approx-build", "--config", str(cfg), "--N", "16", "--tau", "1.9"])
+        assert code == EXIT_CONFIG
+        assert "error: no admissible tail offset found" in capsys.readouterr().err
 
     def test_convergence_study(self, cfg_path, tmp_path):
         csv = tmp_path / "conv.csv"

@@ -15,10 +15,7 @@ from permqmc.kernels import (
     _cosine_poly_coeffs,
     _series_remainder_bound,
     _sum_depth,
-    kernel_perminv,
     kernel_perminv_gram,
-    kernel_shift_invariant,
-    kernel_univariate,
     partition_sum_masked,
     permutation_power_sum,
     power_kernel,
@@ -182,16 +179,16 @@ class TestClosedForm:
             assert abs(float(np.sum(x)) - exact) <= _gamma(_sum_depth(n)) * exact
 
     def test_univariate_diagonal(self, sobolev):
-        assert kernel_univariate(0.42, 0.42, sobolev) == pytest.approx(1 + 1 / 12, abs=1e-12)
+        assert power_kernel(sobolev, 1, 0.42 - 0.42)[0] == pytest.approx(1 + 1 / 12, abs=1e-12)
 
     def test_constant_kernel(self):
         w = SpectralWeight(beta0=0.7, beta1=1e-14)
-        assert kernel_univariate(0.1, 0.9, w) == pytest.approx(0.7, abs=1e-11)
+        assert power_kernel(w, 1, 0.1 - 0.9)[0] == pytest.approx(0.7, abs=1e-11)
 
     def test_closed_vs_spectral_alpha2(self):
         w = SpectralWeight(alpha=2.0)
-        a = kernel_univariate(0.3, 0.7, w, mode="closed")
-        b = kernel_univariate(0.3, 0.7, w, mode="spectral", tol=1e-12)
+        a = power_kernel(w, 1, 0.3 - 0.7, mode="closed")[0]
+        b = power_kernel(w, 1, 0.3 - 0.7, mode="spectral", tol=1e-12)[0]
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_power_kernel_vs_direct_series(self, sobolev):
@@ -219,24 +216,25 @@ class TestPerminvKernel:
         spec = KernelSpec(sobolev, PermStructure.empty(3))
         x = np.array([0.1, 0.5, 0.8])
         y = np.array([0.3, 0.2, 0.9])
-        expect = np.prod([kernel_univariate(a, b, sobolev) for a, b in zip(x, y)])
-        assert kernel_perminv(x, y, spec) == pytest.approx(expect, rel=1e-12)
+        expect = np.prod(power_kernel(sobolev, 1, x - y)[0])
+        assert kernel_perminv_gram(x[None], y[None], spec)[0][0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_brute_force_average(self, spec_d3_full, rng):
         x = rng.uniform(size=3)
         y = rng.uniform(size=3)
         w = spec_d3_full.weight
         brute = np.mean([
-            np.prod([kernel_univariate(x[p[i]], y[i], w) for i in range(3)])
+            np.prod(power_kernel(w, 1, x[list(p)] - y)[0])
             for p in permutations(range(3))
         ])
-        assert kernel_perminv(x, y, spec_d3_full) == pytest.approx(brute, rel=1e-12)
+        assert kernel_perminv_gram(x[None], y[None], spec_d3_full)[0][0, 0] == pytest.approx(
+            brute, rel=1e-12)
 
     def test_swap_invariance(self, spec_d2_full, rng):
         x = rng.uniform(size=2)
         y = rng.uniform(size=2)
-        assert kernel_perminv(x, y, spec_d2_full) == pytest.approx(
-            kernel_perminv(x[::-1], y, spec_d2_full), rel=1e-12
+        assert kernel_perminv_gram(x[None], y[None], spec_d2_full)[0][0, 0] == pytest.approx(
+            kernel_perminv_gram(x[None, ::-1], y[None], spec_d2_full)[0][0, 0], rel=1e-12
         )
 
     def test_complex_box_oracle(self, rng):
@@ -246,7 +244,8 @@ class TestPerminvKernel:
         y = rng.uniform(size=3)
         oracle = box_kernel_perminv(x, y, spec, H=30)
         assert abs(oracle.imag) <= 1e-12
-        assert kernel_perminv(x, y, spec) == pytest.approx(oracle.real, abs=5e-7)
+        assert kernel_perminv_gram(x[None], y[None], spec)[0][0, 0] == pytest.approx(
+            oracle.real, abs=5e-7)
 
     def test_hermitian_and_psd(self, spec_d2_full, rng):
         pts = rng.uniform(size=(12, 2))
@@ -260,7 +259,7 @@ class TestPerminvKernel:
 class TestShiftInvariantKernel:
     def test_diagonal_constant(self, spec_d2_full, rng):
         vals = [
-            kernel_shift_invariant(x, x, spec_d2_full)
+            shift_invariant_profile((x - x)[None], spec_d2_full)[0][0]
             for x in rng.uniform(size=(4, 2))
         ]
         assert np.ptp(vals) < 1e-12
@@ -272,7 +271,8 @@ class TestShiftInvariantKernel:
         y = rng.uniform(size=2)
         oracle = box_kernel_shinv(x - y, spec, H=60)
         assert abs(oracle.imag) <= 1e-12
-        assert kernel_shift_invariant(x, y, spec) == pytest.approx(oracle.real, abs=1e-7)
+        assert shift_invariant_profile((x - y)[None], spec)[0][0] == pytest.approx(
+            oracle.real, abs=1e-7)
 
     def test_partial_invariance_oracle(self, rng):
         w = SpectralWeight(alpha=2.0, beta0=0.9, beta1=1.2)
@@ -280,7 +280,8 @@ class TestShiftInvariantKernel:
         x = rng.uniform(size=3)
         y = rng.uniform(size=3)
         oracle = box_kernel_shinv(x - y, spec, H=25)
-        assert kernel_shift_invariant(x, y, spec) == pytest.approx(oracle.real, abs=5e-6)
+        assert shift_invariant_profile((x - y)[None], spec)[0][0] == pytest.approx(
+            oracle.real, abs=5e-6)
 
     def test_spectral_mode_agrees(self, rng):
         w = SpectralWeight(alpha=1.0)

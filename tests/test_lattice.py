@@ -1,5 +1,7 @@
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from hypothesis import strategies as st
 from permqmc.lattice import (
     LatticeRule,
     WeightedCubature,
-    character_average,
-    dual_membership,
     is_prime,
     load_cubature,
     load_lattice,
     save_cubature,
     save_lattice,
 )
+
+from oracles import character_average, dual_membership
 
 
 class TestPrimality:
@@ -101,10 +103,6 @@ class TestCharacterAverage:
         assert character_average(3, 7) == Fraction(1, 7)
         assert character_average(14, 7) == Fraction(1)
 
-    def test_prime_required(self):
-        with pytest.raises(ValueError):
-            character_average(1, 8)
-
 
 class TestFiles:
     def test_lattice_roundtrip(self, tmp_path):
@@ -128,6 +126,77 @@ class TestFiles:
         back = load_cubature(path)
         assert np.array_equal(back.nodes, cub.nodes)
         assert np.array_equal(back.weights, cub.weights)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# lines of numbers, non-finite spellings and junk, besides arbitrary text
+_TOKEN = st.one_of(st.integers(-40, 40).map(str), st.floats().map(repr),
+                   st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "0x1p3"]))
+RULE_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(_TOKEN, max_size=5).map(" ".join), max_size=5).map("\n".join),
+)
+
+
+def _through_file(save, rule, loader):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rule"
+        save(rule, path)
+        return loader(path)
+
+
+def _load_text(text, loader):
+    return _through_file(lambda t, path: path.write_text(t), text, loader)
+
+
+class TestFileProperties:
+    @given(st.sampled_from([2, 5, 13, 1009]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lattice_roundtrip(self, n, data):
+        d = data.draw(st.integers(1, 4))
+        z = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d))
+        shift = data.draw(st.none() | st.lists(FINITE, min_size=d, max_size=d))
+        rule = LatticeRule(n, tuple(z), shift)
+        assert _through_file(save_lattice, rule, load_lattice) == rule
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cubature_roundtrip(self, n, d, data):
+        nodes = np.array(data.draw(st.lists(FINITE, min_size=n * d, max_size=n * d))).reshape(n, d)
+        weights = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        back = _through_file(save_cubature, WeightedCubature(nodes, weights), load_cubature)
+        assert np.array_equal(back.nodes, nodes) and np.array_equal(back.weights, weights)
+
+    @given(RULE_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_text_loads_or_raises_value_error(self, text):
+        try:
+            rule = _load_text(text, load_lattice)
+            assert rule.shift is None or all(0.0 <= x < 1.0 for x in rule.shift)
+        except ValueError:
+            pass
+        try:
+            cub = _load_text(text, load_cubature)
+            assert cub.n >= 1 and np.all(np.isfinite(cub.nodes)) and np.all(np.isfinite(cub.weights))
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("text, loader", [
+        ("5 2\n1 2\nnan 0.5\n", load_lattice),
+        ("5 2\n1 2\n0.5 inf\n", load_lattice),
+        ("5 2\n1 2\n0.5 0.5\n0.1 0.1\n", load_lattice),
+        ("1 2\n1 0.5 inf\n", load_cubature),
+        ("1 2\nnan 0.5 0.5\n", load_cubature),
+        ("", load_cubature),
+        ("0 3\n", load_cubature),
+        ("2 2\n1 0.5 0.5\n1 0.5\n", load_cubature),
+    ])
+    def test_malformed_files_raise_value_error(self, text, loader):
+        with pytest.raises(ValueError):
+            _load_text(text, loader)
+
+    def test_tiny_negative_shift_wraps_to_zero(self):
+        assert LatticeRule(5, (1, 2), (-5e-324, 0.25)).shift == (0.0, 0.25)
 
 
 class TestCubature:

@@ -8,20 +8,18 @@ from permqmc.kernels import KernelSpec
 from permqmc.spectrum import (
     EigenSpectrum,
     c_prime,
-    multivariate_spectrum,
     rate_constants,
     rho_tail,
     spectrum_tail_constants,
-    univariate_eigenvalues,
     univariate_labeled,
 )
 from permqmc.symmetry import PermStructure
-from permqmc.weights import SpectralWeight, r_weight_inv
+from permqmc.weights import SpectralWeight, r_weight_inv_factors
 
 
 class TestUnivariate:
     def test_values_and_multiplicity_pattern(self, sobolev):
-        ev = univariate_eigenvalues(sobolev, 7)
+        ev = [lam for lam, _ in univariate_labeled(sobolev, 7)]
         expect = [1.0]
         for m in (1, 1, 2, 2, 3, 3):
             expect.append(1.0 / (2 * math.pi * m) ** 2)
@@ -29,7 +27,7 @@ class TestUnivariate:
 
     def test_trace_identity(self, sobolev):
         # sum of all univariate eigenvalues is the univariate mass
-        ev = univariate_eigenvalues(sobolev, 100_001)
+        ev = np.array([lam for lam, _ in univariate_labeled(sobolev, 100_001)])
         from permqmc.weights import spectral_mass
 
         mass = spectral_mass(sobolev, 1.0)
@@ -79,7 +77,7 @@ class TestMultivariate:
         # threshold strictly between rank m and the next distinct value
         smaller = got[got < got[m - 1] * (1 - 1e-9)]
         threshold = math.sqrt(got[m - 1] * smaller[0])
-        univ = univariate_eigenvalues(sobolev, 3000)
+        univ = np.array([lam for lam, _ in univariate_labeled(sobolev, 3000)])
         assert univ[-1] < threshold  # oracle's univariate list long enough
         inv0 = [i - 1 for i in inv]
         brute = enumerate_products_above(univ, d, inv0, threshold)
@@ -95,9 +93,10 @@ class TestMultivariate:
 
     def test_labels_are_canonical_and_match_values(self, spec_d2_full):
         es = EigenSpectrum(spec_d2_full)
-        for lam, label in multivariate_spectrum(es, 50):
+        for lam, label in zip(es.values(50), es.labels(50)):
             assert list(label) == sorted(label)
-            assert lam == pytest.approx(r_weight_inv(label, spec_d2_full.weight), rel=1e-12)
+            assert lam == pytest.approx(np.prod(r_weight_inv_factors(label, spec_d2_full.weight)),
+                                        rel=1e-12)
 
     def test_partial_sums_below_trace(self, spec_d3_full):
         es = EigenSpectrum(spec_d3_full)
@@ -152,7 +151,7 @@ class TestSortedTupleBound:
         tau = 1.5
         tc = spectrum_tail_constants(spec, tau)
         s = 3
-        univ = univariate_eigenvalues(sobolev, 150) ** (1.0 / tau)
+        univ = np.array([lam for lam, _ in univariate_labeled(sobolev, 150)]) ** (1.0 / tau)
         sorted_sum = 0.0
         for idx in combinations_with_replacement(range(len(univ)), s):
             sorted_sum += float(np.prod(univ[list(idx)]))

@@ -1,0 +1,54 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "permqmc"
+
+# Public names that no module of the package calls, each kept for a reason.
+UNCALLED_BY_DESIGN = {
+    "permanent_batch": "the benchmark's tracer rebinds it",
+    "bound_constants": "paper constants pinned by tests",
+    "c_prime": "paper constant pinned by tests",
+    "weight_to_config": "the inverse of the CLI's config loader",
+    "gaussian_average_error_sq": "the average-case error that the acceptance suite "
+                                 "checks against the worst-case error",
+}
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts], node
+    return [], None
+
+
+def test_every_exported_name_is_used_in_the_package():
+    """A name in a module's ``__all__`` is referenced somewhere in the
+    package outside its own definition and the export lists, or is
+    allow-listed with a reason; names only tests use belong in the tests."""
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    exported = {}
+    used = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names, all_node = _exported(tree)
+        exported.update({name: path.name for name in names})
+        for stmt in tree.body:
+            if stmt is all_node:
+                continue
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                if ref != owner:
+                    used.add(ref)
+    assert len(exported) > 40
+    unused = sorted(f"{mod}:{name}" for name, mod in exported.items()
+                    if name not in used and name not in UNCALLED_BY_DESIGN)
+    assert not unused, f"exported but unused in the package: {unused}"
+    stale = sorted(name for name in UNCALLED_BY_DESIGN if name in used or name not in exported)
+    assert not stale, f"allow-listed names that are used or gone: {stale}"

@@ -14,18 +14,22 @@ from permqmc.symmetry import (
     PermanentCapError,
     multiplicity,
     normalize_to_nabla,
-    permanent,
     permanent_batch,
     permanent_bounds,
-    restriction_constant,
-    set_partitions,
 )
+
+from oracles import restriction_constant, set_partitions
 
 
 def naive_permanent(A):
     A = np.asarray(A)
     s = A.shape[0]
     return sum(np.prod([A[p[i], i] for i in range(s)]) for p in permutations(range(s)))
+
+
+def permanent(A):
+    """per(A) of one square matrix by the fused Ryser pass."""
+    return permanent_bounds(np.asarray(A)[:, :, None]).per[0]
 
 
 def orbit(k, ps):
