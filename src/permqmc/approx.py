@@ -217,7 +217,7 @@ def average_approx_error_sq(alg: ApproxAlgorithm, basis: SymmetricBasis,
     gram, _ = kernel_perminv_gram(alg.points, alg.points, basis.spec)
     lam = basis.lambdas(alg.m)
     cross = float(np.sum(lam * np.einsum("ij,ij->i", alg.coeff_map, phi)))
-    quad = float(np.einsum("ij,jk,ik->", alg.coeff_map, gram, alg.coeff_map))
+    quad = float(np.sum((alg.coeff_map @ gram) * alg.coeff_map))
     return trace.mid - 2.0 * cross + quad
 
 

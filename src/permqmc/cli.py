@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -99,13 +100,24 @@ def _emit_json(obj: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _nonblank_lines(path: str):
+    """Split non-blank lines of a text file, read lazily; the lines are those
+    of ``str.splitlines``, as the rule loaders see them."""
+    with open(path) as fh:
+        for raw in fh:
+            for ln in raw.splitlines():
+                if ln.strip():
+                    yield ln.split()
+
+
 def _load_rule_file(path: str) -> LatticeRule | WeightedCubature:
     """Load a lattice or a node/weight file, told apart by line 2's columns.
 
     Both formats start with "n d"; line 2 holds the d generators of a lattice
-    or the d + 1 values "w t_1 ... t_d" of a node/weight row.
+    or the d + 1 values "w t_1 ... t_d" of a node/weight row.  Only the first
+    two non-blank lines are read here; the loader parses the file.
     """
-    lines = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = list(islice(_nonblank_lines(path), 2))
     if len(lines) < 2 or len(lines[0]) != 2:
         raise ConfigError(f"rule file {path}: expected a header 'n d' and at least one more line")
     d = int(lines[0][1])

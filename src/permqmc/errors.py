@@ -59,6 +59,8 @@ SUBSET_CAP = 20
 # Working-set cap of one CBC step in bytes; a larger step is refused before
 # anything is allocated.
 STEP_BYTES_CAP = 1 << 30
+# entries of |gram| held at once by the general route's certificate
+_ABS_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -107,8 +109,9 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     because every oscillatory frequency integrates to zero over the cube.
     A ``LatticeRule`` takes the lattice route (``lattice_gram_mean``: no
     n x n Gram matrix, n*(n//2 + 1) pair permanents); any other rule the
-    general route through the full Gram matrix.  ``details`` records the
-    route and the number of pair permanents evaluated.
+    general route through the full, symmetric Gram matrix (n(n+1)/2 pair
+    permanents).  ``details`` records the route and the number of pair
+    permanents evaluated.
 
     The certificate is the Gram certificate (kernel and Ryser errors, and
     for the lattice route the rounding of its mean) plus an a priori
@@ -134,9 +137,9 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
         quad, wsum, wabs = float(rw @ gram @ rw), float(rw.sum()), float(arw.sum())
         # w_j / n rounds once; two products of n terms each, in whatever
         # order BLAS takes
-        qcert = gcert * wabs ** 2 + _gamma(2 * rule.n + 2) * float(arw @ np.abs(gram) @ arw)
+        qcert = gcert * wabs ** 2 + _gamma(2 * rule.n + 2) * _abs_quadratic_form(gram, arw)
         wround = _gamma(_sum_depth(rule.n) + 1) * wabs
-        pairs = rule.n ** 2
+        pairs = rule.n * (rule.n + 1) // 2
         route = "general"
     raw = b0d - 2.0 * b0d * wsum + quad
     # b0d is one pow (1 ulp); the formula adds three roundings
@@ -144,6 +147,14 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     value = max(raw, 0.0)
     return ErrorReport(value, "kernel", cert, time.perf_counter() - t0,
                        details={"raw_value": raw, "route": route, "pairs": pairs})
+
+
+def _abs_quadratic_form(gram: np.ndarray, v: np.ndarray) -> float:
+    """v . |gram| . v over blocks of rows, so that no second n x n array
+    is built."""
+    step = max(1, _ABS_BLOCK_ELEMS // max(gram.shape[1], 1))
+    return sum(float(np.abs(gram[lo:lo + step]) @ v @ v[lo:lo + step])
+               for lo in range(0, gram.shape[0], step))
 
 
 def box_frequencies(d: int, half_width: int) -> np.ndarray:

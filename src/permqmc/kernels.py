@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import LatticeRule
-from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma, permanent_bounds
+from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, permanent_bounds
 from .weights import Enclosure, GeneratorSpec, SpectralWeight, spectral_mass
 
 __all__ = [
@@ -93,7 +93,7 @@ def _cosine_poly_coeffs(n: int) -> np.ndarray:
 
 def _cosine_closed(n: int, t: np.ndarray) -> np.ndarray:
     coeffs = _cosine_poly_coeffs(n)
-    frac = np.mod(t, 1.0)
+    frac = _frac(t)
     out = np.zeros_like(frac)
     for c in reversed(coeffs):
         out = out * frac + c
@@ -105,8 +105,9 @@ def _cosine_closed_error(n: int) -> tuple[float, float]:
     """Validate the closed form for exponent 2n once; return bounds on
     |_cosine_closed(n, t) - P(t)| and on |_cosine_closed(n, t)|, P the exact
     sum.  Higham (2002) section 5.1: the coefficients round by u |c_j|,
-    Horner's rule by gamma_4n * sum |c_j| (Eq. 5.3), and np.mod(t, 1) by u
-    times the Lipschitz bound sum j |c_j| of P; |P| <= c_0 = zeta(2n)."""
+    Horner's rule by gamma_4n * sum |c_j| (Eq. 5.3), and t - floor(t), one
+    rounding and only for t < 0, by u times the Lipschitz bound sum j |c_j|
+    of P; |P| <= c_0 = zeta(2n)."""
     validate_closed_form(n)
     c = np.abs(_cosine_poly_coeffs(n))
     err = _gamma(4 * n + 4) * float(c.sum()) + 2.0 * _UNIT_ROUNDOFF * float(c @ np.arange(c.size))
@@ -156,7 +157,7 @@ def _series_remainder_bound(w: SpectralWeight, s_exp: float, terms: int,
     mono = lead * ((terms + 1) ** (-s_exp) + (terms + 1) ** (1.0 - s_exp) / (s_exp - 1.0))
     if not w.generator.is_linear:
         return np.full(t.shape, mono)
-    sin_t = np.abs(np.sin(math.pi * np.mod(t, 1.0)))
+    sin_t = np.abs(np.sin(math.pi * _frac(t)))
     with np.errstate(divide="ignore"):
         return np.minimum(mono, lead * (terms + 1) ** (-s_exp) / sin_t)
 
@@ -397,38 +398,60 @@ def _gram_entries(block: np.ndarray, cert1: float, free_prod: np.ndarray,
     return values, certs
 
 
+def _pair_chunks(nx: int, ny: int, upper: bool):
+    """Row and column indices (i, j) of the node pairs of an nx x ny Gram
+    matrix, in chunks of whole rows and at most ``_PAIR_CHUNK`` pairs (or one
+    row).  With ``upper`` only the pairs j >= i of a square matrix: row lo
+    then holds ny - lo pairs, so a chunk takes about _PAIR_CHUNK // (ny - lo)
+    rows and widens as the rows shorten."""
+    lo = 0
+    while lo < nx:
+        width = ny - lo if upper else ny
+        hi = min(nx, lo + max(1, _PAIR_CHUNK // max(width, 1)))
+        rows = np.arange(lo, hi)
+        first = rows if upper else np.zeros_like(rows)     # first column of each row
+        counts = ny - first
+        # pair p lies in row r at column first[r] + p - start[r]
+        start = np.cumsum(counts) - counts
+        yield np.repeat(rows, counts), np.arange(counts.sum()) - np.repeat(start - first, counts)
+        lo = hi
+
+
 def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Gram matrix of the exchange-invariant kernel on point sets X, Y.
 
-    Rows of X are taken in chunks of about ``_PAIR_CHUNK`` pairs; each chunk
-    goes through one fused Ryser pass (``permanent_bounds``), so memory
-    beyond G itself is O(_PAIR_CHUNK * s^2).  Returns (G, cert) where cert
-    bounds the absolute error of every entry, Ryser's rounding included.
+    Node pairs are taken in chunks of about ``_PAIR_CHUNK`` pairs
+    (``_pair_chunks``); each chunk goes through one fused Ryser pass
+    (``permanent_bounds``), so memory beyond G itself is
+    O(_PAIR_CHUNK * s^2).  When ``Y is X`` the kernel's symmetry is used:
+    only the n(n+1)/2 pairs j >= i are evaluated and mirrored, so the result
+    is exactly symmetric.  Returns (G, cert) where cert bounds the absolute
+    error of every entry, Ryser's rounding included.
     """
+    upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = X if upper else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != spec.d or Y.shape[1] != spec.d:
         raise ValueError("point dimension does not match the kernel")
     inv = spec.perm.invariant_idx
     free = spec.perm.free_idx
     s = len(inv)
-    nx, ny = X.shape[0], Y.shape[0]
-    gram = np.empty((nx, ny))
+    gram = np.empty((X.shape[0], Y.shape[0]))
     cert = 0.0
-    Yinv = Y[:, inv].T
-    step = max(1, _PAIR_CHUNK // max(ny, 1))
-    for lo in range(0, nx, step):
-        Xc = X[lo:lo + step]
-        cx = Xc.shape[0]
-        # diffs[i, j, a, b] = x_a[inv_i] - y_b[inv_j]
-        diffs = Xc[:, inv].T[:, None, :, None] - Yinv[None, :, None, :]
+    Xinv, Yinv = X[:, inv].T.copy(), Y[:, inv].T.copy()
+    Xfree, Yfree = X[:, free], Y[:, free]
+    for i, j in _pair_chunks(X.shape[0], Y.shape[0], upper):
+        # diffs[a, b, p] = x_i[inv_a] - y_j[inv_b] for the pair p = (i, j)
+        diffs = Xinv.take(i, axis=1)[:, None, :] - Yinv.take(j, axis=1)[None, :, :]
         vals, cert1 = spec.univariate(diffs.reshape(-1))
-        fd = Xc[:, None, free] - Y[None, :, free]
+        fd = Xfree.take(i, axis=0) - Yfree.take(j, axis=0)
         fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
         free_prod, free_cert = _free_factor(fvals.reshape(fd.shape), certf)
-        values, certs = _gram_entries(vals.reshape(s, s, cx * ny), cert1,
-                                      free_prod.reshape(-1), free_cert.reshape(-1), spec)
-        gram[lo:lo + cx] = values.reshape(cx, ny)
+        values, certs = _gram_entries(vals.reshape(s, s, i.size), cert1,
+                                      free_prod, free_cert, spec)
+        gram[i, j] = values
+        if upper:
+            gram[j, i] = values
         if certs.size:
             cert = max(cert, float(np.max(certs)))
     return gram, cert
@@ -516,7 +539,7 @@ def shift_invariant_profile(diffs, spec: KernelSpec,
         hi: dict[int, np.ndarray] = {}
         for mask in range(1, 1 << s):
             members = [inv[i] for i in range(s) if mask >> i & 1]
-            arg = np.mod(diff[:, members].sum(axis=1), 1.0)
+            arg = _frac(diff[:, members].sum(axis=1))
             v, c_err = kappa(mask.bit_count(), arg)
             vals[mask] = v
             hi[mask] = np.abs(v) + c_err
@@ -534,7 +557,7 @@ def shift_invariant_profile(diffs, spec: KernelSpec,
         part = np.ones(diff.shape[0])
         part_cert = np.zeros(diff.shape[0])
     if len(free):
-        fv, fc = kappa(1, np.mod(diff[:, free], 1.0).reshape(-1))
+        fv, fc = kappa(1, _frac(diff[:, free]).reshape(-1))
         fprod, fcert = _free_factor(fv.reshape(diff.shape[0], len(free)), fc)
         total = part * fprod
         cert = (np.abs(part) * fcert + part_cert * (np.abs(fprod) + fcert)

@@ -8,6 +8,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .symmetry import _frac
+
 __all__ = [
     "is_prime",
     "LatticeRule",
@@ -82,7 +84,7 @@ class LatticeRule:
         z = np.asarray(self.z, dtype=np.int64)
         pts = ((j[:, None] * z[None, :]) % self.n) / float(self.n)
         if self.shift is not None:
-            pts = np.mod(pts + np.asarray(self.shift), 1.0)
+            pts = _frac(pts + np.asarray(self.shift))
         return pts
 
     def cubature(self) -> "WeightedCubature":

@@ -150,6 +150,61 @@ class TestPipelines:
         for cmd in ("error-eval", "integrate"):
             assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text, message", [
+        ("5 2\n", "rule file {}: expected a header 'n d' and at least one more line"),
+        ("5 2 1\n1 2\n", "rule file {}: expected a header 'n d' and at least one more line"),
+        ("\n5 2\n\n1 2 3 4\n", "rule file {}: line 2 has 4 columns; "
+                                 "expected 2 (lattice) or 3 (node/weight)"),
+    ])
+    def test_rule_file_detection_messages(self, cfg_path, tmp_path, capsys, text, message):
+        rule = tmp_path / "bad.txt"
+        rule.write_text(text)
+        for cmd in ("error-eval", "integrate"):
+            assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message.format(rule)}\n"
+
+    def test_rule_file_format_read_from_two_lines(self, tmp_path, monkeypatch):
+        # the format is picked from the first two non-blank lines; the loader
+        # alone parses the rows
+        import builtins
+
+        from permqmc import cli
+
+        rule = tmp_path / "rule.qw"
+        rows = "".join(f"1 {0.001 * k:.3f} {0.5 + 0.0004 * k:.4f}\n" for k in range(500))
+        rule.write_text("\n500 2\n\n" + rows)
+        read = []
+
+        class CountingFile:
+            def __init__(self, *args, **kwargs):
+                self.fh = builtins.open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __iter__(self):
+                for line in self.fh:
+                    read.append(line)
+                    yield line
+
+        monkeypatch.setattr(cli, "open", CountingFile, raising=False)
+        rule_obj = cli._load_rule_file(str(rule))
+        assert rule_obj.n == 500
+        assert len(read) == 4
+
+    def test_rule_file_lines_as_splitlines(self, tmp_path):
+        from permqmc.cli import _nonblank_lines
+
+        rule = tmp_path / "rule.txt"
+        text = "3 2\x0c1 2\r\n\n0.25 0.5\x1c\x0b\r7 8\n"
+        rule.write_text(text)
+        expect = [ln.split() for ln in rule.read_text().splitlines() if ln.strip()]
+        assert list(_nonblank_lines(str(rule))) == expect == [
+            ["3", "2"], ["1", "2"], ["0.25", "0.5"], ["7", "8"]]
+
     @pytest.mark.parametrize("text", ["5 2\n1 2\nnan 0.5\n", "1 2\n1 0.5 inf\n"])
     def test_non_finite_rule_file_exit_code(self, cfg_path, tmp_path, capsys, text):
         rule = tmp_path / "bad.txt"

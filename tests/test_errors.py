@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permqmc.errors import (
+    _abs_quadratic_form,
     box_frequencies,
     bound_constant,
     bound_constants,
@@ -142,7 +143,34 @@ class TestLatticeRoute:
         assert a.details["route"] == "lattice"
         assert a.details["pairs"] == n * (n // 2 + 1)
         assert b.details["route"] == "general"
-        assert b.details["pairs"] == n * n
+        # the symmetric Gram evaluates the pairs j >= i only
+        assert b.details["pairs"] == n * (n + 1) // 2
+
+    def test_general_route_holds_one_gram(self, sobolev):
+        import tracemalloc
+
+        spec = KernelSpec(sobolev, PermStructure.full(2))
+        nodes = np.random.default_rng(5).uniform(size=(2000, 2))
+        cub = WeightedCubature(nodes, np.linspace(0.5, 1.5, 2000))
+        worst_case_error_sq(WeightedCubature(nodes[:3], np.ones(3)), spec)
+        tracemalloc.start()
+        try:
+            rep = worst_case_error_sq(cub, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.details["route"] == "general"
+        # the 32 MB Gram matrix plus the pair chunks; no second n x n array
+        assert peak < 1.25 * 8 * 2000 ** 2
+
+    def test_abs_quadratic_form_in_blocks(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        G = rng.standard_normal((37, 37))
+        v = rng.uniform(size=37)
+        expect = float(v @ np.abs(G) @ v)
+        for elems in (1, 50, 37 * 37, 10 ** 6):
+            monkeypatch.setattr("permqmc.errors._ABS_BLOCK_ELEMS", elems)
+            assert _abs_quadratic_form(G, v) == pytest.approx(expect, rel=1e-13)
 
     def test_peak_memory_bounded(self):
         import tracemalloc

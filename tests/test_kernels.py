@@ -9,8 +9,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from permqmc import kernels
 from permqmc.kernels import (
     KernelSpec,
+    _pair_chunks,
     _choose_terms,
     _cosine_poly_coeffs,
     _series_remainder_bound,
@@ -254,6 +256,52 @@ class TestPerminvKernel:
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-10
         assert cert < 1e-9
+
+
+class TestSymmetricGram:
+    """With Y is X the Gram routine evaluates the pairs j >= i and mirrors
+    them; a copy of X takes the full rectangular path."""
+
+    @pytest.mark.parametrize("inv", [(1, 2, 3, 4), (1, 3), ()])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1009])
+    def test_mirrored_matches_full_path(self, sobolev, inv, n):
+        spec = KernelSpec(sobolev, PermStructure(4, inv))
+        pts = np.random.default_rng(n).uniform(size=(n, 4))
+        gram, cert = kernel_perminv_gram(pts, pts, spec)
+        full, full_cert = kernel_perminv_gram(pts, pts.copy(), spec)
+        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(gram - full)) <= cert + full_cert
+        assert cert <= full_cert
+
+    def test_small_chunks(self, sobolev, monkeypatch):
+        # rows longer than the chunk go one at a time, shorter ones together
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)
+        spec = KernelSpec(sobolev, PermStructure(3, (1, 2)))
+        pts = np.random.default_rng(3).uniform(size=(90, 3))
+        gram, cert = kernel_perminv_gram(pts, pts, spec)
+        full, full_cert = kernel_perminv_gram(pts, pts.copy(), spec)
+        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(gram - full)) <= cert + full_cert
+
+    @pytest.mark.parametrize("nx, ny, upper", [
+        (1009, 1009, True), (90, 90, True), (1, 1, True), (0, 0, True),
+        (90, 35, False), (3, 1009, False), (5, 0, False),
+    ])
+    @pytest.mark.parametrize("chunk", [40, 8192])
+    def test_chunks_cover_each_pair_once(self, monkeypatch, nx, ny, upper, chunk):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)
+        seen = np.zeros((nx, ny), dtype=int)
+        rows_done = 0
+        chunks = list(_pair_chunks(nx, ny, upper))
+        for k, (i, j) in enumerate(chunks):
+            assert i.size <= chunk or np.all(i == i[0])
+            if k < len(chunks) - 1:
+                assert i.size > chunk // 4   # chunks widen as the rows shorten
+            assert i.size == 0 or i[0] == rows_done
+            rows_done = int(i[-1]) + 1 if i.size else nx
+            np.add.at(seen, (i, j), 1)
+        expect = np.triu(np.ones((nx, ny), dtype=int)) if upper else np.ones((nx, ny), dtype=int)
+        assert np.array_equal(seen, expect)
 
 
 class TestShiftInvariantKernel:

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
+from permqmc import spectrum
 from permqmc.kernels import KernelSpec
 from permqmc.spectrum import (
     EigenSpectrum,
@@ -133,6 +134,42 @@ class TestTailConstants:
         tc = spectrum_tail_constants(spec, 1.5)
         assert tc.U_star == 0
         assert tc.rho_star.hi < 1.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("beta1", [1e-3, 0.3, 1.0, 30.0, 1e4])
+    def test_offset_search_matches_linear_scan(self, alpha, beta1):
+        def linear_scan(spec, tau, u_max):
+            U = 0
+            while rho_tail(spec, tau, U).hi >= 1.0:
+                U += 1
+                if U > u_max:
+                    return None
+            return U
+
+        spec = KernelSpec(SpectralWeight(alpha=alpha, beta1=beta1), PermStructure.full(2))
+        for tau in np.linspace(1.05, 2.0 * alpha - 0.05, 6):
+            for u_max in (0, 5, 3000):
+                expect = linear_scan(spec, tau, u_max)
+                if expect is None:
+                    with pytest.raises(RuntimeError, match="no admissible tail offset"):
+                        spectrum_tail_constants(spec, tau, u_max=u_max)
+                else:
+                    assert spectrum_tail_constants(spec, tau, u_max=u_max).U_star == expect
+
+    def test_failed_offset_search_is_logarithmic(self, monkeypatch):
+        calls = []
+        real = spectrum.rho_tail
+
+        def counting(spec, tau, U):
+            calls.append(U)
+            return real(spec, tau, U)
+
+        monkeypatch.setattr(spectrum, "rho_tail", counting)
+        spec = KernelSpec(SpectralWeight(beta1=1e12), PermStructure.full(2))
+        with pytest.raises(RuntimeError, match="no admissible tail offset"):
+            spectrum_tail_constants(spec, 1.9)
+        assert max(calls) == 100_000
+        assert len(calls) <= 2 * math.ceil(math.log2(100_000 + 2))
 
     def test_c_prime_values(self):
         assert c_prime(2.0) == pytest.approx(256.0)

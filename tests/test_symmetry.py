@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permqmc.symmetry import (
     PERMANENT_CAP,
     PermStructure,
     PermanentCapError,
+    _frac,
     multiplicity,
     normalize_to_nabla,
     permanent_batch,
@@ -284,3 +285,36 @@ def test_no_permutation_loops_in_the_package():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert len(list(src.glob("*.py"))) > 5
     assert not offenders, f"itertools.permutations used at {offenders}"
+
+
+def test_no_float_mod_in_the_package():
+    """Fractional parts go through symmetry._frac, t - floor(t), which is
+    bitwise equal to np.mod(t, 1.0) and many times faster; no module of the
+    package calls numpy's mod, remainder or fmod."""
+    src = Path(__file__).resolve().parents[1] / "src" / "permqmc"
+    banned = {"mod", "remainder", "fmod"}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                if any(alias.name in banned for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert len(list(src.glob("*.py"))) > 5
+    assert not offenders, f"numpy float mod used at {offenders}"
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=16))
+@example([0.0, -0.0, 5e-324, -5e-324, -1e-20, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+          1e16, -1e16, math.inf, -math.inf, math.nan, -0.5, -2.5, 2.0 ** 52 + 0.5])
+@settings(max_examples=300, deadline=None)
+def test_frac_is_bitwise_np_mod(values):
+    t = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        got, want = _frac(t), np.mod(t, 1.0)
+    both_nan = np.isnan(got) & np.isnan(want)
+    assert np.array_equal(got.view(np.uint64)[~both_nan], want.view(np.uint64)[~both_nan])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
