@@ -414,8 +414,7 @@ class GaussReport:
 
 
 def gaussian_average_error_sq(rule: WeightedCubature, spec: KernelSpec,
-                              n_modes: int,
-                              basis: SymmetricBasis | None = None) -> GaussReport:
+                              n_modes: int) -> GaussReport:
     """Squared integration error under the Gaussian model, mode by mode.
 
     ``top_value`` sums lambda_j (integral_j - Q xi_j)^2 over the enumerated
@@ -424,7 +423,7 @@ def gaussian_average_error_sq(rule: WeightedCubature, spec: KernelSpec,
     kernel route (sup-norm of the eigenfunctions times the analytic spectral
     tail), certifying the top sum on its own.
     """
-    basis = basis or SymmetricBasis(spec)
+    basis = SymmetricBasis(spec)
     basis.ensure(n_modes)
     iota = basis.integrals(n_modes)
     if not np.any(iota):

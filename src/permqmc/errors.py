@@ -4,7 +4,10 @@ The squared worst-case error of a cubature rule and the shift-averaged
 squared error of a lattice rule are computable by two independent routes:
 
 * an exact route that expands multiplicity-weighted frequency sums over the
-  fixed points of coordinate exchanges (partition sums of power kernels), and
+  fixed points of coordinate exchanges: partition sums of power kernels,
+  tabulated on the lattice grid g/n and gathered at the nodes j*z/n by the
+  one partition-sum engine ``kernels._partition_sums`` (the per-coordinate
+  search objective runs on the same engine), and
 * a truncated spectral route that enumerates a frequency box and tests dual
   membership directly, carrying a certified bound on the omitted mass.
 
@@ -16,7 +19,6 @@ constants have their second routes as oracles in the test suite
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
@@ -26,7 +28,7 @@ import numpy as np
 
 from .kernels import (
     KernelSpec,
-    _submasks_with_lowest,
+    _partition_sums,
     _sum_depth,
     kernel_perminv_gram,
     lattice_gram_mean,
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 SUBSET_CAP = 20
-# Working-set cap of one CBC step in bytes; a larger step is refused before
-# anything is allocated.
+# Working-set cap in bytes of one CBC step and of one spectral frequency box;
+# a larger one is refused before anything is allocated.
 STEP_BYTES_CAP = 1 << 30
 # entries of |gram| held at once by the general route's certificate
 _ABS_BLOCK_ELEMS = 1 << 16
@@ -70,7 +72,6 @@ class ErrorReport:
     value: float
     method: str
     truncation_certificate: float
-    wall_time: float = 0.0
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -118,10 +119,9 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     rounding bound gamma_k * sum |terms| of the quadratic form and the
     three-term formula.
     """
-    t0 = time.perf_counter()
     b0d = initial_error_sq(spec)
     if rule.n == 0:
-        return ErrorReport(b0d, "kernel", 0.0, time.perf_counter() - t0,
+        return ErrorReport(b0d, "kernel", 0.0,
                            details={"route": "general", "pairs": 0})
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
@@ -145,7 +145,7 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     # b0d is one pow (1 ulp); the formula adds three roundings
     cert = qcert + 2.0 * b0d * wround + _gamma(5) * (b0d * (1.0 + 2.0 * wabs) + abs(quad))
     value = max(raw, 0.0)
-    return ErrorReport(value, "kernel", cert, time.perf_counter() - t0,
+    return ErrorReport(value, "kernel", cert,
                        details={"raw_value": raw, "route": route, "pairs": pairs})
 
 
@@ -162,6 +162,24 @@ def box_frequencies(d: int, half_width: int) -> np.ndarray:
     axes = [np.arange(-half_width, half_width + 1)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     return grid[np.any(grid != 0, axis=1)].astype(np.int64)
+
+
+def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
+    """The dual-lattice members (h . z = 0 mod n) of ``box_frequencies``, in
+    box order.
+
+    Building the box peaks at 3 * (2H + 1)^d * d * 8 bytes (the meshgrid,
+    its stack and the filtered copy); a box predicted above
+    ``STEP_BYTES_CAP`` raises ValueError before anything is allocated.
+    """
+    need = 3 * (2 * half_width + 1) ** rule.d * rule.d * 8
+    if need > STEP_BYTES_CAP:
+        raise ValueError(
+            f"frequency box [-{half_width}, {half_width}]^{rule.d} needs about "
+            f"{need / 2**30:.1f} GiB ({need} bytes), above the cap of "
+            f"{STEP_BYTES_CAP / 2**30:.0f} GiB; lower half_width")
+    hs = box_frequencies(rule.d, half_width)
+    return hs[(hs @ np.asarray(rule.z, dtype=np.int64)) % rule.n == 0]
 
 
 def multiplicity_array(h: np.ndarray, ps: PermStructure) -> np.ndarray:
@@ -204,12 +222,9 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     sum over orbits of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!.
     Independent of the kernel route.
     """
-    t0 = time.perf_counter()
-    d, n = rule.d, rule.n
     ps = spec.perm
-    hs = box_frequencies(d, half_width)
-    hs = hs[(hs @ np.asarray(rule.z, dtype=np.int64)) % n == 0]
-    shift = np.zeros(d) if rule.shift is None else np.asarray(rule.shift)
+    hs = _dual_box(rule, half_width)
+    shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
     phase = np.exp(2j * math.pi * (hs @ shift))
     hs[:, ps.invariant_idx] = np.sort(hs[:, ps.invariant_idx], axis=1)
     reps, orbit_of = np.unique(hs, axis=0, return_inverse=True)
@@ -219,7 +234,7 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     mult = multiplicity_array(reps, ps)
     value = float(np.sum(fac * mult * np.abs(S_O) ** 2)) / float(ps.group_order)
     cert = _box_tail_certificate(spec, half_width)
-    return ErrorReport(value, "spectral_dual_sum", cert, time.perf_counter() - t0,
+    return ErrorReport(value, "spectral_dual_sum", cert,
                        details={"half_width": half_width})
 
 
@@ -231,39 +246,35 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
                   half_width: int = 12) -> ErrorReport:
     """Squared worst-case error averaged over all uniform shifts.
 
-    method "fixed_point": exact lattice average of the shift-averaged kernel
-    (the shift drops out of node differences); its certificate is the
-    profile's plus the a priori rounding bound of the mean and the
-    subtraction of beta0^d.  method "spectral": truncated
-    multiplicity-weighted sum over dual-lattice members of a frequency box.
+    method "fixed_point": exact average of the shift-averaged kernel over the
+    n unshifted lattice nodes (the shift drops out of node differences),
+    evaluated on power-kernel grid tables by ``shift_invariant_profile``; its
+    certificate is the profile's plus the a priori rounding bound of the
+    mean and the subtraction of beta0^d.  method "spectral": truncated
+    multiplicity-weighted sum over dual-lattice members of a frequency box
+    (``_dual_box``).
     """
-    t0 = time.perf_counter()
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
     degenerate = all(v % rule.n == 0 for v in rule.z)
     if method == "fixed_point":
-        pts = rule.with_shift(None).points()
-        prof, cert = shift_invariant_profile(pts, spec)
+        prof, cert = shift_invariant_profile(rule, spec)
         b0d = initial_error_sq(spec)
         value = float(np.mean(prof)) - b0d
         # numpy's sum and the division; b0d is one pow, and the subtraction
         # rounds once
         cert += (_gamma(_sum_depth(prof.size) + 2) * float(np.mean(np.abs(prof)))
                  + _gamma(3) * b0d)
-        report = ErrorReport(max(value, 0.0), "kernel_sum", cert,
-                             time.perf_counter() - t0,
-                             details={"raw_value": value, "degenerate": degenerate})
-        return report
+        return ErrorReport(max(value, 0.0), "kernel_sum", cert,
+                           details={"raw_value": value, "degenerate": degenerate})
     if method != "spectral":
         raise ValueError(f"unknown method {method!r}")
-    hs = box_frequencies(rule.d, half_width)
-    member = (hs @ np.asarray(rule.z, dtype=np.int64)) % rule.n == 0
-    hs = hs[member]
+    hs = _dual_box(rule, half_width)
     fac = np.prod(r_weight_inv_factors(hs, spec.weight), axis=1)
     mult = multiplicity_array(hs, spec.perm)
     value = float(np.sum(fac * mult)) / float(spec.perm.group_order)
     cert = _box_tail_certificate(spec, half_width)
-    return ErrorReport(value, "spectral_dual_sum", cert, time.perf_counter() - t0,
+    return ErrorReport(value, "spectral_dual_sum", cert,
                        details={"half_width": half_width, "degenerate": degenerate})
 
 
@@ -333,52 +344,6 @@ def _root_powers(n: int) -> np.ndarray:
     return out
 
 
-def _prefix_partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
-                           tmax: np.ndarray, tcerts: np.ndarray):
-    """Partition sums over every mask U of the k = len(zs) prefix coordinates.
-
-    f[U, j] is the sum over partitions of U into admissible blocks B (a
-    singleton, or a subset of ``inv_mask``) of prod_B (|B|-1)! *
-    kappa_|B|[j * S_B mod n], S_B the sum of the generators in B; the
-    ``partition_sum_masked`` recurrence over the block holding U's lowest
-    coordinate, O(3^k * n).  fv[U] and fe[U] run the same recurrence on the
-    scalars (tmax, tcerts) as a value and its first-order term, so fe[U] is
-    the sum over partitions of sum_B tcert_B * prod_{B' != B} tmax_B'.  fv[U]
-    also bounds |f[U, j]|, and each term of f[U, j] meets at most
-    k + 2^k - 1 roundings: two products per block and one addition per
-    other block with the same lowest coordinate, over at most k levels.
-    """
-    k = len(zs)
-    size = 1 << k
-    j = np.arange(n, dtype=np.int64)
-    blocks = {}
-    for B in range(1, size):
-        if B & (B - 1) and B & ~inv_mask:
-            continue
-        c = B.bit_count()
-        S = sum(z for i, z in enumerate(zs) if B >> i & 1) % n
-        wt = math.factorial(c - 1)
-        blocks[B] = (wt * table[c - 1].take(j * S % n), wt * float(tmax[c - 1]),
-                     wt * float(tcerts[c - 1]))
-    f = np.empty((size, n))
-    f[0] = 1.0
-    fv, fe = [1.0] * size, [0.0] * size
-    term = np.empty(n)
-    for U in range(1, size):
-        low = U & -U
-        acc = f[U]
-        acc[:] = 0.0
-        v = e = 0.0
-        for B in _submasks_with_lowest((U & inv_mask) | low if low & inv_mask else low):
-            vec, bmax, bcert = blocks[B]
-            R = U ^ B
-            acc += np.multiply(vec, f[R], out=term)
-            v += bmax * fv[R]
-            e += bmax * fe[R] + bcert * fv[R]
-        fv[U], fe[U] = v, e
-    return f, np.asarray(fv), np.asarray(fe)
-
-
 def _multiplicative_correlation(G: np.ndarray, kappa: np.ndarray, powers: np.ndarray,
                                 kappa_hat: np.ndarray, kappa_norm: float) -> tuple[np.ndarray, float]:
     """F(w) = sum_j G[j] * kappa[j*w mod n] for every w in Z_n, prime n, and
@@ -435,7 +400,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
     three stages:
 
     1. a bitmask DP gives the partition sum f[U] of every mask U of the
-       k = ell - 1 prefix coordinates (``_prefix_partition_sums``);
+       k = ell - 1 prefix coordinates (``kernels._partition_sums``);
     2. for every set M of prefix coordinates sharing the candidate's block,
        rest_M = sum over U disjoint from M of f[U] / (c_u * s_u! * n) is
        added, times |M|!, into the group of (|M| + 1, S_M);
@@ -487,7 +452,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
     zs = [int(v) % n for v in prefix]
     inv = set(ps.invariant)
     inv_mask = sum(1 << i for i in range(k) if i + 1 in inv)
-    f, fv, fe = _prefix_partition_sums(zs, inv_mask, n, table, tmax, tcerts)
+    f, fv, fe = _partition_sums(zs, inv_mask, n, table, tmax, tcerts)
 
     # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u = beta0^|u| * C(s, |u & I|)
     s = ps.size

@@ -20,7 +20,12 @@ points of coordinate exchanges: grouping permutations by the partition their
 cycles induce turns such a sum into a partition sum of "power kernels"
 kappa_c, the univariate kernels with all weights raised to the c-th power.
 That expansion is what makes the shift-averaged kernel and every
-multiplicity-weighted constant exactly computable.
+multiplicity-weighted constant exactly computable.  On a rank-1 lattice the
+summed coordinates of a block at node j are the grid point (j * S_B mod n)/n,
+so kappa_c is tabulated once on the grid g/n and one bitmask DP,
+``_partition_sums``, gives the partition sums at every node: it evaluates
+the shift-averaged kernel at the lattice nodes (``shift_invariant_profile``)
+and the per-coordinate CBC objective (``errors.cbc_step_objectives``).
 """
 from __future__ import annotations
 
@@ -42,7 +47,6 @@ __all__ = [
     "lattice_gram_mean",
     "power_kernel",
     "power_kernel_table",
-    "partition_sum_masked",
     "permutation_power_sum",
     "symmetrized_mass",
     "validate_closed_form",
@@ -298,27 +302,54 @@ def _submasks_with_lowest(mask: int):
         sub = (sub - 1) & rest
 
 
-def partition_sum_masked(block_vals: dict[int, np.ndarray] | Sequence, s: int):
-    """Sum over set partitions of {0..s-1} of prod_B (|B|-1)! * value(B).
+def _partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
+                    tmax: np.ndarray, tcerts: np.ndarray):
+    """Partition sums of power kernels over every mask U of k = len(zs)
+    lattice coordinates, at every node j = 0..n-1.
 
-    ``block_vals`` maps a nonzero bitmask over the s elements to the value of
-    that block (scalar or ndarray; shapes must broadcast).  This equals the
-    sum over all permutations of s elements of the product of per-cycle
-    values, when a cycle's value depends only on its support.
+    f[U, j] is the sum over partitions of U into admissible blocks B (a
+    singleton, or a subset of ``inv_mask``) of prod_B (|B|-1)! *
+    kappa_|B|[j * S_B mod n], S_B the sum of the generators in B and
+    ``table[c - 1]`` kappa_c on the grid g/n; the recurrence runs over the
+    block holding U's lowest coordinate, O(3^k * n).  Summed over all
+    permutations of U, a product of per-cycle values that depend only on the
+    cycle's support is this partition sum.  fv[U] and fe[U] run the same
+    recurrence on the scalars (tmax, tcerts) as a value and its first-order
+    term, so fe[U] is the sum over partitions of
+    sum_B tcert_B * prod_{B' != B} tmax_B'.  fv[U] also bounds |f[U, j]| and
+    sum |terms|, and each term of f[U, j] meets at most k + 2^k - 1
+    roundings: two products per block and one addition per other block with
+    the same lowest coordinate, over at most k levels.
     """
-    if s == 0:
-        return 1.0
-    f: dict[int, np.ndarray | float] = {0: 1.0}
-    full = (1 << s) - 1
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        acc = None
-        for block in _submasks_with_lowest(mask):
-            size = block.bit_count()
-            term = math.factorial(size - 1) * np.asarray(block_vals[block]) * f[mask ^ block]
-            acc = term if acc is None else acc + term
-        f[mask] = acc
-    return f[full]
+    k = len(zs)
+    size = 1 << k
+    j = np.arange(n, dtype=np.int64)
+    blocks = {}
+    for B in range(1, size):
+        if B & (B - 1) and B & ~inv_mask:
+            continue
+        c = B.bit_count()
+        S = sum(z for i, z in enumerate(zs) if B >> i & 1) % n
+        wt = math.factorial(c - 1)
+        blocks[B] = (wt * table[c - 1].take(j * S % n), wt * float(tmax[c - 1]),
+                     wt * float(tcerts[c - 1]))
+    f = np.empty((size, n))
+    f[0] = 1.0
+    fv, fe = [1.0] * size, [0.0] * size
+    term = np.empty(n)
+    for U in range(1, size):
+        low = U & -U
+        acc = f[U]
+        acc[:] = 0.0
+        v = e = 0.0
+        for B in _submasks_with_lowest((U & inv_mask) | low if low & inv_mask else low):
+            vec, bmax, bcert = blocks[B]
+            R = U ^ B
+            acc += np.multiply(vec, f[R], out=term)
+            v += bmax * fv[R]
+            e += bmax * fe[R] + bcert * fv[R]
+        fv[U], fe[U] = v, e
+    return f, np.asarray(fv), np.asarray(fe)
 
 
 def permutation_power_sum(p: Sequence[float]) -> float:
@@ -366,9 +397,8 @@ class KernelSpec:
     def d(self) -> int:
         return self.perm.d
 
-    def univariate(self, t, include_constant: bool = True) -> tuple[np.ndarray, float]:
-        return power_kernel(self.weight, 1, t, include_constant=include_constant,
-                            mode=self.mode, tol=self.tol)
+    def univariate(self, t) -> tuple[np.ndarray, float]:
+        return power_kernel(self.weight, 1, t, mode=self.mode, tol=self.tol)
 
 
 def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarray]:
@@ -517,55 +547,42 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     return total / float(n) ** 2, cert + _gamma(depth) * mean_abs, n * (half + 1)
 
 
-def shift_invariant_profile(diffs, spec: KernelSpec,
-                            include_constant: bool = True) -> tuple[np.ndarray, float]:
-    """Shift-averaged kernel at an array of difference vectors (npts, d).
+def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.ndarray, float]:
+    """Shift-averaged kernel at the n unshifted nodes j*z/n of a lattice rule.
 
     Expands the multiplicity-weighted frequency sum over exchange fixed
-    points: for each partition of the invariant block, every block of size c
-    contributes kappa_c at the summed difference of its coordinates.
+    points: for each partition of the invariant block, every block B of size
+    c contributes kappa_c at the summed coordinates of its members, at node
+    j the grid point (j * S_B mod n)/n.  kappa_c is tabulated once on the
+    grid, constants included, and ``_partition_sums`` runs with every block
+    admissible; the free coordinates multiply in kappa_1 at j * z_i mod n.
+    Memory O(2^s * n).
+
+    Returns (values, cert): cert bounds the absolute error of every value,
+    the table certificates through the partition sum, its rounding and that
+    of the free factor included.
     """
-    diff = np.atleast_2d(np.asarray(diffs, dtype=float))
+    n = rule.n
     inv = spec.perm.invariant_idx
     free = spec.perm.free_idx
     s = len(inv)
-
-    def kappa(c: int, args: np.ndarray) -> tuple[np.ndarray, float]:
-        return power_kernel(spec.weight, c, args, include_constant=include_constant,
-                            mode=spec.mode, tol=spec.tol)
-
-    if s:
-        vals: dict[int, np.ndarray] = {}
-        hi: dict[int, np.ndarray] = {}
-        for mask in range(1, 1 << s):
-            members = [inv[i] for i in range(s) if mask >> i & 1]
-            arg = _frac(diff[:, members].sum(axis=1))
-            v, c_err = kappa(mask.bit_count(), arg)
-            vals[mask] = v
-            hi[mask] = np.abs(v) + c_err
-        part = partition_sum_masked(vals, s)
-        part_hi = partition_sum_masked(hi, s)
-        # the recurrence puts a term through at most s + 2^s - 1 roundings (a
-        # product with the block value and one with the rest per level, one
-        # addition per other block); with |v| + err above and the division
-        # below, the bound covers the rounding of part and of part_hi
-        rounding = 3.0 * _gamma(s + (1 << s) + 1) * part_hi
-        part_cert = part_hi - np.abs(part) + rounding
-        fact = float(spec.perm.group_order)
-        part, part_cert = part / fact, part_cert / fact
-    else:
-        part = np.ones(diff.shape[0])
-        part_cert = np.zeros(diff.shape[0])
-    if len(free):
-        fv, fc = kappa(1, _frac(diff[:, free]).reshape(-1))
-        fprod, fcert = _free_factor(fv.reshape(diff.shape[0], len(free)), fc)
-        total = part * fprod
-        cert = (np.abs(part) * fcert + part_cert * (np.abs(fprod) + fcert)
-                + _UNIT_ROUNDOFF * np.abs(total))
-    else:
-        total = part
-        cert = part_cert
-    return total, float(np.max(cert)) if np.size(cert) else 0.0
+    z = np.asarray(rule.z, dtype=np.int64)
+    table, tcerts = power_kernel_table(spec.weight, n, max(1, s), include_constant=True,
+                                       mode=spec.mode, tol=spec.tol)
+    tmax = np.max(np.abs(table), axis=1) + tcerts
+    f, fv, fe = _partition_sums(z[inv].tolist(), (1 << s) - 1, n, table, tmax, tcerts)
+    fact = float(spec.perm.group_order)
+    # the engine's s + 2^s - 1 roundings, and the division when s! > 1
+    part = f[-1] / fact
+    part_cert = (fe[-1] + _gamma(s + (1 << s) - 1 + (fact > 1.0)) * fv[-1]) / fact
+    if not len(free):
+        return part, float(part_cert)
+    j = np.arange(n, dtype=np.int64)
+    fprod, fcert = _free_factor(table[0][np.multiply.outer(j, z[free]) % n], float(tcerts[0]))
+    total = part * fprod
+    cert = (np.abs(part) * fcert + part_cert * (np.abs(fprod) + fcert)
+            + _UNIT_ROUNDOFF * np.abs(total))
+    return total, float(np.max(cert))
 
 
 def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:

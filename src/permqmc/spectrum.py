@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import KernelSpec, symmetrized_mass
 from .symmetry import normalize_to_nabla
-from .weights import Enclosure, SpectralWeight, tail_sum
+from .weights import Enclosure, SpectralWeight, _first_below_one, tail_sum
 
 __all__ = [
     "EigenSpectrum",
@@ -157,35 +157,14 @@ def rho_tail(spec: KernelSpec, tau: float, U: int) -> Enclosure:
     )
 
 
-def _tail_offset(spec: KernelSpec, tau: float, u_max: int) -> int:
-    """Smallest U in 0..u_max with rho_tail(U).hi < 1, by doubling and then
-    bisection (rho_tail decreases in U): O(log U) evaluations, or
-    O(log u_max) before RuntimeError when there is none."""
-    def admissible(U: int) -> bool:
-        return rho_tail(spec, tau, U).hi < 1.0
-
-    bad, good = -1, 0
-    while not admissible(good):
-        if good >= u_max:
-            raise RuntimeError("no admissible tail offset found")
-        bad, good = good, min(2 * good + 1, u_max)
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if admissible(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def spectrum_tail_constants(spec: KernelSpec, tau: float,
-                            U: int | None = None,
                             u_max: int = 100_000) -> TailConstants:
     """Decay constants: tail of the ordered spectrum past m modes is at most
     C_d / (m+1)^(p_d) with p_d = tau - 1 and C_d = 2^(tau-1)/(tau-1) * (sum lambda^(1/tau))^tau.
 
-    The tail offset U defaults to the smallest U <= u_max with
-    rho_tail(U).hi < 1 (``_tail_offset``); RuntimeError when there is none.
+    The tail offset U is the smallest U <= u_max with rho_tail(U).hi < 1
+    (``weights._first_below_one``: rho_tail decreases in U); RuntimeError
+    when there is none.
     """
     w = spec.weight
     if not (1.0 < tau < 2.0 * w.alpha):
@@ -193,8 +172,9 @@ def spectrum_tail_constants(spec: KernelSpec, tau: float,
     power_sum = symmetrized_mass(spec, tau)
     scale = 2.0 ** (tau - 1.0) / (tau - 1.0)
     C_d = power_sum.power(tau).scale(scale)
+    U = _first_below_one(lambda u: rho_tail(spec, tau, u), u_max)
     if U is None:
-        U = _tail_offset(spec, tau, u_max)
+        raise RuntimeError("no admissible tail offset found")
     rho = rho_tail(spec, tau, U)
     return TailConstants(tau=tau, p_d=tau - 1.0, C_d=C_d,
                          power_sum=power_sum, U_star=U, rho_star=rho)

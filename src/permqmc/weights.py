@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import zeta as _zeta
@@ -290,12 +291,37 @@ def eta_star(w: SpectralWeight, V: int = 0) -> Enclosure:
     return tail_sum(w, start=V + 1).scale(2.0 * w.beta1 / w.beta0)
 
 
+def _first_below_one(enclosure: Callable[[int], Enclosure], cap: int) -> int | None:
+    """Smallest index V in 0..cap with enclosure(V).hi < 1, for an
+    enclosure whose upper end decreases in V, or None when there is none.
+
+    Doubling and then bisection: O(log V) evaluations, and
+    O(log cap) before giving up.
+    """
+    def admissible(V: int) -> bool:
+        return enclosure(V).hi < 1.0
+
+    bad, good = -1, 0
+    while not admissible(good):
+        if good >= cap:
+            return None
+        bad, good = good, min(2 * good + 1, cap)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if admissible(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def min_contraction_order(w: SpectralWeight, v_max: int = 100_000) -> int:
-    """Smallest V with a certified eta_star(w, V) < 1."""
-    for V in range(v_max + 1):
-        if eta_star(w, V).hi < 1.0:
-            return V
-    raise RuntimeError(f"no contraction order found up to V = {v_max}")
+    """Smallest V <= v_max with a certified eta_star(w, V) < 1
+    (``_first_below_one``: eta_star decreases in V)."""
+    V = _first_below_one(lambda v: eta_star(w, v), v_max)
+    if V is None:
+        raise RuntimeError(f"no contraction order found up to V = {v_max}")
+    return V
 
 
 def weight_to_config(w: SpectralWeight) -> dict:

@@ -114,6 +114,16 @@ class TestPipelines:
         assert rep["abs_error"] <= rep["apriori_bound"] * (1 + 1e-9)
         assert "warning" not in rep
 
+    def test_oversized_spectral_box_exit_code(self, tmp_path, capsys):
+        cfg = {"space": {"alpha": 1.0}, "structure": {"d": 8, "invariant": list(range(1, 9))}}
+        cfg_file = tmp_path / "c8.json"
+        cfg_file.write_text(json.dumps(cfg))
+        rule = tmp_path / "r8.txt"
+        rule.write_text("127 8\n1 2 3 4 5 6 7 8\n")
+        assert main(["error-eval", "--config", str(cfg_file), "--rule", str(rule),
+                     "--method", "spectral", "--half-width", "6"]) == EXIT_CONFIG
+        assert "frequency box [-6, 6]^8 needs about" in capsys.readouterr().err
+
     def test_integrate_dimension_mismatch(self, cfg_path, tmp_path):
         rule = tmp_path / "r3.txt"
         rule.write_text("5 3\n1 2 3\n")

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from itertools import permutations, product
 
 import mpmath
@@ -409,6 +411,24 @@ class TestBoundConstants:
 
 
 class TestSpectralHelpers:
+    @pytest.mark.parametrize("method", ["worst_case", "mean"])
+    def test_oversized_box_refused_before_allocating(self, method):
+        # (2H+1)^d * d * 24 bytes at d = 8, H = 6 is about 157 GB
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(8))
+        rule = LatticeRule(127, (1, 2, 3, 4, 5, 6, 7, 8))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"frequency box \[-6, 6\]\^8 needs about"):
+            if method == "mean":
+                mean_sq_error(rule, spec, method="spectral", half_width=6)
+            else:
+                worst_case_error_sq_spectral(rule, spec, half_width=6)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 << 20
+        assert elapsed < 1.0
+
     def test_multiplicity_array(self, rng):
         ps = PermStructure(4, (1, 2, 4))
         hs = rng.integers(-3, 4, size=(200, 4))

@@ -1,9 +1,11 @@
+import ast
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from itertools import permutations, product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,8 +19,8 @@ from permqmc.kernels import (
     _cosine_poly_coeffs,
     _series_remainder_bound,
     _sum_depth,
+    _partition_sums,
     kernel_perminv_gram,
-    partition_sum_masked,
     permutation_power_sum,
     power_kernel,
     power_kernel_table,
@@ -26,6 +28,7 @@ from permqmc.kernels import (
     symmetrized_mass,
     validate_closed_form,
 )
+from permqmc.lattice import LatticeRule
 from permqmc.symmetry import PermStructure, _gamma, multiplicity
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
 
@@ -49,14 +52,16 @@ def box_kernel_perminv(x, y, spec, H):
 
 
 def box_kernel_shinv(diff, spec, H):
-    """Complex multiplicity-weighted box oracle for the shift-averaged kernel."""
+    """Complex multiplicity-weighted box oracle for the shift-averaged kernel
+    at one difference vector (d,) or a stack of them (npts, d)."""
     ps = spec.perm
     w = spec.weight
-    total = 0.0 + 0.0j
+    diff = np.asarray(diff, dtype=float)
+    total = np.zeros(diff.shape[:-1], dtype=complex)
     for h in product(range(-H, H + 1), repeat=spec.d):
         fac = np.prod(r_weight_inv_factors(np.array([h]), w))
         m = multiplicity(h, ps)
-        total += m / ps.group_order * fac * np.exp(2j * math.pi * np.dot(h, diff))
+        total += m / ps.group_order * fac * np.exp(2j * math.pi * (diff @ np.array(h)))
     return total
 
 
@@ -305,40 +310,49 @@ class TestSymmetricGram:
 
 
 class TestShiftInvariantKernel:
-    def test_diagonal_constant(self, spec_d2_full, rng):
-        vals = [
-            shift_invariant_profile((x - x)[None], spec_d2_full)[0][0]
-            for x in rng.uniform(size=(4, 2))
-        ]
-        assert np.ptp(vals) < 1e-12
+    def test_diagonal_constant(self):
+        # node 0 is the zero difference, where the profile is the
+        # multiplicity-weighted total mass: two independent routes
+        for alpha, perm, mode in [(1.0, PermStructure.full(2), "auto"),
+                                  (2.0, PermStructure(3, (2, 3)), "auto"),
+                                  (1.0, PermStructure.full(4), "auto"),
+                                  (1.0, PermStructure.empty(3), "auto"),
+                                  (1.5, PermStructure.full(3), "auto"),
+                                  (1.0, PermStructure.full(2), "spectral")]:
+            spec = KernelSpec(SpectralWeight(alpha=alpha, beta0=0.9, beta1=1.1), perm,
+                              mode=mode, tol=1e-9)
+            prof, cert = shift_invariant_profile(LatticeRule(31, (1, 7, 12, 5)[:perm.d]), spec)
+            enc = symmetrized_mass(spec)
+            assert enc.lo - cert <= prof[0] <= enc.hi + cert
 
-    def test_brute_force_two_exchanges(self, rng):
+    def test_brute_force_two_exchanges(self):
         w = SpectralWeight(alpha=2.0)
         spec = KernelSpec(w, PermStructure.full(2))
-        x = rng.uniform(size=2)
-        y = rng.uniform(size=2)
-        oracle = box_kernel_shinv(x - y, spec, H=60)
-        assert abs(oracle.imag) <= 1e-12
-        assert shift_invariant_profile((x - y)[None], spec)[0][0] == pytest.approx(
-            oracle.real, abs=1e-7)
+        rule = LatticeRule(13, (1, 5))
+        prof, cert = shift_invariant_profile(rule, spec)
+        assert prof.shape == (13,) and cert < 1e-12
+        oracle = box_kernel_shinv(rule.points(), spec, H=60)
+        assert np.max(np.abs(oracle.imag)) <= 1e-12
+        assert np.max(np.abs(prof - oracle.real)) <= 1e-7
 
-    def test_partial_invariance_oracle(self, rng):
+    def test_partial_invariance_oracle(self):
         w = SpectralWeight(alpha=2.0, beta0=0.9, beta1=1.2)
         spec = KernelSpec(w, PermStructure(3, (2, 3)))
-        x = rng.uniform(size=3)
-        y = rng.uniform(size=3)
-        oracle = box_kernel_shinv(x - y, spec, H=25)
-        assert shift_invariant_profile((x - y)[None], spec)[0][0] == pytest.approx(
-            oracle.real, abs=5e-6)
+        rule = LatticeRule(7, (1, 3, 2))
+        prof, _ = shift_invariant_profile(rule, spec)
+        oracle = box_kernel_shinv(rule.points(), spec, H=25)
+        assert np.max(np.abs(prof - oracle.real)) <= 5e-6
 
-    def test_spectral_mode_agrees(self, rng):
+    def test_spectral_mode_agrees(self):
         w = SpectralWeight(alpha=1.0)
-        diff = rng.uniform(size=(5, 2))
-        closed = KernelSpec(w, PermStructure.full(2), mode="closed")
-        series = KernelSpec(w, PermStructure.full(2), mode="spectral", tol=1e-9)
-        a, ca = shift_invariant_profile(diff, closed)
-        b, cb = shift_invariant_profile(diff, series)
-        assert np.max(np.abs(a - b)) <= ca + cb
+        for perm in (PermStructure.full(2), PermStructure(3, (1, 3))):
+            rule = LatticeRule(13, (1, 5, 8)[:perm.d])
+            closed = KernelSpec(w, perm, mode="closed")
+            series = KernelSpec(w, perm, mode="spectral", tol=1e-9)
+            a, ca = shift_invariant_profile(rule, closed)
+            b, cb = shift_invariant_profile(rule, series)
+            assert np.max(np.abs(a - b)) <= ca + cb
+            assert cb < 1e-7
 
 
 class TestMass:
@@ -392,25 +406,47 @@ class TestKernelIntegrals:
 
 class TestPartitionEngines:
     def test_masked_vs_permutation_brute(self, rng):
-        s = 4
-        vals = {mask: rng.normal() for mask in range(1, 1 << s)}
-        got = partition_sum_masked(vals, s)
-        brute = 0.0
-        for perm in permutations(range(s)):
-            prod = 1.0
-            seen = set()
-            for start in range(s):
-                if start in seen:
-                    continue
-                mask = 0
-                cur = start
-                while cur not in seen:
-                    seen.add(cur)
-                    mask |= 1 << cur
-                    cur = perm[cur]
-                prod *= vals[mask]
-            brute += prod
-        assert got == pytest.approx(brute, rel=1e-12)
+        for inv_mask in (0b11111, 0b01101, 0):
+            self._check_engine_against_permutations(rng, inv_mask)
+
+    @staticmethod
+    def _check_engine_against_permutations(rng, inv_mask):
+        # f[U, j] against the sum over all permutations of U of the product
+        # of per-cycle values; a cycle of more than one element outside
+        # inv_mask is forbidden, and so is every permutation holding one
+        s, n = 5, 11
+        zs = [int(v) for v in rng.integers(0, n, size=s)]
+        table = rng.normal(size=(s, n))
+        tcerts = rng.uniform(1e-6, 1e-5, size=s)
+        tmax = np.max(np.abs(table), axis=1) + tcerts
+        f, fv, fe = _partition_sums(zs, inv_mask, n, table, tmax, tcerts)
+        for U in range(1 << s):
+            members = [i for i in range(s) if U >> i & 1]
+            brute = np.zeros(n)
+            for perm in permutations(members):
+                step = dict(zip(members, perm))
+                prod = np.ones(n)
+                seen = set()
+                for start in members:
+                    if start in seen:
+                        continue
+                    mask, S, cur = 0, 0, start
+                    while cur not in seen:
+                        seen.add(cur)
+                        mask |= 1 << cur
+                        S += zs[cur]
+                        cur = step[cur]
+                    if mask & (mask - 1) and mask & ~inv_mask:
+                        break
+                    prod *= table[mask.bit_count() - 1][np.arange(n) * S % n]
+                else:
+                    brute += prod
+            assert np.allclose(f[U], brute, rtol=1e-12, atol=1e-12)
+            assert np.all(np.abs(f[U]) <= fv[U] * (1 + 1e-12))
+        # fe bounds the effect of table errors up to tcerts
+        bumped = table + tcerts[:, None] * rng.uniform(-1.0, 1.0, size=table.shape)
+        g, _, _ = _partition_sums(zs, inv_mask, n, bumped, tmax, tcerts)
+        assert np.all(np.abs(g - f) <= fe[:, None] + 1e-12 * fv[:, None])
 
     def test_power_sum_vs_brute(self):
         p = [1.7, 0.6, 0.25, 0.1]
@@ -437,3 +473,24 @@ class TestPartitionEngines:
         vals, _ = power_kernel(sobolev, 1, np.arange(8) / 8, include_constant=False)
         assert np.allclose(table[0], vals)
         assert np.all(certs >= 0)
+
+
+def test_one_partition_recurrence_in_the_package():
+    """Partition sums over exchange fixed points have one engine,
+    kernels._partition_sums: the submask walk of its recurrence is named
+    nowhere else in the package, and called once."""
+    src = Path(__file__).resolve().parents[1] / "src" / "permqmc"
+    name = "_submasks_with_lowest"
+    offenders, calls = [], 0
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = ((isinstance(node, ast.Name) and node.id == name)
+                     or (isinstance(node, ast.Attribute) and node.attr == name)
+                     or (isinstance(node, ast.alias) and node.name == name))
+            if named and path.name != "kernels.py":
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+            calls += (path.name == "kernels.py" and isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == name)
+    assert len(list(src.glob("*.py"))) > 5
+    assert not offenders, f"{name} referenced at {offenders}"
+    assert calls == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permqmc import weights
 from permqmc.weights import (
     Enclosure,
     GeneratorSpec,
@@ -146,6 +147,33 @@ class TestEtaStar:
         assert eta(V) < 1.0
         assert V == 0 or eta(V - 1) >= 1.0 - 1e-12
         assert eta_star(w, V).hi < 1.0
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5])
+    @pytest.mark.parametrize("beta0", [0.5, 1.0])
+    @pytest.mark.parametrize("beta1", [1e-3, 1.0, 30.0, 1e4])
+    def test_min_order_matches_linear_scan(self, alpha, beta0, beta1):
+        w = SpectralWeight(alpha=alpha, beta0=beta0, beta1=beta1)
+        for v_max in (0, 5, 3000):
+            expect = next((V for V in range(v_max + 1) if eta_star(w, V).hi < 1.0), None)
+            if expect is None:
+                with pytest.raises(RuntimeError, match=f"up to V = {v_max}$"):
+                    min_contraction_order(w, v_max)
+            else:
+                assert min_contraction_order(w, v_max) == expect
+
+    def test_failed_min_order_is_logarithmic(self, monkeypatch):
+        calls = []
+        real = weights.eta_star
+
+        def counting(w, V=0):
+            calls.append(V)
+            return real(w, V)
+
+        monkeypatch.setattr(weights, "eta_star", counting)
+        with pytest.raises(RuntimeError, match="no contraction order found up to V = 100000"):
+            min_contraction_order(SpectralWeight(beta1=1e12))
+        assert max(calls) == 100_000
+        assert len(calls) <= 2 * math.ceil(math.log2(100_000 + 2))
 
 
 class TestConditions:
