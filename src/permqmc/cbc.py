@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _check_profile_bytes,
     _check_step_bytes,
     bound_constant,
     cbc_step_objectives,
@@ -79,9 +80,9 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
 
     n must be prime.  Each step evaluates all n candidates at once by fast
     CBC (``cbc_step_objectives``): O(3^ell * n + 2^ell * n log n) time and
-    O(2^ell * n) memory at step ell.  The last step's predicted working set
-    is checked before the first step runs, so an oversized (d, n) fails at
-    once with a ValueError.  At step 2 the exact ties
+    O(2^ell * n) memory at step ell.  The predicted working sets of the last
+    step and of the final fixed-point E2 are checked before the first step
+    runs, so an oversized (d, n) fails at once with a ValueError.  At step 2 the exact ties
     B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}) get bitwise-equal values,
     so the smallest member of the best orbit is chosen, independent of
     rounding.  ``per_step_certificate`` holds each step's objective
@@ -96,6 +97,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     d = spec.d
     c_max = max(1, min(spec.perm.size, d))
     _check_step_bytes(d, n, c_max)
+    _check_profile_bytes(spec, n)
     tables = power_kernel_table(spec.weight, n, c_max, include_constant=False,
                                 mode=spec.mode, tol=spec.tol)
     z: list[int] = [1]

@@ -38,8 +38,8 @@ from .kernels import (
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
 from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma
-from .weights import (Enclosure, eta_star, min_contraction_order, r_weight_inv_factors,
-                      spectral_mass, tail_sum)
+from .weights import (Enclosure, _rounded, eta_star, min_contraction_order,
+                      r_weight_inv_factors, spectral_mass, tail_sum)
 
 __all__ = [
     "ErrorReport",
@@ -172,12 +172,9 @@ def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
     its stack and the filtered copy); a box predicted above
     ``STEP_BYTES_CAP`` raises ValueError before anything is allocated.
     """
-    need = 3 * (2 * half_width + 1) ** rule.d * rule.d * 8
-    if need > STEP_BYTES_CAP:
-        raise ValueError(
-            f"frequency box [-{half_width}, {half_width}]^{rule.d} needs about "
-            f"{need / 2**30:.1f} GiB ({need} bytes), above the cap of "
-            f"{STEP_BYTES_CAP / 2**30:.0f} GiB; lower half_width")
+    _refuse_above_cap(3 * (2 * half_width + 1) ** rule.d * rule.d * 8,
+                      f"frequency box [-{half_width}, {half_width}]^{rule.d}",
+                      "; lower half_width")
     hs = box_frequencies(rule.d, half_width)
     return hs[(hs @ np.asarray(rule.z, dtype=np.int64)) % rule.n == 0]
 
@@ -199,14 +196,19 @@ def multiplicity_array(h: np.ndarray, ps: PermStructure) -> np.ndarray:
 
 def _box_tail_certificate(spec: KernelSpec, half_width: int, inv_lambda: float = 1.0) -> float:
     """Bound on the weight mass sum r^(-inv_lambda) outside the box, using a
-    per-coordinate union bound (multiplicity ratios never exceed one)."""
+    per-coordinate union bound (multiplicity ratios never exceed one).
+
+    Rounded up: coord_tail has 3 roundings (a pow and a product), full 4
+    (two pows, a product and the sum), its power (d - 1) * 4 + 2 and the
+    two last products 2, 4d + 3 in all; the factor 1 + gamma_(4d+5) also
+    covers its own two."""
     w = spec.weight
     d = spec.d
     exp = w.alpha * inv_lambda
     coord_tail = 2.0 * w.beta1 ** inv_lambda * tail_sum(w, exponent=exp, start=half_width + 1).hi
     full = (w.beta0 ** inv_lambda
             + 2.0 * w.beta1 ** inv_lambda * tail_sum(w, exponent=exp).hi)
-    return d * coord_tail * full ** (d - 1)
+    return (1.0 + _gamma(4 * d + 5)) * d * coord_tail * full ** (d - 1)
 
 
 def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
@@ -250,7 +252,9 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
     n unshifted lattice nodes (the shift drops out of node differences),
     evaluated on power-kernel grid tables by ``shift_invariant_profile``; its
     certificate is the profile's plus the a priori rounding bound of the
-    mean and the subtraction of beta0^d.  method "spectral": truncated
+    mean and the subtraction of beta0^d.  A profile whose predicted working
+    set (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises
+    ValueError before anything is allocated.  method "spectral": truncated
     multiplicity-weighted sum over dual-lattice members of a frequency box
     (``_dual_box``).
     """
@@ -258,6 +262,7 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
         raise ValueError("rule dimension does not match the kernel")
     degenerate = all(v % rule.n == 0 for v in rule.z)
     if method == "fixed_point":
+        _check_profile_bytes(spec, rule.n)
         prof, cert = shift_invariant_profile(rule, spec)
         b0d = initial_error_sq(spec)
         value = float(np.mean(prof)) - b0d
@@ -282,6 +287,15 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
 # per-coordinate search objective
 # ---------------------------------------------------------------------------
 
+def _refuse_above_cap(need: int, what: str, hint: str = "") -> None:
+    """Raise ValueError when a predicted working set of ``need`` bytes
+    exceeds ``STEP_BYTES_CAP``."""
+    if need > STEP_BYTES_CAP:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.1f} GiB ({need} bytes), above "
+            f"the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB{hint}")
+
+
 def _check_step_bytes(ell: int, n: int, c_max: int) -> None:
     """Refuse a CBC step whose predicted working set exceeds the cap.
 
@@ -289,11 +303,21 @@ def _check_step_bytes(ell: int, n: int, c_max: int) -> None:
     block vectors of the 2^(ell-1) prefix masks, the c_max kernel tables and
     a few n-vectors.
     """
-    need = 8 * n * ((2 << (ell - 1)) + c_max + 8)
-    if need > STEP_BYTES_CAP:
-        raise ValueError(
-            f"CBC step {ell} at n = {n} needs about {need / 2**30:.1f} GiB "
-            f"({need} bytes), above the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB")
+    _refuse_above_cap(8 * n * ((2 << (ell - 1)) + c_max + 8), f"CBC step {ell} at n = {n}")
+
+
+def _check_profile_bytes(spec: KernelSpec, n: int) -> None:
+    """Refuse a fixed-point E2 whose predicted working set exceeds the cap.
+
+    ``shift_invariant_profile`` holds n doubles for each of the partition
+    sums and the block vectors of the 2^s masks of the invariant
+    coordinates, for the s kernel tables, for three n x (d - s) arrays of
+    the free factor and for a few n-vectors: twice the vectors of the last
+    CBC step when s = d.
+    """
+    s = spec.perm.size
+    _refuse_above_cap(8 * n * ((2 << s) + s + 3 * (spec.d - s) + 8),
+                      f"fixed-point E2 at s = {s}, n = {n}")
 
 
 @lru_cache(maxsize=8)
@@ -514,21 +538,22 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
     constant mode); spaces without exchangeable pairs reduce to an exact
     univariate tensor power; otherwise a certified box sum is used, one term
     per orbit of the invariant coordinates: C(2H + s, s) terms and memory,
-    not (2H + 1)^d.
+    not (2H + 1)^d.  The box sum's rounding is bounded by
+    gamma_k * sum |terms| (every term is positive), k counted below.
     """
     w = spec.weight
     if not (1.0 <= lam < 2.0 * w.alpha):
         raise ValueError(f"lambda must lie in [1, 2*alpha) = [1, {2 * w.alpha})")
     d = spec.d
-    b0d_l = w.beta0 ** (d / lam)
     if lam == 1.0:
-        m2 = symmetrized_mass(spec)
-        return Enclosure(max(m2.lo - initial_error_sq(spec), 0.0),
-                         m2.hi - initial_error_sq(spec))
+        # beta0^d is one pow
+        diff = symmetrized_mass(spec) + _rounded(initial_error_sq(spec), 2).scale(-1.0)
+        return Enclosure(max(diff.lo, 0.0), diff.hi)
     if spec.perm.size <= 1:
         uni = spectral_mass(w, 1.0 / lam)
-        inner = Enclosure(uni.lo ** d - b0d_l, uni.hi ** d - b0d_l)
-        return inner.power(lam)
+        # beta0^(d/lam) is one pow
+        inner = uni.power(d) + _rounded(w.beta0 ** (d / lam), 2).scale(-1.0)
+        return Enclosure(max(inner.lo, 0.0), inner.hi).power(lam)
     # one representative per orbit of the invariant coordinates (sorted),
     # standing for its s!/M! members of equal weight; the free coordinates
     # factor out as a power of the per-coordinate sum b0 + osc
@@ -546,8 +571,18 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
     # (b0 + osc)^f without the all-zero free vector, free of cancellation
     free_nonzero = osc * sum((b0 + osc) ** j * b0 ** (f - 1 - j) for j in range(f))
     inner = float(terms[~zero].sum()) * (b0 + osc) ** f + float(terms[zero].sum()) * free_nonzero
+    # roundings, a pow counted as two: a weight factor beta1 * R(m)^(-2 alpha)
+    # has k_w = 2 ceil(2 alpha) + 3 (R(m) two, which the power multiplies by
+    # 2 alpha), fac adds np.prod's s - 1, and a term adds share (2) twice,
+    # the product (1), the power (2, scaling its base's error by 1/lam < 1)
+    # and the division (1).  osc adds the power to its factors and numpy's
+    # sum; both free factors are below (f + 1) (k_osc + 4); the two sums,
+    # two products and the final sum of inner add _sum_depth and 2
+    k_w = 2 * math.ceil(2.0 * w.alpha) + 3
+    k_osc = k_w + 2 + _sum_depth(half_width)
+    k = s * (k_w + 1) + 7 + _sum_depth(len(terms)) + (f + 1) * (k_osc + 4) + 2
     tail = _box_tail_certificate(spec, half_width, inv_lambda=1.0 / lam)
-    return Enclosure(inner, inner + tail).power(lam)
+    return (_rounded(inner, k) + Enclosure(0.0, tail)).power(lam)
 
 
 def bound_constants(spec: KernelSpec, lam: float = 1.0) -> BoundConstants:

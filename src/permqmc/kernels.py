@@ -39,7 +39,8 @@ import numpy as np
 
 from .lattice import LatticeRule
 from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, permanent_bounds
-from .weights import Enclosure, GeneratorSpec, SpectralWeight, spectral_mass
+from .weights import (Enclosure, GeneratorSpec, SpectralWeight, _bernoulli, _rounded,
+                      spectral_mass, tail_sum)
 
 __all__ = [
     "KernelSpec",
@@ -85,9 +86,7 @@ def _cosine_poly_coeffs(n: int) -> np.ndarray:
     sum_{m>=1} cos(2*pi*m*t) / m^(2n) on [0, 1], the Bernoulli polynomial
     (-1)^(n+1) (2 pi)^(2n) / (2 (2n)!) * sum_j C(2n, j) B_(2n-j) t^j.  Exact
     rationals (pi from ``_PI``), each rounded once by ``float``; read-only."""
-    B = [Fraction(1)]
-    for j in range(1, 2 * n + 1):
-        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    B = _bernoulli(2 * n)
     scale = (-1) ** (n + 1) * (2 * _PI) ** (2 * n) / (2 * math.factorial(2 * n))
     out = np.array([float(math.comb(2 * n, j) * B[2 * n - j] * scale)
                     for j in range(2 * n + 1)])
@@ -154,13 +153,14 @@ def _series_remainder_bound(w: SpectralWeight, s_exp: float, terms: int,
                             t: np.ndarray) -> np.ndarray:
     """Bound at each point t on |sum_{m > terms} R(m)^(-s_exp) cos(2 pi m t)|.
 
-    The monotone-coefficient bound always applies; for linear generators the
-    Dirichlet-kernel bound 1/|sin(pi t)| sharpens it away from t = 0.
+    The tail sum of the coefficients (``tail_sum``) always applies; for
+    linear generators the Dirichlet-kernel bound 1/|sin(pi t)| sharpens it
+    away from t = 0.
     """
-    lead = (w.c_R / float(w.generator(1))) ** s_exp
-    mono = lead * ((terms + 1) ** (-s_exp) + (terms + 1) ** (1.0 - s_exp) / (s_exp - 1.0))
+    mono = tail_sum(w, exponent=s_exp / 2.0, start=terms + 1).hi
     if not w.generator.is_linear:
         return np.full(t.shape, mono)
+    lead = w.generator.linear_slope ** (-s_exp)
     sin_t = np.abs(np.sin(math.pi * _frac(t)))
     with np.errstate(divide="ignore"):
         return np.minimum(mono, lead * (terms + 1) ** (-s_exp) / sin_t)
@@ -601,7 +601,11 @@ def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:
     lo = permutation_power_sum([m.lo for m in masses]) if s else 1.0
     hi = permutation_power_sum([m.hi for m in masses]) if s else 1.0
     fact = float(math.factorial(s))
-    base = Enclosure(lo / fact, hi / fact)
+    # N[m] of the recurrence has m(m + 5)/2 roundings: each term 3 (the
+    # integer weight to float and two products) on top of N[m - c], and the
+    # sum m - 1; s! to float and the division add 2
+    k = s * (s + 5) // 2 + 2
+    base = Enclosure(_rounded(lo / fact, k).lo, _rounded(hi / fact, k).hi)
     if d_free:
         base = base * spectral_mass(w, 1.0 / tau).power(d_free)
     return base

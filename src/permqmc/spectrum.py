@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import KernelSpec, symmetrized_mass
 from .symmetry import normalize_to_nabla
-from .weights import Enclosure, SpectralWeight, _first_below_one, tail_sum
+from .weights import Enclosure, SpectralWeight, _first_below_one, _rounded, tail_sum
 
 __all__ = [
     "EigenSpectrum",
@@ -152,9 +152,9 @@ class TailConstants:
 def rho_tail(spec: KernelSpec, tau: float, U: int) -> Enclosure:
     """Relative tail mass 2*(beta1/beta0)^(1/tau) * sum_{m > U} R(m)^(-2*alpha/tau)."""
     w = spec.weight
-    return tail_sum(w, exponent=w.alpha / tau, start=U + 1).scale(
-        2.0 * (w.beta1 / w.beta0) ** (1.0 / tau)
-    )
+    # a division and a pow, which scales the division's error by 1/tau < 1
+    factor = _rounded(2.0 * (w.beta1 / w.beta0) ** (1.0 / tau), 3)
+    return tail_sum(w, exponent=w.alpha / tau, start=U + 1) * factor
 
 
 def spectrum_tail_constants(spec: KernelSpec, tau: float,

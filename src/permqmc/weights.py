@@ -6,17 +6,23 @@ A weight system penalizes each integer frequency vector ``k`` with
 
 where ``R`` is a generating function growing linearly, ``alpha > 1/2`` is the
 smoothness, and ``(beta0, beta1)`` scale the constant and oscillatory modes.
-All scalar constants derived from tail sums of ``R^(-2*alpha)`` are computed
-with two-sided enclosures so that downstream error bounds stay certified.
+All scalar constants derived from tail sums of ``R^(-2*alpha)`` are
+two-sided enclosures that hold including floating-point rounding: every tail
+is a finite table part plus a multiple of the Hurwitz zeta function, which
+``_hurwitz_zeta`` encloses by Euler-Maclaurin summation with a rigorous
+remainder, and enclosure arithmetic rounds its ends outward.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import zeta as _zeta
+
+from .symmetry import _gamma
 
 __all__ = [
     "Enclosure",
@@ -31,17 +37,31 @@ __all__ = [
     "weight_from_config",
 ]
 
-# Relative slack applied to values obtained from library special functions;
-# they are correct to machine precision but not interval-certified.
-_ULP_SLACK = 1e-14
+# Bernoulli corrections of the Euler-Maclaurin formula in ``_hurwitz_zeta``
+_EM_TERMS = 10
 
-# Default cutoff for direct series summation on custom generators.
-DEFAULT_TAIL_CUTOFF = 10**6
+
+def _down(x: float) -> float:
+    """One step toward -inf, except at +0.0: a sum rounds to +0.0 only when
+    it is exactly zero, and a product or power only when its exact value is
+    >= 0 (an underflowing product keeps its sign)."""
+    if x == 0.0 and math.copysign(1.0, x) > 0.0:
+        return x
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Two-sided bracket ``lo <= value <= hi`` for a nonnegative scalar."""
+    """Two-sided bracket ``lo <= value <= hi`` for a nonnegative scalar.
+
+    Arithmetic rounds the ends outward: one ``nextafter`` step covers a
+    rounded IEEE sum or product, two cover a ``pow``, which is within one
+    ulp.
+    """
 
     lo: float
     hi: float
@@ -60,13 +80,13 @@ class Enclosure:
 
     def scale(self, factor: float) -> "Enclosure":
         if factor >= 0:
-            return Enclosure(self.lo * factor, self.hi * factor)
-        return Enclosure(self.hi * factor, self.lo * factor)
+            return Enclosure(_down(self.lo * factor), _up(self.hi * factor))
+        return Enclosure(_down(self.hi * factor), _up(self.lo * factor))
 
     def __add__(self, other: "Enclosure | float") -> "Enclosure":
         if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
-        return Enclosure(self.lo + other, self.hi + other)
+            return Enclosure(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return Enclosure(_down(self.lo + other), _up(self.hi + other))
 
     __radd__ = __add__
 
@@ -74,7 +94,7 @@ class Enclosure:
         if isinstance(other, Enclosure):
             cands = (self.lo * other.lo, self.lo * other.hi,
                      self.hi * other.lo, self.hi * other.hi)
-            return Enclosure(min(cands), max(cands))
+            return Enclosure(_down(min(cands)), _up(max(cands)))
         return self.scale(float(other))
 
     __rmul__ = __mul__
@@ -83,16 +103,89 @@ class Enclosure:
         if self.lo < 0:
             raise ValueError("power only supported for nonnegative enclosures")
         a, b = self.lo ** exponent, self.hi ** exponent
-        return Enclosure(min(a, b), max(a, b))
-
-    @staticmethod
-    def exact(value: float, rel: float = _ULP_SLACK) -> "Enclosure":
-        pad = abs(value) * rel
-        return Enclosure(value - pad, value + pad)
+        return Enclosure(_down(_down(min(a, b))), _up(_up(max(a, b))))
 
 
-def _as_exact(value: float) -> Enclosure:
-    return Enclosure.exact(float(value))
+def _rounded(value: float, k: int) -> Enclosure:
+    """Enclosure of a nonnegative quantity whose computed value met at most
+    k roundings: value * (1 -+ gamma_k), rounded outward."""
+    g = _gamma(k)
+    return Enclosure(_down(value * (1.0 - g)), _up(value * (1.0 + g)))
+
+
+@lru_cache(maxsize=8)
+def _bernoulli(n: int) -> tuple[Fraction, ...]:
+    """Exact Bernoulli numbers B_0..B_n (B_1 = -1/2), from the recurrence
+    sum_{k=0}^{j} C(j+1, k) B_k = 0."""
+    B = [Fraction(1)]
+    for j in range(1, n + 1):
+        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    return tuple(B)
+
+
+# B_2k / (2k)! for k = 1.._EM_TERMS, each rounded once
+_EM_COEFFS = tuple(float(_bernoulli(2 * _EM_TERMS)[2 * k] / math.factorial(2 * k))
+                   for k in range(1, _EM_TERMS + 1))
+
+
+def _hurwitz_zeta(s: float, a: int) -> Enclosure:
+    """Enclosure of zeta(s, a) = sum_{m >= 0} (a + m)^(-s), real s > 1 and
+    integer a >= 1.
+
+    Euler-Maclaurin summation after N direct terms, N the least with
+    X = a + N >= 12 + s, and M = ``_EM_TERMS`` corrections:
+
+        zeta(s, a) = sum_{m < N} (a + m)^(-s) + X^(1-s) / (s - 1) + X^(-s) / 2
+                     + sum_{k=1}^{M} B_2k / (2k)! * g_k + R,
+        g_k = (s)_{2k-1} X^(-s-2k+1),   (s)_j = s (s + 1) ... (s + j - 1),
+
+    with |R| <= 4 (s)_{2M} / (2 pi)^(2M) * X^(-s-2M+1) / (s + 2M - 1)
+    = 4 g_M / (2 pi)^(2M) (Johansson, Numer. Algorithms 69 (2015) 253-270,
+    Theorem 1).
+
+    Rounding, counted in units of u with a pow (within one ulp) as two:
+    a direct term is one pow (2); P = X^(-s) is one pow, and no exponent is
+    rounded, because every other power of X is P times integer powers of X;
+    X^(1-s) / (s - 1) = P * X / (s - 1) has 4 (s - 1 is exact) and
+    X^(-s) / 2 has 2; g_1 = s * P / X has 4, each step
+    g_(k+1) = g_k * (s + 2k - 1) * (s + 2k) / X / X adds 6, and the
+    coefficient and its product 2 more, so the k-th correction has 6k.  The
+    remainder bound 4 * g_M * (2 pi)^(-2M) has 6M - 2 + 4: math.pi is below
+    pi, which only raises the constant.  ``math.fsum`` rounds the sum once.
+    So the error is at most gamma_(6M+1) * S + (1 + gamma_(6M+2)) * |R|, S
+    the sum of the absolute terms; k = 6M + 6 also covers the fsum of S and
+    the four operations that form the pad, and the last one is rounded
+    outward.
+
+    Underflow: each operation that underflows adds an absolute error of at
+    most one subnormal ulp, 2^-1074.  The N direct terms and the integral
+    and half terms meet N + 6 such errors.  In a correction each later
+    step multiplies an earlier error by ((s + 2k)/X)^2 < (21/13)^2, at most
+    2^14 over the M steps, and the coefficients are below 1/12, so the 6M
+    operations of the corrections and the remainder add less than 2^20
+    ulps.  The pad includes (N + 2^20) * 2^-1074, so hi stays above the
+    exact value, and lo stays >= 0, when the terms underflow.
+    """
+    if not s > 1.0:
+        raise ValueError(f"divergent zeta: exponent {s} <= 1")
+    if a < 1:
+        raise ValueError("zeta(s, a) needs an integer a >= 1")
+    N = max(0, math.ceil(12.0 + s - a))
+    X = float(a + N)
+    terms = [float(a + m) ** -s for m in range(N)]
+    P = X ** -s
+    terms += [P * X / (s - 1.0), 0.5 * P]
+    g = s * P / X
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        if k > 1:
+            g = g * (s + 2 * k - 3) * (s + 2 * k - 2) / X / X
+        terms.append(coeff * g)
+    rem = 4.0 * g * (2.0 * math.pi) ** (-2 * _EM_TERMS)
+    value = math.fsum(terms)
+    g_k = _gamma(6 * _EM_TERMS + 6)
+    pad = (g_k * math.fsum(map(abs, terms)) + (1.0 + g_k) * rem
+           + math.ldexp(N + (1 << 20), -1074))
+    return Enclosure(max(_down(value - pad), 0.0), _up(value + pad))
 
 
 @dataclass(frozen=True)
@@ -156,38 +249,28 @@ class GeneratorSpec:
             out = np.where(small, table[np.minimum(m_arr, len(table)) - 1], out)
         return out
 
-    def power_tail(self, s: float, start: int, c_R: float,
-                   cutoff: int = DEFAULT_TAIL_CUTOFF) -> Enclosure:
+    def power_tail(self, s: float, start: int) -> Enclosure:
         """Enclosure of sum_{m >= start} R(m)^(-s) for s > 1.
 
-        Linear generators use the Hurwitz zeta function directly.  Custom
-        generators sum the table range exactly and bracket the remainder with
-        integral bounds using R(1)*m/c_R <= R(m) <= R(1)*m.
+        Beyond its table of L values (none for the linear kinds) R is
+        slope * m exactly, so the tail is the table part
+        sum_{start <= m <= L} table[m-1]^(-s), its rounding bounded, plus
+        slope^(-s) * zeta(s, max(start, L + 1)) (``_hurwitz_zeta``).
         """
         if s <= 1.0:
             raise ValueError(f"divergent tail: exponent {s} <= 1")
         if start < 1:
             raise ValueError("start must be >= 1")
-        if self.is_linear:
-            rho = self.linear_slope
-            val = rho ** (-s) * float(_zeta(s, start))
-            return Enclosure.exact(val)
-        # custom: exact partial sum to cutoff, integral bracket beyond
-        r1 = float(self(1))
-        m_hi = int(cutoff)
-        if start > m_hi:
-            m_hi = start  # degenerate partial range; bounds below still valid
-            partial = 0.0
-            last = start - 1
-        else:
-            ms = np.arange(start, m_hi + 1)
-            partial = float(np.sum(self(ms) ** (-s)))
-            last = m_hi
-        # remainder over m > last; terms decreasing in m
-        tail_int = (last + 1) ** (1.0 - s) / (s - 1.0)
-        rem_hi = (c_R / r1) ** s * ((last + 1) ** (-s) + tail_int)
-        rem_lo = (1.0 / r1) ** s * tail_int
-        return Enclosure(partial + rem_lo, partial + rem_hi)
+        slope = self.linear_slope if self.is_linear else self.slope
+        # slope^(-s) is one pow; 2*pi is rounded once, which the power
+        # multiplies by s
+        k = 2 + (math.ceil(s) if self.kind == "korobov_linear" else 0)
+        tail = _hurwitz_zeta(s, max(start, len(self.table) + 1)) * _rounded(slope ** -s, k)
+        head = self.table[start - 1:]
+        if head:
+            # one pow per term and the correctly rounded fsum
+            tail = tail + _rounded(math.fsum(v ** -s for v in head), 3)
+        return tail
 
 
 def _check_submultiplicative(gen: GeneratorSpec, c_R: float) -> None:
@@ -237,8 +320,6 @@ class SpectralWeight:
         if self.generator.is_linear and self.c_R != 1.0:
             raise ValueError("linear generators force c_R = 1")
         _check_submultiplicative(self.generator, self.c_R)
-        # N_R(alpha) must be finite; probing the tail raises on divergence.
-        self.generator.power_tail(2.0 * self.alpha, 1, self.c_R, cutoff=16)
 
     @property
     def has_integer_alpha(self) -> bool:
@@ -264,21 +345,22 @@ def r_weight_inv_factors(k_columns: np.ndarray, w: SpectralWeight) -> np.ndarray
     return out
 
 
-def tail_sum(w: SpectralWeight, exponent: float | None = None, start: int = 1,
-             cutoff: int = DEFAULT_TAIL_CUTOFF) -> Enclosure:
-    """Enclosure of sum_{m >= start} R(m)^(-2*exponent).
+def tail_sum(w: SpectralWeight, exponent: float | None = None, start: int = 1) -> Enclosure:
+    """Enclosure of sum_{m >= start} R(m)^(-2*exponent)
+    (``GeneratorSpec.power_tail``).
 
     ``exponent`` defaults to alpha.  Raises for divergent exponents
-    (2*exponent <= 1 for linearly growing R).
+    (2*exponent <= 1, R growing linearly).
     """
     e = w.alpha if exponent is None else float(exponent)
-    return w.generator.power_tail(2.0 * e, start, w.c_R, cutoff=cutoff)
+    return w.generator.power_tail(2.0 * e, start)
 
 
 def spectral_mass(w: SpectralWeight, power: float = 1.0) -> Enclosure:
     """Enclosure of the univariate mass beta0^power + 2*beta1^power * sum R^(-2*alpha*power)."""
     t = tail_sum(w, exponent=w.alpha * power)
-    return _as_exact(w.beta0 ** power) + t.scale(2.0 * w.beta1 ** power)
+    # beta0^power and 2*beta1^power are one pow each
+    return _rounded(w.beta0 ** power, 2) + t * _rounded(2.0 * w.beta1 ** power, 2)
 
 
 def eta_star(w: SpectralWeight, V: int = 0) -> Enclosure:
@@ -288,7 +370,8 @@ def eta_star(w: SpectralWeight, V: int = 0) -> Enclosure:
     """
     if V < 0:
         raise ValueError("V must be >= 0")
-    return tail_sum(w, start=V + 1).scale(2.0 * w.beta1 / w.beta0)
+    # 2*beta1/beta0 is one division
+    return tail_sum(w, start=V + 1) * _rounded(2.0 * w.beta1 / w.beta0, 1)
 
 
 def _first_below_one(enclosure: Callable[[int], Enclosure], cap: int) -> int | None:

@@ -255,7 +255,7 @@ class TestAssembledRule:
         # a zeta factor over the free coordinates, and the offset geometry
         import math as _m
 
-        from scipy.special import zeta
+        import mpmath
 
         w = SpectralWeight(alpha=2.0)
         spec = KernelSpec(w, PermStructure(d, inv))
@@ -264,7 +264,7 @@ class TestAssembledRule:
         U, rho = tc.U_star, tc.rho_star.hi
         bracket = 1.0 + 2.0 * (
             w.beta1 * w.c_R ** (2 * w.alpha) / (w.beta0 * float(w.generator(1)) ** (2 * w.alpha))
-        ) ** (1.0 / tau) * float(zeta(2.0 * w.alpha / tau))
+        ) ** (1.0 / tau) * float(mpmath.zeta(2.0 * w.alpha / tau))
         expanded = (
             w.beta0 ** (d / tau)
             * bracket ** (d - s)

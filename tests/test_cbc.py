@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permqmc.cbc import cbc_construct, construct_shifted, shift_search
+from permqmc.cli import EXIT_CONFIG, main
 from permqmc.errors import bound_constant, cbc_step_objectives, mean_sq_error, worst_case_error_sq
 from permqmc.kernels import KernelSpec, power_kernel_table
 from permqmc.lattice import LatticeRule, is_prime
@@ -139,6 +141,27 @@ class TestFastStep:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_refuses_oversized_profile_before_allocating(self, monkeypatch, tmp_path):
+        # the fixed-point E2 holds twice the vectors of the last CBC step; a
+        # cap between the two lets every step through but not the profile
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
+        n = 1009
+        monkeypatch.setattr("permqmc.errors.STEP_BYTES_CAP", 8 * n * 60)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="fixed-point E2"):
+                mean_sq_error(LatticeRule(n, (1, 2, 3, 4, 5)), spec)
+            with pytest.raises(ValueError, match="fixed-point E2"):
+                cbc_construct(spec, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": {"alpha": 1.0},
+                                   "structure": {"d": 5, "invariant": "full"}}))
+        assert main(["cbc", "--config", str(cfg), "--n", str(n), "--trials", "0"]) == EXIT_CONFIG
 
     def test_large_n_memory(self):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(5))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from permqmc.errors import (
     _abs_quadratic_form,
+    _box_tail_certificate,
     box_frequencies,
     bound_constant,
     bound_constants,
@@ -374,6 +375,27 @@ class TestBoundConstants:
         oracle = nabla_box_bound_constant(spec, 1.5, 24)
         assert enc.lo <= oracle * (1 + 1e-9)
         assert oracle <= enc.hi
+
+    def test_box_route_rounding_is_bounded(self, sobolev):
+        # the orbit-ordered sum differs from the box-ordered one by up to
+        # 6e-16 relative; the enclosure holds the 50-digit box sum raised to
+        # lambda, and that sum plus the box tail
+        spec = KernelSpec(sobolev, PermStructure.full(3))
+        lam, H = 1.5, 3
+        enc = bound_constant(spec, lam, half_width=H)
+        tail = _box_tail_certificate(spec, H, inv_lambda=1.0 / lam)
+        with mpmath.workdps(50):
+            def factor(v):
+                return mpmath.mpf(1) if v == 0 else (2 * mpmath.pi * abs(v)) ** -2
+
+            inner = mpmath.mpf(0)
+            for h in product(range(-H, H + 1), repeat=3):
+                if any(h):
+                    share = mpmath.mpf(multiplicity(h, spec.perm)) / 6
+                    inner += (share * factor(h[0]) * factor(h[1]) * factor(h[2])) ** (
+                        1 / mpmath.mpf(lam))
+            assert mpmath.mpf(enc.lo) <= inner ** lam
+            assert (inner + tail) ** lam <= mpmath.mpf(enc.hi)
 
     def test_partial_invariance_lambda(self):
         w = SpectralWeight(alpha=2.0)

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "permqmc"
@@ -52,3 +54,29 @@ def test_every_exported_name_is_used_in_the_package():
     assert not unused, f"exported but unused in the package: {unused}"
     stale = sorted(name for name in UNCALLED_BY_DESIGN if name in used or name not in exported)
     assert not stale, f"allow-listed names that are used or gone: {stale}"
+
+
+def test_import_does_not_load_scipy():
+    """The package's only runtime dependency is numpy."""
+    code = "import sys, permqmc; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=SRC.parent)
+    assert out.stdout.strip() == "False"
+
+
+def test_no_scipy_import_in_the_package():
+    """Tail sums come from weights._hurwitz_zeta; no module of the package
+    imports scipy."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert len(list(SRC.glob("*.py"))) > 5
+    assert not offenders, f"scipy imported at {offenders}"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -108,23 +109,79 @@ class TestTailSums:
     def test_custom_generator_enclosure(self):
         gen = GeneratorSpec("custom", table=(1.5, 2.5, 3.5, 4.5), slope=1.0)
         w = SpectralWeight(alpha=1.0, generator=gen, c_R=2.0)
-        exact = float(
-            sum(mpmath.mpf(v) ** -2 for v in (1.5, 2.5, 3.5, 4.5))
-            + mpmath.zeta(2, 5)
-        )
-        enc = tail_sum(w, cutoff=50_000)
-        assert enc.lo <= exact <= enc.hi
+        with mpmath.workdps(50):
+            exact = (sum(mpmath.mpf(v) ** -2 for v in (1.5, 2.5, 3.5, 4.5))
+                     + mpmath.zeta(2, 5))
+            enc = tail_sum(w)
+            assert mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi)
+        assert enc.width <= 5e-14 * enc.lo
 
-    def test_enclosure_width_shrinks_with_cutoff(self):
-        gen = GeneratorSpec("custom", table=(1.0,), slope=1.0)
-        w = SpectralWeight(alpha=1.0, generator=gen, c_R=1.5)
-        w1 = tail_sum(w, cutoff=100).width
-        w2 = tail_sum(w, cutoff=10_000).width
-        assert w2 < w1
+    @pytest.mark.parametrize("start", [1, 3, 5, 6, 1000])
+    def test_custom_tail_is_table_plus_zeta(self, start):
+        gen = GeneratorSpec("custom", table=(1.5, 2.5, 3.5, 4.5), slope=1.0)
+        w = SpectralWeight(alpha=0.8, generator=gen, c_R=2.0)
+        s = mpmath.mpf(1.6)
+        with mpmath.workdps(50):
+            head = sum(mpmath.mpf(v) ** -s for v in gen.table[start - 1:])
+            exact = head + mpmath.zeta(s, max(start, 5))
+            enc = tail_sum(w, start=start)
+            assert mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi)
+        assert enc.width <= 5e-14 * enc.lo
 
     def test_divergent_exponent_rejected(self, sobolev):
         with pytest.raises(ValueError):
             tail_sum(sobolev, exponent=0.4)
+
+
+_ZETA_S = [1.0001, 1.5, 2.0, 3.7, 8.0, 16.0, 40.0, 64.0]
+_ZETA_A = [1, 3, 12, 101, 1001, 12345, 10 ** 5, 10 ** 7]
+
+
+def _zeta_oracle(s, a):
+    """mpmath's zeta(s, a) at 400 digits, checked against 300 digits where it
+    is above 1e-290: at 40-260 digits mpmath's value is off by up to 2e-13
+    relative at some grid points, e.g. (16, 1001), (40, 1001) and (64, 12345);
+    at (64, 12345) scipy's value is off by 2.3e-13 as well."""
+    with mpmath.workdps(400):
+        exact = mpmath.zeta(mpmath.mpf(s), a)
+        with mpmath.workdps(300):
+            check = mpmath.zeta(mpmath.mpf(s), a)
+        if exact > mpmath.mpf("1e-290"):
+            assert abs(check - exact) <= mpmath.mpf("1e-40") * exact
+        return exact
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("s", _ZETA_S)
+    def test_contains_high_precision_value(self, s):
+        for a in _ZETA_A:
+            exact = _zeta_oracle(s, a)
+            enc = weights._hurwitz_zeta(s, a)
+            with mpmath.workdps(400):
+                assert mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi), (s, a)
+            if exact > mpmath.mpf("1e-290"):
+                assert enc.width <= 5e-14 * enc.lo, (s, a)
+
+    @pytest.mark.parametrize("s,a", [(64.0, 10 ** 6), (64.0, 10 ** 7), (1100.0, 2), (1000.0, 2)])
+    def test_underflow_keeps_the_bracket(self, s, a):
+        # exact values 1.6e-380, 1e-448, 7e-332 and 9e-302: hi stays above,
+        # lo at or above zero
+        enc = weights._hurwitz_zeta(s, a)
+        exact = _zeta_oracle(s, a)
+        with mpmath.workdps(400):
+            assert 0.0 <= enc.lo <= exact <= mpmath.mpf(enc.hi)
+        assert enc.hi < 1e-300
+
+    def test_rejects_divergence_and_bad_offset(self):
+        with pytest.raises(ValueError):
+            weights._hurwitz_zeta(1.0, 1)
+        with pytest.raises(ValueError):
+            weights._hurwitz_zeta(2.0, 0)
+
+    def test_bernoulli_numbers(self):
+        B = weights._bernoulli(12)
+        assert B[:5] == (1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30))
+        assert B[12] == Fraction(-691, 2730)
 
 
 class TestEtaStar:
@@ -214,10 +271,27 @@ class TestValidationAndConfig:
         assert w2 == w
 
     def test_enclosure_arithmetic(self):
+        # ends round outward: one step for a sum or product, two for a pow
         a = Enclosure(1.0, 2.0)
         b = Enclosure(3.0, 4.0)
-        assert (a + b).lo == 4.0 and (a + b).hi == 6.0
-        assert (a * b).lo == 3.0 and (a * b).hi == 8.0
-        assert a.power(2.0).hi == 4.0
+        assert (a + b).lo == math.nextafter(4.0, 0.0) and (a + b).hi == math.nextafter(6.0, 9.0)
+        assert (a * b).lo == math.nextafter(3.0, 0.0) and (a * b).hi == math.nextafter(8.0, 9.0)
+        assert a.power(2.0).hi == math.nextafter(math.nextafter(4.0, 9.0), 9.0)
+        assert (Enclosure(0.0, 1.0) + Enclosure(0.0, 1.0)).lo == 0.0
         with pytest.raises(ValueError):
             Enclosure(2.0, 1.0)
+
+    @given(st.floats(1e-150, 1e150), st.floats(1e-150, 1e150), st.floats(-1e150, 1e150))
+    @settings(max_examples=150, deadline=None)
+    def test_outward_rounding_contains_exact(self, x, y, c):
+        a = Enclosure(x, math.nextafter(x, math.inf))
+        b = Enclosure(y, math.nextafter(y, math.inf))
+        F = Fraction
+        for got, lo, hi in (
+            (a + b, F(a.lo) + F(b.lo), F(a.hi) + F(b.hi)),
+            (a * b, F(a.lo) * F(b.lo), F(a.hi) * F(b.hi)),
+            (a + c, F(a.lo) + F(c), F(a.hi) + F(c)),
+            (a.scale(c), min(F(a.lo) * F(c), F(a.hi) * F(c)), max(F(a.lo) * F(c), F(a.hi) * F(c))),
+            (a.power(2), F(a.lo) ** 2, F(a.hi) ** 2),
+        ):
+            assert F(got.lo) <= lo and hi <= F(got.hi)
