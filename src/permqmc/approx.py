@@ -225,12 +225,14 @@ def _extend_algorithm(alg: ApproxAlgorithm, new_points: np.ndarray, m: int,
                       basis: SymmetricBasis) -> np.ndarray:
     """Coefficient map of the corrected algorithm on old + new samples."""
     q = new_points.shape[0]
-    xi_new = basis.eval_matrix(new_points, m)          # (m, q)
+    # a row of eval_matrix does not depend on how many rows are asked for
+    vals = basis.eval_matrix(new_points, max(m, alg.m))
+    xi_new = vals[:m]                                  # (m, q)
     u = np.mean(xi_new ** 2, axis=0)                   # density at new points
     with np.errstate(divide="ignore", invalid="ignore"):
         V = np.where(u > 0, xi_new / u, 0.0)           # (m, q)
     if alg.m:
-        phi_old = basis.eval_matrix(new_points, alg.m)  # (m_old, q)
+        phi_old = vals[:alg.m]                         # (m_old, q)
         pad = np.zeros((m, alg.m))
         k = min(m, alg.m)
         pad[:k, :k] = np.eye(k)

@@ -65,7 +65,9 @@ def _build_spec(cfg: dict, args) -> KernelSpec:
     structure = cfg.get("structure", {})
     try:
         w = weight_from_config(space)
-        d = getattr(args, "d", None) or int(structure.get("d", 0))
+        d = getattr(args, "d", None)
+        if d is None:
+            d = int(structure.get("d", 0))
         if d < 1:
             raise ConfigError("dimension d missing or invalid")
         inv = structure.get("invariant", "full")
@@ -79,8 +81,7 @@ def _build_spec(cfg: dict, args) -> KernelSpec:
             if isinstance(inv, str):
                 inv = [int(v) for v in inv.split(",") if v.strip()]
             perm = PermStructure(d, tuple(int(v) for v in inv))
-        tol = getattr(args, "tol", None) or cfg.get("params", {}).get("tol", 1e-10)
-        return KernelSpec(w, perm, tol=float(tol))
+        return KernelSpec(w, perm, tol=float(_param(cfg, args, "tol", 1e-10)))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, symmetrized_mass
+from .kernels import KernelSpec, _sum_depth, symmetrized_mass
 from .symmetry import normalize_to_nabla
 from .weights import Enclosure, SpectralWeight, _first_below_one, _rounded, tail_sum
 
@@ -131,10 +131,17 @@ class EigenSpectrum:
         return float(np.sum(self._values[:m]))
 
     def tail_after(self, m: int) -> Enclosure:
-        """Enclosure of the spectral mass beyond the first m modes."""
-        p = self.partial_sum(m)
-        t = self.trace
-        return Enclosure(max(t.lo - p, 0.0), max(t.hi - p, 0.0))
+        """Enclosure of the spectral mass beyond the first m modes: the trace
+        minus an enclosure of the partial sum.  Each of its m terms is a
+        product of d weight factors, beta0 (exact) or beta1 * R(m)^(-2 alpha)
+        with at most 2 ceil(2 alpha) + 3 roundings (R(m) two, which the power
+        multiplies by 2 alpha; a pow counted as two; the product with beta1);
+        the products add d - 1 and numpy's sum ``_sum_depth(m)``.
+        """
+        d = self.spec.d
+        k = d * (2 * math.ceil(2.0 * self.spec.weight.alpha) + 3) + d - 1 + _sum_depth(m)
+        rest = self.trace + _rounded(self.partial_sum(m), k).scale(-1.0)
+        return Enclosure(max(rest.lo, 0.0), max(rest.hi, 0.0))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,18 @@ class TestCbcCommand:
         bad.write_text("{not json")
         assert main(["cbc", "--config", str(bad), "--n", "13"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, message", [
+        (["error-eval", "--d", "0"], "dimension d missing or invalid"),
+        (["cbc", "--tol", "0"], "tol must be finite and > 0"),
+        (["cbc", "--tol", "-1"], "tol must be finite and > 0"),
+        (["cbc", "--tol", "nan"], "tol must be finite and > 0"),
+        (["cbc", "--tol", "inf"], "tol must be finite and > 0"),
+    ])
+    def test_bad_flag_exit_code(self, cfg_path, capsys, argv, message):
+        # a flag that is given overrides the config, even when it is 0
+        assert main(argv + ["--config", str(cfg_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_nonprime_n_exit_code(self, cfg_path, capsys):
         assert main(["cbc", "--config", str(cfg_path), "--n", "9"]) == EXIT_CONFIG
         assert "not prime" in capsys.readouterr().err

@@ -26,11 +26,12 @@ from permqmc.kernels import (
     power_kernel_table,
     shift_invariant_profile,
     symmetrized_mass,
-    validate_closed_form,
 )
 from permqmc.lattice import LatticeRule
-from permqmc.symmetry import PermStructure, _gamma, multiplicity
+from permqmc.symmetry import PERMANENT_CAP, PermStructure, _gamma, multiplicity
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
+
+from oracles import validate_closed_form
 
 
 def box_kernel_perminv(x, y, spec, H):
@@ -66,14 +67,18 @@ def box_kernel_shinv(diff, spec, H):
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, PERMANENT_CAP + 1))
     def test_validation_thousand_points(self, n):
-        # the closed form must agree with the certified series before use
-        scale = 2.0 if n == 1 else 1.1
-        t = np.random.default_rng(7).uniform(0.01, 0.99, size=1000)
-        assert validate_closed_form(n, t) < 1e-8 * scale
+        # the closed form agrees with the certified series: at 99 points for
+        # every exponent 2n the package reaches at alpha = 1, and at 1000
+        # points for n <= 4
+        validate_closed_form(n)
+        if n <= 4:
+            scale = 2.0 if n == 1 else 1.1
+            t = np.random.default_rng(7).uniform(0.01, 0.99, size=1000)
+            assert validate_closed_form(n, t) < 1e-8 * scale
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 65))
     def test_coefficients_match_mpmath(self, n):
         with mpmath.workdps(50):
             scale = (-1) ** (n + 1) * (2 * mpmath.pi) ** (2 * n) / (2 * mpmath.factorial(2 * n))
@@ -122,6 +127,9 @@ class TestClosedForm:
         custom = SpectralWeight(generator=GeneratorSpec("custom", table=(1.0,), slope=1.0))
         with pytest.raises(ValueError, match="linear generator"):
             KernelSpec(custom, PermStructure.full(2), mode="closed")
+        # the same R(m) = m as a custom generator takes the series route
+        c, cc = power_kernel(custom, 1, t[:5], tol=1e-9)
+        assert np.max(np.abs(c - a[:5])) <= cc + ca
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_series_rounding_bound(self, power):
@@ -475,22 +483,56 @@ class TestPartitionEngines:
         assert np.all(certs >= 0)
 
 
+def _src_references(name):
+    """(file, line, top-level definition, is a call) for every node of the
+    package source that names or calls ``name``; a call also counts its
+    name."""
+    src = Path(__file__).resolve().parents[1] / "src" / "permqmc"
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 5
+    refs = []
+    for path in paths:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == name):
+                    refs.append((path.name, node.lineno, owner, True))
+                elif ((isinstance(node, ast.Name) and node.id == name)
+                      or (isinstance(node, ast.Attribute) and node.attr == name)
+                      or (isinstance(node, ast.alias) and node.name == name)):
+                    refs.append((path.name, getattr(node, "lineno", top.lineno), owner, False))
+    return refs
+
+
 def test_one_partition_recurrence_in_the_package():
     """Partition sums over exchange fixed points have one engine,
     kernels._partition_sums: the submask walk of its recurrence is named
     nowhere else in the package, and called once."""
-    src = Path(__file__).resolve().parents[1] / "src" / "permqmc"
-    name = "_submasks_with_lowest"
-    offenders, calls = [], 0
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            named = ((isinstance(node, ast.Name) and node.id == name)
-                     or (isinstance(node, ast.Attribute) and node.attr == name)
-                     or (isinstance(node, ast.alias) and node.name == name))
-            if named and path.name != "kernels.py":
-                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
-            calls += (path.name == "kernels.py" and isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Name) and node.func.id == name)
-    assert len(list(src.glob("*.py"))) > 5
-    assert not offenders, f"{name} referenced at {offenders}"
-    assert calls == 1
+    refs = _src_references("_submasks_with_lowest")
+    offenders = [f"{f}:{line}" for f, line, _, _ in refs if f != "kernels.py"]
+    assert not offenders, f"_submasks_with_lowest referenced at {offenders}"
+    assert sum(call for *_, call in refs) == 1
+
+
+def test_cosine_series_only_on_the_series_route():
+    """The closed form is proven once, in the tests: the package evaluates
+    the cosine series only in power_kernel's series branch."""
+    refs = _src_references("_cosine_series")
+    offenders = [f"{f}:{line}" for f, line, owner, _ in refs
+                 if (f, owner) != ("kernels.py", "power_kernel")]
+    assert not offenders, f"_cosine_series referenced at {offenders}"
+    assert sum(call for *_, call in refs) == 1
+
+
+def test_closed_route_evaluates_no_series(monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("cosine series evaluated on the closed route")
+
+    kernels._cosine_poly_coeffs.cache_clear()
+    kernels._cosine_closed_error.cache_clear()
+    monkeypatch.setattr(kernels, "_cosine_series", no_series)
+    t = np.arange(8) / 8
+    for c in range(1, 9):
+        vals, cert = power_kernel(SpectralWeight(), c, t, mode="closed")
+        assert np.all(np.isfinite(vals)) and cert < 1e-13
