@@ -47,7 +47,9 @@ class CbcResult:
     mode: str
     lam: float
     achieved_e2_shifted: float | None = None
+    achieved_e2_shifted_certificate: float | None = None
     shift_seed: int | None = None
+    shift_trials_used: int | None = None
     shift_flagged: bool = False
 
     def to_json(self) -> dict:
@@ -61,9 +63,11 @@ class CbcResult:
             "achieved_E2": self.achieved_E2,
             "achieved_E2_certificate": self.achieved_E2_certificate,
             "achieved_e2_shifted": self.achieved_e2_shifted,
+            "achieved_e2_shifted_certificate": self.achieved_e2_shifted_certificate,
             "mode": self.mode,
             "lambda": self.lam,
             "shift_seed": self.shift_seed,
+            "shift_trials_used": self.shift_trials_used,
             "shift_flagged": self.shift_flagged,
         }
 
@@ -195,11 +199,16 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
 
 def construct_shifted(spec: KernelSpec, n: int, trials: int = 64, seed: int = 0,
                       mode: str = "minimize", lam: float = 1.0) -> CbcResult:
-    """Convenience: CBC construction followed by the shift search."""
+    """Convenience: CBC construction followed by the shift search.
+
+    The result keeps the search's best shifted error, its certificate and the
+    number of trials used."""
     res = cbc_construct(spec, n, mode=mode, lam=lam)
     sh = shift_search(res.rule, spec, trials=trials, seed=seed)
     res.rule = sh.rule
     res.achieved_e2_shifted = sh.e2_shifted
+    res.achieved_e2_shifted_certificate = sh.e2_certificate
     res.shift_seed = seed
+    res.shift_trials_used = sh.trials_used
     res.shift_flagged = not sh.certified
     return res

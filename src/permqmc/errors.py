@@ -14,7 +14,9 @@ squared error of a lattice rule are computable by two independent routes:
 Route agreement within the combined certificates is the engine's basic
 correctness contract.  The per-coordinate search objective and the bound
 constants have their second routes as oracles in the test suite
-(``tests/oracles.py`` and the brute-force sums of ``tests/test_errors.py``).
+(``tests/oracles.py`` and the brute-force sums of ``tests/test_errors.py``);
+so does the FFT route of the shifted lattice error, whose oracle is the
+pair route ``kernels.lattice_gram_mean``.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ import numpy as np
 
 from .kernels import (
     KernelSpec,
+    _fft_rho,
+    _lattice_gram_mean_fft,
     _partition_sums,
     _sum_depth,
     kernel_perminv_gram,
@@ -37,7 +41,7 @@ from .kernels import (
     symmetrized_mass,
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
-from .symmetry import _UNIT_ROUNDOFF, PermStructure, _gamma
+from .symmetry import PermStructure, _gamma
 from .weights import (Enclosure, _rounded, eta_star, min_contraction_order,
                       r_weight_inv_factors, spectral_mass, tail_sum)
 
@@ -108,16 +112,20 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
 
     Both integrals of the kernel reduce to the constant-mode mass beta0^d
     because every oscillatory frequency integrates to zero over the cube.
-    A ``LatticeRule`` takes the lattice route (``lattice_gram_mean``: no
+    A ``LatticeRule`` with at most two exchangeable coordinates or d = 3
+    takes the FFT route (``kernels._lattice_gram_mean_fft``: a sum over an
+    explicit list of exchanges, O(n log n + n*d), no pair permanent); any
+    other ``LatticeRule`` the lattice route (``lattice_gram_mean``: no
     n x n Gram matrix, n*(n//2 + 1) pair permanents); any other rule the
     general route through the full, symmetric Gram matrix (n(n+1)/2 pair
-    permanents).  ``details`` records the route and the number of pair
-    permanents evaluated.
+    permanents).  ``details`` records the route ("lattice-fft", "lattice"
+    or "general"), the number of pair permanents evaluated, and on the FFT
+    route the number of FFTs.
 
-    The certificate is the Gram certificate (kernel and Ryser errors, and
-    for the lattice route the rounding of its mean) plus an a priori
-    rounding bound gamma_k * sum |terms| of the quadratic form and the
-    three-term formula.
+    The certificate is the Gram certificate (kernel and Ryser errors, or the
+    FFT route's table, FFT and summation bounds, and for both lattice routes
+    the rounding of the mean) plus an a priori rounding bound
+    gamma_k * sum |terms| of the quadratic form and the three-term formula.
     """
     b0d = initial_error_sq(spec)
     if rule.n == 0:
@@ -126,10 +134,14 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
     if isinstance(rule, LatticeRule):
-        quad, qcert, pairs = lattice_gram_mean(rule, spec)
         wsum = wabs = 1.0
         wround = 0.0
-        route = "lattice"
+        if spec.perm.size <= 2 or spec.d == 3:
+            quad, qcert, ffts = _lattice_gram_mean_fft(rule, spec)
+            details = {"route": "lattice-fft", "ffts": ffts, "pairs": 0}
+        else:
+            quad, qcert, pairs = lattice_gram_mean(rule, spec)
+            details = {"route": "lattice", "pairs": pairs}
     else:
         gram, gcert = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
         rw = rule.raw_weights
@@ -139,14 +151,12 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
         # order BLAS takes
         qcert = gcert * wabs ** 2 + _gamma(2 * rule.n + 2) * _abs_quadratic_form(gram, arw)
         wround = _gamma(_sum_depth(rule.n) + 1) * wabs
-        pairs = rule.n * (rule.n + 1) // 2
-        route = "general"
+        details = {"route": "general", "pairs": rule.n * (rule.n + 1) // 2}
     raw = b0d - 2.0 * b0d * wsum + quad
     # b0d is one pow (1 ulp); the formula adds three roundings
     cert = qcert + 2.0 * b0d * wround + _gamma(5) * (b0d * (1.0 + 2.0 * wabs) + abs(quad))
     value = max(raw, 0.0)
-    return ErrorReport(value, "kernel", cert,
-                       details={"raw_value": raw, "route": route, "pairs": pairs})
+    return ErrorReport(value, "kernel", cert, details={"raw_value": raw, **details})
 
 
 def _abs_quadratic_form(gram: np.ndarray, v: np.ndarray) -> float:
@@ -318,28 +328,6 @@ def _check_profile_bytes(spec: KernelSpec, n: int) -> None:
     s = spec.perm.size
     _refuse_above_cap(8 * n * ((2 << s) + s + 3 * (spec.d - s) + 8),
                       f"fixed-point E2 at s = {s}, n = {n}")
-
-
-@lru_cache(maxsize=8)
-def _fft_rho(N: int) -> float:
-    """Relative rounding bound of a length-N cyclic correlation done by FFT.
-
-    The computed correlation r of x and y differs from the exact one by at
-    most rho * sqrt(N) * ||x||_2 * ||y||_2 in every entry.  Higham, *Accuracy
-    and Stability of Numerical Algorithms* (2nd ed. 2002), section 24.1,
-    Thm 24.2: a computed radix-2 FFT of depth t has relative 2-norm error at
-    most e = t*eta / (1 - t*eta), eta = mu + gamma_4 * (sqrt(2) + mu), mu the
-    error of the twiddle factors.  We take mu = u and t = 3 * ceil(log2(4N)),
-    which covers a Bluestein transform (three power-of-two transforms shorter
-    than 4N).  Two forward transforms, the complex products (error
-    sqrt(2) * gamma_2) and the scaled inverse give
-    rho = (1 + e)^3 * (1 + u) * (1 + sqrt(2) * gamma_2) - 1.
-    """
-    u = _UNIT_ROUNDOFF
-    t = 3 * math.ceil(math.log2(4 * N))
-    eta = u + _gamma(4) * (math.sqrt(2.0) + u)
-    e = t * eta / (1.0 - t * eta)
-    return (1.0 + e) ** 3 * (1.0 + u) * (1.0 + math.sqrt(2.0) * _gamma(2)) - 1.0
 
 
 @lru_cache(maxsize=8)

@@ -27,6 +27,12 @@ so kappa_c is tabulated once on the grid g/n and one bitmask DP,
 ``_partition_sums``, gives the partition sums at every node: it evaluates
 the shift-averaged kernel at the lattice nodes (``shift_invariant_profile``)
 and the per-coordinate CBC objective (``errors.cbc_step_objectives``).
+
+The Gram mean of a shifted lattice rule, the core of its worst-case error,
+has two routes: pair permanents over n*(n//2 + 1) node pairs
+(``lattice_gram_mean``), and for s <= 2 or d = 3 a sum over an explicit list
+of exchanges in which each term is a direct sum of n products or one FFT
+correlation (``_lattice_gram_mean_fft``).
 """
 from __future__ import annotations
 
@@ -74,6 +80,28 @@ def _sum_depth(n: int) -> int:
     (Higham 2002, section 4.2).
     """
     return 25 + max(1, n - 1).bit_length() + -(-n // 8192)
+
+
+@lru_cache(maxsize=8)
+def _fft_rho(N: int) -> float:
+    """Relative rounding bound of a length-N cyclic correlation done by FFT.
+
+    The computed correlation r of x and y differs from the exact one by at
+    most rho * sqrt(N) * ||x||_2 * ||y||_2 in every entry.  Higham, *Accuracy
+    and Stability of Numerical Algorithms* (2nd ed. 2002), section 24.1,
+    Thm 24.2: a computed radix-2 FFT of depth t has relative 2-norm error at
+    most e = t*eta / (1 - t*eta), eta = mu + gamma_4 * (sqrt(2) + mu), mu the
+    error of the twiddle factors.  We take mu = u and t = 3 * ceil(log2(4N)),
+    which covers a Bluestein transform (three power-of-two transforms shorter
+    than 4N).  Two forward transforms, the complex products (error
+    sqrt(2) * gamma_2) and the scaled inverse give
+    rho = (1 + e)^3 * (1 + u) * (1 + sqrt(2) * gamma_2) - 1.
+    """
+    u = _UNIT_ROUNDOFF
+    t = 3 * math.ceil(math.log2(4 * N))
+    eta = u + _gamma(4) * (math.sqrt(2.0) + u)
+    e = t * eta / (1.0 - t * eta)
+    return (1.0 + e) ** 3 * (1.0 + u) * (1.0 + math.sqrt(2.0) * _gamma(2)) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +545,178 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     depth = _sum_depth(n) + min(step, half + 1) + -(-(half + 1) // step) + 2
     mean_abs = total_abs / float(n) ** 2
     return total / float(n) ** 2, cert + _gamma(depth) * mean_abs, n * (half + 1)
+
+
+# The exchanges of s <= 3 exchangeable coordinates, as images
+# (sigma(0), ..., sigma(s-1)), each with the number of exchanges whose sum it
+# stands for: (2, 0, 1) is the inverse of (1, 2, 0), and K(x, y) = K(y, x)
+# gives the two the same sum.
+_EXCHANGES = {
+    0: (((), 1),),
+    1: (((0,), 1),),
+    2: (((0, 1), 1), ((1, 0), 1)),
+    3: (((0, 1, 2), 1), ((1, 0, 2), 1), ((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 2, 0), 2)),
+}
+
+
+def _line_sum(f: np.ndarray, rows: list[int], w: list[int], n: int) -> tuple[float, float]:
+    """(1/n) sum_j prod_i f[rows[i], j * w[i] mod n] and its rounding bound:
+    each factor beta0 + g rounds once, the product and numpy's sum add
+    theirs, and the division one more."""
+    j = np.arange(n, dtype=np.int64)
+    term = np.ones(n)
+    for r, wi in zip(rows, w):
+        term *= f[r].take(j * wi % n)
+    return (float(term.sum()) / n,
+            _gamma(2 * len(rows) + _sum_depth(n)) * float(np.abs(term).sum()) / n)
+
+
+def _correlation_sum(P: np.ndarray, factors: int, gx: np.ndarray, gy: np.ndarray,
+                     b0: float, lag: int, n: int) -> tuple[float, float, int]:
+    """S = n^-2 sum_x P(x) R(lag * x mod n), R(tau) = sum_p fx(p) fy(p + tau)
+    the cyclic correlation of fx = beta0 + gx and fy = beta0 + gy on Z_n,
+    with its error bound and the number of FFTs.
+
+    R = n beta0^2 + beta0 (sum gx + sum gy) + Rg, and Rg, the correlation of
+    the oscillatory parts, comes from one zero-padded real FFT correlation of
+    power-of-two length N >= 2n - 1: entry tau of the linear correlation
+    sits at tau mod N, so Rg(tau) = c[tau] + c[N - n + tau].
+
+    The bound has three parts.  The FFT's error in c has 2-norm at most
+    rho * sqrt(N) * ||gx|| ||gy|| (``_fft_rho``), so its fold into Rg has at
+    most sqrt(2) times that, and x -> lag * x permutes Z_n unless lag = 0:
+    by Cauchy-Schwarz it reaches S through ||P||_2, or through sum |P| when
+    every term reads R(0).  The sums of gx and gy and the seven roundings
+    of the assembly err by a bound uniform over the entries of R.  And
+    gamma_k * sum |terms| covers P (``factors`` gathered values of
+    beta0 + g), the products and the sum.
+    """
+    N = 1 << (2 * n - 2).bit_length()
+    hx = np.fft.rfft(gx, N)
+    hy = hx if gy is gx else np.fft.rfft(gy, N)
+    c = np.fft.irfft(np.conj(hx) * hy, N)
+    sx, sy = float(gx.sum()), float(gy.sum())
+    base = n * b0 * b0 + b0 * (sx + sy)
+    rg = c[:n] + c[N - n:]
+    R = base + rg
+    x = np.arange(n, dtype=np.int64)
+    terms = P * R.take(lag * x % n)
+    nn = float(n) ** 2
+    depth = _sum_depth(n)
+    p_abs = float(np.abs(P).sum())
+    # squared norms by numpy's own sum: a BLAS dot of this length may start
+    # a thread pool, which costs more than the whole route
+    gxx, gyy, pp = (float(np.square(v).sum()) for v in (gx, gy, P))
+    fold = math.sqrt(2.0) * _fft_rho(N) * math.sqrt(N) * math.sqrt(gxx * gyy)
+    fft_err = fold * (math.sqrt(pp) if lag % n else p_abs)
+    r_err = (abs(b0) * _gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
+             + _gamma(7) * (n * b0 * b0 + abs(b0) * (abs(sx) + abs(sy))
+                            + float(np.max(np.abs(rg)))))
+    err = (fft_err + r_err * p_abs
+           + _gamma(2 * factors + 3 + depth) * float(np.abs(terms).sum())) / nn
+    return float(terms.sum()) / nn, err, 2 if gy is gx else 3
+
+
+def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float, int]:
+    """Mean of the exchange-invariant Gram matrix of a (shifted) rank-1
+    lattice rule in O(n log n + n * d), for s <= 2 or d = 3 (n is prime, as
+    for every ``LatticeRule``).
+
+    The mean is (1/s!) sum_sigma S_sigma over the exchanges in
+    ``_EXCHANGES``, with S_sigma = n^-2 sum_{k,l} prod_i f_i(k z_i - l z_sigma(i)),
+    f_i(x) = K1(x/n + Delta_i - Delta_sigma(i)) on Z_n.  There are three
+    cases:
+
+    * z_sigma = c * z (mod n), which holds for sigma = id and whenever the
+      2 x 2 minors of (z, z_sigma) vanish: (k, l) -> k - l*c covers Z_n n
+      times, so S_sigma = n^-1 sum_j prod_i f_i(j * z_i), O(n * d)
+      (``_line_sum``);
+    * a transposition (a b) otherwise: l = k + m and j = k (z_a - z_b) turn
+      the sum over k into the autocorrelation of f_a (f_b(x) = f_a(-x), as K1
+      is even) at lag m (z_a + z_b), while the fixed coordinates give
+      factors f_i(m z_i) free of k (``_correlation_sum``);
+    * a 3-cycle at d = 3 otherwise: a nonzero minor (i, j) makes
+      (k, l) -> (x, y) = (arguments of i and j) a bijection of Z_n^2, the
+      third argument is alpha x + beta y, and p = beta y gives
+      S_sigma = n^-2 sum_x f_i(x) R(alpha x), R the correlation of
+      f_j(p / beta) and f_m (``_correlation_sum``); with alpha = beta = 0
+      the sum factors.
+
+    K1 - beta0 is tabulated once at g/n + Delta_a - Delta_b for every pair
+    a < b that an exchange moves (``power_kernel`` with
+    ``include_constant=False``), so the FFTs act on the oscillatory part
+    alone and the beta0 parts are exact sums.  Returns (mean, cert, ffts):
+    cert adds the table certificate through the products of d factors, each
+    S_sigma's FFT and rounding bounds, and the rounding of the final sum;
+    ffts counts the transforms.
+    """
+    n, d = rule.n, rule.d
+    z = [int(v) % n for v in rule.z]
+    shift = [0.0] * d if rule.shift is None else [float(v) for v in rule.shift]
+    inv = spec.perm.invariant_idx.tolist()
+    maps = []
+    for images, mult in _EXCHANGES[len(inv)]:
+        p = list(range(d))
+        for a, b in zip(inv, images):
+            p[a] = inv[b]
+        maps.append((p, mult))
+    moved = sorted({(min(i, p[i]), max(i, p[i])) for p, _ in maps for i in range(d) if p[i] != i})
+    row_of = {pair: r + 1 for r, pair in enumerate(moved)}
+    theta = np.array([0.0] + [shift[a] - shift[b] for a, b in moved])
+    grid = np.arange(n, dtype=float) / n
+    g, cert_g = power_kernel(spec.weight, 1, grid + theta[:, None], include_constant=False,
+                             mode=spec.mode, tol=spec.tol)
+    b0 = spec.weight.beta0
+    f = b0 + g
+    x = np.arange(n, dtype=np.int64)
+    total = total_abs = err = 0.0
+    ffts = 0
+    for p, mult in maps:
+        # f_i is row (i, p(i)) at x, or row (p(i), i) at -x (K1 is even)
+        rows = [row_of.get((min(i, p[i]), max(i, p[i])), 0) for i in range(d)]
+        signs = [1 if i <= p[i] else -1 for i in range(d)]
+        moves = [i for i in range(d) if p[i] != i]
+        minor = {(i, j): (z[i] * z[p[j]] - z[j] * z[p[i]]) % n
+                 for i in range(d) for j in range(i + 1, d)}
+        k = 0
+        if not any(minor.values()):
+            val, e = _line_sum(f, rows, [sg * zi for sg, zi in zip(signs, z)], n)
+        elif len(moves) == 2:
+            a, b = moves
+            P = np.ones(n)
+            for i in range(d):
+                if p[i] == i:
+                    P *= f[0].take(x * z[i] % n)
+            ga = g[rows[a]]
+            val, e, k = _correlation_sum(P, d - 2, ga, ga, b0, z[a] + z[b], n)
+        else:
+            (i, j), det = next(item for item in minor.items() if item[1])
+            m = 3 - i - j
+            inv_det = pow(det, -1, n)
+            alpha = (z[m] * z[p[j]] - z[j] * z[p[m]]) * inv_det % n
+            beta = (z[i] * z[p[m]] - z[m] * z[p[i]]) * inv_det % n
+            if not beta:
+                i, j, alpha, beta = j, i, beta, alpha
+            if beta:
+                P = f[rows[i]].take(signs[i] * x % n)
+                gx = g[rows[j]].take(signs[j] * pow(beta, -1, n) * x % n)
+                gy = g[rows[m]].take(signs[m] * x % n)
+                val, e, k = _correlation_sum(P, 1, gx, gy, b0, alpha, n)
+            else:
+                # the argument of m is 0: S = (sum_x f_i(x) f_m(0)) (sum_y f_j(y)) / n^2
+                vi, ei = _line_sum(f, [rows[i], rows[m]], [1, 0], n)
+                vj, ej = _line_sum(f, [rows[j]], [1], n)
+                val = vi * vj
+                e = abs(vi) * ej + ei * (abs(vj) + ej) + _UNIT_ROUNDOFF * abs(val)
+        ffts += k
+        total += mult * val
+        total_abs += mult * abs(val)
+        err += mult * e
+    fact = float(spec.perm.group_order)
+    top = abs(b0) + float(np.max(np.abs(g)))
+    table = d * cert_g * (top + cert_g) ** (d - 1) * (1.0 + _gamma(d + 2))
+    # up to five additions and the division
+    return total / fact, float(table + (err + _gamma(6) * total_abs) / fact), ffts
 
 
 def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.ndarray, float]:

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from permqmc import KernelSpec, PermStructure, SpectralWeight, shift_search
 from permqmc.cli import EXIT_CONFIG, EXIT_OK, main
-from permqmc.lattice import load_cubature, load_lattice
+from permqmc.lattice import LatticeRule, load_cubature, load_lattice
 
 
 @pytest.fixture
@@ -45,6 +46,23 @@ class TestCbcCommand:
         payload = json.loads(outs[0][1])
         assert len(payload["per_step_certificate"]) == len(payload["z"])
         assert all(c > 0 for c in payload["per_step_certificate"])
+
+    def test_json_keeps_the_shift_search(self, cfg_path, tmp_path):
+        # the search's certificate and trial count reach the JSON; without a
+        # search both are null
+        out = tmp_path / "out.json"
+        assert main(["cbc", "--config", str(cfg_path), "--json", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(2))
+        sh = shift_search(LatticeRule(13, tuple(payload["z"])), spec, trials=16, seed=3)
+        assert payload["achieved_e2_shifted"] == sh.e2_shifted
+        assert payload["achieved_e2_shifted_certificate"] == sh.e2_certificate > 0
+        assert payload["shift_trials_used"] == sh.trials_used >= 16
+        assert main(["cbc", "--config", str(cfg_path), "--trials", "0",
+                     "--json", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["achieved_e2_shifted_certificate"] is None
+        assert payload["shift_trials_used"] is None
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -153,8 +171,10 @@ class TestPipelines:
             outs.append(ej.read_bytes())
         assert outs[0] == outs[1]
         rep = json.loads(outs[0])
-        assert rep["worst_case"]["route"] == "lattice"
-        assert rep["worst_case"]["pairs"] == 4
+        # z_1 = z_2: both exchanges are direct sums, no FFT and no pair permanent
+        assert rep["worst_case"]["route"] == "lattice-fft"
+        assert rep["worst_case"]["ffts"] == 0
+        assert rep["worst_case"]["pairs"] == 0
         assert "mean_shifted" in rep
         f = tmp_path / "f.json"
         f.write_text(json.dumps({"family": "symmetrized_cosine",

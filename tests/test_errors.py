@@ -22,10 +22,12 @@ from permqmc.errors import (
     worst_case_error_sq,
     worst_case_error_sq_spectral,
 )
-from permqmc.kernels import KernelSpec, kernel_perminv_gram
+from permqmc import errors, kernels
+from permqmc.kernels import (KernelSpec, _lattice_gram_mean_fft, kernel_perminv_gram,
+                             lattice_gram_mean)
 from permqmc.lattice import LatticeRule, WeightedCubature
 from permqmc.symmetry import PermStructure, multiplicity
-from permqmc.weights import SpectralWeight, r_weight_inv_factors, tail_sum
+from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
 from oracles import set_partitions, spectral_cbc_objective
 
@@ -134,6 +136,7 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("n", [2, 3, 101])
     @pytest.mark.parametrize("d, inv", [
         (1, (1,)), (1, ()), (2, (1, 2)), (2, ()), (4, (1, 2, 3, 4)), (4, (1, 3)), (4, ()),
+        (4, (1, 2, 3)),
     ])
     def test_agrees_with_general_route(self, sobolev, d, inv, n, shifted):
         spec = KernelSpec(sobolev, PermStructure(d, inv))
@@ -142,9 +145,13 @@ class TestLatticeRoute:
         a = worst_case_error_sq(rule, spec)
         b = worst_case_error_sq(rule.cubature(), spec)
         assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
-        # n = 2: m = 1 is its own mirror and counts once
-        assert a.details["route"] == "lattice"
-        assert a.details["pairs"] == n * (n // 2 + 1)
+        if len(inv) >= 3 and d >= 4:
+            # n = 2: m = 1 is its own mirror and counts once
+            assert a.details["route"] == "lattice"
+            assert a.details["pairs"] == n * (n // 2 + 1)
+        else:
+            assert a.details["route"] == "lattice-fft"
+            assert a.details["pairs"] == 0
         assert b.details["route"] == "general"
         # the symmetric Gram evaluates the pairs j >= i only
         assert b.details["pairs"] == n * (n + 1) // 2
@@ -191,6 +198,102 @@ class TestLatticeRoute:
         assert peak < 128 * 2 ** 20
 
 
+# every invariance pattern at d = 1..3, and s <= 2 at d = 4 and 5
+_FFT_PATTERNS = [
+    (1, ()), (1, (1,)),
+    (2, ()), (2, (1,)), (2, (2,)), (2, (1, 2)),
+    (3, ()), (3, (1,)), (3, (2,)), (3, (3,)), (3, (1, 2)), (3, (1, 3)), (3, (2, 3)),
+    (3, (1, 2, 3)),
+    (4, ()), (4, (2,)), (4, (1, 3)), (5, ()), (5, (2, 4)),
+]
+
+
+class TestLatticeFftRoute:
+    """The FFT route of worst_case_error_sq (kernels._lattice_gram_mean_fft)
+    against the pair route (lattice_gram_mean) on the same rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 13, 101, 1009])
+    @pytest.mark.parametrize("d, inv", _FFT_PATTERNS)
+    def test_agrees_with_pair_route(self, d, inv, n):
+        rng = np.random.default_rng([d, n, len(inv)])
+        ps = PermStructure(d, inv)
+        # closed forms at alpha = 1 with and without a shift, series at alpha = 2
+        cases = [(SpectralWeight(generator=gen), "closed", shifted)
+                 for gen in (GeneratorSpec.korobov(), GeneratorSpec.plain())
+                 for shifted in (False, True)]
+        cases += [(SpectralWeight(alpha=2.0, generator=gen), "spectral", True)
+                  for gen in (GeneratorSpec.korobov(), GeneratorSpec.plain())]
+        z = tuple(int(v) for v in rng.integers(0, n, size=d))
+        for w, mode, shifted in cases:
+            spec = KernelSpec(w, ps, mode=mode)
+            rule = LatticeRule(n, z, tuple(rng.uniform(size=d)) if shifted else None)
+            a, a_cert, ffts = _lattice_gram_mean_fft(rule, spec)
+            b, b_cert, _ = lattice_gram_mean(rule, spec)
+            assert abs(a - b) <= a_cert + b_cert, (z, mode, w.generator.kind, shifted)
+            assert ffts <= 9
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("n, z, inv, ffts", [
+        # z_1 = z_2: the exchange (1 2) is a direct sum
+        (7, (1, 1, 3), (1, 2, 3), 7),
+        (7, (1, 1, 3), (1, 2), 0),
+        (7, (1, 1, 3), (2, 3), 2),
+        # 2^3 = 1 mod 7 and 3^3 = 1 mod 13: z x z_sigma = 0, the 3-cycles are direct sums
+        (7, (1, 2, 4), (1, 2, 3), 6),
+        (13, (1, 3, 9), (1, 2, 3), 6),
+        # the 3-cycle's third argument depends on one of the other two only
+        (13, (1, 2, 7), (1, 2, 3), 9),
+        # the 3-cycle's third argument is 0
+        (13, (1, 0, 0), (1, 2, 3), 4),
+        (13, (0, 0, 0), (1, 2, 3), 0),
+        (13, (1, 12, 5), (1, 2, 3), 9),
+    ])
+    def test_degenerate_generators(self, sobolev, n, z, inv, ffts, shifted):
+        spec = KernelSpec(sobolev, PermStructure(3, inv))
+        rule = LatticeRule(n, z, (0.3, 0.71, 0.05) if shifted else None)
+        a, a_cert, _ = _lattice_gram_mean_fft(rule, spec)
+        b, b_cert, _ = lattice_gram_mean(rule, spec)
+        assert abs(a - b) <= a_cert + b_cert
+        rep = worst_case_error_sq(rule, spec)
+        assert rep.details == {"raw_value": rep.details["raw_value"], "route": "lattice-fft",
+                               "ffts": ffts, "pairs": 0}
+
+    def test_no_pair_permanents(self, sobolev, monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("pair permanents evaluated on the FFT route")
+
+        monkeypatch.setattr(kernels, "permanent_bounds", no_pairs)
+        monkeypatch.setattr(errors, "lattice_gram_mean", no_pairs)
+        for d, inv, n, z in [(3, (1, 2, 3), 1009, (1, 286, 53)), (3, (1, 2, 3), 7, (1, 2, 4)),
+                             (3, (1, 2, 3), 7, (1, 1, 3)), (2, (1, 2), 101, (1, 40)),
+                             (5, (2, 4), 101, (1, 40, 7, 33, 2)), (4, (), 13, (1, 5, 8, 12))]:
+            rule = LatticeRule(n, z, tuple(0.1 + 0.17 * i for i in range(d)))
+            rep = worst_case_error_sq(rule, KernelSpec(sobolev, PermStructure(d, inv)))
+            assert rep.details["route"] == "lattice-fft"
+            assert rep.details["pairs"] == 0
+
+    def test_pair_route_beyond_s_2_at_d_4(self, sobolev):
+        rule = LatticeRule(13, (1, 5, 8, 12), (0.1, 0.2, 0.3, 0.4))
+        rep = worst_case_error_sq(rule, KernelSpec(sobolev, PermStructure(4, (1, 2, 4))))
+        assert rep.details["route"] == "lattice"
+        assert rep.details["pairs"] == 13 * 7
+
+    @pytest.mark.parametrize("shift", [(0.3, 0.71, 0.05), (0.9, 0.12, 0.47), (0.5, 0.5, 0.25)])
+    def test_certificate_at_most_the_pair_routes(self, spec_d3_full, shift):
+        rule = LatticeRule(1009, (1, 286, 53), shift)
+        a = worst_case_error_sq(rule, spec_d3_full)
+        _, b_cert, _ = lattice_gram_mean(rule, spec_d3_full)
+        assert a.details["route"] == "lattice-fft"
+        assert a.truncation_certificate <= b_cert
+
+    def test_certificate_small_at_n_100003(self, spec_d3_full):
+        # the CBC rule for (d = 3, n = 100003); E2 is about 2.8e-11
+        rep = worst_case_error_sq(LatticeRule(100003, (1, 38763, 75699), (0.3, 0.71, 0.05)),
+                                  spec_d3_full)
+        assert rep.details["ffts"] == 9
+        assert rep.truncation_certificate < 1e-2 * rep.value
+
+
 def exact_kappa(c, t, w):
     """kappa_c(t) in mpmath for the Korobov generator and integer alpha:
     beta0^c + beta1^c (-1)^(n+1) / (2n)! * B_2n(frac t), n = alpha * c."""
@@ -227,16 +330,15 @@ class TestExactCertificates:
         assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
         assert rep.truncation_certificate < 1e-13
 
-    @pytest.mark.parametrize("general", [False, True])
-    def test_worst_case_error_sq(self, general):
-        w = SpectralWeight(beta0=0.9, beta1=1.1)
-        spec = KernelSpec(w, PermStructure(3, (1, 3)))
-        rule = LatticeRule(11, (1, 4, 5), (0.3, 0.71, 0.05))
-        rep = worst_case_error_sq(rule.cubature() if general else rule, spec)
+    @staticmethod
+    def exact_worst_case_sq(rule, spec):
+        """The squared worst-case error of a shifted lattice rule in 40-digit
+        arithmetic, summed over all node pairs and all exchanges."""
+        w, n = spec.weight, rule.n
         inv, free = spec.perm.invariant_idx, spec.perm.free_idx
         with mpmath.workdps(40):
-            pts = [[mpmath.mpf(k * zi % 11) / 11 + mpmath.mpf(d) for zi, d in zip(rule.z, rule.shift)]
-                   for k in range(11)]
+            pts = [[mpmath.mpf(k * zi % n) / n + mpmath.mpf(d) for zi, d in zip(rule.z, rule.shift)]
+                   for k in range(n)]
             total = 0
             for x in pts:
                 for y in pts:
@@ -246,7 +348,33 @@ class TestExactCertificates:
                     for f in free:
                         per *= exact_kappa(1, x[f] - y[f], w)
                     total += per / spec.perm.group_order
-            exact = total / 121 - mpmath.mpf(w.beta0) ** spec.d
+            return total / n ** 2 - mpmath.mpf(w.beta0) ** spec.d
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_worst_case_error_sq(self, general):
+        w = SpectralWeight(beta0=0.9, beta1=1.1)
+        spec = KernelSpec(w, PermStructure(3, (1, 3)))
+        rule = LatticeRule(11, (1, 4, 5), (0.3, 0.71, 0.05))
+        rep = worst_case_error_sq(rule.cubature() if general else rule, spec)
+        exact = self.exact_worst_case_sq(rule, spec)
+        assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
+        assert rep.truncation_certificate < 1e-13
+
+    @pytest.mark.parametrize("d, inv, n, z", [
+        (3, (1, 2, 3), 31, (1, 12, 7)),
+        # 5^3 = 1 mod 31: both 3-cycles are direct sums
+        (3, (1, 2, 3), 31, (1, 5, 25)),
+        (3, (2, 3), 29, (1, 7, 11)),
+        (2, (1, 2), 23, (1, 9)),
+        (4, (1, 3), 13, (1, 5, 8, 12)),
+    ])
+    def test_lattice_fft_route(self, d, inv, n, z):
+        w = SpectralWeight(beta0=0.9, beta1=1.1)
+        spec = KernelSpec(w, PermStructure(d, inv))
+        rule = LatticeRule(n, z, tuple((0.3 + 0.41 * i) % 1 for i in range(d)))
+        rep = worst_case_error_sq(rule, spec)
+        assert rep.details["route"] == "lattice-fft"
+        exact = self.exact_worst_case_sq(rule, spec)
         assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
         assert rep.truncation_certificate < 1e-13
 
