@@ -53,23 +53,10 @@ class CbcResult:
     shift_flagged: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "n": self.rule.n,
-            "z": list(self.rule.z),
-            "shift": None if self.rule.shift is None else list(self.rule.shift),
-            "per_step_objective": self.per_step_objective,
-            "per_step_certificate": self.per_step_certificate,
-            "certified_bound": self.certified_bound,
-            "achieved_E2": self.achieved_E2,
-            "achieved_E2_certificate": self.achieved_E2_certificate,
-            "achieved_e2_shifted": self.achieved_e2_shifted,
-            "achieved_e2_shifted_certificate": self.achieved_e2_shifted_certificate,
-            "mode": self.mode,
-            "lambda": self.lam,
-            "shift_seed": self.shift_seed,
-            "shift_trials_used": self.shift_trials_used,
-            "shift_flagged": self.shift_flagged,
-        }
+        out = {k: v for k, v in vars(self).items() if k not in ("rule", "lam")}
+        shift = self.rule.shift
+        return {**out, "n": self.rule.n, "z": list(self.rule.z), "lambda": self.lam,
+                "shift": None if shift is None else list(shift)}
 
 
 def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
@@ -104,13 +91,13 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     _check_profile_bytes(spec, n)
     tables = power_kernel_table(spec.weight, n, c_max, include_constant=False,
                                 mode=spec.mode, tol=spec.tol)
-    z: list[int] = [1]
-    vals, cert = cbc_step_objectives([], n, spec, tables)
-    per_step = [float(vals[1])]
-    per_cert = [cert]
-    for _ell in range(2, d + 1):
+    z: list[int] = []
+    per_step, per_cert = [], []
+    for _ell in range(d):
         vals, cert = cbc_step_objectives(z, n, spec, tables)
-        if mode == "minimize":
+        if not z:
+            choice = 1
+        elif mode == "minimize":
             choice = int(np.argmin(vals))
         else:
             scaled = vals ** (1.0 / lam)

@@ -6,8 +6,8 @@ config values.  Tables are emitted as CSV, structured results as JSON with
 sorted keys, so identical configs and seeds produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration or input error (including a search
-that runs out of budget), 3 result carries an uncertified (flagged)
-component.
+that runs out of budget and a refused allocation), 3 result carries an
+uncertified (flagged) component.
 """
 from __future__ import annotations
 
@@ -162,16 +162,8 @@ def _cmd_shift_search(args) -> int:
                        seed=int(_param(cfg, args, "seed", 0)))
     if args.out:
         save_lattice(res.rule, args.out)
-    _emit_json({
-        "e2_shifted": res.e2_shifted,
-        "e2_certificate": res.e2_certificate,
-        "E2": res.E2,
-        "E2_certificate": res.E2_certificate,
-        "certified": res.certified,
-        "trials_used": res.trials_used,
-        "seed": res.seed,
-        "shift": list(res.rule.shift),
-    }, args.json)
+    out = {k: v for k, v in vars(res).items() if k != "rule"}
+    _emit_json({**out, "shift": list(res.rule.shift)}, args.json)
     return EXIT_OK if res.certified else EXIT_FLAGGED
 
 
@@ -245,12 +237,8 @@ def _cmd_convergence(args) -> int:
     seed = int(_param(cfg, args, "seed", 0))
     lam = float(_param(cfg, args, "lam", 1.0))
     threads = max(1, args.threads or 1)
-    if n_list:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(
-                lambda n: _convergence_row(spec, int(n), trials, seed, lam), n_list))
-    else:
-        rows = []
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        rows = list(ex.map(lambda n: _convergence_row(spec, int(n), trials, seed, lam), n_list))
     ok_rows = [r for r in rows if "error" not in r]
     slope = None
     if len(ok_rows) >= 2:
@@ -383,8 +371,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        why = str(exc)
+        if isinstance(exc, MemoryError):  # a refused allocation may say nothing
+            why = f"out of memory ({why or 'allocation refused'})"
+        print(f"error: {why}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -7,7 +7,8 @@ squared error of a lattice rule are computable by two independent routes:
   fixed points of coordinate exchanges: partition sums of power kernels,
   tabulated on the lattice grid g/n and gathered at the nodes j*z/n by the
   one partition-sum engine ``kernels._partition_sums`` (the per-coordinate
-  search objective runs on the same engine), and
+  search objective runs on the same engine, and its correlations on the one
+  power-of-two FFT correlation ``kernels._cyclic_correlation``), and
 * a truncated spectral route that enumerates a frequency box and tests dual
   membership directly, carrying a certified bound on the omitted mass.
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .kernels import (
     KernelSpec,
-    _fft_rho,
+    _cyclic_correlation,
     _lattice_gram_mean_fft,
     _partition_sums,
     _sum_depth,
@@ -79,13 +80,8 @@ class ErrorReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "method": self.method,
-            "value": self.value,
-            "certificate": self.truncation_certificate,
-        }
-        out.update({k: v for k, v in self.details.items()})
-        return out
+        return {"method": self.method, "value": self.value,
+                "certificate": self.truncation_certificate, **self.details}
 
 
 @dataclass(frozen=True)
@@ -356,25 +352,22 @@ def _root_powers(n: int) -> np.ndarray:
     return out
 
 
-def _multiplicative_correlation(G: np.ndarray, kappa: np.ndarray, powers: np.ndarray,
-                                kappa_hat: np.ndarray, kappa_norm: float) -> tuple[np.ndarray, float]:
+def _multiplicative_correlation(G: np.ndarray, kappa0: float, powers: np.ndarray,
+                                correlate) -> tuple[np.ndarray, float]:
     """F(w) = sum_j G[j] * kappa[j*w mod n] for every w in Z_n, prime n, and
     a bound on its rounding error.
 
     F(0) = kappa[0] * sum(G).  For w = g^b and j = g^a, g a primitive root,
     the sum over j != 0 is the cyclic correlation sum_a G[g^a] * kappa[g^(a+b)]
-    of length n - 1, done by one real FFT; ``kappa_hat`` is the rfft of
-    kappa[powers] and ``kappa_norm`` its 2-norm.
+    of length n - 1; ``correlate`` is ``kernels._cyclic_correlation`` of
+    kappa[powers].
     """
     n = G.shape[0]
-    x = G[powers]
-    corr = np.fft.irfft(np.conj(np.fft.rfft(x)) * kappa_hat, n - 1)
+    corr, err = correlate(G[powers])
     F = np.empty(n)
-    F[0] = kappa[0] * G.sum()
-    F[powers] = G[0] * kappa[0] + corr
-    err = (_fft_rho(n - 1) * math.sqrt(n - 1) * math.sqrt(float(x @ x)) * kappa_norm
-           + _gamma(n) * abs(float(kappa[0])) * float(np.abs(G).sum()))
-    return F, err
+    F[0] = kappa0 * G.sum()
+    F[powers] = G[0] * kappa0 + corr
+    return F, err + _gamma(n) * abs(kappa0) * float(np.abs(G).sum())
 
 
 def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.ndarray:
@@ -418,9 +411,10 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
        added, times |M|!, into the group of (|M| + 1, S_M);
     3. each group G is one multiplicative correlation
        F(w) = sum_j G[j] * kappa_{|M|+1}[j*w mod n], which a primitive root
-       of n turns into a cyclic correlation of length n - 1 done by one real
-       FFT (Nuyens & Cools, Math. Comp. 75 (2006) 903-920), and B(z)
-       collects F((S_M + z) mod n).
+       of n turns into a cyclic correlation of length n - 1 (Nuyens & Cools,
+       Math. Comp. 75 (2006) 903-920), done by ``_cyclic_correlation``: one
+       transform of kappa_c per kernel order per step, and a zero-padded
+       power-of-two FFT pair per group; B(z) collects F((S_M + z) mod n).
 
     Time O(3^k * n + 2^k * n log n) and memory O(2^k * n) per step.  n must
     be prime.  A step whose predicted working set (``_check_step_bytes``)
@@ -439,7 +433,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
     Returns (values over z = 0..n-1, certificate).  The certificate is the
     first-order effect of the power-kernel table errors (one block at its
     table certificate, every other block at its maximum) plus a priori
-    rounding bounds: of the FFT correlations (``_fft_rho``), and
+    rounding bounds: of the FFT correlations (``_cyclic_correlation``), and
     gamma_k * sum |terms| of the direct sums (the DP, the rest_M products,
     the group and total accumulations), sum |terms| taken from the
     maximum-value DP.
@@ -486,10 +480,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
         M = (M - 1) & inv_mask
 
     powers = _root_powers(n)
-    kappa_hat = {}
-    for c in {c for c, _ in groups}:
-        y = table[c - 1][powers]
-        kappa_hat[c] = (np.fft.rfft(y), math.sqrt(float(y @ y)))
+    correlate = {c: _cyclic_correlation(table[c - 1][powers]) for c in {c for c, _ in groups}}
     total = np.zeros(n)
     cert = 0.0
     absum = 0.0   # bounds sum |terms| of every total[z]
@@ -498,10 +489,11 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
         for M in members:
             subs = np.flatnonzero((masks & M) == 0)
             wts = math.factorial(c - 1) * nrm[pc[subs] + c, pc_inv[subs] + c - 1 + ell_inv]
-            G += wts @ (f if M == 0 else f[subs])
+            # einsum, not BLAS: a gemv of length n may start a thread pool
+            G += np.einsum("i,ij->j", wts, f if M == 0 else f[subs])
             cert += n * (tmax[c - 1] * (wts @ fe[subs]) + tcerts[c - 1] * (wts @ fv[subs]))
             absum += n * tmax[c - 1] * (wts @ fv[subs])
-        F, err = _multiplicative_correlation(G, table[c - 1], powers, *kappa_hat[c])
+        F, err = _multiplicative_correlation(G, float(table[c - 1][0]), powers, correlate[c])
         total += np.roll(F, -S)
         cert += err
     # a term meets the DP (k + 2^k), its weight (8), the product with f

@@ -32,7 +32,9 @@ The Gram mean of a shifted lattice rule, the core of its worst-case error,
 has two routes: pair permanents over n*(n//2 + 1) node pairs
 (``lattice_gram_mean``), and for s <= 2 or d = 3 a sum over an explicit list
 of exchanges in which each term is a direct sum of n products or one FFT
-correlation (``_lattice_gram_mean_fft``).
+correlation (``_lattice_gram_mean_fft``).  Every FFT of the package, here
+and in the CBC step, runs in ``_cyclic_correlation``: zero-padded
+power-of-two real transforms, which one rounding bound (``_fft_rho``) covers.
 """
 from __future__ import annotations
 
@@ -84,24 +86,62 @@ def _sum_depth(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def _fft_rho(N: int) -> float:
-    """Relative rounding bound of a length-N cyclic correlation done by FFT.
+    """Relative rounding bound of a length-N cyclic correlation done by
+    numpy's real FFTs, N a power of two.
 
-    The computed correlation r of x and y differs from the exact one by at
-    most rho * sqrt(N) * ||x||_2 * ||y||_2 in every entry.  Higham, *Accuracy
-    and Stability of Numerical Algorithms* (2nd ed. 2002), section 24.1,
-    Thm 24.2: a computed radix-2 FFT of depth t has relative 2-norm error at
-    most e = t*eta / (1 - t*eta), eta = mu + gamma_4 * (sqrt(2) + mu), mu the
-    error of the twiddle factors.  We take mu = u and t = 3 * ceil(log2(4N)),
-    which covers a Bluestein transform (three power-of-two transforms shorter
-    than 4N).  Two forward transforms, the complex products (error
-    sqrt(2) * gamma_2) and the scaled inverse give
-    rho = (1 + e)^3 * (1 + u) * (1 + sqrt(2) * gamma_2) - 1.
+    The computed correlation c of x and y has error of 2-norm at most
+    rho * sqrt(N) * ||x||_2 * ||y||_2.  Higham, *Accuracy and Stability of
+    Numerical Algorithms* (2nd ed. 2002), Thm 24.2: an FFT of t stages of
+    butterflies a +- w b, each twiddle w computed within mu, has relative
+    2-norm error at most e = t*eta / (1 - t*eta), eta = mu + gamma_4 *
+    (sqrt(2) + mu).  numpy's pocketfft runs N = 2^m as floor(m/2) radix-4
+    passes and m mod 2 radix-2 passes.  A radix-4 pass is two stages: the
+    first pairs (x0, w^2k x2) and (w^k x1, w^3k x3), the twiddles applied
+    before it; a twiddle error on both operands lies along the orthogonal
+    (1, 1) and (1, -1), so the stage still errs by eta * ||stage||.  The
+    second multiplies by +-1 and +-i, exactly.  The real-data passes compute
+    these butterflies for half the indices (the rest are conjugates), and
+    the middle one's product of x1 -+ x3 with sqrt(1/2) errs by gamma_3 <
+    eta.  So t = log2 N.  mu = u is an assumption: pocketfft's twiddles are
+    products of two table entries, not correctly rounded.  Two forward
+    transforms, the complex products (sqrt(2) * gamma_2) and the inverse,
+    whose scaling by 1/N is exact, give
+    rho = (1 + e)^3 * (1 + sqrt(2) * gamma_2) - 1.
     """
+    if N < 1 or N & (N - 1):
+        raise ValueError(f"FFT length {N} is not a power of two")
     u = _UNIT_ROUNDOFF
-    t = 3 * math.ceil(math.log2(4 * N))
+    t = N.bit_length() - 1
     eta = u + _gamma(4) * (math.sqrt(2.0) + u)
     e = t * eta / (1.0 - t * eta)
-    return (1.0 + e) ** 3 * (1.0 + u) * (1.0 + math.sqrt(2.0) * _gamma(2)) - 1.0
+    return (1.0 + e) ** 3 * (1.0 + math.sqrt(2.0) * _gamma(2)) - 1.0
+
+
+def _cyclic_correlation(y: np.ndarray):
+    """Cyclic correlation with the fixed operand y of length L, by one
+    zero-padded real FFT of power-of-two length N = 2^ceil(log2 2L).
+
+    Returns correlate(x) -> (r, err): r(tau) = sum_p x[p] * y[(p + tau) mod L]
+    for tau = 0..L-1 and a bound on the 2-norm of its error.  y is
+    transformed once, and x is not when it is y.  The linear correlation c
+    holds lag tau at tau mod N, so r = c[:L] + c[N - L:]: two disjoint parts
+    of c's error, at most rho * sqrt(N) * ||x|| ||y|| (``_fft_rho``), and
+    one rounding, u * ||r|| with |r(tau)| <= ||x|| ||y|| and L <= N / 2,
+    whose slack also covers the rounding of the norms.  They come from
+    numpy's sum: a long BLAS dot may start a thread pool.
+    """
+    L = y.size
+    N = 2 << (L - 1).bit_length()
+    y_hat = np.fft.rfft(y, N)
+    scale = ((math.sqrt(2.0) * _fft_rho(N) + _UNIT_ROUNDOFF)
+             * math.sqrt(N * float(np.square(y).sum())))
+
+    def correlate(x: np.ndarray) -> tuple[np.ndarray, float]:
+        x_hat = y_hat if x is y else np.fft.rfft(x, N)
+        c = np.fft.irfft(np.conj(x_hat) * y_hat, N)
+        return c[:L] + c[N - L:], scale * math.sqrt(float(np.square(x).sum()))
+
+    return correlate
 
 
 # ---------------------------------------------------------------------------
@@ -578,39 +618,27 @@ def _correlation_sum(P: np.ndarray, factors: int, gx: np.ndarray, gy: np.ndarray
     with its error bound and the number of FFTs.
 
     R = n beta0^2 + beta0 (sum gx + sum gy) + Rg, and Rg, the correlation of
-    the oscillatory parts, comes from one zero-padded real FFT correlation of
-    power-of-two length N >= 2n - 1: entry tau of the linear correlation
-    sits at tau mod N, so Rg(tau) = c[tau] + c[N - n + tau].
+    the oscillatory parts, comes from ``_cyclic_correlation``.
 
-    The bound has three parts.  The FFT's error in c has 2-norm at most
-    rho * sqrt(N) * ||gx|| ||gy|| (``_fft_rho``), so its fold into Rg has at
-    most sqrt(2) times that, and x -> lag * x permutes Z_n unless lag = 0:
-    by Cauchy-Schwarz it reaches S through ||P||_2, or through sum |P| when
-    every term reads R(0).  The sums of gx and gy and the seven roundings
-    of the assembly err by a bound uniform over the entries of R.  And
+    The bound has three parts.  The error of Rg has 2-norm at most the
+    helper's bound, and x -> lag * x permutes Z_n unless lag = 0: by
+    Cauchy-Schwarz it reaches S through ||P||_2, or through sum |P| when
+    every term reads R(0).  The sums of gx and gy and the six roundings of
+    the assembly err by a bound uniform over the entries of R.  And
     gamma_k * sum |terms| covers P (``factors`` gathered values of
     beta0 + g), the products and the sum.
     """
-    N = 1 << (2 * n - 2).bit_length()
-    hx = np.fft.rfft(gx, N)
-    hy = hx if gy is gx else np.fft.rfft(gy, N)
-    c = np.fft.irfft(np.conj(hx) * hy, N)
+    rg, rg_err = _cyclic_correlation(gy)(gx)
     sx, sy = float(gx.sum()), float(gy.sum())
-    base = n * b0 * b0 + b0 * (sx + sy)
-    rg = c[:n] + c[N - n:]
-    R = base + rg
+    R = n * b0 * b0 + b0 * (sx + sy) + rg
     x = np.arange(n, dtype=np.int64)
     terms = P * R.take(lag * x % n)
     nn = float(n) ** 2
     depth = _sum_depth(n)
     p_abs = float(np.abs(P).sum())
-    # squared norms by numpy's own sum: a BLAS dot of this length may start
-    # a thread pool, which costs more than the whole route
-    gxx, gyy, pp = (float(np.square(v).sum()) for v in (gx, gy, P))
-    fold = math.sqrt(2.0) * _fft_rho(N) * math.sqrt(N) * math.sqrt(gxx * gyy)
-    fft_err = fold * (math.sqrt(pp) if lag % n else p_abs)
+    fft_err = rg_err * (math.sqrt(float(np.square(P).sum())) if lag % n else p_abs)
     r_err = (abs(b0) * _gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
-             + _gamma(7) * (n * b0 * b0 + abs(b0) * (abs(sx) + abs(sy))
+             + _gamma(6) * (n * b0 * b0 + abs(b0) * (abs(sx) + abs(sy))
                             + float(np.max(np.abs(rg)))))
     err = (fft_err + r_err * p_abs
            + _gamma(2 * factors + 3 + depth) * float(np.abs(terms).sum())) / nn

@@ -71,10 +71,17 @@ def _tables(spec, n):
                               include_constant=False, mode=spec.mode, tol=spec.tol)
 
 
+# one prime n for each padded FFT length N = 2^ceil(log2 2(n - 1)) from 2 to 4096
+PADDED_LENGTH_PRIMES = {2: 2, 4: 3, 8: 5, 16: 7, 32: 11, 64: 31, 128: 61, 256: 127,
+                        512: 257, 1024: 509, 2048: 1021, 4096: 1031}
+
+
 @st.composite
 def step_cases(draw):
-    n = draw(st.sampled_from([p for p in range(2, 62) if is_prime(p)]))
-    d = draw(st.integers(1, 5))
+    n = draw(st.sampled_from(sorted({p for p in range(2, 62) if is_prime(p)}
+                                    | set(PADDED_LENGTH_PRIMES.values()))))
+    # the O(n^2)-per-partition reference limits d at the larger n
+    d = draw(st.integers(1, 5 if n < 62 else 3))
     inv = tuple(c for c in range(1, d + 1) if draw(st.booleans()))
     ell = draw(st.integers(1, d))
     prefix = draw(st.lists(st.integers(0, n - 1), min_size=ell - 1, max_size=ell - 1))
@@ -93,6 +100,16 @@ class TestFastStep:
         assert vals.shape == (n,)
         assert np.max(np.abs(vals - ref)) <= cert + ref_cert
         assert cert >= ref_cert
+
+    @pytest.mark.parametrize("N, n", sorted(PADDED_LENGTH_PRIMES.items()))
+    def test_every_padded_length(self, N, n, fft_lengths):
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(3))
+        tables = _tables(spec, n)
+        prefix = [1, 2 % n]
+        vals, cert = cbc_step_objectives(prefix, n, spec, tables)
+        ref, ref_cert = reference_step_objectives(prefix, n, spec, tables)
+        assert set(fft_lengths) == {N}
+        assert np.max(np.abs(vals - ref)) <= cert + ref_cert
 
     @pytest.mark.parametrize("inv", [(1, 3), (2, 3), (), (1, 2, 3)])
     def test_step_two_orbits(self, inv):

@@ -255,6 +255,26 @@ class TestPipelines:
             assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
             assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "error: out of memory (allocation refused)"),
+        (MemoryError("Unable to allocate 74.5 GiB"),
+         "error: out of memory (Unable to allocate 74.5 GiB)"),
+    ])
+    def test_refused_allocation_exit_code(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                          exc, message):
+        import permqmc.cli
+
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(permqmc.cli, "worst_case_error_sq", refuse)
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n")
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.strip() == message
+        assert "Traceback" not in err
+
     def test_exhausted_search_exit_code(self, tmp_path, capsys):
         # beta1 = 1e12 leaves no tail offset U <= 100000 with rho(U) < 1
         cfg = tmp_path / "cfg.json"

@@ -536,3 +536,74 @@ def test_closed_route_evaluates_no_series(monkeypatch):
     for c in range(1, 9):
         vals, cert = power_kernel(SpectralWeight(), c, t, mode="closed")
         assert np.all(np.isfinite(vals)) and cert < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the one FFT correlation helper
+# ---------------------------------------------------------------------------
+
+def _direct_correlation(x, y):
+    """sum_p x[p] * y[(p + tau) mod L] by the O(L^2) definition."""
+    return np.array([np.dot(x, np.roll(y, -tau)) for tau in range(len(x))])
+
+
+class TestCyclicCorrelation:
+    @pytest.mark.parametrize("L", list(range(1, 71)) + [97, 251, 509, 1009])
+    def test_matches_direct_sum_within_bound(self, L):
+        rng = np.random.default_rng(L)
+        x, y = rng.standard_normal(L), rng.uniform(-1.0, 1.0, L)
+        # the long double reference errs far below the bound
+        for xx in (x, y):
+            ref = _direct_correlation(xx.astype(np.longdouble), y.astype(np.longdouble))
+            r, err = kernels._cyclic_correlation(y)(xx)
+            assert r.shape == (L,)
+            assert float(np.sqrt(np.sum((r - ref) ** 2))) <= err
+
+    @pytest.mark.parametrize("m", range(1, 19))
+    def test_exact_integer_correlation_within_bound(self, m, fft_lengths):
+        # N = 2^m serves L = 2^(m-2) + 1 .. 2^(m-1); x has at most 64
+        # nonzeros, so the exact int64 correlation is O(64 L)
+        N = 1 << m
+        for L in sorted({max(1, N // 4 + 1), N // 2}):
+            rng = np.random.default_rng([m, L])
+            y = rng.integers(-1000, 1001, L)
+            x = np.zeros(L, dtype=np.int64)
+            support = rng.choice(L, size=min(L, 64), replace=False)
+            x[support] = rng.integers(-1000, 1001, support.size)
+            exact = np.zeros(L, dtype=np.int64)
+            for p in support:
+                exact += x[p] * np.roll(y, -p)
+            fft_lengths.clear()
+            r, err = kernels._cyclic_correlation(y.astype(float))(x.astype(float))
+            assert fft_lengths == [N, N, N]
+            observed = float(np.sqrt(np.sum((r - exact) ** 2)))
+            assert observed <= err, (L, observed, err)
+
+    def test_autocorrelation_transforms_once(self, fft_lengths):
+        y = np.arange(5.0)
+        r, _ = kernels._cyclic_correlation(y)(y)
+        assert fft_lengths == [16, 16]
+        assert np.allclose(r, _direct_correlation(y, y))
+
+    def test_rho_refuses_other_lengths(self):
+        assert kernels._fft_rho(1) < kernels._fft_rho(2) < kernels._fft_rho(1 << 20) < 1e-13
+        for N in (0, 3, 1008, 100002):
+            with pytest.raises(ValueError, match="power of two"):
+                kernels._fft_rho(N)
+
+    def test_every_fft_of_the_package_has_power_of_two_length(self, fft_lengths):
+        from permqmc.cbc import cbc_construct
+        from permqmc.errors import worst_case_error_sq
+
+        w = SpectralWeight()
+        # n - 1 = 1008 = 2^4 3^2 7 is smooth and 2038 = 2 1019 is not: unpadded,
+        # numpy would run the first mixed-radix and the second by Bluestein
+        for d, n in [(4, 1009), (3, 2039), (3, 2)]:
+            cbc_construct(KernelSpec(w, PermStructure.full(d)), n)
+        for d, inv, n, z in [(3, (1, 2, 3), 1009, (1, 286, 53)), (2, (1, 2), 2039, (1, 40)),
+                             (4, (2, 3), 101, (1, 40, 7, 33))]:
+            rule = LatticeRule(n, z, tuple(0.1 + 0.17 * i for i in range(d)))
+            rep = worst_case_error_sq(rule, KernelSpec(w, PermStructure(d, inv)))
+            assert rep.details["route"] == "lattice-fft"
+        assert len(fft_lengths) > 20
+        assert all(N >= 2 and N & (N - 1) == 0 for N in fft_lengths), sorted(set(fft_lengths))

@@ -80,3 +80,31 @@ def test_no_scipy_import_in_the_package():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) > 5
     assert not offenders, f"scipy imported at {offenders}"
+
+
+def test_numpy_fft_only_in_the_correlation_helper():
+    """Every FFT of the package runs in kernels._cyclic_correlation, whose
+    power-of-two lengths are what kernels._fft_rho bounds: no other code
+    names numpy's fft module or imports from it."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "kernels.py":
+            helper = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                      and node.name == "_cyclic_correlation"]
+            assert len(helper) == 1
+            allowed = {id(node) for node in ast.walk(helper[0])}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                hit = id(node) not in allowed
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name.startswith("numpy.fft") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = ((node.module or "").startswith("numpy.fft")
+                       or (node.module == "numpy" and any(a.name == "fft" for a in node.names)))
+            else:
+                continue
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"numpy.fft used outside _cyclic_correlation at {offenders}"

@@ -6,10 +6,13 @@ time, its page faults (``ru_minflt``) and its peak resident set
 separate its work from the first touch of fresh memory.  The generating
 vectors are the CBC rules of the fully invariant space at alpha = 1 (the
 README quick start's space), built before the timed children start.  The
-pair route is O(n^2): at n = 100003 it takes about 17 minutes.
+pair route is O(n^2): at n = 100003 it takes about 17 minutes.  ``cbc
+--trials`` runs once for each ``--cbc-n`` and keeps the per-step objective
+certificates.  The package is imported from ``PYTHONPATH``, so pointing it
+at another checkout's ``src`` measures that checkout.
 
     PYTHONPATH=src python tools/bench_shifted_error.py --n 1009 10007 100003 \
-        --pair-max-n 10007 --cbc-n 100003 --trials 64 --out bench.json
+        --pair-max-n 10007 --cbc-n 1009 10007 20011 100003 --trials 64 --out bench.json
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ def main() -> None:
     p.add_argument("--n", type=int, nargs="+", default=[1009, 10007, 100003])
     p.add_argument("--pair-max-n", type=int, default=10007,
                    help="largest n for the O(n^2) pair route")
-    p.add_argument("--cbc-n", type=int, default=100003)
+    p.add_argument("--cbc-n", type=int, nargs="+", default=[100003])
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--out", required=True)
     args = p.parse_args()
@@ -103,24 +106,27 @@ def main() -> None:
                 continue
             records.append(_spawn(["route", route, str(n), z]))
             print(json.dumps(records[-1]), file=sys.stderr)
+    e2e_rows = []
     with tempfile.TemporaryDirectory() as tmp:
         cfg, res = Path(tmp) / "cfg.json", Path(tmp) / "cbc.json"
         cfg.write_text(json.dumps({"space": {"alpha": 1.0},
                                    "structure": {"d": D, "invariant": "full"}}))
-        e2e = _spawn(["cli", "cbc", "--config", str(cfg), "--n", str(args.cbc_n),
-                      "--trials", str(args.trials), "--seed", "1", "--json", str(res)])
-        e2e["argv"] = ["cbc", "--n", str(args.cbc_n), "--trials", str(args.trials),
-                       "--seed", "1"]
-        out = json.loads(res.read_text())
-    e2e.update({k: out[k] for k in ("z", "shift", "achieved_E2", "achieved_e2_shifted",
-                                     "achieved_e2_shifted_certificate",
-                                     "shift_trials_used", "shift_flagged")})
-    print(json.dumps(e2e), file=sys.stderr)
+        for n in args.cbc_n:
+            e2e = _spawn(["cli", "cbc", "--config", str(cfg), "--n", str(n),
+                          "--trials", str(args.trials), "--seed", "1", "--json", str(res)])
+            e2e["argv"] = ["cbc", "--n", str(n), "--trials", str(args.trials), "--seed", "1"]
+            out = json.loads(res.read_text())
+            e2e.update({k: out[k] for k in ("z", "shift", "achieved_E2", "achieved_e2_shifted",
+                                             "achieved_e2_shifted_certificate",
+                                             "per_step_certificate", "shift_trials_used",
+                                             "shift_flagged")})
+            e2e_rows.append(e2e)
+            print(json.dumps(e2e), file=sys.stderr)
     with open(args.out, "w") as fh:
         json.dump({"machine": {"cpu": platform.machine(), "cores": os.cpu_count(),
                                "python": platform.python_version(), "numpy": np.__version__},
                    "shift": SHIFT, "one_shifted_error": records,
-                   "cbc_trials_end_to_end": e2e}, fh, indent=1)
+                   "cbc_trials_end_to_end": e2e_rows}, fh, indent=1)
 
 
 if __name__ == "__main__":
