@@ -25,7 +25,7 @@ from .errors import worst_case_error_sq
 from .kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
-from .symmetry import multiplicity, normalize_to_nabla, permanent_bounds
+from .symmetry import multiplicity, normalize_to_nabla, permanent_batch
 from .weights import Enclosure
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "GaussReport",
     "gaussian_average_error_sq",
 ]
+
+
+_KINDS = ("self", "cos", "sin")
 
 
 class SymmetricBasis:
@@ -99,55 +102,76 @@ class SymmetricBasis:
             out[j] = 2.0 * base if kind in ("cos", "sin") else base
         return out
 
-    def eval_matrix(self, points, m: int) -> np.ndarray:
-        """Values of the L2-normalized eigenfunctions: shape (m, npoints).
+    def _mode_arrays(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per mode j < m: its label (int64 row), its norm sqrt(#S * M(k)!)
+        and its kind (0 self, 1 cos, 2 sin)."""
+        self.ensure(m)
+        ps = self.spec.perm
+        modes = self._modes[:m]
+        labels = np.asarray([label for _, _, label in modes], dtype=np.int64).reshape(m, ps.d)
+        mults = np.asarray([float(multiplicity(label, ps)) for _, _, label in modes])
+        kinds = np.asarray([_KINDS.index(kind) for _, kind, _ in modes])
+        return labels, np.sqrt(float(ps.group_order) * mults), kinds
+
+    def _pair_values(self, points, js, p) -> np.ndarray:
+        """xi_j(x_p) for the (mode, point) pairs of the broadcast index
+        arrays ``js`` and ``p``, in their broadcast shape.
 
         xi_j(x) = (sum over exchanges of exp(2 pi i k.x)) / sqrt(#S * M(k)!),
         with conjugate pairs mapped to sqrt(2) * (real, imag) parts.  The sum
         over exchanges is per[exp(2 pi i k_a x_b)] over the invariant
-        coordinates a, b (one fused Ryser pass per chunk of about
-        ``_PAIR_CHUNK`` (mode, point) pairs) times the free coordinates'
-        phase; the phases come from one table over the distinct frequencies.
+        coordinates a, b, one ``permanent_batch`` pass per chunk of
+        ``_PAIR_CHUNK`` pairs, times the free coordinates' phase.  The
+        phases come from one table over the distinct frequencies of the
+        modes in ``js`` and the points, or, when the pairs need fewer phases
+        than the table holds (one pair per point, as in ``sample_density``),
+        straight from each pair.  Both evaluate exp(2 pi i (k * x)) per
+        entry, and each value depends on its own pair only, so it is bitwise
+        the same whatever the other pairs are.
         """
-        self.ensure(m)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # the distinct modes, sorted; np.unique would load numpy.ma on first use
+        modes = np.flatnonzero(np.bincount(np.ravel(js)))
+        js, p = np.broadcast_arrays(np.asarray(js, dtype=np.intp), np.asarray(p, dtype=np.intp))
+        out = np.empty(js.shape)
+        if not out.size:
+            return out
+        labels, norm, kinds = self._mode_arrays(int(modes[-1]) + 1)
         ps = self.spec.perm
         inv, free = ps.invariant_idx, ps.free_idx
-        npts = pts.shape[0]
-        if m == 0:
-            return np.zeros((0, npts))
-        labels = np.asarray([label for _, _, label in self._modes[:m]], dtype=np.int64)
-        kvals, kidx = np.unique(labels.ravel(), return_inverse=True)
-        kidx = kidx.reshape(labels.shape)
-        # phase[c, k, p] = exp(2 pi i kvals[k] x_p[c])
-        phase = np.exp(2j * math.pi * (kvals[None, :, None] * pts.T[:, None, :]))
-        phase_inv = phase[inv]
-        acc = np.empty((m, npts), dtype=complex)
-        step = max(1, _PAIR_CHUNK // max(npts, 1))
-        for lo in range(0, m, step):
-            rows = kidx[lo:lo + step]
-            # block[b, a, (j, p)] = exp(2 pi i k_j[a] x_p[b]), a, b invariant
-            block = phase_inv[:, rows[:, inv].T, :]
-            per = permanent_bounds(block.reshape(len(inv), len(inv), len(rows) * npts)).per
-            free_phase = np.prod(phase[free[:, None], rows[:, free].T, :], axis=0)
-            acc[lo:lo + step] = per.reshape(len(rows), npts) * free_phase
-        fact = float(ps.group_order)
-        mults = np.asarray([
-            float(multiplicity(label, ps)) for _, _, label in self._modes[:m]
-        ])
-        norm = np.sqrt(fact * mults)
-        out = np.empty((m, pts.shape[0]))
-        for j, (_, kind, _) in enumerate(self._modes[:m]):
-            row = acc[j] / norm[j]
-            if kind == "self":
-                if np.max(np.abs(row.imag)) > 1e-9 * (1.0 + np.max(np.abs(row.real))):
-                    raise AssertionError("self-conjugate eigenfunction not real")
-                out[j] = row.real
-            elif kind == "cos":
-                out[j] = math.sqrt(2.0) * row.real
-            else:
-                out[j] = math.sqrt(2.0) * row.imag
+        kvals, kidx = np.unique(labels[modes], return_inverse=True)
+        ktab = np.zeros(labels.shape, dtype=np.intp)      # mode, coordinate -> kvals index
+        ktab[modes] = kidx.reshape(modes.size, ps.d)
+        if ps.d * kvals.size * pts.shape[0] <= out.size * (len(inv) ** 2 + len(free)):
+            table = np.exp(2j * math.pi * (kvals[None, :, None] * pts.T[:, None, :]))
+
+            def phase(c, k, q):    # exp(2 pi i kvals[k] x_q[c])
+                return table[c, k, q]
+        else:                      # fewer pairs than table entries: per pair
+            def phase(c, k, q):
+                return np.exp(2j * math.pi * (kvals[k] * pts[q, c]))
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, _PAIR_CHUNK):
+            jc = js.flat[lo:lo + _PAIR_CHUNK]
+            pc = p.flat[lo:lo + _PAIR_CHUNK]
+            rows = ktab[jc]
+            # block[b, a, q] = exp(2 pi i k_jq[a] x_pq[b]), a, b invariant
+            block = phase(inv[:, None, None], rows[:, inv].T[None], pc)
+            per = permanent_batch(np.moveaxis(block, -1, 0))
+            free_phase = np.prod(phase(free[:, None], rows[:, free].T, pc), axis=0)
+            val = per * free_phase / norm[jc]
+            kind = kinds[jc]
+            if np.any((kind == 0) & (np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val.real)))):
+                raise AssertionError("self-conjugate eigenfunction not real")
+            flat[lo:lo + _PAIR_CHUNK] = np.where(
+                kind == 0, val.real, math.sqrt(2.0) * np.where(kind == 2, val.imag, val.real))
         return out
+
+    def eval_matrix(self, points, m: int) -> np.ndarray:
+        """Values of the L2-normalized eigenfunctions: shape (m, npoints),
+        entry [j, p] = xi_j(x_p) as ``_pair_values`` computes it."""
+        npts = np.atleast_2d(np.asarray(points, dtype=float)).shape[0]
+        return self._pair_values(points, np.arange(m)[:, None], np.arange(npts))
 
     def density(self, points, m: int) -> np.ndarray:
         """Spectral sampling density: mean of xi_j^2 over the first m modes."""
@@ -166,8 +190,8 @@ class SymmetricBasis:
             batch = max(4 * (count - filled), 64)
             js = rng.integers(0, m, size=batch)
             xs = rng.uniform(size=(batch, d))
-            vals = self.eval_matrix(xs, m)
-            accept_p = vals[js, np.arange(batch)] ** 2 / bounds[js]
+            vals = self._pair_values(xs, js, np.arange(batch))
+            accept_p = vals ** 2 / bounds[js]
             keep = rng.uniform(size=batch) < accept_p
             taken = xs[keep][: count - filled]
             out[filled:filled + taken.shape[0]] = taken

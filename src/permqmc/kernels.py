@@ -65,7 +65,8 @@ _SERIES_CAP = 2_000_000
 # doubles per temporary of the cosine series: a chunk of terms times the
 # number of points stays at about this many
 _SERIES_ELEMS = 1_000_000
-# node pairs per fused Ryser pass in the Gram routes; bounds their memory
+# pairs per Ryser pass: node pairs in the Gram routes, (mode, point) pairs in
+# the eigenfunction values; bounds their memory
 _PAIR_CHUNK = 8192
 # pi to 60 significant digits (error below 1e-59)
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
@@ -299,12 +300,19 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
 
 def _choose_terms(w: SpectralWeight, s_exp: float, amp: float, tol: float,
                   t: np.ndarray) -> int:
+    """Fewest terms, doubling from 64 up to ``_SERIES_CAP``, whose tail bound
+    meets ``tol``; raises ValueError, before any term is summed, when even
+    the cap's does not."""
     terms = 64
-    while terms < _SERIES_CAP:
-        if amp * np.max(_series_remainder_bound(w, s_exp, terms, t), initial=0.0) <= tol:
+    while True:
+        tail = amp * float(np.max(_series_remainder_bound(w, s_exp, terms, t), initial=0.0))
+        if tail <= tol:
             return terms
-        terms *= 2
-    return _SERIES_CAP
+        if terms == _SERIES_CAP:
+            raise ValueError(
+                f"series tolerance tol={tol:g} is out of reach: the certificate is at "
+                f"least {tail:.3g} at the cap of {_SERIES_CAP} terms; raise tol to that")
+        terms = min(2 * terms, _SERIES_CAP)
 
 
 def power_kernel_table(w: SpectralWeight, n: int, c_max: int,

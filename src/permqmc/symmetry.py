@@ -122,17 +122,63 @@ def normalize_to_nabla(k: Sequence[int], ps: PermStructure) -> tuple[int, ...]:
     return tuple(k)
 
 
+def _gray_code(s: int):
+    """Ryser's walk over the nonempty column sets S of an s x s matrix in
+    Gray-code order: each step adds or removes one column.  Yields
+    (column, added, |S|) per step; both permanent passes take this order."""
+    mask = 0
+    size = 0
+    for code in range(1, 1 << s):
+        j = (code & -code).bit_length() - 1
+        bit = 1 << j
+        added = not mask & bit
+        size += 1 if added else -1
+        mask ^= bit
+        yield j, added, size
+
+
+def _check_cap(s: int) -> None:
+    if s > PERMANENT_CAP:
+        raise PermanentCapError(
+            f"invariant block of size {s} exceeds the permanent cap {PERMANENT_CAP}; "
+            "use the truncated spectral evaluation instead"
+        )
+
+
 def permanent_batch(A) -> np.ndarray:
     """Permanents of a stack of square matrices, shape (batch, s, s).
 
-    Runs the batch-last Gray-code loop of ``permanent_bounds`` on the
-    transposed stack and returns its per(A); the result is bitwise equal to
-    a batch-first Ryser pass on real input.
+    The per(A)-only Ryser pass: the same Gray-code order and the same
+    arithmetic on per(A) as ``permanent_bounds``, so the two results are
+    bitwise equal, without the |A| row sums, the padded terms and the
+    rounding sum.  Eigenfunction values use it; their phases have modulus
+    one, so per(|A|) would be s! exactly.  The loop runs batch-last, on
+    ``A`` with its batch axis moved last: a batch-last array passed through
+    ``np.moveaxis(B, -1, 0)`` is read without a copy.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("A must have shape (batch, s, s)")
-    return permanent_bounds(np.moveaxis(A, 0, -1)).per
+    b, s, _ = A.shape
+    _check_cap(s)
+    dtype = A.dtype if A.dtype.kind in "cf" else np.float64
+    if s == 0:
+        return np.ones(b, dtype=dtype)
+    cols = np.moveaxis(A, 0, -1)
+    per = np.zeros(b, dtype=dtype)
+    row = np.zeros((s, b), dtype=dtype)
+    term = np.empty(b, dtype=dtype)
+    for j, added, size in _gray_code(s):
+        if added:
+            row += cols[:, j]
+        else:
+            row -= cols[:, j]
+        np.multiply.reduce(row, axis=0, out=term)
+        if size & 1:
+            per -= term
+        else:
+            per += term
+    return -per if s & 1 else per
 
 
 class PermanentBounds(NamedTuple):
@@ -162,11 +208,7 @@ def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
     if A.ndim != 3 or A.shape[0] != A.shape[1]:
         raise ValueError("A must have shape (s, s, batch)")
     s, _, b = A.shape
-    if s > PERMANENT_CAP:
-        raise PermanentCapError(
-            f"invariant block of size {s} exceeds the permanent cap {PERMANENT_CAP}; "
-            "use the truncated spectral evaluation instead"
-        )
+    _check_cap(s)
     dtype = A.dtype if A.dtype.kind in "cf" else np.float64
     if s == 0:
         return PermanentBounds(np.ones(b, dtype=dtype), np.ones(b), np.ones(b), np.zeros(b))
@@ -180,20 +222,13 @@ def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
     per_abs = np.zeros(b)
     per_pad = np.zeros(b)
     unsigned = np.zeros(b)
-    mask = 0
-    size = 0
-    for code in range(1, 1 << s):
-        j = (code & -code).bit_length() - 1
-        bit = 1 << j
-        if mask & bit:
-            row -= A[:, j]
-            rowabs -= absA[:, j]
-            size -= 1
-        else:
+    for j, added, size in _gray_code(s):
+        if added:
             row += A[:, j]
             rowabs += absA[:, j]
-            size += 1
-        mask ^= bit
+        else:
+            row -= A[:, j]
+            rowabs -= absA[:, j]
         term = np.prod(row, axis=0)
         np.multiply.reduce(rowabs, axis=0, out=term_abs)
         np.add(rowabs, c * size, out=padded)

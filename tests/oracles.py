@@ -114,3 +114,26 @@ def validate_closed_form(n, t=None):
             f"closed-form cosine series failed validation at exponent {2 * n}"
         )
     return float(np.max(diff + cert))
+
+
+def sample_density_all_modes(basis, m, count, rng):
+    """The spectral-density sampler as it was first written: every one of
+    the m eigenfunctions is evaluated at every candidate, and one entry per
+    candidate is read.  Same batches, RNG calls and acceptance test as
+    ``SymmetricBasis.sample_density``."""
+    basis.ensure(m)
+    d = basis.spec.d
+    bounds = basis.sup_sq_bounds(m)
+    out = np.empty((count, d))
+    filled = 0
+    while filled < count:
+        batch = max(4 * (count - filled), 64)
+        js = rng.integers(0, m, size=batch)
+        xs = rng.uniform(size=(batch, d))
+        vals = basis.eval_matrix(xs, m)
+        accept_p = vals[js, np.arange(batch)] ** 2 / bounds[js]
+        keep = rng.uniform(size=batch) < accept_p
+        taken = xs[keep][: count - filled]
+        out[filled:filled + taken.shape[0]] = taken
+        filled += taken.shape[0]
+    return out

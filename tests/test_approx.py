@@ -13,10 +13,12 @@ from permqmc.approx import (
     gaussian_average_error_sq,
 )
 from permqmc.errors import worst_case_error_sq
-from permqmc.kernels import KernelSpec, kernel_perminv_gram
+from permqmc.kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from permqmc.spectrum import rate_constants, spectrum_tail_constants
 from permqmc.symmetry import PermStructure, multiplicity
 from permqmc.weights import SpectralWeight
+
+from oracles import sample_density_all_modes
 
 
 @pytest.fixture
@@ -131,6 +133,83 @@ class TestEvalMatrixRyser:
         b = basis.eval_matrix(pts[:, rng.permutation(8)], 40)
         assert np.max(np.abs(a)) > 1.0
         assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a))
+
+
+class TestPairValues:
+    """The (mode, point) pair routine under eval_matrix and sample_density."""
+
+    @staticmethod
+    def assert_matrix_equals_shuffled_pairs(basis, pts, m, rng):
+        full = basis.eval_matrix(pts, m)
+        assert full.shape == (m, pts.shape[0])
+        js, p = np.divmod(rng.permutation(full.size), pts.shape[0])
+        got = basis._pair_values(pts, js, p)
+        assert got.tobytes() == full[js, p].tobytes()
+        # one pair per point, the sampler's case, takes the phases per pair
+        one, p = rng.integers(0, m, size=pts.shape[0]), np.arange(pts.shape[0])
+        assert basis._pair_values(pts, one, p).tobytes() == full[one, p].tobytes()
+
+    @pytest.mark.parametrize("d, inv, m", [
+        (1, (), 40), (3, (), 40), (4, (1, 3), 60), (4, (2,), 30), (5, (1, 2, 3, 4, 5), 80),
+        (6, (1, 2, 4, 5, 6), 50),
+    ])
+    def test_matrix_entries_bitwise_equal_to_shuffled_pairs(self, d, inv, m, rng):
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(d, inv)))
+        self.assert_matrix_equals_shuffled_pairs(basis, rng.uniform(size=(25, d)), m, rng)
+
+    def test_more_than_two_chunks(self, rng):
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(3, (1, 2))))
+        assert 30 * 700 > 2 * _PAIR_CHUNK
+        self.assert_matrix_equals_shuffled_pairs(basis, rng.uniform(size=(700, 3)), 30, rng)
+
+    def test_pairs_in_any_broadcast_shape(self, spec_d3_full, rng):
+        basis = SymmetricBasis(spec_d3_full)
+        pts = rng.uniform(size=(9, 3))
+        full = basis.eval_matrix(pts, 12)
+        assert basis._pair_values(pts, 5, np.arange(9)).tobytes() == full[5].tobytes()
+        assert basis._pair_values(pts, np.arange(12)[:, None], 4).shape == (12, 1)
+        assert basis._pair_values(pts, np.zeros(0, dtype=int), np.zeros(0, dtype=int)).size == 0
+        assert basis.eval_matrix(pts, 0).shape == (0, 9)
+
+    def test_self_conjugate_check_on_each_entry(self, spec_d2_full, rng):
+        basis = SymmetricBasis(spec_d2_full)
+        pts = rng.uniform(size=(4, 2))
+        basis.ensure(10)
+        j = next(i for i, (_, kind, _) in enumerate(basis._modes) if kind == "sin")
+        lam, _, label = basis._modes[j]
+        basis._modes[j] = (lam, "self", label)   # a complex mode posing as real
+        with pytest.raises(AssertionError, match="not real"):
+            basis._pair_values(pts, j, np.arange(4))
+
+    @pytest.mark.parametrize("d, inv, m, count", [
+        (2, (1, 2), 6, 200), (3, (1, 2, 3), 120, 300), (4, (1, 3), 40, 150),
+        (5, (1, 2, 3, 4, 5), 60, 100),
+    ])
+    def test_sampler_bitwise_equal_to_all_mode_reference(self, d, inv, m, count):
+        spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
+        rng = np.random.Generator(np.random.Philox(3))
+        got = SymmetricBasis(spec).sample_density(m, count, rng)
+        rng = np.random.Generator(np.random.Philox(3))
+        ref = sample_density_all_modes(SymmetricBasis(spec), m, count, rng)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_sampler_does_not_evaluate_every_mode(self, spec_d3_full, monkeypatch):
+        def refuse(self, points, m):
+            raise AssertionError("eval_matrix called")
+
+        exp_sizes = []
+
+        def exp(x, *args, _exp=np.exp, **kwargs):
+            exp_sizes.append(np.size(x))
+            return _exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(SymmetricBasis, "eval_matrix", refuse)
+        monkeypatch.setattr(np, "exp", exp)
+        basis = SymmetricBasis(spec_d3_full)
+        pts = basis.sample_density(50, 120, np.random.Generator(np.random.Philox(1)))
+        assert pts.shape == (120, 3)
+        # 3 x 3 phases per candidate, in batches of at most 4 * 120
+        assert exp_sizes and max(exp_sizes) <= 9 * 4 * 120
 
 
 class TestSequence:

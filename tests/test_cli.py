@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,18 @@ class TestCbcCommand:
     def test_nonprime_n_exit_code(self, cfg_path, capsys):
         assert main(["cbc", "--config", str(cfg_path), "--n", "9"]) == EXIT_CONFIG
         assert "not prime" in capsys.readouterr().err
+
+    def test_unreachable_series_tolerance_exit_code(self, tmp_path, capsys):
+        # alpha = 1.5 has no closed form: the series cannot certify 1e-20
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": {"alpha": 1.5}, "structure": {"d": 3}}))
+        t0 = time.perf_counter()
+        code = main(["cbc", "--config", str(cfg), "--n", "13", "--tol", "1e-20"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: series tolerance tol=1e-20 is out of reach")
 
     def test_oversized_step_exit_code(self, cfg_path, capsys):
         code = main(["cbc", "--config", str(cfg_path), "--n", "1009", "--d", "20",

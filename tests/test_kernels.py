@@ -127,8 +127,9 @@ class TestClosedForm:
         custom = SpectralWeight(generator=GeneratorSpec("custom", table=(1.0,), slope=1.0))
         with pytest.raises(ValueError, match="linear generator"):
             KernelSpec(custom, PermStructure.full(2), mode="closed")
-        # the same R(m) = m as a custom generator takes the series route
-        c, cc = power_kernel(custom, 1, t[:5], tol=1e-9)
+        # the same R(m) = m as a custom generator takes the series route; its
+        # tail bound has no Dirichlet factor, 1.0e-6 at the 2e6-term cap
+        c, cc = power_kernel(custom, 1, t[:5], tol=1.5e-6)
         assert np.max(np.abs(c - a[:5])) <= cc + ca
 
     @pytest.mark.parametrize("power", [1, 2])
@@ -154,6 +155,23 @@ class TestClosedForm:
                                       for m, wm in enumerate(weights, 1))
                 exact = mpmath.mpf(w.beta0) ** power + 2 * mpmath.mpf(w.beta1) ** power * partial
                 assert abs(mpmath.mpf(float(v)) - exact) <= rounding
+
+    def test_unreachable_tolerance_raises_before_summing(self, monkeypatch):
+        # alpha = 1.5 takes the series route; its tail bound at the cap of
+        # 2e6 terms stays far above 1e-20, and no term may be summed first
+        w = SpectralWeight(alpha=1.5)
+        t = np.array([0.0, 0.25])
+
+        def no_series(*args):
+            raise AssertionError("series evaluated")
+
+        monkeypatch.setattr(kernels, "_cosine_series", no_series)
+        with pytest.raises(ValueError, match=r"tol=1e-20 .* at the cap of 2000000 terms"):
+            power_kernel(w, 1, t, tol=1e-20)
+        s_exp, amp = 3.0, 2.0
+        cap_tail = amp * float(np.max(_series_remainder_bound(w, s_exp, kernels._SERIES_CAP, t)))
+        assert cap_tail > 1e-20
+        assert _choose_terms(w, s_exp, amp, cap_tail, t) == kernels._SERIES_CAP
 
     def test_series_working_set_bounded(self):
         # 300 points and a tail bound at t = 0 that needs 2^18 > 2e5 terms
@@ -321,14 +339,15 @@ class TestShiftInvariantKernel:
     def test_diagonal_constant(self):
         # node 0 is the zero difference, where the profile is the
         # multiplicity-weighted total mass: two independent routes
-        for alpha, perm, mode in [(1.0, PermStructure.full(2), "auto"),
-                                  (2.0, PermStructure(3, (2, 3)), "auto"),
-                                  (1.0, PermStructure.full(4), "auto"),
-                                  (1.0, PermStructure.empty(3), "auto"),
-                                  (1.5, PermStructure.full(3), "auto"),
-                                  (1.0, PermStructure.full(2), "spectral")]:
+        # at alpha = 1 the series' tail bound at t = 0 is 2.8e-8 at its cap
+        for alpha, perm, mode, tol in [(1.0, PermStructure.full(2), "auto", 1e-9),
+                                       (2.0, PermStructure(3, (2, 3)), "auto", 1e-9),
+                                       (1.0, PermStructure.full(4), "auto", 1e-9),
+                                       (1.0, PermStructure.empty(3), "auto", 1e-9),
+                                       (1.5, PermStructure.full(3), "auto", 1e-9),
+                                       (1.0, PermStructure.full(2), "spectral", 4e-8)]:
             spec = KernelSpec(SpectralWeight(alpha=alpha, beta0=0.9, beta1=1.1), perm,
-                              mode=mode, tol=1e-9)
+                              mode=mode, tol=tol)
             prof, cert = shift_invariant_profile(LatticeRule(31, (1, 7, 12, 5)[:perm.d]), spec)
             enc = symmetrized_mass(spec)
             assert enc.lo - cert <= prof[0] <= enc.hi + cert
@@ -356,7 +375,8 @@ class TestShiftInvariantKernel:
         for perm in (PermStructure.full(2), PermStructure(3, (1, 3))):
             rule = LatticeRule(13, (1, 5, 8)[:perm.d])
             closed = KernelSpec(w, perm, mode="closed")
-            series = KernelSpec(w, perm, mode="spectral", tol=1e-9)
+            # the series' tail bound at t = 0 is 2.5e-8 at its cap
+            series = KernelSpec(w, perm, mode="spectral", tol=4e-8)
             a, ca = shift_invariant_profile(rule, closed)
             b, cb = shift_invariant_profile(rule, series)
             assert np.max(np.abs(a - b)) <= ca + cb

@@ -7,7 +7,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "permqmc"
 
 # Public names that no module of the package calls, each kept for a reason.
 UNCALLED_BY_DESIGN = {
-    "permanent_batch": "the benchmark's tracer rebinds it",
     "bound_constants": "paper constants pinned by tests",
     "c_prime": "paper constant pinned by tests",
     "weight_to_config": "the inverse of the CLI's config loader",

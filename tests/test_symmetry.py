@@ -237,6 +237,28 @@ class TestFusedRyser:
             assert np.array_equal(pb.per_abs, batch_first(np.abs(A)))
             assert np.array_equal(permanent_batch(A), pb.per)
 
+    @pytest.mark.parametrize("s", range(9))
+    def test_unit_modulus_per_bitwise_equal_to_fused_pass(self, s, rng):
+        # the phase blocks of eigenfunction values: complex, |a_ij| = 1
+        b = 300
+        A = np.exp(2j * math.pi * rng.uniform(size=(b, s, s)))
+        batch_last = np.ascontiguousarray(np.moveaxis(A, 0, -1))
+        ref = permanent_bounds(batch_last, 0.5).per
+        assert ref.dtype == complex and ref.shape == (b,)
+        for stack in (A, np.moveaxis(batch_last, -1, 0)):
+            assert permanent_batch(stack).tobytes() == ref.tobytes()
+        split = np.concatenate([permanent_batch(A[:117]), permanent_batch(A[117:])])
+        assert split.tobytes() == ref.tobytes()
+        if s:
+            assert np.max(np.abs(ref)) <= math.factorial(s) * (1 + 1e-12)
+
+    def test_batch_shape_and_cap(self):
+        assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))
+        with pytest.raises(ValueError, match="batch"):
+            permanent_batch(np.zeros((2, 3, 4)))
+        with pytest.raises(PermanentCapError):
+            permanent_batch(np.zeros((1, PERMANENT_CAP + 1, PERMANENT_CAP + 1)))
+
     def test_empty_block(self):
         pb = permanent_bounds(np.zeros((0, 0, 3)), 0.5)
         assert np.array_equal(pb.per, np.ones(3)) and np.array_equal(pb.per_pad, np.ones(3))
