@@ -9,8 +9,9 @@ squared error of a lattice rule are computable by two independent routes:
   one partition-sum engine ``kernels._partition_sums`` (the per-coordinate
   search objective runs on the same engine, and its correlations on the one
   power-of-two FFT correlation ``kernels._cyclic_correlation``), and
-* a truncated spectral route that enumerates a frequency box and tests dual
-  membership directly, carrying a certified bound on the omitted mass.
+* a truncated spectral route that enumerates the dual-lattice members of a
+  frequency box directly (``_dual_box``, meet in the middle), carrying a
+  certified bound on the omitted mass.
 
 Route agreement within the combined certificates is the engine's basic
 correctness contract.  The per-coordinate search objective and the bound
@@ -56,7 +57,6 @@ __all__ = [
     "cbc_step_objectives",
     "bound_constant",
     "bound_constants",
-    "box_frequencies",
     "multiplicity_array",
     "SUBSET_CAP",
     "STEP_BYTES_CAP",
@@ -163,26 +163,76 @@ def _abs_quadratic_form(gram: np.ndarray, v: np.ndarray) -> float:
                for lo in range(0, gram.shape[0], step))
 
 
-def box_frequencies(d: int, half_width: int) -> np.ndarray:
-    """All integer vectors in [-H, H]^d except the origin."""
-    axes = [np.arange(-half_width, half_width + 1)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return grid[np.any(grid != 0, axis=1)].astype(np.int64)
+def _box_rows(index: np.ndarray, d: int, half_width: int) -> np.ndarray:
+    """The rows of [-H, H]^d at the given positions of its lexicographic
+    order: the mixed-radix digits of ``index`` in base 2H + 1, less H."""
+    side = 2 * half_width + 1
+    rows = np.empty((len(index), d), dtype=np.int64)
+    for j in range(d):
+        rows[:, j] = index // side ** (d - 1 - j) % side - half_width
+    return rows
+
+
+def _box_index(rows: np.ndarray, half_width: int) -> np.ndarray:
+    """Inverse of ``_box_rows``: the lexicographic position of each row of
+    [-H, H]^d, sum_j (h_j + H) * (2H + 1)^(d - 1 - j)."""
+    side = 2 * half_width + 1
+    assert side ** rows.shape[1] < 2 ** 63, "box positions overflow int64"
+    index = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        index = index * side + (col + half_width)
+    return index
 
 
 def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
-    """The dual-lattice members (h . z = 0 mod n) of ``box_frequencies``, in
-    box order.
+    """The dual-lattice members (h . z = 0 mod n) of [-H, H]^d other than
+    the origin, in the lexicographic order of the box.
 
-    Building the box peaks at 3 * (2H + 1)^d * d * 8 bytes (the meshgrid,
-    its stack and the filtered copy); a box predicted above
-    ``STEP_BYTES_CAP`` raises ValueError before anything is allocated.
+    Meet in the middle: the box splits into a head of the first floor(d/2)
+    coordinates and a tail of the rest.  The tail tuples t are grouped by
+    their residue t . z_tail mod n (a stable sort keeps each group in
+    lexicographic order), and each head tuple a, in lexicographic order, is
+    followed by the group of residue -a . z_head mod n.  Time
+    O((2H + 1)^ceil(d/2) + m * d) for m members; neither a prime n nor an
+    invertible generator is needed.
+
+    The working set is predicted in two steps, each refused with ValueError
+    above ``STEP_BYTES_CAP``: first 8 bytes per entry of the two half grids
+    and their index vectors; then, with the member count m known and before
+    any member row is allocated, 8 * (7d + 12) more bytes per member.  That
+    bounds the tracemalloc peak of either spectral route downstream, which
+    reaches about 8 * (6d + 11) with no exchangeable coordinates and a
+    tabulated generator.
     """
-    _refuse_above_cap(3 * (2 * half_width + 1) ** rule.d * rule.d * 8,
-                      f"frequency box [-{half_width}, {half_width}]^{rule.d}",
-                      "; lower half_width")
-    hs = box_frequencies(rule.d, half_width)
-    return hs[(hs @ np.asarray(rule.z, dtype=np.int64)) % rule.n == 0]
+    d, n, H = rule.d, rule.n, half_width
+    side = 2 * H + 1
+    k = d // 2
+    what = f"frequency box [-{H}, {H}]^{d}"
+    grids = 8 * (side ** k * (k + 4) + side ** (d - k) * (d - k + 3) + 2 * n)
+    _refuse_above_cap(grids, what, "; lower half_width")
+    z = np.asarray(rule.z, dtype=np.int64) % n
+    head = _box_rows(np.arange(side ** k), k, H)
+    tail = _box_rows(np.arange(side ** (d - k)), d - k, H)
+    residue = tail @ z[k:] % n
+    order = np.argsort(residue, kind="stable")
+    counts = np.bincount(residue, minlength=n)
+    need = -(head @ z[:k]) % n
+    group = counts[need]
+    members = int(group.sum()) - 1   # the origin is always a member
+    _refuse_above_cap(grids + 8 * (7 * d + 12) * members, what,
+                      f": it holds {members} dual-lattice members; lower half_width")
+    first = np.cumsum(group) - group
+    # entry p of head a's block is entry p - first[a] of its group in ``order``
+    head_of = np.repeat(np.arange(len(head)), group)
+    tail_of = order[np.arange(members + 1)
+                    + np.repeat((np.cumsum(counts) - counts)[need] - first, group)]
+    # the origin: the middle head tuple, with the zero tail tuple of group 0
+    origin = first[len(head) // 2] + np.count_nonzero(residue[:len(tail) // 2] == 0)
+    head_of, tail_of = np.delete(head_of, origin), np.delete(tail_of, origin)
+    hs = np.empty((members, d), dtype=np.int64)
+    hs[:, :k] = head[head_of]
+    hs[:, k:] = tail[tail_of]
+    return hs
 
 
 def multiplicity_array(h: np.ndarray, ps: PermStructure) -> np.ndarray:
@@ -228,14 +278,18 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     T(h) = M(h)! * S_O, S_O the sum of the phases of its dual members, so
     the sum is computed by orbit grouping as
     sum over orbits of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!.
-    Independent of the kernel route.
+    The orbits are the distinct box positions (``_box_index``) of the rows
+    with sorted invariant coordinates; position order is box order.
+    Independent of the kernel route.  ``details["cert_exceeds_value"]`` says
+    whether the certificate is larger than the value.
     """
     ps = spec.perm
     hs = _dual_box(rule, half_width)
     shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
     phase = np.exp(2j * math.pi * (hs @ shift))
     hs[:, ps.invariant_idx] = np.sort(hs[:, ps.invariant_idx], axis=1)
-    reps, orbit_of = np.unique(hs, axis=0, return_inverse=True)
+    orbits, orbit_of = np.unique(_box_index(hs, half_width), return_inverse=True)
+    reps = _box_rows(orbits, rule.d, half_width)
     S_O = (np.bincount(orbit_of, phase.real, len(reps))
            + 1j * np.bincount(orbit_of, phase.imag, len(reps)))
     fac = np.prod(r_weight_inv_factors(reps, spec.weight), axis=1)
@@ -243,7 +297,7 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     value = float(np.sum(fac * mult * np.abs(S_O) ** 2)) / float(ps.group_order)
     cert = _box_tail_certificate(spec, half_width)
     return ErrorReport(value, "spectral_dual_sum", cert,
-                       details={"half_width": half_width})
+                       details={"half_width": half_width, "cert_exceeds_value": cert > value})
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +340,8 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
     value = float(np.sum(fac * mult)) / float(spec.perm.group_order)
     cert = _box_tail_certificate(spec, half_width)
     return ErrorReport(value, "spectral_dual_sum", cert,
-                       details={"half_width": half_width, "degenerate": degenerate})
+                       details={"half_width": half_width, "degenerate": degenerate,
+                                "cert_exceeds_value": cert > value})
 
 
 # ---------------------------------------------------------------------------

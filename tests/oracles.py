@@ -49,6 +49,14 @@ def set_partitions(s):
     return tuple(out)
 
 
+def box_frequencies(d, half_width):
+    """All integer vectors in [-H, H]^d except the origin, in lexicographic
+    order (the last coordinate fastest)."""
+    axes = [np.arange(-half_width, half_width + 1)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return grid[np.any(grid != 0, axis=1)].astype(np.int64)
+
+
 def dual_membership(h, rule):
     """True iff h . z = 0 (mod n); exact integer arithmetic."""
     if len(h) != rule.d:

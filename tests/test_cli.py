@@ -167,6 +167,26 @@ class TestPipelines:
                      "--method", "spectral", "--half-width", "6"]) == EXIT_CONFIG
         assert "frequency box [-6, 6]^8 needs about" in capsys.readouterr().err
 
+    def test_spectral_routes_at_the_default_half_width(self, tmp_path):
+        # d = 5 at the default H = 12: the routes agree within their
+        # certificates, and the JSON says that each spectral certificate
+        # exceeds its value
+        cfg = {"space": {"alpha": 1.0}, "structure": {"d": 5, "invariant": [1, 2, 3, 4, 5]}}
+        cfg_file = tmp_path / "c5.json"
+        cfg_file.write_text(json.dumps(cfg))
+        rule = tmp_path / "r5.txt"
+        rule.write_text("251 5\n1 33 85 44 197\n0.1 0.7 0.3 0.55 0.9\n")
+        ej = tmp_path / "e.json"
+        assert main(["error-eval", "--config", str(cfg_file), "--rule", str(rule),
+                     "--method", "both", "--json", str(ej)]) == EXIT_OK
+        rep = json.loads(ej.read_text())
+        for kernel, spectral in (("worst_case", "worst_case_spectral"),
+                                 ("mean_shifted", "mean_shifted_spectral")):
+            a, b = rep[kernel], rep[spectral]
+            assert b["half_width"] == 12
+            assert abs(a["value"] - b["value"]) <= a["certificate"] + b["certificate"]
+            assert b["cert_exceeds_value"] is True
+
     def test_integrate_dimension_mismatch(self, cfg_path, tmp_path):
         rule = tmp_path / "r3.txt"
         rule.write_text("5 3\n1 2 3\n")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from permqmc.errors import (
     _abs_quadratic_form,
     _box_tail_certificate,
-    box_frequencies,
     bound_constant,
     bound_constants,
     cbc_step_objectives,
@@ -29,7 +28,7 @@ from permqmc.lattice import LatticeRule, WeightedCubature
 from permqmc.symmetry import PermStructure, multiplicity
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
-from oracles import set_partitions, spectral_cbc_objective
+from oracles import box_frequencies, set_partitions, spectral_cbc_objective
 
 
 def nabla_box_bound_constant(spec, lam, H):
@@ -563,7 +562,7 @@ class TestBoundConstants:
 class TestSpectralHelpers:
     @pytest.mark.parametrize("method", ["worst_case", "mean"])
     def test_oversized_box_refused_before_allocating(self, method):
-        # (2H+1)^d * d * 24 bytes at d = 8, H = 6 is about 157 GB
+        # the 6589964 dual members at d = 8, H = 6 need about 3.3 GiB
         spec = KernelSpec(SpectralWeight(), PermStructure.full(8))
         rule = LatticeRule(127, (1, 2, 3, 4, 5, 6, 7, 8))
         tracemalloc.start()
@@ -578,6 +577,55 @@ class TestSpectralHelpers:
         tracemalloc.stop()
         assert peak < 4 << 20
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 13, 101, 251, 503])
+    def test_dual_box_is_the_filtered_box(self, d, n):
+        # rows and order bitwise equal to box-and-filter, with 2H + 1 below
+        # and above n, generators with entries = 0 mod n, entries >= n and
+        # entries < 0, and the all-zero generator
+        rng = np.random.default_rng(1000 * d + n)
+        zs = [tuple(int(v) for v in rng.integers(-2 * n, 3 * n, size=d)),
+              tuple(int(v) * n if j % 2 else int(v)
+                    for j, v in enumerate(rng.integers(1, 4 * n, size=d))),
+              (0,) * d]
+        for H in sorted({0, 1, 3, n // 2 + 1}):
+            if (2 * H + 1) ** d > 300_000:
+                continue
+            box = box_frequencies(d, H)
+            for z in zs:
+                got = errors._dual_box(LatticeRule(n, z), H)
+                want = box[(box @ np.asarray(z, dtype=np.int64)) % n == 0]
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (z, H)
+
+    def test_member_count_known_before_allocating(self, monkeypatch):
+        # the count that the refusal names is the number of rows returned,
+        # and the refusal comes before the member rows exist
+        rule = LatticeRule(13, (1, 5, 12, 0, 27, 8))
+        hs = errors._dual_box(rule, 6)
+        needs = []
+        with monkeypatch.context() as m:
+            m.setattr(errors, "_refuse_above_cap", lambda need, what, hint="": needs.append(need))
+            errors._dual_box(rule, 6)
+        monkeypatch.setattr(errors, "STEP_BYTES_CAP", needs[-1] - 1)
+        tracemalloc.start()
+        with pytest.raises(ValueError, match=f"it holds {len(hs)} dual-lattice members"):
+            errors._dual_box(rule, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < hs.nbytes / 10
+        monkeypatch.setattr(errors, "STEP_BYTES_CAP", needs[-1])
+        assert np.array_equal(errors._dual_box(rule, 6), hs)
+
+    def test_box_positions_keep_row_order(self, rng):
+        # orbit grouping by box position gives np.unique(axis=0)'s
+        # representatives and inverse
+        rows = rng.integers(-4, 5, size=(2000, 5))
+        keys, inv = np.unique(errors._box_index(rows, 4), return_inverse=True)
+        reps, inv_rows = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(errors._box_rows(keys, 5, 4), reps)
+        assert np.array_equal(inv, inv_rows.ravel())
 
     def test_multiplicity_array(self, rng):
         ps = PermStructure(4, (1, 2, 4))
