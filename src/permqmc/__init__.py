@@ -13,7 +13,6 @@ from .weights import (
 )
 from .symmetry import (
     PermStructure,
-    multiplicity,
     normalize_to_nabla,
 )
 from .kernels import (
@@ -53,7 +52,6 @@ from .approx import (
     SymmetricBasis,
     assemble_rule,
     build_approx_sequence,
-    gaussian_average_error_sq,
 )
 from .integrands import (
     TestIntegrand,

@@ -25,7 +25,7 @@ from .errors import worst_case_error_sq
 from .kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
-from .symmetry import multiplicity, normalize_to_nabla, permanent_batch
+from .symmetry import multiplicity_array, normalize_to_nabla, permanent_batch
 from .weights import Enclosure
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "AssembledRule",
     "assemble_rule",
     "average_approx_error_sq",
-    "GaussReport",
-    "gaussian_average_error_sq",
 ]
 
 
@@ -55,63 +53,64 @@ class SymmetricBasis:
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.stream = EigenSpectrum(spec)
-        self._modes: list[tuple[float, str, tuple[int, ...]]] = []
+        # per mode: eigenvalue, kind (an index into _KINDS), canonical label
+        # row and its multiplicity M(k)!, each computed once in ``ensure``
+        self._lam = np.empty(0)
+        self._kinds = np.empty(0, dtype=np.intp)
+        self._labels = np.empty((0, spec.d), dtype=np.int64)
+        self._mults = np.empty(0)
         self._pending: dict[tuple[int, ...], float] = {}
         self._consumed = 0
 
     def ensure(self, m: int) -> None:
-        while len(self._modes) < m:
+        new: list[tuple[float, int, tuple[int, ...]]] = []
+        while self._lam.size + len(new) < m:
             lam, label = self.stream.entry(self._consumed)
             self._consumed += 1
             conj = normalize_to_nabla(tuple(-v for v in label), self.spec.perm)
             if conj == label:
-                self._modes.append((lam, "self", label))
+                new.append((lam, 0, label))
             elif conj in self._pending:
                 self._pending.pop(conj)
                 rep = min(label, conj)
-                self._modes.append((lam, "cos", rep))
-                self._modes.append((lam, "sin", rep))
+                new += [(lam, 1, rep), (lam, 2, rep)]
             else:
                 self._pending[label] = lam
+        if new:
+            lams, kinds, labels = zip(*new)
+            labels = np.asarray(labels, dtype=np.int64).reshape(len(new), self.spec.d)
+            self._lam = np.concatenate([self._lam, lams])
+            self._kinds = np.concatenate([self._kinds, kinds])
+            self._labels = np.concatenate([self._labels, labels])
+            self._mults = np.concatenate([self._mults, multiplicity_array(labels, self.spec.perm)])
 
     def lambdas(self, m: int) -> np.ndarray:
         self.ensure(m)
-        return np.asarray([mode[0] for mode in self._modes[:m]])
+        return self._lam[:m]
 
     def mode_labels(self, m: int) -> list[tuple[str, tuple[int, ...]]]:
         self.ensure(m)
-        return [(kind, label) for _, kind, label in self._modes[:m]]
+        return [(_KINDS[kind], tuple(label)) for kind, label in
+                zip(self._kinds[:m].tolist(), self._labels[:m].tolist())]
 
     def integrals(self, m: int) -> np.ndarray:
         """Integral of each normalized eigenfunction: 1 at the constant mode."""
         self.ensure(m)
-        return np.asarray([
-            1.0 if all(v == 0 for v in label) else 0.0
-            for _, _, label in self._modes[:m]
-        ])
+        return (~self._labels[:m].any(axis=1)).astype(float)
 
     def sup_sq_bounds(self, m: int) -> np.ndarray:
-        """Per-mode bound on sup |xi_j|^2, used for rejection sampling."""
+        """Per-mode bound on sup |xi_j|^2, used for rejection sampling:
+        #S / M(k)!, twice that for a cosine or sine mode."""
         self.ensure(m)
-        ps = self.spec.perm
-        fact = float(ps.group_order)
-        out = np.empty(m)
-        for j, (_, kind, label) in enumerate(self._modes[:m]):
-            mult = float(multiplicity(label, ps))
-            base = fact / mult
-            out[j] = 2.0 * base if kind in ("cos", "sin") else base
-        return out
+        base = float(self.spec.perm.group_order) / self._mults[:m]
+        return np.where(self._kinds[:m] == 0, 1.0, 2.0) * base
 
     def _mode_arrays(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per mode j < m: its label (int64 row), its norm sqrt(#S * M(k)!)
         and its kind (0 self, 1 cos, 2 sin)."""
         self.ensure(m)
-        ps = self.spec.perm
-        modes = self._modes[:m]
-        labels = np.asarray([label for _, _, label in modes], dtype=np.int64).reshape(m, ps.d)
-        mults = np.asarray([float(multiplicity(label, ps)) for _, _, label in modes])
-        kinds = np.asarray([_KINDS.index(kind) for _, kind, _ in modes])
-        return labels, np.sqrt(float(ps.group_order) * mults), kinds
+        norm = np.sqrt(float(self.spec.perm.group_order) * self._mults[:m])
+        return self._labels[:m], norm, self._kinds[:m]
 
     def _pair_values(self, points, js, p) -> np.ndarray:
         """xi_j(x_p) for the (mode, point) pairs of the broadcast index
@@ -426,43 +425,3 @@ def _collapse_to_cubature(alg: ApproxAlgorithm, int_pts: np.ndarray,
     nodes = np.vstack([alg.points, int_pts])
     raw = np.concatenate([w_app_raw, np.full(r, 1.0 / r)])
     return WeightedCubature(nodes, raw * nodes.shape[0])
-
-
-@dataclass
-class GaussReport:
-    """Spectral (Gaussian-average) evaluation of a rule's squared error."""
-
-    value: float
-    top_value: float
-    shared_tail: float
-    independent_certificate: float
-    n_modes: int
-
-
-def gaussian_average_error_sq(rule: WeightedCubature, spec: KernelSpec,
-                              n_modes: int) -> GaussReport:
-    """Squared integration error under the Gaussian model, mode by mode.
-
-    ``top_value`` sums lambda_j (integral_j - Q xi_j)^2 over the enumerated
-    modes; ``shared_tail`` closes the remaining mass through the kernel Gram
-    matrix; ``independent_certificate`` bounds the dropped mass without the
-    kernel route (sup-norm of the eigenfunctions times the analytic spectral
-    tail), certifying the top sum on its own.
-    """
-    basis = SymmetricBasis(spec)
-    basis.ensure(n_modes)
-    iota = basis.integrals(n_modes)
-    if not np.any(iota):
-        raise ValueError("constant mode not among the enumerated modes; increase n_modes")
-    lam = basis.lambdas(n_modes)
-    rw = rule.raw_weights
-    xi = basis.eval_matrix(rule.nodes, n_modes)
-    qc = xi @ rw
-    top = float(np.sum(lam * (iota - qc) ** 2))
-    gram, _ = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
-    shared = float(rw @ gram @ rw - np.sum(lam * qc ** 2))
-    fact = float(spec.perm.group_order)
-    dropped = max(basis.stream.trace.hi - float(np.sum(lam)), 0.0)
-    cert = 2.0 * fact * float(np.abs(rw).sum()) ** 2 * dropped
-    return GaussReport(value=top + shared, top_value=top, shared_tail=shared,
-                       independent_certificate=cert, n_modes=n_modes)

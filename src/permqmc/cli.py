@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,9 @@ from .integrands import integrand_from_config, invariance_defect
 from .kernels import KernelSpec
 from .lattice import (
     LatticeRule,
-    WeightedCubature,
-    load_cubature,
+    RuleFormatError,
     load_lattice,
+    load_rule,
     save_cubature,
     save_lattice,
 )
@@ -101,35 +100,6 @@ def _emit_json(obj: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _nonblank_lines(path: str):
-    """Split non-blank lines of a text file, read lazily; the lines are those
-    of ``str.splitlines``, as the rule loaders see them."""
-    with open(path) as fh:
-        for raw in fh:
-            for ln in raw.splitlines():
-                if ln.strip():
-                    yield ln.split()
-
-
-def _load_rule_file(path: str) -> LatticeRule | WeightedCubature:
-    """Load a lattice or a node/weight file, told apart by line 2's columns.
-
-    Both formats start with "n d"; line 2 holds the d generators of a lattice
-    or the d + 1 values "w t_1 ... t_d" of a node/weight row.  Only the first
-    two non-blank lines are read here; the loader parses the file.
-    """
-    lines = list(islice(_nonblank_lines(path), 2))
-    if len(lines) < 2 or len(lines[0]) != 2:
-        raise ConfigError(f"rule file {path}: expected a header 'n d' and at least one more line")
-    d = int(lines[0][1])
-    if len(lines[1]) == d:
-        return load_lattice(path)
-    if len(lines[1]) == d + 1:
-        return load_cubature(path)
-    raise ConfigError(f"rule file {path}: line 2 has {len(lines[1])} columns; "
-                      f"expected {d} (lattice) or {d + 1} (node/weight)")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -172,7 +142,7 @@ def _cmd_error_eval(args) -> int:
     spec = _build_spec(cfg, args)
     out: dict = {}
     if args.rule:
-        rule = _load_rule_file(args.rule)
+        rule = load_rule(args.rule)
         out["worst_case"] = worst_case_error_sq(rule, spec).to_json()
         if isinstance(rule, LatticeRule):  # also report the shift average
             method = _param(cfg, args, "method", "fixed_point")
@@ -222,6 +192,7 @@ def _convergence_row(spec: KernelSpec, n: int, trials: int, seed: int, lam: floa
             "bound": res.certified_bound,
             "ratio": res.achieved_E2 / res.certified_bound,
             "flagged": res.shift_flagged,
+            "below_certificate": res.achieved_E2 <= res.achieved_E2_certificate,
         }
     except Exception as exc:  # record the failure, keep the study going
         return {"n": n, "error": str(exc)}
@@ -240,10 +211,12 @@ def _cmd_convergence(args) -> int:
     with ThreadPoolExecutor(max_workers=threads) as ex:
         rows = list(ex.map(lambda n: _convergence_row(spec, int(n), trials, seed, lam), n_list))
     ok_rows = [r for r in rows if "error" not in r]
+    # an E2 within its rounding certificate has no significant digit to fit
+    fit_rows = [r for r in ok_rows if not r["below_certificate"]]
     slope = None
-    if len(ok_rows) >= 2:
-        xs = np.log([r["n"] for r in ok_rows])
-        ys = np.log([r["E2"] for r in ok_rows])
+    if len(fit_rows) >= 2:
+        xs = np.log([r["n"] for r in fit_rows])
+        ys = np.log([r["E2"] for r in fit_rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
     if args.csv:
         header = "n,E2,e2,bound,ratio,flagged"
@@ -258,14 +231,14 @@ def _cmd_convergence(args) -> int:
                 )
         Path(args.csv).write_text("\n".join(lines) + "\n")
     _emit_json({"rows": rows, "slope": slope}, args.json)
-    flagged = any(r.get("flagged") for r in ok_rows) or len(ok_rows) < len(rows)
+    flagged = any(r.get("flagged") for r in ok_rows) or len(fit_rows) < len(rows)
     return EXIT_FLAGGED if flagged else EXIT_OK
 
 
 def _cmd_integrate(args) -> int:
     cfg = _load_config(args.config)
     spec = _build_spec(cfg, args)
-    rule = _load_rule_file(args.rule)
+    rule = load_rule(args.rule)
     if rule.d != spec.d:
         raise ConfigError(f"rule dimension {rule.d} != space dimension {spec.d}")
     integrand_cfg = _load_config(args.integrand) if args.integrand else cfg.get("integrand", {})
@@ -368,7 +341,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, RuleFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:

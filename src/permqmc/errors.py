@@ -43,7 +43,7 @@ from .kernels import (
     symmetrized_mass,
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
-from .symmetry import PermStructure, _gamma
+from .symmetry import PermStructure, _gamma, multiplicity_array
 from .weights import (Enclosure, _rounded, eta_star, min_contraction_order,
                       r_weight_inv_factors, spectral_mass, tail_sum)
 
@@ -57,7 +57,6 @@ __all__ = [
     "cbc_step_objectives",
     "bound_constant",
     "bound_constants",
-    "multiplicity_array",
     "SUBSET_CAP",
     "STEP_BYTES_CAP",
 ]
@@ -233,21 +232,6 @@ def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
     hs[:, :k] = head[head_of]
     hs[:, k:] = tail[tail_of]
     return hs
-
-
-def multiplicity_array(h: np.ndarray, ps: PermStructure) -> np.ndarray:
-    """Vectorized multiplicity M(h)! over the rows of an integer array."""
-    h = np.asarray(h, dtype=np.int64)
-    if ps.size == 0:
-        return np.ones(h.shape[0])
-    inv_sorted = np.sort(h[:, ps.invariant_idx], axis=1)
-    mult = np.ones(h.shape[0])
-    run = np.ones(h.shape[0])
-    for i in range(1, ps.size):
-        eq = inv_sorted[:, i] == inv_sorted[:, i - 1]
-        run = np.where(eq, run + 1, 1.0)
-        mult = np.where(eq, mult * run, mult)
-    return mult
 
 
 def _box_tail_certificate(spec: KernelSpec, half_width: int, inv_lambda: float = 1.0) -> float:

@@ -291,10 +291,10 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     series, rounding = _cosine_series(w, s_exp, t_arr, terms)
     vals = const + amp * series
     tail = float(np.max(_series_remainder_bound(w, s_exp, terms, t_arr), initial=0.0))
-    # amp is one pow, then the product with the series and the sum; const is
-    # one pow and the sum
+    # a pow counts as two roundings: amp is one pow, then the product with
+    # the series and the sum (4); const is one pow and the sum (3)
     peak = float(np.max(np.abs(series), initial=0.0)) + rounding
-    cert = amp * (tail + rounding + _gamma(3) * peak) + _gamma(2) * const
+    cert = amp * (tail + rounding + _gamma(4) * peak) + _gamma(3) * const
     return vals, cert
 
 

@@ -18,6 +18,8 @@ __all__ = [
     "load_lattice",
     "save_cubature",
     "load_cubature",
+    "load_rule",
+    "RuleFormatError",
 ]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -141,13 +143,44 @@ def save_lattice(rule: LatticeRule, path) -> None:
 
 
 def _split_lines(path) -> list[list[str]]:
+    """The non-blank lines of a text file, as ``str.splitlines`` gives them,
+    each split on whitespace; the one reader of both rule formats."""
     return [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+
+
+class RuleFormatError(ValueError):
+    """A rule file that is neither a lattice nor a node/weight file."""
+
+
+def load_rule(path) -> LatticeRule | WeightedCubature:
+    """Read a lattice or a node/weight file, told apart by line 2's columns.
+
+    Both formats start with "n d"; line 2 holds the d generators of a lattice
+    or the d + 1 values "w t_1 ... t_d" of a node/weight row.  The file is
+    read once.  A file of neither shape raises ``RuleFormatError`` (a
+    ValueError); a malformed file of either format raises ValueError as its
+    loader does.
+    """
+    lines = _split_lines(path)
+    if len(lines) < 2 or len(lines[0]) != 2:
+        raise RuleFormatError(
+            f"rule file {path}: expected a header 'n d' and at least one more line")
+    d = int(lines[0][1])
+    if len(lines[1]) == d:
+        return _parse_lattice(lines, path)
+    if len(lines[1]) == d + 1:
+        return _parse_cubature(lines, path)
+    raise RuleFormatError(f"rule file {path}: line 2 has {len(lines[1])} columns; "
+                          f"expected {d} (lattice) or {d + 1} (node/weight)")
 
 
 def load_lattice(path) -> LatticeRule:
     """Read a ``save_lattice`` file; malformed content or a non-finite
     shift raises ValueError."""
-    lines = _split_lines(path)
+    return _parse_lattice(_split_lines(path), path)
+
+
+def _parse_lattice(lines: list[list[str]], path) -> LatticeRule:
     if not 2 <= len(lines) <= 3 or len(lines[0]) != 2:
         raise ValueError(f"malformed lattice file {path}: expected 'n d', the "
                          "generators and an optional shift line")
@@ -174,7 +207,10 @@ def save_cubature(rule: WeightedCubature, path) -> None:
 def load_cubature(path) -> WeightedCubature:
     """Read a ``save_cubature`` file; malformed content or a non-finite
     number raises ValueError."""
-    lines = _split_lines(path)
+    return _parse_cubature(_split_lines(path), path)
+
+
+def _parse_cubature(lines: list[list[str]], path) -> WeightedCubature:
     if not lines or len(lines[0]) != 2:
         raise ValueError(f"malformed cubature file {path}: expected a header 'N d'")
     n, d = (int(v) for v in lines[0])

@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = [
     "PermStructure",
-    "multiplicity",
+    "multiplicity_array",
     "normalize_to_nabla",
     "permanent_batch",
     "permanent_bounds",
@@ -23,9 +23,10 @@ __all__ = [
     "PERMANENT_CAP",
 ]
 
-# Ryser with 2^s subsets stays sub-second in compiled code up to s = 24; the
-# pure-Python loop here is comfortable to s ~ 20.  Callers hitting the cap
-# should fall back to truncated spectral sums.
+# Largest invariant block that a Ryser pass (2^s - 1 terms) accepts.  A
+# larger one raises PermanentCapError, a ValueError, before any term is
+# summed.  No route falls back to another evaluation: the error reaches the
+# caller, and the CLI prints it and exits 2.
 PERMANENT_CAP = 24
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -92,23 +93,23 @@ class PermStructure:
         return np.asarray([i for i in range(self.d) if i + 1 not in inv], dtype=np.intp)
 
 
-def multiplicity(k: Sequence[int], ps: PermStructure) -> int:
-    """Number of admissible coordinate exchanges fixing the multi-index k.
-
-    Equals the product of c! over the repetition counts c of values appearing
-    among the exchangeable coordinates of k; exact big integer.
-    """
-    k = tuple(k)
-    if len(k) != ps.d:
-        raise ValueError(f"k has length {len(k)}, expected {ps.d}")
-    counts: dict[int, int] = {}
-    for i in ps.invariant:
-        v = k[i - 1]
-        counts[v] = counts.get(v, 0) + 1
-    out = 1
-    for c in counts.values():
-        out *= math.factorial(c)
-    return out
+def multiplicity_array(h, ps: PermStructure) -> np.ndarray:
+    """Multiplicity M(h)! of each row of an integer array h of shape (m, d):
+    the number of admissible coordinate exchanges fixing the row, the
+    product of c! over the repetition counts c of the values among its
+    exchangeable coordinates.  A float array, exact for s <= 18, where
+    s! < 2^53."""
+    h = np.asarray(h, dtype=np.int64)
+    if ps.size == 0:
+        return np.ones(h.shape[0])
+    inv_sorted = np.sort(h[:, ps.invariant_idx], axis=1)
+    mult = np.ones(h.shape[0])
+    run = np.ones(h.shape[0])
+    for i in range(1, ps.size):
+        eq = inv_sorted[:, i] == inv_sorted[:, i - 1]
+        run = np.where(eq, run + 1, 1.0)
+        mult = np.where(eq, mult * run, mult)
+    return mult
 
 
 def normalize_to_nabla(k: Sequence[int], ps: PermStructure) -> tuple[int, ...]:
@@ -122,21 +123,6 @@ def normalize_to_nabla(k: Sequence[int], ps: PermStructure) -> tuple[int, ...]:
     return tuple(k)
 
 
-def _gray_code(s: int):
-    """Ryser's walk over the nonempty column sets S of an s x s matrix in
-    Gray-code order: each step adds or removes one column.  Yields
-    (column, added, |S|) per step; both permanent passes take this order."""
-    mask = 0
-    size = 0
-    for code in range(1, 1 << s):
-        j = (code & -code).bit_length() - 1
-        bit = 1 << j
-        added = not mask & bit
-        size += 1 if added else -1
-        mask ^= bit
-        yield j, added, size
-
-
 def _check_cap(s: int) -> None:
     if s > PERMANENT_CAP:
         raise PermanentCapError(
@@ -145,44 +131,70 @@ def _check_cap(s: int) -> None:
         )
 
 
+def _ryser(cols, pad=None):
+    """Ryser's signed sum over a batch-last stack ``cols`` of shape (s, s, b):
+    per(cols) = sum over the column sets S of (-1)^(s - |S|) prod_i row_i(S),
+    row_i(S) the sum of cols[i, j] over j in S.
+
+    The walk takes the nonempty S in Gray-code order, so each step adds or
+    removes one column of the row sums; the empty set's term is 1 at s = 0
+    and 0 otherwise.  With ``pad`` = c the same walk also yields the padded
+    terms prod_i (row_i(S) + c*|S|), whose row sums are those of cols + c,
+    and returns (per(cols), per(cols + c), the unsigned sum of the padded
+    terms).  This is the only Ryser pass of the package; both permanent
+    functions call it.
+    """
+    s, _, b = cols.shape
+    _check_cap(s)
+    dtype = cols.dtype if cols.dtype.kind in "cf" else np.float64
+    k = 1 if pad is None else 2
+    sums = np.full((k, b), float(s == 0), dtype=dtype)
+    terms = np.empty((k, b), dtype=dtype)
+    row = np.zeros((s, b), dtype=dtype)
+    if pad is not None:
+        padded = np.empty((s, b), dtype=dtype)
+        unsigned = np.zeros(b, dtype=dtype)
+    mask = size = 0
+    for code in range(1, 1 << s):
+        j = (code & -code).bit_length() - 1
+        if mask >> j & 1:
+            row -= cols[:, j]
+            size -= 1
+        else:
+            row += cols[:, j]
+            size += 1
+        mask ^= 1 << j
+        np.multiply.reduce(row, axis=0, out=terms[0])
+        if pad is not None:
+            np.add(row, pad * size, out=padded)
+            np.multiply.reduce(padded, axis=0, out=terms[1])
+            unsigned += terms[1]
+        if size & 1:
+            sums -= terms
+        else:
+            sums += terms
+    if s & 1:
+        np.negative(sums, out=sums)
+    return sums[0] if pad is None else (sums[0], sums[1], unsigned)
+
+
 def permanent_batch(A) -> np.ndarray:
     """Permanents of a stack of square matrices, shape (batch, s, s).
 
-    The per(A)-only Ryser pass: the same Gray-code order and the same
-    arithmetic on per(A) as ``permanent_bounds``, so the two results are
-    bitwise equal, without the |A| row sums, the padded terms and the
-    rounding sum.  Eigenfunction values use it; their phases have modulus
-    one, so per(|A|) would be s! exactly.  The loop runs batch-last, on
-    ``A`` with its batch axis moved last: a batch-last array passed through
-    ``np.moveaxis(B, -1, 0)`` is read without a copy.
+    One ``_ryser`` pass over ``A`` with its batch axis moved last (a
+    batch-last array passed through ``np.moveaxis(B, -1, 0)`` is read
+    without a copy), so each result is bitwise ``permanent_bounds(...).per``
+    of the same matrix.  Eigenfunction values use it: their entries are
+    phases of modulus one, so per(|A|) would be s! exactly and needs no pass.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("A must have shape (batch, s, s)")
-    b, s, _ = A.shape
-    _check_cap(s)
-    dtype = A.dtype if A.dtype.kind in "cf" else np.float64
-    if s == 0:
-        return np.ones(b, dtype=dtype)
-    cols = np.moveaxis(A, 0, -1)
-    per = np.zeros(b, dtype=dtype)
-    row = np.zeros((s, b), dtype=dtype)
-    term = np.empty(b, dtype=dtype)
-    for j, added, size in _gray_code(s):
-        if added:
-            row += cols[:, j]
-        else:
-            row -= cols[:, j]
-        np.multiply.reduce(row, axis=0, out=term)
-        if size & 1:
-            per -= term
-        else:
-            per += term
-    return -per if s & 1 else per
+    return _ryser(np.moveaxis(A, 0, -1))
 
 
 class PermanentBounds(NamedTuple):
-    """Per-matrix results of one fused Ryser pass over a batch-last stack."""
+    """Per-matrix permanents of a batch-last stack and their rounding bound."""
 
     per: np.ndarray       # per(A)
     per_abs: np.ndarray   # per(|A|)
@@ -193,9 +205,9 @@ class PermanentBounds(NamedTuple):
 def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
     """Ryser permanents of a batch-last stack A of shape (s, s, batch).
 
-    One Gray-code pass over the 2^s column sets S yields per(A), per(|A|)
-    and per(|A| + c).  The row sums of |A| + c over S are the row sums of |A|
-    plus c*|S|, so the padded permanent costs no extra row updates.
+    Two ``_ryser`` passes: one over A for per(A), one over |A| that yields
+    per(|A|) and, from the same row sums plus c*|S|, per(|A| + c) and the
+    unsigned sum of its terms.
 
     ``rounding`` is gamma_k * sum_S prod_i (rowabs_i(S) + c*|S|),
     gamma_k = k*u/(1 - k*u) with k = 2s + 2^s: the standard bound for the
@@ -207,41 +219,7 @@ def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[0] != A.shape[1]:
         raise ValueError("A must have shape (s, s, batch)")
-    s, _, b = A.shape
-    _check_cap(s)
-    dtype = A.dtype if A.dtype.kind in "cf" else np.float64
-    if s == 0:
-        return PermanentBounds(np.ones(b, dtype=dtype), np.ones(b), np.ones(b), np.zeros(b))
-    absA = np.abs(A).astype(float, copy=False)
-    row = np.zeros((s, b), dtype=dtype)
-    rowabs = np.zeros((s, b))
-    padded = np.empty((s, b))
-    term_abs = np.empty(b)
-    term_pad = np.empty(b)
-    per = np.zeros(b, dtype=dtype)
-    per_abs = np.zeros(b)
-    per_pad = np.zeros(b)
-    unsigned = np.zeros(b)
-    for j, added, size in _gray_code(s):
-        if added:
-            row += A[:, j]
-            rowabs += absA[:, j]
-        else:
-            row -= A[:, j]
-            rowabs -= absA[:, j]
-        term = np.prod(row, axis=0)
-        np.multiply.reduce(rowabs, axis=0, out=term_abs)
-        np.add(rowabs, c * size, out=padded)
-        np.multiply.reduce(padded, axis=0, out=term_pad)
-        unsigned += term_pad
-        if size & 1:
-            per -= term
-            per_abs -= term_abs
-            per_pad -= term_pad
-        else:
-            per += term
-            per_abs += term_abs
-            per_pad += term_pad
-    if s & 1:
-        per, per_abs, per_pad = -per, -per_abs, -per_pad
+    s = A.shape[0]
+    per = _ryser(A)
+    per_abs, per_pad, unsigned = _ryser(np.abs(A).astype(float, copy=False), c)
     return PermanentBounds(per, per_abs, per_pad, _gamma(2 * s + (1 << s)) * unsigned)

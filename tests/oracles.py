@@ -2,17 +2,20 @@
 
 The package does not use any of these: each restates, directly and slowly, a
 quantity that ``permqmc`` computes by a faster route or needs only inside a
-closed formula.
+closed formula, or evaluates a quantity that only the tests check.
 """
 import math
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from permqmc.errors import multiplicity_array
-from permqmc.kernels import _cosine_closed, _cosine_series, _series_remainder_bound
-from permqmc.symmetry import PermStructure
+from permqmc.approx import SymmetricBasis
+from permqmc.kernels import (_cosine_closed, _cosine_series, _series_remainder_bound,
+                             kernel_perminv_gram)
+from permqmc.symmetry import PermStructure, multiplicity_array
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
 
@@ -23,6 +26,13 @@ def restriction_constant(subset, ps, beta0):
         raise ValueError("subset must be nonempty")
     overlap = len(u & set(ps.invariant))
     return beta0 ** len(u) * math.comb(ps.size, overlap)
+
+
+def fix_count(k, ps):
+    """M(k)! of one multi-index k: the product of c! over the repetition
+    counts c of its exchangeable entries, an exact big integer."""
+    counts = Counter(k[i - 1] for i in ps.invariant)
+    return math.prod(math.factorial(c) for c in counts.values())
 
 
 @lru_cache(maxsize=32)
@@ -145,3 +155,42 @@ def sample_density_all_modes(basis, m, count, rng):
         out[filled:filled + taken.shape[0]] = taken
         filled += taken.shape[0]
     return out
+
+
+@dataclass
+class GaussReport:
+    """Spectral (Gaussian-average) evaluation of a rule's squared error."""
+
+    value: float
+    top_value: float
+    shared_tail: float
+    independent_certificate: float
+    n_modes: int
+
+
+def gaussian_average_error_sq(rule, spec, n_modes):
+    """Squared integration error under the Gaussian model, mode by mode.
+
+    ``top_value`` sums lambda_j (integral_j - Q xi_j)^2 over the enumerated
+    modes; ``shared_tail`` closes the remaining mass through the kernel Gram
+    matrix; ``independent_certificate`` bounds the dropped mass without the
+    kernel route (sup-norm of the eigenfunctions times the analytic spectral
+    tail), certifying the top sum on its own.
+    """
+    basis = SymmetricBasis(spec)
+    basis.ensure(n_modes)
+    iota = basis.integrals(n_modes)
+    if not np.any(iota):
+        raise ValueError("constant mode not among the enumerated modes; increase n_modes")
+    lam = basis.lambdas(n_modes)
+    rw = rule.raw_weights
+    xi = basis.eval_matrix(rule.nodes, n_modes)
+    qc = xi @ rw
+    top = float(np.sum(lam * (iota - qc) ** 2))
+    gram, _ = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
+    shared = float(rw @ gram @ rw - np.sum(lam * qc ** 2))
+    fact = float(spec.perm.group_order)
+    dropped = max(basis.stream.trace.hi - float(np.sum(lam)), 0.0)
+    cert = 2.0 * fact * float(np.abs(rw).sum()) ** 2 * dropped
+    return GaussReport(value=top + shared, top_value=top, shared_tail=shared,
+                       independent_certificate=cert, n_modes=n_modes)

@@ -10,12 +10,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
-from permqmc.approx import (
-    SymmetricBasis,
-    assemble_rule,
-    build_approx_sequence,
-    gaussian_average_error_sq,
-)
+from permqmc.approx import SymmetricBasis, assemble_rule, build_approx_sequence
 from permqmc.cbc import cbc_construct, shift_search
 from permqmc.errors import (
     bound_constant,
@@ -28,6 +23,8 @@ from permqmc.lattice import LatticeRule
 from permqmc.spectrum import EigenSpectrum, rate_constants, spectrum_tail_constants
 from permqmc.symmetry import PermStructure, permanent_bounds
 from permqmc.weights import SpectralWeight, eta_star
+
+from oracles import gaussian_average_error_sq
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -10,15 +10,14 @@ from permqmc.approx import (
     assemble_rule,
     average_approx_error_sq,
     build_approx_sequence,
-    gaussian_average_error_sq,
 )
 from permqmc.errors import worst_case_error_sq
 from permqmc.kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from permqmc.spectrum import rate_constants, spectrum_tail_constants
-from permqmc.symmetry import PermStructure, multiplicity
+from permqmc.symmetry import PermStructure
 from permqmc.weights import SpectralWeight
 
-from oracles import sample_density_all_modes
+from oracles import fix_count, gaussian_average_error_sq, sample_density_all_modes
 
 
 @pytest.fixture
@@ -44,6 +43,40 @@ class TestBasis:
         assert np.allclose(X[0], 1.0)  # normalized constant eigenfunction
         iota = basis.integrals(6)
         assert iota[0] == 1.0 and np.all(iota[1:] == 0.0)
+
+    def test_mode_tables_built_once(self, monkeypatch):
+        # ensure computes each mode's multiplicity once, for the new modes
+        # only; the per-mode readers and the eigenfunction values take
+        # slices of the tables
+        from permqmc import approx
+
+        spec = KernelSpec(SpectralWeight(), PermStructure(4, (1, 2, 4)))
+        basis = SymmetricBasis(spec)
+        rows = []
+        multiplicity_array = approx.multiplicity_array
+
+        def counting(h, ps):
+            rows.append(len(h))
+            return multiplicity_array(h, ps)
+
+        monkeypatch.setattr(approx, "multiplicity_array", counting)
+        basis.ensure(30)
+        m0 = len(basis._lam)           # 30, or 31 when a cos/sin pair ends it
+        assert rows == [m0]
+        pts = np.random.default_rng(4).uniform(size=(5, 4))
+        basis.eval_matrix(pts, 30)
+        basis.sample_density(30, 10, np.random.default_rng(5))
+        bounds, iota = basis.sup_sq_bounds(30), basis.integrals(30)
+        assert rows == [m0]
+        basis.ensure(60)
+        assert rows[0] == m0 and sum(rows) == len(basis._lam) >= 60 and len(rows) == 2
+        # the same tables as the per-mode definitions
+        labels = basis.mode_labels(30)
+        fact = float(spec.perm.group_order)
+        assert bounds.tolist() == [
+            fact / fix_count(label, spec.perm) * (1.0 if kind == "self" else 2.0)
+            for kind, label in labels]
+        assert iota.tolist() == [float(not any(label)) for _, label in labels]
 
     def test_eigenvalues_match_stream(self, spec_d3_full):
         basis = SymmetricBasis(spec_d3_full)
@@ -88,17 +121,17 @@ def eval_matrix_oracle(basis, points, m):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ps = basis.spec.perm
     inv = ps.invariant_idx
-    modes = basis._modes[:m]
-    labels = np.asarray([label for _, _, label in modes], dtype=float)
+    modes = basis.mode_labels(m)
+    labels = np.asarray([label for _, label in modes], dtype=float)
     acc = np.zeros((m, pts.shape[0]), dtype=complex)
     for sigma in permutations(range(ps.size)):
         permuted = labels.copy()
         permuted[:, inv] = labels[:, inv[list(sigma)]]
         acc += np.exp(2j * math.pi * (permuted @ pts.T))
-    mults = np.asarray([float(multiplicity(label, ps)) for _, _, label in modes])
+    mults = np.asarray([float(fix_count(label, ps)) for _, label in modes])
     acc /= np.sqrt(float(ps.group_order) * mults)[:, None]
     out = np.empty((m, pts.shape[0]))
-    for j, (_, kind, _) in enumerate(modes):
+    for j, (kind, _) in enumerate(modes):
         out[j] = acc[j].real if kind == "self" else math.sqrt(2.0) * (
             acc[j].real if kind == "cos" else acc[j].imag)
     return out
@@ -175,9 +208,8 @@ class TestPairValues:
         basis = SymmetricBasis(spec_d2_full)
         pts = rng.uniform(size=(4, 2))
         basis.ensure(10)
-        j = next(i for i, (_, kind, _) in enumerate(basis._modes) if kind == "sin")
-        lam, _, label = basis._modes[j]
-        basis._modes[j] = (lam, "self", label)   # a complex mode posing as real
+        j = next(i for i, (kind, _) in enumerate(basis.mode_labels(10)) if kind == "sin")
+        basis._kinds[j] = 0   # a complex mode posing as real
         with pytest.raises(AssertionError, match="not real"):
             basis._pair_values(pts, j, np.arange(4))
 

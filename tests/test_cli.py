@@ -238,46 +238,37 @@ class TestPipelines:
             assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"config error: {message.format(rule)}\n"
 
-    def test_rule_file_format_read_from_two_lines(self, tmp_path, monkeypatch):
-        # the format is picked from the first two non-blank lines; the loader
-        # alone parses the rows
-        import builtins
-
-        from permqmc import cli
+    def test_rule_file_read_once(self, cfg_path, tmp_path, monkeypatch):
+        # the format is picked from the lines that the loader then parses:
+        # the file is read once
+        from permqmc import lattice
 
         rule = tmp_path / "rule.qw"
         rows = "".join(f"1 {0.001 * k:.3f} {0.5 + 0.0004 * k:.4f}\n" for k in range(500))
         rule.write_text("\n500 2\n\n" + rows)
-        read = []
+        reads = []
+        read_text = Path.read_text
 
-        class CountingFile:
-            def __init__(self, *args, **kwargs):
-                self.fh = builtins.open(*args, **kwargs)
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def __iter__(self):
-                for line in self.fh:
-                    read.append(line)
-                    yield line
-
-        monkeypatch.setattr(cli, "open", CountingFile, raising=False)
-        rule_obj = cli._load_rule_file(str(rule))
+        monkeypatch.setattr(Path, "read_text", counting)
+        rule_obj = lattice.load_rule(str(rule))
         assert rule_obj.n == 500
-        assert len(read) == 4
+        assert reads == [rule]
+        reads.clear()
+        assert main(["integrate", "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_OK
+        assert reads.count(rule) == 1
 
     def test_rule_file_lines_as_splitlines(self, tmp_path):
-        from permqmc.cli import _nonblank_lines
+        from permqmc.lattice import _split_lines
 
         rule = tmp_path / "rule.txt"
         text = "3 2\x0c1 2\r\n\n0.25 0.5\x1c\x0b\r7 8\n"
         rule.write_text(text)
         expect = [ln.split() for ln in rule.read_text().splitlines() if ln.strip()]
-        assert list(_nonblank_lines(str(rule))) == expect == [
+        assert _split_lines(str(rule)) == expect == [
             ["3", "2"], ["1", "2"], ["0.25", "0.5"], ["7", "8"]]
 
     @pytest.mark.parametrize("text", ["5 2\n1 2\nnan 0.5\n", "1 2\n1 0.5 inf\n"])
@@ -351,6 +342,24 @@ class TestPipelines:
         assert "error" in payload["rows"][1]
         assert payload["rows"][0]["E2"] > 0
         assert len(csv.read_text().strip().splitlines()) == 3
+
+    def test_convergence_row_below_its_certificate(self, tmp_path):
+        # alpha = 2, d = 3: at n = 1009 E2 (2.0e-15) does not exceed its
+        # certificate (6.7e-15), so the row is marked and left out of the
+        # fit; one row is left, no slope is fitted, and the study exits 3
+        from permqmc.cli import EXIT_FLAGGED
+
+        cfg = tmp_path / "a2.json"
+        cfg.write_text(json.dumps({"space": {"alpha": 2.0},
+                                   "structure": {"d": 3, "invariant": "full"}}))
+        cj = tmp_path / "c.json"
+        code = main(["convergence", "--config", str(cfg), "--n-list", "127,1009",
+                     "--trials", "4", "--json", str(cj)])
+        assert code == EXIT_FLAGGED
+        payload = json.loads(cj.read_text())
+        assert [r["below_certificate"] for r in payload["rows"]] == [False, True]
+        assert 0.0 < payload["rows"][1]["E2"] < 1e-14
+        assert payload["slope"] is None
 
     def test_convergence_determinism_across_threads(self, cfg_path, tmp_path):
         outs = []

@@ -17,7 +17,6 @@ from permqmc.errors import (
     cbc_step_objectives,
     initial_error_sq,
     mean_sq_error,
-    multiplicity_array,
     worst_case_error_sq,
     worst_case_error_sq_spectral,
 )
@@ -25,10 +24,10 @@ from permqmc import errors, kernels
 from permqmc.kernels import (KernelSpec, _lattice_gram_mean_fft, kernel_perminv_gram,
                              lattice_gram_mean)
 from permqmc.lattice import LatticeRule, WeightedCubature
-from permqmc.symmetry import PermStructure, multiplicity
+from permqmc.symmetry import PermStructure, multiplicity_array
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
-from oracles import box_frequencies, set_partitions, spectral_cbc_objective
+from oracles import box_frequencies, fix_count, set_partitions, spectral_cbc_objective
 
 
 def nabla_box_bound_constant(spec, lam, H):
@@ -38,7 +37,7 @@ def nabla_box_bound_constant(spec, lam, H):
     for h in product(range(-H, H + 1), repeat=spec.d):
         if all(v == 0 for v in h):
             continue
-        m = multiplicity(h, spec.perm)
+        m = fix_count(h, spec.perm)
         total += (m / order * np.prod(r_weight_inv_factors(h, spec.weight))) ** (1.0 / lam)
     return total ** lam
 
@@ -396,7 +395,7 @@ class TestMeanSquared:
         # dual lattice is everything: the box sum is the full truncated mass
         hs = [h for h in product(range(-6, 7), repeat=2) if h != (0, 0)]
         expect = sum(
-            multiplicity(h, spec_d2_full.perm) / 2.0 * np.prod(r_weight_inv_factors(h, spec_d2_full.weight))
+            fix_count(h, spec_d2_full.perm) / 2.0 * np.prod(r_weight_inv_factors(h, spec_d2_full.weight))
             for h in hs
         )
         assert rep.value == pytest.approx(expect, rel=1e-12)
@@ -518,7 +517,7 @@ class TestBoundConstants:
             inner = mpmath.mpf(0)
             for h in product(range(-H, H + 1), repeat=3):
                 if any(h):
-                    share = mpmath.mpf(multiplicity(h, spec.perm)) / 6
+                    share = mpmath.mpf(fix_count(h, spec.perm)) / 6
                     inner += (share * factor(h[0]) * factor(h[1]) * factor(h[2])) ** (
                         1 / mpmath.mpf(lam))
             assert mpmath.mpf(enc.lo) <= inner ** lam
@@ -632,7 +631,7 @@ class TestSpectralHelpers:
         hs = rng.integers(-3, 4, size=(200, 4))
         vec = multiplicity_array(hs, ps)
         for row, m in zip(hs, vec):
-            assert m == multiplicity(tuple(row), ps)
+            assert m == fix_count(tuple(row), ps)
 
     @given(st.lists(st.floats(0, 10), min_size=1, max_size=30), st.data())
     @settings(max_examples=200, deadline=None)

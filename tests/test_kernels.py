@@ -28,10 +28,10 @@ from permqmc.kernels import (
     symmetrized_mass,
 )
 from permqmc.lattice import LatticeRule
-from permqmc.symmetry import PERMANENT_CAP, PermStructure, _gamma, multiplicity
+from permqmc.symmetry import PERMANENT_CAP, PermStructure, _gamma
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
 
-from oracles import validate_closed_form
+from oracles import fix_count, validate_closed_form
 
 
 def box_kernel_perminv(x, y, spec, H):
@@ -61,7 +61,7 @@ def box_kernel_shinv(diff, spec, H):
     total = np.zeros(diff.shape[:-1], dtype=complex)
     for h in product(range(-H, H + 1), repeat=spec.d):
         fac = np.prod(r_weight_inv_factors(np.array([h]), w))
-        m = multiplicity(h, ps)
+        m = fix_count(h, ps)
         total += m / ps.group_order * fac * np.exp(2j * math.pi * (diff @ np.array(h)))
     return total
 
@@ -155,6 +155,15 @@ class TestClosedForm:
                                       for m, wm in enumerate(weights, 1))
                 exact = mpmath.mpf(w.beta0) ** power + 2 * mpmath.mpf(w.beta1) ** power * partial
                 assert abs(mpmath.mpf(float(v)) - exact) <= rounding
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_series_certificate_counts_the_constant_pow(self, power):
+        # with beta1 tiny only beta0^c is left: one pow, counted as two
+        # roundings, and the sum, so at least gamma_3 * beta0^c
+        w = SpectralWeight(alpha=1.25, beta0=0.9, beta1=1e-200)
+        vals, cert = power_kernel(w, power, np.array([0.0, 0.3]), tol=1e-6)
+        assert np.all(vals == w.beta0 ** power)
+        assert cert >= _gamma(3) * w.beta0 ** power
 
     def test_unreachable_tolerance_raises_before_summing(self, monkeypatch):
         # alpha = 1.5 takes the series route; its tail bound at the cap of

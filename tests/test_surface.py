@@ -10,8 +10,8 @@ UNCALLED_BY_DESIGN = {
     "bound_constants": "paper constants pinned by tests",
     "c_prime": "paper constant pinned by tests",
     "weight_to_config": "the inverse of the CLI's config loader",
-    "gaussian_average_error_sq": "the average-case error that the acceptance suite "
-                                 "checks against the worst-case error",
+    "load_cubature": "the inverse of save_cubature; the CLI reads both rule formats "
+                     "through load_rule",
 }
 
 

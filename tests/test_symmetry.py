@@ -13,7 +13,7 @@ from permqmc.symmetry import (
     PermStructure,
     PermanentCapError,
     _frac,
-    multiplicity,
+    multiplicity_array,
     normalize_to_nabla,
     permanent_batch,
     permanent_bounds,
@@ -31,6 +31,11 @@ def naive_permanent(A):
 def permanent(A):
     """per(A) of one square matrix by the fused Ryser pass."""
     return permanent_bounds(np.asarray(A)[:, :, None]).per[0]
+
+
+def multiplicity(k, ps):
+    """M(k)! of one multi-index, as the one-row case of multiplicity_array."""
+    return multiplicity_array(np.asarray([k]), ps)[0]
 
 
 def orbit(k, ps):
@@ -83,6 +88,16 @@ class TestMultiplicity:
         ps = PermStructure(5, (1, 3, 4))
         k = (9, 0, -2, 9, 1)
         assert multiplicity(k, ps) == multiplicity(normalize_to_nabla(k, ps), ps)
+
+    @pytest.mark.parametrize("d, inv", [
+        (3, ()), (4, (1, 2, 3)), (5, (1, 3, 4)), (6, (1, 2, 3, 4, 5, 6))])
+    def test_rows_at_once(self, d, inv, rng):
+        ps = PermStructure(d, inv)
+        hs = rng.integers(-2, 3, size=(150, d))
+        got = multiplicity_array(hs, ps)
+        assert got.shape == (150,) and got.dtype == float
+        assert got.tolist() == [brute_fix_count(tuple(row), ps) for row in hs.tolist()]
+        assert multiplicity_array(np.zeros((0, d), dtype=int), ps).shape == (0,)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -251,6 +266,26 @@ class TestFusedRyser:
         assert split.tobytes() == ref.tobytes()
         if s:
             assert np.max(np.abs(ref)) <= math.factorial(s) * (1 + 1e-12)
+
+    def test_both_functions_take_the_one_ryser_pass(self, rng, monkeypatch):
+        from permqmc import symmetry
+
+        calls = []
+        ryser = symmetry._ryser
+
+        def counting(cols, pad=None):
+            calls.append(pad)
+            return ryser(cols, pad)
+
+        A = rng.normal(size=(20, 4, 4))
+        batch_last = np.ascontiguousarray(np.moveaxis(A, 0, -1))
+        want = permanent_batch(A), permanent_bounds(batch_last, 0.5)
+        monkeypatch.setattr(symmetry, "_ryser", counting)
+        assert permanent_batch(A).tobytes() == want[0].tobytes()
+        assert calls == [None]
+        got = permanent_bounds(batch_last, 0.5)
+        assert calls == [None, None, 0.5]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[1]))
 
     def test_batch_shape_and_cap(self):
         assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))

@@ -1,0 +1,236 @@
+"""Time the package's engines, one fresh child process per run.
+
+Every run reports its wall time and its peak resident set (``ru_maxrss``),
+plus what its case checks.  The space is the README quick start's: alpha = 1,
+the Korobov generator, full invariance.  Each case's grid is fixed below:
+
+  approx         ``assemble_rule`` at tau = 1.5, d = 3 (N = 1024, 4096) and
+                 d = 5 (N = 512, 2048), seeds 1 and 2, with the sha256 of the
+                 ``.qw`` file that ``approx-build --out`` would write
+  spectral       ``worst_case_error_sq_spectral`` and
+                 ``mean_sq_error(method="spectral")`` on shifted Korobov
+                 lattices, d = 4...8, with the sha256 of the report (less its
+                 ``cert_exceeds_value`` flag, recorded beside it) or the
+                 refusal message
+  shifted-error  one shifted lattice error at d = 3 per route: ``lattice-fft``
+                 at n = 1009, 10007, 100003 and the O(n^2) pair route
+                 ``lattice`` at n = 1009, on fixed CBC generating vectors; and
+                 ``permqmc cbc --trials 64 --seed 1`` at n = 1009...100003
+  ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
+                 entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
+                 unit-modulus stacks, s = 3, 5, 8 (best and median of 10
+                 calls); and the sha256 of every field of both functions on
+                 seeded float and complex stacks, s = 0...8, c = 0 and 0.5
+
+Equal hashes across checkouts mean bitwise-equal results.  The package is
+imported from ``PYTHONPATH``.  To compare checkouts, name each one's ``src``
+with ``--checkout LABEL=DIR``; the runs then alternate between them, run by
+run, so that drift in the machine's load falls on both alike:
+
+    python tools/bench.py ryser --checkout parent=../parent/src \\
+        --checkout change=src --repeats 3 --out BENCH_16.json
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+TAU = 1.5
+# Korobov multiplier a per n, z = (1, a, a^2, ...) mod n (those of n = 251 and
+# 503 are the benchmark's); the shift is drawn from a fixed seed per d
+MULTIPLIER = {251: 53, 503: 286, 1009: 76}
+# the CBC generating vectors of the d = 3 space, fixed so that the inputs do
+# not depend on the checkout under test
+CBC_Z = {1009: (1, 282, 635), 10007: (1, 3822, 2827), 100003: (1, 38763, 75699)}
+SHIFT = (0.3, 0.71, 0.05)
+RYSER_BATCH = 8192
+RYSER_CALLS = 10
+
+CASES = {
+    "approx": [("approx", d, N, seed)
+               for d, N in ((3, 1024), (3, 4096), (5, 512), (5, 2048)) for seed in (1, 2)],
+    "spectral": [("spectral", d, n, H, route)
+                 for d, n, H in ((4, 503, 12), (5, 251, 6), (5, 251, 12),
+                                 (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))
+                 for route in ("worst", "mean")],
+    "shifted-error": ([("route", "lattice-fft", n) for n in (1009, 10007, 100003)]
+                      + [("route", "lattice", 1009)]
+                      + [("cbc", n) for n in (1009, 10007, 20011, 100003)]),
+    "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
+              + [("digest",)]),
+}
+
+
+def _spec(d: int):
+    from permqmc import KernelSpec, PermStructure, SpectralWeight
+    return KernelSpec(SpectralWeight(), PermStructure.full(d))
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def _approx(d: int, N: int, seed: int) -> dict:
+    from permqmc.approx import assemble_rule
+    from permqmc.lattice import save_cubature
+
+    res, wall = _timed(lambda: assemble_rule(_spec(d), TAU, N, seed=seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        qw = Path(tmp) / "rule.qw"
+        save_cubature(res.cubature, qw)
+        digest = hashlib.sha256(qw.read_bytes()).hexdigest()
+    return {"wall_s": wall, "qw_sha256": digest, "nodes": res.cubature.n,
+            "level_m": res.algorithm.m, "certified": res.certified}
+
+
+def _spectral(d: int, n: int, H: int, route: str) -> dict:
+    from permqmc.errors import mean_sq_error, worst_case_error_sq_spectral
+    from permqmc.lattice import LatticeRule
+
+    a = MULTIPLIER[n]
+    shift = tuple(float(v) for v in np.random.default_rng(d).random(d))
+    rule = LatticeRule(n, tuple(pow(a, j, n) for j in range(d)), shift=shift)
+    spec = _spec(d)
+    t0 = time.perf_counter()
+    try:
+        if route == "worst":
+            rep = worst_case_error_sq_spectral(rule, spec, half_width=H).to_json()
+        else:
+            rep = mean_sq_error(rule, spec, "spectral", half_width=H).to_json()
+    except ValueError as exc:
+        return {"wall_s": time.perf_counter() - t0, "refused": str(exc)}
+    rec = {"wall_s": time.perf_counter() - t0, "refused": None,
+           "cert_exceeds_value": rep.pop("cert_exceeds_value", None)}
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    return {**rec, "report_sha256": digest,
+            "value": rep["value"], "certificate": rep["certificate"]}
+
+
+def _route(route: str, n: int) -> dict:
+    from permqmc.kernels import _lattice_gram_mean_fft, lattice_gram_mean
+    from permqmc.lattice import LatticeRule
+
+    spec = _spec(3)
+    mean_fn = _lattice_gram_mean_fft if route == "lattice-fft" else lattice_gram_mean
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    (mean, cert, count), wall = _timed(lambda: mean_fn(LatticeRule(n, CBC_Z[n], SHIFT), spec))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"wall_s": wall, "minflt": faults, "value": mean - spec.weight.beta0 ** 3,
+            "certificate": cert, "ffts" if route == "lattice-fft" else "pairs": count}
+
+
+def _cbc(n: int) -> dict:
+    from permqmc.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, res = Path(tmp) / "cfg.json", Path(tmp) / "cbc.json"
+        cfg.write_text(json.dumps({"space": {"alpha": 1.0},
+                                   "structure": {"d": 3, "invariant": "full"}}))
+        code, wall = _timed(lambda: main(["cbc", "--config", str(cfg), "--n", str(n),
+                                          "--trials", "64", "--seed", "1", "--json", str(res)]))
+        out = json.loads(res.read_text())
+    keep = ("z", "shift", "achieved_E2", "achieved_e2_shifted",
+            "achieved_e2_shifted_certificate", "per_step_certificate",
+            "shift_trials_used", "shift_flagged")
+    return {"wall_s": wall, "exit_code": code, **{k: out[k] for k in keep}}
+
+
+def _ryser_timing(kind: str, s: int) -> dict:
+    from permqmc.symmetry import permanent_batch, permanent_bounds
+
+    rng = np.random.default_rng(s)
+    if kind == "bounds":
+        fn, args = permanent_bounds, (rng.uniform(0.9, 1.1, size=(s, s, RYSER_BATCH)), 1e-15)
+    else:
+        fn, args = permanent_batch, (np.exp(2j * np.pi * rng.uniform(size=(RYSER_BATCH, s, s))),)
+    walls = [_timed(lambda: fn(*args))[1] for _ in range(RYSER_CALLS)]
+    return {"wall_s": sum(walls), "call_s_min": min(walls),
+            "call_s_median": float(np.median(walls))}
+
+
+def _ryser_digest() -> dict:
+    """sha256 over the bytes of every field of both permanent functions on
+    seeded stacks: s = 0...8, real and complex, batch-first for
+    ``permanent_batch`` and its batch-last copy for ``permanent_bounds`` at
+    c = 0 and 0.5."""
+    from permqmc.symmetry import permanent_batch, permanent_bounds
+
+    rng = np.random.default_rng(16)
+    h = hashlib.sha256()
+    fields = 0
+    t0 = time.perf_counter()
+    for s in range(9):
+        for cplx in (False, True):
+            A = rng.standard_normal((300, s, s))
+            if cplx:
+                A = A + 1j * rng.standard_normal((300, s, s))
+            arrays = [permanent_batch(A)]
+            for c in (0.0, 0.5):
+                arrays += permanent_bounds(np.ascontiguousarray(np.moveaxis(A, 0, -1)), c)
+            for arr in arrays:
+                h.update(arr.dtype.str.encode() + arr.tobytes())
+            fields += len(arrays)
+    return {"wall_s": time.perf_counter() - t0, "fields": fields, "sha256": h.hexdigest()}
+
+
+RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
+           "ryser": _ryser_timing, "digest": _ryser_digest}
+
+
+def _child(run: list) -> dict:
+    """Run one measurement in this process and return its record."""
+    rec = {"run": run, **RUNNERS[run[0]](*run[1:])}
+    rec["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return rec
+
+
+def _spawn(src: str | None, run: tuple) -> dict:
+    env = dict(os.environ)
+    if src is not None:
+        env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, __file__, "--child", json.dumps(run)],
+                         capture_output=True, text=True, check=True, env=env)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(_child(json.loads(sys.argv[2]))))
+        return
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("case", choices=sorted(CASES))
+    p.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR",
+                   help="a checkout's src directory; repeat to alternate between several")
+    p.add_argument("--repeats", type=int, default=1, help="runs per grid point and checkout")
+    p.add_argument("--out", required=True)
+    args = p.parse_args()
+    checkouts = [tuple(c.split("=", 1)) for c in args.checkout] or [("current", None)]
+    runs: dict[str, list] = {label: [] for label, _ in checkouts}
+    for run in CASES[args.case]:
+        for _ in range(args.repeats):
+            for label, src in checkouts:
+                rec = _spawn(src, run)
+                runs[label].append(rec)
+                print(label, json.dumps(rec), file=sys.stderr)
+    with open(args.out, "w") as fh:
+        json.dump({"case": args.case,
+                   "machine": {"cpu": platform.machine(), "cores": os.cpu_count(),
+                               "python": platform.python_version(), "numpy": np.__version__},
+                   "runs": runs}, fh, indent=1)
+
+
+if __name__ == "__main__":
+    main()
