@@ -275,8 +275,11 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
     balancing the spectral tail against the inherited error.  Candidate point
     sets are redrawn until the exactly computed error meets the averaged
     bound inflated by (1 + delta); the per-level certified slack compounds
-    toward (1 + delta)^(p + 1).
+    toward (1 + delta)^(p + 1).  Each level keeps one of its draws, so a
+    ``search_budget`` below one raises ValueError before any work.
     """
+    if search_budget < 1:
+        raise ValueError(f"search_budget must be >= 1, got {search_budget}")
     if constants is None:
         constants = spectrum_tail_constants(spec, tau)
     p = constants.p_d
@@ -381,6 +384,8 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if search_budget < 1:
+        raise ValueError(f"search_budget must be >= 1, got {search_budget}")
     constants = spectrum_tail_constants(spec, tau)
     kappa = int(math.floor(math.log2(N))) - 1
     algs = build_approx_sequence(spec, tau, kappa, search_budget=search_budget,

@@ -67,9 +67,11 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     ``mode="minimize"`` takes the exact argmin of the objective at every step
     (ties broken toward the smallest candidate); ``mode="better_than_average"``
     accepts the first candidate whose objective^(1/lambda) is at most the
-    average over all candidates.
+    average over the candidates 1..n-1 (z = 0 collapses the coordinate and
+    lies outside the averaging argument of ``certified_bound``).
 
-    n must be prime.  Each step evaluates all n candidates at once by fast
+    n must be prime, and lambda in [1, 2*alpha) (``bound_constant``, computed
+    before the first step).  Each step evaluates all n candidates at once by fast
     CBC (``cbc_step_objectives``): O(3^ell * n + 2^ell * n log n) time and
     O(2^ell * n) memory at step ell.  The predicted working sets of the last
     step and of the final fixed-point E2 are checked before the first step
@@ -89,6 +91,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     c_max = max(1, min(spec.perm.size, d))
     _check_step_bytes(d, n, c_max)
     _check_profile_bytes(spec, n)
+    C = bound_constant(spec, lam)   # refuses a lambda outside [1, 2*alpha)
     tables = power_kernel_table(spec.weight, n, c_max, include_constant=False,
                                 mode=spec.mode, tol=spec.tol)
     z: list[int] = []
@@ -100,19 +103,14 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
         elif mode == "minimize":
             choice = int(np.argmin(vals))
         else:
-            scaled = vals ** (1.0 / lam)
-            choice = int(np.argmax(scaled <= np.mean(scaled)))
+            scaled = vals[1:] ** (1.0 / lam)
+            choice = 1 + int(np.argmax(scaled <= np.mean(scaled)))
         z.append(choice)
         per_step.append(float(vals[choice]))
         per_cert.append(cert)
     rule = LatticeRule(n, tuple(z))
     e2 = mean_sq_error(rule, spec, method="fixed_point")
-    cbound = float(
-        (1.0 + spec.weight.c_R) ** lam
-        * bound_constant(spec, lam).hi
-        * max(1, spec.perm.size)
-        / n ** lam
-    )
+    cbound = float((1.0 + spec.weight.c_R) ** lam * C.hi * max(1, spec.perm.size) / n ** lam)
     return CbcResult(
         rule=rule,
         per_step_objective=per_step,

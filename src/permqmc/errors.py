@@ -44,7 +44,7 @@ from .kernels import (
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
 from .symmetry import PermStructure, _gamma, multiplicity_array
-from .weights import (Enclosure, _rounded, eta_star, min_contraction_order,
+from .weights import (Enclosure, _factor_roundings, _rounded, eta_star, min_contraction_order,
                       r_weight_inv_factors, spectral_mass, tail_sum)
 
 __all__ = [
@@ -204,6 +204,8 @@ def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
     tabulated generator.
     """
     d, n, H = rule.d, rule.n, half_width
+    if H < 0:
+        raise ValueError(f"half_width must be >= 0, got {H}")
     side = 2 * H + 1
     k = d // 2
     what = f"frequency box [-{H}, {H}]^{d}"
@@ -236,19 +238,15 @@ def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
 
 def _box_tail_certificate(spec: KernelSpec, half_width: int, inv_lambda: float = 1.0) -> float:
     """Bound on the weight mass sum r^(-inv_lambda) outside the box, using a
-    per-coordinate union bound (multiplicity ratios never exceed one).
-
-    Rounded up: coord_tail has 3 roundings (a pow and a product), full 4
-    (two pows, a product and the sum), its power (d - 1) * 4 + 2 and the
-    two last products 2, 4d + 3 in all; the factor 1 + gamma_(4d+5) also
-    covers its own two."""
+    per-coordinate union bound (multiplicity ratios never exceed one):
+    d * 2 beta1^p * sum_{m > H} R(m)^(-2 alpha p) * mass^(d - 1), p =
+    inv_lambda and mass = ``spectral_mass(w, p)``, in enclosure arithmetic."""
     w = spec.weight
-    d = spec.d
-    exp = w.alpha * inv_lambda
-    coord_tail = 2.0 * w.beta1 ** inv_lambda * tail_sum(w, exponent=exp, start=half_width + 1).hi
-    full = (w.beta0 ** inv_lambda
-            + 2.0 * w.beta1 ** inv_lambda * tail_sum(w, exponent=exp).hi)
-    return (1.0 + _gamma(4 * d + 5)) * d * coord_tail * full ** (d - 1)
+    # 2 * beta1^p is one pow
+    coord_tail = (tail_sum(w, exponent=w.alpha * inv_lambda, start=half_width + 1)
+                  * _rounded(2.0 * w.beta1 ** inv_lambda, 2))
+    full = spectral_mass(w, inv_lambda).power(spec.d - 1)
+    return (coord_tail * full).scale(spec.d).hi
 
 
 def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
@@ -580,24 +578,24 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
     s = ps.size
     reps = np.fromiter(chain.from_iterable(combinations_with_replacement(
         range(-half_width, half_width + 1), s)), dtype=np.int64).reshape(-1, s)
-    fac = np.prod(r_weight_inv_factors(reps, w), axis=1)
+    table = r_weight_inv_factors(np.arange(half_width + 1), w)
+    fac = np.prod(table[np.abs(reps)], axis=1)
     share = multiplicity_array(reps, PermStructure.full(s)) / float(ps.group_order)
     terms = (share * fac) ** (1.0 / lam) / share
     zero = ~np.any(reps, axis=1)
     b0 = w.beta0 ** (1.0 / lam)
-    osc = 2.0 * float(np.sum(w.oscillatory_weight_inv(np.arange(1, half_width + 1)) ** (1.0 / lam)))
+    osc = 2.0 * float(np.sum(table[1:] ** (1.0 / lam)))
     f = d - s
     # (b0 + osc)^f without the all-zero free vector, free of cancellation
     free_nonzero = osc * sum((b0 + osc) ** j * b0 ** (f - 1 - j) for j in range(f))
     inner = float(terms[~zero].sum()) * (b0 + osc) ** f + float(terms[zero].sum()) * free_nonzero
-    # roundings, a pow counted as two: a weight factor beta1 * R(m)^(-2 alpha)
-    # has k_w = 2 ceil(2 alpha) + 3 (R(m) two, which the power multiplies by
-    # 2 alpha), fac adds np.prod's s - 1, and a term adds share (2) twice,
-    # the product (1), the power (2, scaling its base's error by 1/lam < 1)
-    # and the division (1).  osc adds the power to its factors and numpy's
-    # sum; both free factors are below (f + 1) (k_osc + 4); the two sums,
-    # two products and the final sum of inner add _sum_depth and 2
-    k_w = 2 * math.ceil(2.0 * w.alpha) + 3
+    # roundings, a pow counted as two: a weight factor has k_w
+    # (``_factor_roundings``), fac adds np.prod's s - 1, and a term adds
+    # share (2) twice, the product (1), the power (2, scaling its base's
+    # error by 1/lam < 1) and the division (1).  osc adds the power to its
+    # factors and numpy's sum; both free factors are below (f + 1) (k_osc + 4);
+    # the two sums, two products and the final sum of inner add _sum_depth and 2
+    k_w = _factor_roundings(w)
     k_osc = k_w + 2 + _sum_depth(half_width)
     k = s * (k_w + 1) + 7 + _sum_depth(len(terms)) + (f + 1) * (k_osc + 4) + 2
     tail = _box_tail_certificate(spec, half_width, inv_lambda=1.0 / lam)

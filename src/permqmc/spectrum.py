@@ -4,8 +4,9 @@ The univariate spectrum consists of the constant-mode mass beta0 and the
 oscillatory masses beta1/R(m)^(2*alpha), each of multiplicity two.  The
 multivariate eigenvalues are products of univariate ones over index tuples
 whose entries on the exchangeable coordinates are non-decreasing; they are
-enumerated best-first through a max-heap.  Tail sums, decay constants, and
-the bootstrap rate constants live here as well.
+enumerated best-first through a max-heap.  The decay constants and the
+bootstrap rate constants live here as well; every univariate factor, tail
+sum and contraction constant is read from ``weights``.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .kernels import KernelSpec, _sum_depth, symmetrized_mass
 from .symmetry import normalize_to_nabla
-from .weights import Enclosure, SpectralWeight, _first_below_one, _rounded, tail_sum
+from .weights import (Enclosure, SpectralWeight, _factor_roundings, _rounded, eta_star,
+                      min_contraction_order, r_weight_inv_factors)
 
 __all__ = [
     "EigenSpectrum",
@@ -37,12 +39,8 @@ def univariate_labeled(w: SpectralWeight, count: int) -> list[tuple[float, int]]
     if count < 1:
         raise ValueError("count must be >= 1")
     m_max = count + len(getattr(w.generator, "table", ())) + 8
-    ms = np.arange(1, m_max + 1)
-    osc = w.oscillatory_weight_inv(ms)
-    entries = [(w.beta0, 0)]
-    for m, lam in zip(ms, osc):
-        entries.append((float(lam), int(m)))
-        entries.append((float(lam), -int(m)))
+    fac = r_weight_inv_factors(np.arange(m_max + 1), w)
+    entries = [(float(fac[abs(k)]), k) for k in range(-m_max, m_max + 1)]
     entries.sort(key=lambda e: (-e[0], abs(e[1]), 0 if e[1] >= 0 else 1))
     return entries[:count]
 
@@ -133,13 +131,11 @@ class EigenSpectrum:
     def tail_after(self, m: int) -> Enclosure:
         """Enclosure of the spectral mass beyond the first m modes: the trace
         minus an enclosure of the partial sum.  Each of its m terms is a
-        product of d weight factors, beta0 (exact) or beta1 * R(m)^(-2 alpha)
-        with at most 2 ceil(2 alpha) + 3 roundings (R(m) two, which the power
-        multiplies by 2 alpha; a pow counted as two; the product with beta1);
+        product of d weight factors (``weights._factor_roundings`` each);
         the products add d - 1 and numpy's sum ``_sum_depth(m)``.
         """
         d = self.spec.d
-        k = d * (2 * math.ceil(2.0 * self.spec.weight.alpha) + 3) + d - 1 + _sum_depth(m)
+        k = d * _factor_roundings(self.spec.weight) + d - 1 + _sum_depth(m)
         rest = self.trace + _rounded(self.partial_sum(m), k).scale(-1.0)
         return Enclosure(max(rest.lo, 0.0), max(rest.hi, 0.0))
 
@@ -156,22 +152,14 @@ class TailConstants:
     rho_star: Enclosure
 
 
-def rho_tail(spec: KernelSpec, tau: float, U: int) -> Enclosure:
-    """Relative tail mass 2*(beta1/beta0)^(1/tau) * sum_{m > U} R(m)^(-2*alpha/tau)."""
-    w = spec.weight
-    # a division and a pow, which scales the division's error by 1/tau < 1
-    factor = _rounded(2.0 * (w.beta1 / w.beta0) ** (1.0 / tau), 3)
-    return tail_sum(w, exponent=w.alpha / tau, start=U + 1) * factor
-
-
 def spectrum_tail_constants(spec: KernelSpec, tau: float,
                             u_max: int = 100_000) -> TailConstants:
     """Decay constants: tail of the ordered spectrum past m modes is at most
     C_d / (m+1)^(p_d) with p_d = tau - 1 and C_d = 2^(tau-1)/(tau-1) * (sum lambda^(1/tau))^tau.
 
-    The tail offset U is the smallest U <= u_max with rho_tail(U).hi < 1
-    (``weights._first_below_one``: rho_tail decreases in U); RuntimeError
-    when there is none.
+    The tail offset U is the smallest U <= u_max whose relative tail mass
+    rho = ``eta_star(w, U, tau)`` is certified below one
+    (``min_contraction_order``); RuntimeError when there is none.
     """
     w = spec.weight
     if not (1.0 < tau < 2.0 * w.alpha):
@@ -179,12 +167,9 @@ def spectrum_tail_constants(spec: KernelSpec, tau: float,
     power_sum = symmetrized_mass(spec, tau)
     scale = 2.0 ** (tau - 1.0) / (tau - 1.0)
     C_d = power_sum.power(tau).scale(scale)
-    U = _first_below_one(lambda u: rho_tail(spec, tau, u), u_max)
-    if U is None:
-        raise RuntimeError("no admissible tail offset found")
-    rho = rho_tail(spec, tau, U)
+    U = min_contraction_order(w, u_max, tau)
     return TailConstants(tau=tau, p_d=tau - 1.0, C_d=C_d,
-                         power_sum=power_sum, U_star=U, rho_star=rho)
+                         power_sum=power_sum, U_star=U, rho_star=eta_star(w, U, tau))
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def _check_cap(s: int) -> None:
     if s > PERMANENT_CAP:
         raise PermanentCapError(
             f"invariant block of size {s} exceeds the permanent cap {PERMANENT_CAP}; "
-            "use the truncated spectral evaluation instead"
+            f"shrink the invariant set to at most {PERMANENT_CAP} coordinates"
         )
 
 

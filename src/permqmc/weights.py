@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -325,9 +324,11 @@ class SpectralWeight:
     def has_integer_alpha(self) -> bool:
         return abs(self.alpha - round(self.alpha)) < 1e-12
 
-    def oscillatory_weight_inv(self, m):
-        """beta1 * R(m)^(-2*alpha) for integer m >= 1, vectorized."""
-        return self.beta1 * np.asarray(self.generator(m), dtype=float) ** (-2.0 * self.alpha)
+
+def _factor_roundings(w: SpectralWeight) -> int:
+    """Roundings of a factor beta1 * R(m)^(-2 alpha), a pow counted as two:
+    R(m) two, which the power multiplies by 2 alpha, the pow and the product."""
+    return 2 * math.ceil(2.0 * w.alpha) + 3
 
 
 def r_weight_inv_factors(k_columns: np.ndarray, w: SpectralWeight) -> np.ndarray:
@@ -335,14 +336,20 @@ def r_weight_inv_factors(k_columns: np.ndarray, w: SpectralWeight) -> np.ndarray
 
     Returns an array of the same shape holding beta0 where the entry is zero
     and beta1*R(|k|)^(-2 alpha) otherwise; the reciprocal weight of each row
-    is the product of its factors.
+    is the product of its factors.  The factors of |k| = 0..max|k| (of the
+    distinct |k| only, when there are more of those than entries) are formed
+    once and gathered.
     """
-    k_arr = np.asarray(k_columns, dtype=np.int64)
-    out = np.full(k_arr.shape, w.beta0, dtype=float)
-    nz = k_arr != 0
-    if np.any(nz):
-        out[nz] = w.oscillatory_weight_inv(np.abs(k_arr[nz]))
-    return out
+    k_abs = np.abs(np.asarray(k_columns, dtype=np.int64))
+    top = int(k_abs.max(initial=0))
+    if top < k_abs.size:
+        levels, index = np.arange(top + 1), k_abs
+    else:
+        levels, index = np.unique(k_abs, return_inverse=True)
+    R = np.asarray(w.generator(np.maximum(levels, 1)), dtype=float)
+    table = w.beta1 * R ** (-2.0 * w.alpha)
+    table[levels == 0] = w.beta0
+    return table[index.reshape(k_abs.shape)]
 
 
 def tail_sum(w: SpectralWeight, exponent: float | None = None, start: int = 1) -> Enclosure:
@@ -363,48 +370,33 @@ def spectral_mass(w: SpectralWeight, power: float = 1.0) -> Enclosure:
     return _rounded(w.beta0 ** power, 2) + t * _rounded(2.0 * w.beta1 ** power, 2)
 
 
-def eta_star(w: SpectralWeight, V: int = 0) -> Enclosure:
-    """Contraction constant 2*beta1/beta0 * sum_{m > V} R(m)^(-2*alpha).
+def eta_star(w: SpectralWeight, V: int = 0, tau: float = 1.0) -> Enclosure:
+    """Contraction constant 2*(beta1/beta0)^(1/tau) * sum_{m > V} R(m)^(-2*alpha/tau).
 
-    The associated error bounds require the upper end to drop below one.
+    At tau = 1 it is the eta* of the error bounds, at tau > 1 the relative
+    spectral tail rho of the approximation chain; both require the upper end
+    to drop below one.
     """
     if V < 0:
         raise ValueError("V must be >= 0")
-    # 2*beta1/beta0 is one division
-    return tail_sum(w, start=V + 1) * _rounded(2.0 * w.beta1 / w.beta0, 1)
+    # a division and a pow, which scales the division's error by 1/tau <= 1
+    factor = _rounded(2.0 * (w.beta1 / w.beta0) ** (1.0 / tau), 3)
+    return tail_sum(w, exponent=w.alpha / tau, start=V + 1) * factor
 
 
-def _first_below_one(enclosure: Callable[[int], Enclosure], cap: int) -> int | None:
-    """Smallest index V in 0..cap with enclosure(V).hi < 1, for an
-    enclosure whose upper end decreases in V, or None when there is none.
-
-    Doubling and then bisection: O(log V) evaluations, and
-    O(log cap) before giving up.
-    """
-    def admissible(V: int) -> bool:
-        return enclosure(V).hi < 1.0
-
+def min_contraction_order(w: SpectralWeight, v_max: int = 100_000, tau: float = 1.0) -> int:
+    """Smallest V <= v_max with a certified eta_star(w, V, tau) < 1, found by
+    doubling and bisection (eta_star decreases in V) in O(log V) evaluations;
+    RuntimeError, after O(log v_max), when there is none."""
     bad, good = -1, 0
-    while not admissible(good):
-        if good >= cap:
-            return None
-        bad, good = good, min(2 * good + 1, cap)
+    while eta_star(w, good, tau).hi >= 1.0:
+        if good >= v_max:
+            raise RuntimeError(f"no contraction order found up to V = {v_max}")
+        bad, good = good, min(2 * good + 1, v_max)
     while good - bad > 1:
         mid = (bad + good) // 2
-        if admissible(mid):
-            good = mid
-        else:
-            bad = mid
+        bad, good = (bad, mid) if eta_star(w, mid, tau).hi < 1.0 else (mid, good)
     return good
-
-
-def min_contraction_order(w: SpectralWeight, v_max: int = 100_000) -> int:
-    """Smallest V <= v_max with a certified eta_star(w, V) < 1
-    (``_first_below_one``: eta_star decreases in V)."""
-    V = _first_below_one(lambda v: eta_star(w, v), v_max)
-    if V is None:
-        raise RuntimeError(f"no contraction order found up to V = {v_max}")
-    return V
 
 
 def weight_to_config(w: SpectralWeight) -> dict:

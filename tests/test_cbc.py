@@ -250,14 +250,30 @@ class TestConstruction:
         refined = (max(1, s) ** (1 / lam) * (w.c_R / n) ** (2 * w.alpha / lam) + 1 / n) ** lam
         assert res.achieved_E2 <= refined * C.hi
 
+    @staticmethod
+    def _check_better_than_average(spec, n):
+        # the average runs over z = 1..n-1: B(0) collapses the coordinate
+        res = cbc_construct(spec, n, mode="better_than_average", lam=1.0)
+        z = res.rule.z
+        for ell in range(1, spec.d):
+            vals, _ = cbc_step_objectives(list(z[:ell]), n, spec)
+            mean = np.mean(vals[1:])
+            assert vals[z[ell]] <= mean
+            # first qualifying candidate is selected
+            qualifying = 1 + np.nonzero(vals[1:] <= mean)[0]
+            assert z[ell] == qualifying[0]
+        assert res.achieved_E2 <= res.certified_bound
+        return res
+
     def test_better_than_average_mode(self, spec_d2_full):
-        n = 13
-        res = cbc_construct(spec_d2_full, n, mode="better_than_average", lam=1.0)
-        vals, _ = cbc_step_objectives([1], n, spec_d2_full)
-        assert vals[res.rule.z[1]] <= np.mean(vals)
-        # first qualifying candidate is selected
-        qualifying = np.nonzero(vals <= np.mean(vals))[0]
-        assert res.rule.z[1] == qualifying[0]
+        self._check_better_than_average(spec_d2_full, 13)
+
+    def test_better_than_average_mode_skips_zero(self, sobolev2):
+        # B(0) is about 1e6 times the mean over z != 0 at alpha = 2; averaging
+        # it in accepted z = (1, 1, 1, 1), every node on the diagonal
+        spec = KernelSpec(sobolev2, PermStructure.full(4))
+        res = self._check_better_than_average(spec, 1009)
+        assert res.rule.z != (1, 1, 1, 1) and res.achieved_E2 < 1e-9
 
     def test_rejects_nonprime_and_small(self, spec_d2_full):
         with pytest.raises(ValueError):

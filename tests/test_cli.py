@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import permqmc.cbc
 from permqmc import KernelSpec, PermStructure, SpectralWeight, shift_search
 from permqmc.cli import EXIT_CONFIG, EXIT_OK, main
 from permqmc.lattice import LatticeRule, load_cubature, load_lattice
@@ -104,6 +105,17 @@ class TestCbcCommand:
         assert code == EXIT_CONFIG
         assert "GiB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["0", "0.5", "2", "-1"])
+    def test_lambda_refused_before_any_step(self, cfg_path, capsys, monkeypatch, lam):
+        # alpha = 1: lambda must lie in [1, 2), checked before step 1
+        def no_step(*args, **kwargs):
+            raise AssertionError("a CBC step ran")
+
+        monkeypatch.setattr(permqmc.cbc, "cbc_step_objectives", no_step)
+        assert main(["cbc", "--config", str(cfg_path), "--mode", "better_than_average",
+                     "--lam", lam]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: lambda must lie in [1, 2*alpha) = [1, 2.0)\n"
+
     def test_threads_only_on_convergence(self, cfg_path):
         assert main(["cbc", "--config", str(cfg_path), "--threads", "2"]) == EXIT_CONFIG
 
@@ -186,6 +198,34 @@ class TestPipelines:
             assert b["half_width"] == 12
             assert abs(a["value"] - b["value"]) <= a["certificate"] + b["certificate"]
             assert b["cert_exceeds_value"] is True
+
+    def test_negative_half_width_exit_code(self, cfg_path, tmp_path, capsys):
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n0.3 0.7\n")
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                     "--method", "spectral", "--half-width", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: half_width must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_search_budget_below_one_exit_code(self, cfg_path, tmp_path, capsys, budget):
+        # N = 4 stops at a zero level (kappa <= K_p), N = 32 draws a level;
+        # with no draw to keep, both refuse the budget up front
+        for N in ("4", "32"):
+            assert main(["approx-build", "--config", str(cfg_path), "--N", N, "--tau", "1.5",
+                         "--budget", budget, "--out", str(tmp_path / "r.qw")]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: search_budget must be >= 1, got {budget}\n"
+        assert not (tmp_path / "r.qw").exists()
+
+    def test_permanent_cap_exit_code(self, tmp_path, capsys):
+        # d = 25 with full invariance: the message says how to get under the cap
+        cfg = tmp_path / "c25.json"
+        cfg.write_text(json.dumps({"space": {"alpha": 1.0}, "structure": {"d": 25}}))
+        rule = tmp_path / "two.qw"
+        rule.write_text("2 25\n" + "\n".join("1 " + " ".join(["0.5"] * 25) for _ in range(2)) + "\n")
+        assert main(["error-eval", "--config", str(cfg), "--rule", str(rule)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: invariant block of size 25 exceeds the permanent cap 24; "
+            "shrink the invariant set to at most 24 coordinates\n")
 
     def test_integrate_dimension_mismatch(self, cfg_path, tmp_path):
         rule = tmp_path / "r3.txt"
@@ -306,7 +346,7 @@ class TestPipelines:
                                    "structure": {"d": 2}}))
         code = main(["approx-build", "--config", str(cfg), "--N", "16", "--tau", "1.9"])
         assert code == EXIT_CONFIG
-        assert "error: no admissible tail offset found" in capsys.readouterr().err
+        assert "error: no contraction order found up to V = 100000" in capsys.readouterr().err
 
     def test_convergence_study(self, cfg_path, tmp_path):
         csv = tmp_path / "conv.csv"

@@ -577,6 +577,17 @@ class TestSpectralHelpers:
         assert peak < 4 << 20
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("method", ["worst_case", "mean"])
+    @pytest.mark.parametrize("H", [-1, -7])
+    def test_negative_half_width_refused(self, method, H):
+        spec = KernelSpec(SpectralWeight(), PermStructure.full(3))
+        rule = LatticeRule(13, (1, 5, 8), (0.1, 0.5, 0.9))
+        with pytest.raises(ValueError, match=f"^half_width must be >= 0, got {H}$"):
+            if method == "mean":
+                mean_sq_error(rule, spec, method="spectral", half_width=H)
+            else:
+                worst_case_error_sq_spectral(rule, spec, half_width=H)
+
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 13, 101, 251, 503])
     def test_dual_box_is_the_filtered_box(self, d, n):

@@ -4,18 +4,17 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from permqmc import spectrum
+from permqmc import weights
 from permqmc.kernels import KernelSpec
 from permqmc.spectrum import (
     EigenSpectrum,
     c_prime,
     rate_constants,
-    rho_tail,
     spectrum_tail_constants,
     univariate_labeled,
 )
 from permqmc.symmetry import PermStructure
-from permqmc.weights import SpectralWeight, r_weight_inv_factors
+from permqmc.weights import SpectralWeight, eta_star, r_weight_inv_factors
 
 
 class TestUnivariate:
@@ -138,35 +137,40 @@ class TestTailConstants:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("beta1", [1e-3, 0.3, 1.0, 30.0, 1e4])
     def test_offset_search_matches_linear_scan(self, alpha, beta1):
-        def linear_scan(spec, tau, u_max):
+        # the offset U* is min_contraction_order at tau and rho* its eta_star
+        def linear_scan(w, tau, u_max):
             U = 0
-            while rho_tail(spec, tau, U).hi >= 1.0:
+            while eta_star(w, U, tau).hi >= 1.0:
                 U += 1
                 if U > u_max:
                     return None
             return U
 
-        spec = KernelSpec(SpectralWeight(alpha=alpha, beta1=beta1), PermStructure.full(2))
+        w = SpectralWeight(alpha=alpha, beta1=beta1)
+        spec = KernelSpec(w, PermStructure.full(2))
         for tau in np.linspace(1.05, 2.0 * alpha - 0.05, 6):
             for u_max in (0, 5, 3000):
-                expect = linear_scan(spec, tau, u_max)
+                expect = linear_scan(w, tau, u_max)
                 if expect is None:
-                    with pytest.raises(RuntimeError, match="no admissible tail offset"):
+                    with pytest.raises(RuntimeError,
+                                       match=f"no contraction order found up to V = {u_max}$"):
                         spectrum_tail_constants(spec, tau, u_max=u_max)
                 else:
-                    assert spectrum_tail_constants(spec, tau, u_max=u_max).U_star == expect
+                    tc = spectrum_tail_constants(spec, tau, u_max=u_max)
+                    assert tc.U_star == expect
+                    assert tc.rho_star == eta_star(w, expect, tau)
 
     def test_failed_offset_search_is_logarithmic(self, monkeypatch):
         calls = []
-        real = spectrum.rho_tail
+        real = weights.eta_star
 
-        def counting(spec, tau, U):
-            calls.append(U)
-            return real(spec, tau, U)
+        def counting(w, V=0, tau=1.0):
+            calls.append(V)
+            return real(w, V, tau)
 
-        monkeypatch.setattr(spectrum, "rho_tail", counting)
+        monkeypatch.setattr(weights, "eta_star", counting)
         spec = KernelSpec(SpectralWeight(beta1=1e12), PermStructure.full(2))
-        with pytest.raises(RuntimeError, match="no admissible tail offset"):
+        with pytest.raises(RuntimeError, match="no contraction order found up to V = 100000"):
             spectrum_tail_constants(spec, 1.9)
         assert max(calls) == 100_000
         assert len(calls) <= 2 * math.ceil(math.log2(100_000 + 2))
@@ -194,7 +198,7 @@ class TestSortedTupleBound:
             sorted_sum += float(np.prod(univ[list(idx)]))
         lam1 = univ[0]
         for U in (0, 1, 2):
-            rho = rho_tail(spec, tau, U).hi
+            rho = eta_star(spec.weight, U, tau).hi
             geo = sum(rho ** L for L in range(s + 1))
             bound = lam1 ** s * s ** (2 * U) * (2 * U + geo)
             assert sorted_sum <= bound * (1 + 1e-9)

@@ -182,7 +182,9 @@ class TestPermanent:
             assert batch[i] == pytest.approx(permanent(A[i]), rel=1e-12)
 
     def test_cap(self):
-        with pytest.raises(PermanentCapError, match="spectral"):
+        with pytest.raises(PermanentCapError, match=(
+                f"invariant block of size {PERMANENT_CAP + 1} exceeds the permanent cap "
+                f"{PERMANENT_CAP}; shrink the invariant set to at most {PERMANENT_CAP} coordinates")):
             permanent(np.eye(PERMANENT_CAP + 1))
 
     def test_sym_perm_sum(self, rng):

@@ -205,26 +205,39 @@ class TestEtaStar:
         assert V == 0 or eta(V - 1) >= 1.0 - 1e-12
         assert eta_star(w, V).hi < 1.0
 
+    @staticmethod
+    def _check_matches_linear_scan(w, tau):
+        for v_max in (0, 5, 3000):
+            expect = next((V for V in range(v_max + 1) if eta_star(w, V, tau).hi < 1.0), None)
+            if expect is None:
+                with pytest.raises(RuntimeError, match=f"up to V = {v_max}$"):
+                    min_contraction_order(w, v_max, tau)
+            else:
+                assert min_contraction_order(w, v_max, tau) == expect
+
     @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5])
     @pytest.mark.parametrize("beta0", [0.5, 1.0])
     @pytest.mark.parametrize("beta1", [1e-3, 1.0, 30.0, 1e4])
     def test_min_order_matches_linear_scan(self, alpha, beta0, beta1):
+        self._check_matches_linear_scan(SpectralWeight(alpha=alpha, beta0=beta0, beta1=beta1), 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("beta0", [0.5, 1.0])
+    @pytest.mark.parametrize("beta1", [1e-3, 0.3, 30.0, 1e4])
+    @pytest.mark.parametrize("tau_frac", [0.1, 0.9])
+    def test_min_order_matches_linear_scan_tau(self, alpha, beta0, beta1, tau_frac):
+        # tau in (1, 2 alpha) is the spectral tail offset U* of the
+        # approximation chain; tau = 1 the eta* of the error bounds
         w = SpectralWeight(alpha=alpha, beta0=beta0, beta1=beta1)
-        for v_max in (0, 5, 3000):
-            expect = next((V for V in range(v_max + 1) if eta_star(w, V).hi < 1.0), None)
-            if expect is None:
-                with pytest.raises(RuntimeError, match=f"up to V = {v_max}$"):
-                    min_contraction_order(w, v_max)
-            else:
-                assert min_contraction_order(w, v_max) == expect
+        self._check_matches_linear_scan(w, 1.0 + tau_frac * (2.0 * alpha - 1.0))
 
     def test_failed_min_order_is_logarithmic(self, monkeypatch):
         calls = []
         real = weights.eta_star
 
-        def counting(w, V=0):
+        def counting(w, V=0, tau=1.0):
             calls.append(V)
-            return real(w, V)
+            return real(w, V, tau)
 
         monkeypatch.setattr(weights, "eta_star", counting)
         with pytest.raises(RuntimeError, match="no contraction order found up to V = 100000"):
