@@ -143,13 +143,18 @@ def _cmd_error_eval(args) -> int:
     out: dict = {}
     if args.rule:
         rule = load_rule(args.rule)
+        method = _param(cfg, args, "method", "fixed_point")
+        hw = _param(cfg, args, "half_width", None)
+        lattice = isinstance(rule, LatticeRule)
+        if not lattice and (method in ("spectral", "both") or hw is not None):
+            raise ConfigError("the spectral routes (--method spectral|both, --half-width) "
+                              f"need a lattice rule; {args.rule} is a weighted rule")
         out["worst_case"] = worst_case_error_sq(rule, spec).to_json()
-        if isinstance(rule, LatticeRule):  # also report the shift average
-            method = _param(cfg, args, "method", "fixed_point")
+        if lattice:  # also report the shift average
             if method in ("fixed_point", "both"):
                 out["mean_shifted"] = mean_sq_error(rule, spec, "fixed_point").to_json()
             if method in ("spectral", "both"):
-                hw = int(_param(cfg, args, "half_width", 12))
+                hw = int(12 if hw is None else hw)
                 out["mean_shifted_spectral"] = mean_sq_error(
                     rule, spec, "spectral", half_width=hw).to_json()
                 out["worst_case_spectral"] = worst_case_error_sq_spectral(

@@ -117,7 +117,7 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     or "general"), the number of pair permanents evaluated, and on the FFT
     route the number of FFTs.
 
-    The certificate is the Gram certificate (kernel and Ryser errors, or the
+    The certificate is the Gram certificate (kernel and permanent errors, or the
     FFT route's table, FFT and summation bounds, and for both lattice routes
     the rounding of the mean) plus an a priori rounding bound
     gamma_k * sum |terms| of the quadratic form and the three-term formula.

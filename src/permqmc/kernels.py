@@ -65,8 +65,8 @@ _SERIES_CAP = 2_000_000
 # doubles per temporary of the cosine series: a chunk of terms times the
 # number of points stays at about this many
 _SERIES_ELEMS = 1_000_000
-# pairs per Ryser pass: node pairs in the Gram routes, (mode, point) pairs in
-# the eigenfunction values; bounds their memory
+# pairs per permanent pass: node pairs in the Gram routes, (mode, point)
+# pairs in the eigenfunction values; bounds their memory
 _PAIR_CHUNK = 8192
 # pi to 60 significant digits (error below 1e-59)
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
@@ -464,11 +464,15 @@ def _gram_entries(block: np.ndarray, cert1: float, free_prod: np.ndarray,
                   free_cert: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values per(block) * free_prod / s! of a batch-last (s, s, b)
     block and the error bound of each: K1's certificate through per(|A|+c)
-    minus per(|A|), Ryser's rounding of per(A) and of both of those, the
-    free-factor certificate, and the two roundings of the value itself."""
+    minus per(|A|), the permanent pass's rounding, the free-factor
+    certificate, and the two roundings of the value itself."""
     fact = float(spec.perm.group_order)
     pb = permanent_bounds(block, cert1)
     values = pb.per * free_prod / fact
+    # T, the exact K1 table, has |T - A| <= c, so |per(T) - per(A)| is at most
+    # per(|A|+c) - per(|A|): computed, it errs by the roundings of per_pad and
+    # per_abs, and per(A) by its own, 3 bounds in all (per_abs being per on
+    # the one-pass path saves none: its error may have either sign)
     per_err = pb.per_pad - pb.per_abs + 3.0 * pb.rounding
     free_abs = np.abs(free_prod)
     certs = (per_err * (free_abs + free_cert)
@@ -499,12 +503,12 @@ def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Gram matrix of the exchange-invariant kernel on point sets X, Y.
 
     Node pairs are taken in chunks of about ``_PAIR_CHUNK`` pairs
-    (``_pair_chunks``); each chunk goes through one fused Ryser pass
-    (``permanent_bounds``), so memory beyond G itself is
-    O(_PAIR_CHUNK * s^2).  When ``Y is X`` the kernel's symmetry is used:
-    only the n(n+1)/2 pairs j >= i are evaluated and mirrored, so the result
-    is exactly symmetric.  Returns (G, cert) where cert bounds the absolute
-    error of every entry, Ryser's rounding included.
+    (``_pair_chunks``); each chunk goes through ``permanent_bounds``, so
+    memory beyond G itself is O(_PAIR_CHUNK * s^2).  When ``Y is X`` the
+    kernel's symmetry is used: only the n(n+1)/2 pairs j >= i are evaluated
+    and mirrored, so the result is exactly symmetric.  Returns (G, cert)
+    where cert bounds the absolute error of every entry, the permanent's
+    rounding included.
     """
     upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -545,8 +549,8 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     has the transposed block (K1 is even) and the same permanent, so pairs
     are indexed by (k, m = l - k mod n) with m in 0..n//2 only, and every m
     with m != -m mod n counts twice.  The free-coordinate factor depends on
-    m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs through one
-    fused Ryser pass, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
+    m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs through
+    ``permanent_bounds``, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
 
     Returns (mean, cert, pairs): cert bounds the error of the mean, that of
     every Gram entry plus the rounding of the accumulation; pairs counts the

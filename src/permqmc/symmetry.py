@@ -2,7 +2,7 @@
 
 Holds the permutation structure (which coordinates may be exchanged), exact
 multiplicity counts of multi-indices, canonical sorted representatives, and
-the Ryser permanent engine used for symmetrized product sums.
+the permanent engine (Glynn's formula) used for symmetrized product sums.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ __all__ = [
     "PERMANENT_CAP",
 ]
 
-# Largest invariant block that a Ryser pass (2^s - 1 terms) accepts.  A
+# Largest invariant block that a permanent pass (2^(s-1) terms) accepts.  A
 # larger one raises PermanentCapError, a ValueError, before any term is
 # summed.  No route falls back to another evaluation: the error reaches the
 # caller, and the CLI prints it and exits 2.
@@ -132,50 +132,43 @@ def _check_cap(s: int) -> None:
 
 
 def _ryser(cols, pad=None):
-    """Ryser's signed sum over a batch-last stack ``cols`` of shape (s, s, b):
-    per(cols) = sum over the column sets S of (-1)^(s - |S|) prod_i row_i(S),
-    row_i(S) the sum of cols[i, j] over j in S.
-
-    The walk takes the nonempty S in Gray-code order, so each step adds or
-    removes one column of the row sums; the empty set's term is 1 at s = 0
-    and 0 otherwise.  With ``pad`` = c the same walk also yields the padded
-    terms prod_i (row_i(S) + c*|S|), whose row sums are those of cols + c,
-    and returns (per(cols), per(cols + c), the unsigned sum of the padded
-    terms).  This is the only Ryser pass of the package; both permanent
-    functions call it.
+    """Permanents of a batch-last stack ``cols`` of shape (s, s, b) by
+    Glynn's formula (Eur. J. Combin. 31 (2010)), in the half-row form of
+    Nijenhuis and Wilf (Combinatorial Algorithms, 2nd ed., 1978, ch. 23):
+    per(A) = 2 sum_delta (prod_k delta_k) prod_i r_i(delta) with
+    r_i(delta) = (1/2) sum_j delta_j a_ij, over the N = 2^(s-1) sign vectors
+    delta with delta_0 = +1.  The walk sums the columns for delta = (+1, ...,
+    +1), then takes the others in Gray-code order: each step adds or
+    subtracts one column and flips the term's sign.  Halving and doubling
+    are exact, so every rounding is that of Glynn's row sums.  With ``pad``
+    = c it also sums the terms prod_i (r_i + c * sum(delta) / 2), whose row
+    sums are those of cols + c, and returns (per(cols), per(cols + c), the
+    row sums sum_j cols[i, j] of delta = (+1, ..., +1)).
+    This is the only permanent pass of the package.
     """
     s, _, b = cols.shape
     _check_cap(s)
-    dtype = cols.dtype if cols.dtype.kind in "cf" else np.float64
-    k = 1 if pad is None else 2
-    sums = np.full((k, b), float(s == 0), dtype=dtype)
-    terms = np.empty((k, b), dtype=dtype)
-    row = np.zeros((s, b), dtype=dtype)
-    if pad is not None:
-        padded = np.empty((s, b), dtype=dtype)
-        unsigned = np.zeros(b, dtype=dtype)
-    mask = size = 0
-    for code in range(1, 1 << s):
-        j = (code & -code).bit_length() - 1
-        if mask >> j & 1:
-            row -= cols[:, j]
-            size -= 1
-        else:
-            row += cols[:, j]
-            size += 1
-        mask ^= 1 << j
-        np.multiply.reduce(row, axis=0, out=terms[0])
-        if pad is not None:
-            np.add(row, pad * size, out=padded)
-            np.multiply.reduce(padded, axis=0, out=terms[1])
-            unsigned += terms[1]
-        if size & 1:
-            sums -= terms
-        else:
-            sums += terms
-    if s & 1:
-        np.negative(sums, out=sums)
-    return sums[0] if pad is None else (sums[0], sums[1], unsigned)
+    dtype = np.complex128 if cols.dtype.kind == "c" else np.float64   # the bound's u
+    sums = np.full((1 if pad is None else 2, b), float(s == 0), dtype=dtype)
+    rowsum = np.zeros((s, b), dtype=dtype)
+    for j in range(s):
+        rowsum += cols[:, j]
+    if s:
+        terms = np.empty_like(sums)
+        rows = np.empty((len(sums), s, b), dtype=dtype)    # half row sums, padded ones
+        row = np.multiply(rowsum, 0.5, out=rows[0])
+        flips = 0                       # the columns whose delta is -1
+        for code in range(1 << (s - 1)):
+            if code:
+                j = (code & -code).bit_length()
+                (np.add if flips >> j & 1 else np.subtract)(row, cols[:, j], out=row)
+                flips ^= 1 << j
+            if pad is not None:
+                np.add(row, pad * (s / 2 - bin(flips).count("1")), out=rows[1])
+            np.multiply.reduce(rows, axis=1, out=terms)
+            (np.subtract if code & 1 else np.add)(sums, terms, out=sums)
+        sums *= 2.0
+    return sums[0] if pad is None else (sums[0], sums[1], rowsum)
 
 
 def permanent_batch(A) -> np.ndarray:
@@ -184,8 +177,13 @@ def permanent_batch(A) -> np.ndarray:
     One ``_ryser`` pass over ``A`` with its batch axis moved last (a
     batch-last array passed through ``np.moveaxis(B, -1, 0)`` is read
     without a copy), so each result is bitwise ``permanent_bounds(...).per``
-    of the same matrix.  Eigenfunction values use it: their entries are
-    phases of modulus one, so per(|A|) would be s! exactly and needs no pass.
+    of the same matrix.  Eigenfunction values use it on phases, |a_ij| = 1,
+    where R_i = s and ||a_i||^2 = s in ``permanent_bounds``' bound: the
+    rounding is at most the constant C_s = gamma_k (1 + 1/s) Q s^s
+    (1 + gamma_k)^s, Q = (1 + sqrt(s) gamma_k)^2 / (1 + gamma_k)^2,
+    k = 3s + 2^(s-1) - 4 (1 + Q in place of (1 + 1/s) Q at s = 2, and 0 at
+    s <= 1).  To first order C_s = gamma_k (s + 1) s^(s-1): 3.6e-14,
+    5.7e-13, 1.1e-11 and 2.8e-10 at s = 3...6, where s! = 6...720.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
@@ -203,23 +201,61 @@ class PermanentBounds(NamedTuple):
 
 
 def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
-    """Ryser permanents of a batch-last stack A of shape (s, s, batch).
+    """Permanents of a batch-last stack A of shape (s, s, batch).
 
-    Two ``_ryser`` passes: one over A for per(A), one over |A| that yields
-    per(|A|) and, from the same row sums plus c*|S|, per(|A| + c) and the
-    unsigned sum of its terms.
+    When no entry has its sign bit set (``np.signbit``: -0.0 counts), |A| is
+    A bitwise and one ``_ryser`` pass with pad c gives per(A) = per(|A|) and
+    per(A + c).  A signed or complex A takes two, over A and over |A|.
 
-    ``rounding`` is gamma_k * sum_S prod_i (rowabs_i(S) + c*|S|),
-    gamma_k = k*u/(1 - k*u) with k = 2s + 2^s: the standard bound for the
-    signed sum of the 2^s - 1 terms, each a product of s row sums, when every
-    row sum is treated as accumulated in at most 2^s additions (the Gray-code
-    updates).  The padded terms dominate the others, so it bounds the
-    rounding of per(A), per(|A|) and per(|A| + c) alike.
+    ``rounding`` bounds the error of each of the three, barring underflow.
+    In Glynn's form, with R_i = sum_j |a_ij|, N = 2^(s-1), K = s + N - 2:
+    * a row sum r_i(delta) is reached by s - 1 additions and at most N - 1
+      Gray steps, each with an exact result in [-R_i, R_i], so it errs by
+      at most gamma_K R_i, whatever columns came and went before (a bound
+      relative to the current partial misses what a large column leaves);
+    * with y_i = |r_i| + gamma_K R_i, above the exact and the computed row
+      sum, a term errs by at most gamma_K (prod_i y_i + sum_i R_i
+      prod_(l != i) y_l): the row errors, then s - 1 products and N - 1
+      additions, gamma_(s-1) + gamma_(N-1) (1 + gamma_(s-1)) <= gamma_K;
+    * sum_delta r_i^2 = N ||a_i||_2^2 (cross terms cancel), so sum_delta
+      y_i^2 <= N h_i^2, h_i = ||a_i||_2 + gamma_K R_i; with g_i =
+      (1 + gamma_K) R_i >= y_i, AM-GM gives over p >= 2 rows
+      sum_delta prod_(l in T) y_l <= N prod_(l in T) g_l mean_(l in T) q_l,
+      q_l = (h_l / g_l)^2.
+    So the error is at most gamma_K (1 + 1/s) Q prod_i g_i, Q = sum_i q_i;
+    at s = 2, where one row is bounded by Cauchy-Schwarz, N h_l <=
+    N g_l (1 + q_l) / 2, the factor is 1 + Q, and at s = 1, 1.  Padded row
+    sums r_i + c sum(delta) are those of |A| + c, with two more roundings,
+    and a complex product counts three (Higham, Lemma 3.5), so k = K + 2, or
+    K + max(2, 2s - 2) for complex A, replaces K; the R_i of |A| + c are
+    R_i + s c.  Since ||a_i|| >= R_i / sqrt(s), h_i / g_i <= (||a_i|| / R_i)
+    (1 + sqrt(s) gamma_k) / (1 + gamma_k), also for |A| + c, whose row
+    ratio (||a_i|| + sqrt(s) c) / (R_i + s c) lies between ||a_i|| / R_i and
+    1 / sqrt(s); a zero row has q_i = 1/s.  A factor 1 + 2^-40 covers the
+    bound's own evaluation.  Near the all-ones matrix Q is near 1.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[0] != A.shape[1]:
         raise ValueError("A must have shape (s, s, batch)")
     s = A.shape[0]
-    per = _ryser(A)
-    per_abs, per_pad, unsigned = _ryser(np.abs(A).astype(float, copy=False), c)
-    return PermanentBounds(per, per_abs, per_pad, _gamma(2 * s + (1 << s)) * unsigned)
+    if A.dtype.kind != "c" and not np.signbit(A).any():
+        absA = A
+        per, per_pad, R = _ryser(A, c)
+        per_abs = per
+    else:
+        absA = np.abs(A).astype(float, copy=False)
+        per = _ryser(A)
+        per_abs, per_pad, R = _ryser(absA, c)
+    rounding = np.zeros(A.shape[2])
+    if s:
+        k = s + (1 << (s - 1)) + (max(0, 2 * s - 4) if A.dtype.kind == "c" else 0)
+        gk = _gamma(k)
+        q = np.einsum("ijb,ijb->ib", absA, absA, dtype=float)      # ||a_i||^2
+        with np.errstate(divide="ignore", invalid="ignore"):       # a zero row: 0/0
+            q /= R
+            q /= R
+        Q = np.fmax(q, 1.0 / s, out=q).sum(axis=0) * ((1.0 + math.sqrt(s) * gk) / (1.0 + gk)) ** 2
+        R += s * c                                                  # those of |A| + c
+        factor = 1.0 if s == 1 else 1.0 + Q if s == 2 else (1.0 + 1.0 / s) * Q
+        rounding = gk * (1.0 + 2.0 ** -40) * (1.0 + gk) ** s * factor * np.prod(R, axis=0)
+    return PermanentBounds(per, per_abs, per_pad, rounding)

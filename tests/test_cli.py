@@ -206,6 +206,24 @@ class TestPipelines:
                      "--method", "spectral", "--half-width", "-1"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: half_width must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("flags", [["--method", "spectral"], ["--method", "both"],
+                                       ["--half-width", "-1"], ["--half-width", "6"],
+                                       ["--method", "fixed_point", "--half-width", "6"]])
+    def test_spectral_flags_on_weighted_rule_exit_code(self, cfg_path, tmp_path, capsys, flags):
+        # a weighted rule has no spectral route: the flags are refused, not dropped
+        rule = tmp_path / "w.qw"
+        rule.write_text("2 2\n1 0.1 0.2\n1 0.6 0.7\n")
+        out = tmp_path / "e.json"
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                     "--json", str(out)] + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: the spectral routes (--method spectral|both, --half-width) "
+            f"need a lattice rule; {rule} is a weighted rule\n")
+        assert not out.exists()
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                     "--method", "fixed_point", "--json", str(out)]) == EXIT_OK
+        assert set(json.loads(out.read_text())) == {"worst_case", "bound_constant"}
+
     @pytest.mark.parametrize("budget", ["0", "-2"])
     def test_search_budget_below_one_exit_code(self, cfg_path, tmp_path, capsys, budget):
         # N = 4 stops at a zero level (kappa <= K_p), N = 32 draws a level;

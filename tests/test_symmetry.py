@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -203,14 +204,65 @@ def gamma(k):
     return k * u / (1 - k * u)
 
 
-def unsigned_ryser_sum(B, c):
-    """sum over nonempty column sets S of prod_i (sum_{j in S} B_ij + c*|S|)."""
-    s = B.shape[0]
-    total = 0.0
-    for mask in range(1, 1 << s):
+def exact_permanent(A):
+    """per(A) of one real or complex float matrix in exact rational
+    arithmetic, as a (real, imaginary) pair of Fractions."""
+    A = np.asarray(A)
+    s = A.shape[0]
+    re = [[Fraction(float(x)) for x in row] for row in A.real]
+    im = [[Fraction(float(x)) for x in row] for row in np.imag(A)]
+    total_re, total_im = Fraction(int(s == 0)), Fraction(0)
+    for mask in range(1, 1 << s):   # Ryser's formula, exact in rationals
         cols = [j for j in range(s) if mask >> j & 1]
-        total += np.prod(B[:, cols].sum(axis=1) + c * len(cols))
-    return total
+        p_re, p_im = Fraction(1), Fraction(0)
+        for i in range(s):
+            x_re, x_im = sum(re[i][j] for j in cols), sum(im[i][j] for j in cols)
+            p_re, p_im = p_re * x_re - p_im * x_im, p_re * x_im + p_im * x_re
+        sign = -1 if (s - len(cols)) & 1 else 1
+        total_re += sign * p_re
+        total_im += sign * p_im
+    return total_re, total_im
+
+
+def exact_error(value, exact) -> float:
+    """|value - exact| for a float or complex value, rounded up slightly."""
+    value = complex(value)
+    return math.hypot(float(Fraction(value.real) - exact[0]),
+                      float(Fraction(value.imag) - exact[1])) * (1 + 1e-15)
+
+
+def glynn_bound(A, c):
+    """The rounding bound of ``permanent_bounds``' docstring for one matrix,
+    evaluated row by row."""
+    s = A.shape[0]
+    if s == 0:
+        return 0.0
+    g = gamma(s + 2 ** (s - 1) + (max(0, 2 * s - 4) if np.iscomplexobj(A) else 0))
+    B = np.abs(A)
+    R = B.sum(axis=1)
+    # (h_i / g_i)^2 <= (||a_i|| / R_i)^2 ((1 + sqrt(s) g) / (1 + g))^2, at
+    # least 1/s, which a zero row (0/0) takes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.fmax((B * B).sum(axis=1) / R / R, 1 / s)
+    Q = float(ratio.sum()) * ((1 + math.sqrt(s) * g) / (1 + g)) ** 2
+    factor = 1.0 if s == 1 else 1 + Q if s == 2 else (1 + 1 / s) * Q
+    return g * factor * float(np.prod((1 + g) * (R + s * c)))
+
+
+def stack(kind, s, b, rng):
+    """A batch-last (s, s, b) stack of one of the four test kinds."""
+    if kind == "signed":
+        return rng.standard_normal((s, s, b))
+    if kind == "kernel":   # K1 tables: entries near 1
+        return rng.uniform(0.95, 1.09, (s, s, b))
+    if kind == "phase":    # eigenfunction blocks: complex, |a_ij| = 1
+        return np.exp(2j * math.pi * rng.uniform(size=(s, s, b)))
+    # badly scaled: one column 1e4 to 1e11 times the others, so the walk's
+    # row sums far exceed the row sums without it
+    A = rng.uniform(0.5, 1.5, (s, s, b))
+    if s:
+        A[:, rng.integers(s)] *= 10.0 ** rng.uniform(4, 11, size=(s, b))
+    return A
 
 
 class TestFusedRyser:
@@ -224,28 +276,110 @@ class TestFusedRyser:
                 st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
         pb = permanent_bounds(A[:, :, None], c)
         absA = np.abs(A)
-        # brute force over s! permutations has error at most gamma_{s + s!} per(|A| + c)
-        g = gamma(s + math.factorial(s))
-        expect, expect_abs, expect_pad = (naive_permanent(B) for B in (A, absA, absA + c))
-        gr = gamma(2 * s + 2 ** s)
-        pad_rounding = gr * unsigned_ryser_sum(absA, c)
-        assert pb.rounding[0] == pytest.approx(pad_rounding, rel=1e-12, abs=1e-300)
-        tol = gr * unsigned_ryser_sum(absA, 0.0) + g * expect_abs
-        assert abs(pb.per[0] - expect) <= tol
-        assert abs(pb.per_abs[0] - expect_abs) <= tol
-        assert abs(pb.per_pad[0] - expect_pad) <= pad_rounding + g * expect_pad
+        bound = glynn_bound(A, c)
+        assert bound <= pb.rounding[0] <= bound * (1 + 1e-12) + 1e-300
+        for got, B in ((pb.per, A), (pb.per_abs, absA), (pb.per_pad, absA + c)):
+            assert exact_error(got[0], exact_permanent(B)) <= pb.rounding[0]
+
+    @pytest.mark.parametrize("kind", ["signed", "kernel", "phase", "scaled"])
+    @pytest.mark.parametrize("s", range(9))
+    def test_exact_reference(self, kind, s, rng):
+        b = 4 if s <= 6 else 2
+        A = stack(kind, s, b, rng)
+        c = 1.7e-15 if kind == "kernel" else 0.5
+        pb = permanent_bounds(A, c)
+        for m in range(b):
+            absA = np.abs(A[:, :, m])
+            for got, B in ((pb.per, A[:, :, m]), (pb.per_abs, absA), (pb.per_pad, absA + c)):
+                assert exact_error(got[m], exact_permanent(B)) <= pb.rounding[m]
+            assert glynn_bound(A[:, :, m], c) <= pb.rounding[m]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
+    def test_narrow_inputs_summed_in_double(self, dtype, rng):
+        # the bound is in double's unit roundoff, so the pass sums in double
+        A = rng.uniform(-1.0, 4.0, (5, 5, 8)) + (1j if dtype == np.complex64 else 0)
+        A = A.astype(dtype)
+        pb = permanent_bounds(A, 0.5)
+        assert pb.per.dtype == (complex if dtype == np.complex64 else float)
+        for m in range(8):
+            assert exact_error(pb.per[m], exact_permanent(A[:, :, m])) <= pb.rounding[m]
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_bound_below_gray_code_bound_on_kernel_tables(self, s, rng):
+        # Ryser's Gray-code pass was bounded by gamma_(2s + 2^s) times
+        # sum over column sets S of prod_i (rowabs_i(S) + c |S|)
+        A, c = rng.uniform(0.958, 1.083, (s, s, 50)), 1.7e-15
+        gray = np.zeros(50)
+        for mask in range(1, 1 << s):
+            cols = [j for j in range(s) if mask >> j & 1]
+            gray += np.prod(A[:, cols].sum(axis=1) + c * len(cols), axis=0)
+        ratio = permanent_bounds(A, c).rounding / (gamma(2 * s + 2 ** s) * gray)
+        assert np.max(ratio) <= {1: 0.51, 2: 0.7, 3: 0.34, 5: 0.18, 8: 0.07}.get(s, 0.5)
+
+    @pytest.mark.parametrize("s", range(7))
+    def test_unit_modulus_constant(self, s, rng):
+        # permanent_batch's docstring: C_s bounds the pass's rounding on phases
+        A = np.exp(2j * math.pi * rng.uniform(size=(6, s, s)))
+        per = permanent_batch(A)
+        if s <= 1:
+            const = 0.0
+        else:
+            g = gamma(3 * s + 2 ** (s - 1) - 4)
+            Q = (1 + math.sqrt(s) * g) ** 2 / (1 + g) ** 2
+            const = g * (1 + Q if s == 2 else (1 + 1 / s) * Q) * s ** s * (1 + g) ** s
+            rounding = permanent_bounds(np.moveaxis(A, 0, -1)).rounding
+            assert np.allclose(rounding, const, rtol=1e-11, atol=0)
+        for m in range(6):
+            assert exact_error(per[m], exact_permanent(A[m])) <= const
+
+    def test_one_pass_exactly_when_no_sign_bit(self, rng, monkeypatch):
+        from permqmc import symmetry
+
+        calls = []
+        ryser = symmetry._ryser
+
+        def counting(cols, pad=None):
+            calls.append(pad)
+            return ryser(cols, pad)
+
+        A = rng.uniform(0.0, 1.0, (4, 4, 30))
+        A[0, 0, 0] = A[1, 2, 3] = 0.0
+        negzero = A.copy()
+        negzero[1, 2, 3] = -0.0         # equal values, one sign bit set
+        cases = [(A, [0.5]), (A.astype(np.float32), [0.5]), (negzero, [None, 0.5]),
+                 (A - 0.25, [None, 0.5]), (A + 0j, [None, 0.5])]
+        monkeypatch.setattr(symmetry, "_ryser", counting)
+        for B, pattern in cases:
+            calls.clear()
+            pb = permanent_bounds(B, 0.5)
+            assert calls == pattern
+            if pattern == [0.5]:
+                assert pb.per_abs is pb.per
+        # the one pass is bitwise the two passes' per(A), per(|A|), per(|A| + c)
+        one = permanent_bounds(A, 0.5)
+        two = permanent_bounds(negzero, 0.5)
+        signed = ryser(A), ryser(np.abs(A), 0.5)
+        for got in (one, two):
+            assert got.per.tobytes() == signed[0].tobytes()
+            assert got.per_abs.tobytes() == signed[1][0].tobytes()
+            assert got.per_pad.tobytes() == signed[1][1].tobytes()
+            assert got.rounding.tobytes() == one.rounding.tobytes()
 
     def test_real_per_bitwise_equal_to_batch_first_ryser(self, rng):
-        def batch_first(A):  # one Gray-code Ryser pass over a (batch, s, s) stack
+        def batch_first(A, c=0.0):
+            # Glynn's formula in half rows over a (batch, s, s) stack, the
+            # row sums of A + c taken as those of A plus c * sum(delta) / 2
             b, s, _ = A.shape
-            row, total, mask = np.zeros((b, s)), np.zeros(b), 0
-            for code in range(1, 1 << s):
-                j = (code & -code).bit_length() - 1
-                row = row - A[:, :, j] if mask >> j & 1 else row + A[:, :, j]
-                mask ^= 1 << j
-                term = np.prod(row, axis=1)
-                total = total - term if bin(mask).count("1") & 1 else total + term
-            return -total if s & 1 else total
+            row, total, flips = A.sum(axis=2) / 2, np.zeros(b), 0
+            for code in range(1 << (s - 1)):
+                if code:
+                    j = (code & -code).bit_length()
+                    row = row + A[:, :, j] if flips >> j & 1 else row - A[:, :, j]
+                    flips ^= 1 << j
+                minus = bin(flips).count("1")
+                term = np.prod(row + c * (s / 2 - minus), axis=1)
+                total = total - term if minus & 1 else total + term
+            return 2 * total
 
         for s in range(1, 8):
             A = rng.normal(size=(40, s, s))
@@ -253,6 +387,11 @@ class TestFusedRyser:
             assert np.array_equal(pb.per, batch_first(A))
             assert np.array_equal(pb.per_abs, batch_first(np.abs(A)))
             assert np.array_equal(permanent_batch(A), pb.per)
+            absA = np.abs(A)
+            one = permanent_bounds(np.ascontiguousarray(np.moveaxis(absA, 0, -1)), 0.5)
+            assert np.array_equal(one.per, batch_first(absA))
+            assert np.array_equal(one.per_pad, batch_first(absA, 0.5))
+            assert np.array_equal(pb.per_pad, one.per_pad)
 
     @pytest.mark.parametrize("s", range(9))
     def test_unit_modulus_per_bitwise_equal_to_fused_pass(self, s, rng):
@@ -281,13 +420,18 @@ class TestFusedRyser:
 
         A = rng.normal(size=(20, 4, 4))
         batch_last = np.ascontiguousarray(np.moveaxis(A, 0, -1))
-        want = permanent_batch(A), permanent_bounds(batch_last, 0.5)
+        nonneg = np.abs(batch_last)
+        want = (permanent_batch(A), permanent_bounds(batch_last, 0.5),
+                permanent_bounds(nonneg, 0.5))
         monkeypatch.setattr(symmetry, "_ryser", counting)
         assert permanent_batch(A).tobytes() == want[0].tobytes()
         assert calls == [None]
         got = permanent_bounds(batch_last, 0.5)
         assert calls == [None, None, 0.5]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[1]))
+        got = permanent_bounds(nonneg, 0.5)     # no sign bit set: one pass
+        assert calls == [None, None, 0.5, 0.5]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[2]))
 
     def test_batch_shape_and_cap(self):
         assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))

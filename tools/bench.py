@@ -12,10 +12,12 @@ the Korobov generator, full invariance.  Each case's grid is fixed below:
                  lattices, d = 4...8, with the sha256 of the report (less its
                  ``cert_exceeds_value`` flag, recorded beside it) or the
                  refusal message
-  shifted-error  one shifted lattice error at d = 3 per route: ``lattice-fft``
+  shifted-error  one shifted lattice error per route: at d = 3 ``lattice-fft``
                  at n = 1009, 10007, 100003 and the O(n^2) pair route
-                 ``lattice`` at n = 1009, on fixed CBC generating vectors; and
-                 ``permqmc cbc --trials 64 --seed 1`` at n = 1009...100003
+                 ``lattice`` at n = 1009; the pair route also at (d, n) =
+                 (4, 2003), (4, 4001) and (5, 2003), where it is the only
+                 kernel route; on fixed CBC generating vectors; and
+                 ``permqmc cbc --trials 64 --seed 1`` at d = 3, n = 1009...100003
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
@@ -27,8 +29,8 @@ imported from ``PYTHONPATH``.  To compare checkouts, name each one's ``src``
 with ``--checkout LABEL=DIR``; the runs then alternate between them, run by
 run, so that drift in the machine's load falls on both alike:
 
-    python tools/bench.py ryser --checkout parent=../parent/src \\
-        --checkout change=src --repeats 3 --out BENCH_16.json
+    python tools/bench.py ryser shifted-error --checkout parent=../parent/src \\
+        --checkout change=src --repeats 3 --out bench.json
 """
 from __future__ import annotations
 
@@ -50,10 +52,12 @@ TAU = 1.5
 # Korobov multiplier a per n, z = (1, a, a^2, ...) mod n (those of n = 251 and
 # 503 are the benchmark's); the shift is drawn from a fixed seed per d
 MULTIPLIER = {251: 53, 503: 286, 1009: 76}
-# the CBC generating vectors of the d = 3 space, fixed so that the inputs do
-# not depend on the checkout under test
-CBC_Z = {1009: (1, 282, 635), 10007: (1, 3822, 2827), 100003: (1, 38763, 75699)}
-SHIFT = (0.3, 0.71, 0.05)
+# the CBC generating vectors of the space at (d, n), fixed so that the inputs
+# do not depend on the checkout under test
+CBC_Z = {(3, 1009): (1, 282, 635), (3, 10007): (1, 3822, 2827),
+         (3, 100003): (1, 38763, 75699), (4, 2003): (1, 765, 699, 1375),
+         (4, 4001): (1, 1478, 823, 1769), (5, 2003): (1, 765, 699, 1375, 824)}
+SHIFT = (0.3, 0.71, 0.05, 0.42, 0.88)
 RYSER_BATCH = 8192
 RYSER_CALLS = 10
 
@@ -64,8 +68,9 @@ CASES = {
                  for d, n, H in ((4, 503, 12), (5, 251, 6), (5, 251, 12),
                                  (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))
                  for route in ("worst", "mean")],
-    "shifted-error": ([("route", "lattice-fft", n) for n in (1009, 10007, 100003)]
-                      + [("route", "lattice", 1009)]
+    "shifted-error": ([("route", "lattice-fft", 3, n) for n in (1009, 10007, 100003)]
+                      + [("route", "lattice", d, n)
+                         for d, n in ((3, 1009), (4, 2003), (4, 4001), (5, 2003))]
                       + [("cbc", n) for n in (1009, 10007, 20011, 100003)]),
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
@@ -119,16 +124,17 @@ def _spectral(d: int, n: int, H: int, route: str) -> dict:
             "value": rep["value"], "certificate": rep["certificate"]}
 
 
-def _route(route: str, n: int) -> dict:
+def _route(route: str, d: int, n: int) -> dict:
     from permqmc.kernels import _lattice_gram_mean_fft, lattice_gram_mean
     from permqmc.lattice import LatticeRule
 
-    spec = _spec(3)
+    spec = _spec(d)
     mean_fn = _lattice_gram_mean_fft if route == "lattice-fft" else lattice_gram_mean
+    rule = LatticeRule(n, CBC_Z[d, n], SHIFT[:d])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    (mean, cert, count), wall = _timed(lambda: mean_fn(LatticeRule(n, CBC_Z[n], SHIFT), spec))
+    (mean, cert, count), wall = _timed(lambda: mean_fn(rule, spec))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return {"wall_s": wall, "minflt": faults, "value": mean - spec.weight.beta0 ** 3,
+    return {"wall_s": wall, "minflt": faults, "value": mean - spec.weight.beta0 ** d,
             "certificate": cert, "ffts" if route == "lattice-fft" else "pairs": count}
 
 
@@ -211,7 +217,7 @@ def main() -> None:
         print(json.dumps(_child(json.loads(sys.argv[2]))))
         return
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("case", choices=sorted(CASES))
+    p.add_argument("case", nargs="+", choices=sorted(CASES), help="one or more cases")
     p.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR",
                    help="a checkout's src directory; repeat to alternate between several")
     p.add_argument("--repeats", type=int, default=1, help="runs per grid point and checkout")
@@ -219,14 +225,14 @@ def main() -> None:
     args = p.parse_args()
     checkouts = [tuple(c.split("=", 1)) for c in args.checkout] or [("current", None)]
     runs: dict[str, list] = {label: [] for label, _ in checkouts}
-    for run in CASES[args.case]:
+    for run in (run for case in args.case for run in CASES[case]):
         for _ in range(args.repeats):
             for label, src in checkouts:
                 rec = _spawn(src, run)
                 runs[label].append(rec)
                 print(label, json.dumps(rec), file=sys.stderr)
     with open(args.out, "w") as fh:
-        json.dump({"case": args.case,
+        json.dump({"case": " ".join(args.case),
                    "machine": {"cpu": platform.machine(), "cores": os.cpu_count(),
                                "python": platform.python_version(), "numpy": np.__version__},
                    "runs": runs}, fh, indent=1)
