@@ -149,6 +149,9 @@ def _cmd_error_eval(args) -> int:
         if not lattice and (method in ("spectral", "both") or hw is not None):
             raise ConfigError("the spectral routes (--method spectral|both, --half-width) "
                               f"need a lattice rule; {args.rule} is a weighted rule")
+        if method == "fixed_point" and hw is not None:
+            raise ConfigError("--half-width sets the spectral routes' box; "
+                              "give it with --method spectral|both")
         out["worst_case"] = worst_case_error_sq(rule, spec).to_json()
         if lattice:  # also report the shift average
             if method in ("fixed_point", "both"):

@@ -463,20 +463,17 @@ def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarra
 def _gram_entries(block: np.ndarray, cert1: float, free_prod: np.ndarray,
                   free_cert: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values per(block) * free_prod / s! of a batch-last (s, s, b)
-    block and the error bound of each: K1's certificate through per(|A|+c)
-    minus per(|A|), the permanent pass's rounding, the free-factor
-    certificate, and the two roundings of the value itself."""
+    block and the error bound of each.  The exact K1 table T lies within
+    cert1 of block entrywise, so ``permanent_bounds``' bound covers K1's
+    certificate and the pass's rounding at once; then per(T) F_T - per F =
+    (per(T) - per) F_T + per (F_T - F) for the free factor F, and the value
+    rounds twice."""
     fact = float(spec.perm.group_order)
-    pb = permanent_bounds(block, cert1)
-    values = pb.per * free_prod / fact
-    # T, the exact K1 table, has |T - A| <= c, so |per(T) - per(A)| is at most
-    # per(|A|+c) - per(|A|): computed, it errs by the roundings of per_pad and
-    # per_abs, and per(A) by its own, 3 bounds in all (per_abs being per on
-    # the one-pass path saves none: its error may have either sign)
-    per_err = pb.per_pad - pb.per_abs + 3.0 * pb.rounding
+    per, bound = permanent_bounds(block, cert1)
+    values = per * free_prod / fact
     free_abs = np.abs(free_prod)
-    certs = (per_err * (free_abs + free_cert)
-             + pb.per_abs * (free_cert + _gamma(2) * free_abs)) / fact
+    certs = (bound * (free_abs + free_cert)
+             + np.abs(per) * (free_cert + _gamma(2) * free_abs)) / fact
     return values, certs
 
 
@@ -503,12 +500,12 @@ def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Gram matrix of the exchange-invariant kernel on point sets X, Y.
 
     Node pairs are taken in chunks of about ``_PAIR_CHUNK`` pairs
-    (``_pair_chunks``); each chunk goes through ``permanent_bounds``, so
+    (``_pair_chunks``); each chunk takes one ``permanent_bounds`` pass, so
     memory beyond G itself is O(_PAIR_CHUNK * s^2).  When ``Y is X`` the
     kernel's symmetry is used: only the n(n+1)/2 pairs j >= i are evaluated
     and mirrored, so the result is exactly symmetric.  Returns (G, cert)
-    where cert bounds the absolute error of every entry, the permanent's
-    rounding included.
+    where cert bounds the absolute error of every entry: K1's certificate,
+    as the table's entrywise radius, and every rounding (``_gram_entries``).
     """
     upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -549,12 +546,13 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     has the transposed block (K1 is even) and the same permanent, so pairs
     are indexed by (k, m = l - k mod n) with m in 0..n//2 only, and every m
     with m != -m mod n counts twice.  The free-coordinate factor depends on
-    m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs through
-    ``permanent_bounds``, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
+    m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs, one
+    ``permanent_bounds`` pass each, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
 
     Returns (mean, cert, pairs): cert bounds the error of the mean, that of
-    every Gram entry plus the rounding of the accumulation; pairs counts the
-    pair permanents evaluated.
+    every Gram entry (``_gram_entries``, K1's certificate taken as the table's
+    entrywise radius) plus the rounding of the accumulation; pairs counts
+    the pair permanents evaluated.
     """
     n = rule.n
     inv = spec.perm.invariant_idx

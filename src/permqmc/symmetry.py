@@ -29,6 +29,7 @@ __all__ = [
 # caller, and the CLI prints it and exits 2.
 PERMANENT_CAP = 24
 _UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = np.finfo(float).tiny     # smallest normal double
 
 
 def _gamma(k: int) -> float:
@@ -131,7 +132,7 @@ def _check_cap(s: int) -> None:
         )
 
 
-def _ryser(cols, pad=None):
+def _ryser(cols):
     """Permanents of a batch-last stack ``cols`` of shape (s, s, b) by
     Glynn's formula (Eur. J. Combin. 31 (2010)), in the half-row form of
     Nijenhuis and Wilf (Combinatorial Algorithms, 2nd ed., 1978, ch. 23):
@@ -140,35 +141,29 @@ def _ryser(cols, pad=None):
     delta with delta_0 = +1.  The walk sums the columns for delta = (+1, ...,
     +1), then takes the others in Gray-code order: each step adds or
     subtracts one column and flips the term's sign.  Halving and doubling
-    are exact, so every rounding is that of Glynn's row sums.  With ``pad``
-    = c it also sums the terms prod_i (r_i + c * sum(delta) / 2), whose row
-    sums are those of cols + c, and returns (per(cols), per(cols + c), the
-    row sums sum_j cols[i, j] of delta = (+1, ..., +1)).
+    are exact, so every rounding is that of Glynn's row sums.
     This is the only permanent pass of the package.
     """
     s, _, b = cols.shape
     _check_cap(s)
     dtype = np.complex128 if cols.dtype.kind == "c" else np.float64   # the bound's u
-    sums = np.full((1 if pad is None else 2, b), float(s == 0), dtype=dtype)
-    rowsum = np.zeros((s, b), dtype=dtype)
-    for j in range(s):
-        rowsum += cols[:, j]
+    total = np.full(b, float(s == 0), dtype=dtype)
     if s:
-        terms = np.empty_like(sums)
-        rows = np.empty((len(sums), s, b), dtype=dtype)    # half row sums, padded ones
-        row = np.multiply(rowsum, 0.5, out=rows[0])
+        row = np.zeros((s, b), dtype=dtype)           # half row sums
+        for j in range(s):
+            row += cols[:, j]
+        row *= 0.5
+        term = np.empty_like(total)
         flips = 0                       # the columns whose delta is -1
         for code in range(1 << (s - 1)):
             if code:
                 j = (code & -code).bit_length()
                 (np.add if flips >> j & 1 else np.subtract)(row, cols[:, j], out=row)
                 flips ^= 1 << j
-            if pad is not None:
-                np.add(row, pad * (s / 2 - bin(flips).count("1")), out=rows[1])
-            np.multiply.reduce(rows, axis=1, out=terms)
-            (np.subtract if code & 1 else np.add)(sums, terms, out=sums)
-        sums *= 2.0
-    return sums[0] if pad is None else (sums[0], sums[1], rowsum)
+            np.multiply.reduce(row, axis=0, out=term)
+            (np.subtract if code & 1 else np.add)(total, term, out=total)
+        total *= 2.0
+    return total
 
 
 def permanent_batch(A) -> np.ndarray:
@@ -192,70 +187,70 @@ def permanent_batch(A) -> np.ndarray:
 
 
 class PermanentBounds(NamedTuple):
-    """Per-matrix permanents of a batch-last stack and their rounding bound."""
+    """Per-matrix permanents of a batch-last stack and their error bound."""
 
-    per: np.ndarray       # per(A)
-    per_abs: np.ndarray   # per(|A|)
-    per_pad: np.ndarray   # per(|A| + c), c added to every entry
-    rounding: np.ndarray  # bound on the rounding error of each of the three
+    per: np.ndarray     # per(A), computed
+    bound: np.ndarray   # bound on |per(T) - per| for every |T - A| <= c
 
 
 def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
-    """Permanents of a batch-last stack A of shape (s, s, batch).
+    """Permanents of a batch-last stack A of shape (s, s, batch), by one
+    ``_ryser`` pass over A, and a bound on |per(T) - per| for every table T
+    with |T - A| <= c entrywise, barring underflow.
 
-    When no entry has its sign bit set (``np.signbit``: -0.0 counts), |A| is
-    A bitwise and one ``_ryser`` pass with pad c gives per(A) = per(|A|) and
-    per(A + c).  A signed or complex A takes two, over A and over |A|.
-
-    ``rounding`` bounds the error of each of the three, barring underflow.
-    In Glynn's form, with R_i = sum_j |a_ij|, N = 2^(s-1), K = s + N - 2:
-    * a row sum r_i(delta) is reached by s - 1 additions and at most N - 1
-      Gray steps, each with an exact result in [-R_i, R_i], so it errs by
-      at most gamma_K R_i, whatever columns came and went before (a bound
+    In Glynn's form, with R_i = sum_j |a_ij|, N = 2^(s-1), K = s + N - 2
+    and the full row sums rho_i(delta) = sum_j delta_j a_ij:
+    * a computed row sum is reached by s - 1 additions and at most N - 1
+      Gray steps, each with an exact result in [-R_i, R_i], so it errs by at
+      most gamma_K R_i, whatever columns came and went before (a bound
       relative to the current partial misses what a large column leaves);
-    * with y_i = |r_i| + gamma_K R_i, above the exact and the computed row
-      sum, a term errs by at most gamma_K (prod_i y_i + sum_i R_i
-      prod_(l != i) y_l): the row errors, then s - 1 products and N - 1
-      additions, gamma_(s-1) + gamma_(N-1) (1 + gamma_(s-1)) <= gamma_K;
-    * sum_delta r_i^2 = N ||a_i||_2^2 (cross terms cancel), so sum_delta
-      y_i^2 <= N h_i^2, h_i = ||a_i||_2 + gamma_K R_i; with g_i =
-      (1 + gamma_K) R_i >= y_i, AM-GM gives over p >= 2 rows
+      the row sum of T differs from that of A by at most s c.  So the row
+      radius e_i = gamma_K R_i + s c covers both;
+    * with y_i = |rho_i| + e_i, above the computed row sum and that of T, a
+      term errs by at most gamma_K prod_i y_i + sum_i e_i prod_(l != i) y_l:
+      the row radii, then s - 1 products and N - 1 additions,
+      gamma_(s-1) + gamma_(N-1) (1 + gamma_(s-1)) <= gamma_K;
+    * sum_delta rho_i^2 = N ||a_i||_2^2 (cross terms cancel), so sum_delta
+      y_i^2 <= N h_i^2, h_i = ||a_i||_2 + e_i; with g_i = R_i + e_i >= y_i,
+      AM-GM gives over p >= 2 rows
       sum_delta prod_(l in T) y_l <= N prod_(l in T) g_l mean_(l in T) q_l,
-      q_l = (h_l / g_l)^2.
-    So the error is at most gamma_K (1 + 1/s) Q prod_i g_i, Q = sum_i q_i;
-    at s = 2, where one row is bounded by Cauchy-Schwarz, N h_l <=
-    N g_l (1 + q_l) / 2, the factor is 1 + Q, and at s = 1, 1.  Padded row
-    sums r_i + c sum(delta) are those of |A| + c, with two more roundings,
-    and a complex product counts three (Higham, Lemma 3.5), so k = K + 2, or
-    K + max(2, 2s - 2) for complex A, replaces K; the R_i of |A| + c are
-    R_i + s c.  Since ||a_i|| >= R_i / sqrt(s), h_i / g_i <= (||a_i|| / R_i)
-    (1 + sqrt(s) gamma_k) / (1 + gamma_k), also for |A| + c, whose row
-    ratio (||a_i|| + sqrt(s) c) / (R_i + s c) lies between ||a_i|| / R_i and
-    1 / sqrt(s); a zero row has q_i = 1/s.  A factor 1 + 2^-40 covers the
-    bound's own evaluation.  Near the all-ones matrix Q is near 1.
+      q_l = (h_l / g_l)^2 <= 1, and over p = 1 row Cauchy-Schwarz gives
+      N h_l <= N g_l (1 + q_l) / 2.
+    With t_i = e_i / g_i and Q = sum_i q_i, per = 2^(1-s) sum_delta errs by
+    at most prod_i g_i (gamma_K Q / s + sum_i t_i W_i), where W_i =
+    (Q - q_i) / (s - 1), or (1 + Q - q_i) / 2 at s = 2 and 1 at s = 1 (where
+    gamma_K = 0).  A complex product counts three roundings (Higham, Lemma
+    3.5), so for complex A k = 3s + N - 4 replaces K.  The radius is raised
+    by the smallest normal double, so that a zero row at c = 0 has g_i > 0
+    and the bound stays finite.  A factor 1 + 2^-40 covers the bound's own
+    evaluation.  Near the all-ones matrix Q is near 1, so at c = 0 the bound
+    is about gamma_K (1 + 1/s) prod_i g_i.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[0] != A.shape[1]:
         raise ValueError("A must have shape (s, s, batch)")
     s = A.shape[0]
-    if A.dtype.kind != "c" and not np.signbit(A).any():
-        absA = A
-        per, per_pad, R = _ryser(A, c)
-        per_abs = per
-    else:
-        absA = np.abs(A).astype(float, copy=False)
-        per = _ryser(A)
-        per_abs, per_pad, R = _ryser(absA, c)
-    rounding = np.zeros(A.shape[2])
+    per = _ryser(A)
+    bound = np.zeros(A.shape[2])
     if s:
-        k = s + (1 << (s - 1)) + (max(0, 2 * s - 4) if A.dtype.kind == "c" else 0)
-        gk = _gamma(k)
-        q = np.einsum("ijb,ijb->ib", absA, absA, dtype=float)      # ||a_i||^2
-        with np.errstate(divide="ignore", invalid="ignore"):       # a zero row: 0/0
-            q /= R
-            q /= R
-        Q = np.fmax(q, 1.0 / s, out=q).sum(axis=0) * ((1.0 + math.sqrt(s) * gk) / (1.0 + gk)) ** 2
-        R += s * c                                                  # those of |A| + c
-        factor = 1.0 if s == 1 else 1.0 + Q if s == 2 else (1.0 + 1.0 / s) * Q
-        rounding = gk * (1.0 + 2.0 ** -40) * (1.0 + gk) ** s * factor * np.prod(R, axis=0)
-    return PermanentBounds(per, per_abs, per_pad, rounding)
+        gk = _gamma(s + (1 << (s - 1)) - 2 + (2 * s - 2 if A.dtype.kind == "c" else 0))
+        rows = np.empty((3, s, A.shape[2]))
+        g, h, e = rows
+        np.abs(A[:, 0], out=g)
+        np.square(g, out=h)
+        for j in range(1, s):                       # column by column: no |A| copy
+            np.abs(A[:, j], out=e)
+            g += e
+            e *= e
+            h += e
+        np.sqrt(h, out=h)                           # g = R_i, h = ||a_i||
+        np.multiply(g, gk, out=e)
+        e += s * c + _TINY                          # e_i > 0, so no g_i is 0
+        rows[:2] += e                               # g_i, h_i
+        rows[1:] /= g                               # h_i / g_i, t_i
+        h *= h                                      # q_i
+        Q, tsum = rows[1:].sum(axis=1)
+        W = tsum * (Q + (s <= 2)) - np.einsum("ib,ib->b", h, e)   # sum_i t_i W_i
+        W /= s - 1 if s > 2 else s
+        bound = (1.0 + 2.0 ** -40) * np.prod(g, axis=0) * (gk / s * Q + W)
+    return PermanentBounds(per, bound)

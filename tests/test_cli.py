@@ -224,6 +224,34 @@ class TestPipelines:
                      "--method", "fixed_point", "--json", str(out)]) == EXIT_OK
         assert set(json.loads(out.read_text())) == {"worst_case", "bound_constant"}
 
+    @pytest.mark.parametrize("flags, params", [
+        (["--half-width", "6"], {}),
+        (["--method", "fixed_point", "--half-width", "6"], {}),
+        ([], {"half_width": 6}),
+        (["--method", "fixed_point"], {"half_width": 6}),
+        (["--half-width", "6"], {"method": "fixed_point"}),
+    ])
+    def test_half_width_on_fixed_point_route_exit_code(self, cfg_path, tmp_path, capsys,
+                                                       flags, params):
+        # the fixed-point route has no box: a half-width without a spectral
+        # route is refused, not dropped
+        cfg = json.loads(cfg_path.read_text())
+        cfg["params"].update(params)
+        cfg_path.write_text(json.dumps(cfg))
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n0.3 0.7\n")
+        out = tmp_path / "e.json"
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                     "--json", str(out)] + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --half-width sets the spectral routes' box; "
+            "give it with --method spectral|both\n")
+        assert not out.exists()
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                     "--method", "both", "--json", str(out)]
+                    + (flags[-2:] if "--half-width" in flags else [])) == EXIT_OK
+        assert json.loads(out.read_text())["worst_case_spectral"]["half_width"] == 6
+
     @pytest.mark.parametrize("budget", ["0", "-2"])
     def test_search_budget_below_one_exit_code(self, cfg_path, tmp_path, capsys, budget):
         # N = 4 stops at a zero level (kappa <= K_p), N = 32 draws a level;

@@ -358,6 +358,22 @@ class TestExactCertificates:
         assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
         assert rep.truncation_certificate < 1e-13
 
+    @pytest.mark.parametrize("beta0, beta1, d, inv, z, route", [
+        (0.9, 1.1, 4, (1, 2, 3, 4), (1, 3, 4, 5), "lattice"),
+        # K1(1/2) = beta0 - beta1 / 24 < 0: signed K1 tables
+        (0.05, 2.0, 3, (1, 3), (1, 4, 5), "general"),
+        (0.05, 2.0, 4, (1, 2, 3, 4), (1, 3, 4, 5), "lattice"),
+    ])
+    def test_pair_and_general_routes(self, beta0, beta1, d, inv, z, route):
+        w = SpectralWeight(beta0=beta0, beta1=beta1)
+        spec = KernelSpec(w, PermStructure(d, inv))
+        rule = LatticeRule(11, z, (0.3, 0.71, 0.05, 0.42)[:d])
+        rep = worst_case_error_sq(rule.cubature() if route == "general" else rule, spec)
+        assert rep.details["route"] == route
+        exact = self.exact_worst_case_sq(rule, spec)
+        assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
+        assert rep.truncation_certificate < 1e-13
+
     @pytest.mark.parametrize("d, inv, n, z", [
         (3, (1, 2, 3), 31, (1, 12, 7)),
         # 5^3 = 1 mod 31: both 3-cycles are direct sums

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from permqmc.symmetry import (
     PERMANENT_CAP,
     PermStructure,
+    PermanentBounds,
     PermanentCapError,
     _frac,
     multiplicity_array,
@@ -204,24 +205,30 @@ def gamma(k):
     return k * u / (1 - k * u)
 
 
-def exact_permanent(A):
-    """per(A) of one real or complex float matrix in exact rational
-    arithmetic, as a (real, imaginary) pair of Fractions."""
+def exact_permanent(A, E=None):
+    """per(A + E) of one real or complex float matrix A, perturbed by E, in
+    exact arithmetic, as a (real, imaginary) pair of Fractions.  The entries
+    are dyadic rationals, so they are scaled to integers over a common
+    power of two and Ryser's formula runs on Python integers."""
     A = np.asarray(A)
     s = A.shape[0]
-    re = [[Fraction(float(x)) for x in row] for row in A.real]
-    im = [[Fraction(float(x)) for x in row] for row in np.imag(A)]
-    total_re, total_im = Fraction(int(s == 0)), Fraction(0)
-    for mask in range(1, 1 << s):   # Ryser's formula, exact in rationals
+    E = np.zeros(A.shape) if E is None else np.asarray(E)
+    parts = [[Fraction(float(a)) + Fraction(float(e)) for a, e in zip(x.ravel(), y.ravel())]
+             for x, y in ((A.real, E.real), (np.imag(A), np.imag(E)))]
+    scale = max([1] + [v.denominator for part in parts for v in part])
+    re, im = ([[v.numerator * (scale // v.denominator) for v in part[i * s:(i + 1) * s]]
+               for i in range(s)] for part in parts)
+    total_re, total_im = int(s == 0), 0
+    for mask in range(1, 1 << s):   # Ryser's formula, exact in integers
         cols = [j for j in range(s) if mask >> j & 1]
-        p_re, p_im = Fraction(1), Fraction(0)
+        p_re, p_im = 1, 0
         for i in range(s):
             x_re, x_im = sum(re[i][j] for j in cols), sum(im[i][j] for j in cols)
             p_re, p_im = p_re * x_re - p_im * x_im, p_re * x_im + p_im * x_re
         sign = -1 if (s - len(cols)) & 1 else 1
         total_re += sign * p_re
         total_im += sign * p_im
-    return total_re, total_im
+    return Fraction(total_re, scale ** s), Fraction(total_im, scale ** s)
 
 
 def exact_error(value, exact) -> float:
@@ -232,31 +239,47 @@ def exact_error(value, exact) -> float:
 
 
 def glynn_bound(A, c):
-    """The rounding bound of ``permanent_bounds``' docstring for one matrix,
-    evaluated row by row."""
+    """The bound of ``permanent_bounds``' docstring for one matrix, evaluated
+    row by row: prod_i g_i (gamma_k Q / s + sum_i t_i W_i)."""
     s = A.shape[0]
     if s == 0:
         return 0.0
-    g = gamma(s + 2 ** (s - 1) + (max(0, 2 * s - 4) if np.iscomplexobj(A) else 0))
+    g = gamma(s + 2 ** (s - 1) - 2 + (2 * s - 2 if np.iscomplexobj(A) else 0))
     B = np.abs(A)
     R = B.sum(axis=1)
-    # (h_i / g_i)^2 <= (||a_i|| / R_i)^2 ((1 + sqrt(s) g) / (1 + g))^2, at
-    # least 1/s, which a zero row (0/0) takes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.fmax((B * B).sum(axis=1) / R / R, 1 / s)
-    Q = float(ratio.sum()) * ((1 + math.sqrt(s) * g) / (1 + g)) ** 2
-    factor = 1.0 if s == 1 else 1 + Q if s == 2 else (1 + 1 / s) * Q
-    return g * factor * float(np.prod((1 + g) * (R + s * c)))
+    e = g * R + s * c + np.finfo(float).tiny    # the row radius
+    G = R + e
+    q = ((np.sqrt((B * B).sum(axis=1)) + e) / G) ** 2
+    t, Q = e / G, q.sum()
+    W = 1.0 if s == 1 else (1 + Q - q) / 2 if s == 2 else (Q - q) / (s - 1)
+    return float(np.prod(G)) * (g * Q / s + float(np.sum(t * W)))
+
+
+def perturbations(s, c, cplx, rng, corners=4):
+    """Entrywise perturbations E with |E| <= c: none at c = 0, else cJ and
+    random sign corners (for complex A, corners of +-c and +-ic)."""
+    if c == 0:
+        return [None]
+    out = [np.full((s, s), c)]
+    for _ in range(corners):
+        E = c * rng.choice([-1.0, 1.0], size=(s, s))
+        out.append(E * rng.choice([1, 1j], size=(s, s)) if cplx else E)
+    return out
 
 
 def stack(kind, s, b, rng):
-    """A batch-last (s, s, b) stack of one of the four test kinds."""
+    """A batch-last (s, s, b) stack of one of the five test kinds."""
     if kind == "signed":
         return rng.standard_normal((s, s, b))
     if kind == "kernel":   # K1 tables: entries near 1
         return rng.uniform(0.95, 1.09, (s, s, b))
     if kind == "phase":    # eigenfunction blocks: complex, |a_ij| = 1
         return np.exp(2j * math.pi * rng.uniform(size=(s, s, b)))
+    if kind == "zero":     # a zero row in each matrix
+        A = rng.standard_normal((s, s, b))
+        if s:
+            A[rng.integers(s, size=b), :, np.arange(b)] = 0.0
+        return A
     # badly scaled: one column 1e4 to 1e11 times the others, so the walk's
     # row sums far exceed the row sums without it
     A = rng.uniform(0.5, 1.5, (s, s, b))
@@ -269,30 +292,31 @@ class TestFusedRyser:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.booleans(), st.floats(0.0, 1.0), st.data())
     def test_matches_brute_force(self, s, cplx, c, data):
+        # the bound is the docstring's formula and covers per(A + E)
         entries = st.floats(-3.0, 3.0, allow_nan=False)
         A = np.array(data.draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
         if cplx:
             A = A + 1j * np.array(data.draw(
                 st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
         pb = permanent_bounds(A[:, :, None], c)
-        absA = np.abs(A)
         bound = glynn_bound(A, c)
-        assert bound <= pb.rounding[0] <= bound * (1 + 1e-12) + 1e-300
-        for got, B in ((pb.per, A), (pb.per_abs, absA), (pb.per_pad, absA + c)):
-            assert exact_error(got[0], exact_permanent(B)) <= pb.rounding[0]
+        assert bound <= pb.bound[0] <= bound * (1 + 1e-12) + 1e-300
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        for E in [None] + perturbations(s, c, cplx, rng, corners=1):
+            assert exact_error(pb.per[0], exact_permanent(A, E)) <= pb.bound[0]
 
-    @pytest.mark.parametrize("kind", ["signed", "kernel", "phase", "scaled"])
+    @pytest.mark.parametrize("kind", ["signed", "kernel", "phase", "scaled", "zero"])
     @pytest.mark.parametrize("s", range(9))
     def test_exact_reference(self, kind, s, rng):
         b = 4 if s <= 6 else 2
         A = stack(kind, s, b, rng)
-        c = 1.7e-15 if kind == "kernel" else 0.5
-        pb = permanent_bounds(A, c)
-        for m in range(b):
-            absA = np.abs(A[:, :, m])
-            for got, B in ((pb.per, A[:, :, m]), (pb.per_abs, absA), (pb.per_pad, absA + c)):
-                assert exact_error(got[m], exact_permanent(B)) <= pb.rounding[m]
-            assert glynn_bound(A[:, :, m], c) <= pb.rounding[m]
+        for c in (0.0, 1.7e-15, 0.5):
+            pb = permanent_bounds(A, c)
+            assert np.all(np.isfinite(pb.bound))
+            for m in range(b):
+                for E in perturbations(s, c, kind == "phase", rng):
+                    assert exact_error(pb.per[m], exact_permanent(A[:, :, m], E)) <= pb.bound[m]
+                assert glynn_bound(A[:, :, m], c) <= pb.bound[m]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
     def test_narrow_inputs_summed_in_double(self, dtype, rng):
@@ -302,18 +326,18 @@ class TestFusedRyser:
         pb = permanent_bounds(A, 0.5)
         assert pb.per.dtype == (complex if dtype == np.complex64 else float)
         for m in range(8):
-            assert exact_error(pb.per[m], exact_permanent(A[:, :, m])) <= pb.rounding[m]
+            assert exact_error(pb.per[m], exact_permanent(A[:, :, m])) <= pb.bound[m]
 
     @pytest.mark.parametrize("s", range(1, 9))
     def test_bound_below_gray_code_bound_on_kernel_tables(self, s, rng):
         # Ryser's Gray-code pass was bounded by gamma_(2s + 2^s) times
-        # sum over column sets S of prod_i (rowabs_i(S) + c |S|)
-        A, c = rng.uniform(0.958, 1.083, (s, s, 50)), 1.7e-15
+        # sum over column sets S of prod_i rowabs_i(S)
+        A = rng.uniform(0.958, 1.083, (s, s, 50))
         gray = np.zeros(50)
         for mask in range(1, 1 << s):
             cols = [j for j in range(s) if mask >> j & 1]
-            gray += np.prod(A[:, cols].sum(axis=1) + c * len(cols), axis=0)
-        ratio = permanent_bounds(A, c).rounding / (gamma(2 * s + 2 ** s) * gray)
+            gray += np.prod(A[:, cols].sum(axis=1), axis=0)
+        ratio = permanent_bounds(A).bound / (gamma(2 * s + 2 ** s) * gray)
         assert np.max(ratio) <= {1: 0.51, 2: 0.7, 3: 0.34, 5: 0.18, 8: 0.07}.get(s, 0.5)
 
     @pytest.mark.parametrize("s", range(7))
@@ -327,48 +351,14 @@ class TestFusedRyser:
             g = gamma(3 * s + 2 ** (s - 1) - 4)
             Q = (1 + math.sqrt(s) * g) ** 2 / (1 + g) ** 2
             const = g * (1 + Q if s == 2 else (1 + 1 / s) * Q) * s ** s * (1 + g) ** s
-            rounding = permanent_bounds(np.moveaxis(A, 0, -1)).rounding
-            assert np.allclose(rounding, const, rtol=1e-11, atol=0)
+            bound = permanent_bounds(np.moveaxis(A, 0, -1)).bound
+            assert np.allclose(bound, const, rtol=1e-11, atol=0)
         for m in range(6):
             assert exact_error(per[m], exact_permanent(A[m])) <= const
 
-    def test_one_pass_exactly_when_no_sign_bit(self, rng, monkeypatch):
-        from permqmc import symmetry
-
-        calls = []
-        ryser = symmetry._ryser
-
-        def counting(cols, pad=None):
-            calls.append(pad)
-            return ryser(cols, pad)
-
-        A = rng.uniform(0.0, 1.0, (4, 4, 30))
-        A[0, 0, 0] = A[1, 2, 3] = 0.0
-        negzero = A.copy()
-        negzero[1, 2, 3] = -0.0         # equal values, one sign bit set
-        cases = [(A, [0.5]), (A.astype(np.float32), [0.5]), (negzero, [None, 0.5]),
-                 (A - 0.25, [None, 0.5]), (A + 0j, [None, 0.5])]
-        monkeypatch.setattr(symmetry, "_ryser", counting)
-        for B, pattern in cases:
-            calls.clear()
-            pb = permanent_bounds(B, 0.5)
-            assert calls == pattern
-            if pattern == [0.5]:
-                assert pb.per_abs is pb.per
-        # the one pass is bitwise the two passes' per(A), per(|A|), per(|A| + c)
-        one = permanent_bounds(A, 0.5)
-        two = permanent_bounds(negzero, 0.5)
-        signed = ryser(A), ryser(np.abs(A), 0.5)
-        for got in (one, two):
-            assert got.per.tobytes() == signed[0].tobytes()
-            assert got.per_abs.tobytes() == signed[1][0].tobytes()
-            assert got.per_pad.tobytes() == signed[1][1].tobytes()
-            assert got.rounding.tobytes() == one.rounding.tobytes()
-
     def test_real_per_bitwise_equal_to_batch_first_ryser(self, rng):
-        def batch_first(A, c=0.0):
-            # Glynn's formula in half rows over a (batch, s, s) stack, the
-            # row sums of A + c taken as those of A plus c * sum(delta) / 2
+        def batch_first(A):
+            # Glynn's formula in half rows over a (batch, s, s) stack
             b, s, _ = A.shape
             row, total, flips = A.sum(axis=2) / 2, np.zeros(b), 0
             for code in range(1 << (s - 1)):
@@ -376,22 +366,16 @@ class TestFusedRyser:
                     j = (code & -code).bit_length()
                     row = row + A[:, :, j] if flips >> j & 1 else row - A[:, :, j]
                     flips ^= 1 << j
-                minus = bin(flips).count("1")
-                term = np.prod(row + c * (s / 2 - minus), axis=1)
-                total = total - term if minus & 1 else total + term
+                term = np.prod(row, axis=1)
+                total = total - term if bin(flips).count("1") & 1 else total + term
             return 2 * total
 
         for s in range(1, 8):
             A = rng.normal(size=(40, s, s))
-            pb = permanent_bounds(np.ascontiguousarray(np.moveaxis(A, 0, -1)), 0.5)
-            assert np.array_equal(pb.per, batch_first(A))
-            assert np.array_equal(pb.per_abs, batch_first(np.abs(A)))
-            assert np.array_equal(permanent_batch(A), pb.per)
-            absA = np.abs(A)
-            one = permanent_bounds(np.ascontiguousarray(np.moveaxis(absA, 0, -1)), 0.5)
-            assert np.array_equal(one.per, batch_first(absA))
-            assert np.array_equal(one.per_pad, batch_first(absA, 0.5))
-            assert np.array_equal(pb.per_pad, one.per_pad)
+            for B in (A, np.abs(A)):
+                pb = permanent_bounds(np.ascontiguousarray(np.moveaxis(B, 0, -1)), 0.5)
+                assert np.array_equal(pb.per, batch_first(B))
+                assert np.array_equal(permanent_batch(B), pb.per)
 
     @pytest.mark.parametrize("s", range(9))
     def test_unit_modulus_per_bitwise_equal_to_fused_pass(self, s, rng):
@@ -409,29 +393,60 @@ class TestFusedRyser:
             assert np.max(np.abs(ref)) <= math.factorial(s) * (1 + 1e-12)
 
     def test_both_functions_take_the_one_ryser_pass(self, rng, monkeypatch):
+        # one pass per call on every kind of stack, its per returned as is
         from permqmc import symmetry
 
         calls = []
         ryser = symmetry._ryser
 
-        def counting(cols, pad=None):
-            calls.append(pad)
-            return ryser(cols, pad)
+        def counting(cols):
+            calls.append(cols)
+            return ryser(cols)
 
-        A = rng.normal(size=(20, 4, 4))
-        batch_last = np.ascontiguousarray(np.moveaxis(A, 0, -1))
-        nonneg = np.abs(batch_last)
-        want = (permanent_batch(A), permanent_bounds(batch_last, 0.5),
-                permanent_bounds(nonneg, 0.5))
+        A = rng.uniform(0.0, 1.0, (4, 4, 30))
+        A[0, 0, 0] = A[1, 2, 3] = 0.0
+        negzero = A.copy()
+        negzero[1, 2, 3] = -0.0         # equal values, one sign bit set
+        stacks = [A, A.astype(np.float32), negzero, A - 0.25, A + 0j,
+                  np.exp(2j * math.pi * A)]
         monkeypatch.setattr(symmetry, "_ryser", counting)
-        assert permanent_batch(A).tobytes() == want[0].tobytes()
-        assert calls == [None]
-        got = permanent_bounds(batch_last, 0.5)
-        assert calls == [None, None, 0.5]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[1]))
-        got = permanent_bounds(nonneg, 0.5)     # no sign bit set: one pass
-        assert calls == [None, None, 0.5, 0.5]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want[2]))
+        for B in stacks:
+            for c in (0.0, 0.5):
+                calls.clear()
+                pb = permanent_bounds(B, c)
+                assert len(calls) == 1 and calls[0] is B
+                assert pb.per.tobytes() == ryser(B).tobytes()
+            calls.clear()
+            assert permanent_batch(np.moveaxis(B, -1, 0)).tobytes() == pb.per.tobytes()
+            assert len(calls) == 1
+
+    def test_one_pass_exactly_when_no_sign_bit(self, rng, monkeypatch):
+        # a set sign bit once cost a second pass over |A|; now no stack takes
+        # one, and the sign bit of a zero changes neither per nor bound
+        from permqmc import symmetry
+
+        calls = []
+        ryser = symmetry._ryser
+
+        def counting(cols):
+            calls.append(cols)
+            return ryser(cols)
+
+        A = rng.uniform(0.0, 1.0, (4, 4, 30))
+        A[0, 0, 0] = A[1, 2, 3] = 0.0
+        negzero = A.copy()
+        negzero[1, 2, 3] = -0.0         # equal values, one sign bit set
+        assert np.signbit(negzero).any() and not np.signbit(A).any()
+        monkeypatch.setattr(symmetry, "_ryser", counting)
+        got = {}
+        for name, B in (("plain", A), ("negzero", negzero)):
+            calls.clear()
+            got[name] = permanent_bounds(B, 0.5)
+            assert len(calls) == 1 and calls[0] is B
+        for field in ("per", "bound"):
+            same = getattr(got["plain"], field), getattr(got["negzero"], field)
+            assert same[0].tobytes() == same[1].tobytes()
+        assert got["plain"].per.tobytes() == ryser(A).tobytes()
 
     def test_batch_shape_and_cap(self):
         assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))
@@ -442,8 +457,8 @@ class TestFusedRyser:
 
     def test_empty_block(self):
         pb = permanent_bounds(np.zeros((0, 0, 3)), 0.5)
-        assert np.array_equal(pb.per, np.ones(3)) and np.array_equal(pb.per_pad, np.ones(3))
-        assert not np.any(pb.rounding)
+        assert PermanentBounds._fields == ("per", "bound")
+        assert np.array_equal(pb.per, np.ones(3)) and not np.any(pb.bound)
 
     def test_shape_and_cap(self):
         with pytest.raises(ValueError, match="batch"):

@@ -21,7 +21,7 @@ the Korobov generator, full invariance.  Each case's grid is fixed below:
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
-                 calls); and the sha256 of every field of both functions on
+                 calls); and one sha256 per field of both functions on
                  seeded float and complex stacks, s = 0...8, c = 0 and 0.5
 
 Equal hashes across checkouts mean bitwise-equal results.  The package is
@@ -168,28 +168,32 @@ def _ryser_timing(kind: str, s: int) -> dict:
 
 
 def _ryser_digest() -> dict:
-    """sha256 over the bytes of every field of both permanent functions on
-    seeded stacks: s = 0...8, real and complex, batch-first for
-    ``permanent_batch`` and its batch-last copy for ``permanent_bounds`` at
-    c = 0 and 0.5."""
+    """One sha256 per field of both permanent functions, over the bytes of
+    that field on seeded stacks: s = 0...8, real and complex, batch-first
+    for ``permanent_batch`` and its batch-last copy for ``permanent_bounds``
+    at c = 0 and 0.5.  Per field, so that a changed bound does not hide
+    whether per is still bitwise equal."""
     from permqmc.symmetry import permanent_batch, permanent_bounds
 
     rng = np.random.default_rng(16)
-    h = hashlib.sha256()
-    fields = 0
+    hashes: dict = {}
+
+    def update(name, arr):
+        hashes.setdefault(name, hashlib.sha256()).update(arr.dtype.str.encode() + arr.tobytes())
+
     t0 = time.perf_counter()
     for s in range(9):
         for cplx in (False, True):
             A = rng.standard_normal((300, s, s))
             if cplx:
                 A = A + 1j * rng.standard_normal((300, s, s))
-            arrays = [permanent_batch(A)]
+            update("permanent_batch", permanent_batch(A))
             for c in (0.0, 0.5):
-                arrays += permanent_bounds(np.ascontiguousarray(np.moveaxis(A, 0, -1)), c)
-            for arr in arrays:
-                h.update(arr.dtype.str.encode() + arr.tobytes())
-            fields += len(arrays)
-    return {"wall_s": time.perf_counter() - t0, "fields": fields, "sha256": h.hexdigest()}
+                pb = permanent_bounds(np.ascontiguousarray(np.moveaxis(A, 0, -1)), c)
+                for name, arr in zip(pb._fields, pb):
+                    update(name, arr)
+    return {"wall_s": time.perf_counter() - t0,
+            "sha256": {name: h.hexdigest() for name, h in hashes.items()}}
 
 
 RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
