@@ -22,7 +22,7 @@ from .errors import (
     mean_sq_error,
     worst_case_error_sq,
 )
-from .kernels import KernelSpec, power_kernel_table
+from .kernels import KernelSpec
 from .lattice import LatticeRule, is_prime
 
 __all__ = [
@@ -71,11 +71,12 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     lies outside the averaging argument of ``certified_bound``).
 
     n must be prime, and lambda in [1, 2*alpha) (``bound_constant``, computed
-    before the first step).  Each step evaluates all n candidates at once by fast
-    CBC (``cbc_step_objectives``): O(3^ell * n + 2^ell * n log n) time and
-    O(2^ell * n) memory at step ell.  The predicted working sets of the last
-    step and of the final fixed-point E2 are checked before the first step
-    runs, so an oversized (d, n) fails at once with a ValueError.  At step 2 the exact ties
+    before the first step).  Each step evaluates all n candidates at once by
+    fast CBC (``cbc_step_objectives``): O(3^ell * n + 2^ell * n log n) time
+    and O(2^ell * n) memory at step ell, on power-kernel tables that every
+    step and the final E2 share.  The predicted working sets of the last step
+    and of the final fixed-point E2 are checked before the first step runs,
+    so an oversized (d, n) fails at once with a ValueError.  At step 2 the exact ties
     B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}) get bitwise-equal values,
     so the smallest member of the best orbit is chosen, independent of
     rounding.  ``per_step_certificate`` holds each step's objective
@@ -88,16 +89,13 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     if n < spec.weight.c_R:
         raise ValueError(f"n = {n} must be at least c_R = {spec.weight.c_R}")
     d = spec.d
-    c_max = max(1, min(spec.perm.size, d))
-    _check_step_bytes(d, n, c_max)
+    _check_step_bytes(d, n, max(1, spec.perm.size))
     _check_profile_bytes(spec, n)
     C = bound_constant(spec, lam)   # refuses a lambda outside [1, 2*alpha)
-    tables = power_kernel_table(spec.weight, n, c_max, include_constant=False,
-                                mode=spec.mode, tol=spec.tol)
     z: list[int] = []
     per_step, per_cert = [], []
     for _ell in range(d):
-        vals, cert = cbc_step_objectives(z, n, spec, tables)
+        vals, cert = cbc_step_objectives(z, n, spec)
         if not z:
             choice = 1
         elif mode == "minimize":

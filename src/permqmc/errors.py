@@ -265,6 +265,8 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     Independent of the kernel route.  ``details["cert_exceeds_value"]`` says
     whether the certificate is larger than the value.
     """
+    if rule.d != spec.d:
+        raise ValueError("rule dimension does not match the kernel")
     ps = spec.perm
     hs = _dual_box(rule, half_width)
     shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
@@ -290,13 +292,13 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
                   half_width: int = 12) -> ErrorReport:
     """Squared worst-case error averaged over all uniform shifts.
 
-    method "fixed_point": exact average of the shift-averaged kernel over the
-    n unshifted lattice nodes (the shift drops out of node differences),
-    evaluated on power-kernel grid tables by ``shift_invariant_profile``; its
-    certificate is the profile's plus the a priori rounding bound of the
-    mean and the subtraction of beta0^d.  A profile whose predicted working
-    set (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises
-    ValueError before anything is allocated.  method "spectral": truncated
+    method "fixed_point": exact average of the shift-averaged kernel less
+    beta0^d over the n unshifted lattice nodes (the shift drops out of node
+    differences), ``shift_invariant_profile`` on the CBC's zero-mean tables,
+    with no beta0^d term; its certificate is the profile's plus the a priori
+    rounding bound of the mean.  A profile whose predicted working set
+    (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises ValueError
+    before anything is allocated.  method "spectral": truncated
     multiplicity-weighted sum over dual-lattice members of a frequency box
     (``_dual_box``).
     """
@@ -306,12 +308,9 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
     if method == "fixed_point":
         _check_profile_bytes(spec, rule.n)
         prof, cert = shift_invariant_profile(rule, spec)
-        b0d = initial_error_sq(spec)
-        value = float(np.mean(prof)) - b0d
-        # numpy's sum and the division; b0d is one pow, and the subtraction
-        # rounds once
-        cert += (_gamma(_sum_depth(prof.size) + 2) * float(np.mean(np.abs(prof)))
-                 + _gamma(3) * b0d)
+        value = float(np.mean(prof))
+        # numpy's sum and the division
+        cert += _gamma(_sum_depth(prof.size) + 1) * float(np.mean(np.abs(prof)))
         return ErrorReport(max(value, 0.0), "kernel_sum", cert,
                            details={"raw_value": value, "degenerate": degenerate})
     if method != "spectral":
@@ -354,12 +353,12 @@ def _check_profile_bytes(spec: KernelSpec, n: int) -> None:
 
     ``shift_invariant_profile`` holds n doubles for each of the partition
     sums and the block vectors of the 2^s masks of the invariant
-    coordinates, for the s kernel tables, for three n x (d - s) arrays of
-    the free factor and for a few n-vectors: twice the vectors of the last
-    CBC step when s = d.
+    coordinates, for the s kernel tables and for a few n-vectors (the free
+    coordinates' recursion and the value among them): twice the vectors of
+    the last CBC step when s = d.
     """
     s = spec.perm.size
-    _refuse_above_cap(8 * n * ((2 << s) + s + 3 * (spec.d - s) + 8),
+    _refuse_above_cap(8 * n * ((2 << s) + s + 8),
                       f"fixed-point E2 at s = {s}, n = {n}")
 
 
@@ -427,16 +426,16 @@ def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.
     return np.where(tied, mean, vals)
 
 
-def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
-                        tables: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, float]:
+def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Objective values B(prefix, z) for every candidate z in Z_n at once.
 
     The lattice character property turns each dual-membership sum into an
     average over the n lattice nodes j of partition sums of zero-mean power
-    kernels kappa_c on the grid {0, 1/n, ..., (n-1)/n}: over every coordinate
-    subset u containing the candidate coordinate ell = len(prefix) + 1 and
-    every partition of u into blocks B (a block holds more than one
-    coordinate only inside the invariant set), the product of
+    kernels kappa_c on the grid {0, 1/n, ..., (n-1)/n} (``power_kernel_table``,
+    shared with the fixed-point E2): over every coordinate subset u
+    containing the candidate coordinate ell = len(prefix) + 1 and every
+    partition of u into blocks B (a block holds more than one coordinate
+    only inside the invariant set), the product of
     (|B|-1)! * kappa_|B|[j * S_B mod n], S_B the sum of the generators in B,
     weighted by 1 / (c_u * s_u! * n).  The fast CBC route computes it in
     three stages:
@@ -484,12 +483,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec,
         raise ValueError(f"n = {n} is not prime; the fast CBC step needs a prime n")
     ps = spec.perm
     w = spec.weight
-    c_max = max(1, min(ps.size, ell))
-    _check_step_bytes(ell, n, c_max)
-    if tables is None:
-        tables = power_kernel_table(w, n, c_max, include_constant=False,
-                                    mode=spec.mode, tol=spec.tol)
-    table, tcerts = tables
+    _check_step_bytes(ell, n, max(1, ps.size))
+    table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
     k = ell - 1
     zs = [int(v) % n for v in prefix]

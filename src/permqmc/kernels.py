@@ -23,10 +23,10 @@ kappa_c, the univariate kernels with all weights raised to the c-th power.
 That expansion is what makes the shift-averaged kernel and every
 multiplicity-weighted constant exactly computable.  On a rank-1 lattice the
 summed coordinates of a block at node j are the grid point (j * S_B mod n)/n,
-so kappa_c is tabulated once on the grid g/n and one bitmask DP,
-``_partition_sums``, gives the partition sums at every node: it evaluates
-the shift-averaged kernel at the lattice nodes (``shift_invariant_profile``)
-and the per-coordinate CBC objective (``errors.cbc_step_objectives``).
+so kappa_c - beta0^c is tabulated once per (space, n) on the grid g/n and one
+bitmask DP, ``_partition_sums``, gives the partition sums at every node: it
+evaluates the shift-averaged kernel less beta0^d at the lattice nodes
+(``shift_invariant_profile``) and the CBC objective (``errors.cbc_step_objectives``).
 
 The Gram mean of a shifted lattice rule, the core of its worst-case error,
 has two routes: pair permanents over n*(n//2 + 1) node pairs
@@ -244,26 +244,16 @@ def _closed_available(w: SpectralWeight) -> bool:
 
 def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True,
                  mode: str = "auto", tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Evaluate kappa_c(t) = beta0^c + 2*beta1^c * sum_m R(m)^(-2*alpha*c) * cos(2*pi*m*t).
+    """Evaluate kappa_c(t) = beta0^c + 2*beta1^c * sum_m R(m)^(-2*alpha*c) * cos(2*pi*m*t)
+    for the order c = ``power`` >= 1 (c = 1 is the univariate kernel), and
+    without beta0^c when ``include_constant`` is False: the zero-mean part
+    that the grid tables (``power_kernel_table``) and the FFT route hold.
+    ``mode`` is "auto", "closed" or "spectral"; ``tol`` is the spectral
+    path's certificate target.
 
-    Parameters
-    ----------
-    power : int
-        The order c >= 1; c = 1 is the univariate kernel itself.
-    include_constant : bool
-        When False the beta0^c term is dropped (the all-nonzero-frequency
-        variant used in the per-coordinate error decomposition).
-    mode : {"auto", "closed", "spectral"}
-    tol : float
-        Certificate target for the spectral path.
-
-    Returns
-    -------
-    values : ndarray
-    certificate : float
-        Bound on the absolute evaluation error, uniform over ``t``: the
-        closed form's a priori rounding bound, or the series' tail bound
-        plus its rounding bound.
+    Returns (values, certificate), the certificate a bound on the absolute
+    error uniform over ``t``: the closed form's a priori rounding bound, or
+    the series' tail bound plus its rounding bound.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -315,20 +305,23 @@ def _choose_terms(w: SpectralWeight, s_exp: float, amp: float, tol: float,
         terms = min(2 * terms, _SERIES_CAP)
 
 
-def power_kernel_table(w: SpectralWeight, n: int, c_max: int,
-                       include_constant: bool = False, mode: str = "auto",
-                       tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """kappa_c at the grid points g/n for g = 0..n-1 and c = 1..c_max.
+@lru_cache(maxsize=8)
+def power_kernel_table(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-mean power kernels kappa_c - beta0^c at the grid points g/n,
+    g = 0..n-1, for c = 1..max(1, s), in the spec's mode and tol.
 
-    Returns (table, certs) with table of shape (c_max, n).
+    Returns (table, certs) with table of shape (max(1, s), n).  Both are
+    read-only: the CBC steps and the fixed-point E2 of one (space, n) share
+    the cached pair.
     """
     grid = np.arange(n, dtype=float) / n
+    c_max = max(1, spec.perm.size)
     table = np.empty((c_max, n))
     certs = np.empty(c_max)
     for c in range(1, c_max + 1):
-        table[c - 1], certs[c - 1] = power_kernel(
-            w, c, grid, include_constant=include_constant, mode=mode, tol=tol
-        )
+        table[c - 1], certs[c - 1] = power_kernel(spec.weight, c, grid, include_constant=False,
+                                                  mode=spec.mode, tol=spec.tol)
+    table.flags.writeable = certs.flags.writeable = False
     return table, certs
 
 
@@ -758,41 +751,55 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
 
 
 def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.ndarray, float]:
-    """Shift-averaged kernel at the n unshifted nodes j*z/n of a lattice rule.
+    """Shift-averaged kernel less beta0^d at the n unshifted nodes j*z/n of a
+    lattice rule, in memory O(2^s * n).
 
-    Expands the multiplicity-weighted frequency sum over exchange fixed
-    points: for each partition of the invariant block, every block B of size
-    c contributes kappa_c at the summed coordinates of its members, at node
-    j the grid point (j * S_B mod n)/n.  kappa_c is tabulated once on the
-    grid, constants included, and ``_partition_sums`` runs with every block
-    admissible; the free coordinates multiply in kappa_1 at j * z_i mod n.
-    Memory O(2^s * n).
+    The multiplicity-weighted frequency sum expands over exchange fixed
+    points: per partition of the invariant set I, a block B of size c gives
+    kappa_c = beta0^c + o_c at node j's grid point (j * S_B mod n)/n, o_c
+    the zero-mean table (``power_kernel_table``).  The blocks taking beta0^c
+    cover some I \\ V, and the partitions of m coordinates weighted by
+    prod (|B|-1)! number m!, so the invariant factor is beta0^s + p, with
+    p = sum_(V != {}) w_V f[V], w_V = beta0^(s-|V|) (s-|V|)! / s! and f the
+    partition sums of the o_c (``_partition_sums``).  The free coordinates
+    give beta0^(d-s) + q, by q <- q (beta0 + g) + beta0^k g over the k-th
+    one, g = o_1[j z_i mod n].  The value is beta0^s q + beta0^(d-s) p + p q:
+    no term holds beta0^d, so its rounding scales with the o_c.
 
-    Returns (values, cert): cert bounds the absolute error of every value,
-    the table certificates through the partition sum, its rounding and that
-    of the free factor included.
+    Returns (values, cert), cert a bound uniform over the nodes.  p errs by
+    E_p = sum_V w_V (fe[V] + g_V fv[V]), g_V the gamma of the engine's
+    |V| + 2^|V| - 1 roundings, w_V's 6 (a pow counted as two) and the
+    weighted sum's 2^s - 1; |p| <= sum_V w_V fv[V] + E_p.  With
+    T = beta0 + max|o_1| + c_1, c_1 the certificate of o_1, the exact q_k
+    lies within T^k - beta0^k and the computed one errs by E_k, where
+    E_(k+1) = (1 + gamma_4) T E_k + T^k c_1 + gamma_4 (T^(k+1) - beta0^(k+1)):
+    a step rounds three times, and four times in beta0^k g.  The value's
+    three products, two sums and two pows add gamma_6 times their bounds.
     """
-    n = rule.n
+    n, d = rule.n, rule.d
     inv = spec.perm.invariant_idx
-    free = spec.perm.free_idx
-    s = len(inv)
+    s, b0 = len(inv), spec.weight.beta0
     z = np.asarray(rule.z, dtype=np.int64)
-    table, tcerts = power_kernel_table(spec.weight, n, max(1, s), include_constant=True,
-                                       mode=spec.mode, tol=spec.tol)
+    table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
     f, fv, fe = _partition_sums(z[inv].tolist(), (1 << s) - 1, n, table, tmax, tcerts)
-    fact = float(spec.perm.group_order)
-    # the engine's s + 2^s - 1 roundings, and the division when s! > 1
-    part = f[-1] / fact
-    part_cert = (fe[-1] + _gamma(s + (1 << s) - 1 + (fact > 1.0)) * fv[-1]) / fact
-    if not len(free):
-        return part, float(part_cert)
-    j = np.arange(n, dtype=np.int64)
-    fprod, fcert = _free_factor(table[0][np.multiply.outer(j, z[free]) % n], float(tcerts[0]))
-    total = part * fprod
-    cert = (np.abs(part) * fcert + part_cert * (np.abs(fprod) + fcert)
-            + _UNIT_ROUNDOFF * np.abs(total))
-    return total, float(np.max(cert))
+    size = np.array([V.bit_count() for V in range(1, 1 << s)], dtype=np.int64)
+    wts = np.array([b0 ** (s - v) * math.factorial(s - v) for v in size]) / float(math.factorial(s))
+    p = np.einsum("i,ij->j", wts, f[1:])   # einsum, not BLAS: see cbc_step_objectives
+    g_V = _gamma(size + (1 << size) + (1 << s) + 4)
+    p_cert = float(wts @ (fe[1:] + g_V * fv[1:]))
+    p_abs = float(wts @ fv[1:]) + p_cert
+    j, q, q_cert, top = np.arange(n, dtype=np.int64), np.zeros(n), 0.0, b0 + float(tmax[0])
+    for k, zi in enumerate(z[spec.perm.free_idx]):
+        g = table[0].take(j * zi % n)
+        q = q * (b0 + g) + b0 ** k * g
+        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** k * tcerts[0]
+                  + _gamma(4) * (top ** (k + 1) - b0 ** (k + 1)))
+    q_abs = top ** (d - s) - b0 ** (d - s) + q_cert
+    bs, bf = b0 ** s, b0 ** (d - s)
+    cert = (bs * q_cert + bf * p_cert + p_abs * q_cert + q_abs * p_cert
+            + _gamma(6) * (bs * q_abs + bf * p_abs + p_abs * q_abs))
+    return bs * q + bf * p + p * q, float(cert)
 
 
 def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:

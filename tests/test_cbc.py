@@ -12,7 +12,7 @@ from permqmc.cli import EXIT_CONFIG, main
 from permqmc.errors import bound_constant, cbc_step_objectives, mean_sq_error, worst_case_error_sq
 from permqmc.kernels import KernelSpec, power_kernel_table
 from permqmc.lattice import LatticeRule, is_prime
-from permqmc.symmetry import PermStructure
+from permqmc.symmetry import PermStructure, _gamma
 from permqmc.weights import SpectralWeight
 
 from oracles import restriction_constant, set_partitions
@@ -66,11 +66,6 @@ def reference_step_objectives(prefix, n, spec, tables, dtype=np.float64):
     return total, cert
 
 
-def _tables(spec, n):
-    return power_kernel_table(spec.weight, n, max(1, min(spec.perm.size, spec.d)),
-                              include_constant=False, mode=spec.mode, tol=spec.tol)
-
-
 # one prime n for each padded FFT length N = 2^ceil(log2 2(n - 1)) from 2 to 4096
 PADDED_LENGTH_PRIMES = {2: 2, 4: 3, 8: 5, 16: 7, 32: 11, 64: 31, 128: 61, 256: 127,
                         512: 257, 1024: 509, 2048: 1021, 4096: 1031}
@@ -94,9 +89,8 @@ class TestFastStep:
     def test_matches_reference_within_certificates(self, case):
         n, ps, prefix = case
         spec = KernelSpec(SpectralWeight(), ps)
-        tables = _tables(spec, n)
-        vals, cert = cbc_step_objectives(prefix, n, spec, tables)
-        ref, ref_cert = reference_step_objectives(prefix, n, spec, tables)
+        vals, cert = cbc_step_objectives(prefix, n, spec)
+        ref, ref_cert = reference_step_objectives(prefix, n, spec, power_kernel_table(spec, n))
         assert vals.shape == (n,)
         assert np.max(np.abs(vals - ref)) <= cert + ref_cert
         assert cert >= ref_cert
@@ -104,10 +98,9 @@ class TestFastStep:
     @pytest.mark.parametrize("N, n", sorted(PADDED_LENGTH_PRIMES.items()))
     def test_every_padded_length(self, N, n, fft_lengths):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(3))
-        tables = _tables(spec, n)
         prefix = [1, 2 % n]
-        vals, cert = cbc_step_objectives(prefix, n, spec, tables)
-        ref, ref_cert = reference_step_objectives(prefix, n, spec, tables)
+        vals, cert = cbc_step_objectives(prefix, n, spec)
+        ref, ref_cert = reference_step_objectives(prefix, n, spec, power_kernel_table(spec, n))
         assert set(fft_lengths) == {N}
         assert np.max(np.abs(vals - ref)) <= cert + ref_cert
 
@@ -116,7 +109,7 @@ class TestFastStep:
         n, a = 61, 7
         spec = KernelSpec(SpectralWeight(), PermStructure(3, inv))
         vals, _ = cbc_step_objectives([a], n, spec)
-        ref, _ = reference_step_objectives([a], n, spec, _tables(spec, n))
+        ref, _ = reference_step_objectives([a], n, spec, power_kernel_table(spec, n))
         z = np.arange(n)
         tied = (z != 0) & (z != a) & (z != n - a)
         inverse = np.array([pow(int(v), n - 2, n) for v in z])
@@ -131,14 +124,15 @@ class TestFastStep:
         assert best == min(orbit)
 
     @pytest.mark.parametrize("prefix", [[1], [1, 286, 53, 80]])
-    def test_rounding_within_certificate(self, prefix):
+    def test_rounding_within_certificate(self, prefix, monkeypatch):
         # with the table taken as exact the certificate is the rounding bound
         # alone; a long double recomputation of the sums must lie inside it
         n = 1009
         spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
-        table, tcerts = _tables(spec, n)
+        table, tcerts = power_kernel_table(spec, n)
         exact = (table, np.zeros_like(tcerts))
-        vals, cert = cbc_step_objectives(prefix, n, spec, exact)
+        monkeypatch.setattr("permqmc.errors.power_kernel_table", lambda *args: exact)
+        vals, cert = cbc_step_objectives(prefix, n, spec)
         ref, _ = reference_step_objectives(prefix, n, spec, exact, dtype=np.longdouble)
         assert 0.0 < float(np.max(np.abs(vals - ref))) < cert
 
@@ -264,6 +258,23 @@ class TestConstruction:
             assert z[ell] == qualifying[0]
         assert res.achieved_E2 <= res.certified_bound
         return res
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("beta0", [1.0, 0.7])
+    @pytest.mark.parametrize("inv", [(1, 2, 3, 4), (1, 3), ()])
+    def test_objective_is_the_E2_increment(self, alpha, beta0, inv):
+        # step ell's weight 1 / (beta0^|u| C(s, s_u) s_u! n) is E2's weight
+        # beta0^(d - |u|) (s - s_u)! / (s! n) over beta0^d, so beta0^d times
+        # the sum of the chosen objectives is E2: the two engines agree
+        # within both certificates and the rounding of the sum (three
+        # additions of positive terms, a pow and a product)
+        spec = KernelSpec(SpectralWeight(alpha=alpha, beta0=beta0), PermStructure(4, inv))
+        res = cbc_construct(spec, 251)
+        b0d = beta0 ** 4
+        total = b0d * sum(res.per_step_objective)
+        slack = (res.achieved_E2_certificate + b0d * sum(res.per_step_certificate)
+                 + _gamma(6) * total)
+        assert abs(res.achieved_E2 - total) <= slack
 
     def test_better_than_average_mode(self, spec_d2_full):
         self._check_better_than_average(spec_d2_full, 13)

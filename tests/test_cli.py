@@ -429,23 +429,35 @@ class TestPipelines:
         assert payload["rows"][0]["E2"] > 0
         assert len(csv.read_text().strip().splitlines()) == 3
 
-    def test_convergence_row_below_its_certificate(self, tmp_path):
-        # alpha = 2, d = 3: at n = 1009 E2 (2.0e-15) does not exceed its
-        # certificate (6.7e-15), so the row is marked and left out of the
-        # fit; one row is left, no slope is fitted, and the study exits 3
-        from permqmc.cli import EXIT_FLAGGED
-
+    @staticmethod
+    def _alpha_2_study(tmp_path, n_list):
         cfg = tmp_path / "a2.json"
         cfg.write_text(json.dumps({"space": {"alpha": 2.0},
                                    "structure": {"d": 3, "invariant": "full"}}))
         cj = tmp_path / "c.json"
-        code = main(["convergence", "--config", str(cfg), "--n-list", "127,1009",
+        code = main(["convergence", "--config", str(cfg), "--n-list", n_list,
                      "--trials", "4", "--json", str(cj)])
+        return code, json.loads(cj.read_text())
+
+    def test_convergence_row_below_its_certificate(self, tmp_path):
+        # alpha = 2, d = 3: at n = 10007 E2 (about 1.2e-19) does not exceed
+        # its certificate (3.4e-16), so the row is marked and left out of
+        # the fit; one row is left, no slope is fitted, and the study exits 3
+        from permqmc.cli import EXIT_FLAGGED
+
+        code, payload = self._alpha_2_study(tmp_path, "127,10007")
         assert code == EXIT_FLAGGED
-        payload = json.loads(cj.read_text())
         assert [r["below_certificate"] for r in payload["rows"]] == [False, True]
-        assert 0.0 < payload["rows"][1]["E2"] < 1e-14
+        assert 0.0 <= payload["rows"][1]["E2"] < 1e-17
         assert payload["slope"] is None
+
+    def test_convergence_at_alpha_2_above_certificates(self, tmp_path):
+        # at n = 1009 E2 (2.05e-15) is certified to about 3.4e-16: no row is
+        # marked, and the slope is fitted
+        code, payload = self._alpha_2_study(tmp_path, "127,1009")
+        assert code == EXIT_OK
+        assert [r["below_certificate"] for r in payload["rows"]] == [False, False]
+        assert math.isfinite(payload["slope"]) and payload["slope"] < 0
 
     def test_convergence_determinism_across_threads(self, cfg_path, tmp_path):
         outs = []

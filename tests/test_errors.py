@@ -102,6 +102,13 @@ class TestWorstCase:
             b = worst_case_error_sq_spectral(rule, spec, half_width=hw)
             assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
 
+    @pytest.mark.parametrize("z", [(1, 10, 37, 55), (1, 10)])
+    def test_spectral_route_rejects_dimension_mismatch(self, spec_d3_full, z):
+        # a d = 4 lattice in a d = 3 space gave a number, a d = 2 one an IndexError
+        rule = LatticeRule(101, z, (0.3, 0.71, 0.05, 0.42)[:len(z)])
+        with pytest.raises(ValueError, match="dimension does not match"):
+            worst_case_error_sq_spectral(rule, spec_d3_full, half_width=4)
+
 
 class TestSpectralOrbitGrouping:
     """The orbit-grouped spectral route against the sum over all exchanges."""
@@ -304,11 +311,12 @@ def exact_kappa(c, t, w):
 class TestExactCertificates:
     """Certified values against 40-digit recomputations of small rules."""
 
-    def test_mean_sq_error(self):
-        w = SpectralWeight(beta0=0.9, beta1=1.1)
-        spec = KernelSpec(w, PermStructure(4, (1, 2, 4)))
-        n, z = 31, (1, 12, 7, 20)
-        rep = mean_sq_error(LatticeRule(n, z), spec)
+    @staticmethod
+    def exact_mean_sq_error(rule, spec):
+        """The shift-averaged squared error of a lattice rule in 40-digit
+        arithmetic: the partition sums of exact power kernels at every node,
+        less beta0^d."""
+        w, n, z = spec.weight, rule.n, rule.z
         inv, free = spec.perm.invariant_idx, spec.perm.free_idx
         with mpmath.workdps(40):
             total = 0
@@ -324,9 +332,42 @@ class TestExactCertificates:
                 for f in free:
                     part *= exact_kappa(1, x[f], w)
                 total += part / spec.perm.group_order
-            exact = total / n - mpmath.mpf(w.beta0) ** spec.d
+            return total / n - mpmath.mpf(w.beta0) ** spec.d
+
+    @staticmethod
+    def check_mean_sq_error(rule, spec):
+        rep = mean_sq_error(rule, spec)
+        exact = TestExactCertificates.exact_mean_sq_error(rule, spec)
         assert abs(mpmath.mpf(rep.value) - exact) <= rep.truncation_certificate
         assert rep.truncation_certificate < 1e-13
+        # max(raw, 0) never clips a value that its certificate resolves
+        assert rep.details["raw_value"] >= -rep.truncation_certificate
+        return rep
+
+    def test_mean_sq_error(self):
+        spec = KernelSpec(SpectralWeight(beta0=0.9, beta1=1.1), PermStructure(4, (1, 2, 4)))
+        self.check_mean_sq_error(LatticeRule(31, (1, 12, 7, 20)), spec)
+
+    @pytest.mark.parametrize("alpha, beta0, beta1, inv, n, z", [
+        # the CBC rule at (alpha = 2, d = 3, n = 1009): E2 is about 2.05e-15
+        (2.0, 1.0, 1.0, (1, 2, 3), 1009, (1, 282, 635)),
+        (3.0, 1.0, 1.0, (1, 2, 3), 61, (1, 17, 19)),
+        (2.0, 0.9, 1.1, (1, 2, 4), 31, (1, 12, 7, 20)),
+        # K1(1/2) = beta0 - beta1 / 24 < 0: a signed kappa_1 table
+        (2.0, 0.05, 2.0, (1, 3), 37, (1, 10, 31)),
+    ])
+    def test_mean_sq_error_alpha_2_and_3(self, alpha, beta0, beta1, inv, n, z):
+        w = SpectralWeight(alpha=alpha, beta0=beta0, beta1=beta1)
+        rep = self.check_mean_sq_error(LatticeRule(n, z), KernelSpec(w, PermStructure(len(z), inv)))
+        if n == 1009:
+            assert rep.truncation_certificate < rep.value
+
+    def test_mean_sq_error_certified_below_value_at_alpha_2_d_4(self):
+        # the CBC rule at (alpha = 2, d = 4, n = 1009): E2 is about 3.0e-15
+        spec = KernelSpec(SpectralWeight(alpha=2.0), PermStructure.full(4))
+        rep = mean_sq_error(LatticeRule(1009, (1, 282, 635, 153)), spec)
+        assert rep.details["raw_value"] >= -rep.truncation_certificate
+        assert rep.truncation_certificate < rep.value
 
     @staticmethod
     def exact_worst_case_sq(rule, spec):

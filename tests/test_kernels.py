@@ -347,7 +347,8 @@ class TestSymmetricGram:
 class TestShiftInvariantKernel:
     def test_diagonal_constant(self):
         # node 0 is the zero difference, where the profile is the
-        # multiplicity-weighted total mass: two independent routes
+        # multiplicity-weighted total mass less beta0^d: two independent
+        # routes, beta0^d subtracted on the exact side
         # at alpha = 1 the series' tail bound at t = 0 is 2.8e-8 at its cap
         for alpha, perm, mode, tol in [(1.0, PermStructure.full(2), "auto", 1e-9),
                                        (2.0, PermStructure(3, (2, 3)), "auto", 1e-9),
@@ -359,7 +360,9 @@ class TestShiftInvariantKernel:
                               mode=mode, tol=tol)
             prof, cert = shift_invariant_profile(LatticeRule(31, (1, 7, 12, 5)[:perm.d]), spec)
             enc = symmetrized_mass(spec)
-            assert enc.lo - cert <= prof[0] <= enc.hi + cert
+            with mpmath.workdps(40):
+                b0d = mpmath.mpf(spec.weight.beta0) ** perm.d
+                assert enc.lo - b0d - cert <= prof[0] <= enc.hi - b0d + cert
 
     def test_brute_force_two_exchanges(self):
         w = SpectralWeight(alpha=2.0)
@@ -369,7 +372,7 @@ class TestShiftInvariantKernel:
         assert prof.shape == (13,) and cert < 1e-12
         oracle = box_kernel_shinv(rule.points(), spec, H=60)
         assert np.max(np.abs(oracle.imag)) <= 1e-12
-        assert np.max(np.abs(prof - oracle.real)) <= 1e-7
+        assert np.max(np.abs(prof - (oracle.real - w.beta0 ** 2))) <= 1e-7
 
     def test_partial_invariance_oracle(self):
         w = SpectralWeight(alpha=2.0, beta0=0.9, beta1=1.2)
@@ -377,7 +380,7 @@ class TestShiftInvariantKernel:
         rule = LatticeRule(7, (1, 3, 2))
         prof, _ = shift_invariant_profile(rule, spec)
         oracle = box_kernel_shinv(rule.points(), spec, H=25)
-        assert np.max(np.abs(prof - oracle.real)) <= 5e-6
+        assert np.max(np.abs(prof - (oracle.real - w.beta0 ** 3))) <= 5e-6
 
     def test_spectral_mode_agrees(self):
         w = SpectralWeight(alpha=1.0)
@@ -506,10 +509,16 @@ class TestPartitionEngines:
         assert permutation_power_sum(p) == pytest.approx(brute, rel=1e-12)
 
     def test_table_grid(self, sobolev):
-        table, certs = power_kernel_table(sobolev, 8, 2)
-        vals, _ = power_kernel(sobolev, 1, np.arange(8) / 8, include_constant=False)
-        assert np.allclose(table[0], vals)
-        assert np.all(certs >= 0)
+        spec = KernelSpec(sobolev, PermStructure(3, (1, 3)))
+        table, certs = power_kernel_table(spec, 8)
+        assert table.shape == (2, 8) and certs.shape == (2,)
+        for c in (1, 2):
+            vals, cert = power_kernel(sobolev, c, np.arange(8) / 8, include_constant=False)
+            assert np.array_equal(table[c - 1], vals) and certs[c - 1] == cert
+        # cached and read-only: every caller of one (space, n) shares the pair
+        assert power_kernel_table(KernelSpec(sobolev, PermStructure(3, (1, 3))), 8)[0] is table
+        assert not table.flags.writeable and not certs.flags.writeable
+        assert power_kernel_table(KernelSpec(sobolev, PermStructure.empty(2)), 8)[0].shape == (1, 8)
 
 
 def _src_references(name):

@@ -18,6 +18,11 @@ the Korobov generator, full invariance.  Each case's grid is fixed below:
                  (4, 2003), (4, 4001) and (5, 2003), where it is the only
                  kernel route; on fixed CBC generating vectors; and
                  ``permqmc cbc --trials 64 --seed 1`` at d = 3, n = 1009...100003
+  e2             the fixed-point ``mean_sq_error`` (its raw value, certificate
+                 and time) at alpha = 1, 2 and (d, n) = (3, 1009), (4, 1009),
+                 (5, 1009), (8, 127), (3, 10007), on the CBC generating vector
+                 of each space: the first call, power-kernel tables included,
+                 and the median of ``E2_CALLS`` more
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
@@ -58,6 +63,13 @@ CBC_Z = {(3, 1009): (1, 282, 635), (3, 10007): (1, 3822, 2827),
          (3, 100003): (1, 38763, 75699), (4, 2003): (1, 765, 699, 1375),
          (4, 4001): (1, 1478, 823, 1769), (5, 2003): (1, 765, 699, 1375, 824)}
 SHIFT = (0.3, 0.71, 0.05, 0.42, 0.88)
+# the CBC generating vectors of the spaces of the e2 case, by (alpha, d, n)
+E2_Z = {(1, 3, 1009): (1, 282, 635), (1, 4, 1009): (1, 282, 635, 660),
+        (1, 5, 1009): (1, 282, 635, 660, 464), (1, 8, 127): (1, 29, 79, 27, 74, 66, 70, 68),
+        (2, 3, 1009): (1, 282, 635), (2, 4, 1009): (1, 282, 635, 153),
+        (2, 5, 1009): (1, 282, 635, 153, 135), (2, 8, 127): (1, 29, 93, 19, 60, 24, 61, 13),
+        (1, 3, 10007): (1, 3822, 2827), (2, 3, 10007): (1, 3822, 2827)}
+E2_CALLS = 10
 RYSER_BATCH = 8192
 RYSER_CALLS = 10
 
@@ -72,14 +84,16 @@ CASES = {
                       + [("route", "lattice", d, n)
                          for d, n in ((3, 1009), (4, 2003), (4, 4001), (5, 2003))]
                       + [("cbc", n) for n in (1009, 10007, 20011, 100003)]),
+    "e2": [("e2", alpha, d, n) for alpha in (1, 2)
+           for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
 }
 
 
-def _spec(d: int):
+def _spec(d: int, alpha: float = 1.0):
     from permqmc import KernelSpec, PermStructure, SpectralWeight
-    return KernelSpec(SpectralWeight(), PermStructure.full(d))
+    return KernelSpec(SpectralWeight(alpha=alpha), PermStructure.full(d))
 
 
 def _timed(fn):
@@ -154,6 +168,19 @@ def _cbc(n: int) -> dict:
     return {"wall_s": wall, "exit_code": code, **{k: out[k] for k in keep}}
 
 
+def _e2(alpha: int, d: int, n: int) -> dict:
+    from permqmc.errors import mean_sq_error
+    from permqmc.lattice import LatticeRule
+
+    spec, rule = _spec(d, float(alpha)), LatticeRule(n, E2_Z[alpha, d, n])
+    rep, first = _timed(lambda: mean_sq_error(rule, spec))
+    walls = [_timed(lambda: mean_sq_error(rule, spec))[1] for _ in range(E2_CALLS)]
+    cert = rep.truncation_certificate
+    return {"wall_s": first + sum(walls), "first_s": first, "call_s_median": float(np.median(walls)),
+            "value": rep.details["raw_value"], "certificate": cert,
+            "cert_over_value": cert / rep.value if rep.value > 0 else None}
+
+
 def _ryser_timing(kind: str, s: int) -> dict:
     from permqmc.symmetry import permanent_batch, permanent_bounds
 
@@ -197,7 +224,7 @@ def _ryser_digest() -> dict:
 
 
 RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
-           "ryser": _ryser_timing, "digest": _ryser_digest}
+           "e2": _e2, "ryser": _ryser_timing, "digest": _ryser_digest}
 
 
 def _child(run: list) -> dict:
