@@ -244,16 +244,26 @@ def _closed_available(w: SpectralWeight) -> bool:
 
 def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True,
                  mode: str = "auto", tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Evaluate kappa_c(t) = beta0^c + 2*beta1^c * sum_m R(m)^(-2*alpha*c) * cos(2*pi*m*t)
-    for the order c = ``power`` >= 1 (c = 1 is the univariate kernel), and
-    without beta0^c when ``include_constant`` is False: the zero-mean part
-    that the grid tables (``power_kernel_table``) and the FFT route hold.
-    ``mode`` is "auto", "closed" or "spectral"; ``tol`` is the spectral
-    path's certificate target.
+    """Evaluate kappa_c(t) = beta0^c + 2*beta1^c * sum_m R(m)^(-2*alpha*c) * cos(2*pi*m*t).
 
-    Returns (values, certificate), the certificate a bound on the absolute
-    error uniform over ``t``: the closed form's a priori rounding bound, or
-    the series' tail bound plus its rounding bound.
+    Parameters
+    ----------
+    power : int
+        The order c >= 1; c = 1 is the univariate kernel itself.
+    include_constant : bool
+        When False the beta0^c term is dropped (the zero-mean part that
+        ``power_kernel_table`` holds).
+    mode : {"auto", "closed", "spectral"}
+    tol : float
+        Certificate target for the spectral path.
+
+    Returns
+    -------
+    values : ndarray
+    certificate : float
+        Bound on the absolute evaluation error, uniform over ``t``: the
+        closed form's a priori rounding bound, or the series' tail bound
+        plus its rounding bound.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -305,7 +315,7 @@ def _choose_terms(w: SpectralWeight, s_exp: float, amp: float, tol: float,
         terms = min(2 * terms, _SERIES_CAP)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def power_kernel_table(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The zero-mean power kernels kappa_c - beta0^c at the grid points g/n,
     g = 0..n-1, for c = 1..max(1, s), in the spec's mode and tol.

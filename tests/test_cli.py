@@ -448,7 +448,7 @@ class TestPipelines:
         code, payload = self._alpha_2_study(tmp_path, "127,10007")
         assert code == EXIT_FLAGGED
         assert [r["below_certificate"] for r in payload["rows"]] == [False, True]
-        assert 0.0 <= payload["rows"][1]["E2"] < 1e-17
+        assert 0.0 < payload["rows"][1]["E2"] < 1e-17
         assert payload["slope"] is None
 
     def test_convergence_at_alpha_2_above_certificates(self, tmp_path):

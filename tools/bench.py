@@ -19,7 +19,7 @@ the Korobov generator, full invariance.  Each case's grid is fixed below:
                  kernel route; on fixed CBC generating vectors; and
                  ``permqmc cbc --trials 64 --seed 1`` at d = 3, n = 1009...100003
   e2             the fixed-point ``mean_sq_error`` (its raw value, certificate
-                 and time) at alpha = 1, 2 and (d, n) = (3, 1009), (4, 1009),
+                 and time) at alpha = 1, 2, 3 and (d, n) = (3, 1009), (4, 1009),
                  (5, 1009), (8, 127), (3, 10007), on the CBC generating vector
                  of each space: the first call, power-kernel tables included,
                  and the median of ``E2_CALLS`` more
@@ -68,7 +68,10 @@ E2_Z = {(1, 3, 1009): (1, 282, 635), (1, 4, 1009): (1, 282, 635, 660),
         (1, 5, 1009): (1, 282, 635, 660, 464), (1, 8, 127): (1, 29, 79, 27, 74, 66, 70, 68),
         (2, 3, 1009): (1, 282, 635), (2, 4, 1009): (1, 282, 635, 153),
         (2, 5, 1009): (1, 282, 635, 153, 135), (2, 8, 127): (1, 29, 93, 19, 60, 24, 61, 13),
-        (1, 3, 10007): (1, 3822, 2827), (2, 3, 10007): (1, 3822, 2827)}
+        (1, 3, 10007): (1, 3822, 2827), (2, 3, 10007): (1, 3822, 2827),
+        (3, 3, 1009): (1, 271, 188), (3, 4, 1009): (1, 226, 149, 462),
+        (3, 5, 1009): (1, 132, 592, 777, 304), (3, 8, 127): (1, 29, 93, 19, 67, 24, 56, 22),
+        (3, 3, 10007): (1, 220, 2059)}
 E2_CALLS = 10
 RYSER_BATCH = 8192
 RYSER_CALLS = 10
@@ -84,7 +87,7 @@ CASES = {
                       + [("route", "lattice", d, n)
                          for d, n in ((3, 1009), (4, 2003), (4, 4001), (5, 2003))]
                       + [("cbc", n) for n in (1009, 10007, 20011, 100003)]),
-    "e2": [("e2", alpha, d, n) for alpha in (1, 2)
+    "e2": [("e2", alpha, d, n) for alpha in (1, 2, 3)
            for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
