@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import LatticeRule
-from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, permanent_bounds
+from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, _ryser, permanent_bounds
 from .weights import (Enclosure, SpectralWeight, _bernoulli, _rounded,
                       spectral_mass, tail_sum)
 
@@ -463,21 +463,14 @@ def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarra
     return free_prod, free_hi - np.abs(free_prod) + rounding
 
 
-def _gram_entries(block: np.ndarray, cert1: float, free_prod: np.ndarray,
-                  free_cert: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel values per(block) * free_prod / s! of a batch-last (s, s, b)
-    block and the error bound of each.  The exact K1 table T lies within
-    cert1 of block entrywise, so ``permanent_bounds``' bound covers K1's
-    certificate and the pass's rounding at once; then per(T) F_T - per F =
-    (per(T) - per) F_T + per (F_T - F) for the free factor F, and the value
-    rounds twice."""
-    fact = float(spec.perm.group_order)
-    per, bound = permanent_bounds(block, cert1)
-    values = per * free_prod / fact
+def _gram_entries(per, per_abs, bound, free_prod, free_cert, fact: float):
+    """Kernel values per * F / fact for the free factor F and their error
+    bounds, given |per| or a bound on it, and a bound on |per(T) - per| for
+    the exact K1 table T (``permanent_bounds``).  Then per(T) F_T - per F =
+    (per(T) - per) F_T + per (F_T - F), and the value rounds twice."""
     free_abs = np.abs(free_prod)
-    certs = (bound * (free_abs + free_cert)
-             + np.abs(per) * (free_cert + _gamma(2) * free_abs)) / fact
-    return values, certs
+    return per * free_prod / fact, (bound * (free_abs + free_cert)
+                                    + per_abs * (free_cert + _gamma(2) * free_abs)) / fact
 
 
 def _pair_chunks(nx: int, ny: int, upper: bool):
@@ -518,6 +511,7 @@ def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     inv = spec.perm.invariant_idx
     free = spec.perm.free_idx
     s = len(inv)
+    fact = float(spec.perm.group_order)
     gram = np.empty((X.shape[0], Y.shape[0]))
     cert = 0.0
     Xinv, Yinv = X[:, inv].T.copy(), Y[:, inv].T.copy()
@@ -529,8 +523,8 @@ def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
         fd = Xfree.take(i, axis=0) - Yfree.take(j, axis=0)
         fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
         free_prod, free_cert = _free_factor(fvals.reshape(fd.shape), certf)
-        values, certs = _gram_entries(vals.reshape(s, s, i.size), cert1,
-                                      free_prod, free_cert, spec)
+        per, bound = permanent_bounds(vals.reshape(s, s, i.size), cert1)
+        values, certs = _gram_entries(per, np.abs(per), bound, free_prod, free_cert, fact)
         gram[i, j] = values
         if upper:
             gram[j, i] = values
@@ -544,23 +538,30 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     (shifted) rank-1 lattice rule, without forming the n x n matrix.
 
     Node k has coordinates {k*z_i/n + shift_i}, so the invariant block of the
-    pair (k, l) is K1 at (k*z_i - l*z_j mod n)/n + shift_i - shift_j: K1 is
-    tabulated once at those n*s^2 arguments and gathered.  The pair (l, k)
-    has the transposed block (K1 is even) and the same permanent, so pairs
-    are indexed by (k, m = l - k mod n) with m in 0..n//2 only, and every m
-    with m != -m mod n counts twice.  The free-coordinate factor depends on
+    pair (k, l) is K1 at (k*z_i - l*z_j mod n)/n + shift_i - shift_j, tabulated
+    once as T_ij[g].  The pair (l, k) has the transposed block (K1 is even),
+    so pairs are indexed by (k, m = l - k mod n) with m in 0..n//2 only, and
+    every m != -m mod n counts twice.  The free-coordinate factor depends on
     m alone.  m streams in chunks of about ``_PAIR_CHUNK`` pairs, one
-    ``permanent_bounds`` pass each, so memory is O(_PAIR_CHUNK * s^2 + n * s^2).
+    ``_ryser`` pass each: memory is O(_PAIR_CHUNK * s^2 + n * s^2).
+
+    n is prime, so for z_i != z_j entry (i, j) of the pair (k, m) is
+    P_ij[(k - m*c_ij) mod n], with P_ij[u] = T_ij[u*(z_i - z_j) mod n] and
+    c_ij = z_j / (z_i - z_j) mod n: the n rows k of one m are the window of
+    the doubled P_ij that starts at n - (m*c_ij mod n), and a chunk's block
+    is one index into those windows.  For z_i = z_j (the diagonal, at least)
+    the entry is T_ij[-m*z_j mod n] for every k.  Every row i of every block
+    has R_i <= sum_j M_ij and ||a_i||^2 <= sum_j M_ij^2, M_ij = max_g
+    |T_ij[g]|, and ``permanent_bounds`` uses R_i and ||a_i|| only as upper
+    bounds; so its bound for the one matrix M at radius K1's certificate
+    covers every pair permanent, K1's certificate and rounding included.
 
     Returns (mean, cert, pairs): cert bounds the error of the mean, that of
-    every Gram entry (``_gram_entries``, K1's certificate taken as the table's
-    entrywise radius) plus the rounding of the accumulation; pairs counts
-    the pair permanents evaluated.
+    every Gram entry plus the rounding of the accumulation; pairs counts the
+    pair permanents evaluated.
     """
-    n = rule.n
-    inv = spec.perm.invariant_idx
-    free = spec.perm.free_idx
-    s = len(inv)
+    n, inv, free = rule.n, spec.perm.invariant_idx, spec.perm.free_idx
+    s, fact = len(inv), float(spec.perm.group_order)
     z = np.asarray(rule.z, dtype=np.int64)
     shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
     grid = np.arange(n, dtype=float) / n
@@ -569,35 +570,34 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     table, cert1 = spec.univariate(grid + dshift[:, :, None])        # (s, s, n)
     # the diagonal of the table is K1 on the grid itself
     ftable, certf = (table[0, 0], cert1) if s else spec.univariate(grid)
-    # Gather from the flattened table repeated twice along g: entry (i, j, g)
-    # sits at (i*s + j)*2n + g and again at + n, so the index of the pair
-    # (k, m), (k*(z_i - z_j) mod n) + n - (m*z_j mod n), needs no final mod.
-    doubled = np.concatenate([table, table], axis=2).reshape(-1)
-    k = np.arange(n, dtype=np.int64)
-    base = (np.arange(s * s, dtype=np.int64) * 2 * n + n).reshape(s, s, 1)
-    kpart = (zi[:, None, None] - zi[None, :, None]) * k % n + base     # (s, s, n)
+    bound = permanent_bounds(np.abs(table).max(axis=2)[:, :, None], cert1).bound[0]
+    diff = (zi[:, None] - zi[None, :]) % n
+    c = np.array([[zj * pow(d, -1, n) % n if d else 0 for zj, d in zip(zi.tolist(), row)]
+                  for row in diff.tolist()], dtype=np.int64).reshape(s, s)
+    P = np.take_along_axis(table, diff[:, :, None] * np.arange(n) % n, axis=2)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([P, P], 2), n, axis=2)
+    ii, jj = np.arange(s)[:, None, None], np.arange(s)[None, :, None]
+    di, dj = np.nonzero(diff == 0)
     half = n // 2
     step = max(1, _PAIR_CHUNK // n)
-    total = total_abs = 0.0
-    cert = 0.0
+    total = total_abs = cert = 0.0
     for lo in range(0, half + 1, step):
         m = np.arange(lo, min(lo + step, half + 1), dtype=np.int64)
-        # batch ordered (m, k)
-        idx = kpart[:, :, None, :] - (zi[:, None] * m % n)[None, :, :, None]
-        block = doubled.take(idx.reshape(s, s, len(m) * n))
+        block = windows[ii, jj, n - c[:, :, None] * m % n]          # (s, s, len(m), n)
+        block[di, dj] = table[di[:, None], dj[:, None], -zi[dj][:, None] * m % n][..., None]
+        per = _ryser(block.reshape(s, s, len(m) * n)).reshape(len(m), n)
         free_prod, free_cert = _free_factor(ftable[(m[:, None] * z[free]) % n], certf)
-        values, certs = _gram_entries(block, cert1, np.repeat(free_prod, n),
-                                      np.repeat(free_cert, n), spec)
+        rows, certs = _gram_entries(per, np.abs(per).max(axis=1, keepdims=True), bound,
+                                    free_prod[:, None], free_cert[:, None], fact)
         mult = np.where((m == 0) | (2 * m == n), 1.0, 2.0)
-        rows = values.reshape(len(m), n)
         total += float(mult @ rows.sum(axis=1))
         total_abs += float(mult @ np.abs(rows).sum(axis=1))
         cert = max(cert, float(np.max(certs)))
     # a value meets a row sum, the product with mult, a dot of at most step
     # terms, one addition per chunk and the division
     depth = _sum_depth(n) + min(step, half + 1) + -(-(half + 1) // step) + 2
-    mean_abs = total_abs / float(n) ** 2
-    return total / float(n) ** 2, cert + _gamma(depth) * mean_abs, n * (half + 1)
+    return (total / float(n) ** 2, cert + _gamma(depth) * (total_abs / float(n) ** 2),
+            n * (half + 1))
 
 
 # The exchanges of s <= 3 exchangeable coordinates, as images

@@ -404,6 +404,8 @@ class TestExactCertificates:
         # K1(1/2) = beta0 - beta1 / 24 < 0: signed K1 tables
         (0.05, 2.0, 3, (1, 3), (1, 4, 5), "general"),
         (0.05, 2.0, 4, (1, 2, 3, 4), (1, 3, 4, 5), "lattice"),
+        # z_2 = z_3: the entry (2, 3) of every pair block is constant in k
+        (0.9, 1.1, 4, (1, 2, 3, 4), (1, 3, 3, 5), "lattice"),
     ])
     def test_pair_and_general_routes(self, beta0, beta1, d, inv, z, route):
         w = SpectralWeight(beta0=beta0, beta1=beta1)

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from permqmc import kernels
+from permqmc import kernels, symmetry
 from permqmc.kernels import (
     KernelSpec,
     _pair_chunks,
@@ -21,6 +21,7 @@ from permqmc.kernels import (
     _sum_depth,
     _partition_sums,
     kernel_perminv_gram,
+    lattice_gram_mean,
     permutation_power_sum,
     power_kernel,
     power_kernel_table,
@@ -28,7 +29,7 @@ from permqmc.kernels import (
     symmetrized_mass,
 )
 from permqmc.lattice import LatticeRule
-from permqmc.symmetry import PERMANENT_CAP, PermStructure, _gamma
+from permqmc.symmetry import PERMANENT_CAP, PermStructure, _gamma, permanent_bounds
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
 
 from oracles import fix_count, validate_closed_form
@@ -342,6 +343,87 @@ class TestSymmetricGram:
             np.add.at(seen, (i, j), 1)
         expect = np.triu(np.ones((nx, ny), dtype=int)) if upper else np.ones((nx, ny), dtype=int)
         assert np.array_equal(seen, expect)
+
+
+def gather_gram_mean(rule, spec):
+    """The pair route's mean with each chunk's blocks gathered from the
+    doubled K1 table by an (s, s, m, n) index array, entry (i, j) of the pair
+    (k, m) at (k*(z_i - z_j) mod n) + n - (m*z_j mod n), in the same chunks
+    and summation order as ``lattice_gram_mean``."""
+    n, inv, free, s = rule.n, spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
+    z, shift, grid = np.asarray(rule.z, dtype=np.int64), np.asarray(rule.shift), np.arange(n) / n
+    table, _ = spec.univariate(grid + (shift[inv][:, None] - shift[inv][None, :])[:, :, None])
+    ftable = table[0, 0] if s else spec.univariate(grid)[0]
+    doubled = np.concatenate([table, table], axis=2).reshape(-1)
+    kpart = ((z[inv][:, None, None] - z[inv][None, :, None]) * np.arange(n) % n
+             + (np.arange(s * s) * 2 * n + n).reshape(s, s, 1))
+    step, total = max(1, kernels._PAIR_CHUNK // n), 0.0
+    for lo in range(0, n // 2 + 1, step):
+        m = np.arange(lo, min(lo + step, n // 2 + 1))
+        idx = kpart[:, :, None, :] - (z[inv][:, None] * m % n)[None, :, :, None]
+        per = symmetry._ryser(doubled.take(idx.reshape(s, s, len(m) * n)))
+        free_prod = np.prod(ftable[(m[:, None] * z[free]) % n], axis=-1)
+        rows = (per * np.repeat(free_prod, n) / spec.perm.group_order).reshape(len(m), n)
+        total += float(np.where((m == 0) | (2 * m == n), 1.0, 2.0) @ rows.sum(axis=1))
+    return total / float(n) ** 2
+
+
+class TestLatticePairRoute:
+    """``lattice_gram_mean`` reads each chunk's blocks as windows of the
+    permuted K1 tables and takes one scalar bound per call."""
+
+    @staticmethod
+    def cases(n, d, inv):
+        """Spaces at alpha = 1 and alpha = 2 (series), with positive and with
+        signed K1 tables, on a random, a repeated and a zero-holding
+        generating vector."""
+        rng = np.random.default_rng([n, d, len(inv)])
+        spaces = [(SpectralWeight(beta0=b0, beta1=b1), "auto") for b0, b1 in ((1, 1), (0.05, 2))]
+        spaces += [(SpectralWeight(alpha=2.0, beta0=b0, beta1=b1), "spectral")
+                   for b0, b1 in ((1, 1), (0.05, 2))]
+        zs = [tuple(int(v) for v in rng.integers(0, n, size=d)),
+              tuple(v % n for v in (1, 3, 3, 5, 3)[:d]), tuple(v % n for v in (0, 2, 5, 0, 7)[:d])]
+        for (w, mode), z in product(spaces, zs):
+            yield KernelSpec(w, PermStructure(d, inv), mode=mode), LatticeRule(
+                n, z, tuple(rng.uniform(size=d)))
+
+    @pytest.mark.parametrize("d, inv", [(4, (1, 2, 3, 4)), (4, (1, 2, 4)), (5, (2, 3, 5)),
+                                        (3, (1, 2, 3))])
+    @pytest.mark.parametrize("n", [2, 3, 13, 31, 101])
+    def test_scalar_bound_covers_every_entry(self, monkeypatch, n, d, inv):
+        calls, blocks = [], []
+
+        def bounds(A, c=0.0):
+            calls.append((A.copy(), c))
+            return permanent_bounds(A, c)
+
+        def ryser(cols):
+            blocks.append(cols.copy())
+            return symmetry._ryser(cols)
+
+        monkeypatch.setattr(kernels, "permanent_bounds", bounds)
+        monkeypatch.setattr(kernels, "_ryser", ryser)
+        for spec, rule in self.cases(n, d, inv):
+            calls.clear()
+            blocks.clear()
+            lattice_gram_mean(rule, spec)
+            [(M, cert1)] = calls          # one bound per call, for one matrix
+            assert M.shape == (len(inv), len(inv), 1)
+            scalar = permanent_bounds(M, cert1).bound[0]
+            assert len(blocks) == -(-(n // 2 + 1) // max(1, kernels._PAIR_CHUNK // n))
+            for block in blocks:
+                assert np.all(permanent_bounds(block, cert1).bound <= scalar), rule.z
+
+    @pytest.mark.parametrize("d, inv", [(4, (1, 2, 3, 4)), (5, (2, 3, 5)), (3, ()), (2, (1, 2))])
+    @pytest.mark.parametrize("n", [2, 3, 13, 31, 101])
+    def test_mean_bitwise_equal_to_gather(self, n, d, inv):
+        for spec, rule in self.cases(n, d, inv):
+            assert lattice_gram_mean(rule, spec)[0] == gather_gram_mean(rule, spec), rule.z
+
+    def test_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)     # one m per chunk at n = 31
+        for spec, rule in self.cases(31, 4, (1, 2, 3, 4)):
+            assert lattice_gram_mean(rule, spec)[0] == gather_gram_mean(rule, spec)
 
 
 class TestShiftInvariantKernel:

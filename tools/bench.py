@@ -17,7 +17,9 @@ the Korobov generator, full invariance.  Each case's grid is fixed below:
                  ``lattice`` at n = 1009; the pair route also at (d, n) =
                  (4, 2003), (4, 4001) and (5, 2003), where it is the only
                  kernel route; on fixed CBC generating vectors; and
-                 ``permqmc cbc --trials 64 --seed 1`` at d = 3, n = 1009...100003
+                 ``permqmc cbc --trials 64 --seed 1`` at d = 3, n = 1009...100003,
+                 and ``--trials 16`` at (d, n) = (5, 251) and (4, 2003), whose
+                 shift searches take the pair route
   e2             the fixed-point ``mean_sq_error`` (its raw value, certificate
                  and time) at alpha = 1, 2, 3 and (d, n) = (3, 1009), (4, 1009),
                  (5, 1009), (8, 127), (3, 10007), on the CBC generating vector
@@ -86,7 +88,8 @@ CASES = {
     "shifted-error": ([("route", "lattice-fft", 3, n) for n in (1009, 10007, 100003)]
                       + [("route", "lattice", d, n)
                          for d, n in ((3, 1009), (4, 2003), (4, 4001), (5, 2003))]
-                      + [("cbc", n) for n in (1009, 10007, 20011, 100003)]),
+                      + [("cbc", 3, n, 64) for n in (1009, 10007, 20011, 100003)]
+                      + [("cbc", d, n, 16) for d, n in ((5, 251), (4, 2003))]),
     "e2": [("e2", alpha, d, n) for alpha in (1, 2, 3)
            for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
@@ -155,15 +158,15 @@ def _route(route: str, d: int, n: int) -> dict:
             "certificate": cert, "ffts" if route == "lattice-fft" else "pairs": count}
 
 
-def _cbc(n: int) -> dict:
+def _cbc(d: int, n: int, trials: int) -> dict:
     from permqmc.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg, res = Path(tmp) / "cfg.json", Path(tmp) / "cbc.json"
         cfg.write_text(json.dumps({"space": {"alpha": 1.0},
-                                   "structure": {"d": 3, "invariant": "full"}}))
-        code, wall = _timed(lambda: main(["cbc", "--config", str(cfg), "--n", str(n),
-                                          "--trials", "64", "--seed", "1", "--json", str(res)]))
+                                   "structure": {"d": d, "invariant": "full"}}))
+        code, wall = _timed(lambda: main(["cbc", "--config", str(cfg), "--n", str(n), "--trials",
+                                          str(trials), "--seed", "1", "--json", str(res)]))
         out = json.loads(res.read_text())
     keep = ("z", "shift", "achieved_E2", "achieved_e2_shifted",
             "achieved_e2_shifted_certificate", "per_step_certificate",
