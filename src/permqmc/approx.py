@@ -17,12 +17,12 @@ slack is recorded with the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import worst_case_error_sq
-from .kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
+from .errors import _worst_case_error_sq
+from .kernels import _PAIR_CHUNK, KernelSpec, _fill_gram, kernel_perminv_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
 from .symmetry import multiplicity_array, normalize_to_nabla, permanent_batch
@@ -211,6 +211,10 @@ class ApproxAlgorithm:
     slack_achieved: float
     slack_bound: float
     certified: bool
+    # carried by a chain's latest level, so later ones evaluate only new blocks
+    gram: np.ndarray | None = field(default=None, repr=False)
+    gram_cert: float = 0.0
+    phi: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -222,7 +226,7 @@ class ApproxAlgorithm:
             level=level, m=0, points=np.zeros((0, d)),
             coeff_map=np.zeros((0, 0)), e_avg_sq=e_avg_sq,
             bound_rhs=e_avg_sq, slack_achieved=1.0, slack_bound=1.0,
-            certified=True,
+            certified=True, gram=np.zeros((0, 0)), phi=np.zeros((0, 0)),
         )
 
 
@@ -233,11 +237,13 @@ def average_approx_error_sq(alg: ApproxAlgorithm, basis: SymmetricBasis,
     With coefficients theta = G f(T), the mean squared residual equals
     trace - 2 sum_i lambda_i (G Phi^T)_ii + tr(G K(T,T) G^T), where Phi holds
     eigenfunction values at the samples and K is the kernel Gram matrix.
+    Phi and K are the ones ``alg`` carries, or else evaluated here.
     """
     if alg.m == 0:
         return trace.mid
-    phi = basis.eval_matrix(alg.points, alg.m)
-    gram, _ = kernel_perminv_gram(alg.points, alg.points, basis.spec)
+    phi = basis.eval_matrix(alg.points, alg.m) if alg.phi is None else alg.phi
+    gram = (kernel_perminv_gram(alg.points, alg.points, basis.spec)[0]
+            if alg.gram is None else alg.gram)
     lam = basis.lambdas(alg.m)
     cross = float(np.sum(lam * np.einsum("ij,ij->i", alg.coeff_map, phi)))
     quad = float(np.sum((alg.coeff_map @ gram) * alg.coeff_map))
@@ -245,8 +251,9 @@ def average_approx_error_sq(alg: ApproxAlgorithm, basis: SymmetricBasis,
 
 
 def _extend_algorithm(alg: ApproxAlgorithm, new_points: np.ndarray, m: int,
-                      basis: SymmetricBasis) -> np.ndarray:
-    """Coefficient map of the corrected algorithm on old + new samples."""
+                      basis: SymmetricBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient map of the corrected algorithm on old + new samples, and
+    the first max(m, alg.m) eigenfunctions at the new samples."""
     q = new_points.shape[0]
     # a row of eval_matrix does not depend on how many rows are asked for
     vals = basis.eval_matrix(new_points, max(m, alg.m))
@@ -254,14 +261,31 @@ def _extend_algorithm(alg: ApproxAlgorithm, new_points: np.ndarray, m: int,
     u = np.mean(xi_new ** 2, axis=0)                   # density at new points
     with np.errstate(divide="ignore", invalid="ignore"):
         V = np.where(u > 0, xi_new / u, 0.0)           # (m, q)
-    if alg.m:
-        phi_old = vals[:alg.m]                         # (m_old, q)
-        pad = np.zeros((m, alg.m))
-        k = min(m, alg.m)
-        pad[:k, :k] = np.eye(k)
-        left = (pad - V @ phi_old.T / q) @ alg.coeff_map
-        return np.hstack([left, V / q])
-    return V / q
+    phi_old = vals[:alg.m]                             # (m_old, q)
+    left = (np.eye(m, alg.m) - V @ phi_old.T / q) @ alg.coeff_map
+    return np.hstack([left, V / q]), vals
+
+
+def _carried_phi(prev: ApproxAlgorithm, vals: np.ndarray, m: int,
+                 basis: SymmetricBasis) -> np.ndarray:
+    """eval_matrix on prev's points and new ones from the new points' ``vals``,
+    prev's Phi and the modes it lacks: bitwise, as values are per pair."""
+    n_old, k = prev.n_samples, min(m, prev.m)
+    phi = np.empty((m, n_old + vals.shape[1]))
+    phi[:, n_old:] = vals[:m]
+    phi[:k, :n_old] = prev.phi[:k]
+    phi[k:, :n_old] = basis._pair_values(prev.points, np.arange(k, m)[:, None], np.arange(n_old))
+    return phi
+
+
+def _grown(alg: ApproxAlgorithm, n: int) -> np.ndarray:
+    """The Gram matrix ``alg`` carries, taken (with its Phi) and grown in place
+    to n x n, its block leading: a realloc, so the block is not held twice."""
+    gram, k, alg.gram, alg.phi = alg.gram, alg.gram.shape[0], None, None
+    gram.resize(n * n, refcheck=False)      # no view of a carried Gram outlives its use
+    for i in range(k - 1, 0, -1):           # rows move from stride k to stride n
+        gram[i * n:i * n + k] = gram[i * k:i * k + k]
+    return gram.reshape(n, n)
 
 
 def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
@@ -306,11 +330,13 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
         for _ in range(search_budget):
             pts_new = basis.sample_density(m, q, rng)
             points = np.vstack([prev.points, pts_new]) if prev.n_samples else pts_new
-            G = _extend_algorithm(prev, pts_new, m, basis)
+            G, vals = _extend_algorithm(prev, pts_new, m, basis)
+            gram = np.pad(prev.gram, (0, q))        # new blocks zero until filled
             cand = ApproxAlgorithm(
                 level=k, m=m, points=points, coeff_map=G, e_avg_sq=math.nan,
-                bound_rhs=rhs, slack_achieved=math.nan, slack_bound=1.0,
-                certified=False,
+                bound_rhs=rhs, slack_achieved=math.nan, slack_bound=1.0, certified=False,
+                gram=gram, phi=_carried_phi(prev, vals, m, basis), gram_cert=max(
+                    prev.gram_cert, _fill_gram(gram, points, points, spec, prev.n_samples)),
             )
             e2 = average_approx_error_sq(cand, basis, trace)
             if e2 < best_e2:
@@ -324,6 +350,7 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
         best.slack_achieved = best_e2 / rhs if rhs > 0 else math.inf
         best.slack_bound = slack
         best.certified = certified
+        prev.gram = prev.phi = None
         algs.append(best)
     return algs
 
@@ -395,13 +422,16 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
     r = 2 ** kappa
     target = (1.0 + delta) * alg.e_avg_sq / r
     rng = np.random.Generator(np.random.Philox([seed, 0xA55E]))
-    best = None
-    best_rep = None
+    best = best_rep = gram = None
     certified = False
     for _ in range(search_budget):
         int_pts = rng.uniform(size=(r, spec.d))
         cub = _collapse_to_cubature(alg, int_pts, basis)
-        rep = worst_case_error_sq(cub, spec)
+        # one buffer, made after the first collapse, holds the level's Gram;
+        # each draw refills only the blocks of its integration points
+        gram = _grown(alg, cub.n) if gram is None else gram
+        gcert = max(alg.gram_cert, _fill_gram(gram, cub.nodes, cub.nodes, spec, alg.n_samples))
+        rep = _worst_case_error_sq(cub, spec, (gram, gcert))
         if best_rep is None or rep.value < best_rep.value:
             best, best_rep = cub, rep
         if rep.value <= target + rep.truncation_certificate:
@@ -425,7 +455,9 @@ def _collapse_to_cubature(alg: ApproxAlgorithm, int_pts: np.ndarray,
     if alg.m == 0:
         return WeightedCubature(int_pts, np.ones(r))
     iota = basis.integrals(alg.m)
-    x_int = basis.eval_matrix(int_pts, alg.m)      # (m, r)
+    # (m, r) in blocks of points: small phase tables beside the Gram buffer
+    step = max(1, _PAIR_CHUNK // alg.m)
+    x_int = np.hstack([basis.eval_matrix(int_pts[i:i + step], alg.m) for i in range(0, r, step)])
     w_app_raw = alg.coeff_map.T @ (iota - x_int.sum(axis=1) / r)
     nodes = np.vstack([alg.points, int_pts])
     raw = np.concatenate([w_app_raw, np.full(r, 1.0 / r)])

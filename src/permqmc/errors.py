@@ -122,6 +122,11 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     the rounding of the mean) plus an a priori rounding bound
     gamma_k * sum |terms| of the quadratic form and the three-term formula.
     """
+    return _worst_case_error_sq(rule, spec)
+
+
+def _worst_case_error_sq(rule, spec, gram=None) -> ErrorReport:
+    """``worst_case_error_sq``, given the general route's (Gram, certificate)."""
     b0d = initial_error_sq(spec)
     if rule.n == 0:
         return ErrorReport(b0d, "kernel", 0.0,
@@ -138,7 +143,7 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
             quad, qcert, pairs = lattice_gram_mean(rule, spec)
             details = {"route": "lattice", "pairs": pairs}
     else:
-        gram, gcert = kernel_perminv_gram(rule.nodes, rule.nodes, spec)
+        gram, gcert = gram or kernel_perminv_gram(rule.nodes, rule.nodes, spec)
         rw = rule.raw_weights
         arw = np.abs(rw)
         quad, wsum, wabs = float(rw @ gram @ rw), float(rw.sum()), float(arw.sum())

@@ -166,9 +166,10 @@ def _cosine_poly_coeffs(n: int) -> np.ndarray:
 def _cosine_closed(n: int, t: np.ndarray) -> np.ndarray:
     coeffs = _cosine_poly_coeffs(n)
     frac = _frac(t)
-    out = np.zeros_like(frac)
-    for c in reversed(coeffs):
-        out = out * frac + c
+    out = np.full_like(frac, coeffs[-1])      # Horner in place; 0 * t + c = c
+    for c in coeffs[-2::-1]:
+        out *= frac
+        out += c
     return out
 
 
@@ -473,64 +474,51 @@ def _gram_entries(per, per_abs, bound, free_prod, free_cert, fact: float):
                                     + per_abs * (free_cert + _gamma(2) * free_abs)) / fact
 
 
-def _pair_chunks(nx: int, ny: int, upper: bool):
-    """Row and column indices (i, j) of the node pairs of an nx x ny Gram
-    matrix, in chunks of whole rows and at most ``_PAIR_CHUNK`` pairs (or one
-    row).  With ``upper`` only the pairs j >= i of a square matrix: row lo
-    then holds ny - lo pairs, so a chunk takes about _PAIR_CHUNK // (ny - lo)
-    rows and widens as the rows shorten."""
-    lo = 0
+def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
+               start: int | None = None) -> float:
+    """Write K(X[i], Y[j]) into ``out`` by row tiles, rows lo:hi by columns
+    c0:, about ``_PAIR_CHUNK`` pairs (or one row) per ``permanent_bounds``
+    pass; return the largest certificate of the pairs written.  With
+    ``start`` None that is every pair.  Else Y is X, out[:start, :start]
+    holds the Gram of X[:start], and a tile, c0 = max(lo, start), owns the
+    pairs j >= i, mirrored over its diagonal block's lower part, which the
+    certificate leaves out.  Values are per pair: extending is rebuilding."""
+    inv, free, fact = spec.perm.invariant_idx, spec.perm.free_idx, float(spec.perm.group_order)
+    Xinv, Yinv, Xfree, Yfree = X[:, inv].T, Y[:, inv].T, X[:, free], Y[:, free]
+    (nx, ny), cert, lo = out.shape, 0.0, 0
     while lo < nx:
-        width = ny - lo if upper else ny
-        hi = min(nx, lo + max(1, _PAIR_CHUNK // max(width, 1)))
-        rows = np.arange(lo, hi)
-        first = rows if upper else np.zeros_like(rows)     # first column of each row
-        counts = ny - first
-        # pair p lies in row r at column first[r] + p - start[r]
-        start = np.cumsum(counts) - counts
-        yield np.repeat(rows, counts), np.arange(counts.sum()) - np.repeat(start - first, counts)
+        c0 = 0 if start is None else max(lo, start)
+        hi = min(nx, lo + max(1, _PAIR_CHUNK // max(ny - c0, 1)))
+        # diffs[a, b, i, j] = x_i[inv_a] - y_j[inv_b]
+        diffs = Xinv[:, None, lo:hi, None] - Yinv[None, :, None, c0:]
+        vals, cert1 = spec.univariate(diffs.reshape(-1))
+        fd = Xfree[lo:hi, None] - Yfree[None, c0:]
+        fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        free_prod, free_cert = _free_factor(fvals.reshape(fd.shape), certf)
+        per, bound = permanent_bounds(vals.reshape(len(inv), len(inv), free_prod.size), cert1)
+        values, certs = (a.reshape(free_prod.shape) for a in _gram_entries(
+            per, np.abs(per), bound, free_prod.reshape(-1), free_cert.reshape(-1), fact))
+        out[lo:hi, c0:] = values
+        owned = True if start is None else np.arange(c0, ny) >= np.arange(lo, hi)[:, None]
+        if start is not None:       # the diagonal is copied onto itself
+            np.copyto(out[c0:, lo:hi], values.T, where=owned.T)
+        cert = max(cert, float(np.max(certs, where=owned, initial=0.0)))
         lo = hi
+    return cert
 
 
 def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
-    """Gram matrix of the exchange-invariant kernel on point sets X, Y.
-
-    Node pairs are taken in chunks of about ``_PAIR_CHUNK`` pairs
-    (``_pair_chunks``); each chunk takes one ``permanent_bounds`` pass, so
-    memory beyond G itself is O(_PAIR_CHUNK * s^2).  When ``Y is X`` the
-    kernel's symmetry is used: only the n(n+1)/2 pairs j >= i are evaluated
-    and mirrored, so the result is exactly symmetric.  Returns (G, cert)
-    where cert bounds the absolute error of every entry: K1's certificate,
-    as the table's entrywise radius, and every rounding (``_gram_entries``).
-    """
+    """Gram matrix G of the exchange-invariant kernel on point sets X, Y, by
+    ``_fill_gram``; with ``Y is X`` exactly symmetric.  Returns (G, cert), cert
+    bounding every entry's error: K1's certificate, as the table's entrywise
+    radius, and every rounding (``_gram_entries``)."""
     upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if upper else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != spec.d or Y.shape[1] != spec.d:
         raise ValueError("point dimension does not match the kernel")
-    inv = spec.perm.invariant_idx
-    free = spec.perm.free_idx
-    s = len(inv)
-    fact = float(spec.perm.group_order)
     gram = np.empty((X.shape[0], Y.shape[0]))
-    cert = 0.0
-    Xinv, Yinv = X[:, inv].T.copy(), Y[:, inv].T.copy()
-    Xfree, Yfree = X[:, free], Y[:, free]
-    for i, j in _pair_chunks(X.shape[0], Y.shape[0], upper):
-        # diffs[a, b, p] = x_i[inv_a] - y_j[inv_b] for the pair p = (i, j)
-        diffs = Xinv.take(i, axis=1)[:, None, :] - Yinv.take(j, axis=1)[None, :, :]
-        vals, cert1 = spec.univariate(diffs.reshape(-1))
-        fd = Xfree.take(i, axis=0) - Yfree.take(j, axis=0)
-        fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
-        free_prod, free_cert = _free_factor(fvals.reshape(fd.shape), certf)
-        per, bound = permanent_bounds(vals.reshape(s, s, i.size), cert1)
-        values, certs = _gram_entries(per, np.abs(per), bound, free_prod, free_cert, fact)
-        gram[i, j] = values
-        if upper:
-            gram[j, i] = values
-        if certs.size:
-            cert = max(cert, float(np.max(certs)))
-    return gram, cert
+    return gram, _fill_gram(gram, X, Y, spec, 0 if upper else None)
 
 
 def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float, int]:

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from permqmc import approx, kernels
 from permqmc.approx import (
     ApproxAlgorithm,
     SymmetricBasis,
+    _carried_phi,
     assemble_rule,
     average_approx_error_sq,
     build_approx_sequence,
@@ -14,7 +17,7 @@ from permqmc.approx import (
 from permqmc.errors import worst_case_error_sq
 from permqmc.kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from permqmc.spectrum import rate_constants, spectrum_tail_constants
-from permqmc.symmetry import PermStructure
+from permqmc.symmetry import PermStructure, permanent_bounds
 from permqmc.weights import SpectralWeight
 
 from oracles import fix_count, gaussian_average_error_sq, sample_density_all_modes
@@ -389,3 +392,82 @@ class TestAssembledRule:
         c_expanded = 2.0 ** (tau - 1.0) / (tau - 1.0) * expanded ** tau
         bound = res.slack_chain * lead * c_expanded * 32.0 ** (-(p + 1))
         assert res.e_wor_sq <= bound
+
+
+class TestCarriedBlocks:
+    """The chain carries the latest level's Gram, certificate and Phi, so
+    that the next level and the final rule evaluate only the blocks of new
+    points; every value stays bitwise the rebuilt one."""
+
+    @pytest.mark.parametrize("m, prev_m", [(30, 12), (12, 30), (20, 20), (15, 0)])
+    def test_carried_phi_bitwise_equal_to_eval_matrix(self, m, prev_m, rng):
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(4, (1, 3))))
+        old = rng.uniform(size=(25 if prev_m else 0, 4))
+        new = rng.uniform(size=(9, 4))
+        prev = dataclasses.replace(ApproxAlgorithm.zero(0, 4, 1.0), m=prev_m, points=old,
+                                   phi=basis.eval_matrix(old, prev_m))
+        vals = basis.eval_matrix(new, max(m, prev_m))
+        got = _carried_phi(prev, vals, m, basis)
+        assert got.tobytes() == basis.eval_matrix(np.vstack([old, new]), m).tobytes()
+
+    @pytest.mark.parametrize("d, inv", [(3, (1, 2, 3)), (4, (1, 3)), (3, ())])
+    @pytest.mark.parametrize("delta", [0.5, -0.9])
+    def test_levels_and_rule_bitwise_equal_to_rebuild(self, d, inv, delta):
+        # delta = -0.9 rejects every draw, so each level keeps its best draw,
+        # not its last, and the final rule runs its whole budget
+        spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
+        algs = build_approx_sequence(spec, 1.5, 6, search_budget=3, delta=delta, seed=4)
+        basis = SymmetricBasis(spec)
+        for alg in algs[:-1]:       # only the latest level carries blocks
+            assert alg.n_samples == 0 or (alg.gram is None and alg.phi is None)
+        last = algs[-1]
+        gram, cert = kernel_perminv_gram(last.points, last.points, spec)
+        assert last.gram.tobytes() == gram.tobytes() and last.gram_cert == cert
+        assert last.phi.tobytes() == basis.eval_matrix(last.points, last.m).tobytes()
+        for alg in algs:
+            bare = dataclasses.replace(alg, gram=None, phi=None)
+            assert average_approx_error_sq(bare, basis, basis.stream.trace) == alg.e_avg_sq
+        res = assemble_rule(spec, 1.5, 128, search_budget=3, delta=delta, seed=4)
+        rep = worst_case_error_sq(res.cubature, spec)
+        assert (rep.value, rep.truncation_certificate) == (res.e_wor_sq, res.e_wor_certificate)
+
+    def test_work_is_the_new_blocks_only(self, monkeypatch):
+        # one row per tile, so no tile evaluates pairs below the diagonal
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", 1)
+        batches, fills, extends, collapses, evals = [], [], [], [], []
+
+        def bounds(A, c=0.0):
+            batches.append(A.shape[2])
+            return permanent_bounds(A, c)
+
+        def spy(fn, log, args):
+            def wrapped(*a):
+                log.append(args(*a))
+                return fn(*a)
+            return wrapped
+
+        pair_values = SymmetricBasis._pair_values
+
+        def counted(self, points, js, p):
+            if np.ndim(js) == 2:        # Phi blocks, not the sampler's pairs
+                evals.append(np.broadcast(js, p).size)
+            return pair_values(self, points, js, p)
+
+        monkeypatch.setattr(kernels, "permanent_bounds", bounds)
+        monkeypatch.setattr(SymmetricBasis, "_pair_values", counted)
+        monkeypatch.setattr(approx, "_fill_gram", spy(
+            approx._fill_gram, fills, lambda out, X, Y, spec, start: (out.shape[0], start)))
+        monkeypatch.setattr(approx, "_extend_algorithm", spy(
+            approx._extend_algorithm, extends,
+            lambda alg, new, m, basis: (alg.m, alg.n_samples, new.shape[0], m)))
+        monkeypatch.setattr(approx, "_collapse_to_cubature", spy(
+            approx._collapse_to_cubature, collapses, lambda alg, pts, basis: alg.m * pts.shape[0]))
+        spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 2)))
+        assemble_rule(spec, 1.5, 128, search_budget=3, delta=-0.9, seed=4)
+        assert len(fills) == len(extends) + len(collapses) and len(collapses) == 3
+        new_pairs = sum(a * (n - a) + (n - a) * (n - a + 1) // 2 for n, a in fills)
+        assert sum(batches) == new_pairs < sum(n * (n + 1) // 2 for n, _ in fills)
+        phi_new = sum(max(m, pm) * q + max(m - pm, 0) * n for pm, n, q, m in extends)
+        assert sum(evals) == phi_new + sum(collapses)
+        rebuild = sum(max(m, pm) * q + m * (n + q) for pm, n, q, m in extends)
+        assert phi_new < rebuild

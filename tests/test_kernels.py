@@ -14,9 +14,10 @@ import pytest
 from permqmc import kernels, symmetry
 from permqmc.kernels import (
     KernelSpec,
-    _pair_chunks,
     _choose_terms,
+    _cosine_closed,
     _cosine_poly_coeffs,
+    _fill_gram,
     _series_remainder_bound,
     _sum_depth,
     _partition_sums,
@@ -29,7 +30,8 @@ from permqmc.kernels import (
     symmetrized_mass,
 )
 from permqmc.lattice import LatticeRule
-from permqmc.symmetry import PERMANENT_CAP, PermStructure, _gamma, permanent_bounds
+from permqmc.symmetry import (PERMANENT_CAP, PermanentBounds, PermStructure, _frac, _gamma,
+                              permanent_bounds)
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
 
 from oracles import fix_count, validate_closed_form
@@ -78,6 +80,19 @@ class TestClosedForm:
             scale = 2.0 if n == 1 else 1.1
             t = np.random.default_rng(7).uniform(0.01, 0.99, size=1000)
             assert validate_closed_form(n, t) < 1e-8 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_in_place_horner_bitwise_equal_to_reassigning_horner(self, n):
+        def reassigning(n, t):       # the closed form as it was first written
+            frac, out = _frac(t), np.zeros_like(_frac(t))
+            for c in reversed(_cosine_poly_coeffs(n)):
+                out = out * frac + c
+            return out
+
+        rng = np.random.default_rng(n)
+        for t in (-rng.uniform(0, 5, size=200), np.arange(-7.0, 8.0),
+                  rng.uniform(-3, 3, size=1000), np.array(0.3), np.array([-1e-300, -0.0])):
+            assert _cosine_closed(n, t).tobytes() == reassigning(n, t).tobytes()
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_coefficients_match_mpmath(self, n):
@@ -330,19 +345,109 @@ class TestSymmetricGram:
     ])
     @pytest.mark.parametrize("chunk", [40, 8192])
     def test_chunks_cover_each_pair_once(self, monkeypatch, nx, ny, upper, chunk):
+        # with K1 + 1 in place of K1, the table of the pair (i, j) holds
+        # 1 + x_i[a] - y_j[b]; with x_i = (i, 0, 0.5) its entry (0, 1) is
+        # i + 1 and its entry (1, 0) is 1 - j
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(KernelSpec, "univariate", lambda self, t: (np.asarray(t) + 1.0, 0.0))
         seen = np.zeros((nx, ny), dtype=int)
-        rows_done = 0
-        chunks = list(_pair_chunks(nx, ny, upper))
-        for k, (i, j) in enumerate(chunks):
-            assert i.size <= chunk or np.all(i == i[0])
-            if k < len(chunks) - 1:
-                assert i.size > chunk // 4   # chunks widen as the rows shorten
-            assert i.size == 0 or i[0] == rows_done
-            rows_done = int(i[-1]) + 1 if i.size else nx
+
+        def bounds(A, c=0.0):
+            i, j = A[0, 1].astype(int) - 1, 1 - A[1, 0].astype(int)
+            assert A.shape[2] <= chunk or np.all(i == i[0])   # a tile: whole rows
+            lower = (j < i) & upper
+            # with Y is X, pairs below the diagonal only from the tile's
+            # own diagonal block
+            assert np.all(j[lower] >= i.min(initial=0))
             np.add.at(seen, (i, j), 1)
-        expect = np.triu(np.ones((nx, ny), dtype=int)) if upper else np.ones((nx, ny), dtype=int)
-        assert np.array_equal(seen, expect)
+            per, bound = permanent_bounds(A, c)
+            return PermanentBounds(per, np.where(lower, np.inf, bound))
+
+        monkeypatch.setattr(kernels, "permanent_bounds", bounds)
+        spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 2)))
+        X = np.column_stack([np.arange(nx), np.zeros(nx), np.full(nx, 0.5)])
+        Y = X if upper else np.column_stack([np.arange(ny), np.zeros(ny), np.full(ny, 0.5)])
+        gram, cert = kernel_perminv_gram(X, Y, spec)
+        owned = np.triu(np.ones((nx, ny), dtype=int)) if upper else np.ones((nx, ny), dtype=int)
+        assert np.array_equal(seen * owned, owned)            # each owned pair once
+        assert np.all(seen <= 1)
+        assert math.isfinite(cert)                            # no unowned certificate
+        if upper:
+            assert np.array_equal(gram, gram.T)
+
+
+def pair_list_gram(X, Y, spec):
+    """The Gram matrix and certificate with node pairs listed by index
+    arrays: chunks of whole rows and at most ``_PAIR_CHUNK`` pairs, with
+    ``Y is X`` only the pairs j >= i, gathered with ``take``, written by
+    ``gram[i, j]`` and mirrored by ``gram[j, i]``."""
+    upper = Y is X
+    nx, ny = X.shape[0], Y.shape[0]
+    inv, free, s = spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
+    gram, cert, lo = np.empty((nx, ny)), 0.0, 0
+    while lo < nx:
+        width = ny - lo if upper else ny
+        hi = min(nx, lo + max(1, kernels._PAIR_CHUNK // max(width, 1)))
+        rows = np.arange(lo, hi)
+        first = rows if upper else np.zeros_like(rows)
+        counts = ny - first
+        start = np.cumsum(counts) - counts
+        i = np.repeat(rows, counts)
+        j = np.arange(counts.sum()) - np.repeat(start - first, counts)
+        lo = hi
+        diffs = X[:, inv].T.take(i, axis=1)[:, None, :] - Y[:, inv].T.take(j, axis=1)[None, :, :]
+        vals, cert1 = spec.univariate(diffs.reshape(-1))
+        fd = X[:, free].take(i, axis=0) - Y[:, free].take(j, axis=0)
+        fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        free_prod, free_cert = kernels._free_factor(fvals.reshape(fd.shape), certf)
+        per, bound = permanent_bounds(vals.reshape(s, s, i.size), cert1)
+        values, certs = kernels._gram_entries(per, np.abs(per), bound, free_prod, free_cert,
+                                              float(spec.perm.group_order))
+        gram[i, j] = values
+        if upper:
+            gram[j, i] = values
+        if certs.size:
+            cert = max(cert, float(np.max(certs)))
+    return gram, cert
+
+
+GRAM_PATTERNS = [(4, (1, 2, 3, 4)), (4, (1, 3)), (3, ())]
+
+
+class TestRowTiles:
+    """Row tiles give the pair list's Gram and certificate bitwise, and a
+    Gram extended by new points is bitwise its rebuild."""
+
+    @pytest.mark.parametrize("d, inv", GRAM_PATTERNS)
+    @pytest.mark.parametrize("chunk", [40, 8192])
+    def test_bitwise_equal_to_pair_list(self, monkeypatch, d, inv, chunk):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)
+        spec = KernelSpec(SpectralWeight(beta0=0.7, beta1=1.3), PermStructure(d, inv))
+        rng = np.random.default_rng([d, len(inv), chunk])
+        for nx, ny in ((0, 0), (1, 1), (7, 7), (90, 90), (90, 35), (3, 200)):
+            X, Y = rng.uniform(size=(nx, d)), rng.uniform(size=(ny, d))
+            for Y in ((X, Y) if nx == ny else (Y,)):
+                gram, cert = kernel_perminv_gram(X, Y, spec)
+                ref, ref_cert = pair_list_gram(X, Y, spec)
+                assert gram.tobytes() == ref.tobytes(), (nx, ny, Y is X)
+                assert cert == ref_cert
+
+    @pytest.mark.parametrize("d, inv", GRAM_PATTERNS)
+    @pytest.mark.parametrize("chunk", [40, 8192])
+    @pytest.mark.parametrize("n_a", [0, 1, 7, 90])
+    @pytest.mark.parametrize("n_b", [0, 1, 35])
+    def test_extension_bitwise_equal_to_rebuild(self, monkeypatch, d, inv, chunk, n_a, n_b):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)
+        spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
+        rng = np.random.default_rng([d, n_a, n_b])
+        A, B = rng.uniform(size=(n_a, d)), rng.uniform(size=(n_b, d))
+        P = np.vstack([A, B])
+        full, full_cert = kernel_perminv_gram(P, P, spec)
+        buf = np.full((n_a + n_b,) * 2, np.nan)
+        buf[:n_a, :n_a], cert_a = kernel_perminv_gram(A, A, spec)
+        cert = max(cert_a, _fill_gram(buf, P, P, spec, n_a))
+        assert buf.tobytes() == full.tobytes()
+        assert cert == full_cert
 
 
 def gather_gram_mean(rule, spec):

@@ -4,9 +4,12 @@ Every run reports its wall time and its peak resident set (``ru_maxrss``),
 plus what its case checks.  The space is the README quick start's: alpha = 1,
 the Korobov generator, full invariance.  Each case's grid is fixed below:
 
-  approx         ``assemble_rule`` at tau = 1.5, d = 3 (N = 1024, 4096) and
-                 d = 5 (N = 512, 2048), seeds 1 and 2, with the sha256 of the
-                 ``.qw`` file that ``approx-build --out`` would write
+  approx         ``assemble_rule`` at tau = 1.5, d = 3 (N = 1024, 2048, 4096)
+                 and d = 5 (N = 512, 1024, 2048), seeds 1 and 2, with the
+                 sha256 of the ``.qw`` file that ``approx-build --out`` would
+                 write, and its work: the Gram pairs (``permanent_bounds``
+                 batch entries), the eigenfunction values of Phi blocks and
+                 those of the sampler (``_pair_values`` (mode, point) pairs)
   spectral       ``worst_case_error_sq_spectral`` and
                  ``mean_sq_error(method="spectral")`` on shifted Korobov
                  lattices, d = 4...8, with the sha256 of the report (less its
@@ -79,8 +82,9 @@ RYSER_BATCH = 8192
 RYSER_CALLS = 10
 
 CASES = {
-    "approx": [("approx", d, N, seed)
-               for d, N in ((3, 1024), (3, 4096), (5, 512), (5, 2048)) for seed in (1, 2)],
+    "approx": [("approx", d, N, seed) for d, N in ((3, 1024), (3, 2048), (3, 4096),
+                                                   (5, 512), (5, 1024), (5, 2048))
+               for seed in (1, 2)],
     "spectral": [("spectral", d, n, H, route)
                  for d, n, H in ((4, 503, 12), (5, 251, 6), (5, 251, 12),
                                  (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))
@@ -109,16 +113,30 @@ def _timed(fn):
 
 
 def _approx(d: int, N: int, seed: int) -> dict:
-    from permqmc.approx import assemble_rule
+    from permqmc import kernels
+    from permqmc.approx import SymmetricBasis, assemble_rule
     from permqmc.lattice import save_cubature
 
+    work = {"gram_pairs": 0, "phi_pairs": 0, "sampler_pairs": 0}
+    bounds, pair_values = kernels.permanent_bounds, SymmetricBasis._pair_values
+
+    def counted_bounds(A, c=0.0):
+        work["gram_pairs"] += A.shape[2]
+        return bounds(A, c)
+
+    def counted_values(self, points, js, p):
+        # Phi blocks pass a column of modes; the sampler one mode per point
+        work["phi_pairs" if np.ndim(js) == 2 else "sampler_pairs"] += np.broadcast(js, p).size
+        return pair_values(self, points, js, p)
+
+    kernels.permanent_bounds, SymmetricBasis._pair_values = counted_bounds, counted_values
     res, wall = _timed(lambda: assemble_rule(_spec(d), TAU, N, seed=seed))
     with tempfile.TemporaryDirectory() as tmp:
         qw = Path(tmp) / "rule.qw"
         save_cubature(res.cubature, qw)
         digest = hashlib.sha256(qw.read_bytes()).hexdigest()
     return {"wall_s": wall, "qw_sha256": digest, "nodes": res.cubature.n,
-            "level_m": res.algorithm.m, "certified": res.certified}
+            "level_m": res.algorithm.m, "certified": res.certified, **work}
 
 
 def _spectral(d: int, n: int, H: int, route: str) -> dict:
