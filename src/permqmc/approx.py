@@ -215,6 +215,8 @@ class ApproxAlgorithm:
     gram: np.ndarray | None = field(default=None, repr=False)
     gram_cert: float = 0.0
     phi: np.ndarray | None = field(default=None, repr=False)
+    # the chain's eigenbasis, shared by its levels and the rule built on them
+    basis: SymmetricBasis | None = field(default=None, repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -315,6 +317,7 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
     algs: list[ApproxAlgorithm] = []
     for k in range(min(rc.K_p, k_max) + 1):
         algs.append(ApproxAlgorithm.zero(k, spec.d, trace.mid))
+        algs[-1].basis = basis
     slack = 1.0
     for k in range(rc.K_p + 1, k_max + 1):
         prev = algs[-1]
@@ -337,6 +340,7 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
                 bound_rhs=rhs, slack_achieved=math.nan, slack_bound=1.0, certified=False,
                 gram=gram, phi=_carried_phi(prev, vals, m, basis), gram_cert=max(
                     prev.gram_cert, _fill_gram(gram, points, points, spec, prev.n_samples)),
+                basis=basis,
             )
             e2 = average_approx_error_sq(cand, basis, trace)
             if e2 < best_e2:
@@ -418,7 +422,6 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
     algs = build_approx_sequence(spec, tau, kappa, search_budget=search_budget,
                                  delta=delta, seed=seed, constants=constants)
     alg = algs[kappa]
-    basis = SymmetricBasis(spec)
     r = 2 ** kappa
     target = (1.0 + delta) * alg.e_avg_sq / r
     rng = np.random.Generator(np.random.Philox([seed, 0xA55E]))
@@ -426,7 +429,7 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
     certified = False
     for _ in range(search_budget):
         int_pts = rng.uniform(size=(r, spec.d))
-        cub = _collapse_to_cubature(alg, int_pts, basis)
+        cub = _collapse_to_cubature(alg, int_pts, alg.basis)
         # one buffer, made after the first collapse, holds the level's Gram;
         # each draw refills only the blocks of its integration points
         gram = _grown(alg, cub.n) if gram is None else gram

@@ -72,11 +72,12 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
 
     n must be prime, and lambda in [1, 2*alpha) (``bound_constant``, computed
     before the first step).  Each step evaluates all n candidates at once by
-    fast CBC (``cbc_step_objectives``): O(3^ell * n + 2^ell * n log n) time
-    and O(2^ell * n) memory at step ell, on power-kernel tables that every
-    step and the final E2 share.  The predicted working sets of the last step
-    and of the final fixed-point E2 are checked before the first step runs,
-    so an oversized (d, n) fails at once with a ValueError.  At step 2 the exact ties
+    fast CBC (``cbc_step_objectives``): O(3^s_l * n + 2^s_l * n log n + ell * n)
+    time and O(2^s_l * n) memory at step ell, s_l the number of exchangeable
+    coordinates before it, on power-kernel tables that every step and the
+    final E2 share.  The predicted working sets of the last step and of the
+    final fixed-point E2 are checked before the first step runs, so an
+    oversized (d, s, n) fails at once with a ValueError.  At step 2 the exact ties
     B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}) get bitwise-equal values,
     so the smallest member of the best orbit is chosen, independent of
     rounding.  ``per_step_certificate`` holds each step's objective
@@ -89,7 +90,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     if n < spec.weight.c_R:
         raise ValueError(f"n = {n} must be at least c_R = {spec.weight.c_R}")
     d = spec.d
-    _check_step_bytes(d, n, max(1, spec.perm.size))
+    _check_step_bytes(d, sum(c < d for c in spec.perm.invariant), n)   # the largest step
     _check_profile_bytes(spec, n)
     C = bound_constant(spec, lam)   # refuses a lambda outside [1, 2*alpha)
     z: list[int] = []
@@ -147,37 +148,24 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
         raise ValueError("trials must be >= 1")
     E2 = mean_sq_error(rule, spec, method="fixed_point")
     rng = np.random.Generator(np.random.Philox(seed))
-    best_val = math.inf
-    best_cert = 0.0
-    best_shift: tuple[float, ...] | None = None
-    used = 0
-    budget = trials
+    best_val, best_cert, best_shift, used, budget = math.inf, 0.0, None, 0, trials
     for round_idx in range(max_doublings + 1):
         draws = rng.uniform(size=(budget, rule.d))
         if round_idx == 0:
             draws[0] = 0.0
         for delta in draws:
-            shifted = rule.with_shift(tuple(delta))
-            rep = worst_case_error_sq(shifted, spec)
+            rep = worst_case_error_sq(rule.with_shift(tuple(delta)), spec)
             used += 1
             if rep.value < best_val:
-                best_val = rep.value
-                best_cert = rep.truncation_certificate
-                best_shift = tuple(delta)
-        if best_val <= E2.value + E2.truncation_certificate + best_cert:
+                best_val, best_cert, best_shift = rep.value, rep.truncation_certificate, tuple(delta)
+        certified = best_val <= E2.value + E2.truncation_certificate + best_cert
+        if certified:
             break
         budget *= 2
-    certified = best_val <= E2.value + E2.truncation_certificate + best_cert
-    return ShiftSearchResult(
-        rule=rule.with_shift(best_shift),
-        e2_shifted=best_val,
-        e2_certificate=best_cert,
-        E2=E2.value,
-        E2_certificate=E2.truncation_certificate,
-        certified=certified,
-        trials_used=used,
-        seed=seed,
-    )
+    return ShiftSearchResult(rule=rule.with_shift(best_shift), e2_shifted=best_val,
+                             e2_certificate=best_cert, E2=E2.value,
+                             E2_certificate=E2.truncation_certificate, certified=certified,
+                             trials_used=used, seed=seed)
 
 
 def construct_shifted(spec: KernelSpec, n: int, trials: int = 64, seed: int = 0,

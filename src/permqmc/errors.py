@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from .kernels import (
     KernelSpec,
     _cyclic_correlation,
+    _free_excess,
     _lattice_gram_mean_fft,
     _partition_sums,
     _sum_depth,
@@ -343,14 +344,16 @@ def _refuse_above_cap(need: int, what: str, hint: str = "") -> None:
             f"the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB{hint}")
 
 
-def _check_step_bytes(ell: int, n: int, c_max: int) -> None:
-    """Refuse a CBC step whose predicted working set exceeds the cap.
-
-    The prediction counts n doubles for each of the partition sums and the
-    block vectors of the 2^(ell-1) prefix masks, the c_max kernel tables and
-    a few n-vectors.
+def _check_step_bytes(ell: int, s_l: int, n: int) -> None:
+    """Refuse a CBC step whose predicted working set exceeds the cap: n
+    doubles and a few hundred bytes of Python objects for each of the
+    partition sums and block vectors of the 2^s_l masks of the exchangeable
+    prefix coordinates; a transform of padded length N per kernel order, and
+    three more per correlation; ten n-vectors (free product, group, totals).
     """
-    _refuse_above_cap(8 * n * ((2 << (ell - 1)) + c_max + 8), f"CBC step {ell} at n = {n}")
+    N = 2 << (n - 2).bit_length()
+    _refuse_above_cap((2 << s_l) * (8 * n + 256) + 8 * ((s_l + 4) * N + 10 * n),
+                      f"CBC step {ell} (DP over s_l = {s_l}) at n = {n}")
 
 
 def _check_profile_bytes(spec: KernelSpec, n: int) -> None:
@@ -374,21 +377,10 @@ def _root_powers(n: int) -> np.ndarray:
     The array is read-only: every caller shares the cached one.
     """
     order = n - 1
-    factors, m, q = [], order, 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
+    factors = [p for p in range(2, n) if order % p == 0 and is_prime(p)]
     g = next(g for g in range(1, n) if all(pow(g, order // p, n) != 1 for p in factors))
-    powers, x = [], 1
-    for _ in range(order):
-        powers.append(x)
-        x = x * g % n
-    out = np.array(powers, dtype=np.int64)
+    out = np.fromiter(accumulate(range(order - 1), lambda x, _: x * g % n, initial=1),
+                      dtype=np.int64, count=order)
     out.flags.writeable = False
     return out
 
@@ -445,11 +437,14 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     weighted by 1 / (c_u * s_u! * n).  The fast CBC route computes it in
     three stages:
 
-    1. a bitmask DP gives the partition sum f[U] of every mask U of the
-       k = ell - 1 prefix coordinates (``kernels._partition_sums``);
-    2. for every set M of prefix coordinates sharing the candidate's block,
-       rest_M = sum over U disjoint from M of f[U] / (c_u * s_u! * n) is
-       added, times |M|!, into the group of (|M| + 1, S_M);
+    1. a bitmask DP gives the partition sum f[U] of every mask U of the k
+       exchangeable prefix coordinates (``kernels._partition_sums``);
+    2. for every set M of them sharing the candidate's block, rest_M = sum
+       over U disjoint from M of f[U] / (c_u * s_u! * n) is added, times
+       |M|!, into the group of (|M| + 1, S_M).  The free prefix coordinates
+       F are singletons in every partition: their subsets v give one factor
+       per node, sum_v beta0^(|F|-|v|) prod_v kappa_1 = beta0^|F| + q
+       (``kernels._free_excess``), with |v| = |F| counted in c_u;
     3. each group G is one multiplicative correlation
        F(w) = sum_j G[j] * kappa_{|M|+1}[j*w mod n], which a primitive root
        of n turns into a cyclic correlation of length n - 1 (Nuyens & Cools,
@@ -457,10 +452,10 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
        transform of kappa_c per kernel order per step, and a zero-padded
        power-of-two FFT pair per group; B(z) collects F((S_M + z) mod n).
 
-    Time O(3^k * n + 2^k * n log n) and memory O(2^k * n) per step.  n must
-    be prime.  A step whose predicted working set (``_check_step_bytes``)
-    exceeds ``STEP_BYTES_CAP`` raises ValueError before anything is
-    allocated.
+    Time O(3^k * n + 2^k * n log n + ell * n) and memory O(2^k * n) per
+    step.  n must be prime.  k above ``SUBSET_CAP`` or a predicted working
+    set (``_check_step_bytes``) above ``STEP_BYTES_CAP`` raises ValueError
+    before anything is allocated.
 
     Tie rule: at ell = 2 with prefix (a), B(z) = B(-z) = B(a^2/z) for z not
     in {0, a, -a}.  The lattices (a, z) and (a, -z) differ by reflecting one
@@ -477,25 +472,31 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     rounding bounds: of the FFT correlations (``_cyclic_correlation``), and
     gamma_k * sum |terms| of the direct sums (the DP, the rest_M products,
     the group and total accumulations), sum |terms| taken from the
-    maximum-value DP.
+    maximum-value DP; the free factor scales both by its bound and adds its
+    error times sum |terms|.
     """
     ell = len(prefix) + 1
     if ell > spec.d:
         raise ValueError("prefix already has length d")
-    if ell > SUBSET_CAP:
-        raise ValueError(f"subset enumeration above cap {SUBSET_CAP}")
     if not is_prime(n):
         raise ValueError(f"n = {n} is not prime; the fast CBC step needs a prime n")
-    ps = spec.perm
-    w = spec.weight
-    _check_step_bytes(ell, n, max(1, ps.size))
+    ps, w = spec.perm, spec.weight
+    inv = set(ps.invariant)
+    zs = [int(v) % n for v in prefix]
+    zi = [z for i, z in enumerate(zs) if i + 1 in inv]
+    zf = [z for i, z in enumerate(zs) if i + 1 not in inv]
+    k, kf = len(zi), len(zf)
+    if k > SUBSET_CAP:
+        raise ValueError(f"subset enumeration over s_l = {k} above cap {SUBSET_CAP}")
+    _check_step_bytes(ell, k, n)
     table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
-    k = ell - 1
-    zs = [int(v) % n for v in prefix]
-    inv = set(ps.invariant)
-    inv_mask = sum(1 << i for i in range(k) if i + 1 in inv)
-    f, fv, fe = _partition_sums(zs, inv_mask, n, table, tmax, tcerts)
+    f, fv, fe = _partition_sums(zi, n, table, tmax, tcerts)
+    pf, pmax, pf_cert = None, 1.0, 0.0   # the free factor, its bound and error
+    if kf:
+        q, q_cert, q_abs = _free_excess(zf, n, table, tmax, tcerts, w.beta0)
+        pmax = w.beta0 ** kf + q_abs
+        pf, pf_cert = w.beta0 ** kf + q, q_cert + _gamma(3) * pmax
 
     # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u = beta0^|u| * C(s, |u & I|)
     s = ps.size
@@ -505,38 +506,35 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
             nrm[a, b] = 1.0 / (w.beta0 ** a * math.comb(s, b) * math.factorial(b) * n)
     masks = np.arange(1 << k)
     pc = np.array([U.bit_count() for U in range(1 << k)])
-    pc_inv = np.array([(U & inv_mask).bit_count() for U in range(1 << k)])
     ell_inv = int(ell in inv)
     groups: dict[tuple[int, int], list[int]] = {}
-    M = inv_mask if ell_inv else 0
-    while True:
-        S = sum(z for i, z in enumerate(zs) if M >> i & 1) % n
+    for M in range((1 << k) - 1, -1, -1) if ell_inv else [0]:   # descending submasks
+        S = sum(z for i, z in enumerate(zi) if M >> i & 1) % n
         groups.setdefault((M.bit_count() + 1, S), []).append(M)
-        if M == 0:
-            break
-        M = (M - 1) & inv_mask
 
     powers = _root_powers(n)
     correlate = {c: _cyclic_correlation(table[c - 1][powers]) for c in {c for c, _ in groups}}
-    total = np.zeros(n)
-    cert = 0.0
-    absum = 0.0   # bounds sum |terms| of every total[z]
+    total, cert, absum = np.zeros(n), 0.0, 0.0   # absum bounds sum |terms| of every total[z]
     for (c, S), members in groups.items():
         G = np.zeros(n)
         for M in members:
             subs = np.flatnonzero((masks & M) == 0)
-            wts = math.factorial(c - 1) * nrm[pc[subs] + c, pc_inv[subs] + c - 1 + ell_inv]
+            wts = math.factorial(c - 1) * nrm[pc[subs] + c + kf, pc[subs] + c - 1 + ell_inv]
             # einsum, not BLAS: a gemv of length n may start a thread pool
             G += np.einsum("i,ij->j", wts, f if M == 0 else f[subs])
-            cert += n * (tmax[c - 1] * (wts @ fe[subs]) + tcerts[c - 1] * (wts @ fv[subs]))
-            absum += n * tmax[c - 1] * (wts @ fv[subs])
+            va = n * tmax[c - 1] * (wts @ fv[subs])
+            cert += (pmax * n * (tmax[c - 1] * (wts @ fe[subs]) + tcerts[c - 1] * (wts @ fv[subs]))
+                     + pf_cert * va)
+            absum += pmax * va
+        if kf:
+            G *= pf
         F, err = _multiplicative_correlation(G, float(table[c - 1][0]), powers, correlate[c])
         total += np.roll(F, -S)
         cert += err
     # a term meets the DP (k + 2^k), its weight (8), the product with f
-    # (2^k + 1), the sum over members (2^k), the two products of F and one
-    # addition per group
-    cert += _gamma(k + 3 * (1 << k) + len(groups) + 11) * absum
+    # (2^k + 1), the sum over members (2^k), the free product (1), the two
+    # products of F and one addition per group
+    cert += _gamma(k + 3 * (1 << k) + len(groups) + 11 + (kf > 0)) * absum
     if ell == 2:
         total = _tie_orbit_mean(total, zs[0], n, powers)
         cert += _gamma(4) * float(np.max(np.abs(total)))

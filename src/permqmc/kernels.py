@@ -352,20 +352,20 @@ def _submasks_with_lowest(mask: int):
         sub = (sub - 1) & rest
 
 
-def _partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
-                    tmax: np.ndarray, tcerts: np.ndarray):
+def _partition_sums(zs: list[int], n: int, table: np.ndarray, tmax: np.ndarray,
+                    tcerts: np.ndarray):
     """Partition sums of power kernels over every mask U of k = len(zs)
-    lattice coordinates, at every node j = 0..n-1.
+    exchangeable lattice coordinates, at every node j = 0..n-1.
 
-    f[U, j] is the sum over partitions of U into admissible blocks B (a
-    singleton, or a subset of ``inv_mask``) of prod_B (|B|-1)! *
-    kappa_|B|[j * S_B mod n], S_B the sum of the generators in B and
-    ``table[c - 1]`` kappa_c on the grid g/n; the recurrence runs over the
-    block holding U's lowest coordinate, O(3^k * n).  Summed over all
-    permutations of U, a product of per-cycle values that depend only on the
-    cycle's support is this partition sum.  fv[U] and fe[U] run the same
-    recurrence on the scalars (tmax, tcerts) as a value and its first-order
-    term, so fe[U] is the sum over partitions of
+    f[U, j] is the sum over partitions of U into blocks B of
+    prod_B (|B|-1)! * kappa_|B|[j * S_B mod n], S_B the sum of the generators
+    in B and ``table[c - 1]`` kappa_c on the grid g/n; the recurrence runs
+    over the block holding U's lowest coordinate, O(3^k * n).  Summed over
+    all permutations of U, a product of per-cycle values that depend only on
+    the cycle's support is this partition sum (a free coordinate, a
+    singleton in every partition, is a product factor: ``_free_excess``).
+    fv[U] and fe[U] run the same recurrence on the scalars (tmax, tcerts) as
+    a value and its first-order term, so fe[U] is the sum over partitions of
     sum_B tcert_B * prod_{B' != B} tmax_B'.  fv[U] also bounds |f[U, j]| and
     sum |terms|, and each term of f[U, j] meets at most k + 2^k - 1
     roundings: two products per block and one addition per other block with
@@ -376,8 +376,6 @@ def _partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
     j = np.arange(n, dtype=np.int64)
     blocks = {}
     for B in range(1, size):
-        if B & (B - 1) and B & ~inv_mask:
-            continue
         c = B.bit_count()
         S = sum(z for i, z in enumerate(zs) if B >> i & 1) % n
         wt = math.factorial(c - 1)
@@ -388,11 +386,10 @@ def _partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
     fv, fe = [1.0] * size, [0.0] * size
     term = np.empty(n)
     for U in range(1, size):
-        low = U & -U
         acc = f[U]
         acc[:] = 0.0
         v = e = 0.0
-        for B in _submasks_with_lowest((U & inv_mask) | low if low & inv_mask else low):
+        for B in _submasks_with_lowest(U):
             vec, bmax, bcert = blocks[B]
             R = U ^ B
             acc += np.multiply(vec, f[R], out=term)
@@ -400,6 +397,25 @@ def _partition_sums(zs: list[int], inv_mask: int, n: int, table: np.ndarray,
             e += bmax * fe[R] + bcert * fv[R]
         fv[U], fe[U] = v, e
     return f, np.asarray(fv), np.asarray(fe)
+
+
+def _free_excess(zs: Sequence[int], n: int, table: np.ndarray, tmax: np.ndarray,
+                 tcerts: np.ndarray, b0: float) -> tuple[np.ndarray, float, float]:
+    """q = prod_i (beta0 + o_1[j z_i mod n]) - beta0^k at every node j over
+    the k free coordinates with generators ``zs``, o_1 = ``table[0]``, by
+    q <- q (beta0 + g) + beta0^k g, which holds no beta0^k term.  Returns
+    (q, cert, bound).  With T = beta0 + ``tmax[0]`` (max|o_1| + c_1, c_1 the
+    certificate of o_1), |q| and the computed q lie within T^k - beta0^k +
+    E_k, E_k the error, E_(k+1) = (1 + gamma_4) T E_k + T^k c_1 +
+    gamma_4 (T^(k+1) - beta0^(k+1)): a step rounds three times, four in
+    beta0^k g."""
+    j, q, q_cert, top = np.arange(n, dtype=np.int64), np.zeros(n), 0.0, b0 + float(tmax[0])
+    for k, zi in enumerate(zs):
+        g = table[0].take(j * zi % n)
+        q = q * (b0 + g) + b0 ** k * g
+        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** k * tcerts[0]
+                  + _gamma(4) * (top ** (k + 1) - b0 ** (k + 1)))
+    return q, q_cert, top ** len(zs) - b0 ** len(zs) + q_cert
 
 
 def permutation_power_sum(p: Sequence[float]) -> float:
@@ -760,19 +776,16 @@ def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.nda
     prod (|B|-1)! number m!, so the invariant factor is beta0^s + p, with
     p = sum_(V != {}) w_V f[V], w_V = beta0^(s-|V|) (s-|V|)! / s! and f the
     partition sums of the o_c (``_partition_sums``).  The free coordinates
-    give beta0^(d-s) + q, by q <- q (beta0 + g) + beta0^k g over the k-th
-    one, g = o_1[j z_i mod n].  The value is beta0^s q + beta0^(d-s) p + p q:
-    no term holds beta0^d, so its rounding scales with the o_c.
+    give beta0^(d-s) + q, q from ``_free_excess``.  The value is
+    beta0^s q + beta0^(d-s) p + p q: no term holds beta0^d, so its rounding
+    scales with the o_c.
 
     Returns (values, cert), cert a bound uniform over the nodes.  p errs by
     E_p = sum_V w_V (fe[V] + g_V fv[V]), g_V the gamma of the engine's
     |V| + 2^|V| - 1 roundings, w_V's 6 (a pow counted as two) and the
-    weighted sum's 2^s - 1; |p| <= sum_V w_V fv[V] + E_p.  With
-    T = beta0 + max|o_1| + c_1, c_1 the certificate of o_1, the exact q_k
-    lies within T^k - beta0^k and the computed one errs by E_k, where
-    E_(k+1) = (1 + gamma_4) T E_k + T^k c_1 + gamma_4 (T^(k+1) - beta0^(k+1)):
-    a step rounds three times, and four times in beta0^k g.  The value's
-    three products, two sums and two pows add gamma_6 times their bounds.
+    weighted sum's 2^s - 1; |p| <= sum_V w_V fv[V] + E_p.  q and |q| are
+    bounded by ``_free_excess``.  The value's three products, two sums and
+    two pows add gamma_6 times their bounds.
     """
     n, d = rule.n, rule.d
     inv = spec.perm.invariant_idx
@@ -780,20 +793,14 @@ def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.nda
     z = np.asarray(rule.z, dtype=np.int64)
     table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
-    f, fv, fe = _partition_sums(z[inv].tolist(), (1 << s) - 1, n, table, tmax, tcerts)
+    f, fv, fe = _partition_sums(z[inv].tolist(), n, table, tmax, tcerts)
     size = np.array([V.bit_count() for V in range(1, 1 << s)], dtype=np.int64)
     wts = np.array([b0 ** (s - v) * math.factorial(s - v) for v in size]) / float(math.factorial(s))
     p = np.einsum("i,ij->j", wts, f[1:])   # einsum, not BLAS: see cbc_step_objectives
     g_V = _gamma(size + (1 << size) + (1 << s) + 4)
     p_cert = float(wts @ (fe[1:] + g_V * fv[1:]))
     p_abs = float(wts @ fv[1:]) + p_cert
-    j, q, q_cert, top = np.arange(n, dtype=np.int64), np.zeros(n), 0.0, b0 + float(tmax[0])
-    for k, zi in enumerate(z[spec.perm.free_idx]):
-        g = table[0].take(j * zi % n)
-        q = q * (b0 + g) + b0 ** k * g
-        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** k * tcerts[0]
-                  + _gamma(4) * (top ** (k + 1) - b0 ** (k + 1)))
-    q_abs = top ** (d - s) - b0 ** (d - s) + q_cert
+    q, q_cert, q_abs = _free_excess(z[spec.perm.free_idx], n, table, tmax, tcerts, b0)
     bs, bf = b0 ** s, b0 ** (d - s)
     cert = (bs * q_cert + bf * p_cert + p_abs * q_cert + q_abs * p_cert
             + _gamma(6) * (bs * q_abs + bf * p_abs + p_abs * q_abs))

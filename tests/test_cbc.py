@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permqmc import errors
 from permqmc.cbc import cbc_construct, construct_shifted, shift_search
 from permqmc.cli import EXIT_CONFIG, main
 from permqmc.errors import bound_constant, cbc_step_objectives, mean_sq_error, worst_case_error_sq
@@ -136,6 +137,27 @@ class TestFastStep:
         ref, _ = reference_step_objectives(prefix, n, spec, exact, dtype=np.longdouble)
         assert 0.0 < float(np.max(np.abs(vals - ref))) < cert
 
+    @pytest.mark.parametrize("inv", [(2, 4), (1,), ()])
+    def test_table_certificate_through_the_free_product(self, inv, monkeypatch):
+        # with table certificates far above the rounding, the step's
+        # certificate must cover the reference's first-order bound, in which
+        # every free coordinate is a block of its own, and the effect of
+        # any table within them
+        n = 61
+        spec = KernelSpec(SpectralWeight(), PermStructure(5, inv))
+        table, _ = power_kernel_table(spec, n)
+        tables = (table, np.full(table.shape[0], 1e-7))
+        monkeypatch.setattr("permqmc.errors.power_kernel_table", lambda *args: tables)
+        bumped = (table + 1e-7 * np.random.default_rng(1).choice([-1.0, 1.0], table.shape),
+                  tables[1])
+        for prefix in ([1], [1, 17], [1, 17, 40], [1, 17, 40, 9]):
+            vals, cert = cbc_step_objectives(prefix, n, spec)
+            _, ref_cert = reference_step_objectives(prefix, n, spec, tables)
+            assert cert >= ref_cert
+            monkeypatch.setattr("permqmc.errors.power_kernel_table", lambda *args: bumped)
+            assert np.max(np.abs(cbc_step_objectives(prefix, n, spec)[0] - vals)) <= cert
+            monkeypatch.setattr("permqmc.errors.power_kernel_table", lambda *args: tables)
+
     def test_rejects_nonprime(self, spec_d3_full):
         with pytest.raises(ValueError, match="not prime"):
             cbc_step_objectives([1], 9, spec_d3_full)
@@ -152,6 +174,62 @@ class TestFastStep:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_dp_runs_over_exchangeable_coordinates_only(self, monkeypatch):
+        # free prefix coordinates are one product per node: the partition
+        # DP of step ell sees the generators of the exchangeable ones only
+        calls = []
+
+        def spy(zs, *args):
+            calls.append(list(zs))
+            return partition_sums(zs, *args)
+
+        partition_sums = errors._partition_sums
+        monkeypatch.setattr(errors, "_partition_sums", spy)
+        inv = (2, 5, 7)
+        res = cbc_construct(KernelSpec(SpectralWeight(), PermStructure(10, inv)), 61)
+        z = res.rule.z
+        assert calls == [[z[c - 1] for c in inv if c < ell] for ell in range(1, 11)]
+
+    def test_partial_invariance_memory(self):
+        # the parent's DP over all 15 prefix coordinates peaked at 255 MB
+        spec = KernelSpec(SpectralWeight(), PermStructure(16, (1, 2)))
+        tracemalloc.start()
+        try:
+            res = cbc_construct(spec, 1009)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert res.achieved_E2 + res.achieved_E2_certificate < res.certified_bound
+
+    @pytest.mark.parametrize("d, inv, n", [
+        (16, (1, 2), 1009), (16, (1, 2), 10007), (24, (1, 2, 3, 4), 1009),
+        (12, (1, 3, 5, 7, 9, 11), 1009), (10, tuple(range(1, 11)), 127), (8, (), 1009),
+        (5, (1, 2, 3, 4, 5), 1009)])
+    def test_step_bytes_bound_the_traced_peak(self, d, inv, n, monkeypatch):
+        # _check_step_bytes predicts the last step's working set from s_l
+        # alone; the step's tracemalloc peak lies below it, within a factor 2
+        spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
+        prefix = [int(v) for v in np.random.default_rng(d).integers(1, n, size=d - 1)]
+        cbc_step_objectives(prefix, n, spec)   # the cached tables and root powers
+        needs = []
+        monkeypatch.setattr(errors, "_refuse_above_cap", lambda need, *args: needs.append(need))
+        tracemalloc.start()
+        try:
+            cbc_step_objectives(prefix, n, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert needs[0] / 2 < peak <= needs[0]
+
+    def test_refusal_names_the_exchangeable_prefix(self):
+        # 19 exchangeable coordinates before step 30: 2^19 masks at n = 1009
+        spec = KernelSpec(SpectralWeight(), PermStructure(30, tuple(range(1, 20))))
+        with pytest.raises(ValueError, match=r"CBC step 30 \(DP over s_l = 19\).*GiB"):
+            cbc_construct(spec, 1009)
+        with pytest.raises(ValueError, match="s_l = 21 above cap 20"):
+            cbc_step_objectives([1] * 21, 2, KernelSpec(SpectralWeight(), PermStructure.full(22)))
 
     def test_refuses_oversized_profile_before_allocating(self, monkeypatch, tmp_path):
         # the fixed-point E2 holds twice the vectors of the last CBC step; a
@@ -263,17 +341,30 @@ class TestConstruction:
     @pytest.mark.parametrize("beta0", [1.0, 0.7])
     @pytest.mark.parametrize("inv", [(1, 2, 3, 4), (1, 3), ()])
     def test_objective_is_the_E2_increment(self, alpha, beta0, inv):
+        self._check_E2_increment(alpha, beta0, 4, inv, 251)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("beta0", [1.0, 0.7])
+    @pytest.mark.parametrize("d, inv, n", [(12, (1, 3), 251), (24, (1, 2, 3, 4), 1009)])
+    def test_objective_is_the_E2_increment_with_many_free_coordinates(self, alpha, beta0,
+                                                                      d, inv, n):
+        # the free coordinates enter each step as one product; at (24, 4) a
+        # DP over every prefix coordinate would need about 126 GiB
+        self._check_E2_increment(alpha, beta0, d, inv, n)
+
+    @staticmethod
+    def _check_E2_increment(alpha, beta0, d, inv, n):
         # step ell's weight 1 / (beta0^|u| C(s, s_u) s_u! n) is E2's weight
         # beta0^(d - |u|) (s - s_u)! / (s! n) over beta0^d, so beta0^d times
         # the sum of the chosen objectives is E2: the two engines agree
-        # within both certificates and the rounding of the sum (three
+        # within both certificates and the rounding of the sum (d - 1
         # additions of positive terms, a pow and a product)
-        spec = KernelSpec(SpectralWeight(alpha=alpha, beta0=beta0), PermStructure(4, inv))
-        res = cbc_construct(spec, 251)
-        b0d = beta0 ** 4
+        spec = KernelSpec(SpectralWeight(alpha=alpha, beta0=beta0), PermStructure(d, inv))
+        res = cbc_construct(spec, n)
+        b0d = beta0 ** d
         total = b0d * sum(res.per_step_objective)
         slack = (res.achieved_E2_certificate + b0d * sum(res.per_step_certificate)
-                 + _gamma(6) * total)
+                 + _gamma(d + 2) * total)
         assert abs(res.achieved_E2 - total) <= slack
 
     def test_better_than_average_mode(self, spec_d2_full):

@@ -2,7 +2,8 @@
 
 Every run reports its wall time and its peak resident set (``ru_maxrss``),
 plus what its case checks.  The space is the README quick start's: alpha = 1,
-the Korobov generator, full invariance.  Each case's grid is fixed below:
+the Korobov generator, full invariance (``cbc-partial`` sets its own).  Each
+case's grid is fixed below:
 
   approx         ``assemble_rule`` at tau = 1.5, d = 3 (N = 1024, 2048, 4096)
                  and d = 5 (N = 512, 1024, 2048), seeds 1 and 2, with the
@@ -28,6 +29,10 @@ the Korobov generator, full invariance.  Each case's grid is fixed below:
                  (5, 1009), (8, 127), (3, 10007), on the CBC generating vector
                  of each space: the first call, power-kernel tables included,
                  and the median of ``E2_CALLS`` more
+  cbc-partial    ``cbc_construct`` at n = 1009 with the first s of d
+                 coordinates exchangeable, (d, s) = (8, 2), (16, 2), (17, 2),
+                 (18, 2), (12, 4), (24, 4), (10, 0): its largest step
+                 certificate, E2 and E2's certificate, or the refusal message
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
@@ -96,6 +101,8 @@ CASES = {
                       + [("cbc", d, n, 16) for d, n in ((5, 251), (4, 2003))]),
     "e2": [("e2", alpha, d, n) for alpha in (1, 2, 3)
            for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
+    "cbc-partial": [("cbc-partial", d, s, 1009) for d, s in ((8, 2), (16, 2), (17, 2), (18, 2),
+                                                             (12, 4), (24, 4), (10, 0))],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
 }
@@ -192,6 +199,21 @@ def _cbc(d: int, n: int, trials: int) -> dict:
     return {"wall_s": wall, "exit_code": code, **{k: out[k] for k in keep}}
 
 
+def _cbc_partial(d: int, s: int, n: int) -> dict:
+    from permqmc import KernelSpec, PermStructure, SpectralWeight
+    from permqmc.cbc import cbc_construct
+
+    spec = KernelSpec(SpectralWeight(), PermStructure(d, tuple(range(1, s + 1))))
+    t0 = time.perf_counter()
+    try:
+        res = cbc_construct(spec, n)
+    except ValueError as exc:
+        return {"wall_s": time.perf_counter() - t0, "refused": str(exc)}
+    return {"wall_s": time.perf_counter() - t0, "refused": None, "z": list(res.rule.z),
+            "max_step_certificate": max(res.per_step_certificate), "E2": res.achieved_E2,
+            "E2_certificate": res.achieved_E2_certificate}
+
+
 def _e2(alpha: int, d: int, n: int) -> dict:
     from permqmc.errors import mean_sq_error
     from permqmc.lattice import LatticeRule
@@ -248,7 +270,8 @@ def _ryser_digest() -> dict:
 
 
 RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
-           "e2": _e2, "ryser": _ryser_timing, "digest": _ryser_digest}
+           "cbc-partial": _cbc_partial, "e2": _e2, "ryser": _ryser_timing,
+           "digest": _ryser_digest}
 
 
 def _child(run: list) -> dict:
