@@ -78,9 +78,9 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     final E2 share.  The predicted working sets of the last step and of the
     final fixed-point E2 are checked before the first step runs, so an
     oversized (d, s, n) fails at once with a ValueError.  At step 2 the exact ties
-    B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}) get bitwise-equal values,
-    so the smallest member of the best orbit is chosen, independent of
-    rounding.  ``per_step_certificate`` holds each step's objective
+    B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}), and at a later free
+    candidate B(z) = B(-z), get bitwise-equal values, so the smallest member
+    of the best orbit is chosen, independent of rounding.  ``per_step_certificate`` holds each step's objective
     certificate.
     """
     if mode not in ("minimize", "better_than_average"):

@@ -17,8 +17,8 @@ Route agreement within the combined certificates is the engine's basic
 correctness contract.  The per-coordinate search objective and the bound
 constants have their second routes as oracles in the test suite
 (``tests/oracles.py`` and the brute-force sums of ``tests/test_errors.py``);
-so does the FFT route of the shifted lattice error, whose oracle is the
-pair route ``kernels.lattice_gram_mean``.
+so does the FFT route of the shifted lattice error, whose oracles are the
+pair route ``kernels.lattice_gram_mean`` and a long-double pair sum.
 """
 from __future__ import annotations
 
@@ -58,11 +58,9 @@ __all__ = [
     "cbc_step_objectives",
     "bound_constant",
     "bound_constants",
-    "SUBSET_CAP",
     "STEP_BYTES_CAP",
 ]
 
-SUBSET_CAP = 20
 # Working-set cap in bytes of one CBC step and of one spectral frequency box;
 # a larger one is refused before anything is allocated.
 STEP_BYTES_CAP = 1 << 30
@@ -104,24 +102,28 @@ def initial_error_sq(spec: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) -> ErrorReport:
-    """Three-term kernel formula for the squared worst-case error.
+    """Squared worst-case error of a cubature rule.
 
     Both integrals of the kernel reduce to the constant-mode mass beta0^d
-    because every oscillatory frequency integrates to zero over the cube.
-    A ``LatticeRule`` with at most two exchangeable coordinates or d = 3
-    takes the FFT route (``kernels._lattice_gram_mean_fft``: a sum over an
-    explicit list of exchanges, O(n log n + n*d), no pair permanent); any
-    other ``LatticeRule`` the lattice route (``lattice_gram_mean``: no
-    n x n Gram matrix, n*(n//2 + 1) pair permanents); any other rule the
-    general route through the full, symmetric Gram matrix (n(n+1)/2 pair
-    permanents).  ``details`` records the route ("lattice-fft", "lattice"
-    or "general"), the number of pair permanents evaluated, and on the FFT
-    route the number of FFTs.
+    because every oscillatory frequency integrates to zero over the cube,
+    so for weights w the error is beta0^d - 2 beta0^d sum w + w . G . w, and
+    for a lattice rule (weights 1/n) the Gram mean less beta0^d.  A
+    ``LatticeRule`` with at most two exchangeable coordinates or d = 3 takes
+    the FFT route (``kernels._lattice_gram_mean_fft``: a sum over an
+    explicit list of exchanges on the zero-mean K1 tables, O(n log n + n*d),
+    no pair permanent), which gives the Gram mean less beta0^d directly,
+    with no beta0^d term; any other ``LatticeRule`` the lattice route
+    (``lattice_gram_mean``: no n x n Gram matrix, n*(n//2 + 1) pair
+    permanents), less beta0^d; any other rule the general route through the
+    full, symmetric Gram matrix (n(n+1)/2 pair permanents) and the
+    three-term formula.  ``details`` records the route ("lattice-fft",
+    "lattice" or "general"), the number of pair permanents evaluated, and on
+    the FFT route the number of FFTs.
 
-    The certificate is the Gram certificate (kernel and permanent errors, or the
-    FFT route's table, FFT and summation bounds, and for both lattice routes
-    the rounding of the mean) plus an a priori rounding bound
-    gamma_k * sum |terms| of the quadratic form and the three-term formula.
+    The certificate is the FFT route's own (table, FFT and summation
+    bounds), or the Gram certificate (kernel and permanent errors, and on
+    the lattice route the rounding of the mean) plus an a priori rounding
+    bound gamma_k * sum |terms| of the quadratic form and the formula.
     """
     return _worst_case_error_sq(rule, spec)
 
@@ -134,15 +136,15 @@ def _worst_case_error_sq(rule, spec, gram=None) -> ErrorReport:
                            details={"route": "general", "pairs": 0})
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
-    if isinstance(rule, LatticeRule):
-        wsum = wabs = 1.0
-        wround = 0.0
-        if spec.perm.size <= 2 or spec.d == 3:
-            quad, qcert, ffts = _lattice_gram_mean_fft(rule, spec)
-            details = {"route": "lattice-fft", "ffts": ffts, "pairs": 0}
-        else:
-            quad, qcert, pairs = lattice_gram_mean(rule, spec)
-            details = {"route": "lattice", "pairs": pairs}
+    if isinstance(rule, LatticeRule) and (spec.perm.size <= 2 or spec.d == 3):
+        raw, cert, ffts = _lattice_gram_mean_fft(rule, spec)
+        details = {"route": "lattice-fft", "ffts": ffts, "pairs": 0}
+    elif isinstance(rule, LatticeRule):
+        quad, qcert, pairs = lattice_gram_mean(rule, spec)
+        # the three-term formula's bound at weights 1/n: b0d is one pow
+        # (1 ulp), and the subtraction rounds once
+        raw, cert = quad - b0d, qcert + _gamma(5) * (3.0 * b0d + abs(quad))
+        details = {"route": "lattice", "pairs": pairs}
     else:
         gram, gcert = gram or kernel_perminv_gram(rule.nodes, rule.nodes, spec)
         rw = rule.raw_weights
@@ -152,12 +154,11 @@ def _worst_case_error_sq(rule, spec, gram=None) -> ErrorReport:
         # order BLAS takes
         qcert = gcert * wabs ** 2 + _gamma(2 * rule.n + 2) * _abs_quadratic_form(gram, arw)
         wround = _gamma(_sum_depth(rule.n) + 1) * wabs
+        raw = b0d - 2.0 * b0d * wsum + quad
+        # b0d is one pow (1 ulp); the formula adds three roundings
+        cert = qcert + 2.0 * b0d * wround + _gamma(5) * (b0d * (1.0 + 2.0 * wabs) + abs(quad))
         details = {"route": "general", "pairs": rule.n * (rule.n + 1) // 2}
-    raw = b0d - 2.0 * b0d * wsum + quad
-    # b0d is one pow (1 ulp); the formula adds three roundings
-    cert = qcert + 2.0 * b0d * wround + _gamma(5) * (b0d * (1.0 + 2.0 * wabs) + abs(quad))
-    value = max(raw, 0.0)
-    return ErrorReport(value, "kernel", cert, details={"raw_value": raw, **details})
+    return ErrorReport(max(raw, 0.0), "kernel", cert, details={"raw_value": raw, **details})
 
 
 def _abs_quadratic_form(gram: np.ndarray, v: np.ndarray) -> float:
@@ -404,9 +405,10 @@ def _multiplicative_correlation(G: np.ndarray, kappa0: float, powers: np.ndarray
 
 
 def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.ndarray:
-    """Replace the step-2 objective by its mean over each exact-tie orbit.
+    """Replace a step's objective by its mean over each exact-tie orbit.
 
-    With prefix (a), B(z) = B(-z) = B(a^2/z) for z not in {0, a, -a}.  Each
+    With prefix (a), B(z) = B(-z) = B(a^2/z) for z not in {0, a, -a}; with
+    a = 0, at a later step's free candidate, the orbit is {z, -z}.  Each
     orbit's values are summed in the order of its sorted members, so the
     members come back bitwise equal and ``argmin`` returns the smallest.
     """
@@ -453,9 +455,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
        power-of-two FFT pair per group; B(z) collects F((S_M + z) mod n).
 
     Time O(3^k * n + 2^k * n log n + ell * n) and memory O(2^k * n) per
-    step.  n must be prime.  k above ``SUBSET_CAP`` or a predicted working
-    set (``_check_step_bytes``) above ``STEP_BYTES_CAP`` raises ValueError
-    before anything is allocated.
+    step.  n must be prime.  A predicted working set (``_check_step_bytes``)
+    above ``STEP_BYTES_CAP`` raises ValueError before anything is allocated.
 
     Tie rule: at ell = 2 with prefix (a), B(z) = B(-z) = B(a^2/z) for z not
     in {0, a, -a}.  The lattices (a, z) and (a, -z) differ by reflecting one
@@ -464,7 +465,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     (a, z) rescaled with its coordinates swapped, which leaves the {1, 2}
     term unchanged, and the {2} term depends only on z != 0.  Those values
     are replaced by their orbit mean, so the orbit members are bitwise equal
-    and ``argmin`` picks the smallest.
+    and ``argmin`` picks the smallest.  At a later step whose candidate is
+    free, B(z) = B(-z) for the same reason, and the pair gets its mean.
 
     Returns (values over z = 0..n-1, certificate).  The certificate is the
     first-order effect of the power-kernel table errors (one block at its
@@ -486,15 +488,14 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     zi = [z for i, z in enumerate(zs) if i + 1 in inv]
     zf = [z for i, z in enumerate(zs) if i + 1 not in inv]
     k, kf = len(zi), len(zf)
-    if k > SUBSET_CAP:
-        raise ValueError(f"subset enumeration over s_l = {k} above cap {SUBSET_CAP}")
     _check_step_bytes(ell, k, n)
     table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
     f, fv, fe = _partition_sums(zi, n, table, tmax, tcerts)
     pf, pmax, pf_cert = None, 1.0, 0.0   # the free factor, its bound and error
     if kf:
-        q, q_cert, q_abs = _free_excess(zf, n, table, tmax, tcerts, w.beta0)
+        q, q_cert, q_abs = _free_excess([table[0]] * kf, zf, n, w.beta0,
+                                        w.beta0 + float(tmax[0]), tcerts[0])
         pmax = w.beta0 ** kf + q_abs
         pf, pf_cert = w.beta0 ** kf + q, q_cert + _gamma(3) * pmax
 
@@ -535,8 +536,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     # (2^k + 1), the sum over members (2^k), the free product (1), the two
     # products of F and one addition per group
     cert += _gamma(k + 3 * (1 << k) + len(groups) + 11 + (kf > 0)) * absum
-    if ell == 2:
-        total = _tie_orbit_mean(total, zs[0], n, powers)
+    if ell == 2 or (ell > 2 and not ell_inv):
+        total = _tie_orbit_mean(total, zs[0] if ell == 2 else 0, n, powers)
         cert += _gamma(4) * float(np.max(np.abs(total)))
     return total, float(cert)
 

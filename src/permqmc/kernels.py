@@ -32,7 +32,8 @@ The Gram mean of a shifted lattice rule, the core of its worst-case error,
 has two routes: pair permanents over n*(n//2 + 1) node pairs
 (``lattice_gram_mean``), and for s <= 2 or d = 3 a sum over an explicit list
 of exchanges in which each term is a direct sum of n products or one FFT
-correlation (``_lattice_gram_mean_fft``).  Every FFT of the package, here
+correlation (``_lattice_gram_mean_fft``, which gives the mean less beta0^d
+directly, on the zero-mean K1 tables).  Every FFT of the package, here
 and in the CBC step, runs in ``_cyclic_correlation``: zero-padded
 power-of-two real transforms, which one rounding bound (``_fft_rho``) covers.
 """
@@ -399,21 +400,21 @@ def _partition_sums(zs: list[int], n: int, table: np.ndarray, tmax: np.ndarray,
     return f, np.asarray(fv), np.asarray(fe)
 
 
-def _free_excess(zs: Sequence[int], n: int, table: np.ndarray, tmax: np.ndarray,
-                 tcerts: np.ndarray, b0: float) -> tuple[np.ndarray, float, float]:
-    """q = prod_i (beta0 + o_1[j z_i mod n]) - beta0^k at every node j over
-    the k free coordinates with generators ``zs``, o_1 = ``table[0]``, by
-    q <- q (beta0 + g) + beta0^k g, which holds no beta0^k term.  Returns
-    (q, cert, bound).  With T = beta0 + ``tmax[0]`` (max|o_1| + c_1, c_1 the
-    certificate of o_1), |q| and the computed q lie within T^k - beta0^k +
-    E_k, E_k the error, E_(k+1) = (1 + gamma_4) T E_k + T^k c_1 +
-    gamma_4 (T^(k+1) - beta0^(k+1)): a step rounds three times, four in
-    beta0^k g."""
-    j, q, q_cert, top = np.arange(n, dtype=np.int64), np.zeros(n), 0.0, b0 + float(tmax[0])
-    for k, zi in enumerate(zs):
-        g = table[0].take(j * zi % n)
+def _free_excess(rows: Sequence[np.ndarray], zs: Sequence[int], n: int, b0: float,
+                 top: float, c1: float) -> tuple[np.ndarray, float, float]:
+    """q = prod_i (beta0 + g_i[j z_i mod n]) - beta0^k at every node j over
+    k coordinates, g_i = ``rows[i]`` a zero-mean K1 table on Z_n and z_i
+    its multiplier, by q <- q (beta0 + g) + beta0^k g, which holds no
+    beta0^k term.  Returns (q, cert, bound).  With c_1 bounding each row's
+    error and T = ``top`` >= beta0 + max|g_i| + c_1, |q| and the computed q
+    lie within T^k - beta0^k + E_k, E_k the error, E_(k+1) =
+    (1 + gamma_4) T E_k + T^k c_1 + gamma_4 (T^(k+1) - beta0^(k+1)): a step
+    rounds three times, four in beta0^k g."""
+    j, q, q_cert = np.arange(n, dtype=np.int64), np.zeros(n), 0.0
+    for k, (row, zi) in enumerate(zip(rows, zs)):
+        g = row.take(j * zi % n)
         q = q * (b0 + g) + b0 ** k * g
-        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** k * tcerts[0]
+        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** k * c1
                   + _gamma(4) * (top ** (k + 1) - b0 ** (k + 1)))
     return q, q_cert, top ** len(zs) - b0 ** len(zs) + q_cert
 
@@ -616,66 +617,59 @@ _EXCHANGES = {
 }
 
 
-def _line_sum(f: np.ndarray, rows: list[int], w: list[int], n: int) -> tuple[float, float]:
-    """(1/n) sum_j prod_i f[rows[i], j * w[i] mod n] and its rounding bound:
-    each factor beta0 + g rounds once, the product and numpy's sum add
-    theirs, and the division one more."""
-    j = np.arange(n, dtype=np.int64)
-    term = np.ones(n)
-    for r, wi in zip(rows, w):
-        term *= f[r].take(j * wi % n)
-    return (float(term.sum()) / n,
-            _gamma(2 * len(rows) + _sum_depth(n)) * float(np.abs(term).sum()) / n)
+def _correlation_sum(rows: list[np.ndarray], zs: list[int], gx: np.ndarray, gy: np.ndarray,
+                     b0: float, top: float, lag: int, n: int) -> tuple[float, float, int]:
+    """S - beta0^(k+2) for S = n^-2 sum_x P(x) R(lag * x mod n), P = beta0^k + p
+    the product of k fixed factors (p the excess of ``rows`` at multipliers
+    ``zs``, from ``_free_excess``) and R(tau) = sum_p fx(p) fy(p + tau) the cyclic
+    correlation of fx = beta0 + gx and fy = beta0 + gy on Z_n; with its
+    error bound and the number of FFTs.  R = n beta0^2 + Ro, Ro = beta0 (sum
+    gx + sum gy) + Rg, Rg the correlation of the oscillatory parts
+    (``_cyclic_correlation``), so the value, n^-2 sum_x [P(x) Ro(lag x) +
+    n beta0^2 p(x)], holds no beta0^(k+2) term.
 
-
-def _correlation_sum(P: np.ndarray, factors: int, gx: np.ndarray, gy: np.ndarray,
-                     b0: float, lag: int, n: int) -> tuple[float, float, int]:
-    """S = n^-2 sum_x P(x) R(lag * x mod n), R(tau) = sum_p fx(p) fy(p + tau)
-    the cyclic correlation of fx = beta0 + gx and fy = beta0 + gy on Z_n,
-    with its error bound and the number of FFTs.
-
-    R = n beta0^2 + beta0 (sum gx + sum gy) + Rg, and Rg, the correlation of
-    the oscillatory parts, comes from ``_cyclic_correlation``.
-
-    The bound has three parts.  The error of Rg has 2-norm at most the
-    helper's bound, and x -> lag * x permutes Z_n unless lag = 0: by
-    Cauchy-Schwarz it reaches S through ||P||_2, or through sum |P| when
-    every term reads R(0).  The sums of gx and gy and the six roundings of
-    the assembly err by a bound uniform over the entries of R.  And
-    gamma_k * sum |terms| covers P (``factors`` gathered values of
-    beta0 + g), the products and the sum.
+    The error of Rg has 2-norm at most the helper's bound, and x -> lag * x
+    permutes Z_n unless lag = 0: by Cauchy-Schwarz it reaches the sum
+    through ||P||_2, or through sum |P| when every term reads Ro(0).  The
+    sums of gx and gy and Ro's three roundings err uniformly over Ro.  P
+    errs by p's error, the pow (two roundings) and the addition.  And
+    gamma_k * sum |terms| covers the products, the sum and the division.
     """
+    p, p_cert, p_abs = _free_excess(rows, zs, n, b0, top, 0.0)
+    k = len(zs)
     rg, rg_err = _cyclic_correlation(gy)(gx)
     sx, sy = float(gx.sum()), float(gy.sum())
-    R = n * b0 * b0 + b0 * (sx + sy) + rg
-    x = np.arange(n, dtype=np.int64)
-    terms = P * R.take(lag * x % n)
-    nn = float(n) ** 2
+    ro = b0 * (sx + sy) + rg
+    P = b0 ** k + p
+    t1, t2 = P * ro.take(lag * np.arange(n, dtype=np.int64) % n), (n * b0 * b0) * p
     depth = _sum_depth(n)
-    p_abs = float(np.abs(P).sum())
-    fft_err = rg_err * (math.sqrt(float(np.square(P).sum())) if lag % n else p_abs)
-    r_err = (abs(b0) * _gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
-             + _gamma(6) * (n * b0 * b0 + abs(b0) * (abs(sx) + abs(sy))
-                            + float(np.max(np.abs(rg)))))
-    err = (fft_err + r_err * p_abs
-           + _gamma(2 * factors + 3 + depth) * float(np.abs(terms).sum())) / nn
-    return float(terms.sum()) / nn, err, 2 if gy is gx else 3
+    p_err = p_cert + _gamma(3) * (b0 ** k + p_abs)
+    P_abs = float(np.abs(P).sum()) + n * p_err
+    P_l2 = math.sqrt(float(np.square(P).sum())) + math.sqrt(n) * p_err
+    ro_err = (b0 * _gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
+              + _gamma(3) * (b0 * (abs(sx) + abs(sy)) + float(np.max(np.abs(rg)))))
+    err = (rg_err * (P_l2 if lag % n else P_abs) + ro_err * P_abs
+           + n * (p_err * float(np.max(np.abs(ro))) + p_cert * n * b0 * b0)
+           + _gamma(depth + 5) * float(np.abs(t1).sum() + np.abs(t2).sum()))
+    nn = float(n) ** 2
+    return float((t1 + t2).sum()) / nn, err / nn, 2 if gy is gx else 3
 
 
 def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float, int]:
     """Mean of the exchange-invariant Gram matrix of a (shifted) rank-1
-    lattice rule in O(n log n + n * d), for s <= 2 or d = 3 (n is prime, as
-    for every ``LatticeRule``).
+    lattice rule less beta0^d, its squared worst-case error, in O(n log n +
+    n * d), for s <= 2 or d = 3 (n is prime, as for every ``LatticeRule``).
 
     The mean is (1/s!) sum_sigma S_sigma over the exchanges in
     ``_EXCHANGES``, with S_sigma = n^-2 sum_{k,l} prod_i f_i(k z_i - l z_sigma(i)),
-    f_i(x) = K1(x/n + Delta_i - Delta_sigma(i)) on Z_n.  There are three
-    cases:
+    f_i(x) = beta0 + g_i(x) and g_i(x) = K1(x/n + Delta_i - Delta_sigma(i)) - beta0
+    on Z_n; their weights sum to 1, so each contributes S_sigma - beta0^d,
+    expanded around beta0.  There are three cases:
 
     * z_sigma = c * z (mod n), which holds for sigma = id and whenever the
       2 x 2 minors of (z, z_sigma) vanish: (k, l) -> k - l*c covers Z_n n
-      times, so S_sigma = n^-1 sum_j prod_i f_i(j * z_i), O(n * d)
-      (``_line_sum``);
+      times, so S_sigma - beta0^d is the mean of the product excess of the
+      f_i(j * z_i) (``_free_excess``), O(n * d);
     * a transposition (a b) otherwise: l = k + m and j = k (z_a - z_b) turn
       the sum over k into the autocorrelation of f_a (f_b(x) = f_a(-x), as K1
       is even) at lag m (z_a + z_b), while the fixed coordinates give
@@ -685,15 +679,16 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
       third argument is alpha x + beta y, and p = beta y gives
       S_sigma = n^-2 sum_x f_i(x) R(alpha x), R the correlation of
       f_j(p / beta) and f_m (``_correlation_sum``); with alpha = beta = 0
-      the sum factors.
+      the sum factors into two line sums (beta0^2 + u)(beta0 + v), whose
+      excess is beta0^2 v + beta0 u + u v.
 
     K1 - beta0 is tabulated once at g/n + Delta_a - Delta_b for every pair
     a < b that an exchange moves (``power_kernel`` with
-    ``include_constant=False``), so the FFTs act on the oscillatory part
-    alone and the beta0 parts are exact sums.  Returns (mean, cert, ffts):
-    cert adds the table certificate through the products of d factors, each
-    S_sigma's FFT and rounding bounds, and the rounding of the final sum;
-    ffts counts the transforms.
+    ``include_constant=False``), so every sum runs on the oscillatory parts
+    and no term holds beta0^d.  Returns (value, cert, ffts): cert adds the
+    table certificate through the products of d factors, each exchange's
+    rounding and FFT bounds, and the rounding of the final sum; ffts counts
+    the transforms.
     """
     n, d = rule.n, rule.d
     z = [int(v) % n for v in rule.z]
@@ -712,7 +707,13 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
     g, cert_g = power_kernel(spec.weight, 1, grid + theta[:, None], include_constant=False,
                              mode=spec.mode, tol=spec.tol)
     b0 = spec.weight.beta0
-    f = b0 + g
+    top = b0 + float(np.max(np.abs(g)))
+
+    def line(rows, w):
+        # the mean of the product excess (the table taken as exact), its rounding
+        q, q_cert, _ = _free_excess([g[r] for r in rows], w, n, b0, top, 0.0)
+        return float(q.sum()) / n, q_cert + _gamma(_sum_depth(n) + 1) * float(np.abs(q).sum()) / n
+
     x = np.arange(n, dtype=np.int64)
     total = total_abs = err = 0.0
     ffts = 0
@@ -725,15 +726,12 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
                  for i in range(d) for j in range(i + 1, d)}
         k = 0
         if not any(minor.values()):
-            val, e = _line_sum(f, rows, [sg * zi for sg, zi in zip(signs, z)], n)
+            val, e = line(rows, [sg * zi for sg, zi in zip(signs, z)])
         elif len(moves) == 2:
             a, b = moves
-            P = np.ones(n)
-            for i in range(d):
-                if p[i] == i:
-                    P *= f[0].take(x * z[i] % n)
+            zf = [z[i] for i in range(d) if p[i] == i]
             ga = g[rows[a]]
-            val, e, k = _correlation_sum(P, d - 2, ga, ga, b0, z[a] + z[b], n)
+            val, e, k = _correlation_sum([g[0]] * (d - 2), zf, ga, ga, b0, top, z[a] + z[b], n)
         else:
             (i, j), det = next(item for item in minor.items() if item[1])
             m = 3 - i - j
@@ -743,22 +741,21 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
             if not beta:
                 i, j, alpha, beta = j, i, beta, alpha
             if beta:
-                P = f[rows[i]].take(signs[i] * x % n)
                 gx = g[rows[j]].take(signs[j] * pow(beta, -1, n) * x % n)
                 gy = g[rows[m]].take(signs[m] * x % n)
-                val, e, k = _correlation_sum(P, 1, gx, gy, b0, alpha, n)
+                val, e, k = _correlation_sum([g[rows[i]]], [signs[i]], gx, gy, b0, top, alpha, n)
             else:
-                # the argument of m is 0: S = (sum_x f_i(x) f_m(0)) (sum_y f_j(y)) / n^2
-                vi, ei = _line_sum(f, [rows[i], rows[m]], [1, 0], n)
-                vj, ej = _line_sum(f, [rows[j]], [1], n)
-                val = vi * vj
-                e = abs(vi) * ej + ei * (abs(vj) + ej) + _UNIT_ROUNDOFF * abs(val)
+                # the argument of m is 0: S = (sum_x f_i(x) f_m(0)) (sum_y f_j(y)) / n^2;
+                # a term of the assembly rounds at most four times
+                (u, eu), (v, ev) = line([rows[i], rows[m]], [1, 0]), line([rows[j]], [1])
+                val = b0 * b0 * v + b0 * u + u * v
+                e = (b0 * b0 * ev + b0 * eu + abs(u) * ev + eu * (abs(v) + ev)
+                     + _gamma(5) * (b0 * b0 * abs(v) + b0 * abs(u) + abs(u * v)))
         ffts += k
         total += mult * val
         total_abs += mult * abs(val)
         err += mult * e
     fact = float(spec.perm.group_order)
-    top = abs(b0) + float(np.max(np.abs(g)))
     table = d * cert_g * (top + cert_g) ** (d - 1) * (1.0 + _gamma(d + 2))
     # up to five additions and the division
     return total / fact, float(table + (err + _gamma(6) * total_abs) / fact), ffts
@@ -800,7 +797,8 @@ def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.nda
     g_V = _gamma(size + (1 << size) + (1 << s) + 4)
     p_cert = float(wts @ (fe[1:] + g_V * fv[1:]))
     p_abs = float(wts @ fv[1:]) + p_cert
-    q, q_cert, q_abs = _free_excess(z[spec.perm.free_idx], n, table, tmax, tcerts, b0)
+    zf = z[spec.perm.free_idx]
+    q, q_cert, q_abs = _free_excess([table[0]] * len(zf), zf, n, b0, b0 + float(tmax[0]), tcerts[0])
     bs, bf = b0 ** s, b0 ** (d - s)
     cert = (bs * q_cert + bf * p_cert + p_abs * q_cert + q_abs * p_cert
             + _gamma(6) * (bs * q_abs + bf * p_abs + p_abs * q_abs))

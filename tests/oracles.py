@@ -6,6 +6,7 @@ closed formula, or evaluates a quantity that only the tests check.
 """
 import math
 from collections import Counter
+from itertools import permutations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -194,3 +195,52 @@ def gaussian_average_error_sq(rule, spec, n_modes):
     cert = 2.0 * fact * float(np.abs(rw).sum()) ** 2 * dropped
     return GaussReport(value=top + shared, top_value=top, shared_tail=shared,
                        independent_certificate=cert, n_modes=n_modes)
+
+
+def bernoulli_polynomial(m):
+    """Ascending exact coefficients of the Bernoulli polynomial B_m(t) =
+    sum_j C(m, j) B_(m-j) t^j, the numbers from sum_(j<k) C(k+1, j) B_j = -(k+1) B_k."""
+    B = [Fraction(1)]
+    for k in range(1, m + 1):
+        B.append(-sum(math.comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return [math.comb(m, j) * B[m - j] for j in range(m + 1)]
+
+
+def lattice_error_sq_long_double(rule, ps, alpha, beta0=1.0, beta1=1.0):
+    """Squared worst-case error of a (shifted) rank-1 lattice rule in the
+    Korobov space R(m) = 2 pi m at integer alpha, in long double, over all
+    n^2 node pairs and all s! exchanges of the invariant coordinates.
+
+    K1(t) - beta0 = beta1 (-1)^(alpha+1) B_2alpha(t) / (2 alpha)! (the
+    (2 pi)^(2 alpha) of the cosine sum cancels the generator's), from exact
+    rational coefficients; the error is the mean of prod_i K1 - beta0^d, each
+    product expanded around beta0 as q <- q (beta0 + g) + beta0^i g.  The
+    arguments k z_i - l z_sigma(i) are exact integers mod n.
+    """
+    ld = np.longdouble
+    n, d = rule.n, rule.d
+    z = [int(v) % n for v in rule.z]
+    shift = [ld(0.0)] * d if rule.shift is None else [ld(float(v)) for v in rule.shift]
+    scale = Fraction(-1) ** (alpha + 1) / math.factorial(2 * alpha)
+    coeffs = [ld(c.numerator) / ld(c.denominator) for c in
+              (scale * c for c in bernoulli_polynomial(2 * alpha))]
+    b0, b1 = ld(beta0), ld(beta1)
+    k, l = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    inv = [i - 1 for i in ps.invariant]
+    total = ld(0.0)
+    for images in permutations(inv):
+        sigma = list(range(d))
+        for a, b in zip(inv, images):
+            sigma[a] = b
+        q = np.zeros(n * n, dtype=ld)
+        for i in range(d):
+            j = sigma[i]
+            t = ((k * z[i] - l * z[j]) % n).astype(ld) / ld(n) + (shift[i] - shift[j])
+            t -= np.floor(t)
+            g = np.full(t.shape, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                g = g * t + c
+            g *= b1
+            q = q * (b0 + g) + b0 ** i * g
+        total += q.sum()
+    return float(total / ld(n * n) / ld(math.factorial(len(inv))))

@@ -124,6 +124,21 @@ class TestFastStep:
         orbit = {best} | {int(img[best]) for img in images}
         assert best == min(orbit)
 
+    @pytest.mark.parametrize("d, inv, n", [(4, (1, 2), 61), (6, (1, 3), 251),
+                                           (8, (2, 3, 4), 1009), (12, (1, 2), 251)])
+    def test_free_candidate_reflection_ties(self, d, inv, n):
+        # reflecting a free candidate coordinate changes no dual sum: from
+        # step 3 on, B(z) and B(n - z) are bitwise equal at such a step, and
+        # the CBC picks the smaller of the two
+        spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
+        z = list(cbc_construct(spec, n).rule.z)
+        free_steps = [ell for ell in range(3, d + 1) if ell not in inv]
+        assert free_steps
+        for ell in free_steps:
+            vals, _ = cbc_step_objectives(z[:ell - 1], n, spec)
+            assert np.array_equal(vals[1:], vals[:0:-1])
+            assert z[ell - 1] <= (n - 1) // 2
+
     @pytest.mark.parametrize("prefix", [[1], [1, 286, 53, 80]])
     def test_rounding_within_certificate(self, prefix, monkeypatch):
         # with the table taken as exact the certificate is the rounding bound
@@ -228,7 +243,8 @@ class TestFastStep:
         spec = KernelSpec(SpectralWeight(), PermStructure(30, tuple(range(1, 20))))
         with pytest.raises(ValueError, match=r"CBC step 30 \(DP over s_l = 19\).*GiB"):
             cbc_construct(spec, 1009)
-        with pytest.raises(ValueError, match="s_l = 21 above cap 20"):
+        # the byte prediction alone refuses s_l = 21 at any n: 2^22 masks
+        with pytest.raises(ValueError, match=r"CBC step 22 \(DP over s_l = 21\).*GiB"):
             cbc_step_objectives([1] * 21, 2, KernelSpec(SpectralWeight(), PermStructure.full(22)))
 
     def test_refuses_oversized_profile_before_allocating(self, monkeypatch, tmp_path):

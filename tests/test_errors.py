@@ -24,10 +24,11 @@ from permqmc import errors, kernels
 from permqmc.kernels import (KernelSpec, _lattice_gram_mean_fft, kernel_perminv_gram,
                              lattice_gram_mean)
 from permqmc.lattice import LatticeRule, WeightedCubature
-from permqmc.symmetry import PermStructure, multiplicity_array
+from permqmc.symmetry import _UNIT_ROUNDOFF, PermStructure, multiplicity_array
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
-from oracles import box_frequencies, fix_count, set_partitions, spectral_cbc_objective
+from oracles import (box_frequencies, fix_count, lattice_error_sq_long_double, set_partitions,
+                     spectral_cbc_objective)
 
 
 def nabla_box_bound_constant(spec, lam, H):
@@ -213,6 +214,18 @@ _FFT_PATTERNS = [
 ]
 
 
+def _against_pair_route(rule, spec):
+    """The FFT route's Gram mean less beta0^d against the pair route's mean
+    less beta0^d (beta0 = 1: the power is exact, the subtraction rounds
+    once); returns the FFT count."""
+    a, a_cert, ffts = _lattice_gram_mean_fft(rule, spec)
+    b, b_cert, _ = lattice_gram_mean(rule, spec)
+    assert spec.weight.beta0 == 1.0
+    ref = b - 1.0
+    assert abs(a - ref) <= a_cert + b_cert + _UNIT_ROUNDOFF * abs(ref), (rule, spec)
+    return ffts
+
+
 class TestLatticeFftRoute:
     """The FFT route of worst_case_error_sq (kernels._lattice_gram_mean_fft)
     against the pair route (lattice_gram_mean) on the same rule."""
@@ -232,10 +245,7 @@ class TestLatticeFftRoute:
         for w, mode, shifted in cases:
             spec = KernelSpec(w, ps, mode=mode)
             rule = LatticeRule(n, z, tuple(rng.uniform(size=d)) if shifted else None)
-            a, a_cert, ffts = _lattice_gram_mean_fft(rule, spec)
-            b, b_cert, _ = lattice_gram_mean(rule, spec)
-            assert abs(a - b) <= a_cert + b_cert, (z, mode, w.generator.kind, shifted)
-            assert ffts <= 9
+            assert _against_pair_route(rule, spec) <= 9
 
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("n, z, inv, ffts", [
@@ -256,12 +266,14 @@ class TestLatticeFftRoute:
     def test_degenerate_generators(self, sobolev, n, z, inv, ffts, shifted):
         spec = KernelSpec(sobolev, PermStructure(3, inv))
         rule = LatticeRule(n, z, (0.3, 0.71, 0.05) if shifted else None)
-        a, a_cert, _ = _lattice_gram_mean_fft(rule, spec)
-        b, b_cert, _ = lattice_gram_mean(rule, spec)
-        assert abs(a - b) <= a_cert + b_cert
+        _against_pair_route(rule, spec)
         rep = worst_case_error_sq(rule, spec)
         assert rep.details == {"raw_value": rep.details["raw_value"], "route": "lattice-fft",
                                "ffts": ffts, "pairs": 0}
+        # beta0 != 1 tells the powers of beta0 in each excess apart
+        rep = worst_case_error_sq(rule, KernelSpec(SpectralWeight(beta0=0.7, beta1=1.3), spec.perm))
+        ref = lattice_error_sq_long_double(rule, spec.perm, 1, 0.7, 1.3)
+        assert abs(rep.details["raw_value"] - ref) <= rep.truncation_certificate
 
     def test_no_pair_permanents(self, sobolev, monkeypatch):
         def no_pairs(*args, **kwargs):
@@ -297,6 +309,39 @@ class TestLatticeFftRoute:
                                   spec_d3_full)
         assert rep.details["ffts"] == 9
         assert rep.truncation_certificate < 1e-2 * rep.value
+
+    @pytest.mark.parametrize("n", [13, 101, 251])
+    @pytest.mark.parametrize("d, inv", [p for p in _FFT_PATTERNS if p[0] in (2, 3)])
+    def test_against_long_double_sum_at_alpha_2(self, d, inv, n):
+        # the error itself, not a mean less beta0^d: a long-double sum over
+        # all node pairs and all exchanges (oracles.lattice_error_sq_long_double)
+        rng = np.random.default_rng([d, n, len(inv), 2])
+        ps = PermStructure(d, inv)
+        z = tuple(int(v) for v in rng.integers(0, n, size=d))
+        for beta0, beta1, shift in [(1.0, 1.0, None), (1.0, 1.0, tuple(rng.uniform(size=d))),
+                                    (0.7, 1.3, tuple(rng.uniform(size=d)))]:
+            rule = LatticeRule(n, z, shift)
+            rep = worst_case_error_sq(
+                rule, KernelSpec(SpectralWeight(alpha=2.0, beta0=beta0, beta1=beta1), ps))
+            raw, cert = rep.details["raw_value"], rep.truncation_certificate
+            ref = lattice_error_sq_long_double(rule, ps, 2, beta0, beta1)
+            assert rep.details["route"] == "lattice-fft"
+            assert raw >= -cert
+            assert abs(raw - ref) <= cert, (z, shift, beta0, raw, ref, cert)
+
+    @pytest.mark.parametrize("d, n, z, ref", [
+        (3, 251, (1, 70, 154), 1.69229e-13), (3, 1009, (1, 282, 635), 8.24969e-16),
+        (2, 1009, (1, 282), 6.07153e-16)])
+    def test_certificate_at_alpha_2(self, d, n, z, ref):
+        # the CBC vectors at alpha = 2; the references are long-double sums
+        # (oracles.lattice_error_sq_long_double) to six digits.  What is left
+        # of the certificate is the K1 table's, d * c * T^(d - 1)
+        spec = KernelSpec(SpectralWeight(alpha=2.0), PermStructure.full(d))
+        rep = worst_case_error_sq(LatticeRule(n, z, tuple(np.linspace(0.1, 0.7, d))), spec)
+        raw, cert = rep.details["raw_value"], rep.truncation_certificate
+        assert abs(raw - ref) <= cert + 1e-5 * ref
+        assert cert <= 1.2e-15
+        assert n == 1009 or cert <= 1e-2 * raw
 
 
 def exact_kappa(c, t, w):

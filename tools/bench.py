@@ -20,7 +20,11 @@ case's grid is fixed below:
                  at n = 1009, 10007, 100003 and the O(n^2) pair route
                  ``lattice`` at n = 1009; the pair route also at (d, n) =
                  (4, 2003), (4, 4001) and (5, 2003), where it is the only
-                 kernel route; on fixed CBC generating vectors; and
+                 kernel route; on fixed CBC generating vectors; ``lattice-fft``
+                 at alpha = 2 and (d, n) = (3, 251), (3, 1009), (2, 1009),
+                 shift linspace(0.1, 0.7, d), with the long-double sum over
+                 all node pairs and exchanges (``tests/oracles.py``) as its
+                 reference (its maxrss includes the reference's arrays); and
                  ``permqmc cbc --trials 64 --seed 1`` at d = 3, n = 1009...100003,
                  and ``--trials 16`` at (d, n) = (5, 251) and (4, 2003), whose
                  shift searches take the pair route
@@ -73,6 +77,9 @@ CBC_Z = {(3, 1009): (1, 282, 635), (3, 10007): (1, 3822, 2827),
          (3, 100003): (1, 38763, 75699), (4, 2003): (1, 765, 699, 1375),
          (4, 4001): (1, 1478, 823, 1769), (5, 2003): (1, 765, 699, 1375, 824)}
 SHIFT = (0.3, 0.71, 0.05, 0.42, 0.88)
+# the CBC generating vectors of the alpha = 2 space, whose lattice-fft rows
+# carry a long-double reference
+ALPHA2_Z = {(3, 251): (1, 70, 154), (3, 1009): (1, 282, 635), (2, 1009): (1, 282)}
 # the CBC generating vectors of the spaces of the e2 case, by (alpha, d, n)
 E2_Z = {(1, 3, 1009): (1, 282, 635), (1, 4, 1009): (1, 282, 635, 660),
         (1, 5, 1009): (1, 282, 635, 660, 464), (1, 8, 127): (1, 29, 79, 27, 74, 66, 70, 68),
@@ -95,6 +102,7 @@ CASES = {
                                  (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))
                  for route in ("worst", "mean")],
     "shifted-error": ([("route", "lattice-fft", 3, n) for n in (1009, 10007, 100003)]
+                      + [("route", "lattice-fft", d, n, 2) for d, n in ALPHA2_Z]
                       + [("route", "lattice", d, n)
                          for d, n in ((3, 1009), (4, 2003), (4, 4001), (5, 2003))]
                       + [("cbc", 3, n, 64) for n in (1009, 10007, 20011, 100003)]
@@ -169,18 +177,31 @@ def _spectral(d: int, n: int, H: int, route: str) -> dict:
             "value": rep["value"], "certificate": rep["certificate"]}
 
 
-def _route(route: str, d: int, n: int) -> dict:
-    from permqmc.kernels import _lattice_gram_mean_fft, lattice_gram_mean
+def _route(route: str, d: int, n: int, alpha: int = 1) -> dict:
+    """``lattice-fft`` through ``worst_case_error_sq`` (its raw value and
+    certificate), the pair route as ``lattice_gram_mean`` less beta0^d."""
+    from permqmc.errors import worst_case_error_sq
+    from permqmc.kernels import lattice_gram_mean
     from permqmc.lattice import LatticeRule
 
-    spec = _spec(d)
-    mean_fn = _lattice_gram_mean_fft if route == "lattice-fft" else lattice_gram_mean
-    rule = LatticeRule(n, CBC_Z[d, n], SHIFT[:d])
+    spec = _spec(d, float(alpha))
+    rule = (LatticeRule(n, CBC_Z[d, n], SHIFT[:d]) if alpha == 1 else
+            LatticeRule(n, ALPHA2_Z[d, n], tuple(float(v) for v in np.linspace(0.1, 0.7, d))))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    (mean, cert, count), wall = _timed(lambda: mean_fn(rule, spec))
+    if route == "lattice-fft":
+        rep, wall = _timed(lambda: worst_case_error_sq(rule, spec))
+        assert rep.details["route"] == route
+        rec = {"value": rep.details["raw_value"], "certificate": rep.truncation_certificate,
+               "ffts": rep.details["ffts"]}
+    else:
+        (mean, cert, pairs), wall = _timed(lambda: lattice_gram_mean(rule, spec))
+        rec = {"value": mean - spec.weight.beta0 ** d, "certificate": cert, "pairs": pairs}
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return {"wall_s": wall, "minflt": faults, "value": mean - spec.weight.beta0 ** d,
-            "certificate": cert, "ffts" if route == "lattice-fft" else "pairs": count}
+    if alpha != 1:
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+        from oracles import lattice_error_sq_long_double
+        rec["reference"] = lattice_error_sq_long_double(rule, spec.perm, alpha)
+    return {"wall_s": wall, "minflt": faults, **rec}
 
 
 def _cbc(d: int, n: int, trials: int) -> dict:
