@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _worst_case_error_sq
+from .errors import worst_case_error_sq
 from .kernels import _PAIR_CHUNK, KernelSpec, _fill_gram, kernel_perminv_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
@@ -434,7 +434,7 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
         # each draw refills only the blocks of its integration points
         gram = _grown(alg, cub.n) if gram is None else gram
         gcert = max(alg.gram_cert, _fill_gram(gram, cub.nodes, cub.nodes, spec, alg.n_samples))
-        rep = _worst_case_error_sq(cub, spec, (gram, gcert))
+        rep = worst_case_error_sq(cub, spec, (gram, gcert))
         if best_rep is None or rep.value < best_rep.value:
             best, best_rep = cub, rep
         if rep.value <= target + rep.truncation_certificate:

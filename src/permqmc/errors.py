@@ -101,7 +101,8 @@ def initial_error_sq(spec: KernelSpec) -> float:
 # worst-case error of a general weighted cubature rule
 # ---------------------------------------------------------------------------
 
-def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) -> ErrorReport:
+def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec,
+                        gram: tuple[np.ndarray, float] | None = None) -> ErrorReport:
     """Squared worst-case error of a cubature rule.
 
     Both integrals of the kernel reduce to the constant-mode mass beta0^d
@@ -124,12 +125,9 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec) 
     bounds), or the Gram certificate (kernel and permanent errors, and on
     the lattice route the rounding of the mean) plus an a priori rounding
     bound gamma_k * sum |terms| of the quadratic form and the formula.
+    ``gram`` is the general route's (Gram, certificate) when the caller has
+    it (``approx.assemble_rule`` grows one); the lattice routes ignore it.
     """
-    return _worst_case_error_sq(rule, spec)
-
-
-def _worst_case_error_sq(rule, spec, gram=None) -> ErrorReport:
-    """``worst_case_error_sq``, given the general route's (Gram, certificate)."""
     b0d = initial_error_sq(spec)
     if rule.n == 0:
         return ErrorReport(b0d, "kernel", 0.0,
@@ -494,8 +492,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     f, fv, fe = _partition_sums(zi, n, table, tmax, tcerts)
     pf, pmax, pf_cert = None, 1.0, 0.0   # the free factor, its bound and error
     if kf:
-        q, q_cert, q_abs = _free_excess([table[0]] * kf, zf, n, w.beta0,
-                                        w.beta0 + float(tmax[0]), tcerts[0])
+        q, q_cert, q_abs = _free_excess((table[0].take(np.arange(n) * z % n) for z in zf),
+                                        w.beta0, w.beta0 + float(tmax[0]), tcerts[0])
         pmax = w.beta0 ** kf + q_abs
         pf, pf_cert = w.beta0 ** kf + q, q_cert + _gamma(3) * pmax
 

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -400,23 +400,23 @@ def _partition_sums(zs: list[int], n: int, table: np.ndarray, tmax: np.ndarray,
     return f, np.asarray(fv), np.asarray(fe)
 
 
-def _free_excess(rows: Sequence[np.ndarray], zs: Sequence[int], n: int, b0: float,
-                 top: float, c1: float) -> tuple[np.ndarray, float, float]:
-    """q = prod_i (beta0 + g_i[j z_i mod n]) - beta0^k at every node j over
-    k coordinates, g_i = ``rows[i]`` a zero-mean K1 table on Z_n and z_i
-    its multiplier, by q <- q (beta0 + g) + beta0^k g, which holds no
-    beta0^k term.  Returns (q, cert, bound).  With c_1 bounding each row's
+def _free_excess(vals: Iterable[np.ndarray], b0: float, top: float,
+                 c1: float) -> tuple[np.ndarray | float, float, float]:
+    """q = prod_i (beta0 + g_i) - beta0^k over k coordinates, g_i the i-th of
+    ``vals``, their zero-mean K1 values at the same points (on a grid,
+    row[j z_i mod n]; an iterable, so gathered one at a time), by q <-
+    q (beta0 + g) + beta0^k g, which holds no beta0^k term (q is the scalar
+    0 at k = 0).  Returns (q, cert, bound).  With c_1 bounding each value's
     error and T = ``top`` >= beta0 + max|g_i| + c_1, |q| and the computed q
-    lie within T^k - beta0^k + E_k, E_k the error, E_(k+1) =
-    (1 + gamma_4) T E_k + T^k c_1 + gamma_4 (T^(k+1) - beta0^(k+1)): a step
-    rounds three times, four in beta0^k g."""
-    j, q, q_cert = np.arange(n, dtype=np.int64), np.zeros(n), 0.0
-    for k, (row, zi) in enumerate(zip(rows, zs)):
-        g = row.take(j * zi % n)
-        q = q * (b0 + g) + b0 ** k * g
-        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** k * c1
-                  + _gamma(4) * (top ** (k + 1) - b0 ** (k + 1)))
-    return q, q_cert, top ** len(zs) - b0 ** len(zs) + q_cert
+    lie within T^k - beta0^k + E_k, E_k the error, E_(k+1) = (1 + gamma_4)
+    T E_k + T^k c_1 + gamma_4 (T^(k+1) - beta0^(k+1)): a step rounds three
+    times, four in beta0^k g."""
+    k, q, q_cert = 0, 0.0, 0.0
+    for k, g in enumerate(vals, 1):
+        q = q * (b0 + g) + b0 ** (k - 1) * g
+        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** (k - 1) * c1
+                  + _gamma(4) * (top ** k - b0 ** k))
+    return q, q_cert, top ** k - b0 ** k + q_cert
 
 
 def permutation_power_sum(p: Sequence[float]) -> float:
@@ -469,26 +469,24 @@ class KernelSpec:
     def univariate(self, t) -> tuple[np.ndarray, float]:
         return power_kernel(self.weight, 1, t, mode=self.mode, tol=self.tol)
 
-
-def _free_factor(fvals: np.ndarray, certf: float) -> tuple[np.ndarray, np.ndarray]:
-    """Product of the free-coordinate K1 values over the last axis (1 when
-    there are none), with its error bound given a uniform per-value
-    certificate.  The bound adds the rounding of both products, at most 2k
-    roundings each over k factors."""
-    free_prod = np.prod(fvals, axis=-1)
-    free_hi = np.prod(np.abs(fvals) + certf, axis=-1)
-    rounding = 3.0 * _gamma(2 * fvals.shape[-1]) * free_hi
-    return free_prod, free_hi - np.abs(free_prod) + rounding
+    def zero_mean(self, t) -> tuple[np.ndarray, float]:
+        """K1 - beta0 at t; beta0 plus it is ``univariate`` bitwise."""
+        return power_kernel(self.weight, 1, t, False, mode=self.mode, tol=self.tol)
 
 
-def _gram_entries(per, per_abs, bound, free_prod, free_cert, fact: float):
-    """Kernel values per * F / fact for the free factor F and their error
-    bounds, given |per| or a bound on it, and a bound on |per(T) - per| for
-    the exact K1 table T (``permanent_bounds``).  Then per(T) F_T - per F =
-    (per(T) - per) F_T + per (F_T - F), and the value rounds twice."""
-    free_abs = np.abs(free_prod)
-    return per * free_prod / fact, (bound * (free_abs + free_cert)
-                                    + per_abs * (free_cert + _gamma(2) * free_abs)) / fact
+def _gram_entries(per, per_abs, bound, fvals, b0: float, top: float, c1: float, fact: float):
+    """Kernel values per * F / fact and their error bounds, F = beta0^f + q over
+    the f free coordinates (q their ``_free_excess``; F = 1 exactly at f = 0),
+    given |per| or a bound on it, and a bound on |per(T) - per| for the exact
+    K1 table T (``permanent_bounds``).  Then per(T) F_T - per F = (per(T) -
+    per) F_T + per (F_T - F), F adds a pow and a sum, the value two."""
+    q, q_cert, q_abs = _free_excess(fvals, b0, top, c1)
+    f = len(fvals)
+    F = b0 ** f + q
+    F_cert = q_cert + _gamma(3) * (b0 ** f + q_abs) if f else 0.0
+    F_abs = np.abs(F)
+    return per * F / fact, (bound * (F_abs + F_cert)
+                            + per_abs * (F_cert + _gamma(2) * F_abs)) / fact
 
 
 def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -502,6 +500,8 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     certificate leaves out.  Values are per pair: extending is rebuilding."""
     inv, free, fact = spec.perm.invariant_idx, spec.perm.free_idx, float(spec.perm.group_order)
     Xinv, Yinv, Xfree, Yfree = X[:, inv].T, Y[:, inv].T, X[:, free], Y[:, free]
+    # beta0 + |K1(t) - beta0| is at most the univariate mass at every t
+    mass = spectral_mass(spec.weight).hi if len(free) else 0.0
     (nx, ny), cert, lo = out.shape, 0.0, 0
     while lo < nx:
         c0 = 0 if start is None else max(lo, start)
@@ -509,12 +509,12 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
         # diffs[a, b, i, j] = x_i[inv_a] - y_j[inv_b]
         diffs = Xinv[:, None, lo:hi, None] - Yinv[None, :, None, c0:]
         vals, cert1 = spec.univariate(diffs.reshape(-1))
-        fd = Xfree[lo:hi, None] - Yfree[None, c0:]
-        fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
-        free_prod, free_cert = _free_factor(fvals.reshape(fd.shape), certf)
-        per, bound = permanent_bounds(vals.reshape(len(inv), len(inv), free_prod.size), cert1)
-        values, certs = (a.reshape(free_prod.shape) for a in _gram_entries(
-            per, np.abs(per), bound, free_prod.reshape(-1), free_cert.reshape(-1), fact))
+        fd = (Xfree[lo:hi, None] - Yfree[None, c0:]).reshape((hi - lo) * (ny - c0), len(free))
+        gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        per, bound = permanent_bounds(vals.reshape(len(inv), len(inv), len(fd)), cert1)
+        values, certs = (a.reshape(hi - lo, ny - c0) for a in _gram_entries(
+            per, np.abs(per), bound, list(gf.reshape(fd.shape).T), spec.weight.beta0,
+            mass + 2.0 * certf, certf, fact))
         out[lo:hi, c0:] = values
         owned = True if start is None else np.arange(c0, ny) >= np.arange(lo, hi)[:, None]
         if start is not None:       # the diagonal is copied onto itself
@@ -573,8 +573,9 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     zi = z[inv]
     dshift = shift[inv][:, None] - shift[inv][None, :]
     table, cert1 = spec.univariate(grid + dshift[:, :, None])        # (s, s, n)
-    # the diagonal of the table is K1 on the grid itself
-    ftable, certf = (table[0, 0], cert1) if s else spec.univariate(grid)
+    # the free coordinates' zero-mean K1 on the grid
+    fg, certf = spec.zero_mean(grid) if len(free) else (grid, 0.0)
+    b0 = spec.weight.beta0
     bound = permanent_bounds(np.abs(table).max(axis=2)[:, :, None], cert1).bound[0]
     diff = (zi[:, None] - zi[None, :]) % n
     c = np.array([[zj * pow(d, -1, n) % n if d else 0 for zj, d in zip(zi.tolist(), row)]
@@ -591,9 +592,9 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
         block = windows[ii, jj, n - c[:, :, None] * m % n]          # (s, s, len(m), n)
         block[di, dj] = table[di[:, None], dj[:, None], -zi[dj][:, None] * m % n][..., None]
         per = _ryser(block.reshape(s, s, len(m) * n)).reshape(len(m), n)
-        free_prod, free_cert = _free_factor(ftable[(m[:, None] * z[free]) % n], certf)
         rows, certs = _gram_entries(per, np.abs(per).max(axis=1, keepdims=True), bound,
-                                    free_prod[:, None], free_cert[:, None], fact)
+                                    [fg.take(m[:, None] * zi % n) for zi in z[free]], b0,
+                                    b0 + float(np.max(np.abs(fg))) + certf, certf, fact)
         mult = np.where((m == 0) | (2 * m == n), 1.0, 2.0)
         total += float(mult @ rows.sum(axis=1))
         total_abs += float(mult @ np.abs(rows).sum(axis=1))
@@ -617,38 +618,38 @@ _EXCHANGES = {
 }
 
 
-def _correlation_sum(rows: list[np.ndarray], zs: list[int], gx: np.ndarray, gy: np.ndarray,
-                     b0: float, top: float, lag: int, n: int) -> tuple[float, float, int]:
+def _correlation_sum(factors: list[tuple[int, int]], g: np.ndarray, gx: np.ndarray,
+                     gy: np.ndarray, b0: float, top: float, lag: int) -> tuple[float, float, int]:
     """S - beta0^(k+2) for S = n^-2 sum_x P(x) R(lag * x mod n), P = beta0^k + p
-    the product of k fixed factors (p the excess of ``rows`` at multipliers
-    ``zs``, from ``_free_excess``) and R(tau) = sum_p fx(p) fy(p + tau) the cyclic
-    correlation of fx = beta0 + gx and fy = beta0 + gy on Z_n; with its
-    error bound and the number of FFTs.  R = n beta0^2 + Ro, Ro = beta0 (sum
-    gx + sum gy) + Rg, Rg the correlation of the oscillatory parts
-    (``_cyclic_correlation``), so the value, n^-2 sum_x [P(x) Ro(lag x) +
-    n beta0^2 p(x)], holds no beta0^(k+2) term.
+    the product of the k factors beta0 + g[r](c x) over (r, c) in ``factors``
+    (p their excess, from ``_free_excess``) and R(tau) = sum_p fx(p) fy(p +
+    tau) the cyclic correlation of fx = beta0 + gx and fy = beta0 + gy on
+    Z_n; with its error bound and the number of FFTs (two when gy is gx).  R = n beta0^2 +
+    Ro, Ro = beta0 (sum gx + sum gy) + Rg, Rg the correlation of the
+    oscillatory parts (``_cyclic_correlation``), so the value, n^-2 sum_x
+    [P(x) Ro(lag x) + n beta0^2 p(x)], holds no beta0^(k+2) term.
 
     The error of Rg has 2-norm at most the helper's bound, and x -> lag * x
-    permutes Z_n unless lag = 0: by Cauchy-Schwarz it reaches the sum
-    through ||P||_2, or through sum |P| when every term reads Ro(0).  The
-    sums of gx and gy and Ro's three roundings err uniformly over Ro.  P
-    errs by p's error, the pow (two roundings) and the addition.  And
-    gamma_k * sum |terms| covers the products, the sum and the division.
+    permutes Z_n (lag != 0 mod n): by Cauchy-Schwarz it reaches the sum
+    through ||P||_2.  The sums of gx and gy and Ro's three roundings err
+    uniformly over Ro.  P errs by p's error, the pow (two roundings) and the
+    addition.  And gamma_k * sum |terms| covers the products, the sum and
+    the division.
     """
-    p, p_cert, p_abs = _free_excess(rows, zs, n, b0, top, 0.0)
-    k = len(zs)
+    n, k, x = gx.size, len(factors), np.arange(gx.size, dtype=np.int64)
+    p, p_cert, p_abs = _free_excess((g[r].take(c * x % n) for r, c in factors), b0, top, 0.0)
     rg, rg_err = _cyclic_correlation(gy)(gx)
     sx, sy = float(gx.sum()), float(gy.sum())
     ro = b0 * (sx + sy) + rg
     P = b0 ** k + p
-    t1, t2 = P * ro.take(lag * np.arange(n, dtype=np.int64) % n), (n * b0 * b0) * p
+    t1, t2 = P * ro.take(lag * x % n), (n * b0 * b0) * p
     depth = _sum_depth(n)
     p_err = p_cert + _gamma(3) * (b0 ** k + p_abs)
     P_abs = float(np.abs(P).sum()) + n * p_err
     P_l2 = math.sqrt(float(np.square(P).sum())) + math.sqrt(n) * p_err
     ro_err = (b0 * _gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
               + _gamma(3) * (b0 * (abs(sx) + abs(sy)) + float(np.max(np.abs(rg)))))
-    err = (rg_err * (P_l2 if lag % n else P_abs) + ro_err * P_abs
+    err = (rg_err * P_l2 + ro_err * P_abs
            + n * (p_err * float(np.max(np.abs(ro))) + p_cert * n * b0 * b0)
            + _gamma(depth + 5) * float(np.abs(t1).sum() + np.abs(t2).sum()))
     nn = float(n) ** 2
@@ -664,31 +665,32 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
     ``_EXCHANGES``, with S_sigma = n^-2 sum_{k,l} prod_i f_i(k z_i - l z_sigma(i)),
     f_i(x) = beta0 + g_i(x) and g_i(x) = K1(x/n + Delta_i - Delta_sigma(i)) - beta0
     on Z_n; their weights sum to 1, so each contributes S_sigma - beta0^d,
-    expanded around beta0.  There are three cases:
+    expanded around beta0.  Factor i reads its K1 row at the form a k + b l,
+    (a, b) = +-(z_i, -z_sigma(i)) mod n (K1 is even), which is c_i times its
+    line, the form over its first nonzero entry c_i; a zero form is a
+    constant factor.  By the number of lines:
 
-    * z_sigma = c * z (mod n), which holds for sigma = id and whenever the
-      2 x 2 minors of (z, z_sigma) vanish: (k, l) -> k - l*c covers Z_n n
-      times, so S_sigma - beta0^d is the mean of the product excess of the
-      f_i(j * z_i) (``_free_excess``), O(n * d);
-    * a transposition (a b) otherwise: l = k + m and j = k (z_a - z_b) turn
-      the sum over k into the autocorrelation of f_a (f_b(x) = f_a(-x), as K1
-      is even) at lag m (z_a + z_b), while the fixed coordinates give
-      factors f_i(m z_i) free of k (``_correlation_sum``);
-    * a 3-cycle at d = 3 otherwise: a nonzero minor (i, j) makes
-      (k, l) -> (x, y) = (arguments of i and j) a bijection of Z_n^2, the
-      third argument is alpha x + beta y, and p = beta y gives
-      S_sigma = n^-2 sum_x f_i(x) R(alpha x), R the correlation of
-      f_j(p / beta) and f_m (``_correlation_sum``); with alpha = beta = 0
-      the sum factors into two line sums (beta0^2 + u)(beta0 + v), whose
-      excess is beta0^2 v + beta0 u + u v.
+    * at most one: S_sigma - beta0^d is the mean over x of the product
+      excess of the f_i(c_i x) (``_free_excess``), O(n * d);
+    * two: (x, y) = (L1, L2) is a bijection of Z_n^2, so S_sigma is a
+      product of two line means, (beta0^a + u)(beta0^b + v), whose excess
+      is beta0^b u + beta0^a v + u v;
+    * three: L3 = alpha L1 + beta L2 (alpha, beta != 0), and p = c_3 beta y
+      gives n^-2 sum_x P(x) R(c_3 alpha x), P L1's factors and the
+      constants, R the correlation of L2's factor at step c_2 / (c_3 beta)
+      with L3's (``_correlation_sum``; one operand if both are one row at
+      step 1).
+
+    Lines go by most factors, ties toward a line whose row no other line
+    shares.  The fixed coordinates read row 0 on the line (1, -1), so under
+    s <= 2 or d = 3 three lines leave one factor each on L2 and L3.
 
     K1 - beta0 is tabulated once at g/n + Delta_a - Delta_b for every pair
-    a < b that an exchange moves (``power_kernel`` with
-    ``include_constant=False``), so every sum runs on the oscillatory parts
-    and no term holds beta0^d.  Returns (value, cert, ffts): cert adds the
-    table certificate through the products of d factors, each exchange's
-    rounding and FFT bounds, and the rounding of the final sum; ffts counts
-    the transforms.
+    a < b that an exchange moves (``KernelSpec.zero_mean``), so every sum
+    runs on the oscillatory parts and no term holds beta0^d.  Returns
+    (value, cert, ffts): cert adds the table certificate through the
+    products of d factors, each exchange's rounding and FFT bounds, and the
+    rounding of the final sum; ffts counts the transforms.
     """
     n, d = rule.n, rule.d
     z = [int(v) % n for v in rule.z]
@@ -704,53 +706,51 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
     row_of = {pair: r + 1 for r, pair in enumerate(moved)}
     theta = np.array([0.0] + [shift[a] - shift[b] for a, b in moved])
     grid = np.arange(n, dtype=float) / n
-    g, cert_g = power_kernel(spec.weight, 1, grid + theta[:, None], include_constant=False,
-                             mode=spec.mode, tol=spec.tol)
+    g, cert_g = spec.zero_mean(grid + theta[:, None])
     b0 = spec.weight.beta0
     top = b0 + float(np.max(np.abs(g)))
+    x = np.arange(n, dtype=np.int64)
 
-    def line(rows, w):
+    def line(factors):
         # the mean of the product excess (the table taken as exact), its rounding
-        q, q_cert, _ = _free_excess([g[r] for r in rows], w, n, b0, top, 0.0)
+        q, q_cert, _ = _free_excess((g[r].take(c * x % n) for r, c in factors), b0, top, 0.0)
         return float(q.sum()) / n, q_cert + _gamma(_sum_depth(n) + 1) * float(np.abs(q).sum()) / n
 
-    x = np.arange(n, dtype=np.int64)
     total = total_abs = err = 0.0
     ffts = 0
     for p, mult in maps:
-        # f_i is row (i, p(i)) at x, or row (p(i), i) at -x (K1 is even)
-        rows = [row_of.get((min(i, p[i]), max(i, p[i])), 0) for i in range(d)]
-        signs = [1 if i <= p[i] else -1 for i in range(d)]
-        moves = [i for i in range(d) if p[i] != i]
-        minor = {(i, j): (z[i] * z[p[j]] - z[j] * z[p[i]]) % n
-                 for i in range(d) for j in range(i + 1, d)}
+        factors, lines = [], {}     # (row, c) per coordinate; the factors of each line
+        for i in range(d):
+            a, b = (z[i], -z[p[i]] % n) if i <= p[i] else (-z[i] % n, z[p[i]])
+            factors.append((row_of.get((min(i, p[i]), max(i, p[i])), 0), a or b))
+            if a or b:
+                L = (1, b * pow(a, -1, n) % n) if a else (0, 1)
+                lines.setdefault(L, []).append(factors[-1])
+        consts = [f for f in factors if not f[1]]
+        rows = [r for L in lines for r in {r for r, _ in lines[L]}]
+        order = sorted(lines, key=lambda L: (-len(lines[L]),
+                                             any(rows.count(r) > 1 for r, _ in lines[L])))
         k = 0
-        if not any(minor.values()):
-            val, e = line(rows, [sg * zi for sg, zi in zip(signs, z)])
-        elif len(moves) == 2:
-            a, b = moves
-            zf = [z[i] for i in range(d) if p[i] == i]
-            ga = g[rows[a]]
-            val, e, k = _correlation_sum([g[0]] * (d - 2), zf, ga, ga, b0, top, z[a] + z[b], n)
+        if len(order) <= 1:
+            val, e = line(factors)
+        elif len(order) == 2:
+            f1, f2 = lines[order[0]] + consts, lines[order[1]]
+            (u, eu), (v, ev) = line(f1), line(f2)
+            pa, pb = b0 ** len(f1), b0 ** len(f2)
+            val = pb * u + pa * v + u * v
+            # a term rounds at most five times, a pow counted as two
+            e = (pb * eu + pa * ev + abs(u) * ev + eu * (abs(v) + ev)
+                 + _gamma(5) * (pb * abs(u) + pa * abs(v) + abs(u * v)))
         else:
-            (i, j), det = next(item for item in minor.items() if item[1])
-            m = 3 - i - j
-            inv_det = pow(det, -1, n)
-            alpha = (z[m] * z[p[j]] - z[j] * z[p[m]]) * inv_det % n
-            beta = (z[i] * z[p[m]] - z[m] * z[p[i]]) * inv_det % n
-            if not beta:
-                i, j, alpha, beta = j, i, beta, alpha
-            if beta:
-                gx = g[rows[j]].take(signs[j] * pow(beta, -1, n) * x % n)
-                gy = g[rows[m]].take(signs[m] * x % n)
-                val, e, k = _correlation_sum([g[rows[i]]], [signs[i]], gx, gy, b0, top, alpha, n)
-            else:
-                # the argument of m is 0: S = (sum_x f_i(x) f_m(0)) (sum_y f_j(y)) / n^2;
-                # a term of the assembly rounds at most four times
-                (u, eu), (v, ev) = line([rows[i], rows[m]], [1, 0]), line([rows[j]], [1])
-                val = b0 * b0 * v + b0 * u + u * v
-                e = (b0 * b0 * ev + b0 * eu + abs(u) * ev + eu * (abs(v) + ev)
-                     + _gamma(5) * (b0 * b0 * abs(v) + b0 * abs(u) + abs(u * v)))
+            L1, L2, L3 = order
+            inv_det = pow((L1[0] * L2[1] - L1[1] * L2[0]) % n, -1, n)
+            alpha = (L3[0] * L2[1] - L3[1] * L2[0]) * inv_det % n
+            beta = (L1[0] * L3[1] - L1[1] * L3[0]) * inv_det % n
+            [(r2, c2)], [(r3, c3)] = lines[L2], lines[L3]
+            step = c2 * pow(c3 * beta, -1, n) % n
+            gy = g[r3]
+            gx = gy if (r2, step) == (r3, 1) else g[r2].take(step * x % n)
+            val, e, k = _correlation_sum(lines[L1] + consts, g, gx, gy, b0, top, c3 * alpha % n)
         ffts += k
         total += mult * val
         total_abs += mult * abs(val)
@@ -797,8 +797,8 @@ def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.nda
     g_V = _gamma(size + (1 << size) + (1 << s) + 4)
     p_cert = float(wts @ (fe[1:] + g_V * fv[1:]))
     p_abs = float(wts @ fv[1:]) + p_cert
-    zf = z[spec.perm.free_idx]
-    q, q_cert, q_abs = _free_excess([table[0]] * len(zf), zf, n, b0, b0 + float(tmax[0]), tcerts[0])
+    fvals = (table[0].take(np.arange(n) * zi % n) for zi in z[spec.perm.free_idx])
+    q, q_cert, q_abs = _free_excess(fvals, b0, b0 + float(tmax[0]), tcerts[0])
     bs, bf = b0 ** s, b0 ** (d - s)
     cert = (bs * q_cert + bf * p_cert + p_abs * q_cert + q_abs * p_cert
             + _gamma(6) * (bs * q_abs + bf * p_abs + p_abs * q_abs))

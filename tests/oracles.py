@@ -206,6 +206,42 @@ def bernoulli_polynomial(m):
     return [math.comb(m, j) * B[m - j] for j in range(m + 1)]
 
 
+def _k1_excess_long_double(t, alpha, beta1):
+    """K1(t) - beta0 = beta1 (-1)^(alpha+1) B_2alpha(t) / (2 alpha)! on t in
+    [0, 1), in long double, from exact rational coefficients by Horner's
+    rule."""
+    ld = np.longdouble
+    scale = Fraction(-1) ** (alpha + 1) / math.factorial(2 * alpha)
+    coeffs = [ld(c.numerator) / ld(c.denominator) for c in
+              (scale * c for c in bernoulli_polynomial(2 * alpha))]
+    g = np.full(t.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        g = g * t + c
+    g *= ld(beta1)
+    return g
+
+
+def gram_long_double(X, Y, ps, alpha, beta0=1.0, beta1=1.0):
+    """The exchange-invariant Gram matrix of the Korobov space R(m) = 2 pi m
+    at integer alpha, in long double: per pair, the mean over the s!
+    exchanges of the plain product of the d values beta0 + (K1 - beta0) at
+    x_a - y_sigma(a).  The differences are taken in double, as the package
+    takes them."""
+    ld = np.longdouble
+    inv, d = [i - 1 for i in ps.invariant], X.shape[1]
+    total = np.zeros((len(X), len(Y)), dtype=ld)
+    for images in permutations(inv):
+        sigma = list(range(d))
+        for a, b in zip(inv, images):
+            sigma[a] = b
+        prod = np.ones_like(total)
+        for a in range(d):
+            t = (X[:, a, None] - Y[None, :, sigma[a]]).astype(ld)
+            prod *= ld(beta0) + _k1_excess_long_double(t - np.floor(t), alpha, beta1)
+        total += prod
+    return total / ld(math.factorial(len(inv)))
+
+
 def lattice_error_sq_long_double(rule, ps, alpha, beta0=1.0, beta1=1.0):
     """Squared worst-case error of a (shifted) rank-1 lattice rule in the
     Korobov space R(m) = 2 pi m at integer alpha, in long double, over all
@@ -221,10 +257,7 @@ def lattice_error_sq_long_double(rule, ps, alpha, beta0=1.0, beta1=1.0):
     n, d = rule.n, rule.d
     z = [int(v) % n for v in rule.z]
     shift = [ld(0.0)] * d if rule.shift is None else [ld(float(v)) for v in rule.shift]
-    scale = Fraction(-1) ** (alpha + 1) / math.factorial(2 * alpha)
-    coeffs = [ld(c.numerator) / ld(c.denominator) for c in
-              (scale * c for c in bernoulli_polynomial(2 * alpha))]
-    b0, b1 = ld(beta0), ld(beta1)
+    b0 = ld(beta0)
     k, l = np.divmod(np.arange(n * n, dtype=np.int64), n)
     inv = [i - 1 for i in ps.invariant]
     total = ld(0.0)
@@ -237,10 +270,7 @@ def lattice_error_sq_long_double(rule, ps, alpha, beta0=1.0, beta1=1.0):
             j = sigma[i]
             t = ((k * z[i] - l * z[j]) % n).astype(ld) / ld(n) + (shift[i] - shift[j])
             t -= np.floor(t)
-            g = np.full(t.shape, coeffs[-1])
-            for c in coeffs[-2::-1]:
-                g = g * t + c
-            g *= b1
+            g = _k1_excess_long_double(t, alpha, beta1)
             q = q * (b0 + g) + b0 ** i * g
         total += q.sum()
     return float(total / ld(n * n) / ld(math.factorial(len(inv))))

@@ -431,6 +431,20 @@ class TestCarriedBlocks:
         rep = worst_case_error_sq(res.cubature, spec)
         assert (rep.value, rep.truncation_certificate) == (res.e_wor_sq, res.e_wor_certificate)
 
+    def test_each_draw_through_the_public_error(self, monkeypatch):
+        # the rule's errors go through errors.worst_case_error_sq, with the
+        # grown Gram, so whatever wraps that name sees every draw
+        calls = []
+
+        def counted(rule, spec, gram=None):
+            calls.append(gram is not None)
+            return worst_case_error_sq(rule, spec, gram)
+
+        monkeypatch.setattr(approx, "worst_case_error_sq", counted)
+        spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 2)))
+        assemble_rule(spec, 1.5, 128, search_budget=3, delta=-0.9, seed=4)
+        assert calls == [True] * 3
+
     def test_work_is_the_new_blocks_only(self, monkeypatch):
         # one row per tile, so no tile evaluates pairs below the diagonal
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 1)

@@ -256,12 +256,13 @@ class TestLatticeFftRoute:
         # 2^3 = 1 mod 7 and 3^3 = 1 mod 13: z x z_sigma = 0, the 3-cycles are direct sums
         (7, (1, 2, 4), (1, 2, 3), 6),
         (13, (1, 3, 9), (1, 2, 3), 6),
-        # the 3-cycle's third argument depends on one of the other two only
-        (13, (1, 2, 7), (1, 2, 3), 9),
-        # the 3-cycle's third argument is 0
-        (13, (1, 0, 0), (1, 2, 3), 4),
+        # the 3-cycle's three forms span two lines: a product of two line sums
+        (13, (1, 2, 7), (1, 2, 3), 6),
+        # every exchange's forms span at most two lines: no correlation at all
+        (13, (1, 0, 0), (1, 2, 3), 0),
         (13, (0, 0, 0), (1, 2, 3), 0),
-        (13, (1, 12, 5), (1, 2, 3), 9),
+        # z_2 = -z_1: the transposition (1 2) spans two lines
+        (13, (1, 12, 5), (1, 2, 3), 4),
     ])
     def test_degenerate_generators(self, sobolev, n, z, inv, ffts, shifted):
         spec = KernelSpec(sobolev, PermStructure(3, inv))
@@ -274,6 +275,25 @@ class TestLatticeFftRoute:
         rep = worst_case_error_sq(rule, KernelSpec(SpectralWeight(beta0=0.7, beta1=1.3), spec.perm))
         ref = lattice_error_sq_long_double(rule, spec.perm, 1, 0.7, 1.3)
         assert abs(rep.details["raw_value"] - ref) <= rep.truncation_certificate
+
+    @pytest.mark.parametrize("n, z, inv", [
+        # the transposition's two forms lie on two lines: a product of two
+        # line sums, where a correlation took 2 FFTs
+        (1009, (1, 282), (1, 2)),
+        # z_4 = -z_2: the transposition (2 4) spans one line, the fixed
+        # coordinates another
+        (101, (1, 40, 7, 61, 2), (2, 4)),
+    ])
+    def test_two_lines_take_no_fft(self, n, z, inv):
+        d = len(z)
+        rule = LatticeRule(n, z, tuple(float(v) for v in np.linspace(0.1, 0.7, d)))
+        ps = PermStructure(d, inv)
+        for alpha, beta0, beta1 in [(1, 1.0, 1.0), (2, 0.7, 1.3)]:
+            rep = worst_case_error_sq(
+                rule, KernelSpec(SpectralWeight(alpha=float(alpha), beta0=beta0, beta1=beta1), ps))
+            assert rep.details["ffts"] == 0
+            ref = lattice_error_sq_long_double(rule, ps, alpha, beta0, beta1)
+            assert abs(rep.details["raw_value"] - ref) <= rep.truncation_certificate
 
     def test_no_pair_permanents(self, sobolev, monkeypatch):
         def no_pairs(*args, **kwargs):

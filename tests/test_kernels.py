@@ -32,9 +32,10 @@ from permqmc.kernels import (
 from permqmc.lattice import LatticeRule
 from permqmc.symmetry import (PERMANENT_CAP, PermanentBounds, PermStructure, _frac, _gamma,
                               permanent_bounds)
-from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors
+from permqmc.weights import (GeneratorSpec, SpectralWeight, r_weight_inv_factors,
+                             spectral_mass)
 
-from oracles import fix_count, validate_closed_form
+from oracles import fix_count, gram_long_double, validate_closed_form
 
 
 def box_kernel_perminv(x, y, spec, H):
@@ -305,6 +306,23 @@ class TestPerminvKernel:
         assert kernel_perminv_gram(x[None], y[None], spec)[0][0, 0] == pytest.approx(
             oracle.real, abs=5e-7)
 
+    @pytest.mark.parametrize("d, inv", [(3, ()), (4, (1, 3))])
+    @pytest.mark.parametrize("alpha, beta0, beta1, mode", [
+        (1, 1.0, 1.0, "auto"), (2, 0.7, 1.3, "auto"), (2, 0.7, 1.3, "spectral")])
+    def test_free_product_against_long_double(self, d, inv, alpha, beta0, beta1, mode):
+        # two or three free coordinates, whose product runs through the
+        # recursion of _free_excess, against a plain long-double product; the
+        # truncated series at tol 1e-6 errs far above rounding, so only the
+        # K1 certificate carried through the product covers it
+        spec = KernelSpec(SpectralWeight(alpha=float(alpha), beta0=beta0, beta1=beta1),
+                          PermStructure(d, inv), mode=mode, tol=1e-6)
+        rng = np.random.default_rng([d, alpha])
+        X = rng.uniform(size=(30, d))
+        for Y in (X, rng.uniform(size=(20, d))):
+            gram, cert = kernel_perminv_gram(X, Y, spec)
+            ref = gram_long_double(X, Y, spec.perm, alpha, beta0, beta1)
+            assert float(np.max(np.abs(gram - ref))) <= cert
+
     def test_hermitian_and_psd(self, spec_d2_full, rng):
         pts = rng.uniform(size=(12, 2))
         gram, cert = kernel_perminv_gram(pts, pts, spec_d2_full)
@@ -398,10 +416,12 @@ def pair_list_gram(X, Y, spec):
         diffs = X[:, inv].T.take(i, axis=1)[:, None, :] - Y[:, inv].T.take(j, axis=1)[None, :, :]
         vals, cert1 = spec.univariate(diffs.reshape(-1))
         fd = X[:, free].take(i, axis=0) - Y[:, free].take(j, axis=0)
-        fvals, certf = spec.univariate(fd.reshape(-1)) if len(free) else (fd, 0.0)
-        free_prod, free_cert = kernels._free_factor(fvals.reshape(fd.shape), certf)
+        gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
         per, bound = permanent_bounds(vals.reshape(s, s, i.size), cert1)
-        values, certs = kernels._gram_entries(per, np.abs(per), bound, free_prod, free_cert,
+        mass = spectral_mass(spec.weight).hi if len(free) else 0.0
+        values, certs = kernels._gram_entries(per, np.abs(per), bound,
+                                              list(gf.reshape(fd.shape).T), spec.weight.beta0,
+                                              mass + 2.0 * certf, certf,
                                               float(spec.perm.group_order))
         gram[i, j] = values
         if upper:
@@ -458,7 +478,7 @@ def gather_gram_mean(rule, spec):
     n, inv, free, s = rule.n, spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
     z, shift, grid = np.asarray(rule.z, dtype=np.int64), np.asarray(rule.shift), np.arange(n) / n
     table, _ = spec.univariate(grid + (shift[inv][:, None] - shift[inv][None, :])[:, :, None])
-    ftable = table[0, 0] if s else spec.univariate(grid)[0]
+    fg = spec.zero_mean(grid)[0]
     doubled = np.concatenate([table, table], axis=2).reshape(-1)
     kpart = ((z[inv][:, None, None] - z[inv][None, :, None]) * np.arange(n) % n
              + (np.arange(s * s) * 2 * n + n).reshape(s, s, 1))
@@ -467,8 +487,10 @@ def gather_gram_mean(rule, spec):
         m = np.arange(lo, min(lo + step, n // 2 + 1))
         idx = kpart[:, :, None, :] - (z[inv][:, None] * m % n)[None, :, :, None]
         per = symmetry._ryser(doubled.take(idx.reshape(s, s, len(m) * n)))
-        free_prod = np.prod(ftable[(m[:, None] * z[free]) % n], axis=-1)
-        rows = (per * np.repeat(free_prod, n) / spec.perm.group_order).reshape(len(m), n)
+        q, _, _ = kernels._free_excess([fg.take(m * zi % n) for zi in z[free]],
+                                       spec.weight.beta0, 0.0, 0.0)
+        F = np.reshape(spec.weight.beta0 ** len(free) + q, (-1, 1))
+        rows = per.reshape(len(m), n) * F / spec.perm.group_order
         total += float(np.where((m == 0) | (2 * m == n), 1.0, 2.0) @ rows.sum(axis=1))
     return total / float(n) ** 2
 

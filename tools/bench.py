@@ -16,12 +16,15 @@ case's grid is fixed below:
                  lattices, d = 4...8, with the sha256 of the report (less its
                  ``cert_exceeds_value`` flag, recorded beside it) or the
                  refusal message
-  shifted-error  one shifted lattice error per route: at d = 3 ``lattice-fft``
-                 at n = 1009, 10007, 100003 and the O(n^2) pair route
-                 ``lattice`` at n = 1009; the pair route also at (d, n) =
+  shifted-error  one shifted lattice error per route: ``lattice-fft`` at
+                 d = 3 and n = 1009, 10007, 100003 and at d = 2 and n = 1009,
+                 100003 (its FFT count and time), and the O(n^2) pair route
+                 ``lattice`` at (3, 1009); the pair route also at (d, n) =
                  (4, 2003), (4, 4001) and (5, 2003), where it is the only
-                 kernel route; on fixed CBC generating vectors; ``lattice-fft``
-                 at alpha = 2 and (d, n) = (3, 251), (3, 1009), (2, 1009),
+                 kernel route; on fixed CBC generating vectors, and
+                 ``lattice-fft`` on the degenerate d = 3 vector (1, -1, 635)
+                 at n = 1009, whose transposition (1 2) spans two lines;
+                 ``lattice-fft`` at alpha = 2 and (d, n) = (3, 251), (3, 1009), (2, 1009),
                  shift linspace(0.1, 0.7, d), with the long-double sum over
                  all node pairs and exchanges (``tests/oracles.py``) as its
                  reference (its maxrss includes the reference's arrays); and
@@ -73,7 +76,8 @@ TAU = 1.5
 MULTIPLIER = {251: 53, 503: 286, 1009: 76}
 # the CBC generating vectors of the space at (d, n), fixed so that the inputs
 # do not depend on the checkout under test
-CBC_Z = {(3, 1009): (1, 282, 635), (3, 10007): (1, 3822, 2827),
+CBC_Z = {(2, 1009): (1, 282), (2, 100003): (1, 38763),
+         (3, 1009): (1, 282, 635), (3, 10007): (1, 3822, 2827),
          (3, 100003): (1, 38763, 75699), (4, 2003): (1, 765, 699, 1375),
          (4, 4001): (1, 1478, 823, 1769), (5, 2003): (1, 765, 699, 1375, 824)}
 SHIFT = (0.3, 0.71, 0.05, 0.42, 0.88)
@@ -102,6 +106,8 @@ CASES = {
                                  (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))
                  for route in ("worst", "mean")],
     "shifted-error": ([("route", "lattice-fft", 3, n) for n in (1009, 10007, 100003)]
+                      + [("route", "lattice-fft", 2, n) for n in (1009, 100003)]
+                      + [("route", "lattice-fft", 3, 1009, 1, [1, 1008, 635])]
                       + [("route", "lattice-fft", d, n, 2) for d, n in ALPHA2_Z]
                       + [("route", "lattice", d, n)
                          for d, n in ((3, 1009), (4, 2003), (4, 4001), (5, 2003))]
@@ -177,15 +183,16 @@ def _spectral(d: int, n: int, H: int, route: str) -> dict:
             "value": rep["value"], "certificate": rep["certificate"]}
 
 
-def _route(route: str, d: int, n: int, alpha: int = 1) -> dict:
-    """``lattice-fft`` through ``worst_case_error_sq`` (its raw value and
-    certificate), the pair route as ``lattice_gram_mean`` less beta0^d."""
+def _route(route: str, d: int, n: int, alpha: int = 1, z: list | None = None) -> dict:
+    """``lattice-fft`` through ``worst_case_error_sq`` (its raw value,
+    certificate and FFT count), the pair route as ``lattice_gram_mean`` less
+    beta0^d; on the CBC vector of (d, n) unless z is given."""
     from permqmc.errors import worst_case_error_sq
     from permqmc.kernels import lattice_gram_mean
     from permqmc.lattice import LatticeRule
 
     spec = _spec(d, float(alpha))
-    rule = (LatticeRule(n, CBC_Z[d, n], SHIFT[:d]) if alpha == 1 else
+    rule = (LatticeRule(n, tuple(z or CBC_Z[d, n]), SHIFT[:d]) if alpha == 1 else
             LatticeRule(n, ALPHA2_Z[d, n], tuple(float(v) for v in np.linspace(0.1, 0.7, d))))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     if route == "lattice-fft":
