@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, combinations_with_replacement
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +39,13 @@ from .kernels import (
     _sum_depth,
     kernel_perminv_gram,
     lattice_gram_mean,
+    permutation_power_sum,
     power_kernel_table,
     shift_invariant_profile,
     symmetrized_mass,
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
-from .symmetry import PermStructure, _gamma, multiplicity_array
+from .symmetry import _gamma, multiplicity_array
 from .weights import (Enclosure, _factor_roundings, _rounded, eta_star, min_contraction_order,
                       r_weight_inv_factors, spectral_mass, tail_sum)
 
@@ -471,9 +472,9 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     table certificate, every other block at its maximum) plus a priori
     rounding bounds: of the FFT correlations (``_cyclic_correlation``), and
     gamma_k * sum |terms| of the direct sums (the DP, the rest_M products,
-    the group and total accumulations), sum |terms| taken from the
-    maximum-value DP; the free factor scales both by its bound and adds its
-    error times sum |terms|.
+    the group and total accumulations), both by the size of each mask from
+    ``permutation_power_sum``; the free factor scales both by its bound and
+    adds its error times sum |terms|.
     """
     ell = len(prefix) + 1
     if ell > spec.d:
@@ -489,7 +490,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     _check_step_bytes(ell, k, n)
     table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
-    f, fv, fe = _partition_sums(zi, n, table, tmax, tcerts)
+    f = _partition_sums(zi, n, table)
+    fv, fe = permutation_power_sum(tmax[:k], tcerts[:k])
     pf, pmax, pf_cert = None, 1.0, 0.0   # the free factor, its bound and error
     if kf:
         q, q_cert, q_abs = _free_excess((table[0].take(np.arange(n) * z % n) for z in zf),
@@ -521,9 +523,9 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
             wts = math.factorial(c - 1) * nrm[pc[subs] + c + kf, pc[subs] + c - 1 + ell_inv]
             # einsum, not BLAS: a gemv of length n may start a thread pool
             G += np.einsum("i,ij->j", wts, f if M == 0 else f[subs])
-            va = n * tmax[c - 1] * (wts @ fv[subs])
-            cert += (pmax * n * (tmax[c - 1] * (wts @ fe[subs]) + tcerts[c - 1] * (wts @ fv[subs]))
-                     + pf_cert * va)
+            sv, se = wts @ fv[pc[subs]], wts @ fe[pc[subs]]
+            va = n * tmax[c - 1] * sv
+            cert += pmax * n * (tmax[c - 1] * se + tcerts[c - 1] * sv) + pf_cert * va
             absum += pmax * va
         if kf:
             G *= pf
@@ -550,10 +552,11 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
 
     lambda = 1 is evaluated exactly (it equals the symmetrized mass minus the
     constant mode); spaces without exchangeable pairs reduce to an exact
-    univariate tensor power; otherwise a certified box sum is used, one term
-    per orbit of the invariant coordinates: C(2H + s, s) terms and memory,
-    not (2H + 1)^d.  The box sum's rounding is bounded by
-    gamma_k * sum |terms| (every term is positive), k counted below.
+    univariate tensor power; otherwise a certified box sum over [-H, H]^d is
+    used.  Its terms depend only on how often each value occurs among the s
+    exchangeable coordinates, so their sum is one coefficient of a product
+    of per-value series: O(H s^2) time and O(H s) memory.  Its rounding is
+    bounded by gamma_k * sum |terms| (every term is positive), k counted below.
     """
     w = spec.weight
     if not (1.0 <= lam < 2.0 * w.alpha):
@@ -568,33 +571,36 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
         # beta0^(d/lam) is one pow
         inner = uni.power(d) + _rounded(w.beta0 ** (d / lam), 2).scale(-1.0)
         return Enclosure(max(inner.lo, 0.0), inner.hi).power(lam)
-    # one representative per orbit of the invariant coordinates (sorted),
-    # standing for its s!/M! members of equal weight; the free coordinates
-    # factor out as a power of the per-coordinate sum b0 + osc
-    ps = spec.perm
-    s = ps.size
-    reps = np.fromiter(chain.from_iterable(combinations_with_replacement(
-        range(-half_width, half_width + 1), s)), dtype=np.int64).reshape(-1, s)
-    table = r_weight_inv_factors(np.arange(half_width + 1), w)
-    fac = np.prod(table[np.abs(reps)], axis=1)
-    share = multiplicity_array(reps, PermStructure.full(s)) / float(ps.group_order)
-    terms = (share * fac) ** (1.0 / lam) / share
-    zero = ~np.any(reps, axis=1)
-    b0 = w.beta0 ** (1.0 / lam)
-    osc = 2.0 * float(np.sum(table[1:] ** (1.0 / lam)))
-    f = d - s
+    # a multiset of the s exchangeable values, c_v of them v, stands for
+    # s!/prod c_v! box points of share prod c_v!/s!: they sum to
+    # (s!)^(1 - 1/lam) prod_v g_(c_v) a_v^(c_v), a_v = r^-1(v)^(1/lam),
+    # g_c = (c!)^(1/lam - 1), the x^s coefficient of prod_(v = +-1..+-H)
+    # sum_c g_c (a_v x)^c completed by c zeros.  The free coordinates factor
+    # out as a power of the per-coordinate sum b0 + osc
+    s, f = spec.perm.size, d - spec.perm.size
+    a = r_weight_inv_factors(np.arange(half_width + 1), w) ** (1.0 / lam)
+    cnt = np.arange(s + 1)
+    g = np.array([math.factorial(c) for c in cnt], dtype=float) ** (1.0 / lam - 1.0)
+    ser = g * a[:, None] ** cnt   # ser[v, c] = g_c a_v^c
+    P = (cnt == 0).astype(float)
+    for row in np.repeat(ser[1:], 2, axis=0):
+        P = np.convolve(P, row)[: s + 1]
+    comp = P[::-1] * ser[0] * float(math.factorial(s)) ** (1.0 - 1.0 / lam)   # c zeros at [c]
+    b0, osc = float(a[0]), 2.0 * float(np.sum(a[1:]))
     # (b0 + osc)^f without the all-zero free vector, free of cancellation
     free_nonzero = osc * sum((b0 + osc) ** j * b0 ** (f - 1 - j) for j in range(f))
-    inner = float(terms[~zero].sum()) * (b0 + osc) ** f + float(terms[zero].sum()) * free_nonzero
-    # roundings, a pow counted as two: a weight factor has k_w
-    # (``_factor_roundings``), fac adds np.prod's s - 1, and a term adds
-    # share (2) twice, the product (1), the power (2, scaling its base's
-    # error by 1/lam < 1) and the division (1).  osc adds the power to its
-    # factors and numpy's sum; both free factors are below (f + 1) (k_osc + 4);
-    # the two sums, two products and the final sum of inner add _sum_depth and 2
+    inner = float(comp[:-1].sum()) * (b0 + osc) ** f + float(comp[-1]) * free_nonzero
+    # roundings along a term, a pow counted as two: a_v has k_w
+    # (``_factor_roundings``) + 2, a_v^c c times that + 2, g_c 3 (c! to
+    # float and its pow, which shrinks that rounding) and g_c a_v^c 1: at
+    # most s (k_w + 8) over sum_v c_v = s (c_v = 0 is an exact 1).  Each of
+    # the 2H convolutions adds a product and at most s additions, the zero
+    # completion a product and s additions, the scale 4; osc adds the power
+    # to its factors and numpy's sum, both free factors are below
+    # (f + 1) (k_osc + 4), and their two products and the final sum add 2
     k_w = _factor_roundings(w)
     k_osc = k_w + 2 + _sum_depth(half_width)
-    k = s * (k_w + 1) + 7 + _sum_depth(len(terms)) + (f + 1) * (k_osc + 4) + 2
+    k = s * (k_w + 8) + 2 * half_width * (s + 1) + s + 5 + (f + 1) * (k_osc + 4) + 2
     tail = _box_tail_certificate(spec, half_width, inv_lambda=1.0 / lam)
     return (_rounded(inner, k) + Enclosure(0.0, tail)).power(lam)
 

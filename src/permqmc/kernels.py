@@ -353,8 +353,7 @@ def _submasks_with_lowest(mask: int):
         sub = (sub - 1) & rest
 
 
-def _partition_sums(zs: list[int], n: int, table: np.ndarray, tmax: np.ndarray,
-                    tcerts: np.ndarray):
+def _partition_sums(zs: list[int], n: int, table: np.ndarray) -> np.ndarray:
     """Partition sums of power kernels over every mask U of k = len(zs)
     exchangeable lattice coordinates, at every node j = 0..n-1.
 
@@ -365,12 +364,10 @@ def _partition_sums(zs: list[int], n: int, table: np.ndarray, tmax: np.ndarray,
     all permutations of U, a product of per-cycle values that depend only on
     the cycle's support is this partition sum (a free coordinate, a
     singleton in every partition, is a product factor: ``_free_excess``).
-    fv[U] and fe[U] run the same recurrence on the scalars (tmax, tcerts) as
-    a value and its first-order term, so fe[U] is the sum over partitions of
-    sum_B tcert_B * prod_{B' != B} tmax_B'.  fv[U] also bounds |f[U, j]| and
-    sum |terms|, and each term of f[U, j] meets at most k + 2^k - 1
-    roundings: two products per block and one addition per other block with
-    the same lowest coordinate, over at most k levels.
+    Each term of f[U, j] meets at most |U| + 2^|U| - 1 roundings: two
+    products per block and one addition per other block with the same
+    lowest coordinate, over at most |U| levels.  Bounds that depend only on
+    |U| come from ``permutation_power_sum``.
     """
     k = len(zs)
     size = 1 << k
@@ -379,25 +376,16 @@ def _partition_sums(zs: list[int], n: int, table: np.ndarray, tmax: np.ndarray,
     for B in range(1, size):
         c = B.bit_count()
         S = sum(z for i, z in enumerate(zs) if B >> i & 1) % n
-        wt = math.factorial(c - 1)
-        blocks[B] = (wt * table[c - 1].take(j * S % n), wt * float(tmax[c - 1]),
-                     wt * float(tcerts[c - 1]))
+        blocks[B] = math.factorial(c - 1) * table[c - 1].take(j * S % n)
     f = np.empty((size, n))
     f[0] = 1.0
-    fv, fe = [1.0] * size, [0.0] * size
     term = np.empty(n)
     for U in range(1, size):
         acc = f[U]
         acc[:] = 0.0
-        v = e = 0.0
         for B in _submasks_with_lowest(U):
-            vec, bmax, bcert = blocks[B]
-            R = U ^ B
-            acc += np.multiply(vec, f[R], out=term)
-            v += bmax * fv[R]
-            e += bmax * fe[R] + bcert * fv[R]
-        fv[U], fe[U] = v, e
-    return f, np.asarray(fv), np.asarray(fe)
+            acc += np.multiply(blocks[B], f[U ^ B], out=term)
+    return f
 
 
 def _free_excess(vals: Iterable[np.ndarray], b0: float, top: float,
@@ -419,21 +407,25 @@ def _free_excess(vals: Iterable[np.ndarray], b0: float, top: float,
     return q, q_cert, top ** k - b0 ** k + q_cert
 
 
-def permutation_power_sum(p: Sequence[float]) -> float:
-    """Sum over all permutations of s elements of prod over cycles of p[len].
-
-    ``p[c-1]`` is the common value of every cycle of length c.  Computed by
-    the first-element recurrence in O(s^2); dividing by s! gives the matching
-    sum over multisets (sorted tuples).
+def permutation_power_sum(p: Sequence[float], e: Sequence[float] | None = None):
+    """N[m], m = 0..s: the sum over permutations of m elements of the product
+    over cycles of p[len - 1], by the first-element recurrence
+    N[m] = sum_c C(m-1, c-1) (c-1)! p[c-1] N[m-c] in O(s^2) (N[m] / m! is
+    the sum over multisets).  Given e, also E[m], the sum over permutations
+    and cycles C of e[|C|-1] times the other cycles' p, by the same
+    recurrence on p[c-1] E[m-c] + e[c-1] N[m-c].  At p = max|kappa_c| + cert
+    and e = cert, N[|U|] bounds |f[U]| of ``_partition_sums`` and its sum
+    |terms|, E[|U|] its first-order table error.
     """
     s = len(p)
-    N = [1.0] * (s + 1)
+    N, E = [1.0] + [0.0] * s, [0.0] * (s + 1)
     for m in range(1, s + 1):
-        total = 0.0
         for c in range(1, m + 1):
-            total += math.comb(m - 1, c - 1) * math.factorial(c - 1) * p[c - 1] * N[m - c]
-        N[m] = total
-    return N[s]
+            wt = math.comb(m - 1, c - 1) * math.factorial(c - 1)
+            N[m] += wt * p[c - 1] * N[m - c]
+            if e is not None:
+                E[m] += wt * (p[c - 1] * E[m - c] + e[c - 1] * N[m - c])
+    return np.array(N) if e is None else (np.array(N), np.array(E))
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +769,11 @@ def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.nda
     beta0^s q + beta0^(d-s) p + p q: no term holds beta0^d, so its rounding
     scales with the o_c.
 
-    Returns (values, cert), cert a bound uniform over the nodes.  p errs by
-    E_p = sum_V w_V (fe[V] + g_V fv[V]), g_V the gamma of the engine's
+    Returns (values, cert), cert a bound uniform over the nodes.  With N, E
+    the size recurrence of ``permutation_power_sum``, p errs by
+    E_p = sum_V w_V (E[|V|] + g_V N[|V|]), g_V the gamma of the engine's
     |V| + 2^|V| - 1 roundings, w_V's 6 (a pow counted as two) and the
-    weighted sum's 2^s - 1; |p| <= sum_V w_V fv[V] + E_p.  q and |q| are
+    weighted sum's 2^s - 1; |p| <= sum_V w_V N[|V|] + E_p.  q and |q| are
     bounded by ``_free_excess``.  The value's three products, two sums and
     two pows add gamma_6 times their bounds.
     """
@@ -790,13 +783,14 @@ def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.nda
     z = np.asarray(rule.z, dtype=np.int64)
     table, tcerts = power_kernel_table(spec, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
-    f, fv, fe = _partition_sums(z[inv].tolist(), n, table, tmax, tcerts)
+    f = _partition_sums(z[inv].tolist(), n, table)
+    fv, fe = permutation_power_sum(tmax[:s], tcerts[:s])
     size = np.array([V.bit_count() for V in range(1, 1 << s)], dtype=np.int64)
     wts = np.array([b0 ** (s - v) * math.factorial(s - v) for v in size]) / float(math.factorial(s))
     p = np.einsum("i,ij->j", wts, f[1:])   # einsum, not BLAS: see cbc_step_objectives
     g_V = _gamma(size + (1 << size) + (1 << s) + 4)
-    p_cert = float(wts @ (fe[1:] + g_V * fv[1:]))
-    p_abs = float(wts @ fv[1:]) + p_cert
+    p_cert = float(wts @ (fe[size] + g_V * fv[size]))
+    p_abs = float(wts @ fv[size]) + p_cert
     fvals = (table[0].take(np.arange(n) * zi % n) for zi in z[spec.perm.free_idx])
     q, q_cert, q_abs = _free_excess(fvals, b0, b0 + float(tmax[0]), tcerts[0])
     bs, bf = b0 ** s, b0 ** (d - s)
@@ -818,8 +812,8 @@ def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:
     s = spec.perm.size
     d_free = spec.d - s
     masses = [spectral_mass(w, c / tau) for c in range(1, s + 1)]
-    lo = permutation_power_sum([m.lo for m in masses]) if s else 1.0
-    hi = permutation_power_sum([m.hi for m in masses]) if s else 1.0
+    lo = permutation_power_sum([m.lo for m in masses])[s]
+    hi = permutation_power_sum([m.hi for m in masses])[s]
     fact = float(math.factorial(s))
     # N[m] of the recurrence has m(m + 5)/2 roundings: each term 3 (the
     # integer weight to float and two products) on top of N[m - c], and the

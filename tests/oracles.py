@@ -6,7 +6,7 @@ closed formula, or evaluates a quantity that only the tests check.
 """
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import combinations_with_replacement, islice, permutations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -14,10 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from permqmc.approx import SymmetricBasis
-from permqmc.kernels import (_cosine_closed, _cosine_series, _series_remainder_bound,
+from permqmc.errors import _box_tail_certificate
+from permqmc.kernels import (_cosine_closed, _cosine_series, _series_remainder_bound, _sum_depth,
                              kernel_perminv_gram)
 from permqmc.symmetry import PermStructure, multiplicity_array
-from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
+from permqmc.weights import (Enclosure, GeneratorSpec, SpectralWeight, _factor_roundings, _rounded,
+                             r_weight_inv_factors, tail_sum)
 
 
 def restriction_constant(subset, ps, beta0):
@@ -274,3 +276,48 @@ def lattice_error_sq_long_double(rule, ps, alpha, beta0=1.0, beta1=1.0):
             q = q * (b0 + g) + b0 ** i * g
         total += q.sum()
     return float(total / ld(n * n) / ld(math.factorial(len(inv))))
+
+
+def orbit_box_bound_constant(spec, lams, H, chunk=1 << 18):
+    """``errors.bound_constant`` at each lambda != 1 of ``lams`` and s >= 2
+    as one term per orbit of the s exchangeable coordinates over [-H, H]^s:
+    each sorted tuple stands for its s!/M! box points of share M!/s! (M!
+    from ``multiplicity_array``), and the f free coordinates factor out as
+    (b0 + osc)^f.  C(2H + s, s) terms, enumerated once for all lambdas in
+    chunks of ``chunk`` rows so that memory stays bounded; the rounding count
+    and the box tail are the orbit sum's own.  Returns one enclosure per
+    lambda."""
+    w, d, s = spec.weight, spec.d, spec.perm.size
+    inv = 1.0 / np.asarray(lams, dtype=float)
+    table = r_weight_inv_factors(np.arange(H + 1), w)
+    full = PermStructure.full(s)
+    tuples = combinations_with_replacement(range(-H, H + 1), s)
+    nonzero, zero = np.zeros(len(inv)), np.zeros(len(inv))
+    count = 0
+    while True:
+        reps = np.array(list(islice(tuples, chunk)), dtype=np.int64).reshape(-1, s)
+        if not len(reps):
+            break
+        count += len(reps)
+        fac = np.prod(table[np.abs(reps)], axis=1)
+        share = multiplicity_array(reps, full) / float(spec.perm.group_order)
+        at_zero = ~np.any(reps, axis=1)
+        for i, p in enumerate(inv):
+            terms = (share * fac) ** p / share
+            nonzero[i] += float(terms[~at_zero].sum())
+            zero[i] += float(terms[at_zero].sum())
+    f = d - s
+    k_w = _factor_roundings(w)
+    k_osc = k_w + 2 + _sum_depth(H)
+    # as the package counted it, plus one addition per chunk for the chunked sum
+    k = (s * (k_w + 1) + 7 + _sum_depth(min(count, chunk)) + -(-count // chunk)
+         + (f + 1) * (k_osc + 4) + 2)
+    out = []
+    for i, p in enumerate(inv):
+        b0 = w.beta0 ** p
+        osc = 2.0 * float(np.sum(table[1:] ** p))
+        free_nonzero = osc * sum((b0 + osc) ** j * b0 ** (f - 1 - j) for j in range(f))
+        inner = nonzero[i] * (b0 + osc) ** f + zero[i] * free_nonzero
+        tail = _box_tail_certificate(spec, H, inv_lambda=p)
+        out.append((_rounded(inner, k) + Enclosure(0.0, tail)).power(lams[i]))
+    return out

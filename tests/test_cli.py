@@ -107,6 +107,14 @@ class TestCbcCommand:
         assert main(argv + ["--invariant", "full"]) == EXIT_CONFIG
         assert "GiB" in capsys.readouterr().err
 
+    def test_lambda_box_at_d8(self, cfg_path, capsys):
+        # bound_constant at lambda = 1.5 ran out of memory here before the
+        # first step
+        argv = ["cbc", "--config", str(cfg_path), "--n", "127", "--d", "8",
+                "--invariant", "full", "--trials", "0", "--lam", "1.5"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("lam", ["0", "0.5", "2", "-1"])
     def test_lambda_refused_before_any_step(self, cfg_path, capsys, monkeypatch, lam):
         # alpha = 1: lambda must lie in [1, 2), checked before step 1

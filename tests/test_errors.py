@@ -27,8 +27,8 @@ from permqmc.lattice import LatticeRule, WeightedCubature
 from permqmc.symmetry import _UNIT_ROUNDOFF, PermStructure, multiplicity_array
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
-from oracles import (box_frequencies, fix_count, lattice_error_sq_long_double, set_partitions,
-                     spectral_cbc_objective)
+from oracles import (box_frequencies, fix_count, lattice_error_sq_long_double,
+                     orbit_box_bound_constant, set_partitions, spectral_cbc_objective)
 
 
 def nabla_box_bound_constant(spec, lam, H):
@@ -627,25 +627,42 @@ class TestBoundConstants:
         assert oracle <= enc.hi
 
     def test_box_route_rounding_is_bounded(self, sobolev):
-        # the orbit-ordered sum differs from the box-ordered one by up to
-        # 6e-16 relative; the enclosure holds the 50-digit box sum raised to
+        # the polynomial's sum differs from the box-ordered one by rounding;
+        # at s = 3 and 4 the enclosure holds the 50-digit box sum raised to
         # lambda, and that sum plus the box tail
-        spec = KernelSpec(sobolev, PermStructure.full(3))
         lam, H = 1.5, 3
-        enc = bound_constant(spec, lam, half_width=H)
-        tail = _box_tail_certificate(spec, H, inv_lambda=1.0 / lam)
-        with mpmath.workdps(50):
-            def factor(v):
-                return mpmath.mpf(1) if v == 0 else (2 * mpmath.pi * abs(v)) ** -2
+        for d in (3, 4):
+            spec = KernelSpec(sobolev, PermStructure.full(d))
+            enc = bound_constant(spec, lam, half_width=H)
+            tail = _box_tail_certificate(spec, H, inv_lambda=1.0 / lam)
+            with mpmath.workdps(50):
+                def factor(v):
+                    return mpmath.mpf(1) if v == 0 else (2 * mpmath.pi * abs(v)) ** -2
 
-            inner = mpmath.mpf(0)
-            for h in product(range(-H, H + 1), repeat=3):
-                if any(h):
-                    share = mpmath.mpf(fix_count(h, spec.perm)) / 6
-                    inner += (share * factor(h[0]) * factor(h[1]) * factor(h[2])) ** (
-                        1 / mpmath.mpf(lam))
-            assert mpmath.mpf(enc.lo) <= inner ** lam
-            assert (inner + tail) ** lam <= mpmath.mpf(enc.hi)
+                inner = mpmath.mpf(0)
+                for h in product(range(-H, H + 1), repeat=d):
+                    if any(h):
+                        term = mpmath.mpf(fix_count(h, spec.perm)) / math.factorial(d)
+                        for v in h:
+                            term *= factor(v)
+                        inner += term ** (1 / mpmath.mpf(lam))
+                assert mpmath.mpf(enc.lo) <= inner ** lam
+                assert (inner + tail) ** lam <= mpmath.mpf(enc.hi)
+
+    @pytest.mark.parametrize("H", [3, 16])
+    @pytest.mark.parametrize("d, inv", [(3, None), (4, None), (5, None), (6, None),
+                                        (5, (1, 2)), (6, (2, 4, 5)), (4, (1, 2, 3))])
+    def test_box_polynomial_against_orbit_sum(self, d, inv, H):
+        # the x^s coefficient of the product of per-value series against one
+        # term per orbit, the enumeration it replaced: the two differ in
+        # summation order and in their rounding counts
+        ps = PermStructure.full(d) if inv is None else PermStructure(d, inv)
+        for alpha, lams in ((1.0, (1.2, 1.5, 1.9)), (2.0, (3.0,))):
+            spec = KernelSpec(SpectralWeight(alpha=alpha), ps)
+            for lam, ref in zip(lams, orbit_box_bound_constant(spec, lams, H)):
+                enc = bound_constant(spec, lam, half_width=H)
+                assert enc.lo == pytest.approx(ref.lo, rel=1e-13, abs=0.0)
+                assert enc.hi == pytest.approx(ref.hi, rel=1e-12, abs=0.0)
 
     def test_partial_invariance_lambda(self):
         w = SpectralWeight(alpha=2.0)
@@ -668,6 +685,30 @@ class TestBoundConstants:
             tracemalloc.stop()
         assert 0.0 < enc.lo < enc.hi
         assert peak < 64 * 2 ** 20
+
+    def test_lambda_box_memory_by_value_counts(self, sobolev):
+        # one orbit per row took 431 MB here; by value counts the box costs
+        # O(H s) memory
+        import tracemalloc
+
+        spec = KernelSpec(sobolev, PermStructure.full(6))
+        bound_constant(spec, 1.5)   # the tail sums' caches
+        tracemalloc.start()
+        try:
+            enc = bound_constant(spec, 1.5, half_width=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < enc.lo < enc.hi
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_lambda_box_at_high_d(self, sobolev, d):
+        # C(32 + d, d) orbits did not fit in 2 GiB at d = 7 and 8
+        start = time.perf_counter()
+        enc = bound_constant(KernelSpec(sobolev, PermStructure.full(d)), 1.5)
+        assert time.perf_counter() - start < 0.1
+        assert 0.0 < enc.lo < enc.hi
 
     def test_divergent_lambda(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.empty(1))

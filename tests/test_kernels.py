@@ -669,7 +669,8 @@ class TestPartitionEngines:
         table = rng.normal(size=(max(1, s), n))
         tcerts = rng.uniform(1e-6, 1e-5, size=max(1, s))
         tmax = np.max(np.abs(table), axis=1) + tcerts
-        f, fv, fe = _partition_sums(zs, n, table, tmax, tcerts)
+        f = _partition_sums(zs, n, table)
+        fv, fe = permutation_power_sum(tmax[:s], tcerts[:s])
         assert f.shape == (1 << s, n)
         for U in range(1 << s):
             members = [i for i in range(s) if U >> i & 1]
@@ -690,31 +691,37 @@ class TestPartitionEngines:
                     prod *= table[mask.bit_count() - 1][np.arange(n) * S % n]
                 brute += prod
             assert np.allclose(f[U], brute, rtol=1e-12, atol=1e-12)
-            assert np.all(np.abs(f[U]) <= fv[U] * (1 + 1e-12))
-        # fe bounds the effect of table errors up to tcerts
+            assert np.all(np.abs(f[U]) <= fv[len(members)] * (1 + 1e-12))
+        # the first-order term by size bounds the effect of table errors up
+        # to tcerts
         bumped = table + tcerts[:, None] * rng.uniform(-1.0, 1.0, size=table.shape)
-        g, _, _ = _partition_sums(zs, n, bumped, tmax, tcerts)
-        assert np.all(np.abs(g - f) <= fe[:, None] + 1e-12 * fv[:, None])
+        g = _partition_sums(zs, n, bumped)
+        size = np.array([U.bit_count() for U in range(1 << s)])
+        assert np.all(np.abs(g - f) <= fe[size][:, None] + 1e-12 * fv[size][:, None])
 
     def test_power_sum_vs_brute(self):
-        p = [1.7, 0.6, 0.25, 0.1]
-        s = 4
-        brute = 0.0
-        for perm in permutations(range(s)):
-            prod = 1.0
-            seen = set()
-            for start in range(s):
-                if start in seen:
-                    continue
-                size = 0
-                cur = start
-                while cur not in seen:
-                    seen.add(cur)
-                    size += 1
-                    cur = perm[cur]
-                prod *= p[size - 1]
-            brute += prod
-        assert permutation_power_sum(p) == pytest.approx(brute, rel=1e-12)
+        # N[m] and the first-order term E[m] against sums over all
+        # permutations of m elements, for every m <= 5
+        p, e = [1.7, 0.6, 0.25, 0.1, 0.04], [3e-3, 1e-3, 5e-4, 2e-4, 1e-4]
+        N, E = permutation_power_sum(p, e)
+        assert np.array_equal(permutation_power_sum(p), N) and len(N) == len(E) == 6
+        for m in range(6):
+            brute_n = brute_e = 0.0
+            for perm in permutations(range(m)):
+                lengths, seen = [], set()
+                for start in range(m):
+                    size, cur = 0, start
+                    while cur not in seen:
+                        seen.add(cur)
+                        size += 1
+                        cur = perm[cur]
+                    if size:
+                        lengths.append(size)
+                brute_n += math.prod(p[c - 1] for c in lengths)
+                brute_e += sum(e[c - 1] * math.prod(p[o - 1] for o in lengths[:i] + lengths[i + 1:])
+                               for i, c in enumerate(lengths))
+            assert N[m] == pytest.approx(brute_n, rel=1e-12)
+            assert E[m] == pytest.approx(brute_e, rel=1e-12, abs=0.0)
 
     def test_table_grid(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure(3, (1, 3)))

@@ -40,6 +40,11 @@ case's grid is fixed below:
                  coordinates exchangeable, (d, s) = (8, 2), (16, 2), (17, 2),
                  (18, 2), (12, 4), (24, 4), (10, 0): its largest step
                  certificate, E2 and E2's certificate, or the refusal message
+  bound-constant ``bound_constant`` at lambda = 1.5, alpha = 1 and H = 16 on
+                 d = 3...8 and 12 at full invariance, and on d = 8 with
+                 invariant (1, 2, 3, 4): its lo and hi, or a MemoryError
+                 under a 2 GiB address-space cap (``BOUND_AS_CAP``), which
+                 the child sets for itself and records as a result
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
@@ -94,6 +99,8 @@ E2_Z = {(1, 3, 1009): (1, 282, 635), (1, 4, 1009): (1, 282, 635, 660),
         (3, 5, 1009): (1, 132, 592, 777, 304), (3, 8, 127): (1, 29, 93, 19, 67, 24, 56, 22),
         (3, 3, 10007): (1, 220, 2059)}
 E2_CALLS = 10
+# address-space cap of a bound-constant child, in bytes
+BOUND_AS_CAP = 2 << 30
 RYSER_BATCH = 8192
 RYSER_CALLS = 10
 
@@ -117,6 +124,8 @@ CASES = {
            for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
     "cbc-partial": [("cbc-partial", d, s, 1009) for d, s in ((8, 2), (16, 2), (17, 2), (18, 2),
                                                              (12, 4), (24, 4), (10, 0))],
+    "bound-constant": ([("bound-constant", d, None) for d in (3, 4, 5, 6, 7, 8, 12)]
+                       + [("bound-constant", 8, [1, 2, 3, 4])]),
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
 }
@@ -255,6 +264,21 @@ def _e2(alpha: int, d: int, n: int) -> dict:
             "cert_over_value": cert / rep.value if rep.value > 0 else None}
 
 
+def _bound_constant(d: int, inv: list | None) -> dict:
+    from permqmc import KernelSpec, PermStructure, SpectralWeight
+    from permqmc.errors import bound_constant
+
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (BOUND_AS_CAP, hard))
+    ps = PermStructure.full(d) if inv is None else PermStructure(d, tuple(inv))
+    t0 = time.perf_counter()
+    try:
+        enc = bound_constant(KernelSpec(SpectralWeight(), ps), 1.5, half_width=16)
+    except MemoryError:
+        return {"wall_s": time.perf_counter() - t0, "memory_error": True}
+    return {"wall_s": time.perf_counter() - t0, "memory_error": False, "lo": enc.lo, "hi": enc.hi}
+
+
 def _ryser_timing(kind: str, s: int) -> dict:
     from permqmc.symmetry import permanent_batch, permanent_bounds
 
@@ -298,8 +322,8 @@ def _ryser_digest() -> dict:
 
 
 RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
-           "cbc-partial": _cbc_partial, "e2": _e2, "ryser": _ryser_timing,
-           "digest": _ryser_digest}
+           "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
+           "ryser": _ryser_timing, "digest": _ryser_digest}
 
 
 def _child(run: list) -> dict:
