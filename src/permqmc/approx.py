@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import worst_case_error_sq
-from .kernels import _PAIR_CHUNK, KernelSpec, _fill_gram, kernel_perminv_gram
+from .errors import _refuse_above_cap, worst_case_error_sq
+from .kernels import _PAIR_CHUNK, KernelSpec, _fill_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
 from .symmetry import multiplicity_array, normalize_to_nabla, permanent_batch
@@ -38,9 +38,6 @@ __all__ = [
 ]
 
 
-_KINDS = ("self", "cos", "sin")
-
-
 class SymmetricBasis:
     """Real orthonormal eigenbasis of the invariant space.
 
@@ -53,7 +50,7 @@ class SymmetricBasis:
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.stream = EigenSpectrum(spec)
-        # per mode: eigenvalue, kind (an index into _KINDS), canonical label
+        # per mode: eigenvalue, kind (0 self, 1 cos, 2 sin), canonical label
         # row and its multiplicity M(k)!, each computed once in ``ensure``
         self._lam = np.empty(0)
         self._kinds = np.empty(0, dtype=np.intp)
@@ -87,11 +84,6 @@ class SymmetricBasis:
     def lambdas(self, m: int) -> np.ndarray:
         self.ensure(m)
         return self._lam[:m]
-
-    def mode_labels(self, m: int) -> list[tuple[str, tuple[int, ...]]]:
-        self.ensure(m)
-        return [(_KINDS[kind], tuple(label)) for kind, label in
-                zip(self._kinds[:m].tolist(), self._labels[:m].tolist())]
 
     def integrals(self, m: int) -> np.ndarray:
         """Integral of each normalized eigenfunction: 1 at the constant mode."""
@@ -172,11 +164,6 @@ class SymmetricBasis:
         npts = np.atleast_2d(np.asarray(points, dtype=float)).shape[0]
         return self._pair_values(points, np.arange(m)[:, None], np.arange(npts))
 
-    def density(self, points, m: int) -> np.ndarray:
-        """Spectral sampling density: mean of xi_j^2 over the first m modes."""
-        vals = self.eval_matrix(points, m)
-        return np.mean(vals ** 2, axis=0)
-
     def sample_density(self, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` points from the spectral density by mode mixture
         plus rejection from the uniform proposal."""
@@ -238,17 +225,15 @@ def average_approx_error_sq(alg: ApproxAlgorithm, basis: SymmetricBasis,
 
     With coefficients theta = G f(T), the mean squared residual equals
     trace - 2 sum_i lambda_i (G Phi^T)_ii + tr(G K(T,T) G^T), where Phi holds
-    eigenfunction values at the samples and K is the kernel Gram matrix.
-    Phi and K are the ones ``alg`` carries, or else evaluated here.
+    eigenfunction values at the samples and K is the kernel Gram matrix:
+    the ``phi`` and ``gram`` that ``alg`` carries, which a chain's candidate
+    levels always do.
     """
     if alg.m == 0:
         return trace.mid
-    phi = basis.eval_matrix(alg.points, alg.m) if alg.phi is None else alg.phi
-    gram = (kernel_perminv_gram(alg.points, alg.points, basis.spec)[0]
-            if alg.gram is None else alg.gram)
     lam = basis.lambdas(alg.m)
-    cross = float(np.sum(lam * np.einsum("ij,ij->i", alg.coeff_map, phi)))
-    quad = float(np.sum((alg.coeff_map @ gram) * alg.coeff_map))
+    cross = float(np.sum(lam * np.einsum("ij,ij->i", alg.coeff_map, alg.phi)))
+    quad = float(np.sum((alg.coeff_map @ alg.gram) * alg.coeff_map))
     return trace.mid - 2.0 * cross + quad
 
 
@@ -302,7 +287,9 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
     sets are redrawn until the exactly computed error meets the averaged
     bound inflated by (1 + delta); the per-level certified slack compounds
     toward (1 + delta)^(p + 1).  Each level keeps one of its draws, so a
-    ``search_budget`` below one raises ValueError before any work.
+    ``search_budget`` below one raises ValueError before any work.  So does
+    a level whose predicted working set exceeds ``errors.STEP_BYTES_CAP``,
+    before its modes are enumerated: m grows without bound as tau nears 2 alpha.
     """
     if search_budget < 1:
         raise ValueError(f"search_budget must be >= 1, got {search_budget}")
@@ -325,6 +312,11 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
         if m < 1:
             raise RuntimeError(f"level {k}: computed basis size {m} < 1")
         q = 2 ** (k - 1)
+        # before any mode is enumerated: _extend_algorithm's m x m_prev update
+        # and m x n_prev map, and the m x q values at the new points and V
+        _refuse_above_cap(8 * m * (prev.m + prev.n_samples + 2 * q),
+                          f"approximation level {k} (basis size m = {m} at tau = {tau}, "
+                          f"N >= {2 ** (k + 1)})", "; lower tau or N")
         rhs = basis.stream.tail_after(m).hi + m / q * prev.e_avg_sq
         target = (1.0 + delta) * rhs
         best_e2 = math.inf

@@ -23,6 +23,7 @@ import numpy as np
 from .approx import assemble_rule
 from .cbc import cbc_construct, construct_shifted, shift_search
 from .errors import (
+    BOX_HALF_WIDTH,
     bound_constant,
     mean_sq_error,
     worst_case_error_sq,
@@ -50,13 +51,24 @@ class ConfigError(Exception):
     pass
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
+    """The JSON object in ``path`` ({} for None); its blocks, when given,
+    are JSON objects."""
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        cfg = _object(json.loads(Path(path).read_text()), f"config {path}")
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for block in ("space", "structure", "params", "integrand"):
+        _object(cfg.get(block, {}), f"block {block!r} of {path}")
+    return cfg
 
 
 def _build_spec(cfg: dict, args) -> KernelSpec:
@@ -157,7 +169,7 @@ def _cmd_error_eval(args) -> int:
             if method in ("fixed_point", "both"):
                 out["mean_shifted"] = mean_sq_error(rule, spec, "fixed_point").to_json()
             if method in ("spectral", "both"):
-                hw = int(12 if hw is None else hw)
+                hw = int(BOX_HALF_WIDTH if hw is None else hw)
                 out["mean_shifted_spectral"] = mean_sq_error(
                     rule, spec, "spectral", half_width=hw).to_json()
                 out["worst_case_spectral"] = worst_case_error_sq_spectral(
@@ -250,6 +262,7 @@ def _cmd_integrate(args) -> int:
     if rule.d != spec.d:
         raise ConfigError(f"rule dimension {rule.d} != space dimension {spec.d}")
     integrand_cfg = _load_config(args.integrand) if args.integrand else cfg.get("integrand", {})
+    _object(integrand_cfg.get("coefficients", {}), "block 'coefficients' of the integrand")
     f = integrand_from_config(integrand_cfg, spec)
     cub = rule.cubature() if isinstance(rule, LatticeRule) else rule
     value = cub.apply(f)

@@ -60,11 +60,14 @@ __all__ = [
     "bound_constant",
     "bound_constants",
     "STEP_BYTES_CAP",
+    "BOX_HALF_WIDTH",
 ]
 
-# Working-set cap in bytes of one CBC step and of one spectral frequency box;
-# a larger one is refused before anything is allocated.
+# Working-set cap in bytes of one CBC step, one spectral frequency box and one
+# approximation level; a larger one is refused before anything is allocated.
 STEP_BYTES_CAP = 1 << 30
+# default half-width H of the spectral routes' frequency box [-H, H]^d
+BOX_HALF_WIDTH = 12
 # entries of |gram| held at once by the general route's certificate
 _ABS_BLOCK_ELEMS = 1 << 16
 
@@ -256,7 +259,7 @@ def _box_tail_certificate(spec: KernelSpec, half_width: int, inv_lambda: float =
 
 
 def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
-                                 half_width: int = 20) -> ErrorReport:
+                                 half_width: int = BOX_HALF_WIDTH) -> ErrorReport:
     """Squared worst-case error of a (shifted) lattice rule by direct
     enumeration of the frequency box.
 
@@ -295,7 +298,7 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
 # ---------------------------------------------------------------------------
 
 def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_point",
-                  half_width: int = 12) -> ErrorReport:
+                  half_width: int = BOX_HALF_WIDTH) -> ErrorReport:
     """Squared worst-case error averaged over all uniform shifts.
 
     method "fixed_point": exact average of the shift-averaged kernel less

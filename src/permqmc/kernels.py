@@ -240,6 +240,9 @@ def _series_remainder_bound(w: SpectralWeight, s_exp: float, terms: int,
 # power kernels kappa_c
 # ---------------------------------------------------------------------------
 
+_MODES = ("auto", "spectral")
+
+
 def _closed_available(w: SpectralWeight) -> bool:
     return w.generator.is_linear and w.has_integer_alpha
 
@@ -255,9 +258,12 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     include_constant : bool
         When False the beta0^c term is dropped (the zero-mean part that
         ``power_kernel_table`` holds).
-    mode : {"auto", "closed", "spectral"}
+    mode : {"auto", "spectral"}
+        "auto" takes the closed form whenever the generator is linear and
+        alpha an integer, and the certified series otherwise; "spectral"
+        always takes the series, the second route the tests compare against.
     tol : float
-        Certificate target for the spectral path.
+        Certificate target for the series.
 
     Returns
     -------
@@ -269,13 +275,12 @@ def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True
     """
     if power < 1:
         raise ValueError("power must be >= 1")
+    if mode not in _MODES:
+        raise ValueError(f"unknown eval mode {mode!r}")
     t_arr = np.asarray(t, dtype=float)
     const = w.beta0 ** power if include_constant else 0.0
     amp = 2.0 * w.beta1 ** power
-    use_closed = mode == "closed" or (mode == "auto" and _closed_available(w))
-    if use_closed:
-        if not _closed_available(w):
-            raise ValueError("closed form requires a linear generator and integer alpha")
+    if mode == "auto" and _closed_available(w):
         n = round(w.alpha * power)
         err, top = _cosine_closed_error(n)
         scale = amp * w.generator.linear_slope ** (-2.0 * n)
@@ -438,7 +443,7 @@ class KernelSpec:
 
     mode "auto" resolves to the closed form whenever the generator is linear
     and the smoothness an integer, and to certified truncated series
-    otherwise.
+    otherwise; mode "spectral" always takes the series (``power_kernel``).
     """
 
     weight: SpectralWeight
@@ -447,10 +452,8 @@ class KernelSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.mode not in ("auto", "closed", "spectral"):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown eval mode {self.mode!r}")
-        if self.mode == "closed" and not _closed_available(self.weight):
-            raise ValueError("closed form requires a linear generator and integer alpha")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 

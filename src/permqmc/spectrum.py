@@ -18,8 +18,7 @@ import numpy as np
 
 from .kernels import KernelSpec, _sum_depth, symmetrized_mass
 from .symmetry import normalize_to_nabla
-from .weights import (Enclosure, SpectralWeight, _factor_roundings, _rounded, eta_star,
-                      min_contraction_order, r_weight_inv_factors)
+from .weights import Enclosure, SpectralWeight, _factor_roundings, _rounded, r_weight_inv_factors
 
 __all__ = [
     "EigenSpectrum",
@@ -98,10 +97,6 @@ class EigenSpectrum:
                 self._seen.add(succ_t)
                 heapq.heappush(self._heap, (-self._value(succ_t), succ_t))
 
-    def values(self, m: int) -> np.ndarray:
-        self.ensure(m)
-        return np.asarray(self._values[:m])
-
     def entry(self, i: int) -> tuple[float, tuple[int, ...]]:
         """i-th (zero-based) eigenvalue with its canonical frequency label."""
         self.ensure(i + 1)
@@ -110,12 +105,6 @@ class EigenSpectrum:
             freq = tuple(self._univ[idx][1] for idx in lab)
             self._canon.append(normalize_to_nabla(freq, self.spec.perm))
         return self._values[i], self._canon[i]
-
-    def labels(self, m: int) -> list[tuple[int, ...]]:
-        """Canonical frequency vectors of the first m modes."""
-        if m:
-            self.entry(m - 1)
-        return list(self._canon[:m])
 
     @property
     def trace(self) -> Enclosure:
@@ -142,34 +131,30 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class TailConstants:
-    """Decay data for the spectral tail at a given exponent tau."""
+    """Decay data for the spectral tail at a given exponent tau: the two
+    constants the approximation chain reads, p_d and C_d, and the power sum
+    that gives C_d."""
 
     tau: float
     p_d: float
     C_d: Enclosure
     power_sum: Enclosure
-    U_star: int
-    rho_star: Enclosure
 
 
-def spectrum_tail_constants(spec: KernelSpec, tau: float,
-                            u_max: int = 100_000) -> TailConstants:
+def spectrum_tail_constants(spec: KernelSpec, tau: float) -> TailConstants:
     """Decay constants: tail of the ordered spectrum past m modes is at most
-    C_d / (m+1)^(p_d) with p_d = tau - 1 and C_d = 2^(tau-1)/(tau-1) * (sum lambda^(1/tau))^tau.
-
-    The tail offset U is the smallest U <= u_max whose relative tail mass
-    rho = ``eta_star(w, U, tau)`` is certified below one
-    (``min_contraction_order``); RuntimeError when there is none.
+    C_d / (m+1)^(p_d) with p_d = tau - 1 and C_d = 2^(tau-1)/(tau-1) * (sum lambda^(1/tau))^tau,
+    for every tau in (1, 2 alpha).  The chain's tail offset U* and its rho*
+    are paper constants that only the tests compute (``min_contraction_order``
+    and ``eta_star`` at tau).
     """
     w = spec.weight
     if not (1.0 < tau < 2.0 * w.alpha):
         raise ValueError(f"tau must lie in (1, 2*alpha) = (1, {2 * w.alpha})")
     power_sum = symmetrized_mass(spec, tau)
     scale = 2.0 ** (tau - 1.0) / (tau - 1.0)
-    C_d = power_sum.power(tau).scale(scale)
-    U = min_contraction_order(w, u_max, tau)
-    return TailConstants(tau=tau, p_d=tau - 1.0, C_d=C_d,
-                         power_sum=power_sum, U_star=U, rho_star=eta_star(w, U, tau))
+    return TailConstants(tau=tau, p_d=tau - 1.0, C_d=power_sum.power(tau).scale(scale),
+                         power_sum=power_sum)
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,6 @@ class Enclosure:
             raise ValueError(f"empty enclosure [{self.lo}, {self.hi}]")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -214,10 +210,6 @@ class GeneratorSpec:
     @staticmethod
     def korobov() -> "GeneratorSpec":
         return GeneratorSpec("korobov_linear")
-
-    @staticmethod
-    def plain() -> "GeneratorSpec":
-        return GeneratorSpec("plain_linear")
 
     @property
     def is_linear(self) -> bool:
@@ -418,6 +410,9 @@ def weight_from_config(cfg: dict) -> SpectralWeight:
     gen_cfg = cfg.get("generator", {"kind": "korobov_linear"})
     if isinstance(gen_cfg, str):
         gen_cfg = {"kind": gen_cfg}
+    if not isinstance(gen_cfg, dict):
+        raise TypeError(f"block 'generator' must be a JSON object or a kind name, "
+                        f"got {type(gen_cfg).__name__}")
     gen = GeneratorSpec(
         kind=gen_cfg.get("kind", "korobov_linear"),
         table=tuple(gen_cfg.get("table", ())),

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from permqmc.approx import SymmetricBasis
 from permqmc.errors import _box_tail_certificate
@@ -19,7 +20,7 @@ from permqmc.kernels import (_cosine_closed, _cosine_series, _series_remainder_b
                              kernel_perminv_gram)
 from permqmc.symmetry import PermStructure, multiplicity_array
 from permqmc.weights import (Enclosure, GeneratorSpec, SpectralWeight, _factor_roundings, _rounded,
-                             r_weight_inv_factors, tail_sum)
+                             eta_star, min_contraction_order, r_weight_inv_factors, tail_sum)
 
 
 def restriction_constant(subset, ps, beta0):
@@ -125,7 +126,7 @@ def validate_closed_form(n, t=None):
         rng = np.random.default_rng(2 * n + 1)
         t = np.concatenate([rng.uniform(0.02, 0.98, size=96), [0.25, 0.5, 0.75]])
     terms = 100_000 if n == 1 else 20_000
-    plain = SpectralWeight(alpha=float(n), generator=GeneratorSpec.plain())
+    plain = SpectralWeight(alpha=float(n), generator=GeneratorSpec("plain_linear"))
     series, _ = _cosine_series(plain, 2.0 * n, t, terms)
     cert = _series_remainder_bound(plain, 2.0 * n, terms, t)
     diff = np.abs(_cosine_closed(n, t) - series)
@@ -135,6 +136,35 @@ def validate_closed_form(n, t=None):
             f"closed-form cosine series failed validation at exponent {2 * n}"
         )
     return float(np.max(diff + cert))
+
+
+def stream_entries(es, m):
+    """The first m eigenvalues of an ``EigenSpectrum`` as an array, and their
+    canonical labels, read one ``entry`` at a time."""
+    entries = [es.entry(i) for i in range(m)]
+    return np.array([lam for lam, _ in entries]), [label for _, label in entries]
+
+
+def mode_labels(basis, m):
+    """(kind, label) of the first m modes of a ``SymmetricBasis``, kind
+    "self", "cos" or "sin", from its per-mode tables."""
+    labels, _, kinds = basis._mode_arrays(m)
+    return [(("self", "cos", "sin")[kind], tuple(label))
+            for kind, label in zip(kinds.tolist(), labels.tolist())]
+
+
+def check_min_order_matches_linear_scan(w, tau):
+    """``min_contraction_order`` at v_max = 0, 5 and 3000 against a linear
+    scan of ``eta_star``: the same V, or RuntimeError when the scan finds
+    none up to v_max.  At tau = 1 V is the V* of the error bounds, at tau in
+    (1, 2 alpha) the tail offset U* of the approximation chain."""
+    for v_max in (0, 5, 3000):
+        expect = next((V for V in range(v_max + 1) if eta_star(w, V, tau).hi < 1.0), None)
+        if expect is None:
+            with pytest.raises(RuntimeError, match=f"no contraction order found up to V = {v_max}$"):
+                min_contraction_order(w, v_max, tau)
+        else:
+            assert min_contraction_order(w, v_max, tau) == expect
 
 
 def sample_density_all_modes(basis, m, count, rng):

@@ -66,7 +66,7 @@ def test_criterion_02_kernel_route_agreement():
         alpha = 1.0 if trial % 2 == 0 else 2.0
         w = SpectralWeight(alpha=alpha)
         ps = PermStructure(d, inv)
-        closed = KernelSpec(w, ps, mode="closed")
+        closed = KernelSpec(w, ps)
         series = KernelSpec(w, ps, mode="spectral", tol=2e-10)
         x = rng.uniform(size=(1, d))
         y = rng.uniform(size=(1, d))

@@ -18,9 +18,10 @@ from permqmc.errors import worst_case_error_sq
 from permqmc.kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from permqmc.spectrum import rate_constants, spectrum_tail_constants
 from permqmc.symmetry import PermStructure, permanent_bounds
-from permqmc.weights import SpectralWeight
+from permqmc.weights import SpectralWeight, eta_star, min_contraction_order
 
-from oracles import fix_count, gaussian_average_error_sq, sample_density_all_modes
+from oracles import (fix_count, gaussian_average_error_sq, mode_labels, sample_density_all_modes,
+                     stream_entries)
 
 
 @pytest.fixture
@@ -74,7 +75,7 @@ class TestBasis:
         basis.ensure(60)
         assert rows[0] == m0 and sum(rows) == len(basis._lam) >= 60 and len(rows) == 2
         # the same tables as the per-mode definitions
-        labels = basis.mode_labels(30)
+        labels = mode_labels(basis, 30)
         fact = float(spec.perm.group_order)
         assert bounds.tolist() == [
             fact / fix_count(label, spec.perm) * (1.0 if kind == "self" else 2.0)
@@ -85,7 +86,7 @@ class TestBasis:
         basis = SymmetricBasis(spec_d3_full)
         lam = basis.lambdas(40)
         assert np.all(np.diff(lam) <= 1e-18)
-        stream = basis.stream.values(40)
+        stream = stream_entries(basis.stream, 40)[0]
         assert np.allclose(np.sort(lam)[::-1], stream, rtol=1e-12)
 
     def test_top_eigenvalue_is_constant_mass(self):
@@ -114,7 +115,7 @@ class TestBasis:
         assert pts.shape == (200, 2)
         assert np.all((pts >= 0) & (pts < 1))
         # sampled density is bounded below on its support; importance weights finite
-        u = basis.density(pts, 6)
+        u = np.mean(basis.eval_matrix(pts, 6) ** 2, axis=0)
         assert np.all(u > 0)
 
 
@@ -124,7 +125,7 @@ def eval_matrix_oracle(basis, points, m):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ps = basis.spec.perm
     inv = ps.invariant_idx
-    modes = basis.mode_labels(m)
+    modes = mode_labels(basis, m)
     labels = np.asarray([label for _, label in modes], dtype=float)
     acc = np.zeros((m, pts.shape[0]), dtype=complex)
     for sigma in permutations(range(ps.size)):
@@ -151,7 +152,7 @@ class TestEvalMatrixRyser:
         basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(d, inv)))
         pts = rng.uniform(size=(25, d))
         got = basis.eval_matrix(pts, m)
-        kinds = {kind for kind, _ in basis.mode_labels(m)}
+        kinds = {kind for kind, _ in mode_labels(basis, m)}
         assert kinds == {"self", "cos", "sin"}
         assert np.max(np.abs(got - eval_matrix_oracle(basis, pts, m))) <= 1e-12
 
@@ -211,7 +212,7 @@ class TestPairValues:
         basis = SymmetricBasis(spec_d2_full)
         pts = rng.uniform(size=(4, 2))
         basis.ensure(10)
-        j = next(i for i, (kind, _) in enumerate(basis.mode_labels(10)) if kind == "sin")
+        j = next(i for i, (kind, _) in enumerate(mode_labels(basis, 10)) if kind == "sin")
         basis._kinds[j] = 0   # a complex mode posing as real
         with pytest.raises(AssertionError, match="not real"):
             basis._pair_values(pts, j, np.arange(4))
@@ -375,7 +376,9 @@ class TestAssembledRule:
         spec = KernelSpec(w, PermStructure(d, inv))
         tc = spectrum_tail_constants(spec, tau)
         s = len(inv)
-        U, rho = tc.U_star, tc.rho_star.hi
+        # the paper's tail offset U* and its rho*
+        U = min_contraction_order(w, tau=tau)
+        rho = eta_star(w, U, tau).hi
         bracket = 1.0 + 2.0 * (
             w.beta1 * w.c_R ** (2 * w.alpha) / (w.beta0 * float(w.generator(1)) ** (2 * w.alpha))
         ) ** (1.0 / tau) * float(mpmath.zeta(2.0 * w.alpha / tau))
@@ -424,9 +427,11 @@ class TestCarriedBlocks:
         gram, cert = kernel_perminv_gram(last.points, last.points, spec)
         assert last.gram.tobytes() == gram.tobytes() and last.gram_cert == cert
         assert last.phi.tobytes() == basis.eval_matrix(last.points, last.m).tobytes()
-        for alg in algs:
-            bare = dataclasses.replace(alg, gram=None, phi=None)
-            assert average_approx_error_sq(bare, basis, basis.stream.trace) == alg.e_avg_sq
+        for alg in algs:       # each level's error, from a rebuilt Gram and Phi
+            rebuilt = dataclasses.replace(
+                alg, gram=kernel_perminv_gram(alg.points, alg.points, spec)[0],
+                phi=basis.eval_matrix(alg.points, alg.m))
+            assert average_approx_error_sq(rebuilt, basis, basis.stream.trace) == alg.e_avg_sq
         res = assemble_rule(spec, 1.5, 128, search_budget=3, delta=delta, seed=4)
         rep = worst_case_error_sq(res.cubature, spec)
         assert (rep.value, rep.truncation_certificate) == (res.e_wor_sq, res.e_wor_certificate)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -70,6 +73,50 @@ class TestCbcCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["cbc", "--config", str(bad), "--n", "13"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("cfg, message", [
+        ([1, 2], "config {path} must be a JSON object, got list"),
+        ({"space": [1]}, "block 'space' of {path} must be a JSON object, got list"),
+        ({"structure": [3]}, "block 'structure' of {path} must be a JSON object, got list"),
+        ({"params": [3]}, "block 'params' of {path} must be a JSON object, got list"),
+        ({"space": {"generator": [1]}},
+         "block 'generator' must be a JSON object or a kind name, got list"),
+        ({"integrand": [1]}, "block 'integrand' of {path} must be a JSON object, got list"),
+    ])
+    def test_config_block_that_is_not_an_object(self, tmp_path, capsys, cfg, message):
+        # every subcommand that reads a config exits 2 with one line naming the block
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n")
+        for argv in (["cbc", "--n", "13"], ["shift-search", "--rule", str(rule)], ["error-eval"],
+                     ["approx-build", "--N", "16"], ["convergence", "--n-list", "13"],
+                     ["integrate", "--rule", str(rule)]):
+            assert main(argv + ["--d", "2", "--config", str(path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("integrand, message", [
+        ([1], "config {path} must be a JSON object, got list"),
+        ({"coefficients": [1, 2]},
+         "block 'coefficients' of the integrand must be a JSON object, got list"),
+        ({"family": "symmetrized_cosine", "coefficients": [1, 2]},
+         "block 'coefficients' of the integrand must be a JSON object, got list"),
+    ])
+    def test_integrand_that_is_not_an_object(self, tmp_path, capsys, integrand, message):
+        # from an --integrand file, and from the config's integrand block
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(integrand))
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n")
+        assert main(["integrate", "--d", "2", "--rule", str(rule),
+                     "--integrand", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        if isinstance(integrand, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"integrand": integrand}))
+            assert main(["integrate", "--d", "2", "--rule", str(rule),
+                         "--config", str(cfg)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["error-eval", "--d", "0"], "dimension d missing or invalid"),
@@ -395,14 +442,45 @@ class TestPipelines:
         assert err.strip() == message
         assert "Traceback" not in err
 
-    def test_exhausted_search_exit_code(self, tmp_path, capsys):
-        # beta1 = 1e12 leaves no tail offset U <= 100000 with rho(U) < 1
+    def test_no_tail_offset_needed(self, tmp_path, capsys):
+        # beta1 = 1e12 leaves no tail offset U <= 100000 with rho(U) < 1; the
+        # chain reads no offset, and N = 16 has only zero levels
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": {"alpha": 1, "beta0": 1, "beta1": 1e12},
                                    "structure": {"d": 2}}))
-        code = main(["approx-build", "--config", str(cfg), "--N", "16", "--tau", "1.9"])
-        assert code == EXIT_CONFIG
-        assert "error: no contraction order found up to V = 100000" in capsys.readouterr().err
+        out = tmp_path / "a.json"
+        code = main(["approx-build", "--config", str(cfg), "--N", "16", "--tau", "1.9",
+                     "--json", str(out)])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["level_m"] == 0
+
+    @pytest.mark.parametrize("tau", ["1.9", "1.95"])
+    def test_approx_build_near_two_alpha(self, tmp_path, tau):
+        # tau in [1.8306, 2) at alpha = 1 has no certified tail offset
+        # U <= 100000, which the chain does not need
+        out = tmp_path / "a.json"
+        assert main(["approx-build", "--d", "3", "--N", "256", "--tau", tau, "--seed", "1",
+                     "--json", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["certified"] is True
+
+    def test_approx_build_refused_by_predicted_size(self, tmp_path):
+        # at tau = 1.99 the first level has m = 237733 modes and the next
+        # would hold m x m_prev doubles: refused before it starts, under an
+        # address-space cap so that a missing refusal fails in the child
+        code = ("import resource, sys\n"
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))\n"
+                "from permqmc.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "approx-build", "--d", "3", "--N", "256", "--tau", "1.99",
+             "--seed", "1", "--json", str(tmp_path / "a.json")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr.startswith("error: approximation level 6 (basis size m = 2679 at "
+                                     "tau = 1.99, N >= 128) needs about 4.7 GiB")
+        assert out.stderr.endswith("; lower tau or N\n") and out.stderr.count("\n") == 1
 
     def test_convergence_study(self, cfg_path, tmp_path):
         csv = tmp_path / "conv.csv"

@@ -236,11 +236,11 @@ class TestLatticeFftRoute:
         rng = np.random.default_rng([d, n, len(inv)])
         ps = PermStructure(d, inv)
         # closed forms at alpha = 1 with and without a shift, series at alpha = 2
-        cases = [(SpectralWeight(generator=gen), "closed", shifted)
-                 for gen in (GeneratorSpec.korobov(), GeneratorSpec.plain())
+        cases = [(SpectralWeight(generator=gen), "auto", shifted)
+                 for gen in (GeneratorSpec.korobov(), GeneratorSpec("plain_linear"))
                  for shifted in (False, True)]
         cases += [(SpectralWeight(alpha=2.0, generator=gen), "spectral", True)
-                  for gen in (GeneratorSpec.korobov(), GeneratorSpec.plain())]
+                  for gen in (GeneratorSpec.korobov(), GeneratorSpec("plain_linear"))]
         z = tuple(int(v) for v in rng.integers(0, n, size=d))
         for w, mode, shifted in cases:
             spec = KernelSpec(w, ps, mode=mode)

@@ -133,17 +133,20 @@ class TestClosedForm:
             assert cert < 2e-15
 
     def test_plain_linear_closed_form(self):
-        w = SpectralWeight(generator=GeneratorSpec.plain())
+        w = SpectralWeight(generator=GeneratorSpec("plain_linear"))
         t = np.random.default_rng(11).uniform(0.05, 0.95, size=50)
-        a, ca = power_kernel(w, 1, t, mode="closed")
+        a, ca = power_kernel(w, 1, t)         # "auto": the closed form
         b, cb = power_kernel(w, 1, t, mode="spectral", tol=1e-9)
         assert np.max(np.abs(a - b)) <= ca + cb
-        auto, _ = power_kernel(w, 1, t)
-        assert np.array_equal(auto, a)
-        assert KernelSpec(w, PermStructure.full(2), mode="closed").mode == "closed"
+        assert ca < 1e-3 * cb      # an a priori rounding bound, not a tail
+        # "auto" takes the closed form where it exists; there is no mode
+        # that asks for it
+        for bad in ("closed", "series"):
+            with pytest.raises(ValueError, match=f"unknown eval mode '{bad}'"):
+                KernelSpec(w, PermStructure.full(2), mode=bad)
+            with pytest.raises(ValueError, match=f"unknown eval mode '{bad}'"):
+                power_kernel(w, 1, t, mode=bad)
         custom = SpectralWeight(generator=GeneratorSpec("custom", table=(1.0,), slope=1.0))
-        with pytest.raises(ValueError, match="linear generator"):
-            KernelSpec(custom, PermStructure.full(2), mode="closed")
         # the same R(m) = m as a custom generator takes the series route; its
         # tail bound has no Dirichlet factor, 1.0e-6 at the 2e6-term cap
         c, cc = power_kernel(custom, 1, t[:5], tol=1.5e-6)
@@ -201,7 +204,7 @@ class TestClosedForm:
 
     def test_series_working_set_bounded(self):
         # 300 points and a tail bound at t = 0 that needs 2^18 > 2e5 terms
-        w = SpectralWeight(generator=GeneratorSpec.plain())
+        w = SpectralWeight(generator=GeneratorSpec("plain_linear"))
         t = np.linspace(0.0, 1.0, 300)
         tracemalloc.start()
         try:
@@ -218,7 +221,7 @@ class TestClosedForm:
             "from permqmc import KernelSpec, PermStructure, SpectralWeight\n"
             "from permqmc.cbc import cbc_construct\n"
             "from permqmc.kernels import power_kernel\n"
-            "power_kernel(SpectralWeight(), 1, np.array([0.3]), mode='closed')\n"
+            "power_kernel(SpectralWeight(), 1, np.array([0.3]))\n"
             "cbc_construct(KernelSpec(SpectralWeight(), PermStructure.full(3)), 13)\n"
             "print('sympy' in sys.modules)\n"
         )
@@ -246,7 +249,7 @@ class TestClosedForm:
 
     def test_closed_vs_spectral_alpha2(self):
         w = SpectralWeight(alpha=2.0)
-        a = power_kernel(w, 1, 0.3 - 0.7, mode="closed")[0]
+        a = power_kernel(w, 1, 0.3 - 0.7)[0]
         b = power_kernel(w, 1, 0.3 - 0.7, mode="spectral", tol=1e-12)[0]
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -261,7 +264,7 @@ class TestClosedForm:
         assert cert < 1e-10
 
     def test_spectral_certificate_shrinks(self):
-        w = SpectralWeight(generator=GeneratorSpec.plain())
+        w = SpectralWeight(generator=GeneratorSpec("plain_linear"))
         _, cert_loose = power_kernel(w, 1, np.array([0.3]), mode="spectral", tol=1e-6)
         _, cert_tight = power_kernel(w, 1, np.array([0.3]), mode="spectral", tol=1e-10)
         assert cert_tight < cert_loose
@@ -595,7 +598,7 @@ class TestShiftInvariantKernel:
         w = SpectralWeight(alpha=1.0)
         for perm in (PermStructure.full(2), PermStructure(3, (1, 3))):
             rule = LatticeRule(13, (1, 5, 8)[:perm.d])
-            closed = KernelSpec(w, perm, mode="closed")
+            closed = KernelSpec(w, perm)
             # the series' tail bound at t = 0 is 2.5e-8 at its cap
             series = KernelSpec(w, perm, mode="spectral", tol=4e-8)
             a, ca = shift_invariant_profile(rule, closed)
@@ -787,7 +790,7 @@ def test_closed_route_evaluates_no_series(monkeypatch):
     monkeypatch.setattr(kernels, "_cosine_series", no_series)
     t = np.arange(8) / 8
     for c in range(1, 9):
-        vals, cert = power_kernel(SpectralWeight(), c, t, mode="closed")
+        vals, cert = power_kernel(SpectralWeight(), c, t)
         assert np.all(np.isfinite(vals)) and cert < 1e-13
 
 

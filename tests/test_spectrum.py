@@ -14,7 +14,9 @@ from permqmc.spectrum import (
     univariate_labeled,
 )
 from permqmc.symmetry import PermStructure
-from permqmc.weights import SpectralWeight, eta_star, r_weight_inv_factors
+from permqmc.weights import SpectralWeight, eta_star, min_contraction_order, r_weight_inv_factors
+
+from oracles import check_min_order_matches_linear_scan, stream_entries
 
 
 class TestUnivariate:
@@ -73,7 +75,7 @@ class TestMultivariate:
         spec = KernelSpec(sobolev, PermStructure(d, inv))
         es = EigenSpectrum(spec)
         m = 200
-        got = es.values(m + 50)
+        got = stream_entries(es, m + 50)[0]
         # threshold strictly between rank m and the next distinct value
         smaller = got[got < got[m - 1] * (1 - 1e-9)]
         threshold = math.sqrt(got[m - 1] * smaller[0])
@@ -88,12 +90,11 @@ class TestMultivariate:
     def test_top_eigenvalue_is_constant_mode(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.full(4))
         es = EigenSpectrum(spec)
-        assert es.values(1)[0] == pytest.approx(1.0)
-        assert es.labels(1)[0] == (0, 0, 0, 0)
+        assert es.entry(0) == (pytest.approx(1.0), (0, 0, 0, 0))
 
     def test_labels_are_canonical_and_match_values(self, spec_d2_full):
         es = EigenSpectrum(spec_d2_full)
-        for lam, label in zip(es.values(50), es.labels(50)):
+        for lam, label in zip(*stream_entries(es, 50)):
             assert list(label) == sorted(label)
             assert lam == pytest.approx(np.prod(r_weight_inv_factors(label, spec_d2_full.weight)),
                                         rel=1e-12)
@@ -123,44 +124,27 @@ class TestTailConstants:
         tau = 1.4
         tc = spectrum_tail_constants(spec_d2_full, tau)
         es = EigenSpectrum(spec_d2_full)
-        partial = float(np.sum(es.values(20000) ** (1.0 / tau)))
+        partial = float(np.sum(stream_entries(es, 20000)[0] ** (1.0 / tau)))
         assert partial < tc.power_sum.hi
         assert tc.power_sum.lo - partial < 0.15  # slow tail at alpha = 1
 
     def test_small_beta1_gives_zero_offset(self):
+        # the paper's tail offset U* and its rho*, at tau = 1.5
         w = SpectralWeight(beta1=1e-3)
-        spec = KernelSpec(w, PermStructure.full(2))
-        tc = spectrum_tail_constants(spec, 1.5)
-        assert tc.U_star == 0
-        assert tc.rho_star.hi < 1.0
+        assert min_contraction_order(w, tau=1.5) == 0
+        assert eta_star(w, 0, 1.5).hi < 1.0
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("beta1", [1e-3, 0.3, 1.0, 30.0, 1e4])
     def test_offset_search_matches_linear_scan(self, alpha, beta1):
-        # the offset U* is min_contraction_order at tau and rho* its eta_star
-        def linear_scan(w, tau, u_max):
-            U = 0
-            while eta_star(w, U, tau).hi >= 1.0:
-                U += 1
-                if U > u_max:
-                    return None
-            return U
-
+        # the paper's tail offset U* over the whole range of tau
         w = SpectralWeight(alpha=alpha, beta1=beta1)
-        spec = KernelSpec(w, PermStructure.full(2))
         for tau in np.linspace(1.05, 2.0 * alpha - 0.05, 6):
-            for u_max in (0, 5, 3000):
-                expect = linear_scan(w, tau, u_max)
-                if expect is None:
-                    with pytest.raises(RuntimeError,
-                                       match=f"no contraction order found up to V = {u_max}$"):
-                        spectrum_tail_constants(spec, tau, u_max=u_max)
-                else:
-                    tc = spectrum_tail_constants(spec, tau, u_max=u_max)
-                    assert tc.U_star == expect
-                    assert tc.rho_star == eta_star(w, expect, tau)
+            check_min_order_matches_linear_scan(w, tau)
 
     def test_failed_offset_search_is_logarithmic(self, monkeypatch):
+        # where no U* <= 100000 exists, at tau = 1.9, the search fails in
+        # O(log V) evaluations
         calls = []
         real = weights.eta_star
 
@@ -169,11 +153,18 @@ class TestTailConstants:
             return real(w, V, tau)
 
         monkeypatch.setattr(weights, "eta_star", counting)
-        spec = KernelSpec(SpectralWeight(beta1=1e12), PermStructure.full(2))
         with pytest.raises(RuntimeError, match="no contraction order found up to V = 100000"):
-            spectrum_tail_constants(spec, 1.9)
+            min_contraction_order(SpectralWeight(beta1=1e12), tau=1.9)
         assert max(calls) == 100_000
         assert len(calls) <= 2 * math.ceil(math.log2(100_000 + 2))
+
+    def test_constants_at_every_tau(self):
+        # the chain reads p_d and C_d only: they exist for every tau in
+        # (1, 2 alpha), also where no U* <= 100000 does
+        spec = KernelSpec(SpectralWeight(beta1=1e12), PermStructure.full(2))
+        for tau in (1.5, 1.9, 1.99):
+            tc = spectrum_tail_constants(spec, tau)
+            assert tc.p_d == tau - 1.0 and 0.0 < tc.C_d.lo <= tc.C_d.hi < math.inf
 
     def test_c_prime_values(self):
         assert c_prime(2.0) == pytest.approx(256.0)

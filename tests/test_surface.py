@@ -55,6 +55,42 @@ def test_every_exported_name_is_used_in_the_package():
     assert not stale, f"allow-listed names that are used or gone: {stale}"
 
 
+# Public methods and properties of exported classes that no module of the
+# package reads, each kept for a reason.
+UNREAD_METHODS_BY_DESIGN: dict[str, str] = {}
+
+
+def test_every_public_method_is_used_in_the_package():
+    """A public method or property of a class in some ``__all__`` is
+    referenced as an attribute somewhere in the package outside its own
+    definition, or is allow-listed with a reason; methods only tests use
+    belong in the tests.  Dunders are exempt."""
+    methods = {}
+    used = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr != owner:
+                used.add(child.attr)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names, _ = _exported(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in names:
+                methods.update({f"{cls.name}.{fn.name}": fn.name for fn in cls.body
+                                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")})
+        visit(tree, None)
+    assert len(methods) > 30
+    unused = sorted(qual for qual, name in methods.items()
+                    if name not in used and qual not in UNREAD_METHODS_BY_DESIGN)
+    assert not unused, f"public methods unused in the package: {unused}"
+    stale = sorted(qual for qual in UNREAD_METHODS_BY_DESIGN
+                   if qual not in methods or methods[qual] in used)
+    assert not stale, f"allow-listed methods that are used or gone: {stale}"
+
+
 def test_import_does_not_load_scipy():
     """The package's only runtime dependency is numpy."""
     code = "import sys, permqmc; print('scipy' in sys.modules)"

@@ -43,8 +43,12 @@ case's grid is fixed below:
   bound-constant ``bound_constant`` at lambda = 1.5, alpha = 1 and H = 16 on
                  d = 3...8 and 12 at full invariance, and on d = 8 with
                  invariant (1, 2, 3, 4): its lo and hi, or a MemoryError
-                 under a 2 GiB address-space cap (``BOUND_AS_CAP``), which
-                 the child sets for itself and records as a result
+                 under a 2 GiB address-space cap (``AS_CAP``), which the
+                 child sets for itself and records as a result
+  approx-tau     ``assemble_rule`` at d = 3, N = 1024, seed 1 and
+                 tau = 1.5, 1.8, 1.9, 1.95 (alpha = 1, so tau < 2), under
+                 the same cap: the basis size m of the rule's level and
+                 ``certified``, or the refusal message
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
@@ -99,8 +103,8 @@ E2_Z = {(1, 3, 1009): (1, 282, 635), (1, 4, 1009): (1, 282, 635, 660),
         (3, 5, 1009): (1, 132, 592, 777, 304), (3, 8, 127): (1, 29, 93, 19, 67, 24, 56, 22),
         (3, 3, 10007): (1, 220, 2059)}
 E2_CALLS = 10
-# address-space cap of a bound-constant child, in bytes
-BOUND_AS_CAP = 2 << 30
+# address-space cap of a bound-constant or approx-tau child, in bytes
+AS_CAP = 2 << 30
 RYSER_BATCH = 8192
 RYSER_CALLS = 10
 
@@ -126,6 +130,7 @@ CASES = {
                                                              (12, 4), (24, 4), (10, 0))],
     "bound-constant": ([("bound-constant", d, None) for d in (3, 4, 5, 6, 7, 8, 12)]
                        + [("bound-constant", 8, [1, 2, 3, 4])]),
+    "approx-tau": [("approx-tau", tau) for tau in (1.5, 1.8, 1.9, 1.95)],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
 }
@@ -134,6 +139,11 @@ CASES = {
 def _spec(d: int, alpha: float = 1.0):
     from permqmc import KernelSpec, PermStructure, SpectralWeight
     return KernelSpec(SpectralWeight(alpha=alpha), PermStructure.full(d))
+
+
+def _cap_address_space() -> None:
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (AS_CAP, hard))
 
 
 def _timed(fn):
@@ -268,8 +278,7 @@ def _bound_constant(d: int, inv: list | None) -> dict:
     from permqmc import KernelSpec, PermStructure, SpectralWeight
     from permqmc.errors import bound_constant
 
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    resource.setrlimit(resource.RLIMIT_AS, (BOUND_AS_CAP, hard))
+    _cap_address_space()
     ps = PermStructure.full(d) if inv is None else PermStructure(d, tuple(inv))
     t0 = time.perf_counter()
     try:
@@ -277,6 +286,19 @@ def _bound_constant(d: int, inv: list | None) -> dict:
     except MemoryError:
         return {"wall_s": time.perf_counter() - t0, "memory_error": True}
     return {"wall_s": time.perf_counter() - t0, "memory_error": False, "lo": enc.lo, "hi": enc.hi}
+
+
+def _approx_tau(tau: float) -> dict:
+    from permqmc.approx import assemble_rule
+
+    _cap_address_space()
+    t0 = time.perf_counter()
+    try:
+        res = assemble_rule(_spec(3), tau, 1024, seed=1)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        return {"wall_s": time.perf_counter() - t0, "refused": f"{type(exc).__name__}: {exc}"}
+    return {"wall_s": time.perf_counter() - t0, "refused": None, "level_m": res.algorithm.m,
+            "certified": res.certified}
 
 
 def _ryser_timing(kind: str, s: int) -> dict:
@@ -323,6 +345,7 @@ def _ryser_digest() -> dict:
 
 RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
            "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
+           "approx-tau": _approx_tau,
            "ryser": _ryser_timing, "digest": _ryser_digest}
 
 
