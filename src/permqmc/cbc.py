@@ -33,6 +33,8 @@ __all__ = [
     "construct_shifted",
 ]
 
+MAX_DOUBLINGS = 3
+
 
 @dataclass
 class CbcResult:
@@ -135,21 +137,25 @@ class ShiftSearchResult:
 
 
 def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
-                 seed: int = 0, max_doublings: int = 3) -> ShiftSearchResult:
+                 seed: int = 0, E2: tuple[float, float] | None = None) -> ShiftSearchResult:
     """Find a shift whose squared error is at most the shift average.
 
     The zero shift is always candidate 0, so the result is never worse than
     the unshifted rule.  If no drawn shift beats the certified shift average
-    the budget is doubled up to ``max_doublings`` times; failing that, the
+    the budget is doubled up to ``MAX_DOUBLINGS`` times; failing that, the
     best candidate is returned flagged (no exception: existence is only
-    guaranteed on average).
+    guaranteed on average).  ``E2`` is the unshifted rule's fixed-point shift
+    average and its certificate, when the caller has them already.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    E2 = mean_sq_error(rule, spec, method="fixed_point")
+    if E2 is None:
+        rep = mean_sq_error(rule, spec, method="fixed_point")
+        E2 = (rep.value, rep.truncation_certificate)
+    E2_value, E2_cert = E2
     rng = np.random.Generator(np.random.Philox(seed))
     best_val, best_cert, best_shift, used, budget = math.inf, 0.0, None, 0, trials
-    for round_idx in range(max_doublings + 1):
+    for round_idx in range(MAX_DOUBLINGS + 1):
         draws = rng.uniform(size=(budget, rule.d))
         if round_idx == 0:
             draws[0] = 0.0
@@ -158,13 +164,13 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
             used += 1
             if rep.value < best_val:
                 best_val, best_cert, best_shift = rep.value, rep.truncation_certificate, tuple(delta)
-        certified = best_val <= E2.value + E2.truncation_certificate + best_cert
+        certified = best_val <= E2_value + E2_cert + best_cert
         if certified:
             break
         budget *= 2
     return ShiftSearchResult(rule=rule.with_shift(best_shift), e2_shifted=best_val,
-                             e2_certificate=best_cert, E2=E2.value,
-                             E2_certificate=E2.truncation_certificate, certified=certified,
+                             e2_certificate=best_cert, E2=E2_value,
+                             E2_certificate=E2_cert, certified=certified,
                              trials_used=used, seed=seed)
 
 
@@ -173,9 +179,10 @@ def construct_shifted(spec: KernelSpec, n: int, trials: int = 64, seed: int = 0,
     """Convenience: CBC construction followed by the shift search.
 
     The result keeps the search's best shifted error, its certificate and the
-    number of trials used."""
+    number of trials used.  The search reuses the construction's E2."""
     res = cbc_construct(spec, n, mode=mode, lam=lam)
-    sh = shift_search(res.rule, spec, trials=trials, seed=seed)
+    sh = shift_search(res.rule, spec, trials=trials, seed=seed,
+                      E2=(res.achieved_E2, res.achieved_E2_certificate))
     res.rule = sh.rule
     res.achieved_e2_shifted = sh.e2_shifted
     res.achieved_e2_shifted_certificate = sh.e2_certificate

@@ -50,61 +50,53 @@ class EigenSpectrum:
     Labels are frequency vectors in the sorted fundamental domain of the
     exchange group.  The stream is non-increasing; ties break on the index
     tuple, so the order is reproducible.
+
+    Each index tuple t != 0 is pushed once, by its canonical parent t - e_f,
+    f the first nonzero position of t: a popped tuple pushes t + e_j for
+    j <= f (every j at t = 0) where the exchangeable entries stay
+    non-decreasing.  The univariate list is non-increasing and a rounded
+    product is monotone in each positive factor, so a parent's value is
+    never below its child's, and at a tie the parent's tuple sorts first:
+    every tuple pops after its parent, in the (-value, tuple) order of all
+    admissible tuples.
     """
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self._univ: list[tuple[float, int]] = univariate_labeled(spec.weight, 64)
-        d = spec.d
-        inv0 = {int(i) - 1 for i in spec.perm.invariant}
-        self._inv_positions = sorted(inv0)
-        start = tuple([0] * d)
+        inv = [int(i) - 1 for i in spec.perm.invariant]
+        # the exchangeable position after each exchangeable one, None elsewhere
+        self._next: list[int | None] = [None] * spec.d
+        for a, b in zip(inv, inv[1:]):
+            self._next[a] = b
+        start = tuple([0] * spec.d)
         self._heap: list[tuple[float, tuple[int, ...]]] = [(-self._value(start), start)]
-        self._seen = {start}
         self._values: list[float] = []
         self._labels: list[tuple[int, ...]] = []
-        self._canon: list[tuple[int, ...]] = []
         self._trace: Enclosure | None = None
 
-    def _univ_value(self, idx: int) -> float:
-        while idx >= len(self._univ):
-            self._univ = univariate_labeled(self.spec.weight, 2 * len(self._univ))
-        return self._univ[idx][0]
-
-    def _value(self, label: tuple[int, ...]) -> float:
-        out = 1.0
-        for idx in label:
-            out *= self._univ_value(idx)
-        return out
-
-    def _valid(self, label: tuple[int, ...]) -> bool:
-        pos = self._inv_positions
-        return all(label[pos[i]] <= label[pos[i + 1]] for i in range(len(pos) - 1))
+    def _value(self, index: tuple[int, ...]) -> float:
+        return math.prod(self._univ[idx][0] for idx in index)
 
     def ensure(self, m: int) -> None:
+        univ, nxt, perm = self._univ, self._next, self.spec.perm
         while len(self._values) < m:
-            if not self._heap:
-                raise RuntimeError("eigenvalue stream exhausted")
-            neg, label = heapq.heappop(self._heap)
+            neg, index = heapq.heappop(self._heap)
             self._values.append(-neg)
-            self._labels.append(label)
-            for j in range(self.spec.d):
-                succ = list(label)
-                succ[j] += 1
-                succ_t = tuple(succ)
-                if succ_t in self._seen or not self._valid(succ_t):
+            self._labels.append(normalize_to_nabla(tuple(univ[idx][1] for idx in index), perm))
+            f = next((j for j, idx in enumerate(index) if idx), len(index) - 1)
+            for j in range(f + 1):
+                if nxt[j] is not None and index[nxt[j]] <= index[j]:
                     continue
-                self._seen.add(succ_t)
-                heapq.heappush(self._heap, (-self._value(succ_t), succ_t))
+                if index[j] + 1 == len(univ):
+                    univ = self._univ = univariate_labeled(self.spec.weight, 2 * len(univ))
+                succ = index[:j] + (index[j] + 1,) + index[j + 1:]
+                heapq.heappush(self._heap, (-self._value(succ), succ))
 
     def entry(self, i: int) -> tuple[float, tuple[int, ...]]:
         """i-th (zero-based) eigenvalue with its canonical frequency label."""
         self.ensure(i + 1)
-        while len(self._canon) <= i:
-            lab = self._labels[len(self._canon)]
-            freq = tuple(self._univ[idx][1] for idx in lab)
-            self._canon.append(normalize_to_nabla(freq, self.spec.perm))
-        return self._values[i], self._canon[i]
+        return self._values[i], self._labels[i]
 
     @property
     def trace(self) -> Enclosure:

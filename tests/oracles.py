@@ -4,6 +4,7 @@ The package does not use any of these: each restates, directly and slowly, a
 quantity that ``permqmc`` computes by a faster route or needs only inside a
 closed formula, or evaluates a quantity that only the tests check.
 """
+import heapq
 import math
 from collections import Counter
 from itertools import combinations_with_replacement, islice, permutations
@@ -18,7 +19,8 @@ from permqmc.approx import SymmetricBasis
 from permqmc.errors import _box_tail_certificate
 from permqmc.kernels import (_cosine_closed, _cosine_series, _series_remainder_bound, _sum_depth,
                              kernel_perminv_gram)
-from permqmc.symmetry import PermStructure, multiplicity_array
+from permqmc.spectrum import univariate_labeled
+from permqmc.symmetry import PermStructure, multiplicity_array, normalize_to_nabla
 from permqmc.weights import (Enclosure, GeneratorSpec, SpectralWeight, _factor_roundings, _rounded,
                              eta_star, min_contraction_order, r_weight_inv_factors, tail_sum)
 
@@ -143,6 +145,40 @@ def stream_entries(es, m):
     canonical labels, read one ``entry`` at a time."""
     entries = [es.entry(i) for i in range(m)]
     return np.array([lam for lam, _ in entries]), [label for _, label in entries]
+
+
+def all_successor_stream(spec, m):
+    """The first m eigenvalues and canonical labels of ``EigenSpectrum`` by
+    the plain best-first search: a heap that pushes every successor t + e_j
+    of a popped index tuple t whose exchangeable entries are non-decreasing
+    and that it has not seen yet.  Values multiply the univariate list's
+    entries left to right, the list doubling from 64 entries as indices
+    reach its end.  Returns the values, the labels and the heap's length
+    after the m-th pop."""
+    univ = univariate_labeled(spec.weight, 64)
+    inv = [i - 1 for i in spec.perm.invariant]
+
+    def value(t):
+        nonlocal univ
+        while max(t) >= len(univ):
+            univ = univariate_labeled(spec.weight, 2 * len(univ))
+        out = 1.0
+        for idx in t:
+            out *= univ[idx][0]
+        return out
+
+    start = (0,) * spec.d
+    heap, seen, values, labels = [(-value(start), start)], {start}, [], []
+    while len(values) < m:
+        neg, t = heapq.heappop(heap)
+        values.append(-neg)
+        labels.append(normalize_to_nabla(tuple(univ[idx][1] for idx in t), spec.perm))
+        for j in range(spec.d):
+            succ = t[:j] + (t[j] + 1,) + t[j + 1:]
+            if succ not in seen and all(succ[a] <= succ[b] for a, b in zip(inv, inv[1:])):
+                seen.add(succ)
+                heapq.heappush(heap, (-value(succ), succ))
+    return values, labels, len(heap)
 
 
 def mode_labels(basis, m):

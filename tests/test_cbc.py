@@ -449,6 +449,24 @@ class TestConvenience:
         assert res.achieved_e2_shifted <= res.achieved_E2 + 1e-10
         assert not res.shift_flagged
 
+    def test_one_fixed_point_E2(self, spec_d2_full, monkeypatch):
+        # the shift search takes the construction's E2 instead of computing it again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mean_sq_error(*args, **kwargs)
+
+        monkeypatch.setattr("permqmc.cbc.mean_sq_error", counted)
+        res = construct_shifted(spec_d2_full, 13, trials=8, seed=5)
+        assert len(calls) == 1
+        alone = shift_search(cbc_construct(spec_d2_full, 13).rule, spec_d2_full, trials=8, seed=5)
+        assert len(calls) == 3
+        assert (alone.rule, alone.e2_shifted, alone.e2_certificate, alone.trials_used,
+                not alone.certified) == (res.rule, res.achieved_e2_shifted,
+                                         res.achieved_e2_shifted_certificate,
+                                         res.shift_trials_used, res.shift_flagged)
+
     def test_json_serializable(self, spec_d2_full):
         import json
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import permqmc.cbc
+import permqmc.cli
 from permqmc import KernelSpec, PermStructure, SpectralWeight, shift_search
 from permqmc.cli import EXIT_CONFIG, EXIT_OK, main
 from permqmc.lattice import LatticeRule, load_cubature, load_lattice
@@ -173,8 +174,12 @@ class TestCbcCommand:
                      "--lam", lam]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: lambda must lie in [1, 2*alpha) = [1, 2.0)\n"
 
-    def test_threads_only_on_convergence(self, cfg_path):
-        assert main(["cbc", "--config", str(cfg_path), "--threads", "2"]) == EXIT_CONFIG
+    def test_threads_refused_by_every_subcommand(self, cfg_path, capsys):
+        # the rows of a convergence study run in order in one thread
+        for argv in (["cbc"], ["shift-search", "--rule", "r.lat"], ["error-eval"],
+                     ["approx-build"], ["convergence"], ["integrate", "--rule", "r.lat"]):
+            assert main(argv + ["--config", str(cfg_path), "--threads", "2"]) == EXIT_CONFIG
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_missing_n(self, cfg_path, tmp_path):
         cfg = json.loads(cfg_path.read_text())
@@ -486,7 +491,7 @@ class TestPipelines:
         csv = tmp_path / "conv.csv"
         cj = tmp_path / "conv.json"
         code = main(["convergence", "--config", str(cfg_path), "--n-list", "17,31,61",
-                     "--trials", "8", "--csv", str(csv), "--json", str(cj), "--threads", "2"])
+                     "--trials", "8", "--csv", str(csv), "--json", str(cj)])
         assert code == EXIT_OK
         rows = csv.read_text().strip().splitlines()
         assert rows[0] == "n,E2,e2,bound,ratio,flagged"
@@ -516,6 +521,20 @@ class TestPipelines:
         assert "error" in payload["rows"][1]
         assert payload["rows"][0]["E2"] > 0
         assert len(csv.read_text().strip().splitlines()) == 3
+
+    def test_convergence_row_defect_is_raised(self, cfg_path, tmp_path, monkeypatch):
+        # only the refusals that main maps to exit 2 become a flagged row
+        construct = permqmc.cli.construct_shifted
+
+        def defective(spec, n, **kwargs):
+            if n == 31:
+                raise ZeroDivisionError("defect in row 31")
+            return construct(spec, n, **kwargs)
+
+        monkeypatch.setattr(permqmc.cli, "construct_shifted", defective)
+        with pytest.raises(ZeroDivisionError, match="defect in row 31"):
+            main(["convergence", "--config", str(cfg_path), "--n-list", "17,31",
+                  "--trials", "8", "--json", str(tmp_path / "c.json")])
 
     @staticmethod
     def _alpha_2_study(tmp_path, n_list):
@@ -547,12 +566,11 @@ class TestPipelines:
         assert [r["below_certificate"] for r in payload["rows"]] == [False, False]
         assert math.isfinite(payload["slope"]) and payload["slope"] < 0
 
-    def test_convergence_determinism_across_threads(self, cfg_path, tmp_path):
+    def test_convergence_is_deterministic_across_runs(self, cfg_path, tmp_path):
         outs = []
-        for threads in ("1", "3"):
-            csv = tmp_path / f"conv{threads}.csv"
+        for run in ("1", "2"):
+            csv = tmp_path / f"conv{run}.csv"
             main(["convergence", "--config", str(cfg_path), "--n-list", "17,31",
-                  "--trials", "8", "--csv", str(csv), "--json", str(tmp_path / f"j{threads}.json"),
-                  "--threads", threads])
+                  "--trials", "8", "--csv", str(csv), "--json", str(tmp_path / f"j{run}.json")])
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]

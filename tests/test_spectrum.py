@@ -1,3 +1,4 @@
+import heapq
 import math
 from itertools import combinations_with_replacement, product
 
@@ -14,9 +15,23 @@ from permqmc.spectrum import (
     univariate_labeled,
 )
 from permqmc.symmetry import PermStructure
-from permqmc.weights import SpectralWeight, eta_star, min_contraction_order, r_weight_inv_factors
+from permqmc.weights import (GeneratorSpec, SpectralWeight, eta_star, min_contraction_order,
+                             r_weight_inv_factors)
 
-from oracles import check_min_order_matches_linear_scan, stream_entries
+from oracles import all_successor_stream, check_min_order_matches_linear_scan, stream_entries
+
+STREAM_WEIGHTS = {
+    "korobov": SpectralWeight(),
+    "plain": SpectralWeight(generator=GeneratorSpec("plain_linear")),
+    # R(1) = R(2): frequencies +-1 and +-2 tie in the univariate list
+    "tied": SpectralWeight(generator=GeneratorSpec("custom", table=(2.0, 2.0), slope=1.0), c_R=2.0),
+    "beta": SpectralWeight(beta0=0.5, beta1=2.0),
+}
+# no, partial (one of them not contiguous) and full invariance per d
+STREAM_GRID = [(d, inv) for d in (1, 2, 3, 5, 8, 12)
+               for inv in ((), {3: (1, 3), 5: (2, 4, 5), 8: (2, 4, 5), 12: (1, 2, 3, 4)}.get(d),
+                           tuple(range(1, d + 1)))
+               if inv is not None]
 
 
 class TestUnivariate:
@@ -86,6 +101,39 @@ class TestMultivariate:
         heap_vals = got[got > threshold]
         assert len(brute) == len(heap_vals)
         assert np.allclose(heap_vals, brute, rtol=1e-12)
+
+    @pytest.mark.parametrize("weight", sorted(STREAM_WEIGHTS))
+    @pytest.mark.parametrize("d, inv", STREAM_GRID)
+    def test_stream_matches_all_successor_heap(self, d, inv, weight):
+        # bitwise, values and labels; at d <= 2 some index passes the
+        # univariate table's first 64 entries, so the table grows
+        spec = KernelSpec(STREAM_WEIGHTS[weight], PermStructure(d, inv))
+        m = 1000 if d <= 2 else 300
+        values, labels, _ = all_successor_stream(spec, m)
+        es = EigenSpectrum(spec)
+        got_values, got_labels = stream_entries(es, m)
+        assert got_values.tobytes() == np.asarray(values).tobytes()
+        assert got_labels == labels
+        if d <= 2:
+            assert len(es._univ) > 64
+
+    def test_each_tuple_pushed_once(self, monkeypatch):
+        spec = KernelSpec(SpectralWeight(), PermStructure(12, (1, 2, 3, 4)))
+        pops = 20_000
+        reference_heap = all_successor_stream(spec, pops)[2]
+        pushed, push = [], heapq.heappush
+
+        def counted(heap, item):
+            pushed.append(item[1])
+            push(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", counted)
+        es = EigenSpectrum(spec)
+        es.ensure(pops)
+        # the zero tuple starts the heap; every other tuple is pushed
+        assert 1 + len(pushed) == pops + len(es._heap)
+        assert len(set(pushed)) == len(pushed)
+        assert len(es._heap) <= reference_heap // 2
 
     def test_top_eigenvalue_is_constant_mode(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.full(4))

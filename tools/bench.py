@@ -49,6 +49,12 @@ case's grid is fixed below:
                  tau = 1.5, 1.8, 1.9, 1.95 (alpha = 1, so tau < 2), under
                  the same cap: the basis size m of the rule's level and
                  ``certified``, or the refusal message
+  stream         the eigenvalue stream at invariant (1, 2, 3, 4): ``assemble_rule``
+                 at N = 256, seed 1 and d = 12, 16, 24, with e_wor_sq, its
+                 certificate, m and the sha256 of the ``.qw`` file, and the
+                 stream alone at d = 24 to ``STREAM_ENTRIES`` entries, with the
+                 sha256 of its values and canonical labels; each with the
+                 stream's pops and pushes (pops plus the heap's length)
   ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
                  entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
                  unit-modulus stacks, s = 3, 5, 8 (best and median of 10
@@ -106,6 +112,9 @@ E2_CALLS = 10
 # address-space cap of a bound-constant or approx-tau child, in bytes
 AS_CAP = 2 << 30
 RYSER_BATCH = 8192
+# the entries assemble_rule pops at (d, N) = (24, 256): whole tie groups, for
+# m = 103 modes
+STREAM_ENTRIES = 76858
 RYSER_CALLS = 10
 
 CASES = {
@@ -131,6 +140,7 @@ CASES = {
     "bound-constant": ([("bound-constant", d, None) for d in (3, 4, 5, 6, 7, 8, 12)]
                        + [("bound-constant", 8, [1, 2, 3, 4])]),
     "approx-tau": [("approx-tau", tau) for tau in (1.5, 1.8, 1.9, 1.95)],
+    "stream": [("stream-rule", d) for d in (12, 16, 24)] + [("stream", 24, STREAM_ENTRIES)],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
               + [("digest",)]),
 }
@@ -301,6 +311,48 @@ def _approx_tau(tau: float) -> dict:
             "certified": res.certified}
 
 
+def _stream_spec(d: int):
+    from permqmc import KernelSpec, PermStructure, SpectralWeight
+    return KernelSpec(SpectralWeight(), PermStructure(d, (1, 2, 3, 4)))
+
+
+def _stream_work(streams: list) -> dict:
+    pops = sum(len(es._values) for es in streams)
+    return {"pops": pops, "pushes": pops + sum(len(es._heap) for es in streams)}
+
+
+def _stream_rule(d: int) -> dict:
+    from permqmc import spectrum
+    from permqmc.approx import assemble_rule
+    from permqmc.lattice import save_cubature
+
+    streams, init = [], spectrum.EigenSpectrum.__init__
+
+    def kept(self, spec):
+        init(self, spec)
+        streams.append(self)
+
+    spectrum.EigenSpectrum.__init__ = kept
+    res, wall = _timed(lambda: assemble_rule(_stream_spec(d), TAU, 256, seed=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        qw = Path(tmp) / "rule.qw"
+        save_cubature(res.cubature, qw)
+        digest = hashlib.sha256(qw.read_bytes()).hexdigest()
+    return {"wall_s": wall, "qw_sha256": digest, "e_wor_sq": res.e_wor_sq,
+            "e_wor_certificate": res.e_wor_certificate, "level_m": res.algorithm.m,
+            **_stream_work(streams)}
+
+
+def _stream(d: int, m: int) -> dict:
+    from permqmc.spectrum import EigenSpectrum
+
+    es = EigenSpectrum(_stream_spec(d))
+    entries, wall = _timed(lambda: [es.entry(i) for i in range(m)])
+    digest = hashlib.sha256(np.array([lam for lam, _ in entries]).tobytes()
+                            + json.dumps([label for _, label in entries]).encode()).hexdigest()
+    return {"wall_s": wall, "sha256": digest, **_stream_work([es])}
+
+
 def _ryser_timing(kind: str, s: int) -> dict:
     from permqmc.symmetry import permanent_batch, permanent_bounds
 
@@ -345,7 +397,7 @@ def _ryser_digest() -> dict:
 
 RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
            "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
-           "approx-tau": _approx_tau,
+           "approx-tau": _approx_tau, "stream-rule": _stream_rule, "stream": _stream,
            "ryser": _ryser_timing, "digest": _ryser_digest}
 
 
