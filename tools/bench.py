@@ -112,10 +112,10 @@ E2_CALLS = 10
 # address-space cap of a bound-constant or approx-tau child, in bytes
 AS_CAP = 2 << 30
 RYSER_BATCH = 8192
-# the entries assemble_rule pops at (d, N) = (24, 256): whole tie groups, for
-# m = 103 modes
-STREAM_ENTRIES = 76858
 RYSER_CALLS = 10
+# entries of the stream-alone row, near the 76855 that assemble_rule pops at
+# (d, N) = (24, 256) to pair the conjugate modes of its m = 103 (whole tie groups)
+STREAM_ENTRIES = 76858
 
 CASES = {
     "approx": [("approx", d, N, seed) for d, N in ((3, 1024), (3, 2048), (3, 4096),
@@ -162,10 +162,19 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def _qw_sha256(cubature) -> str:
+    """sha256 of the ``.qw`` file that ``approx-build --out`` would write."""
+    from permqmc.lattice import save_cubature
+
+    with tempfile.TemporaryDirectory() as tmp:
+        qw = Path(tmp) / "rule.qw"
+        save_cubature(cubature, qw)
+        return hashlib.sha256(qw.read_bytes()).hexdigest()
+
+
 def _approx(d: int, N: int, seed: int) -> dict:
     from permqmc import kernels
     from permqmc.approx import SymmetricBasis, assemble_rule
-    from permqmc.lattice import save_cubature
 
     work = {"gram_pairs": 0, "phi_pairs": 0, "sampler_pairs": 0}
     bounds, pair_values = kernels.permanent_bounds, SymmetricBasis._pair_values
@@ -181,11 +190,7 @@ def _approx(d: int, N: int, seed: int) -> dict:
 
     kernels.permanent_bounds, SymmetricBasis._pair_values = counted_bounds, counted_values
     res, wall = _timed(lambda: assemble_rule(_spec(d), TAU, N, seed=seed))
-    with tempfile.TemporaryDirectory() as tmp:
-        qw = Path(tmp) / "rule.qw"
-        save_cubature(res.cubature, qw)
-        digest = hashlib.sha256(qw.read_bytes()).hexdigest()
-    return {"wall_s": wall, "qw_sha256": digest, "nodes": res.cubature.n,
+    return {"wall_s": wall, "qw_sha256": _qw_sha256(res.cubature), "nodes": res.cubature.n,
             "level_m": res.algorithm.m, "certified": res.certified, **work}
 
 
@@ -316,31 +321,17 @@ def _stream_spec(d: int):
     return KernelSpec(SpectralWeight(), PermStructure(d, (1, 2, 3, 4)))
 
 
-def _stream_work(streams: list) -> dict:
-    pops = sum(len(es._values) for es in streams)
-    return {"pops": pops, "pushes": pops + sum(len(es._heap) for es in streams)}
+def _stream_work(es) -> dict:
+    return {"pops": len(es._values), "pushes": len(es._values) + len(es._heap)}
 
 
 def _stream_rule(d: int) -> dict:
-    from permqmc import spectrum
     from permqmc.approx import assemble_rule
-    from permqmc.lattice import save_cubature
 
-    streams, init = [], spectrum.EigenSpectrum.__init__
-
-    def kept(self, spec):
-        init(self, spec)
-        streams.append(self)
-
-    spectrum.EigenSpectrum.__init__ = kept
     res, wall = _timed(lambda: assemble_rule(_stream_spec(d), TAU, 256, seed=1))
-    with tempfile.TemporaryDirectory() as tmp:
-        qw = Path(tmp) / "rule.qw"
-        save_cubature(res.cubature, qw)
-        digest = hashlib.sha256(qw.read_bytes()).hexdigest()
-    return {"wall_s": wall, "qw_sha256": digest, "e_wor_sq": res.e_wor_sq,
+    return {"wall_s": wall, "qw_sha256": _qw_sha256(res.cubature), "e_wor_sq": res.e_wor_sq,
             "e_wor_certificate": res.e_wor_certificate, "level_m": res.algorithm.m,
-            **_stream_work(streams)}
+            **_stream_work(res.algorithm.basis.stream)}
 
 
 def _stream(d: int, m: int) -> dict:
@@ -350,7 +341,7 @@ def _stream(d: int, m: int) -> dict:
     entries, wall = _timed(lambda: [es.entry(i) for i in range(m)])
     digest = hashlib.sha256(np.array([lam for lam, _ in entries]).tobytes()
                             + json.dumps([label for _, label in entries]).encode()).hexdigest()
-    return {"wall_s": wall, "sha256": digest, **_stream_work([es])}
+    return {"wall_s": wall, "sha256": digest, **_stream_work(es)}
 
 
 def _ryser_timing(kind: str, s: int) -> dict:
