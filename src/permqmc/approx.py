@@ -110,52 +110,45 @@ class SymmetricBasis:
 
         xi_j(x) = (sum over exchanges of exp(2 pi i k.x)) / sqrt(#S * M(k)!),
         with conjugate pairs mapped to sqrt(2) * (real, imag) parts.  The sum
-        over exchanges is per[exp(2 pi i k_a x_b)] over the invariant
-        coordinates a, b, one ``permanent_batch`` pass per chunk of
-        ``_PAIR_CHUNK`` pairs, times the free coordinates' phase.  The
-        phases come from one table over the distinct frequencies of the
-        modes in ``js`` and the points, or, when the pairs need fewer phases
-        than the table holds (one pair per point, as in ``sample_density``),
-        straight from each pair.  Both evaluate exp(2 pi i (k * x)) per
-        entry, and each value depends on its own pair only, so it is bitwise
-        the same whatever the other pairs are.
-        """
+        is per[exp(2 pi i k_a x_b)] over the invariant coordinates a, b, one
+        ``permanent_batch`` pass per chunk of at most ``_PAIR_CHUNK`` pairs
+        (or one mode's), times the product of the free coordinates' phases.
+        A grid, a column of modes ``js`` by a row of points ``p``, gathers
+        whole rows of a phase table over its frequencies and points; other
+        pairs (``sample_density``'s) take phases per pair.  Each is
+        exp(2 pi i (k * x)): a value does not depend on the other pairs."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # the distinct modes, sorted; np.unique would load numpy.ma on first use
-        modes = np.flatnonzero(np.bincount(np.ravel(js)))
-        js, p = np.broadcast_arrays(np.asarray(js, dtype=np.intp), np.asarray(p, dtype=np.intp))
-        out = np.empty(js.shape)
-        if not out.size:
-            return out
-        labels, norm, kinds = self._mode_arrays(int(modes[-1]) + 1)
-        ps = self.spec.perm
-        inv, free = ps.invariant_idx, ps.free_idx
-        kvals, kidx = np.unique(labels[modes], return_inverse=True)
-        ktab = np.zeros(labels.shape, dtype=np.intp)      # mode, coordinate -> kvals index
-        ktab[modes] = kidx.reshape(modes.size, ps.d)
-        if ps.d * kvals.size * pts.shape[0] <= out.size * (len(inv) ** 2 + len(free)):
-            table = np.exp(2j * math.pi * (kvals[None, :, None] * pts.T[:, None, :]))
+        js, p = np.asarray(js, dtype=np.intp), np.asarray(p, dtype=np.intp)
+        out = np.empty(np.broadcast_shapes(js.shape, p.shape))
+        labels, norm, kinds = self._mode_arrays(int(js.max(initial=0)) + 1)
+        inv, free = self.spec.perm.invariant_idx, self.spec.perm.free_idx
+        s = inv.size
 
-            def phase(c, k, q):    # exp(2 pi i kvals[k] x_q[c])
-                return table[c, k, q]
-        else:                      # fewer pairs than table entries: per pair
-            def phase(c, k, q):
-                return np.exp(2j * math.pi * (kvals[k] * pts[q, c]))
-        flat = out.reshape(-1)
-        for lo in range(0, flat.size, _PAIR_CHUNK):
-            jc = js.flat[lo:lo + _PAIR_CHUNK]
-            pc = p.flat[lo:lo + _PAIR_CHUNK]
-            rows = ktab[jc]
-            # block[b, a, q] = exp(2 pi i k_jq[a] x_pq[b]), a, b invariant
-            block = phase(inv[:, None, None], rows[:, inv].T[None], pc)
-            per = permanent_batch(np.moveaxis(block, -1, 0))
-            free_phase = np.prod(phase(free[:, None], rows[:, free].T, pc), axis=0)
-            val = per * free_phase / norm[jc]
-            kind = kinds[jc]
+        def values(block, free_phase, j):   # block[b, a, ...] = exp(2 pi i k_j[a] x[b])
+            per = permanent_batch(np.moveaxis(block.reshape(s, s, free_phase.size), -1, 0))
+            val = per.reshape(free_phase.shape) * free_phase / norm[j]
+            kind = kinds[j]
             if np.any((kind == 0) & (np.abs(val.imag) > 1e-9 * (1.0 + np.abs(val.real)))):
                 raise AssertionError("self-conjugate eigenfunction not real")
-            flat[lo:lo + _PAIR_CHUNK] = np.where(
-                kind == 0, val.real, math.sqrt(2.0) * np.where(kind == 2, val.imag, val.real))
+            return np.where(kind == 0, val.real,
+                            math.sqrt(2.0) * np.where(kind == 2, val.imag, val.real))
+
+        if js.ndim == 2 and js.shape[1] == 1 and p.ndim == 1:      # modes x points
+            kvals, kidx = np.unique(labels[js[:, 0]], return_inverse=True)
+            table = np.exp(2j * math.pi * (kvals[None, :, None] * pts[p].T[:, None, :]))
+            step = max(1, _PAIR_CHUNK // max(p.size, 1))
+            for lo in range(0, len(js), step):
+                k, j = kidx.reshape(len(js), -1)[lo:lo + step], js[lo:lo + step]
+                out[lo:lo + step] = values(table[inv[:, None, None], k[:, inv].T[None]],
+                                           np.prod(table[free[:, None], k[:, free].T], axis=0), j)
+            return out
+        (js, p), flat = np.broadcast_arrays(js, p), out.reshape(-1)
+        for lo in range(0, flat.size, _PAIR_CHUNK):
+            j = js.flat[lo:lo + _PAIR_CHUNK]
+            k, x = labels[j], pts[p.flat[lo:lo + _PAIR_CHUNK]]
+            flat[lo:lo + _PAIR_CHUNK] = values(
+                np.exp(2j * math.pi * (k[:, inv].T[None] * x[:, inv].T[:, None])),
+                np.prod(np.exp(2j * math.pi * (k[:, free] * x[:, free])).T, axis=0), j)
         return out
 
     def eval_matrix(self, points, m: int) -> np.ndarray:
@@ -449,11 +442,11 @@ def _collapse_to_cubature(alg: ApproxAlgorithm, int_pts: np.ndarray,
     r = int_pts.shape[0]
     if alg.m == 0:
         return WeightedCubature(int_pts, np.ones(r))
-    iota = basis.integrals(alg.m)
-    # (m, r) in blocks of points: small phase tables beside the Gram buffer
-    step = max(1, _PAIR_CHUNK // alg.m)
-    x_int = np.hstack([basis.eval_matrix(int_pts[i:i + step], alg.m) for i in range(0, r, step)])
-    w_app_raw = alg.coeff_map.T @ (iota - x_int.sum(axis=1) / r)
+    # (m, r) filled by blocks of points: small phase tables beside the Gram buffer
+    x_int, step = np.empty((alg.m, r)), max(1, _PAIR_CHUNK // alg.m)
+    for i in range(0, r, step):
+        x_int[:, i:i + step] = basis.eval_matrix(int_pts[i:i + step], alg.m)
+    w_app_raw = alg.coeff_map.T @ (basis.integrals(alg.m) - x_int.sum(axis=1) / r)
     nodes = np.vstack([alg.points, int_pts])
     raw = np.concatenate([w_app_raw, np.full(r, 1.0 / r)])
     return WeightedCubature(nodes, raw * nodes.shape[0])

@@ -12,6 +12,7 @@ uncertified (flagged) component.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import sys
@@ -56,17 +57,71 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _load_config(path: str | None) -> dict:
-    """The JSON object in ``path`` ({} for None); its blocks, when given,
-    are JSON objects."""
+# Every key a config may hold, per block, with a test of its JSON value and
+# what the test asks for.  A key that any subcommand reads is allowed in
+# every config, so that one file can serve a whole study.  An --integrand
+# file holds the keys of the "integrand" block.  "generator" (an object or a
+# kind name) and "coefficients" (an object of numbers) are checked apart.
+_INT = (lambda v: type(v) is int, "an integer")
+_NUM = (lambda v: type(v) in (int, float), "a number")
+_STR = (lambda v: isinstance(v, str), "a string")
+_INTS = (lambda v: isinstance(v, str) or isinstance(v, list) and all(type(x) is int for x in v),
+         "a string or a list of integers")
+_NUMS = (lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v),
+         "a list of numbers")
+_APART = (lambda v: True, "")
+_KEYS = {
+    "config": {"space": _APART, "structure": _APART, "params": _APART, "integrand": _APART},
+    "space": {"alpha": _NUM, "beta0": _NUM, "beta1": _NUM, "c_R": _NUM, "generator": _APART},
+    "generator": {"kind": _STR, "table": _NUMS, "slope": _NUM},
+    "structure": {"d": _INT, "invariant": _INTS},
+    "params": {"n": _INT, "N": _INT, "trials": _INT, "seed": _INT, "budget": _INT,
+               "half_width": _INT, "tol": _NUM, "lam": _NUM, "tau": _NUM, "delta": _NUM,
+               "mode": _STR, "method": _STR, "n_list": _INTS},
+    "integrand": {"family": _STR, "n_modes": _INT, "norm": _NUM, "seed": _INT,
+                  "constant": _NUM, "coefficients": _APART},
+}
+
+
+def _check_keys(obj: dict, block: str, where: str) -> None:
+    """Refuse a key of ``obj`` that ``_KEYS[block]`` does not hold, naming the
+    nearest one it does, and a value of the wrong JSON type."""
+    known = _KEYS[block]
+    for key, value in obj.items():
+        if key not in known:
+            near = difflib.get_close_matches(key, list(known), n=1, cutoff=0.0)[0]
+            raise ConfigError(f"unknown key {key!r} in {where}; the nearest known key is {near!r}")
+        test, what = known[key]
+        if not test(value):
+            raise ConfigError(f"{key!r} in {where} must be {what}, got {json.dumps(value)}")
+
+
+def _load_config(path: str | None, integrand: bool = False) -> dict:
+    """The JSON object in ``path`` ({} for None), a config or, with
+    ``integrand``, an integrand file, with every block checked by
+    ``_check_keys``."""
     if path is None:
         return {}
     try:
         cfg = _object(json.loads(Path(path).read_text()), f"config {path}")
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for block in ("space", "structure", "params", "integrand"):
-        _object(cfg.get(block, {}), f"block {block!r} of {path}")
+    if integrand:
+        blocks = {"integrand": cfg}
+    else:
+        _check_keys(cfg, "config", f"config {path}")
+        blocks = {block: _object(cfg.get(block, {}), f"block {block!r} of {path}")
+                  for block in ("space", "structure", "params", "integrand")}
+    for block, obj in blocks.items():
+        _check_keys(obj, block, f"block {block!r} of {path}")
+    if isinstance(blocks.get("space", {}).get("generator"), dict):
+        _check_keys(blocks["space"]["generator"], "generator", f"block 'generator' of {path}")
+    coefficients = _object(blocks["integrand"].get("coefficients", {}),
+                           "block 'coefficients' of the integrand")
+    for mode, value in coefficients.items():
+        if not _NUM[0](value):
+            raise ConfigError(f"coefficient {mode!r} of the integrand must be a number, "
+                              f"got {json.dumps(value)}")
     return cfg
 
 
@@ -89,7 +144,11 @@ def _build_spec(cfg: dict, args) -> KernelSpec:
             perm = PermStructure.empty(d)
         else:
             if isinstance(inv, str):
-                inv = [int(v) for v in inv.split(",") if v.strip()]
+                try:
+                    inv = [int(v) for v in inv.split(",") if v.strip()]
+                except ValueError:
+                    raise ConfigError(f"invariant {inv!r} is not 'full', 'none' or a "
+                                      "comma-separated list of coordinates") from None
             perm = PermStructure(d, tuple(int(v) for v in inv))
         return KernelSpec(w, perm, tol=float(_param(cfg, args, "tol", 1e-10)))
     except (ValueError, TypeError) as exc:
@@ -258,8 +317,8 @@ def _cmd_integrate(args) -> int:
     rule = load_rule(args.rule)
     if rule.d != spec.d:
         raise ConfigError(f"rule dimension {rule.d} != space dimension {spec.d}")
-    integrand_cfg = _load_config(args.integrand) if args.integrand else cfg.get("integrand", {})
-    _object(integrand_cfg.get("coefficients", {}), "block 'coefficients' of the integrand")
+    integrand_cfg = (_load_config(args.integrand, integrand=True) if args.integrand
+                     else cfg.get("integrand", {}))
     f = integrand_from_config(integrand_cfg, spec)
     cub = rule.cubature() if isinstance(rule, LatticeRule) else rule
     value = cub.apply(f)

@@ -469,17 +469,19 @@ class KernelSpec:
         return power_kernel(self.weight, 1, t, False, mode=self.mode, tol=self.tol)
 
 
-def _gram_entries(per, per_abs, bound, fvals, b0: float, top: float, c1: float, fact: float):
+def _gram_entries(per, per_abs, bound, fvals, b0: float, top: float, c1: float, fact: float,
+                  apriori: bool = False):
     """Kernel values per * F / fact and their error bounds, F = beta0^f + q over
     the f free coordinates (q their ``_free_excess``; F = 1 exactly at f = 0),
     given |per| or a bound on it, and a bound on |per(T) - per| for the exact
     K1 table T (``permanent_bounds``).  Then per(T) F_T - per F = (per(T) -
-    per) F_T + per (F_T - F), F adds a pow and a sum, the value two."""
+    per) F_T + per (F_T - F), F adds a pow and a sum, the value two.  |F| is
+    per entry, or with ``apriori`` its bound beta0^f + |q|'s: one scalar."""
     q, q_cert, q_abs = _free_excess(fvals, b0, top, c1)
     f = len(fvals)
     F = b0 ** f + q
     F_cert = q_cert + _gamma(3) * (b0 ** f + q_abs) if f else 0.0
-    F_abs = np.abs(F)
+    F_abs = b0 ** f + q_abs if apriori else np.abs(F)
     return per * F / fact, (bound * (F_abs + F_cert)
                             + per_abs * (F_cert + _gamma(2) * F_abs)) / fact
 
@@ -487,34 +489,39 @@ def _gram_entries(per, per_abs, bound, fvals, b0: float, top: float, c1: float, 
 def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
                start: int | None = None) -> float:
     """Write K(X[i], Y[j]) into ``out`` by row tiles, rows lo:hi by columns
-    c0:, about ``_PAIR_CHUNK`` pairs (or one row) per ``permanent_bounds``
-    pass; return the largest certificate of the pairs written.  With
-    ``start`` None that is every pair.  Else Y is X, out[:start, :start]
-    holds the Gram of X[:start], and a tile, c0 = max(lo, start), owns the
-    pairs j >= i, mirrored over its diagonal block's lower part, which the
-    certificate leaves out.  Values are per pair: extending is rebuilding."""
+    c0:, about ``_PAIR_CHUNK`` pairs (or one row) per ``_ryser`` pass; return
+    the largest tile certificate.  With ``start`` None the tiles cover every
+    pair.  Else Y is X, out[:start, :start] holds the Gram of X[:start], and
+    a tile, c0 = max(lo, start), is mirrored, its diagonal square's lower
+    triangle from the upper: extending is rebuilding.  A tile's certificate
+    is a priori, as on the lattice route: |K1| <= K1(0), the mass, so the
+    ``permanent_bounds`` of the matrix of M = mass + c1 (c1 K1's certificate)
+    covers every pair permanent, and |per| <= s! M^s + that bound."""
     inv, free, fact = spec.perm.invariant_idx, spec.perm.free_idx, float(spec.perm.group_order)
     Xinv, Yinv, Xfree, Yfree = X[:, inv].T, Y[:, inv].T, X[:, free], Y[:, free]
-    # beta0 + |K1(t) - beta0| is at most the univariate mass at every t
-    mass = spectral_mass(spec.weight).hi if len(free) else 0.0
+    # beta0 + |K1(t) - beta0| is at most the mass at every t too
+    s, mass = len(inv), spectral_mass(spec.weight).hi
     (nx, ny), cert, lo = out.shape, 0.0, 0
-    while lo < nx:
+    while lo < nx and ny > (start or 0):     # some pair left to write
         c0 = 0 if start is None else max(lo, start)
-        hi = min(nx, lo + max(1, _PAIR_CHUNK // max(ny - c0, 1)))
-        # diffs[a, b, i, j] = x_i[inv_a] - y_j[inv_b]
+        hi = min(nx, lo + max(1, _PAIR_CHUNK // (ny - c0)))
+        # diffs[a, b, i, j] = x_i[inv_a] - y_j[inv_b], fd[i, j] = x_i[free] - y_j[free]
         diffs = Xinv[:, None, lo:hi, None] - Yinv[None, :, None, c0:]
+        fd = Xfree[lo:hi, None] - Yfree[None, c0:]
         vals, cert1 = spec.univariate(diffs.reshape(-1))
-        fd = (Xfree[lo:hi, None] - Yfree[None, c0:]).reshape((hi - lo) * (ny - c0), len(free))
         gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
-        per, bound = permanent_bounds(vals.reshape(len(inv), len(inv), len(fd)), cert1)
-        values, certs = (a.reshape(hi - lo, ny - c0) for a in _gram_entries(
-            per, np.abs(per), bound, list(gf.reshape(fd.shape).T), spec.weight.beta0,
-            mass + 2.0 * certf, certf, fact))
+        per = _ryser(vals.reshape(s, s, (hi - lo) * (ny - c0))).reshape(hi - lo, ny - c0)
+        bound = permanent_bounds(np.full((s, s, 1), mass + cert1), cert1).bound[0]
+        fvals = list(np.moveaxis(gf.reshape(fd.shape), -1, 0))
+        values, tile_cert = _gram_entries(
+            per, fact * (mass + cert1) ** s + bound, bound, fvals, spec.weight.beta0,
+            mass + 2.0 * certf, certf, fact, apriori=True)
         out[lo:hi, c0:] = values
-        owned = True if start is None else np.arange(c0, ny) >= np.arange(lo, hi)[:, None]
-        if start is not None:       # the diagonal is copied onto itself
-            np.copyto(out[c0:, lo:hi], values.T, where=owned.T)
-        cert = max(cert, float(np.max(certs, where=owned, initial=0.0)))
+        if start is not None:       # mirrored, then the diagonal square's upper triangle again
+            out[c0:, lo:hi] = values.T
+            for r in range(c0, hi):
+                out[r, r + 1:hi] = values[r - lo, r + 1 - c0:hi - c0]
+        cert = max(cert, float(tile_cert))
         lo = hi
     return cert
 
@@ -522,8 +529,8 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
 def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Gram matrix G of the exchange-invariant kernel on point sets X, Y, by
     ``_fill_gram``; with ``Y is X`` exactly symmetric.  Returns (G, cert), cert
-    bounding every entry's error: K1's certificate, as the table's entrywise
-    radius, and every rounding (``_gram_entries``)."""
+    bounding every entry's error a priori, per row tile: K1's certificate, as
+    the tables' entrywise radius, and every rounding (``_gram_entries``)."""
     upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if upper else np.atleast_2d(np.asarray(Y, dtype=float))

@@ -5,11 +5,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from permqmc import approx, kernels
+from permqmc import approx, kernels, symmetry
 from permqmc.approx import (
     ApproxAlgorithm,
     SymmetricBasis,
     _carried_phi,
+    _collapse_to_cubature,
     assemble_rule,
     average_approx_error_sq,
     build_approx_sequence,
@@ -17,7 +18,7 @@ from permqmc.approx import (
 from permqmc.errors import worst_case_error_sq
 from permqmc.kernels import _PAIR_CHUNK, KernelSpec, kernel_perminv_gram
 from permqmc.spectrum import rate_constants, spectrum_tail_constants
-from permqmc.symmetry import PermStructure, permanent_bounds
+from permqmc.symmetry import PermStructure
 from permqmc.weights import SpectralWeight, eta_star, min_contraction_order
 
 from oracles import (fix_count, gaussian_average_error_sq, mode_labels, sample_density_all_modes,
@@ -198,6 +199,33 @@ class TestPairValues:
         basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(3, (1, 2))))
         assert 30 * 700 > 2 * _PAIR_CHUNK
         self.assert_matrix_equals_shuffled_pairs(basis, rng.uniform(size=(700, 3)), 30, rng)
+
+    @pytest.mark.parametrize("chunk, npts", [(50, 20), (50, 7), (10, 25)])
+    def test_grid_chunks_of_modes(self, monkeypatch, chunk, npts, rng):
+        # mode chunks of chunk // npts modes, or one mode when a row is longer
+        basis = SymmetricBasis(KernelSpec(SpectralWeight(), PermStructure(4, (1, 2, 4))))
+        pts = rng.uniform(size=(npts, 4))
+        whole = basis.eval_matrix(pts, 31)
+        monkeypatch.setattr(approx, "_PAIR_CHUNK", chunk)
+        assert basis.eval_matrix(pts, 31).tobytes() == whole.tobytes()
+        self.assert_matrix_equals_shuffled_pairs(basis, pts, 31, rng)
+
+    def test_collapse_bitwise_equal_to_point_blocks(self, rng):
+        # the rule's eigenfunction values at the integration points, against
+        # eval_matrix on blocks of _PAIR_CHUNK // m points joined by hstack
+        spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 2, 3)))
+        alg = build_approx_sequence(spec, 1.5, 6, search_budget=1, seed=2)[-1]
+        r = 1000
+        basis, int_pts = alg.basis, rng.uniform(size=(r, 3))
+        step = max(1, _PAIR_CHUNK // alg.m)
+        assert 2 * step < r
+        x_int = np.hstack([basis.eval_matrix(int_pts[i:i + step], alg.m)
+                           for i in range(0, r, step)])
+        raw = alg.coeff_map.T @ (basis.integrals(alg.m) - x_int.sum(axis=1) / r)
+        weights = np.concatenate([raw, np.full(r, 1.0 / r)]) * (alg.n_samples + r)
+        cub = _collapse_to_cubature(alg, int_pts, basis)
+        assert cub.weights.tobytes() == weights.tobytes()
+        assert cub.nodes.tobytes() == np.vstack([alg.points, int_pts]).tobytes()
 
     def test_pairs_in_any_broadcast_shape(self, spec_d3_full, rng):
         basis = SymmetricBasis(spec_d3_full)
@@ -455,9 +483,9 @@ class TestCarriedBlocks:
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 1)
         batches, fills, extends, collapses, evals = [], [], [], [], []
 
-        def bounds(A, c=0.0):
-            batches.append(A.shape[2])
-            return permanent_bounds(A, c)
+        def ryser(cols):
+            batches.append(cols.shape[2])
+            return symmetry._ryser(cols)
 
         def spy(fn, log, args):
             def wrapped(*a):
@@ -472,7 +500,7 @@ class TestCarriedBlocks:
                 evals.append(np.broadcast(js, p).size)
             return pair_values(self, points, js, p)
 
-        monkeypatch.setattr(kernels, "permanent_bounds", bounds)
+        monkeypatch.setattr(kernels, "_ryser", ryser)
         monkeypatch.setattr(SymmetricBasis, "_pair_values", counted)
         monkeypatch.setattr(approx, "_fill_gram", spy(
             approx._fill_gram, fills, lambda out, X, Y, spec, start: (out.shape[0], start)))

@@ -12,7 +12,7 @@ import pytest
 import permqmc.cbc
 import permqmc.cli
 from permqmc import KernelSpec, PermStructure, SpectralWeight, shift_search
-from permqmc.cli import EXIT_CONFIG, EXIT_OK, main
+from permqmc.cli import EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, main
 from permqmc.lattice import LatticeRule, load_cubature, load_lattice
 
 
@@ -95,6 +95,68 @@ class TestCbcCommand:
                      ["integrate", "--rule", str(rule)]):
             assert main(argv + ["--d", "2", "--config", str(path)]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"space": {"alpah": 2}},
+         "unknown key 'alpah' in block 'space' of {path}; the nearest known key is 'alpha'"),
+        ({"structure": {"d": 3, "invariantt": [1, 2]}},
+         "unknown key 'invariantt' in block 'structure' of {path}; "
+         "the nearest known key is 'invariant'"),
+        ({"params": {"trails": 4}},
+         "unknown key 'trails' in block 'params' of {path}; the nearest known key is 'trials'"),
+        ({"spaces": {"alpha": 2}},
+         "unknown key 'spaces' in config {path}; the nearest known key is 'space'"),
+        ({"space": {"generator": {"knd": "plain_linear"}}},
+         "unknown key 'knd' in block 'generator' of {path}; the nearest known key is 'kind'"),
+        ({"integrand": {"n_mode": 4}},
+         "unknown key 'n_mode' in block 'integrand' of {path}; "
+         "the nearest known key is 'n_modes'"),
+        ({"structure": {"d": 3.7}},
+         "'d' in block 'structure' of {path} must be an integer, got 3.7"),
+        ({"structure": {"d": True}},
+         "'d' in block 'structure' of {path} must be an integer, got true"),
+        ({"params": {"n": 61.9}}, "'n' in block 'params' of {path} must be an integer, got 61.9"),
+        ({"params": {"seed": 1.5}},
+         "'seed' in block 'params' of {path} must be an integer, got 1.5"),
+        ({"space": {"alpha": True}},
+         "'alpha' in block 'space' of {path} must be a number, got true"),
+        ({"params": {"tol": False}},
+         "'tol' in block 'params' of {path} must be a number, got false"),
+        ({"structure": {"invariant": [1, 2.5]}},
+         "'invariant' in block 'structure' of {path} must be a string or a list of integers, "
+         "got [1, 2.5]"),
+        ({"structure": {"invariant": "full "}},
+         "invariant 'full ' is not 'full', 'none' or a comma-separated list of coordinates"),
+        ({"integrand": {"coefficients": {"3": "0.5"}}},
+         "coefficient '3' of the integrand must be a number, got \"0.5\""),
+    ])
+    def test_config_that_could_be_misread(self, tmp_path, capsys, cfg, message):
+        # a misspelled key or a lossy value exits 2 with one line naming it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["cbc", "--n", "13", "--d", "2", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+    def test_one_config_for_every_subcommand(self, tmp_path):
+        # every key that some subcommand reads is allowed in every config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "space": {"alpha": 1, "beta0": 1.0, "beta1": 1.0, "c_R": 1.0,
+                      "generator": {"kind": "korobov_linear", "table": [], "slope": 0}},
+            "structure": {"d": 2, "invariant": "1,2"},
+            "params": {"n": 13, "N": 16, "trials": 4, "seed": 1, "budget": 4, "tol": 1e-10,
+                       "lam": 1.0, "tau": 1.5, "delta": 0.5, "mode": "minimize",
+                       "method": "fixed_point", "n_list": [13, 17]},
+            "integrand": {"family": "spectral_sample", "n_modes": 4, "norm": 1.0, "seed": 2,
+                          "constant": 0.0, "coefficients": {"0": 1}},
+        }))
+        rule = tmp_path / "rule.txt"
+        assert main(["cbc", "--config", str(cfg), "--out", str(rule),
+                     "--json", str(tmp_path / "c.json")]) in (EXIT_OK, EXIT_FLAGGED)
+        for argv in (["shift-search", "--rule", str(rule)], ["error-eval", "--rule", str(rule)],
+                     ["approx-build"], ["convergence"], ["integrate", "--rule", str(rule)]):
+            assert main(argv + ["--config", str(cfg), "--json", str(tmp_path / "o.json")]) in (
+                EXIT_OK, EXIT_FLAGGED), argv
 
     @pytest.mark.parametrize("integrand, message", [
         ([1], "config {path} must be a JSON object, got list"),

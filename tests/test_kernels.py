@@ -30,7 +30,7 @@ from permqmc.kernels import (
     symmetrized_mass,
 )
 from permqmc.lattice import LatticeRule
-from permqmc.symmetry import (PERMANENT_CAP, PermanentBounds, PermStructure, _frac, _gamma,
+from permqmc.symmetry import (PERMANENT_CAP, PermStructure, _frac, _gamma,
                               permanent_bounds)
 from permqmc.weights import (GeneratorSpec, SpectralWeight, r_weight_inv_factors,
                              spectral_mass)
@@ -373,18 +373,17 @@ class TestSymmetricGram:
         monkeypatch.setattr(KernelSpec, "univariate", lambda self, t: (np.asarray(t) + 1.0, 0.0))
         seen = np.zeros((nx, ny), dtype=int)
 
-        def bounds(A, c=0.0):
-            i, j = A[0, 1].astype(int) - 1, 1 - A[1, 0].astype(int)
-            assert A.shape[2] <= chunk or np.all(i == i[0])   # a tile: whole rows
+        def ryser(cols):
+            i, j = cols[0, 1].astype(int) - 1, 1 - cols[1, 0].astype(int)
+            assert cols.shape[2] <= chunk or np.all(i == i[0])   # a tile: whole rows
             lower = (j < i) & upper
             # with Y is X, pairs below the diagonal only from the tile's
             # own diagonal block
             assert np.all(j[lower] >= i.min(initial=0))
             np.add.at(seen, (i, j), 1)
-            per, bound = permanent_bounds(A, c)
-            return PermanentBounds(per, np.where(lower, np.inf, bound))
+            return symmetry._ryser(cols)
 
-        monkeypatch.setattr(kernels, "permanent_bounds", bounds)
+        monkeypatch.setattr(kernels, "_ryser", ryser)
         spec = KernelSpec(SpectralWeight(), PermStructure(3, (1, 2)))
         X = np.column_stack([np.arange(nx), np.zeros(nx), np.full(nx, 0.5)])
         Y = X if upper else np.column_stack([np.arange(ny), np.zeros(ny), np.full(ny, 0.5)])
@@ -392,20 +391,24 @@ class TestSymmetricGram:
         owned = np.triu(np.ones((nx, ny), dtype=int)) if upper else np.ones((nx, ny), dtype=int)
         assert np.array_equal(seen * owned, owned)            # each owned pair once
         assert np.all(seen <= 1)
-        assert math.isfinite(cert)                            # no unowned certificate
+        assert math.isfinite(cert)
         if upper:
             assert np.array_equal(gram, gram.T)
 
 
 def pair_list_gram(X, Y, spec):
-    """The Gram matrix and certificate with node pairs listed by index
-    arrays: chunks of whole rows and at most ``_PAIR_CHUNK`` pairs, with
-    ``Y is X`` only the pairs j >= i, gathered with ``take``, written by
-    ``gram[i, j]`` and mirrored by ``gram[j, i]``."""
+    """The Gram matrix with node pairs listed by index arrays: chunks of whole
+    rows and at most ``_PAIR_CHUNK`` pairs, with ``Y is X`` only the pairs
+    j >= i, gathered with ``take``, written by ``gram[i, j]`` and mirrored by
+    ``gram[j, i]``.  Returns (gram, cert, pair_certs): cert is a priori, one
+    ``permanent_bounds`` of the matrix of M = mass + c1 per chunk, and
+    pair_certs holds each evaluated pair's own certificate, from the bound of
+    its table, at [i, j] (0 at the pairs not evaluated)."""
     upper = Y is X
     nx, ny = X.shape[0], Y.shape[0]
     inv, free, s = spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
-    gram, cert, lo = np.empty((nx, ny)), 0.0, 0
+    fact, mass = float(spec.perm.group_order), spectral_mass(spec.weight).hi
+    gram, pair_certs, cert, lo = np.empty((nx, ny)), np.zeros((nx, ny)), 0.0, 0
     while lo < nx:
         width = ny - lo if upper else ny
         hi = min(nx, lo + max(1, kernels._PAIR_CHUNK // max(width, 1)))
@@ -421,17 +424,18 @@ def pair_list_gram(X, Y, spec):
         fd = X[:, free].take(i, axis=0) - Y[:, free].take(j, axis=0)
         gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
         per, bound = permanent_bounds(vals.reshape(s, s, i.size), cert1)
-        mass = spectral_mass(spec.weight).hi if len(free) else 0.0
-        values, certs = kernels._gram_entries(per, np.abs(per), bound,
-                                              list(gf.reshape(fd.shape).T), spec.weight.beta0,
-                                              mass + 2.0 * certf, certf,
-                                              float(spec.perm.group_order))
+        scalar = permanent_bounds(np.full((s, s, 1), mass + cert1), cert1).bound[0]
+        rest = (list(gf.reshape(fd.shape).T), spec.weight.beta0, mass + 2.0 * certf, certf, fact)
+        values, certs = kernels._gram_entries(per, np.abs(per), bound, *rest)
+        _, chunk_cert = kernels._gram_entries(per, fact * (mass + cert1) ** s + scalar, scalar,
+                                              *rest, apriori=True)
         gram[i, j] = values
+        pair_certs[i, j] = certs
         if upper:
             gram[j, i] = values
-        if certs.size:
-            cert = max(cert, float(np.max(certs)))
-    return gram, cert
+        if i.size:
+            cert = max(cert, float(chunk_cert))
+    return gram, cert, pair_certs
 
 
 GRAM_PATTERNS = [(4, (1, 2, 3, 4)), (4, (1, 3)), (3, ())]
@@ -451,7 +455,7 @@ class TestRowTiles:
             X, Y = rng.uniform(size=(nx, d)), rng.uniform(size=(ny, d))
             for Y in ((X, Y) if nx == ny else (Y,)):
                 gram, cert = kernel_perminv_gram(X, Y, spec)
-                ref, ref_cert = pair_list_gram(X, Y, spec)
+                ref, ref_cert, _ = pair_list_gram(X, Y, spec)
                 assert gram.tobytes() == ref.tobytes(), (nx, ny, Y is X)
                 assert cert == ref_cert
 
@@ -471,6 +475,61 @@ class TestRowTiles:
         cert = max(cert_a, _fill_gram(buf, P, P, spec, n_a))
         assert buf.tobytes() == full.tobytes()
         assert cert == full_cert
+
+
+class TestTileBound:
+    """``_fill_gram`` takes one a priori bound per tile, the lattice route's
+    design: ``permanent_bounds`` of the matrix of M = mass + c1."""
+
+    @staticmethod
+    def specs(d, inv):
+        """alpha = 1 and alpha = 2 (closed form) and alpha = 2 by the series,
+        with positive and with signed K1."""
+        for b0, b1 in ((1.0, 1.0), (0.05, 2.0)):
+            yield KernelSpec(SpectralWeight(beta0=b0, beta1=b1), PermStructure(d, inv))
+            yield KernelSpec(SpectralWeight(alpha=2.0, beta0=b0, beta1=b1), PermStructure(d, inv))
+            yield KernelSpec(SpectralWeight(alpha=2.0, beta0=b0, beta1=b1), PermStructure(d, inv),
+                             mode="spectral", tol=1e-6)
+
+    @pytest.mark.parametrize("d, inv", GRAM_PATTERNS + [(3, (1, 2)), (5, (2, 3, 5))])
+    def test_scalar_bound_covers_every_entry(self, monkeypatch, d, inv):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", 300)
+        calls, blocks = [], []
+
+        def bounds(A, c=0.0):
+            calls.append((A.copy(), c))
+            return permanent_bounds(A, c)
+
+        def ryser(cols):
+            blocks.append(cols.copy())
+            return symmetry._ryser(cols)
+
+        rng = np.random.default_rng([d, len(inv)])
+        X, Y = rng.uniform(size=(60, d)), rng.uniform(size=(25, d))
+        for spec in self.specs(d, inv):
+            _, _, pairs = pair_list_gram(X, X, spec)
+            for Z, start in ((X, 0), (Y, None), (X, 23)):
+                out = np.full((60, Z.shape[0]), np.nan)
+                if start:
+                    out[:start, :start] = pair_list_gram(X[:start], X[:start], spec)[0]
+                with monkeypatch.context() as m:
+                    m.setattr(kernels, "permanent_bounds", bounds)
+                    m.setattr(kernels, "_ryser", ryser)
+                    calls.clear()
+                    blocks.clear()
+                    cert = _fill_gram(out, X, Z, spec, start)
+                # one bound per tile, for one matrix, above every pair's own
+                assert len(calls) == len(blocks) > 1
+                for (M, cert1), block in zip(calls, blocks):
+                    assert M.shape == (len(inv), len(inv), 1)
+                    scalar = permanent_bounds(M, cert1).bound[0]
+                    assert np.all(permanent_bounds(block, cert1).bound <= scalar)
+                # and a certificate no smaller than the largest per-pair one
+                if start is None:
+                    pairs_written = pair_list_gram(X, Z, spec)[2]
+                else:               # the pairs j >= max(i, start)
+                    pairs_written = pairs[:, start:]
+                assert cert >= pairs_written.max(), (spec, start)
 
 
 def gather_gram_mean(rule, spec):

@@ -8,9 +8,18 @@ case's grid is fixed below:
   approx         ``assemble_rule`` at tau = 1.5, d = 3 (N = 1024, 2048, 4096)
                  and d = 5 (N = 512, 1024, 2048), seeds 1 and 2, with the
                  sha256 of the ``.qw`` file that ``approx-build --out`` would
-                 write, and its work: the Gram pairs (``permanent_bounds``
-                 batch entries), the eigenfunction values of Phi blocks and
+                 write, and its work: the Gram pairs (``kernels._ryser``
+                 batch entries; 0 on checkouts whose Gram passes go through
+                 ``permanent_bounds``), the eigenfunction values of Phi blocks and
                  those of the sampler (``_pair_values`` (mode, point) pairs)
+  gram           the two per-pair engines alone on seeded uniform points:
+                 ``kernel_perminv_gram(X, X)`` and ``eval_matrix(X, GRAM_MODES)``
+                 at full invariance, (d, N) = (3, 1024), (5, 512), (8, 512),
+                 (12, 256), and at (6, invariant (1, 2, 3), 512): the time of
+                 each one's first call and the best of ``GRAM_CALLS`` more,
+                 the sha256 of the Gram's and of Phi's bytes, and the Gram
+                 certificate over the largest per-pair certificate, each
+                 pair's from its own ``permanent_bounds``
   spectral       ``worst_case_error_sq_spectral`` and
                  ``mean_sq_error(method="spectral")`` on shifted Korobov
                  lattices, d = 4...8, with the sha256 of the report (less its
@@ -116,6 +125,9 @@ RYSER_CALLS = 10
 # entries of the stream-alone row, near the 76855 that assemble_rule pops at
 # (d, N) = (24, 256) to pair the conjugate modes of its m = 103 (whole tie groups)
 STREAM_ENTRIES = 76858
+# eigenfunctions per point of the gram case, and its calls after the first
+GRAM_MODES = 100
+GRAM_CALLS = 3
 
 CASES = {
     "approx": [("approx", d, N, seed) for d, N in ((3, 1024), (3, 2048), (3, 4096),
@@ -139,6 +151,8 @@ CASES = {
                                                              (12, 4), (24, 4), (10, 0))],
     "bound-constant": ([("bound-constant", d, None) for d in (3, 4, 5, 6, 7, 8, 12)]
                        + [("bound-constant", 8, [1, 2, 3, 4])]),
+    "gram": [("gram", d, N, None) for d, N in ((3, 1024), (5, 512), (8, 512), (12, 256))]
+            + [("gram", 6, 512, [1, 2, 3])],
     "approx-tau": [("approx-tau", tau) for tau in (1.5, 1.8, 1.9, 1.95)],
     "stream": [("stream-rule", d) for d in (12, 16, 24)] + [("stream", 24, STREAM_ENTRIES)],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
@@ -177,21 +191,64 @@ def _approx(d: int, N: int, seed: int) -> dict:
     from permqmc.approx import SymmetricBasis, assemble_rule
 
     work = {"gram_pairs": 0, "phi_pairs": 0, "sampler_pairs": 0}
-    bounds, pair_values = kernels.permanent_bounds, SymmetricBasis._pair_values
+    ryser, pair_values = kernels._ryser, SymmetricBasis._pair_values
 
-    def counted_bounds(A, c=0.0):
-        work["gram_pairs"] += A.shape[2]
-        return bounds(A, c)
+    def counted_ryser(cols):
+        work["gram_pairs"] += cols.shape[2]
+        return ryser(cols)
 
     def counted_values(self, points, js, p):
         # Phi blocks pass a column of modes; the sampler one mode per point
         work["phi_pairs" if np.ndim(js) == 2 else "sampler_pairs"] += np.broadcast(js, p).size
         return pair_values(self, points, js, p)
 
-    kernels.permanent_bounds, SymmetricBasis._pair_values = counted_bounds, counted_values
+    kernels._ryser, SymmetricBasis._pair_values = counted_ryser, counted_values
     res, wall = _timed(lambda: assemble_rule(_spec(d), TAU, N, seed=seed))
     return {"wall_s": wall, "qw_sha256": _qw_sha256(res.cubature), "nodes": res.cubature.n,
             "level_m": res.algorithm.m, "certified": res.certified, **work}
+
+
+def _pair_cert_max(X: np.ndarray, spec) -> float:
+    """The largest certificate of the Gram entries K(x_i, x_j), j >= i, each
+    from its own table's ``permanent_bounds``, one row i per pass."""
+    from permqmc import kernels
+    from permqmc.symmetry import permanent_bounds
+    from permqmc.weights import spectral_mass
+
+    inv, free, s = spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
+    mass, best = spectral_mass(spec.weight).hi, 0.0
+    for i in range(X.shape[0]):
+        vals, c1 = spec.univariate((X[i, inv][:, None, None] - X[i:, inv].T[None]).reshape(-1))
+        fd = X[i, free] - X[i:, free]
+        gf, cf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        per, bound = permanent_bounds(vals.reshape(s, s, -1), c1)
+        _, certs = kernels._gram_entries(per, np.abs(per), bound, list(gf.reshape(fd.shape).T),
+                                         spec.weight.beta0, mass + 2.0 * cf, cf,
+                                         float(spec.perm.group_order))
+        best = max(best, float(np.max(certs)))
+    return best
+
+
+def _gram(d: int, N: int, inv: list | None) -> dict:
+    from permqmc import KernelSpec, PermStructure, SpectralWeight
+    from permqmc.approx import SymmetricBasis
+    from permqmc.kernels import kernel_perminv_gram
+
+    ps = PermStructure.full(d) if inv is None else PermStructure(d, tuple(inv))
+    spec = KernelSpec(SpectralWeight(), ps)
+    X = np.random.default_rng([d, N]).uniform(size=(N, d))
+    basis = SymmetricBasis(spec)
+    basis.ensure(GRAM_MODES)
+    t0 = time.perf_counter()
+    (gram, cert), gram_s = _timed(lambda: kernel_perminv_gram(X, X, spec))
+    phi, phi_s = _timed(lambda: basis.eval_matrix(X, GRAM_MODES))
+    gram_best = min(_timed(lambda: kernel_perminv_gram(X, X, spec))[1] for _ in range(GRAM_CALLS))
+    phi_best = min(_timed(lambda: basis.eval_matrix(X, GRAM_MODES))[1] for _ in range(GRAM_CALLS))
+    return {"wall_s": time.perf_counter() - t0, "gram_s": gram_s, "phi_s": phi_s,
+            "gram_best_s": gram_best, "phi_best_s": phi_best,
+            "gram_sha256": hashlib.sha256(gram.tobytes()).hexdigest(),
+            "phi_sha256": hashlib.sha256(phi.tobytes()).hexdigest(),
+            "certificate": cert, "cert_over_pair_max": cert / _pair_cert_max(X, spec)}
 
 
 def _spectral(d: int, n: int, H: int, route: str) -> dict:
@@ -386,7 +443,7 @@ def _ryser_digest() -> dict:
             "sha256": {name: h.hexdigest() for name, h in hashes.items()}}
 
 
-RUNNERS = {"approx": _approx, "spectral": _spectral, "route": _route, "cbc": _cbc,
+RUNNERS = {"approx": _approx, "gram": _gram, "spectral": _spectral, "route": _route, "cbc": _cbc,
            "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
            "approx-tau": _approx_tau, "stream-rule": _stream_rule, "stream": _stream,
            "ryser": _ryser_timing, "digest": _ryser_digest}
