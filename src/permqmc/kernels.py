@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import LatticeRule
-from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, _ryser, permanent_bounds
+from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, _ryser, permanent_bound
 from .weights import (Enclosure, SpectralWeight, _bernoulli, _rounded,
                       spectral_mass, tail_sum)
 
@@ -469,21 +469,24 @@ class KernelSpec:
         return power_kernel(self.weight, 1, t, False, mode=self.mode, tol=self.tol)
 
 
-def _gram_entries(per, per_abs, bound, fvals, b0: float, top: float, c1: float, fact: float,
-                  apriori: bool = False):
-    """Kernel values per * F / fact and their error bounds, F = beta0^f + q over
-    the f free coordinates (q their ``_free_excess``; F = 1 exactly at f = 0),
-    given |per| or a bound on it, and a bound on |per(T) - per| for the exact
-    K1 table T (``permanent_bounds``).  Then per(T) F_T - per F = (per(T) -
-    per) F_T + per (F_T - F), F adds a pow and a sum, the value two.  |F| is
-    per entry, or with ``apriori`` its bound beta0^f + |q|'s: one scalar."""
-    q, q_cert, q_abs = _free_excess(fvals, b0, top, c1)
-    f = len(fvals)
-    F = b0 ** f + q
-    F_cert = q_cert + _gamma(3) * (b0 ** f + q_abs) if f else 0.0
-    F_abs = b0 ** f + q_abs if apriori else np.abs(F)
-    return per * F / fact, (bound * (F_abs + F_cert)
-                            + per_abs * (F_cert + _gamma(2) * F_abs)) / fact
+def _gram_cert(M, cert1: float, f: int, b0: float, top: float, certf: float) -> float:
+    """One a priori bound on the error of every kernel value per * F / s!,
+    F = beta0^f + q over f free coordinates (q their ``_free_excess`` at
+    radius certf under ``top``; F = 1 exactly at f = 0), per computed by
+    ``_ryser`` on tables whose entries lie within M (s, s) in magnitude and
+    within cert1 of the exact K1 tables T.  Then per(T) F_T - per F =
+    (per(T) - per) F_T + per (F_T - F): |per(T) - per| is at most B =
+    ``permanent_bound(M, cert1)``, |per| at most s! max(M)^s + B and |F| at
+    most beta0^f + |q|'s bound; F adds a pow and a sum, the value two.  No
+    value enters: ``_free_excess``' bounds depend on the count f alone."""
+    s = len(M)
+    fact = float(math.factorial(s))
+    bound = float(permanent_bound(M, cert1))
+    per_abs = fact * float(M.max(initial=0.0)) ** s + bound
+    _, q_cert, q_abs = _free_excess([0.0] * f, b0, top, certf)
+    F_abs = b0 ** f + q_abs
+    F_cert = q_cert + _gamma(3) * F_abs if f else 0.0
+    return (bound * (F_abs + F_cert) + per_abs * (F_cert + _gamma(2) * F_abs)) / fact
 
 
 def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -494,13 +497,13 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     pair.  Else Y is X, out[:start, :start] holds the Gram of X[:start], and
     a tile, c0 = max(lo, start), is mirrored, its diagonal square's lower
     triangle from the upper: extending is rebuilding.  A tile's certificate
-    is a priori, as on the lattice route: |K1| <= K1(0), the mass, so the
-    ``permanent_bounds`` of the matrix of M = mass + c1 (c1 K1's certificate)
-    covers every pair permanent, and |per| <= s! M^s + that bound."""
+    is a priori, as on the lattice route: |K1| <= K1(0), the mass, so every
+    entry lies within M = mass + c1 (c1 K1's certificate) in magnitude
+    (``_gram_cert``)."""
     inv, free, fact = spec.perm.invariant_idx, spec.perm.free_idx, float(spec.perm.group_order)
     Xinv, Yinv, Xfree, Yfree = X[:, inv].T, Y[:, inv].T, X[:, free], Y[:, free]
     # beta0 + |K1(t) - beta0| is at most the mass at every t too
-    s, mass = len(inv), spectral_mass(spec.weight).hi
+    s, mass, b0 = len(inv), spectral_mass(spec.weight).hi, spec.weight.beta0
     (nx, ny), cert, lo = out.shape, 0.0, 0
     while lo < nx and ny > (start or 0):     # some pair left to write
         c0 = 0 if start is None else max(lo, start)
@@ -511,17 +514,16 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
         vals, cert1 = spec.univariate(diffs.reshape(-1))
         gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
         per = _ryser(vals.reshape(s, s, (hi - lo) * (ny - c0))).reshape(hi - lo, ny - c0)
-        bound = permanent_bounds(np.full((s, s, 1), mass + cert1), cert1).bound[0]
-        fvals = list(np.moveaxis(gf.reshape(fd.shape), -1, 0))
-        values, tile_cert = _gram_entries(
-            per, fact * (mass + cert1) ** s + bound, bound, fvals, spec.weight.beta0,
-            mass + 2.0 * certf, certf, fact, apriori=True)
+        # q alone: its bounds enter the certificate (``_gram_cert``)
+        q = _free_excess(np.moveaxis(gf.reshape(fd.shape), -1, 0), b0, 0.0, 0.0)[0]
+        values = per * (b0 ** len(free) + q) / fact
         out[lo:hi, c0:] = values
         if start is not None:       # mirrored, then the diagonal square's upper triangle again
             out[c0:, lo:hi] = values.T
             for r in range(c0, hi):
                 out[r, r + 1:hi] = values[r - lo, r + 1 - c0:hi - c0]
-        cert = max(cert, float(tile_cert))
+        cert = max(cert, _gram_cert(np.full((s, s), mass + cert1), cert1, len(free), b0,
+                                    mass + 2.0 * certf, certf))
         lo = hi
     return cert
 
@@ -530,7 +532,7 @@ def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Gram matrix G of the exchange-invariant kernel on point sets X, Y, by
     ``_fill_gram``; with ``Y is X`` exactly symmetric.  Returns (G, cert), cert
     bounding every entry's error a priori, per row tile: K1's certificate, as
-    the tables' entrywise radius, and every rounding (``_gram_entries``)."""
+    the tables' entrywise radius, and every rounding (``_gram_cert``)."""
     upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if upper else np.atleast_2d(np.asarray(Y, dtype=float))
@@ -557,11 +559,9 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     c_ij = z_j / (z_i - z_j) mod n: the n rows k of one m are the window of
     the doubled P_ij that starts at n - (m*c_ij mod n), and a chunk's block
     is one index into those windows.  For z_i = z_j (the diagonal, at least)
-    the entry is T_ij[-m*z_j mod n] for every k.  Every row i of every block
-    has R_i <= sum_j M_ij and ||a_i||^2 <= sum_j M_ij^2, M_ij = max_g
-    |T_ij[g]|, and ``permanent_bounds`` uses R_i and ||a_i|| only as upper
-    bounds; so its bound for the one matrix M at radius K1's certificate
-    covers every pair permanent, K1's certificate and rounding included.
+    the entry is T_ij[-m*z_j mod n] for every k.  Every block lies within
+    M_ij = max_g |T_ij[g]| in magnitude, so ``_gram_cert`` bounds every
+    entry's error a priori, once, from the one matrix M.
 
     Returns (mean, cert, pairs): cert bounds the error of the mean, that of
     every Gram entry plus the rounding of the accumulation; pairs counts the
@@ -578,7 +578,8 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     # the free coordinates' zero-mean K1 on the grid
     fg, certf = spec.zero_mean(grid) if len(free) else (grid, 0.0)
     b0 = spec.weight.beta0
-    bound = permanent_bounds(np.abs(table).max(axis=2)[:, :, None], cert1).bound[0]
+    cert = _gram_cert(np.abs(table).max(axis=2), cert1, len(free), b0,
+                      b0 + float(np.max(np.abs(fg))) + certf, certf)
     diff = (zi[:, None] - zi[None, :]) % n
     c = np.array([[zj * pow(d, -1, n) % n if d else 0 for zj, d in zip(zi.tolist(), row)]
                   for row in diff.tolist()], dtype=np.int64).reshape(s, s)
@@ -588,19 +589,17 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     di, dj = np.nonzero(diff == 0)
     half = n // 2
     step = max(1, _PAIR_CHUNK // n)
-    total = total_abs = cert = 0.0
+    total = total_abs = 0.0
     for lo in range(0, half + 1, step):
         m = np.arange(lo, min(lo + step, half + 1), dtype=np.int64)
         block = windows[ii, jj, n - c[:, :, None] * m % n]          # (s, s, len(m), n)
         block[di, dj] = table[di[:, None], dj[:, None], -zi[dj][:, None] * m % n][..., None]
         per = _ryser(block.reshape(s, s, len(m) * n)).reshape(len(m), n)
-        rows, certs = _gram_entries(per, np.abs(per).max(axis=1, keepdims=True), bound,
-                                    [fg.take(m[:, None] * zi % n) for zi in z[free]], b0,
-                                    b0 + float(np.max(np.abs(fg))) + certf, certf, fact)
+        q = _free_excess([fg.take(m[:, None] * zi % n) for zi in z[free]], b0, 0.0, 0.0)[0]
+        rows = per * (b0 ** len(free) + q) / fact
         mult = np.where((m == 0) | (2 * m == n), 1.0, 2.0)
         total += float(mult @ rows.sum(axis=1))
         total_abs += float(mult @ np.abs(rows).sum(axis=1))
-        cert = max(cert, float(np.max(certs)))
     # a value meets a row sum, the product with mult, a dot of at most step
     # terms, one addition per chunk and the division
     depth = _sum_depth(n) + min(step, half + 1) + -(-(half + 1) // step) + 2

@@ -142,10 +142,47 @@ def save_lattice(rule: LatticeRule, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _split_lines(path) -> list[list[str]]:
+class _Line(list):
+    """The whitespace-split tokens of one line of a rule file, with the
+    line's 1-based number in the file."""
+
+    __slots__ = ("number",)
+
+    def __init__(self, tokens: list[str], number: int):
+        super().__init__(tokens)
+        self.number = number
+
+
+def _split_lines(path) -> list[_Line]:
     """The non-blank lines of a text file, as ``str.splitlines`` gives them,
     each split on whitespace; the one reader of both rule formats."""
-    return [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    return [_Line(ln.split(), k) for k, ln in enumerate(Path(path).read_text().splitlines(), 1)
+            if ln.strip()]
+
+
+def _values(line: _Line, kind: type, path) -> list:
+    """The tokens of ``line`` as ``kind`` (int or float); a token that is not
+    one raises ValueError naming the file, the line and the token."""
+    out = []
+    for tok in line:
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"rule file {path}, line {line.number}: "
+                             f"{tok!r} is not {what}") from None
+    return out
+
+
+def _header(lines: list[_Line], path) -> tuple[int, int]:
+    """(n, d) from the header line "n d" that both formats start with."""
+    if not lines or len(lines[0]) != 2:
+        raise ValueError(f"rule file {path}: expected a header 'n d'")
+    n, d = _values(lines[0], int, path)
+    if d < 1:
+        raise ValueError(f"rule file {path}, line {lines[0].number}: "
+                         f"the header gives d = {d}; expected d >= 1")
+    return n, d
 
 
 class RuleFormatError(ValueError):
@@ -165,7 +202,7 @@ def load_rule(path) -> LatticeRule | WeightedCubature:
     if len(lines) < 2 or len(lines[0]) != 2:
         raise RuleFormatError(
             f"rule file {path}: expected a header 'n d' and at least one more line")
-    d = int(lines[0][1])
+    _, d = _header(lines, path)
     if len(lines[1]) == d:
         return _parse_lattice(lines, path)
     if len(lines[1]) == d + 1:
@@ -180,17 +217,20 @@ def load_lattice(path) -> LatticeRule:
     return _parse_lattice(_split_lines(path), path)
 
 
-def _parse_lattice(lines: list[list[str]], path) -> LatticeRule:
-    if not 2 <= len(lines) <= 3 or len(lines[0]) != 2:
+def _parse_lattice(lines: list[_Line], path) -> LatticeRule:
+    n, d = _header(lines, path)
+    if len(lines) > 1 and len(lines[1]) == d + 1:
+        raise ValueError(f"lattice file {path}: line {lines[1].number} has d + 1 = {d + 1} "
+                         "columns, a node/weight row: this is a node/weight file")
+    if len(lines) not in (2, 3):
         raise ValueError(f"malformed lattice file {path}: expected 'n d', the "
                          "generators and an optional shift line")
-    n, d = (int(v) for v in lines[0])
-    z = tuple(int(v) for v in lines[1])
+    z = tuple(_values(lines[1], int, path))
     if len(z) != d:
         raise ValueError(f"lattice file {path}: expected {d} components, got {len(z)}")
     shift = None
     if len(lines) > 2:
-        shift = tuple(float(v) for v in lines[2])
+        shift = tuple(_values(lines[2], float, path))
         if len(shift) != d:
             raise ValueError(f"lattice file {path}: bad shift length")
     return LatticeRule(n, z, shift)
@@ -210,15 +250,13 @@ def load_cubature(path) -> WeightedCubature:
     return _parse_cubature(_split_lines(path), path)
 
 
-def _parse_cubature(lines: list[list[str]], path) -> WeightedCubature:
-    if not lines or len(lines[0]) != 2:
-        raise ValueError(f"malformed cubature file {path}: expected a header 'N d'")
-    n, d = (int(v) for v in lines[0])
-    if n < 1 or d < 1:
-        raise ValueError(f"cubature file {path}: header needs N >= 1 and d >= 1")
+def _parse_cubature(lines: list[_Line], path) -> WeightedCubature:
+    n, d = _header(lines, path)
+    if n < 1:
+        raise ValueError(f"cubature file {path}: header needs N >= 1")
     if len(lines) != n + 1:
         raise ValueError(f"cubature file {path}: expected {n} rows")
     if any(len(row) != d + 1 for row in lines[1:]):
         raise ValueError(f"cubature file {path}: expected {d + 1} columns")
-    rows = np.array([[float(v) for v in row] for row in lines[1:]])
+    rows = np.array([_values(row, float, path) for row in lines[1:]])
     return WeightedCubature(rows[:, 1:], rows[:, 0])

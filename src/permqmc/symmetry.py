@@ -2,13 +2,14 @@
 
 Holds the permutation structure (which coordinates may be exchanged), exact
 multiplicity counts of multi-indices, canonical sorted representatives, and
-the permanent engine (Glynn's formula) used for symmetrized product sums.
+the permanent engine (Glynn's formula) used for symmetrized product sums,
+with an a priori bound on its rounding that reads only entry magnitudes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,8 +18,7 @@ __all__ = [
     "multiplicity_array",
     "normalize_to_nabla",
     "permanent_batch",
-    "permanent_bounds",
-    "PermanentBounds",
+    "permanent_bound",
     "PermanentCapError",
     "PERMANENT_CAP",
 ]
@@ -146,7 +146,7 @@ def _ryser(cols):
     """
     s, _, b = cols.shape
     _check_cap(s)
-    dtype = np.complex128 if cols.dtype.kind == "c" else np.float64   # the bound's u
+    dtype = np.complex128 if cols.dtype.kind == "c" else np.float64   # summed in double
     total = np.full(b, float(s == 0), dtype=dtype)
     if s:
         row = np.zeros((s, b), dtype=dtype)           # half row sums
@@ -171,14 +171,16 @@ def permanent_batch(A) -> np.ndarray:
 
     One ``_ryser`` pass over ``A`` with its batch axis moved last (a
     batch-last array passed through ``np.moveaxis(B, -1, 0)`` is read
-    without a copy), so each result is bitwise ``permanent_bounds(...).per``
-    of the same matrix.  Eigenfunction values use it on phases, |a_ij| = 1,
-    where R_i = s and ||a_i||^2 = s in ``permanent_bounds``' bound: the
+    without a copy), summed in double whatever A's dtype.  Eigenfunction
+    values use it on phases, |a_ij| = 1.  There the bound of
+    ``permanent_bound``'s derivation at M = J, the all-ones matrix, and
+    c = 0 has R_i = s and ||m_i||^2 = s, and a complex product counts three
+    roundings (Higham, Lemma 3.5), so k = 3s + 2^(s-1) - 4 replaces K: the
     rounding is at most the constant C_s = gamma_k (1 + 1/s) Q s^s
-    (1 + gamma_k)^s, Q = (1 + sqrt(s) gamma_k)^2 / (1 + gamma_k)^2,
-    k = 3s + 2^(s-1) - 4 (1 + Q in place of (1 + 1/s) Q at s = 2, and 0 at
-    s <= 1).  To first order C_s = gamma_k (s + 1) s^(s-1): 3.6e-14,
-    5.7e-13, 1.1e-11 and 2.8e-10 at s = 3...6, where s! = 6...720.
+    (1 + gamma_k)^s, Q = (1 + sqrt(s) gamma_k)^2 / (1 + gamma_k)^2
+    (1 + Q in place of (1 + 1/s) Q at s = 2, and 0 at s <= 1).  To first
+    order C_s = gamma_k (s + 1) s^(s-1): 3.6e-14, 5.7e-13, 1.1e-11 and
+    2.8e-10 at s = 3...6, where s! = 6...720.
     """
     A = np.asarray(A)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
@@ -186,20 +188,16 @@ def permanent_batch(A) -> np.ndarray:
     return _ryser(np.moveaxis(A, 0, -1))
 
 
-class PermanentBounds(NamedTuple):
-    """Per-matrix permanents of a batch-last stack and their error bound."""
+def permanent_bound(M, c: float = 0.0):
+    """A bound on |per(T) - p| for every real matrix A with |A| <= M
+    entrywise, p its permanent by ``_ryser``, and every table T with
+    |T - A| <= c entrywise, barring underflow.  M holds entry magnitudes,
+    M >= 0, of shape (s, s) or batch-last (s, s, batch); the bound has shape
+    M.shape[2:].  No permanent is evaluated.
 
-    per: np.ndarray     # per(A), computed
-    bound: np.ndarray   # bound on |per(T) - per| for every |T - A| <= c
-
-
-def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
-    """Permanents of a batch-last stack A of shape (s, s, batch), by one
-    ``_ryser`` pass over A, and a bound on |per(T) - per| for every table T
-    with |T - A| <= c entrywise, barring underflow.
-
-    In Glynn's form, with R_i = sum_j |a_ij|, N = 2^(s-1), K = s + N - 2
-    and the full row sums rho_i(delta) = sum_j delta_j a_ij:
+    In Glynn's form, with R_i = sum_j M_ij >= sum_j |a_ij|, ||m_i|| =
+    sqrt(sum_j M_ij^2) >= ||a_i||_2, N = 2^(s-1), K = s + N - 2 and the full
+    row sums rho_i(delta) = sum_j delta_j a_ij:
     * a computed row sum is reached by s - 1 additions and at most N - 1
       Gray steps, each with an exact result in [-R_i, R_i], so it errs by at
       most gamma_K R_i, whatever columns came and went before (a bound
@@ -211,46 +209,44 @@ def permanent_bounds(A, c: float = 0.0) -> PermanentBounds:
       the row radii, then s - 1 products and N - 1 additions,
       gamma_(s-1) + gamma_(N-1) (1 + gamma_(s-1)) <= gamma_K;
     * sum_delta rho_i^2 = N ||a_i||_2^2 (cross terms cancel), so sum_delta
-      y_i^2 <= N h_i^2, h_i = ||a_i||_2 + e_i; with g_i = R_i + e_i >= y_i,
+      y_i^2 <= N h_i^2, h_i = ||m_i|| + e_i; with g_i = R_i + e_i >= y_i,
       AM-GM gives over p >= 2 rows
       sum_delta prod_(l in T) y_l <= N prod_(l in T) g_l mean_(l in T) q_l,
       q_l = (h_l / g_l)^2 <= 1, and over p = 1 row Cauchy-Schwarz gives
       N h_l <= N g_l (1 + q_l) / 2.
-    With t_i = e_i / g_i and Q = sum_i q_i, per = 2^(1-s) sum_delta errs by
+    With t_i = e_i / g_i and Q = sum_i q_i, p = 2^(1-s) sum_delta errs by
     at most prod_i g_i (gamma_K Q / s + sum_i t_i W_i), where W_i =
     (Q - q_i) / (s - 1), or (1 + Q - q_i) / 2 at s = 2 and 1 at s = 1 (where
-    gamma_K = 0).  A complex product counts three roundings (Higham, Lemma
-    3.5), so for complex A k = 3s + N - 4 replaces K.  The radius is raised
-    by the smallest normal double, so that a zero row at c = 0 has g_i > 0
-    and the bound stays finite.  A factor 1 + 2^-40 covers the bound's own
+    gamma_K = 0).  Every step bounds R_i and ||a_i|| from above only, so one
+    matrix of entry maxima covers a whole stack.  The radius is raised by
+    the smallest normal double, so that a zero row at c = 0 has g_i > 0 and
+    the bound stays finite.  A factor 1 + 2^-40 covers the bound's own
     evaluation.  Near the all-ones matrix Q is near 1, so at c = 0 the bound
     is about gamma_K (1 + 1/s) prod_i g_i.
     """
-    A = np.asarray(A)
-    if A.ndim != 3 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must have shape (s, s, batch)")
-    s = A.shape[0]
-    per = _ryser(A)
-    bound = np.zeros(A.shape[2])
-    if s:
-        gk = _gamma(s + (1 << (s - 1)) - 2 + (2 * s - 2 if A.dtype.kind == "c" else 0))
-        rows = np.empty((3, s, A.shape[2]))
-        g, h, e = rows
-        np.abs(A[:, 0], out=g)
-        np.square(g, out=h)
-        for j in range(1, s):                       # column by column: no |A| copy
-            np.abs(A[:, j], out=e)
-            g += e
-            e *= e
-            h += e
-        np.sqrt(h, out=h)                           # g = R_i, h = ||a_i||
-        np.multiply(g, gk, out=e)
-        e += s * c + _TINY                          # e_i > 0, so no g_i is 0
-        rows[:2] += e                               # g_i, h_i
-        rows[1:] /= g                               # h_i / g_i, t_i
-        h *= h                                      # q_i
-        Q, tsum = rows[1:].sum(axis=1)
-        W = tsum * (Q + (s <= 2)) - np.einsum("ib,ib->b", h, e)   # sum_i t_i W_i
-        W /= s - 1 if s > 2 else s
-        bound = (1.0 + 2.0 ** -40) * np.prod(g, axis=0) * (gk / s * Q + W)
-    return PermanentBounds(per, bound)
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3) or M.shape[0] != M.shape[1]:
+        raise ValueError("M must have shape (s, s) or (s, s, batch)")
+    s = M.shape[0]
+    _check_cap(s)
+    if not s:
+        return np.zeros(M.shape[2:])
+    gk = _gamma(s + (1 << (s - 1)) - 2)
+    rows = np.empty((3,) + M.shape[1:])
+    g, h, e = rows
+    g[:] = M[:, 0]
+    np.square(g, out=h)
+    for j in range(1, s):
+        g += M[:, j]
+        np.square(M[:, j], out=e)
+        h += e
+    np.sqrt(h, out=h)                               # g = R_i, h = ||m_i||
+    np.multiply(g, gk, out=e)
+    e += s * c + _TINY                              # e_i > 0, so no g_i is 0
+    rows[:2] += e                                   # g_i, h_i
+    rows[1:] /= g                                   # h_i / g_i, t_i
+    h *= h                                          # q_i
+    Q, tsum = rows[1:].sum(axis=1)
+    W = tsum * (Q + (s <= 2)) - np.einsum("i...,i...->...", h, e)   # sum_i t_i W_i
+    W /= s - 1 if s > 2 else s
+    return (1.0 + 2.0 ** -40) * np.prod(g, axis=0) * (gk / s * Q + W)

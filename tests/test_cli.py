@@ -489,6 +489,30 @@ class TestPipelines:
             assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
             assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("13 2.0\n1 5\n", "line 1: '2.0' is not an integer"),
+        ("\n13 2\n\n1 x\n", "line 4: 'x' is not an integer"),
+        ("13 2\n1 5\n0.5 abc\n", "line 3: 'abc' is not a number"),
+        ("2 2\n1 0.5 0.5\n1 abc 0.5\n", "line 3: 'abc' is not a number"),
+        ("13 -1\n1\n", "line 1: the header gives d = -1; expected d >= 1"),
+        ("13 0\n1\n", "line 1: the header gives d = 0; expected d >= 1"),
+    ])
+    def test_rule_file_token_messages(self, cfg_path, tmp_path, capsys, text, message):
+        # the file, the 1-based line (blank lines counted) and the token
+        rule = tmp_path / "bad.txt"
+        rule.write_text(text)
+        for cmd in ("error-eval", "integrate"):
+            assert main([cmd, "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: rule file {rule}, {message}\n"
+
+    def test_lattice_command_on_node_weight_file(self, cfg_path, tmp_path, capsys):
+        rule = tmp_path / "rule.qw"
+        rule.write_text("\n2 2\n1 0.1 0.2\n1 0.3 0.4\n")
+        assert main(["shift-search", "--config", str(cfg_path), "--rule", str(rule)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: lattice file {rule}: line 3 has d + 1 = 3 columns, a node/weight row: "
+            "this is a node/weight file\n")
+
     @pytest.mark.parametrize("exc, message", [
         (MemoryError(), "error: out of memory (allocation refused)"),
         (MemoryError("Unable to allocate 74.5 GiB"),

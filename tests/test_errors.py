@@ -299,7 +299,7 @@ class TestLatticeFftRoute:
         def no_pairs(*args, **kwargs):
             raise AssertionError("pair permanents evaluated on the FFT route")
 
-        monkeypatch.setattr(kernels, "permanent_bounds", no_pairs)
+        monkeypatch.setattr(kernels, "_ryser", no_pairs)
         monkeypatch.setattr(errors, "lattice_gram_mean", no_pairs)
         for d, inv, n, z in [(3, (1, 2, 3), 1009, (1, 286, 53)), (3, (1, 2, 3), 7, (1, 2, 4)),
                              (3, (1, 2, 3), 7, (1, 1, 3)), (2, (1, 2), 101, (1, 40)),

@@ -30,12 +30,11 @@ from permqmc.kernels import (
     symmetrized_mass,
 )
 from permqmc.lattice import LatticeRule
-from permqmc.symmetry import (PERMANENT_CAP, PermStructure, _frac, _gamma,
-                              permanent_bounds)
+from permqmc.symmetry import PERMANENT_CAP, PermStructure, _frac, _gamma, permanent_bound
 from permqmc.weights import (GeneratorSpec, SpectralWeight, r_weight_inv_factors,
                              spectral_mass)
 
-from oracles import fix_count, gram_long_double, validate_closed_form
+from oracles import fix_count, gram_long_double, lattice_error_sq_long_double, validate_closed_form
 
 
 def box_kernel_perminv(x, y, spec, H):
@@ -400,10 +399,10 @@ def pair_list_gram(X, Y, spec):
     """The Gram matrix with node pairs listed by index arrays: chunks of whole
     rows and at most ``_PAIR_CHUNK`` pairs, with ``Y is X`` only the pairs
     j >= i, gathered with ``take``, written by ``gram[i, j]`` and mirrored by
-    ``gram[j, i]``.  Returns (gram, cert, pair_certs): cert is a priori, one
-    ``permanent_bounds`` of the matrix of M = mass + c1 per chunk, and
-    pair_certs holds each evaluated pair's own certificate, from the bound of
-    its table, at [i, j] (0 at the pairs not evaluated)."""
+    ``gram[j, i]``.  Returns (gram, cert, pair_certs): cert is a priori, from
+    the matrix of M = mass + c1 per chunk, and pair_certs holds each
+    evaluated pair's own certificate, from ``permanent_bound`` of its |table|,
+    its |per| and its |F|, at [i, j] (0 at the pairs not evaluated)."""
     upper = Y is X
     nx, ny = X.shape[0], Y.shape[0]
     inv, free, s = spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
@@ -423,12 +422,21 @@ def pair_list_gram(X, Y, spec):
         vals, cert1 = spec.univariate(diffs.reshape(-1))
         fd = X[:, free].take(i, axis=0) - Y[:, free].take(j, axis=0)
         gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
-        per, bound = permanent_bounds(vals.reshape(s, s, i.size), cert1)
-        scalar = permanent_bounds(np.full((s, s, 1), mass + cert1), cert1).bound[0]
-        rest = (list(gf.reshape(fd.shape).T), spec.weight.beta0, mass + 2.0 * certf, certf, fact)
-        values, certs = kernels._gram_entries(per, np.abs(per), bound, *rest)
-        _, chunk_cert = kernels._gram_entries(per, fact * (mass + cert1) ** s + scalar, scalar,
-                                              *rest, apriori=True)
+        per = symmetry._ryser(vals.reshape(s, s, i.size))
+        fvals, b0 = list(gf.reshape(fd.shape).T), spec.weight.beta0
+        q, q_cert, q_abs = kernels._free_excess(fvals, b0, mass + 2.0 * certf, certf)
+        F = b0 ** len(fvals) + q
+        F_abs = b0 ** len(fvals) + q_abs
+        F_cert = q_cert + _gamma(3) * F_abs if fvals else 0.0
+        values = per * F / fact
+        # a priori: the bound of the matrix of M's, |per| <= s! M^s + it, |F| <= F_abs
+        scalar = permanent_bound(np.full((s, s), mass + cert1), cert1)
+        chunk_cert = (scalar * (F_abs + F_cert)
+                      + (fact * (mass + cert1) ** s + scalar) * (F_cert + _gamma(2) * F_abs)) / fact
+        # each pair's own: its table's bound, |per| and |F| in place of theirs
+        bound = permanent_bound(np.abs(vals.reshape(s, s, i.size)), cert1)
+        certs = (bound * (np.abs(F) + F_cert)
+                 + np.abs(per) * (F_cert + _gamma(2) * np.abs(F))) / fact
         gram[i, j] = values
         pair_certs[i, j] = certs
         if upper:
@@ -479,7 +487,7 @@ class TestRowTiles:
 
 class TestTileBound:
     """``_fill_gram`` takes one a priori bound per tile, the lattice route's
-    design: ``permanent_bounds`` of the matrix of M = mass + c1."""
+    design: ``permanent_bound`` of the matrix of M = mass + c1."""
 
     @staticmethod
     def specs(d, inv):
@@ -496,9 +504,9 @@ class TestTileBound:
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 300)
         calls, blocks = [], []
 
-        def bounds(A, c=0.0):
-            calls.append((A.copy(), c))
-            return permanent_bounds(A, c)
+        def bounds(M, c=0.0):
+            calls.append((M.copy(), c))
+            return permanent_bound(M, c)
 
         def ryser(cols):
             blocks.append(cols.copy())
@@ -513,7 +521,7 @@ class TestTileBound:
                 if start:
                     out[:start, :start] = pair_list_gram(X[:start], X[:start], spec)[0]
                 with monkeypatch.context() as m:
-                    m.setattr(kernels, "permanent_bounds", bounds)
+                    m.setattr(kernels, "permanent_bound", bounds)
                     m.setattr(kernels, "_ryser", ryser)
                     calls.clear()
                     blocks.clear()
@@ -521,9 +529,9 @@ class TestTileBound:
                 # one bound per tile, for one matrix, above every pair's own
                 assert len(calls) == len(blocks) > 1
                 for (M, cert1), block in zip(calls, blocks):
-                    assert M.shape == (len(inv), len(inv), 1)
-                    scalar = permanent_bounds(M, cert1).bound[0]
-                    assert np.all(permanent_bounds(block, cert1).bound <= scalar)
+                    assert M.shape == (len(inv), len(inv))
+                    scalar = permanent_bound(M, cert1)
+                    assert np.all(permanent_bound(np.abs(block), cert1) <= scalar)
                 # and a certificate no smaller than the largest per-pair one
                 if start is None:
                     pairs_written = pair_list_gram(X, Z, spec)[2]
@@ -582,26 +590,30 @@ class TestLatticePairRoute:
     def test_scalar_bound_covers_every_entry(self, monkeypatch, n, d, inv):
         calls, blocks = [], []
 
-        def bounds(A, c=0.0):
-            calls.append((A.copy(), c))
-            return permanent_bounds(A, c)
+        def bounds(M, c=0.0):
+            calls.append((M.copy(), c))
+            return permanent_bound(M, c)
 
         def ryser(cols):
             blocks.append(cols.copy())
             return symmetry._ryser(cols)
 
-        monkeypatch.setattr(kernels, "permanent_bounds", bounds)
+        monkeypatch.setattr(kernels, "permanent_bound", bounds)
         monkeypatch.setattr(kernels, "_ryser", ryser)
         for spec, rule in self.cases(n, d, inv):
             calls.clear()
             blocks.clear()
             lattice_gram_mean(rule, spec)
             [(M, cert1)] = calls          # one bound per call, for one matrix
-            assert M.shape == (len(inv), len(inv), 1)
-            scalar = permanent_bounds(M, cert1).bound[0]
+            # the tables' entry maxima, at K1's certificate as the radius
+            sh = np.asarray(rule.shift)[spec.perm.invariant_idx]
+            table, c1 = spec.univariate(np.arange(n, dtype=float) / n
+                                        + (sh[:, None] - sh[None, :])[:, :, None])
+            assert cert1 == c1 and M.tobytes() == np.abs(table).max(axis=2).tobytes()
+            scalar = permanent_bound(M, cert1)
             assert len(blocks) == -(-(n // 2 + 1) // max(1, kernels._PAIR_CHUNK // n))
             for block in blocks:
-                assert np.all(permanent_bounds(block, cert1).bound <= scalar), rule.z
+                assert np.all(permanent_bound(np.abs(block), cert1) <= scalar), rule.z
 
     @pytest.mark.parametrize("d, inv", [(4, (1, 2, 3, 4)), (5, (2, 3, 5)), (3, ()), (2, (1, 2))])
     @pytest.mark.parametrize("n", [2, 3, 13, 31, 101])
@@ -613,6 +625,62 @@ class TestLatticePairRoute:
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)     # one m per chunk at n = 31
         for spec, rule in self.cases(31, 4, (1, 2, 3, 4)):
             assert lattice_gram_mean(rule, spec)[0] == gather_gram_mean(rule, spec)
+
+
+    @pytest.mark.parametrize("d, inv, n", [(6, (1, 2, 3), 31), (4, (1, 2, 4), 61)])
+    def test_certificate_within_long_double_reference(self, d, inv, n):
+        # signed K1 with free coordinates, where the a priori |per| and |F|
+        # move the certificate most: the mean less beta0^d against the
+        # long-double sum over all node pairs and exchanges
+        rng = np.random.default_rng([d, n])
+        rule = LatticeRule(n, tuple(int(v) for v in rng.integers(1, n, size=d)),
+                           tuple(rng.uniform(size=d)))
+        ps = PermStructure(d, inv)
+        spec = KernelSpec(SpectralWeight(beta0=0.05, beta1=2.0), ps)
+        mean, cert, _ = lattice_gram_mean(rule, spec)
+        ref = lattice_error_sq_long_double(rule, ps, 1, 0.05, 2.0)
+        assert cert < 1e-10 * abs(mean)
+        assert abs(mean - 0.05 ** d - ref) <= cert + 2.0 ** -52 * (abs(ref) + 0.05 ** d)
+
+
+class TestPermanentPasses:
+    """The Gram routes pass ``_ryser`` the pairs they evaluate and nothing
+    else: their certificates read entry magnitudes, not a permanent."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        batches = []
+        ryser = symmetry._ryser
+
+        def counting(cols):
+            batches.append(cols.shape[2])
+            return ryser(cols)
+
+        monkeypatch.setattr(symmetry, "_ryser", counting)
+        monkeypatch.setattr(kernels, "_ryser", counting)
+        return batches
+
+    @pytest.mark.parametrize("d, inv", GRAM_PATTERNS + [(5, (2, 3, 5))])
+    def test_gram(self, monkeypatch, d, inv):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", 300)
+        spec = KernelSpec(SpectralWeight(beta0=0.7, beta1=1.3), PermStructure(d, inv))
+        rng = np.random.default_rng([d, len(inv), 3])
+        X, Y = rng.uniform(size=(40, d)), rng.uniform(size=(23, d))
+        batches = self.spy(monkeypatch)
+        kernel_perminv_gram(X, Y, spec)
+        assert len(batches) > 1 and sum(batches) == 40 * 23
+        batches.clear()
+        kernel_perminv_gram(X, X, spec)      # the tiles c0 = lo: of each row, j >= lo
+        assert min(batches) > 1 and 40 * 41 // 2 <= sum(batches) < 40 * 40
+
+    @pytest.mark.parametrize("d, inv", [(4, (1, 2, 3, 4)), (4, (1, 2, 4)), (3, (1, 2, 3))])
+    @pytest.mark.parametrize("n", [13, 101])
+    def test_lattice_mean(self, monkeypatch, n, d, inv):
+        for spec, rule in TestLatticePairRoute.cases(n, d, inv):
+            batches = self.spy(monkeypatch)
+            _, _, pairs = lattice_gram_mean(rule, spec)
+            assert sum(batches) == pairs == n * (n // 2 + 1)
+            assert len(batches) == -(-(n // 2 + 1) // max(1, kernels._PAIR_CHUNK // n))
 
 
 class TestShiftInvariantKernel:

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permqmc import symmetry
 from permqmc.symmetry import (
     PERMANENT_CAP,
     PermStructure,
-    PermanentBounds,
     PermanentCapError,
     _frac,
+    _ryser,
     multiplicity_array,
     normalize_to_nabla,
     permanent_batch,
-    permanent_bounds,
+    permanent_bound,
 )
 
 from oracles import restriction_constant, set_partitions
@@ -31,8 +32,8 @@ def naive_permanent(A):
 
 
 def permanent(A):
-    """per(A) of one square matrix by the fused Ryser pass."""
-    return permanent_bounds(np.asarray(A)[:, :, None]).per[0]
+    """per(A) of one square matrix by the package's one Glynn pass."""
+    return _ryser(np.asarray(A)[:, :, None])[0]
 
 
 def multiplicity(k, ps):
@@ -238,32 +239,30 @@ def exact_error(value, exact) -> float:
                       float(Fraction(value.imag) - exact[1])) * (1 + 1e-15)
 
 
-def glynn_bound(A, c):
-    """The bound of ``permanent_bounds``' docstring for one matrix, evaluated
-    row by row: prod_i g_i (gamma_k Q / s + sum_i t_i W_i)."""
-    s = A.shape[0]
+def glynn_bound(M, c):
+    """The bound of ``permanent_bound``'s docstring for one magnitude matrix,
+    evaluated row by row: prod_i g_i (gamma_K Q / s + sum_i t_i W_i)."""
+    s = M.shape[0]
     if s == 0:
         return 0.0
-    g = gamma(s + 2 ** (s - 1) - 2 + (2 * s - 2 if np.iscomplexobj(A) else 0))
-    B = np.abs(A)
-    R = B.sum(axis=1)
+    g = gamma(s + 2 ** (s - 1) - 2)
+    R = M.sum(axis=1)
     e = g * R + s * c + np.finfo(float).tiny    # the row radius
     G = R + e
-    q = ((np.sqrt((B * B).sum(axis=1)) + e) / G) ** 2
+    q = ((np.sqrt((M * M).sum(axis=1)) + e) / G) ** 2
     t, Q = e / G, q.sum()
     W = 1.0 if s == 1 else (1 + Q - q) / 2 if s == 2 else (Q - q) / (s - 1)
     return float(np.prod(G)) * (g * Q / s + float(np.sum(t * W)))
 
 
-def perturbations(s, c, cplx, rng, corners=4):
+def perturbations(s, c, rng, corners=4):
     """Entrywise perturbations E with |E| <= c: none at c = 0, else cJ and
-    random sign corners (for complex A, corners of +-c and +-ic)."""
+    random sign corners."""
     if c == 0:
         return [None]
     out = [np.full((s, s), c)]
     for _ in range(corners):
-        E = c * rng.choice([-1.0, 1.0], size=(s, s))
-        out.append(E * rng.choice([1, 1j], size=(s, s)) if cplx else E)
+        out.append(c * rng.choice([-1.0, 1.0], size=(s, s)))
     return out
 
 
@@ -288,45 +287,66 @@ def stack(kind, s, b, rng):
     return A
 
 
+def within(M, rng):
+    """A real matrix A with |A| <= M entrywise: random signs, and each entry
+    either M's (a corner) or a random fraction of it."""
+    sign = rng.choice([-1.0, 1.0], size=M.shape)
+    return sign * np.where(rng.random(M.shape) < 0.5, M, M * rng.random(M.shape))
+
+
 class TestFusedRyser:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.booleans(), st.floats(0.0, 1.0), st.data())
-    def test_matches_brute_force(self, s, cplx, c, data):
-        # the bound is the docstring's formula and covers per(A + E)
+    def test_matches_brute_force(self, s, slack, c, data):
+        # the bound is the docstring's formula on the magnitudes M and covers
+        # per(A + E) for the A drawn within them
         entries = st.floats(-3.0, 3.0, allow_nan=False)
         A = np.array(data.draw(st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
-        if cplx:
-            A = A + 1j * np.array(data.draw(
-                st.lists(entries, min_size=s * s, max_size=s * s))).reshape(s, s)
-        pb = permanent_bounds(A[:, :, None], c)
-        bound = glynn_bound(A, c)
-        assert bound <= pb.bound[0] <= bound * (1 + 1e-12) + 1e-300
+        M = np.abs(A) + (0.25 if slack else 0.0)
+        bound = float(permanent_bound(M, c))
+        ref = glynn_bound(M, c)
+        assert ref <= bound <= ref * (1 + 1e-12) + 1e-300
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
-        for E in [None] + perturbations(s, c, cplx, rng, corners=1):
-            assert exact_error(pb.per[0], exact_permanent(A, E)) <= pb.bound[0]
+        per = permanent(A)
+        for E in [None] + perturbations(s, c, rng, corners=1):
+            assert exact_error(per, exact_permanent(A, E)) <= bound
 
     @pytest.mark.parametrize("kind", ["signed", "kernel", "phase", "scaled", "zero"])
     @pytest.mark.parametrize("s", range(9))
     def test_exact_reference(self, kind, s, rng):
+        # M is the stack's entrywise maximum, the lattice route's one matrix,
+        # or each matrix's own |A|; the phase kind's magnitude class |a_ij| <= 1
+        # is taken on the real parts of its blocks, with M = J
         b = 4 if s <= 6 else 2
         A = stack(kind, s, b, rng)
+        A, M = (A.real, np.ones((s, s))) if kind == "phase" else (A, np.abs(A).max(axis=2))
+        per = _ryser(A)
         for c in (0.0, 1.7e-15, 0.5):
-            pb = permanent_bounds(A, c)
-            assert np.all(np.isfinite(pb.bound))
+            bound = float(permanent_bound(M, c))
+            own = permanent_bound(np.abs(A), c)
+            assert np.isfinite(bound) and np.all(np.isfinite(own))
             for m in range(b):
-                for E in perturbations(s, c, kind == "phase", rng):
-                    assert exact_error(pb.per[m], exact_permanent(A[:, :, m], E)) <= pb.bound[m]
-                assert glynn_bound(A[:, :, m], c) <= pb.bound[m]
+                for E in perturbations(s, c, rng):
+                    err = exact_error(per[m], exact_permanent(A[:, :, m], E))
+                    assert err <= own[m] and err <= bound
+                assert glynn_bound(np.abs(A[:, :, m]), c) <= own[m]
+                B = within(M, rng)
+                assert exact_error(permanent(B), exact_permanent(B)) <= bound
+            assert glynn_bound(M, c) <= bound
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
     def test_narrow_inputs_summed_in_double(self, dtype, rng):
-        # the bound is in double's unit roundoff, so the pass sums in double
-        A = rng.uniform(-1.0, 4.0, (5, 5, 8)) + (1j if dtype == np.complex64 else 0)
+        # the pass sums in double: bitwise the pass on the widened stack
+        A = rng.uniform(-1.0, 4.0, (8, 5, 5)) + (1j if dtype == np.complex64 else 0)
         A = A.astype(dtype)
-        pb = permanent_bounds(A, 0.5)
-        assert pb.per.dtype == (complex if dtype == np.complex64 else float)
-        for m in range(8):
-            assert exact_error(pb.per[m], exact_permanent(A[:, :, m])) <= pb.bound[m]
+        per = permanent_batch(A)
+        wide = complex if dtype == np.complex64 else float
+        assert per.dtype == wide
+        assert per.tobytes() == permanent_batch(A.astype(wide)).tobytes()
+        if dtype != np.complex64:
+            bound = permanent_bound(np.abs(np.moveaxis(A, 0, -1)).astype(float), 0.5)
+            for m in range(8):
+                assert exact_error(per[m], exact_permanent(A[m])) <= bound[m]
 
     @pytest.mark.parametrize("s", range(1, 9))
     def test_bound_below_gray_code_bound_on_kernel_tables(self, s, rng):
@@ -337,12 +357,13 @@ class TestFusedRyser:
         for mask in range(1, 1 << s):
             cols = [j for j in range(s) if mask >> j & 1]
             gray += np.prod(A[:, cols].sum(axis=1), axis=0)
-        ratio = permanent_bounds(A).bound / (gamma(2 * s + 2 ** s) * gray)
+        ratio = permanent_bound(A) / (gamma(2 * s + 2 ** s) * gray)
         assert np.max(ratio) <= {1: 0.51, 2: 0.7, 3: 0.34, 5: 0.18, 8: 0.07}.get(s, 0.5)
 
     @pytest.mark.parametrize("s", range(7))
     def test_unit_modulus_constant(self, s, rng):
-        # permanent_batch's docstring: C_s bounds the pass's rounding on phases
+        # permanent_batch's docstring: C_s bounds the pass's rounding on
+        # phases; it is the real bound at M = J with k in place of K
         A = np.exp(2j * math.pi * rng.uniform(size=(6, s, s)))
         per = permanent_batch(A)
         if s <= 1:
@@ -351,8 +372,7 @@ class TestFusedRyser:
             g = gamma(3 * s + 2 ** (s - 1) - 4)
             Q = (1 + math.sqrt(s) * g) ** 2 / (1 + g) ** 2
             const = g * (1 + Q if s == 2 else (1 + 1 / s) * Q) * s ** s * (1 + g) ** s
-            bound = permanent_bounds(np.moveaxis(A, 0, -1)).bound
-            assert np.allclose(bound, const, rtol=1e-11, atol=0)
+            assert permanent_bound(np.ones((s, s))) <= const
         for m in range(6):
             assert exact_error(per[m], exact_permanent(A[m])) <= const
 
@@ -373,9 +393,9 @@ class TestFusedRyser:
         for s in range(1, 8):
             A = rng.normal(size=(40, s, s))
             for B in (A, np.abs(A)):
-                pb = permanent_bounds(np.ascontiguousarray(np.moveaxis(B, 0, -1)), 0.5)
-                assert np.array_equal(pb.per, batch_first(B))
-                assert np.array_equal(permanent_batch(B), pb.per)
+                per = _ryser(np.ascontiguousarray(np.moveaxis(B, 0, -1)))
+                assert np.array_equal(per, batch_first(B))
+                assert np.array_equal(permanent_batch(B), per)
 
     @pytest.mark.parametrize("s", range(9))
     def test_unit_modulus_per_bitwise_equal_to_fused_pass(self, s, rng):
@@ -383,7 +403,7 @@ class TestFusedRyser:
         b = 300
         A = np.exp(2j * math.pi * rng.uniform(size=(b, s, s)))
         batch_last = np.ascontiguousarray(np.moveaxis(A, 0, -1))
-        ref = permanent_bounds(batch_last, 0.5).per
+        ref = _ryser(batch_last)
         assert ref.dtype == complex and ref.shape == (b,)
         for stack in (A, np.moveaxis(batch_last, -1, 0)):
             assert permanent_batch(stack).tobytes() == ref.tobytes()
@@ -392,39 +412,10 @@ class TestFusedRyser:
         if s:
             assert np.max(np.abs(ref)) <= math.factorial(s) * (1 + 1e-12)
 
-    def test_both_functions_take_the_one_ryser_pass(self, rng, monkeypatch):
-        # one pass per call on every kind of stack, its per returned as is
-        from permqmc import symmetry
-
-        calls = []
-        ryser = symmetry._ryser
-
-        def counting(cols):
-            calls.append(cols)
-            return ryser(cols)
-
-        A = rng.uniform(0.0, 1.0, (4, 4, 30))
-        A[0, 0, 0] = A[1, 2, 3] = 0.0
-        negzero = A.copy()
-        negzero[1, 2, 3] = -0.0         # equal values, one sign bit set
-        stacks = [A, A.astype(np.float32), negzero, A - 0.25, A + 0j,
-                  np.exp(2j * math.pi * A)]
-        monkeypatch.setattr(symmetry, "_ryser", counting)
-        for B in stacks:
-            for c in (0.0, 0.5):
-                calls.clear()
-                pb = permanent_bounds(B, c)
-                assert len(calls) == 1 and calls[0] is B
-                assert pb.per.tobytes() == ryser(B).tobytes()
-            calls.clear()
-            assert permanent_batch(np.moveaxis(B, -1, 0)).tobytes() == pb.per.tobytes()
-            assert len(calls) == 1
-
-    def test_one_pass_exactly_when_no_sign_bit(self, rng, monkeypatch):
-        # a set sign bit once cost a second pass over |A|; now no stack takes
-        # one, and the sign bit of a zero changes neither per nor bound
-        from permqmc import symmetry
-
+    def test_only_the_batch_takes_a_ryser_pass(self, rng, monkeypatch):
+        # permanent_batch takes one pass per call on every kind of stack and
+        # returns its per as is; permanent_bound reads magnitudes and takes
+        # none, and the sign bit of a zero magnitude leaves its bound alone
         calls = []
         ryser = symmetry._ryser
 
@@ -437,16 +428,18 @@ class TestFusedRyser:
         negzero = A.copy()
         negzero[1, 2, 3] = -0.0         # equal values, one sign bit set
         assert np.signbit(negzero).any() and not np.signbit(A).any()
+        stacks = [A, A.astype(np.float32), negzero, A - 0.25, A + 0j,
+                  np.exp(2j * math.pi * A)]
         monkeypatch.setattr(symmetry, "_ryser", counting)
-        got = {}
-        for name, B in (("plain", A), ("negzero", negzero)):
+        for B in stacks:
             calls.clear()
-            got[name] = permanent_bounds(B, 0.5)
-            assert len(calls) == 1 and calls[0] is B
-        for field in ("per", "bound"):
-            same = getattr(got["plain"], field), getattr(got["negzero"], field)
-            assert same[0].tobytes() == same[1].tobytes()
-        assert got["plain"].per.tobytes() == ryser(A).tobytes()
+            per = permanent_batch(np.moveaxis(B, -1, 0))
+            assert len(calls) == 1 and per.tobytes() == ryser(B).tobytes()
+        calls.clear()
+        for c in (0.0, 0.5):
+            plain, signed = permanent_bound(A, c), permanent_bound(negzero, c)
+            assert plain.tobytes() == signed.tobytes()
+        assert not calls
 
     def test_batch_shape_and_cap(self):
         assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))
@@ -456,15 +449,30 @@ class TestFusedRyser:
             permanent_batch(np.zeros((1, PERMANENT_CAP + 1, PERMANENT_CAP + 1)))
 
     def test_empty_block(self):
-        pb = permanent_bounds(np.zeros((0, 0, 3)), 0.5)
-        assert PermanentBounds._fields == ("per", "bound")
-        assert np.array_equal(pb.per, np.ones(3)) and not np.any(pb.bound)
+        # per = 1 exactly at s = 0, so the bound is 0, batched or not
+        assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))
+        assert np.array_equal(permanent_bound(np.zeros((0, 0, 3)), 0.5), np.zeros(3))
+        assert permanent_bound(np.zeros((0, 0)), 0.5) == 0.0
 
     def test_shape_and_cap(self):
-        with pytest.raises(ValueError, match="batch"):
-            permanent_bounds(np.zeros((2, 3, 4)))
+        for M in (np.zeros((2, 3, 4)), np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(ValueError, match="M must have shape"):
+                permanent_bound(M)
         with pytest.raises(PermanentCapError):
-            permanent_bounds(np.zeros((PERMANENT_CAP + 1, PERMANENT_CAP + 1, 1)))
+            permanent_bound(np.zeros((PERMANENT_CAP + 1, PERMANENT_CAP + 1)))
+
+    @pytest.mark.parametrize("s", [1, 3, 5, 8])
+    def test_one_matrix_or_a_stack(self, s, rng):
+        # the bound of an (s, s) matrix is bitwise that of its (s, s, 1)
+        # stack; in a longer stack only the summation order may differ
+        M = np.abs(rng.standard_normal((s, s, 7)))
+        stacked = permanent_bound(M, 0.25)
+        assert stacked.shape == (7,)
+        for m in range(7):
+            one = permanent_bound(M[:, :, m], 0.25)
+            assert one.shape == ()
+            assert one.tobytes() == permanent_bound(M[:, :, m:m + 1], 0.25)[0].tobytes()
+            assert one == pytest.approx(stacked[m], rel=1e-14)
 
 
 class TestPartitions:

@@ -9,8 +9,7 @@ case's grid is fixed below:
                  and d = 5 (N = 512, 1024, 2048), seeds 1 and 2, with the
                  sha256 of the ``.qw`` file that ``approx-build --out`` would
                  write, and its work: the Gram pairs (``kernels._ryser``
-                 batch entries; 0 on checkouts whose Gram passes go through
-                 ``permanent_bounds``), the eigenfunction values of Phi blocks and
+                 batch entries), the eigenfunction values of Phi blocks and
                  those of the sampler (``_pair_values`` (mode, point) pairs)
   gram           the two per-pair engines alone on seeded uniform points:
                  ``kernel_perminv_gram(X, X)`` and ``eval_matrix(X, GRAM_MODES)``
@@ -18,8 +17,7 @@ case's grid is fixed below:
                  (12, 256), and at (6, invariant (1, 2, 3), 512): the time of
                  each one's first call and the best of ``GRAM_CALLS`` more,
                  the sha256 of the Gram's and of Phi's bytes, and the Gram
-                 certificate over the largest per-pair certificate, each
-                 pair's from its own ``permanent_bounds``
+                 certificate
   spectral       ``worst_case_error_sq_spectral`` and
                  ``mean_sq_error(method="spectral")`` on shifted Korobov
                  lattices, d = 4...8, with the sha256 of the report (less its
@@ -64,11 +62,10 @@ case's grid is fixed below:
                  stream alone at d = 24 to ``STREAM_ENTRIES`` entries, with the
                  sha256 of its values and canonical labels; each with the
                  stream's pops and pushes (pops plus the heap's length)
-  ryser          ``permanent_bounds`` on (s, s, 8192) stacks of kernel-like
-                 entries in [0.9, 1.1] and ``permanent_batch`` on (8192, s, s)
-                 unit-modulus stacks, s = 3, 5, 8 (best and median of 10
-                 calls); and one sha256 per field of both functions on
-                 seeded float and complex stacks, s = 0...8, c = 0 and 0.5
+  ryser          ``permanent_batch`` on (8192, s, s) stacks of kernel-like
+                 entries in [0.9, 1.1] and of unit-modulus entries, s = 3, 5,
+                 8 (best and median of 10 calls); and one sha256 of its
+                 values on seeded float and complex stacks, s = 0...8
 
 Equal hashes across checkouts mean bitwise-equal results.  The package is
 imported from ``PYTHONPATH``.  To compare checkouts, name each one's ``src``
@@ -155,7 +152,7 @@ CASES = {
             + [("gram", 6, 512, [1, 2, 3])],
     "approx-tau": [("approx-tau", tau) for tau in (1.5, 1.8, 1.9, 1.95)],
     "stream": [("stream-rule", d) for d in (12, 16, 24)] + [("stream", 24, STREAM_ENTRIES)],
-    "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("bounds", "batch")]
+    "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("kernel", "phase")]
               + [("digest",)]),
 }
 
@@ -208,27 +205,6 @@ def _approx(d: int, N: int, seed: int) -> dict:
             "level_m": res.algorithm.m, "certified": res.certified, **work}
 
 
-def _pair_cert_max(X: np.ndarray, spec) -> float:
-    """The largest certificate of the Gram entries K(x_i, x_j), j >= i, each
-    from its own table's ``permanent_bounds``, one row i per pass."""
-    from permqmc import kernels
-    from permqmc.symmetry import permanent_bounds
-    from permqmc.weights import spectral_mass
-
-    inv, free, s = spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
-    mass, best = spectral_mass(spec.weight).hi, 0.0
-    for i in range(X.shape[0]):
-        vals, c1 = spec.univariate((X[i, inv][:, None, None] - X[i:, inv].T[None]).reshape(-1))
-        fd = X[i, free] - X[i:, free]
-        gf, cf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
-        per, bound = permanent_bounds(vals.reshape(s, s, -1), c1)
-        _, certs = kernels._gram_entries(per, np.abs(per), bound, list(gf.reshape(fd.shape).T),
-                                         spec.weight.beta0, mass + 2.0 * cf, cf,
-                                         float(spec.perm.group_order))
-        best = max(best, float(np.max(certs)))
-    return best
-
-
 def _gram(d: int, N: int, inv: list | None) -> dict:
     from permqmc import KernelSpec, PermStructure, SpectralWeight
     from permqmc.approx import SymmetricBasis
@@ -248,7 +224,7 @@ def _gram(d: int, N: int, inv: list | None) -> dict:
             "gram_best_s": gram_best, "phi_best_s": phi_best,
             "gram_sha256": hashlib.sha256(gram.tobytes()).hexdigest(),
             "phi_sha256": hashlib.sha256(phi.tobytes()).hexdigest(),
-            "certificate": cert, "cert_over_pair_max": cert / _pair_cert_max(X, spec)}
+            "certificate": cert}
 
 
 def _spectral(d: int, n: int, H: int, route: str) -> dict:
@@ -402,45 +378,34 @@ def _stream(d: int, m: int) -> dict:
 
 
 def _ryser_timing(kind: str, s: int) -> dict:
-    from permqmc.symmetry import permanent_batch, permanent_bounds
+    from permqmc.symmetry import permanent_batch
 
     rng = np.random.default_rng(s)
-    if kind == "bounds":
-        fn, args = permanent_bounds, (rng.uniform(0.9, 1.1, size=(s, s, RYSER_BATCH)), 1e-15)
+    if kind == "kernel":
+        A = rng.uniform(0.9, 1.1, size=(RYSER_BATCH, s, s))
     else:
-        fn, args = permanent_batch, (np.exp(2j * np.pi * rng.uniform(size=(RYSER_BATCH, s, s))),)
-    walls = [_timed(lambda: fn(*args))[1] for _ in range(RYSER_CALLS)]
+        A = np.exp(2j * np.pi * rng.uniform(size=(RYSER_BATCH, s, s)))
+    walls = [_timed(lambda: permanent_batch(A))[1] for _ in range(RYSER_CALLS)]
     return {"wall_s": sum(walls), "call_s_min": min(walls),
             "call_s_median": float(np.median(walls))}
 
 
 def _ryser_digest() -> dict:
-    """One sha256 per field of both permanent functions, over the bytes of
-    that field on seeded stacks: s = 0...8, real and complex, batch-first
-    for ``permanent_batch`` and its batch-last copy for ``permanent_bounds``
-    at c = 0 and 0.5.  Per field, so that a changed bound does not hide
-    whether per is still bitwise equal."""
-    from permqmc.symmetry import permanent_batch, permanent_bounds
+    """The sha256 of ``permanent_batch``'s values, dtype included, on seeded
+    stacks: s = 0...8, real and complex."""
+    from permqmc.symmetry import permanent_batch
 
     rng = np.random.default_rng(16)
-    hashes: dict = {}
-
-    def update(name, arr):
-        hashes.setdefault(name, hashlib.sha256()).update(arr.dtype.str.encode() + arr.tobytes())
-
+    digest = hashlib.sha256()
     t0 = time.perf_counter()
     for s in range(9):
         for cplx in (False, True):
             A = rng.standard_normal((300, s, s))
             if cplx:
                 A = A + 1j * rng.standard_normal((300, s, s))
-            update("permanent_batch", permanent_batch(A))
-            for c in (0.0, 0.5):
-                pb = permanent_bounds(np.ascontiguousarray(np.moveaxis(A, 0, -1)), c)
-                for name, arr in zip(pb._fields, pb):
-                    update(name, arr)
-    return {"wall_s": time.perf_counter() - t0,
-            "sha256": {name: h.hexdigest() for name, h in hashes.items()}}
+            per = permanent_batch(A)
+            digest.update(per.dtype.str.encode() + per.tobytes())
+    return {"wall_s": time.perf_counter() - t0, "sha256": {"permanent_batch": digest.hexdigest()}}
 
 
 RUNNERS = {"approx": _approx, "gram": _gram, "spectral": _spectral, "route": _route, "cbc": _cbc,
