@@ -33,7 +33,6 @@ from .errors import (
     ErrorReport,
     bound_constant,
     bound_constants,
-    initial_error_sq,
     mean_sq_error,
     worst_case_error_sq,
     worst_case_error_sq_spectral,

@@ -17,11 +17,11 @@ slack is recorded with the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import _refuse_above_cap, worst_case_error_sq
+from .errors import _refuse_above_cap, _scaled_enclosure, worst_case_error_sq
 from .kernels import _PAIR_CHUNK, KernelSpec, _fill_gram
 from .lattice import WeightedCubature
 from .spectrum import EigenSpectrum, TailConstants, rate_constants, spectrum_tail_constants
@@ -39,7 +39,8 @@ __all__ = [
 
 
 class SymmetricBasis:
-    """Real orthonormal eigenbasis of the invariant space.
+    """Real orthonormal eigenbasis of the invariant space, with the unit
+    space's eigenvalues.
 
     Conjugate frequency orbits are paired into cosine/sine combinations so
     that all downstream linear algebra (and hence all cubature weights) stays
@@ -272,7 +273,8 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
                           search_budget: int = 32, delta: float = 0.5,
                           seed: int = 0,
                           constants: TailConstants | None = None) -> list[ApproxAlgorithm]:
-    """Sample-doubling approximation chain up to level ``k_max``.
+    """Sample-doubling approximation chain up to level ``k_max``, in the unit
+    space.
 
     Levels up to the rate threshold are the zero algorithm.  Each later level
     doubles the sample count, projecting onto the top-m eigenspace with m
@@ -347,7 +349,8 @@ def build_approx_sequence(spec: KernelSpec, tau: float, k_max: int,
 @dataclass
 class AssembledRule:
     """Weighted cubature assembled from an approximation level plus a
-    residual-averaging point set, with its certification record."""
+    residual-averaging point set, with its certification record; the chain
+    (``algorithm``) is the unit space's, the errors and C_d the space's."""
 
     cubature: WeightedCubature
     N: int
@@ -396,15 +399,17 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
     Uses the approximation level kappa = floor(log2 N) - 1 and 2^kappa
     residual nodes; the total node count never exceeds N.  The integration
     point set is searched uniformly at random and accepted once the exact
-    squared worst-case error meets the averaged bound times (1 + delta).
+    squared worst-case error meets the averaged bound times (1 + delta),
+    in the unit space; what it reports is scaled once.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     if search_budget < 1:
         raise ValueError(f"search_budget must be >= 1, got {search_budget}")
-    constants = spectrum_tail_constants(spec, tau)
+    unit = spec.unit
+    constants = spectrum_tail_constants(unit, tau)
     kappa = int(math.floor(math.log2(N))) - 1
-    algs = build_approx_sequence(spec, tau, kappa, search_budget=search_budget,
+    algs = build_approx_sequence(unit, tau, kappa, search_budget=search_budget,
                                  delta=delta, seed=seed, constants=constants)
     alg = algs[kappa]
     r = 2 ** kappa
@@ -418,8 +423,8 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
         # one buffer, made after the first collapse, holds the level's Gram;
         # each draw refills only the blocks of its integration points
         gram = _grown(alg, cub.n) if gram is None else gram
-        gcert = max(alg.gram_cert, _fill_gram(gram, cub.nodes, cub.nodes, spec, alg.n_samples))
-        rep = worst_case_error_sq(cub, spec, (gram, gcert))
+        gcert = max(alg.gram_cert, _fill_gram(gram, cub.nodes, cub.nodes, unit, alg.n_samples))
+        rep = worst_case_error_sq(cub, unit, (gram, gcert))
         if best_rep is None or rep.value < best_rep.value:
             best, best_rep = cub, rep
         if rep.value <= target + rep.truncation_certificate:
@@ -427,11 +432,13 @@ def assemble_rule(spec: KernelSpec, tau: float, N: int,
             certified = True
             break
     slack_chain = (1.0 + delta) * alg.slack_bound
+    e_wor_sq, e_wor_cert = spec.scaled(best_rep.value, best_rep.truncation_certificate)
     return AssembledRule(
         cubature=best, N=N, kappa=kappa, algorithm=alg,
-        e_wor_sq=best_rep.value, e_wor_certificate=best_rep.truncation_certificate,
-        residual_target=target, certified=certified and alg.certified,
-        slack_chain=slack_chain, constants=constants, seed=seed, delta=delta,
+        e_wor_sq=e_wor_sq, e_wor_certificate=e_wor_cert,
+        residual_target=spec.scaled(target, 0.0)[0], certified=certified and alg.certified,
+        slack_chain=slack_chain, seed=seed, delta=delta,
+        constants=replace(constants, C_d=_scaled_enclosure(spec, constants.C_d)),
     )
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .kernels import KernelSpec
 from .lattice import LatticeRule, is_prime
+from .weights import _up
 
 __all__ = [
     "CbcResult",
@@ -54,6 +55,21 @@ class CbcResult:
     shift_trials_used: int | None = None
     shift_flagged: bool = False
 
+    def scaled(self, spec: KernelSpec) -> "CbcResult":
+        """This unit result in the space of ``spec``, in place: the errors and
+        the bound by ``KernelSpec.scaled``, the step certificates (degree 0)
+        by ``KernelSpec.rho_cert``."""
+        self.achieved_E2, self.achieved_E2_certificate = spec.scaled(
+            self.achieved_E2, self.achieved_E2_certificate)
+        bound, cert = spec.scaled(self.certified_bound, 0.0)
+        self.certified_bound = _up(bound + cert) if cert else bound
+        self.per_step_certificate = list(map(spec.rho_cert, self.per_step_objective,
+                                             self.per_step_certificate))
+        if self.achieved_e2_shifted is not None:
+            self.achieved_e2_shifted, self.achieved_e2_shifted_certificate = spec.scaled(
+                self.achieved_e2_shifted, self.achieved_e2_shifted_certificate)
+        return self
+
     def to_json(self) -> dict:
         out = {k: v for k, v in vars(self).items() if k not in ("rule", "lam")}
         shift = self.rule.shift
@@ -83,7 +99,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}), and at a later free
     candidate B(z) = B(-z), get bitwise-equal values, so the smallest member
     of the best orbit is chosen, independent of rounding.  ``per_step_certificate`` holds each step's objective
-    certificate.
+    certificate.  The steps and E2 run in the unit space, scaled once.
     """
     if mode not in ("minimize", "better_than_average"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -91,14 +107,14 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
         raise ValueError(f"n = {n} is not prime")
     if n < spec.weight.c_R:
         raise ValueError(f"n = {n} must be at least c_R = {spec.weight.c_R}")
-    d = spec.d
+    d, unit = spec.d, spec.unit
     _check_step_bytes(d, sum(c < d for c in spec.perm.invariant), n)   # the largest step
     _check_profile_bytes(spec, n)
-    C = bound_constant(spec, lam)   # refuses a lambda outside [1, 2*alpha)
+    C = bound_constant(unit, lam)   # refuses a lambda outside [1, 2*alpha)
     z: list[int] = []
     per_step, per_cert = [], []
     for _ell in range(d):
-        vals, cert = cbc_step_objectives(z, n, spec)
+        vals, cert = cbc_step_objectives(z, n, unit)
         if not z:
             choice = 1
         elif mode == "minimize":
@@ -110,7 +126,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
         per_step.append(float(vals[choice]))
         per_cert.append(cert)
     rule = LatticeRule(n, tuple(z))
-    e2 = mean_sq_error(rule, spec, method="fixed_point")
+    e2 = mean_sq_error(rule, unit, method="fixed_point")
     cbound = float((1.0 + spec.weight.c_R) ** lam * C.hi * max(1, spec.perm.size) / n ** lam)
     return CbcResult(
         rule=rule,
@@ -121,7 +137,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
         achieved_E2_certificate=e2.truncation_certificate,
         mode=mode,
         lam=lam,
-    )
+    ).scaled(spec)
 
 
 @dataclass
@@ -145,12 +161,14 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
     the budget is doubled up to ``MAX_DOUBLINGS`` times; failing that, the
     best candidate is returned flagged (no exception: existence is only
     guaranteed on average).  ``E2`` is the unshifted rule's fixed-point shift
-    average and its certificate, when the caller has them already.
+    average and its certificate in the unit space, when the caller has them
+    already; the search compares unit errors and scales what it reports.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    unit = spec.unit
     if E2 is None:
-        rep = mean_sq_error(rule, spec, method="fixed_point")
+        rep = mean_sq_error(rule, unit, method="fixed_point")
         E2 = (rep.value, rep.truncation_certificate)
     E2_value, E2_cert = E2
     rng = np.random.Generator(np.random.Philox(seed))
@@ -160,7 +178,7 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
         if round_idx == 0:
             draws[0] = 0.0
         for delta in draws:
-            rep = worst_case_error_sq(rule.with_shift(tuple(delta)), spec)
+            rep = worst_case_error_sq(rule.with_shift(tuple(delta)), unit)
             used += 1
             if rep.value < best_val:
                 best_val, best_cert, best_shift = rep.value, rep.truncation_certificate, tuple(delta)
@@ -168,6 +186,7 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
         if certified:
             break
         budget *= 2
+    (best_val, best_cert), (E2_value, E2_cert) = spec.scaled(best_val, best_cert), spec.scaled(*E2)
     return ShiftSearchResult(rule=rule.with_shift(best_shift), e2_shifted=best_val,
                              e2_certificate=best_cert, E2=E2_value,
                              E2_certificate=E2_cert, certified=certified,
@@ -179,9 +198,9 @@ def construct_shifted(spec: KernelSpec, n: int, trials: int = 64, seed: int = 0,
     """Convenience: CBC construction followed by the shift search.
 
     The result keeps the search's best shifted error, its certificate and the
-    number of trials used.  The search reuses the construction's E2."""
-    res = cbc_construct(spec, n, mode=mode, lam=lam)
-    sh = shift_search(res.rule, spec, trials=trials, seed=seed,
+    number of trials used.  The search reuses the construction's unit E2."""
+    res = cbc_construct(spec.unit, n, mode=mode, lam=lam)
+    sh = shift_search(res.rule, spec.unit, trials=trials, seed=seed,
                       E2=(res.achieved_E2, res.achieved_E2_certificate))
     res.rule = sh.rule
     res.achieved_e2_shifted = sh.e2_shifted
@@ -189,4 +208,4 @@ def construct_shifted(spec: KernelSpec, n: int, trials: int = 64, seed: int = 0,
     res.shift_seed = seed
     res.shift_trials_used = sh.trials_used
     res.shift_flagged = not sh.certified
-    return res
+    return res.scaled(spec)

@@ -282,6 +282,9 @@ def _cmd_convergence(args) -> int:
     n_list = _param(cfg, args, "n_list", [])
     if isinstance(n_list, str):
         n_list = [int(v) for v in n_list.split(",") if v.strip()]
+    repeated = next((n for i, n in enumerate(n_list) if n in n_list[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"n_list repeats n = {repeated}: each row needs its own n")
     trials = int(_param(cfg, args, "trials", 32))
     seed = int(_param(cfg, args, "seed", 0))
     lam = float(_param(cfg, args, "lam", 1.0))

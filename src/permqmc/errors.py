@@ -46,13 +46,12 @@ from .kernels import (
 )
 from .lattice import LatticeRule, WeightedCubature, is_prime
 from .symmetry import _gamma, multiplicity_array
-from .weights import (Enclosure, _factor_roundings, _rounded, eta_star, min_contraction_order,
-                      r_weight_inv_factors, spectral_mass, tail_sum)
+from .weights import (Enclosure, _down, _factor_roundings, _rounded, _up, eta_star,
+                      min_contraction_order, r_weight_inv_factors, spectral_mass, tail_sum)
 
 __all__ = [
     "ErrorReport",
     "BoundConstants",
-    "initial_error_sq",
     "worst_case_error_sq",
     "worst_case_error_sq_spectral",
     "mean_sq_error",
@@ -96,9 +95,12 @@ class BoundConstants:
     lam: float
 
 
-def initial_error_sq(spec: KernelSpec) -> float:
-    """Squared error of the empty rule: the squared norm of the integral functional."""
-    return spec.weight.beta0 ** spec.d
+def _scaled_enclosure(spec: KernelSpec, enc: Enclosure) -> Enclosure:
+    """A unit enclosure in the space: each end ``KernelSpec.scaled``."""
+    if spec.unit is spec:
+        return enc
+    (lo, lo_cert), (hi, hi_cert) = spec.scaled(enc.lo, 0.0), spec.scaled(enc.hi, 0.0)
+    return Enclosure(max(_down(lo - lo_cert), 0.0), _up(hi + hi_cert))
 
 
 # ---------------------------------------------------------------------------
@@ -109,46 +111,41 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec,
                         gram: tuple[np.ndarray, float] | None = None) -> ErrorReport:
     """Squared worst-case error of a cubature rule.
 
-    Both integrals of the kernel reduce to the constant-mode mass beta0^d
-    because every oscillatory frequency integrates to zero over the cube,
-    so for weights w the error is beta0^d - 2 beta0^d sum w + w . G . w, and
-    for a lattice rule (weights 1/n) the Gram mean less beta0^d.  A
-    ``LatticeRule`` with at most two exchangeable coordinates or d = 3 takes
-    the FFT route (``kernels._lattice_gram_mean_fft``: a sum over an
-    explicit list of exchanges on the zero-mean K1 tables, O(n log n + n*d),
-    no pair permanent), which gives the Gram mean less beta0^d directly,
-    with no beta0^d term; any other ``LatticeRule`` the lattice route
-    (``lattice_gram_mean``: no n x n Gram matrix, n*(n//2 + 1) pair
-    permanents), less beta0^d; any other rule the general route through the
-    full, symmetric Gram matrix (n(n+1)/2 pair permanents) and the
+    Every route runs in the unit space, then ``KernelSpec.scaled``.  Both
+    integrals of the kernel reduce to the constant-mode mass 1, so for
+    weights w the error is 1 - 2 sum w + w . G . w, and for a lattice rule
+    the Gram mean less 1.  A ``LatticeRule`` with at most two exchangeable
+    coordinates or d = 3 takes the FFT route (``_lattice_gram_mean_fft``,
+    O(n log n + n*d) on the zero-mean K1 tables: the mean less 1, with no
+    term 1); any other ``LatticeRule`` the lattice route
+    (``lattice_gram_mean``, n*(n//2 + 1) pair permanents); any other rule
+    the general route (the symmetric Gram, n(n+1)/2 pair permanents) and the
     three-term formula.  ``details`` records the route ("lattice-fft",
-    "lattice" or "general"), the number of pair permanents evaluated, and on
-    the FFT route the number of FFTs.
+    "lattice" or "general"), the pair permanents and the FFTs.
 
     The certificate is the FFT route's own (table, FFT and summation
     bounds), or the Gram certificate (kernel and permanent errors, and on
     the lattice route the rounding of the mean) plus an a priori rounding
     bound gamma_k * sum |terms| of the quadratic form and the formula.
-    ``gram`` is the general route's (Gram, certificate) when the caller has
-    it (``approx.assemble_rule`` grows one); the lattice routes ignore it.
+    ``gram`` is the general route's unit (Gram, certificate) when the caller
+    has it (``approx.assemble_rule`` grows one); the lattice routes ignore it.
     """
-    b0d = initial_error_sq(spec)
+    unit = spec.unit
     if rule.n == 0:
-        return ErrorReport(b0d, "kernel", 0.0,
-                           details={"route": "general", "pairs": 0})
+        value, cert = spec.scaled(1.0, 0.0)
+        return ErrorReport(value, "kernel", cert, details={"route": "general", "pairs": 0})
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
     if isinstance(rule, LatticeRule) and (spec.perm.size <= 2 or spec.d == 3):
-        raw, cert, ffts = _lattice_gram_mean_fft(rule, spec)
+        raw, cert, ffts = _lattice_gram_mean_fft(rule, unit)
         details = {"route": "lattice-fft", "ffts": ffts, "pairs": 0}
     elif isinstance(rule, LatticeRule):
-        quad, qcert, pairs = lattice_gram_mean(rule, spec)
-        # the three-term formula's bound at weights 1/n: b0d is one pow
-        # (1 ulp), and the subtraction rounds once
-        raw, cert = quad - b0d, qcert + _gamma(5) * (3.0 * b0d + abs(quad))
+        quad, qcert, pairs = lattice_gram_mean(rule, unit)
+        # the subtraction rounds once
+        raw, cert = quad - 1.0, qcert + _gamma(1) * (1.0 + abs(quad))
         details = {"route": "lattice", "pairs": pairs}
     else:
-        gram, gcert = gram or kernel_perminv_gram(rule.nodes, rule.nodes, spec)
+        gram, gcert = gram or kernel_perminv_gram(rule.nodes, rule.nodes, unit)
         rw = rule.raw_weights
         arw = np.abs(rw)
         quad, wsum, wabs = float(rw @ gram @ rw), float(rw.sum()), float(arw.sum())
@@ -156,10 +153,11 @@ def worst_case_error_sq(rule: LatticeRule | WeightedCubature, spec: KernelSpec,
         # order BLAS takes
         qcert = gcert * wabs ** 2 + _gamma(2 * rule.n + 2) * _abs_quadratic_form(gram, arw)
         wround = _gamma(_sum_depth(rule.n) + 1) * wabs
-        raw = b0d - 2.0 * b0d * wsum + quad
-        # b0d is one pow (1 ulp); the formula adds three roundings
-        cert = qcert + 2.0 * b0d * wround + _gamma(5) * (b0d * (1.0 + 2.0 * wabs) + abs(quad))
+        raw = 1.0 - 2.0 * wsum + quad
+        # the formula adds two roundings
+        cert = qcert + 2.0 * wround + _gamma(2) * (1.0 + 2.0 * wabs + abs(quad))
         details = {"route": "general", "pairs": rule.n * (rule.n + 1) // 2}
+    raw, cert = spec.scaled(raw, cert)
     return ErrorReport(max(raw, 0.0), "kernel", cert, details={"raw_value": raw, **details})
 
 
@@ -246,12 +244,13 @@ def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
 
 
 def _box_tail_certificate(spec: KernelSpec, half_width: int, inv_lambda: float = 1.0) -> float:
-    """Bound on the weight mass sum r^(-inv_lambda) outside the box, using a
-    per-coordinate union bound (multiplicity ratios never exceed one):
-    d * 2 beta1^p * sum_{m > H} R(m)^(-2 alpha p) * mass^(d - 1), p =
-    inv_lambda and mass = ``spectral_mass(w, p)``, in enclosure arithmetic."""
-    w = spec.weight
-    # 2 * beta1^p is one pow
+    """Bound on the unit space's weight mass sum r^(-inv_lambda) outside the
+    box, using a per-coordinate union bound (multiplicity ratios never
+    exceed one): d * 2 rho^p * sum_{m > H} R(m)^(-2 alpha p) * mass^(d - 1),
+    p = inv_lambda and mass = ``spectral_mass(w, p)``, in enclosure
+    arithmetic."""
+    w = spec.unit.weight
+    # 2 * rho^p is one pow
     coord_tail = (tail_sum(w, exponent=w.alpha * inv_lambda, start=half_width + 1)
                   * _rounded(2.0 * w.beta1 ** inv_lambda, 2))
     full = spectral_mass(w, inv_lambda).power(spec.d - 1)
@@ -271,8 +270,9 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     sum over orbits of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!.
     The orbits are the distinct box positions (``_box_index``) of the rows
     with sorted invariant coordinates; position order is box order.
-    Independent of the kernel route.  ``details["cert_exceeds_value"]`` says
-    whether the certificate is larger than the value.
+    Independent of the kernel route; scaled as above.
+    ``details["cert_exceeds_value"]`` says whether the certificate is larger
+    than the value.
     """
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
@@ -285,10 +285,10 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     reps = _box_rows(orbits, rule.d, half_width)
     S_O = (np.bincount(orbit_of, phase.real, len(reps))
            + 1j * np.bincount(orbit_of, phase.imag, len(reps)))
-    fac = np.prod(r_weight_inv_factors(reps, spec.weight), axis=1)
+    fac = np.prod(r_weight_inv_factors(reps, spec.unit.weight), axis=1)
     mult = multiplicity_array(reps, ps)
     value = float(np.sum(fac * mult * np.abs(S_O) ** 2)) / float(ps.group_order)
-    cert = _box_tail_certificate(spec, half_width)
+    value, cert = spec.scaled(value, _box_tail_certificate(spec, half_width))
     return ErrorReport(value, "spectral_dual_sum", cert,
                        details={"half_width": half_width, "cert_exceeds_value": cert > value})
 
@@ -301,10 +301,11 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
                   half_width: int = BOX_HALF_WIDTH) -> ErrorReport:
     """Squared worst-case error averaged over all uniform shifts.
 
-    method "fixed_point": exact average of the shift-averaged kernel less
-    beta0^d over the n unshifted lattice nodes (the shift drops out of node
+    Both methods run in the unit space, then ``KernelSpec.scaled``.  method
+    "fixed_point": exact average of the shift-averaged kernel less 1 over
+    the n unshifted lattice nodes (the shift drops out of node
     differences), ``shift_invariant_profile`` on the CBC's zero-mean tables,
-    with no beta0^d term; its certificate is the profile's plus the a priori
+    with no term 1; its certificate is the profile's plus the a priori
     rounding bound of the mean.  A profile whose predicted working set
     (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises ValueError
     before anything is allocated.  method "spectral": truncated
@@ -316,19 +317,19 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_poin
     degenerate = all(v % rule.n == 0 for v in rule.z)
     if method == "fixed_point":
         _check_profile_bytes(spec, rule.n)
-        prof, cert = shift_invariant_profile(rule, spec)
-        value = float(np.mean(prof))
+        prof, cert = shift_invariant_profile(rule, spec.unit)
         # numpy's sum and the division
-        cert += _gamma(_sum_depth(prof.size) + 1) * float(np.mean(np.abs(prof)))
+        value, cert = spec.scaled(float(np.mean(prof)), cert + _gamma(_sum_depth(prof.size) + 1)
+                                  * float(np.mean(np.abs(prof))))
         return ErrorReport(max(value, 0.0), "kernel_sum", cert,
                            details={"raw_value": value, "degenerate": degenerate})
     if method != "spectral":
         raise ValueError(f"unknown method {method!r}")
     hs = _dual_box(rule, half_width)
-    fac = np.prod(r_weight_inv_factors(hs, spec.weight), axis=1)
+    fac = np.prod(r_weight_inv_factors(hs, spec.unit.weight), axis=1)
     mult = multiplicity_array(hs, spec.perm)
     value = float(np.sum(fac * mult)) / float(spec.perm.group_order)
-    cert = _box_tail_certificate(spec, half_width)
+    value, cert = spec.scaled(value, _box_tail_certificate(spec, half_width))
     return ErrorReport(value, "spectral_dual_sum", cert,
                        details={"half_width": half_width, "degenerate": degenerate,
                                 "cert_exceeds_value": cert > value})
@@ -430,8 +431,10 @@ def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.
 def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tuple[np.ndarray, float]:
     """Objective values B(prefix, z) for every candidate z in Z_n at once.
 
-    The lattice character property turns each dual-membership sum into an
-    average over the n lattice nodes j of partition sums of zero-mean power
+    The objective has degree 0: it is computed in the unit space, where
+    c_u = C(s, |u & I|).  The lattice character property turns each
+    dual-membership sum into an average over the n lattice nodes j of
+    partition sums of zero-mean power
     kernels kappa_c on the grid {0, 1/n, ..., (n-1)/n} (``power_kernel_table``,
     shared with the fixed-point E2): over every coordinate subset u
     containing the candidate coordinate ell = len(prefix) + 1 and every
@@ -447,8 +450,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
        over U disjoint from M of f[U] / (c_u * s_u! * n) is added, times
        |M|!, into the group of (|M| + 1, S_M).  The free prefix coordinates
        F are singletons in every partition: their subsets v give one factor
-       per node, sum_v beta0^(|F|-|v|) prod_v kappa_1 = beta0^|F| + q
-       (``kernels._free_excess``), with |v| = |F| counted in c_u;
+       per node, sum_v prod_v kappa_1 = 1 + q (``kernels._free_excess``),
+       with |v| = |F| counted in c_u;
     3. each group G is one multiplicative correlation
        F(w) = sum_j G[j] * kappa_{|M|+1}[j*w mod n], which a primitive root
        of n turns into a cyclic correlation of length n - 1 (Nuyens & Cools,
@@ -484,30 +487,30 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
         raise ValueError("prefix already has length d")
     if not is_prime(n):
         raise ValueError(f"n = {n} is not prime; the fast CBC step needs a prime n")
-    ps, w = spec.perm, spec.weight
+    ps = spec.perm
     inv = set(ps.invariant)
     zs = [int(v) % n for v in prefix]
     zi = [z for i, z in enumerate(zs) if i + 1 in inv]
     zf = [z for i, z in enumerate(zs) if i + 1 not in inv]
     k, kf = len(zi), len(zf)
     _check_step_bytes(ell, k, n)
-    table, tcerts = power_kernel_table(spec, n)
+    table, tcerts = power_kernel_table(spec.unit, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
     f = _partition_sums(zi, n, table)
     fv, fe = permutation_power_sum(tmax[:k], tcerts[:k])
     pf, pmax, pf_cert = None, 1.0, 0.0   # the free factor, its bound and error
     if kf:
         q, q_cert, q_abs = _free_excess((table[0].take(np.arange(n) * z % n) for z in zf),
-                                        w.beta0, w.beta0 + float(tmax[0]), tcerts[0])
-        pmax = w.beta0 ** kf + q_abs
-        pf, pf_cert = w.beta0 ** kf + q, q_cert + _gamma(3) * pmax
+                                        1.0 + float(tmax[0]), tcerts[0])
+        pmax = 1.0 + q_abs
+        pf, pf_cert = 1.0 + q, q_cert + _gamma(1) * pmax
 
-    # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u = beta0^|u| * C(s, |u & I|)
+    # 1 / (c_u * s_u! * n) by (|u|, |u & I|), c_u = C(s, |u & I|)
     s = ps.size
     nrm = np.zeros((ell + 1, s + 1))
     for a in range(1, ell + 1):
         for b in range(min(a, s) + 1):
-            nrm[a, b] = 1.0 / (w.beta0 ** a * math.comb(s, b) * math.factorial(b) * n)
+            nrm[a, b] = 1.0 / (float(math.comb(s, b)) * math.factorial(b) * n)
     masks = np.arange(1 << k)
     pc = np.array([U.bit_count() for U in range(1 << k)])
     ell_inv = int(ell in inv)
@@ -535,10 +538,11 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
         F, err = _multiplicative_correlation(G, float(table[c - 1][0]), powers, correlate[c])
         total += np.roll(F, -S)
         cert += err
-    # a term meets the DP (k + 2^k), its weight (8), the product with f
+    # a term meets the DP (k + 2^k), its weight (6: four operations, and a
+    # factorial that is not exact in a double), the product with f
     # (2^k + 1), the sum over members (2^k), the free product (1), the two
     # products of F and one addition per group
-    cert += _gamma(k + 3 * (1 << k) + len(groups) + 11 + (kf > 0)) * absum
+    cert += _gamma(k + 3 * (1 << k) + len(groups) + 9 + (kf > 0)) * absum
     if ell == 2 or (ell > 2 and not ell_inv):
         total = _tie_orbit_mean(total, zs[0] if ell == 2 else 0, n, powers)
         cert += _gamma(4) * float(np.max(np.abs(total)))
@@ -560,26 +564,24 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
     exchangeable coordinates, so their sum is one coefficient of a product
     of per-value series: O(H s^2) time and O(H s) memory.  Its rounding is
     bounded by gamma_k * sum |terms| (every term is positive), k counted below.
+    In the unit space its constant mode is exactly 1; then scaled.
     """
-    w = spec.weight
+    w = spec.unit.weight
     if not (1.0 <= lam < 2.0 * w.alpha):
         raise ValueError(f"lambda must lie in [1, 2*alpha) = [1, {2 * w.alpha})")
     d = spec.d
     if lam == 1.0:
-        # beta0^d is one pow
-        diff = symmetrized_mass(spec) + _rounded(initial_error_sq(spec), 2).scale(-1.0)
-        return Enclosure(max(diff.lo, 0.0), diff.hi)
+        diff = symmetrized_mass(spec) + (-1.0)
+        return _scaled_enclosure(spec, Enclosure(max(diff.lo, 0.0), diff.hi))
     if spec.perm.size <= 1:
-        uni = spectral_mass(w, 1.0 / lam)
-        # beta0^(d/lam) is one pow
-        inner = uni.power(d) + _rounded(w.beta0 ** (d / lam), 2).scale(-1.0)
-        return Enclosure(max(inner.lo, 0.0), inner.hi).power(lam)
+        inner = spectral_mass(w, 1.0 / lam).power(d) + (-1.0)
+        return _scaled_enclosure(spec, Enclosure(max(inner.lo, 0.0), inner.hi).power(lam))
     # a multiset of the s exchangeable values, c_v of them v, stands for
     # s!/prod c_v! box points of share prod c_v!/s!: they sum to
     # (s!)^(1 - 1/lam) prod_v g_(c_v) a_v^(c_v), a_v = r^-1(v)^(1/lam),
     # g_c = (c!)^(1/lam - 1), the x^s coefficient of prod_(v = +-1..+-H)
     # sum_c g_c (a_v x)^c completed by c zeros.  The free coordinates factor
-    # out as a power of the per-coordinate sum b0 + osc
+    # out as a power of the per-coordinate sum 1 + osc (a_0 = 1)
     s, f = spec.perm.size, d - spec.perm.size
     a = r_weight_inv_factors(np.arange(half_width + 1), w) ** (1.0 / lam)
     cnt = np.arange(s + 1)
@@ -589,10 +591,10 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
     for row in np.repeat(ser[1:], 2, axis=0):
         P = np.convolve(P, row)[: s + 1]
     comp = P[::-1] * ser[0] * float(math.factorial(s)) ** (1.0 - 1.0 / lam)   # c zeros at [c]
-    b0, osc = float(a[0]), 2.0 * float(np.sum(a[1:]))
-    # (b0 + osc)^f without the all-zero free vector, free of cancellation
-    free_nonzero = osc * sum((b0 + osc) ** j * b0 ** (f - 1 - j) for j in range(f))
-    inner = float(comp[:-1].sum()) * (b0 + osc) ** f + float(comp[-1]) * free_nonzero
+    osc = 2.0 * float(np.sum(a[1:]))
+    # (1 + osc)^f without the all-zero free vector, free of cancellation
+    free_nonzero = osc * sum((1.0 + osc) ** j for j in range(f))
+    inner = float(comp[:-1].sum()) * (1.0 + osc) ** f + float(comp[-1]) * free_nonzero
     # roundings along a term, a pow counted as two: a_v has k_w
     # (``_factor_roundings``) + 2, a_v^c c times that + 2, g_c 3 (c! to
     # float and its pow, which shrinks that rounding) and g_c a_v^c 1: at
@@ -605,15 +607,17 @@ def bound_constant(spec: KernelSpec, lam: float = 1.0,
     k_osc = k_w + 2 + _sum_depth(half_width)
     k = s * (k_w + 8) + 2 * half_width * (s + 1) + s + 5 + (f + 1) * (k_osc + 4) + 2
     tail = _box_tail_certificate(spec, half_width, inv_lambda=1.0 / lam)
-    return (_rounded(inner, k) + Enclosure(0.0, tail)).power(lam)
+    return _scaled_enclosure(spec, (_rounded(inner, k) + Enclosure(0.0, tail)).power(lam))
 
 
 def bound_constants(spec: KernelSpec, lam: float = 1.0) -> BoundConstants:
-    """All constants of the certified bounds at a given lambda."""
-    V = min_contraction_order(spec.weight)
+    """All constants of the certified bounds at a given lambda: C_dl in the
+    space, V* and eta* (degree 0) of the unit weight."""
+    w = spec.unit.weight
+    V = min_contraction_order(w)
     return BoundConstants(
         C_dl=bound_constant(spec, lam),
         V_star=V,
-        eta_star=eta_star(spec.weight, V),
+        eta_star=eta_star(w, V),
         lam=lam,
     )

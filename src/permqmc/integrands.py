@@ -3,7 +3,8 @@
 Both families are finite combinations of the real symmetrized eigenbasis, so
 they are invariant under the admissible coordinate exchanges by construction,
 their integrals are read off the constant-mode coefficient, and their norms
-are the Euclidean norms of the coefficient vectors.
+are the Euclidean norms of the coefficient vectors.  The eigenvalues of the
+space are the basis' unit ones times ``KernelSpec.scale``.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ class TestIntegrand:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         m = self.coeffs.shape[0]
         xi = self.basis.eval_matrix(pts, m)
-        lam = self.basis.lambdas(m)
+        lam = self.basis.lambdas(m) * self.basis.spec.scale
         return (self.coeffs * np.sqrt(lam)) @ xi
 
 
@@ -55,7 +56,7 @@ def spectral_integrand(spec: KernelSpec, coeffs, name: str = "spectral") -> Test
     m = coeffs.shape[0]
     basis.ensure(m)
     iota = basis.integrals(m)
-    lam = basis.lambdas(m)
+    lam = basis.lambdas(m) * spec.scale
     exact = float(np.sum(coeffs * np.sqrt(lam) * iota))
     return TestIntegrand(
         name=name, dim=spec.d, exact_integral=exact,
@@ -75,8 +76,8 @@ def symmetrized_cosine_integrand(spec: KernelSpec, mode_coeffs: dict[int, float]
     coeffs = np.zeros(m)
     for idx, c in mode_coeffs.items():
         coeffs[idx] = c
-    b0d = spec.weight.beta0 ** spec.d
-    coeffs[0] += constant / math.sqrt(b0d)
+    # the constant mode's eigenvalue is the scale
+    coeffs[0] += constant / math.sqrt(spec.scale)
     return spectral_integrand(spec, coeffs, name="symmetrized_cosine")
 
 

@@ -2,12 +2,15 @@
 
 Three kernels are evaluated here:
 
-* the univariate kernel  K1(x, y) = beta0 + 2*beta1 * sum_m cos(2*pi*m*(x-y)) / R(m)^(2*alpha),
+* the univariate kernel  K1(x, y) = 1 + 2*rho * sum_m cos(2*pi*m*(x-y)) / R(m)^(2*alpha),
 * the d-variate exchange-invariant kernel, an average of tensor products of
   K1 over all admissible coordinate exchanges (a permanent on the invariant
   block),
 * its shift average, which collapses to a multiplicity-weighted cosine series
   in the difference argument.
+
+Every kernel here but ``kernel_perminv_gram`` is that of the unit space
+(beta0 = 1, ``KernelSpec.unit``); ``KernelSpec.scaled`` gives the space's.
 
 Every univariate series has two evaluation paths: an exact closed form via
 Bernoulli polynomials (linear generator, integer smoothness) whose
@@ -23,16 +26,16 @@ kappa_c, the univariate kernels with all weights raised to the c-th power.
 That expansion is what makes the shift-averaged kernel and every
 multiplicity-weighted constant exactly computable.  On a rank-1 lattice the
 summed coordinates of a block at node j are the grid point (j * S_B mod n)/n,
-so kappa_c - beta0^c is tabulated once per (space, n) on the grid g/n and one
+so kappa_c - 1 is tabulated once per (space, n) on the grid g/n and one
 bitmask DP, ``_partition_sums``, gives the partition sums at every node: it
-evaluates the shift-averaged kernel less beta0^d at the lattice nodes
+evaluates the shift-averaged kernel less 1 at the lattice nodes
 (``shift_invariant_profile``) and the CBC objective (``errors.cbc_step_objectives``).
 
 The Gram mean of a shifted lattice rule, the core of its worst-case error,
 has two routes: pair permanents over n*(n//2 + 1) node pairs
 (``lattice_gram_mean``), and for s <= 2 or d = 3 a sum over an explicit list
 of exchanges in which each term is a direct sum of n products or one FFT
-correlation (``_lattice_gram_mean_fft``, which gives the mean less beta0^d
+correlation (``_lattice_gram_mean_fft``, which gives the mean less 1
 directly, on the zero-mean K1 tables).  Every FFT of the package, here
 and in the CBC step, runs in ``_cyclic_correlation``: zero-padded
 power-of-two real transforms, which one rounding bound (``_fft_rho``) covers.
@@ -40,7 +43,8 @@ power-of-two real transforms, which one rounding bound (``_fft_rho``) covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -49,7 +53,7 @@ import numpy as np
 
 from .lattice import LatticeRule
 from .symmetry import _UNIT_ROUNDOFF, PermStructure, _frac, _gamma, _ryser, permanent_bound
-from .weights import (Enclosure, SpectralWeight, _bernoulli, _rounded,
+from .weights import (Enclosure, SpectralWeight, _bernoulli, _rounded, _up,
                       spectral_mass, tail_sum)
 
 __all__ = [
@@ -247,62 +251,40 @@ def _closed_available(w: SpectralWeight) -> bool:
     return w.generator.is_linear and w.has_integer_alpha
 
 
-def power_kernel(w: SpectralWeight, power: int, t, include_constant: bool = True,
-                 mode: str = "auto", tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Evaluate kappa_c(t) = beta0^c + 2*beta1^c * sum_m R(m)^(-2*alpha*c) * cos(2*pi*m*t).
-
-    Parameters
-    ----------
-    power : int
-        The order c >= 1; c = 1 is the univariate kernel itself.
-    include_constant : bool
-        When False the beta0^c term is dropped (the zero-mean part that
-        ``power_kernel_table`` holds).
-    mode : {"auto", "spectral"}
-        "auto" takes the closed form whenever the generator is linear and
-        alpha an integer, and the certified series otherwise; "spectral"
-        always takes the series, the second route the tests compare against.
-    tol : float
-        Certificate target for the series.
-
-    Returns
-    -------
-    values : ndarray
-    certificate : float
-        Bound on the absolute evaluation error, uniform over ``t``: the
-        closed form's a priori rounding bound, or the series' tail bound
-        plus its rounding bound.
-    """
+def power_kernel(w: SpectralWeight, power: int, t, mode: str = "auto",
+                 tol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """The zero-mean power kernel 2*beta1^c * sum_m R(m)^(-2*alpha*c) *
+    cos(2*pi*m*t) of order c = ``power`` >= 1, kappa_c less its constant
+    mode, and a bound on its error uniform over ``t``.  Mode "auto" takes
+    the closed form (its a priori rounding bound) whenever the generator is
+    linear and alpha an integer, and the certified series (its tail bound
+    to ``tol`` plus its rounding bound) otherwise; "spectral" always takes
+    the series, the second route the tests compare against."""
     if power < 1:
         raise ValueError("power must be >= 1")
     if mode not in _MODES:
         raise ValueError(f"unknown eval mode {mode!r}")
     t_arr = np.asarray(t, dtype=float)
-    const = w.beta0 ** power if include_constant else 0.0
     amp = 2.0 * w.beta1 ** power
     if mode == "auto" and _closed_available(w):
         n = round(w.alpha * power)
         err, top = _cosine_closed_error(n)
         scale = amp * w.generator.linear_slope ** (-2.0 * n)
-        vals = const + scale * _cosine_closed(n, t_arr)
         # scale: slope (u, to the power 2n), two pows (1 ulp each), a product;
-        # two more for the product with P and the sum.  const: pow and sum
-        cert = (abs(scale) * ((1.0 + _gamma(2 * n + 5)) * err + _gamma(2 * n + 7) * top)
-                + 3.0 * _UNIT_ROUNDOFF * const)
-        return vals, cert
+        # two more for the product with P
+        cert = abs(scale) * ((1.0 + _gamma(2 * n + 5)) * err + _gamma(2 * n + 7) * top)
+        return scale * _cosine_closed(n, t_arr), cert
     # certified truncated series
     s_exp = 2.0 * w.alpha * power
     if s_exp <= 1.0:
         raise ValueError("series divergent: 2*alpha*power must exceed 1")
     terms = _choose_terms(w, s_exp, amp, tol, t_arr)
     series, rounding = _cosine_series(w, s_exp, t_arr, terms)
-    vals = const + amp * series
     tail = float(np.max(_series_remainder_bound(w, s_exp, terms, t_arr), initial=0.0))
     # a pow counts as two roundings: amp is one pow, then the product with
-    # the series and the sum (4); const is one pow and the sum (3)
+    # the series (4)
     peak = float(np.max(np.abs(series), initial=0.0)) + rounding
-    cert = amp * (tail + rounding + _gamma(4) * peak) + _gamma(3) * const
-    return vals, cert
+    return amp * series, amp * (tail + rounding + _gamma(4) * peak)
 
 
 def _choose_terms(w: SpectralWeight, s_exp: float, amp: float, tol: float,
@@ -324,20 +306,19 @@ def _choose_terms(w: SpectralWeight, s_exp: float, amp: float, tol: float,
 
 @lru_cache(maxsize=1)
 def power_kernel_table(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-mean power kernels kappa_c - beta0^c at the grid points g/n,
-    g = 0..n-1, for c = 1..max(1, s), in the spec's mode and tol.
+    """The zero-mean power kernels kappa_c - 1 of the unit space at the grid
+    points g/n, g = 0..n-1, for c = 1..max(1, s), in the spec's mode and tol.
 
     Returns (table, certs) with table of shape (max(1, s), n).  Both are
     read-only: the CBC steps and the fixed-point E2 of one (space, n) share
-    the cached pair.
+    the cached pair, keyed on the ``KernelSpec.unit`` they pass.
     """
     grid = np.arange(n, dtype=float) / n
     c_max = max(1, spec.perm.size)
     table = np.empty((c_max, n))
     certs = np.empty(c_max)
     for c in range(1, c_max + 1):
-        table[c - 1], certs[c - 1] = power_kernel(spec.weight, c, grid, include_constant=False,
-                                                  mode=spec.mode, tol=spec.tol)
+        table[c - 1], certs[c - 1] = power_kernel(spec.unit.weight, c, grid, spec.mode, spec.tol)
     table.flags.writeable = certs.flags.writeable = False
     return table, certs
 
@@ -393,23 +374,22 @@ def _partition_sums(zs: list[int], n: int, table: np.ndarray) -> np.ndarray:
     return f
 
 
-def _free_excess(vals: Iterable[np.ndarray], b0: float, top: float,
+def _free_excess(vals: Iterable[np.ndarray], top: float,
                  c1: float) -> tuple[np.ndarray | float, float, float]:
-    """q = prod_i (beta0 + g_i) - beta0^k over k coordinates, g_i the i-th of
-    ``vals``, their zero-mean K1 values at the same points (on a grid,
-    row[j z_i mod n]; an iterable, so gathered one at a time), by q <-
-    q (beta0 + g) + beta0^k g, which holds no beta0^k term (q is the scalar
-    0 at k = 0).  Returns (q, cert, bound).  With c_1 bounding each value's
-    error and T = ``top`` >= beta0 + max|g_i| + c_1, |q| and the computed q
-    lie within T^k - beta0^k + E_k, E_k the error, E_(k+1) = (1 + gamma_4)
-    T E_k + T^k c_1 + gamma_4 (T^(k+1) - beta0^(k+1)): a step rounds three
-    times, four in beta0^k g."""
+    """q = prod_i (1 + g_i) - 1 over k coordinates, g_i the i-th of ``vals``,
+    their zero-mean K1 values at the same points (on a grid, row[j z_i mod
+    n]; an iterable, so gathered one at a time), by q <- q (1 + g) + g, which
+    holds no term 1 (q is the scalar 0 at k = 0).  Returns (q, cert, bound).
+    With c_1 bounding each value's error and T = ``top`` >= 1 + max|g_i| +
+    c_1, |q| and the computed q lie within T^k - 1 + E_k, E_k the error,
+    E_(k+1) = (1 + gamma_3) T E_k + T^k c_1 + gamma_3 (T^(k+1) - 1): a step
+    rounds three times, and |q| |1 + g| + |g| <= T^(k+1) - 1."""
     k, q, q_cert = 0, 0.0, 0.0
     for k, g in enumerate(vals, 1):
-        q = q * (b0 + g) + b0 ** (k - 1) * g
-        q_cert = ((1.0 + _gamma(4)) * top * q_cert + top ** (k - 1) * c1
-                  + _gamma(4) * (top ** k - b0 ** k))
-    return q, q_cert, top ** k - b0 ** k + q_cert
+        q = q * (1.0 + g) + g
+        q_cert = ((1.0 + _gamma(3)) * top * q_cert + top ** (k - 1) * c1
+                  + _gamma(3) * (top ** k - 1.0))
+    return q, q_cert, top ** k - 1.0 + q_cert
 
 
 def permutation_power_sum(p: Sequence[float], e: Sequence[float] | None = None):
@@ -444,48 +424,102 @@ class KernelSpec:
     mode "auto" resolves to the closed form whenever the generator is linear
     and the smoothness an integer, and to certified truncated series
     otherwise; mode "spectral" always takes the series (``power_kernel``).
+
+    r(k)^(-1) is beta0^d times that of the weight (alpha, 1, rho =
+    beta1/beta0, R, c_R): every kernel value, error, eigenvalue and bound
+    constant is beta0^d times its value in that unit space, and the CBC
+    argmin and the approximation chain depend on rho alone.  So the spec
+    normalizes once: ``unit`` is the unit space's spec (itself at beta0 =
+    1), which every engine reads, and ``scale`` is beta0^d; ``weight``
+    stays the caller's.  A beta0^d, a power 2 rho^c of the tables (c <=
+    max(1, s)) or a rho^d that is not a finite normal double (rho^d only
+    where it overflows) raises ValueError naming beta0, beta1 and d.
     """
 
     weight: SpectralWeight
     perm: PermStructure
     mode: str = "auto"
     tol: float = 1e-10
+    unit: KernelSpec = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    rho_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown eval mode {self.mode!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        w, d, c = self.weight, self.perm.d, np.arange(1, max(1, self.perm.size) + 1)
+        rho = w.beta1 / w.beta0
+        with np.errstate(over="ignore", under="ignore"):   # pows that refuse the space
+            scale, rho_d, tables = np.float64(w.beta0) ** d, np.float64(rho) ** d, 2.0 * rho ** c
+        for name, v in [(f"beta0^{d}", scale), (f"rho^{d}", max(rho_d, 1.0)), *zip(c, tables)]:
+            if not sys.float_info.min <= v < math.inf:
+                name = name if isinstance(name, str) else f"2 rho^{name}"
+                raise ValueError(f"the space (beta0, beta1) = ({w.beta0!r}, {w.beta1!r}) at d = {d} "
+                                 f"is out of range: {name} = {float(v)!r} is not a finite normal "
+                                 "double (rho = beta1/beta0)")
+        unit = self if w.beta0 == 1.0 else KernelSpec(
+            SpectralWeight(w.alpha, 1.0, rho, w.generator, w.c_R), self.perm, self.mode, self.tol)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "scale", float(scale))
+        object.__setattr__(self, "rho_exact", Fraction(rho) * Fraction(w.beta0) == Fraction(w.beta1))
 
     @property
     def d(self) -> int:
         return self.perm.d
 
     def univariate(self, t) -> tuple[np.ndarray, float]:
-        return power_kernel(self.weight, 1, t, mode=self.mode, tol=self.tol)
+        """K1 of the unit space at t: 1 plus the zero-mean ``power_kernel``;
+        the sum adds 3u on the closed form and gamma_3 on the series."""
+        u = self.unit
+        vals, cert = power_kernel(u.weight, 1, t, u.mode, u.tol)
+        closed = u.mode == "auto" and _closed_available(u.weight)
+        return 1.0 + vals, cert + (3.0 * _UNIT_ROUNDOFF if closed else _gamma(3))
 
-    def zero_mean(self, t) -> tuple[np.ndarray, float]:
-        """K1 - beta0 at t; beta0 plus it is ``univariate`` bitwise."""
-        return power_kernel(self.weight, 1, t, False, mode=self.mode, tol=self.tol)
+    def rho_cert(self, value, cert: float, bound: float | None = None) -> float:
+        """The certificate of a unit result at the exact rho, not the rounded
+        rho-hat = rho (1 + e) of ``unit``: rho^j = rho-hat^j (1 + e)^(-j) lies
+        within gamma_d of rho-hat^j for j <= d.  A nonnegative spectral sum
+        sum_j c_j rho^j, c_j >= 0 (E2, e^2, the eigenvalues, the masses, the
+        bound constants, the CBC objectives), so moves by gamma_d (|value| +
+        cert); a signed kernel or Gram value by gamma_d times the sum of its
+        terms' magnitudes, at most the unit diagonal bound ``bound``."""
+        if self.rho_exact:
+            return cert
+        if bound is None:
+            bound = float(np.max(np.abs(value), initial=0.0)) + cert
+        return _up(cert + _gamma(self.d) * bound)
+
+    def scaled(self, value, cert: float, bound: float | None = None):
+        """A unit result (value, cert) of degree d in the space: the inputs
+        when it is its unit space; else the value times ``scale``, and
+        ``rho_cert`` times ``scale``, rounded up, plus gamma_3 |scaled value|
+        for the pow beta0^d (one ulp, two roundings) and the product."""
+        if self.unit is self:
+            return value, cert
+        cert = self.rho_cert(value, cert, bound)
+        value = value * self.scale
+        return value, _up(_up(cert * self.scale) + _gamma(3) * float(np.max(np.abs(value), initial=0.0)))
 
 
-def _gram_cert(M, cert1: float, f: int, b0: float, top: float, certf: float) -> float:
+def _gram_cert(M, cert1: float, f: int, top: float, certf: float) -> float:
     """One a priori bound on the error of every kernel value per * F / s!,
-    F = beta0^f + q over f free coordinates (q their ``_free_excess`` at
+    F = 1 + q over f free coordinates (q their ``_free_excess`` at
     radius certf under ``top``; F = 1 exactly at f = 0), per computed by
     ``_ryser`` on tables whose entries lie within M (s, s) in magnitude and
     within cert1 of the exact K1 tables T.  Then per(T) F_T - per F =
     (per(T) - per) F_T + per (F_T - F): |per(T) - per| is at most B =
     ``permanent_bound(M, cert1)``, |per| at most s! max(M)^s + B and |F| at
-    most beta0^f + |q|'s bound; F adds a pow and a sum, the value two.  No
+    most 1 + |q|'s bound; F adds a sum, the value two.  No
     value enters: ``_free_excess``' bounds depend on the count f alone."""
     s = len(M)
     fact = float(math.factorial(s))
     bound = float(permanent_bound(M, cert1))
     per_abs = fact * float(M.max(initial=0.0)) ** s + bound
-    _, q_cert, q_abs = _free_excess([0.0] * f, b0, top, certf)
-    F_abs = b0 ** f + q_abs
-    F_cert = q_cert + _gamma(3) * F_abs if f else 0.0
+    _, q_cert, q_abs = _free_excess([0.0] * f, top, certf)
+    F_abs = 1.0 + q_abs
+    F_cert = q_cert + _gamma(1) * F_abs if f else 0.0
     return (bound * (F_abs + F_cert) + per_abs * (F_cert + _gamma(2) * F_abs)) / fact
 
 
@@ -496,14 +530,16 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     the largest tile certificate.  With ``start`` None the tiles cover every
     pair.  Else Y is X, out[:start, :start] holds the Gram of X[:start], and
     a tile, c0 = max(lo, start), is mirrored, its diagonal square's lower
-    triangle from the upper: extending is rebuilding.  A tile's certificate
+    triangle from the upper: extending is rebuilding.  Values are those of
+    the unit space (``KernelSpec.unit``).  A tile's certificate
     is a priori, as on the lattice route: |K1| <= K1(0), the mass, so every
     entry lies within M = mass + c1 (c1 K1's certificate) in magnitude
     (``_gram_cert``)."""
     inv, free, fact = spec.perm.invariant_idx, spec.perm.free_idx, float(spec.perm.group_order)
     Xinv, Yinv, Xfree, Yfree = X[:, inv].T, Y[:, inv].T, X[:, free], Y[:, free]
-    # beta0 + |K1(t) - beta0| is at most the mass at every t too
-    s, mass, b0 = len(inv), spectral_mass(spec.weight).hi, spec.weight.beta0
+    # 1 + |K1(t) - 1| is at most the mass at every t too
+    u = spec.unit
+    s, mass = len(inv), spectral_mass(u.weight).hi
     (nx, ny), cert, lo = out.shape, 0.0, 0
     while lo < nx and ny > (start or 0):     # some pair left to write
         c0 = 0 if start is None else max(lo, start)
@@ -511,40 +547,45 @@ def _fill_gram(out: np.ndarray, X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
         # diffs[a, b, i, j] = x_i[inv_a] - y_j[inv_b], fd[i, j] = x_i[free] - y_j[free]
         diffs = Xinv[:, None, lo:hi, None] - Yinv[None, :, None, c0:]
         fd = Xfree[lo:hi, None] - Yfree[None, c0:]
-        vals, cert1 = spec.univariate(diffs.reshape(-1))
-        gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        vals, cert1 = u.univariate(diffs.reshape(-1))
+        gf, certf = power_kernel(u.weight, 1, fd.reshape(-1), u.mode, u.tol) if len(free) else (fd, 0.0)
         per = _ryser(vals.reshape(s, s, (hi - lo) * (ny - c0))).reshape(hi - lo, ny - c0)
         # q alone: its bounds enter the certificate (``_gram_cert``)
-        q = _free_excess(np.moveaxis(gf.reshape(fd.shape), -1, 0), b0, 0.0, 0.0)[0]
-        values = per * (b0 ** len(free) + q) / fact
+        q = _free_excess(np.moveaxis(gf.reshape(fd.shape), -1, 0), 0.0, 0.0)[0]
+        values = per * (1.0 + q) / fact
         out[lo:hi, c0:] = values
         if start is not None:       # mirrored, then the diagonal square's upper triangle again
             out[c0:, lo:hi] = values.T
             for r in range(c0, hi):
                 out[r, r + 1:hi] = values[r - lo, r + 1 - c0:hi - c0]
-        cert = max(cert, _gram_cert(np.full((s, s), mass + cert1), cert1, len(free), b0,
+        cert = max(cert, _gram_cert(np.full((s, s), mass + cert1), cert1, len(free),
                                     mass + 2.0 * certf, certf))
         lo = hi
     return cert
 
 
 def kernel_perminv_gram(X, Y, spec: KernelSpec) -> tuple[np.ndarray, float]:
-    """Gram matrix G of the exchange-invariant kernel on point sets X, Y, by
-    ``_fill_gram``; with ``Y is X`` exactly symmetric.  Returns (G, cert), cert
-    bounding every entry's error a priori, per row tile: K1's certificate, as
-    the tables' entrywise radius, and every rounding (``_gram_cert``)."""
+    """Gram matrix G of the exchange-invariant kernel of the space on point
+    sets X, Y: the unit space's by ``_fill_gram``, ``KernelSpec.scaled`` with
+    the unit diagonal bound mass^d (every entry is a mean of products of d
+    values of K1, each at most the mass); with ``Y is X`` exactly symmetric.
+    Returns (G, cert), cert bounding every entry's error a priori, per row
+    tile: K1's certificate, as the tables' entrywise radius, and every
+    rounding (``_gram_cert``)."""
     upper = Y is X
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if upper else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != spec.d or Y.shape[1] != spec.d:
         raise ValueError("point dimension does not match the kernel")
     gram = np.empty((X.shape[0], Y.shape[0]))
-    return gram, _fill_gram(gram, X, Y, spec, 0 if upper else None)
+    cert = _fill_gram(gram, X, Y, spec, 0 if upper else None)
+    return spec.scaled(gram, cert, spectral_mass(spec.unit.weight).hi ** spec.d)
 
 
 def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float, int]:
-    """Mean of the exchange-invariant Gram matrix over all node pairs of a
-    (shifted) rank-1 lattice rule, without forming the n x n matrix.
+    """Mean of the exchange-invariant Gram matrix of the unit space over all
+    node pairs of a (shifted) rank-1 lattice rule, without forming the n x n
+    matrix.
 
     Node k has coordinates {k*z_i/n + shift_i}, so the invariant block of the
     pair (k, l) is K1 at (k*z_i - l*z_j mod n)/n + shift_i - shift_j, tabulated
@@ -574,12 +615,12 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
     grid = np.arange(n, dtype=float) / n
     zi = z[inv]
     dshift = shift[inv][:, None] - shift[inv][None, :]
-    table, cert1 = spec.univariate(grid + dshift[:, :, None])        # (s, s, n)
+    u = spec.unit
+    table, cert1 = u.univariate(grid + dshift[:, :, None])        # (s, s, n)
     # the free coordinates' zero-mean K1 on the grid
-    fg, certf = spec.zero_mean(grid) if len(free) else (grid, 0.0)
-    b0 = spec.weight.beta0
-    cert = _gram_cert(np.abs(table).max(axis=2), cert1, len(free), b0,
-                      b0 + float(np.max(np.abs(fg))) + certf, certf)
+    fg, certf = power_kernel(u.weight, 1, grid, u.mode, u.tol) if len(free) else (grid, 0.0)
+    cert = _gram_cert(np.abs(table).max(axis=2), cert1, len(free),
+                      1.0 + float(np.max(np.abs(fg))) + certf, certf)
     diff = (zi[:, None] - zi[None, :]) % n
     c = np.array([[zj * pow(d, -1, n) % n if d else 0 for zj, d in zip(zi.tolist(), row)]
                   for row in diff.tolist()], dtype=np.int64).reshape(s, s)
@@ -595,8 +636,8 @@ def lattice_gram_mean(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float
         block = windows[ii, jj, n - c[:, :, None] * m % n]          # (s, s, len(m), n)
         block[di, dj] = table[di[:, None], dj[:, None], -zi[dj][:, None] * m % n][..., None]
         per = _ryser(block.reshape(s, s, len(m) * n)).reshape(len(m), n)
-        q = _free_excess([fg.take(m[:, None] * zi % n) for zi in z[free]], b0, 0.0, 0.0)[0]
-        rows = per * (b0 ** len(free) + q) / fact
+        q = _free_excess([fg.take(m[:, None] * zi % n) for zi in z[free]], 0.0, 0.0)[0]
+        rows = per * (1.0 + q) / fact
         mult = np.where((m == 0) | (2 * m == n), 1.0, 2.0)
         total += float(mult @ rows.sum(axis=1))
         total_abs += float(mult @ np.abs(rows).sum(axis=1))
@@ -620,62 +661,62 @@ _EXCHANGES = {
 
 
 def _correlation_sum(factors: list[tuple[int, int]], g: np.ndarray, gx: np.ndarray,
-                     gy: np.ndarray, b0: float, top: float, lag: int) -> tuple[float, float, int]:
-    """S - beta0^(k+2) for S = n^-2 sum_x P(x) R(lag * x mod n), P = beta0^k + p
-    the product of the k factors beta0 + g[r](c x) over (r, c) in ``factors``
-    (p their excess, from ``_free_excess``) and R(tau) = sum_p fx(p) fy(p +
-    tau) the cyclic correlation of fx = beta0 + gx and fy = beta0 + gy on
-    Z_n; with its error bound and the number of FFTs (two when gy is gx).  R = n beta0^2 +
-    Ro, Ro = beta0 (sum gx + sum gy) + Rg, Rg the correlation of the
-    oscillatory parts (``_cyclic_correlation``), so the value, n^-2 sum_x
-    [P(x) Ro(lag x) + n beta0^2 p(x)], holds no beta0^(k+2) term.
+                     gy: np.ndarray, top: float, lag: int) -> tuple[float, float, int]:
+    """S - 1 for S = n^-2 sum_x P(x) R(lag * x mod n), P = 1 + p the product
+    of the k factors 1 + g[r](c x) over (r, c) in ``factors`` (p their
+    excess, from ``_free_excess``) and R(tau) = sum_p fx(p) fy(p + tau) the
+    cyclic correlation of fx = 1 + gx and fy = 1 + gy on Z_n; with its
+    error bound and the number of FFTs (two when gy is gx).  R = n + Ro, Ro =
+    (sum gx + sum gy) + Rg, Rg the correlation of the oscillatory parts
+    (``_cyclic_correlation``), so the value, n^-2 sum_x [P(x) Ro(lag x) +
+    n p(x)], holds no term 1.
 
     The error of Rg has 2-norm at most the helper's bound, and x -> lag * x
     permutes Z_n (lag != 0 mod n): by Cauchy-Schwarz it reaches the sum
-    through ||P||_2.  The sums of gx and gy and Ro's three roundings err
-    uniformly over Ro.  P errs by p's error, the pow (two roundings) and the
-    addition.  And gamma_k * sum |terms| covers the products, the sum and
-    the division.
+    through ||P||_2.  The sums of gx and gy and Ro's two roundings err
+    uniformly over Ro.  P errs by p's error and the addition.  And
+    gamma_k * sum |terms| covers the products, the sum and the division.
     """
-    n, k, x = gx.size, len(factors), np.arange(gx.size, dtype=np.int64)
-    p, p_cert, p_abs = _free_excess((g[r].take(c * x % n) for r, c in factors), b0, top, 0.0)
+    n, x = gx.size, np.arange(gx.size, dtype=np.int64)
+    p, p_cert, p_abs = _free_excess((g[r].take(c * x % n) for r, c in factors), top, 0.0)
     rg, rg_err = _cyclic_correlation(gy)(gx)
     sx, sy = float(gx.sum()), float(gy.sum())
-    ro = b0 * (sx + sy) + rg
-    P = b0 ** k + p
-    t1, t2 = P * ro.take(lag * x % n), (n * b0 * b0) * p
+    ro = (sx + sy) + rg
+    P = 1.0 + p
+    t1, t2 = P * ro.take(lag * x % n), float(n) * p
     depth = _sum_depth(n)
-    p_err = p_cert + _gamma(3) * (b0 ** k + p_abs)
+    p_err = p_cert + _gamma(1) * (1.0 + p_abs)
     P_abs = float(np.abs(P).sum()) + n * p_err
     P_l2 = math.sqrt(float(np.square(P).sum())) + math.sqrt(n) * p_err
-    ro_err = (b0 * _gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
-              + _gamma(3) * (b0 * (abs(sx) + abs(sy)) + float(np.max(np.abs(rg)))))
+    ro_err = (_gamma(depth) * float(np.abs(gx).sum() + np.abs(gy).sum())
+              + _gamma(2) * (abs(sx) + abs(sy) + float(np.max(np.abs(rg)))))
     err = (rg_err * P_l2 + ro_err * P_abs
-           + n * (p_err * float(np.max(np.abs(ro))) + p_cert * n * b0 * b0)
-           + _gamma(depth + 5) * float(np.abs(t1).sum() + np.abs(t2).sum()))
+           + n * (p_err * float(np.max(np.abs(ro))) + p_cert * n)
+           + _gamma(depth + 3) * float(np.abs(t1).sum() + np.abs(t2).sum()))
     nn = float(n) ** 2
     return float((t1 + t2).sum()) / nn, err / nn, 2 if gy is gx else 3
 
 
 def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, float, int]:
-    """Mean of the exchange-invariant Gram matrix of a (shifted) rank-1
-    lattice rule less beta0^d, its squared worst-case error, in O(n log n +
-    n * d), for s <= 2 or d = 3 (n is prime, as for every ``LatticeRule``).
+    """Mean of the exchange-invariant Gram matrix of the unit space of a
+    (shifted) rank-1 lattice rule less 1, its squared worst-case error, in
+    O(n log n + n * d), for s <= 2 or d = 3 (n is prime, as for every
+    ``LatticeRule``).
 
     The mean is (1/s!) sum_sigma S_sigma over the exchanges in
     ``_EXCHANGES``, with S_sigma = n^-2 sum_{k,l} prod_i f_i(k z_i - l z_sigma(i)),
-    f_i(x) = beta0 + g_i(x) and g_i(x) = K1(x/n + Delta_i - Delta_sigma(i)) - beta0
-    on Z_n; their weights sum to 1, so each contributes S_sigma - beta0^d,
-    expanded around beta0.  Factor i reads its K1 row at the form a k + b l,
+    f_i(x) = 1 + g_i(x) and g_i(x) = K1(x/n + Delta_i - Delta_sigma(i)) - 1
+    on Z_n; their weights sum to 1, so each contributes S_sigma - 1,
+    expanded around 1.  Factor i reads its K1 row at the form a k + b l,
     (a, b) = +-(z_i, -z_sigma(i)) mod n (K1 is even), which is c_i times its
     line, the form over its first nonzero entry c_i; a zero form is a
     constant factor.  By the number of lines:
 
-    * at most one: S_sigma - beta0^d is the mean over x of the product
+    * at most one: S_sigma - 1 is the mean over x of the product
       excess of the f_i(c_i x) (``_free_excess``), O(n * d);
     * two: (x, y) = (L1, L2) is a bijection of Z_n^2, so S_sigma is a
-      product of two line means, (beta0^a + u)(beta0^b + v), whose excess
-      is beta0^b u + beta0^a v + u v;
+      product of two line means, (1 + u)(1 + v), whose excess is
+      u + v + u v;
     * three: L3 = alpha L1 + beta L2 (alpha, beta != 0), and p = c_3 beta y
       gives n^-2 sum_x P(x) R(c_3 alpha x), P L1's factors and the
       constants, R the correlation of L2's factor at step c_2 / (c_3 beta)
@@ -686,9 +727,9 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
     shares.  The fixed coordinates read row 0 on the line (1, -1), so under
     s <= 2 or d = 3 three lines leave one factor each on L2 and L3.
 
-    K1 - beta0 is tabulated once at g/n + Delta_a - Delta_b for every pair
-    a < b that an exchange moves (``KernelSpec.zero_mean``), so every sum
-    runs on the oscillatory parts and no term holds beta0^d.  Returns
+    K1 - 1 is tabulated once at g/n + Delta_a - Delta_b for every pair
+    a < b that an exchange moves (``power_kernel``), so every sum runs on
+    the oscillatory parts and no term holds 1.  Returns
     (value, cert, ffts): cert adds the table certificate through the
     products of d factors, each exchange's rounding and FFT bounds, and the
     rounding of the final sum; ffts counts the transforms.
@@ -707,14 +748,14 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
     row_of = {pair: r + 1 for r, pair in enumerate(moved)}
     theta = np.array([0.0] + [shift[a] - shift[b] for a, b in moved])
     grid = np.arange(n, dtype=float) / n
-    g, cert_g = spec.zero_mean(grid + theta[:, None])
-    b0 = spec.weight.beta0
-    top = b0 + float(np.max(np.abs(g)))
+    unit = spec.unit
+    g, cert_g = power_kernel(unit.weight, 1, grid + theta[:, None], unit.mode, unit.tol)
+    top = 1.0 + float(np.max(np.abs(g)))
     x = np.arange(n, dtype=np.int64)
 
     def line(factors):
         # the mean of the product excess (the table taken as exact), its rounding
-        q, q_cert, _ = _free_excess((g[r].take(c * x % n) for r, c in factors), b0, top, 0.0)
+        q, q_cert, _ = _free_excess((g[r].take(c * x % n) for r, c in factors), top, 0.0)
         return float(q.sum()) / n, q_cert + _gamma(_sum_depth(n) + 1) * float(np.abs(q).sum()) / n
 
     total = total_abs = err = 0.0
@@ -737,11 +778,10 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
         elif len(order) == 2:
             f1, f2 = lines[order[0]] + consts, lines[order[1]]
             (u, eu), (v, ev) = line(f1), line(f2)
-            pa, pb = b0 ** len(f1), b0 ** len(f2)
-            val = pb * u + pa * v + u * v
-            # a term rounds at most five times, a pow counted as two
-            e = (pb * eu + pa * ev + abs(u) * ev + eu * (abs(v) + ev)
-                 + _gamma(5) * (pb * abs(u) + pa * abs(v) + abs(u * v)))
+            val = u + v + u * v
+            # a term rounds at most twice
+            e = (eu + ev + abs(u) * ev + eu * (abs(v) + ev)
+                 + _gamma(2) * (abs(u) + abs(v) + abs(u * v)))
         else:
             L1, L2, L3 = order
             inv_det = pow((L1[0] * L2[1] - L1[1] * L2[0]) % n, -1, n)
@@ -751,7 +791,7 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
             step = c2 * pow(c3 * beta, -1, n) % n
             gy = g[r3]
             gx = gy if (r2, step) == (r3, 1) else g[r2].take(step * x % n)
-            val, e, k = _correlation_sum(lines[L1] + consts, g, gx, gy, b0, top, c3 * alpha % n)
+            val, e, k = _correlation_sum(lines[L1] + consts, g, gx, gy, top, c3 * alpha % n)
         ffts += k
         total += mult * val
         total_abs += mult * abs(val)
@@ -763,53 +803,52 @@ def _lattice_gram_mean_fft(rule: LatticeRule, spec: KernelSpec) -> tuple[float, 
 
 
 def shift_invariant_profile(rule: LatticeRule, spec: KernelSpec) -> tuple[np.ndarray, float]:
-    """Shift-averaged kernel less beta0^d at the n unshifted nodes j*z/n of a
-    lattice rule, in memory O(2^s * n).
+    """Shift-averaged kernel of the unit space less 1 at the n unshifted
+    nodes j*z/n of a lattice rule, in memory O(2^s * n).
 
     The multiplicity-weighted frequency sum expands over exchange fixed
     points: per partition of the invariant set I, a block B of size c gives
-    kappa_c = beta0^c + o_c at node j's grid point (j * S_B mod n)/n, o_c
-    the zero-mean table (``power_kernel_table``).  The blocks taking beta0^c
+    kappa_c = 1 + o_c at node j's grid point (j * S_B mod n)/n, o_c the
+    zero-mean table (``power_kernel_table``).  The blocks taking the 1
     cover some I \\ V, and the partitions of m coordinates weighted by
-    prod (|B|-1)! number m!, so the invariant factor is beta0^s + p, with
-    p = sum_(V != {}) w_V f[V], w_V = beta0^(s-|V|) (s-|V|)! / s! and f the
-    partition sums of the o_c (``_partition_sums``).  The free coordinates
-    give beta0^(d-s) + q, q from ``_free_excess``.  The value is
-    beta0^s q + beta0^(d-s) p + p q: no term holds beta0^d, so its rounding
-    scales with the o_c.
+    prod (|B|-1)! number m!, so the invariant factor is 1 + p, with
+    p = sum_(V != {}) w_V f[V], w_V = (s-|V|)! / s! and f the partition
+    sums of the o_c (``_partition_sums``).  The free coordinates give 1 + q,
+    q from ``_free_excess``.  The value is q + p + p q: no term holds 1, so
+    its rounding scales with the o_c.
 
     Returns (values, cert), cert a bound uniform over the nodes.  With N, E
     the size recurrence of ``permutation_power_sum``, p errs by
     E_p = sum_V w_V (E[|V|] + g_V N[|V|]), g_V the gamma of the engine's
-    |V| + 2^|V| - 1 roundings, w_V's 6 (a pow counted as two) and the
-    weighted sum's 2^s - 1; |p| <= sum_V w_V N[|V|] + E_p.  q and |q| are
-    bounded by ``_free_excess``.  The value's three products, two sums and
-    two pows add gamma_6 times their bounds.
+    |V| + 2^|V| - 1 roundings, w_V's 3 (two factorials to float and the
+    division) and the weighted sum's 2^s - 1; |p| <= sum_V w_V N[|V|] + E_p.
+    q and |q| are bounded by ``_free_excess``.  The value's product and two
+    sums add gamma_3 times their bounds.
     """
-    n, d = rule.n, rule.d
+    n = rule.n
     inv = spec.perm.invariant_idx
-    s, b0 = len(inv), spec.weight.beta0
+    s = len(inv)
     z = np.asarray(rule.z, dtype=np.int64)
-    table, tcerts = power_kernel_table(spec, n)
+    table, tcerts = power_kernel_table(spec.unit, n)
     tmax = np.max(np.abs(table), axis=1) + tcerts
     f = _partition_sums(z[inv].tolist(), n, table)
     fv, fe = permutation_power_sum(tmax[:s], tcerts[:s])
     size = np.array([V.bit_count() for V in range(1, 1 << s)], dtype=np.int64)
-    wts = np.array([b0 ** (s - v) * math.factorial(s - v) for v in size]) / float(math.factorial(s))
+    wts = np.array([float(math.factorial(s - v)) for v in size]) / float(math.factorial(s))
     p = np.einsum("i,ij->j", wts, f[1:])   # einsum, not BLAS: see cbc_step_objectives
-    g_V = _gamma(size + (1 << size) + (1 << s) + 4)
+    g_V = _gamma(size + (1 << size) + (1 << s) + 1)
     p_cert = float(wts @ (fe[size] + g_V * fv[size]))
     p_abs = float(wts @ fv[size]) + p_cert
     fvals = (table[0].take(np.arange(n) * zi % n) for zi in z[spec.perm.free_idx])
-    q, q_cert, q_abs = _free_excess(fvals, b0, b0 + float(tmax[0]), tcerts[0])
-    bs, bf = b0 ** s, b0 ** (d - s)
-    cert = (bs * q_cert + bf * p_cert + p_abs * q_cert + q_abs * p_cert
-            + _gamma(6) * (bs * q_abs + bf * p_abs + p_abs * q_abs))
-    return bs * q + bf * p + p * q, float(cert)
+    q, q_cert, q_abs = _free_excess(fvals, 1.0 + float(tmax[0]), tcerts[0])
+    cert = (q_cert + p_cert + p_abs * q_cert + q_abs * p_cert
+            + _gamma(3) * (q_abs + p_abs + p_abs * q_abs))
+    return q + p + p * q, float(cert)
 
 
 def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:
-    """Enclosure of sum_j lambda_j^(1/tau) over the whole multivariate spectrum.
+    """Enclosure of sum_j lambda_j^(1/tau) over the whole multivariate
+    spectrum of the unit space.
 
     At tau = 1 this is the diagonal integral of the exchange-invariant
     kernel, the multiplicity-weighted total spectral mass.  It splits into
@@ -817,7 +856,7 @@ def symmetrized_mass(spec: KernelSpec, tau: float = 1.0) -> Enclosure:
     exchangeable block; the latter is the fixed-point recurrence applied to
     the per-order scalar masses spectral_mass(w, c / tau).
     """
-    w = spec.weight
+    w = spec.unit.weight
     s = spec.perm.size
     d_free = spec.d - s
     masses = [spectral_mass(w, c / tau) for c in range(1, s + 1)]

@@ -1,7 +1,9 @@
 """Eigenvalue spectrum of the embedding operator on the invariant space.
 
-The univariate spectrum consists of the constant-mode mass beta0 and the
-oscillatory masses beta1/R(m)^(2*alpha), each of multiplicity two.  The
+Everything here is of the unit space (``KernelSpec.unit``), whose eigenvalues
+are those of the space over beta0^d.  The univariate spectrum consists of the
+constant-mode mass 1 and the oscillatory masses rho/R(m)^(2*alpha), each of
+multiplicity two.  The
 multivariate eigenvalues are products of univariate ones over index tuples
 whose entries on the exchangeable coordinates are non-decreasing; they are
 enumerated best-first through a max-heap.  The decay constants and the
@@ -63,7 +65,7 @@ class EigenSpectrum:
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
-        self._univ: list[tuple[float, int]] = univariate_labeled(spec.weight, 64)
+        self._univ: list[tuple[float, int]] = univariate_labeled(spec.unit.weight, 64)
         inv = [int(i) - 1 for i in spec.perm.invariant]
         # the exchangeable position after each exchangeable one, None elsewhere
         self._next: list[int | None] = [None] * spec.d
@@ -89,7 +91,7 @@ class EigenSpectrum:
                 if nxt[j] is not None and index[nxt[j]] <= index[j]:
                     continue
                 if index[j] + 1 == len(univ):
-                    univ = self._univ = univariate_labeled(self.spec.weight, 2 * len(univ))
+                    univ = self._univ = univariate_labeled(self.spec.unit.weight, 2 * len(univ))
                 succ = index[:j] + (index[j] + 1,) + index[j + 1:]
                 heapq.heappush(self._heap, (-self._value(succ), succ))
 
@@ -116,7 +118,7 @@ class EigenSpectrum:
         the products add d - 1 and numpy's sum ``_sum_depth(m)``.
         """
         d = self.spec.d
-        k = d * _factor_roundings(self.spec.weight) + d - 1 + _sum_depth(m)
+        k = d * _factor_roundings(self.spec.unit.weight) + d - 1 + _sum_depth(m)
         rest = self.trace + _rounded(self.partial_sum(m), k).scale(-1.0)
         return Enclosure(max(rest.lo, 0.0), max(rest.hi, 0.0))
 
@@ -124,29 +126,26 @@ class EigenSpectrum:
 @dataclass(frozen=True)
 class TailConstants:
     """Decay data for the spectral tail at a given exponent tau: the two
-    constants the approximation chain reads, p_d and C_d, and the power sum
-    that gives C_d."""
+    constants the approximation chain reads, p_d and C_d."""
 
     tau: float
     p_d: float
     C_d: Enclosure
-    power_sum: Enclosure
 
 
 def spectrum_tail_constants(spec: KernelSpec, tau: float) -> TailConstants:
     """Decay constants: tail of the ordered spectrum past m modes is at most
     C_d / (m+1)^(p_d) with p_d = tau - 1 and C_d = 2^(tau-1)/(tau-1) * (sum lambda^(1/tau))^tau,
-    for every tau in (1, 2 alpha).  The chain's tail offset U* and its rho*
-    are paper constants that only the tests compute (``min_contraction_order``
-    and ``eta_star`` at tau).
+    for every tau in (1, 2 alpha), of the unit space.  The chain's tail
+    offset U* and its rho* are paper constants that only the tests compute
+    (``min_contraction_order`` and ``eta_star`` at tau).
     """
-    w = spec.weight
-    if not (1.0 < tau < 2.0 * w.alpha):
-        raise ValueError(f"tau must lie in (1, 2*alpha) = (1, {2 * w.alpha})")
-    power_sum = symmetrized_mass(spec, tau)
+    alpha = spec.weight.alpha
+    if not (1.0 < tau < 2.0 * alpha):
+        raise ValueError(f"tau must lie in (1, 2*alpha) = (1, {2 * alpha})")
     scale = 2.0 ** (tau - 1.0) / (tau - 1.0)
-    return TailConstants(tau=tau, p_d=tau - 1.0, C_d=power_sum.power(tau).scale(scale),
-                         power_sum=power_sum)
+    return TailConstants(tau=tau, p_d=tau - 1.0,
+                         C_d=symmetrized_mass(spec, tau).power(tau).scale(scale))
 
 
 @dataclass(frozen=True)

@@ -326,8 +326,9 @@ def _factor_roundings(w: SpectralWeight) -> int:
 def r_weight_inv_factors(k_columns: np.ndarray, w: SpectralWeight) -> np.ndarray:
     """Elementwise reciprocal factors for an integer array of frequencies.
 
-    Returns an array of the same shape holding beta0 where the entry is zero
-    and beta1*R(|k|)^(-2 alpha) otherwise; the reciprocal weight of each row
+    Returns an array of the same shape holding beta0 (1 on the unit weight
+    of ``KernelSpec.unit``) where the entry is zero and beta1*R(|k|)^(-2 alpha)
+    otherwise; the reciprocal weight of each row
     is the product of its factors.  The factors of |k| = 0..max|k| (of the
     distinct |k| only, when there are more of those than entries) are formed
     once and gathered.
@@ -371,7 +372,8 @@ def eta_star(w: SpectralWeight, V: int = 0, tau: float = 1.0) -> Enclosure:
     """
     if V < 0:
         raise ValueError("V must be >= 0")
-    # a division and a pow, which scales the division's error by 1/tau <= 1
+    # a division (or, on a unit weight, the rounding of its beta1 = rho) and
+    # a pow, which scales that error by 1/tau <= 1
     factor = _rounded(2.0 * (w.beta1 / w.beta0) ** (1.0 / tau), 3)
     return tail_sum(w, exponent=w.alpha / tau, start=V + 1) * factor
 

@@ -153,15 +153,15 @@ def all_successor_stream(spec, m):
     of a popped index tuple t whose exchangeable entries are non-decreasing
     and that it has not seen yet.  Values multiply the univariate list's
     entries left to right, the list doubling from 64 entries as indices
-    reach its end.  Returns the values, the labels and the heap's length
-    after the m-th pop."""
-    univ = univariate_labeled(spec.weight, 64)
+    reach its end, those of the unit space as the stream's.  Returns the
+    values, the labels and the heap's length after the m-th pop."""
+    univ = univariate_labeled(spec.unit.weight, 64)
     inv = [i - 1 for i in spec.perm.invariant]
 
     def value(t):
         nonlocal univ
         while max(t) >= len(univ):
-            univ = univariate_labeled(spec.weight, 2 * len(univ))
+            univ = univariate_labeled(spec.unit.weight, 2 * len(univ))
         out = 1.0
         for idx in t:
             out *= univ[idx][0]

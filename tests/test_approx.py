@@ -93,7 +93,9 @@ class TestBasis:
     def test_top_eigenvalue_is_constant_mass(self):
         spec = KernelSpec(SpectralWeight(beta0=0.8), PermStructure.full(3))
         basis = SymmetricBasis(spec)
-        assert basis.lambdas(1)[0] == pytest.approx(0.8 ** 3)
+        # the unit space's eigenvalue 1, times the scale 0.8^3
+        assert basis.lambdas(1)[0] == 1.0
+        assert basis.lambdas(1)[0] * spec.scale == pytest.approx(0.8 ** 3)
 
     def test_exchange_invariance_of_modes(self, spec_d2_full, rng):
         basis = SymmetricBasis(spec_d2_full)
@@ -416,7 +418,7 @@ class TestAssembledRule:
             * (2 * U + 1.0 / (1.0 - rho))
             * max(1, s) ** (2 * U)
         )
-        assert tc.power_sum.hi <= expanded * (1 + 1e-12)
+        assert kernels.symmetrized_mass(spec, tau).hi <= expanded * (1 + 1e-12)
         res = assemble_rule(spec, tau, 32, seed=13)
         p = tc.p_d
         lead = 2.0 ** ((p + 2) * (p + 1)) * (1 + p) * (1 + 1 / p) ** p

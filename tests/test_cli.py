@@ -594,6 +594,36 @@ class TestPipelines:
         assert code == EXIT_OK
         assert json.loads(cj.read_text())["rows"] == []
 
+    def test_convergence_refuses_a_repeated_n(self, cfg_path, tmp_path, capsys):
+        # two identical rows fit no slope: refused before any row runs
+        cj = tmp_path / "c.json"
+        code = main(["convergence", "--config", str(cfg_path), "--n-list", "61,17,61",
+                     "--json", str(cj)])
+        assert code == EXIT_CONFIG and not cj.exists()
+        err = capsys.readouterr().err
+        assert err == "config error: n_list repeats n = 61: each row needs its own n\n"
+
+    @pytest.mark.parametrize("beta0, beta1, d", [
+        (1e-300, 1.0, 3), (1e-120, 1.0, 3), (1e120, 1.0, 3), (1.0, 1e300, 3), (1.0, 1e50, 8)])
+    @pytest.mark.parametrize("command", [["cbc", "--n", "61"], ["error-eval"],
+                                         ["approx-build", "--N", "16"]])
+    def test_extreme_space_exits_2_with_one_line(self, tmp_path, beta0, beta1, d, command):
+        # a beta0^d or a power of rho = beta1/beta0 out of the double range
+        # is refused when the spec is built: one line naming the space
+        cfg = tmp_path / "space.json"
+        cfg.write_text(json.dumps({"space": {"beta0": beta0, "beta1": beta1},
+                                   "structure": {"d": d}}))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "permqmc", *command, "--config", str(cfg),
+                              "--json", str(tmp_path / "o.json")],
+                             capture_output=True, text=True, env=env, timeout=20)
+        assert time.perf_counter() - start < 10.0
+        assert out.returncode == EXIT_CONFIG, out.stderr
+        assert "Traceback" not in out.stderr and out.stderr.count("\n") == 1
+        assert f"(beta0, beta1) = ({beta0!r}, {beta1!r}) at d = {d}" in out.stderr
+
     def test_convergence_row_failure_is_soft(self, cfg_path, tmp_path):
         # a non-prime entry fails its row; the study continues and exits 3
         from permqmc.cli import EXIT_FLAGGED

@@ -15,7 +15,6 @@ from permqmc.errors import (
     bound_constant,
     bound_constants,
     cbc_step_objectives,
-    initial_error_sq,
     mean_sq_error,
     worst_case_error_sq,
     worst_case_error_sq_spectral,
@@ -27,7 +26,7 @@ from permqmc.lattice import LatticeRule, WeightedCubature
 from permqmc.symmetry import _UNIT_ROUNDOFF, PermStructure, multiplicity_array
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
-from oracles import (box_frequencies, fix_count, lattice_error_sq_long_double,
+from oracles import (box_frequencies, fix_count, gram_long_double, lattice_error_sq_long_double,
                      orbit_box_bound_constant, set_partitions, spectral_cbc_objective)
 
 
@@ -65,11 +64,14 @@ def spectral_permutation_oracle(rule, spec, half_width):
 class TestWorstCase:
     def test_empty_rule_is_initial_error(self, spec_d2_full):
         rep = worst_case_error_sq(WeightedCubature(np.zeros((0, 2)), np.zeros(0)), spec_d2_full)
-        assert rep.value == initial_error_sq(spec_d2_full) == 1.0
+        # the empty rule's error is the squared norm of the integral, beta0^d
+        assert rep.value == spec_d2_full.scale == 1.0
 
     def test_initial_error_scales(self):
         spec = KernelSpec(SpectralWeight(beta0=0.5), PermStructure.full(3))
-        assert initial_error_sq(spec) == 0.125
+        assert spec.scale == 0.125
+        rep = worst_case_error_sq(WeightedCubature(np.zeros((0, 3)), np.zeros(0)), spec)
+        assert rep.value == 0.125 and rep.truncation_certificate > 0.0
 
     def test_single_node_rule(self, spec_d2_full, rng):
         t = rng.uniform(size=(1, 2))
@@ -453,6 +455,28 @@ class TestExactCertificates:
                         per *= exact_kappa(1, x[f] - y[f], w)
                     total += per / spec.perm.group_order
             return total / n ** 2 - mpmath.mpf(w.beta0) ** spec.d
+
+    @pytest.mark.parametrize("beta0", [3.0, 0.3])
+    def test_inexact_rho_within_certificates(self, beta0):
+        # rho = 1/beta0 is not a double: the unit space runs at the rounded
+        # rho, and each scaled result still holds its oracle at (beta0, 1)
+        w = SpectralWeight(alpha=2.0, beta0=beta0, beta1=1.0)
+        spec = KernelSpec(w, PermStructure(3, (1, 3)))
+        assert not spec.rho_exact
+        rule = LatticeRule(31, (1, 12, 7))
+        exact = self.exact_mean_sq_error(rule, spec)
+        rep = mean_sq_error(rule, spec)
+        assert abs(mpmath.mpf(rep.details["raw_value"]) - exact) <= rep.truncation_certificate
+        shifted = rule.with_shift((0.3, 0.71, 0.05))
+        for target in (shifted, LatticeRule(31, (1, 12, 7, 5), (0.3, 0.71, 0.05, 0.5))):
+            ps = PermStructure(target.d, (1, 3))
+            rep = worst_case_error_sq(target, KernelSpec(w, ps))
+            ref = lattice_error_sq_long_double(target, ps, 2, beta0, 1.0)
+            assert abs(rep.details["raw_value"] - float(ref)) <= rep.truncation_certificate
+        X = np.random.default_rng(4).uniform(size=(9, 3))
+        gram, cert = kernel_perminv_gram(X, X[:5], spec)
+        ref = gram_long_double(X, X[:5], spec.perm, 2, beta0, 1.0)
+        assert float(np.max(np.abs(gram - ref))) <= cert
 
     @pytest.mark.parametrize("general", [False, True])
     def test_worst_case_error_sq(self, general):

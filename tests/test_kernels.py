@@ -117,13 +117,18 @@ class TestClosedForm:
         t = np.concatenate([np.random.default_rng(5).uniform(-3.0, 3.0, size=40),
                             [0.0, 0.5, 1.0 - 2.0 ** -53, -1e-20, 7.25]])
         n = round(alpha * power)
-        for include_constant in (True, False):
-            vals, cert = power_kernel(w, power, t, include_constant=include_constant)
+        zero, zero_cert = power_kernel(w, power, t)
+        # with the constant mode beta0^c added here: its pow and the sum, 3u
+        for with_constant in (True, False):
+            vals, cert = zero, zero_cert
+            if with_constant:
+                vals = w.beta0 ** power + zero
+                cert = zero_cert + 3.0 * 2.0 ** -53 * w.beta0 ** power
             with mpmath.workdps(50):
                 rho = 2 * mpmath.pi if gen == "korobov_linear" else mpmath.mpf(1)
                 amp = 2 * mpmath.mpf(beta1) ** power * rho ** (-2 * n)
                 scale = (-1) ** (n + 1) * (2 * mpmath.pi) ** (2 * n) / (2 * mpmath.factorial(2 * n))
-                const = mpmath.mpf(beta0) ** power if include_constant else 0
+                const = mpmath.mpf(beta0) ** power if with_constant else 0
                 for v, x in zip(vals, t):
                     x = mpmath.mpf(float(x))
                     exact = const + amp * scale * mpmath.bernpoly(2 * n, x - mpmath.floor(x))
@@ -172,17 +177,21 @@ class TestClosedForm:
                 x = mpmath.mpf(float(x))
                 partial = mpmath.fsum(wm * mpmath.cos(2 * mpmath.pi * m * x)
                                       for m, wm in enumerate(weights, 1))
-                exact = mpmath.mpf(w.beta0) ** power + 2 * mpmath.mpf(w.beta1) ** power * partial
+                exact = 2 * mpmath.mpf(w.beta1) ** power * partial
                 assert abs(mpmath.mpf(float(v)) - exact) <= rounding
 
     @pytest.mark.parametrize("power", [1, 2, 3])
     def test_series_certificate_counts_the_constant_pow(self, power):
-        # with beta1 tiny only beta0^c is left: one pow, counted as two
-        # roundings, and the sum, so at least gamma_3 * beta0^c
+        # with beta1 tiny the zero-mean series is next to nothing, and K1 of
+        # the unit space is its constant mode 1: the sum with it counts as
+        # gamma_3 on the series route
         w = SpectralWeight(alpha=1.25, beta0=0.9, beta1=1e-200)
-        vals, cert = power_kernel(w, power, np.array([0.0, 0.3]), tol=1e-6)
-        assert np.all(vals == w.beta0 ** power)
-        assert cert >= _gamma(3) * w.beta0 ** power
+        t = np.array([0.0, 0.3])
+        vals, cert = power_kernel(w, power, t, tol=1e-6)
+        assert np.all(np.abs(vals) < 1e-150) and cert < 1e-150
+        vals, cert = KernelSpec(w, PermStructure.empty(power), tol=1e-6).univariate(t)
+        assert np.all(vals == 1.0)
+        assert cert >= _gamma(3)
 
     def test_unreachable_tolerance_raises_before_summing(self, monkeypatch):
         # alpha = 1.5 takes the series route; its tail bound at the cap of
@@ -240,11 +249,12 @@ class TestClosedForm:
             assert abs(float(np.sum(x)) - exact) <= _gamma(_sum_depth(n)) * exact
 
     def test_univariate_diagonal(self, sobolev):
-        assert power_kernel(sobolev, 1, 0.42 - 0.42)[0] == pytest.approx(1 + 1 / 12, abs=1e-12)
+        # the zero-mean kernel, beta0 added here
+        assert 1.0 + power_kernel(sobolev, 1, 0.42 - 0.42)[0] == pytest.approx(1 + 1 / 12, abs=1e-12)
 
     def test_constant_kernel(self):
         w = SpectralWeight(beta0=0.7, beta1=1e-14)
-        assert power_kernel(w, 1, 0.1 - 0.9)[0] == pytest.approx(0.7, abs=1e-11)
+        assert w.beta0 + power_kernel(w, 1, 0.1 - 0.9)[0] == pytest.approx(0.7, abs=1e-11)
 
     def test_closed_vs_spectral_alpha2(self):
         w = SpectralWeight(alpha=2.0)
@@ -256,7 +266,7 @@ class TestClosedForm:
         t = np.array([0.13, 0.48, 0.77])
         vals, cert = power_kernel(sobolev, 2, t)
         m = np.arange(1, 200_001, dtype=float)
-        direct = 1.0 + 2.0 * np.array(
+        direct = 2.0 * np.array(
             [np.sum(np.cos(2 * math.pi * m * tt) * (2 * math.pi * m) ** -4.0) for tt in t]
         )
         assert np.max(np.abs(vals - direct)) < 1e-12
@@ -277,7 +287,7 @@ class TestPerminvKernel:
         spec = KernelSpec(sobolev, PermStructure.empty(3))
         x = np.array([0.1, 0.5, 0.8])
         y = np.array([0.3, 0.2, 0.9])
-        expect = np.prod(power_kernel(sobolev, 1, x - y)[0])
+        expect = np.prod(1.0 + power_kernel(sobolev, 1, x - y)[0])
         assert kernel_perminv_gram(x[None], y[None], spec)[0][0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_brute_force_average(self, spec_d3_full, rng):
@@ -285,7 +295,7 @@ class TestPerminvKernel:
         y = rng.uniform(size=3)
         w = spec_d3_full.weight
         brute = np.mean([
-            np.prod(power_kernel(w, 1, x[list(p)] - y)[0])
+            np.prod(1.0 + power_kernel(w, 1, x[list(p)] - y)[0])
             for p in permutations(range(3))
         ])
         assert kernel_perminv_gram(x[None], y[None], spec_d3_full)[0][0, 0] == pytest.approx(
@@ -406,7 +416,8 @@ def pair_list_gram(X, Y, spec):
     upper = Y is X
     nx, ny = X.shape[0], Y.shape[0]
     inv, free, s = spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
-    fact, mass = float(spec.perm.group_order), spectral_mass(spec.weight).hi
+    unit = spec.unit
+    fact, mass = float(spec.perm.group_order), spectral_mass(unit.weight).hi
     gram, pair_certs, cert, lo = np.empty((nx, ny)), np.zeros((nx, ny)), 0.0, 0
     while lo < nx:
         width = ny - lo if upper else ny
@@ -421,13 +432,14 @@ def pair_list_gram(X, Y, spec):
         diffs = X[:, inv].T.take(i, axis=1)[:, None, :] - Y[:, inv].T.take(j, axis=1)[None, :, :]
         vals, cert1 = spec.univariate(diffs.reshape(-1))
         fd = X[:, free].take(i, axis=0) - Y[:, free].take(j, axis=0)
-        gf, certf = spec.zero_mean(fd.reshape(-1)) if len(free) else (fd, 0.0)
+        gf, certf = (power_kernel(unit.weight, 1, fd.reshape(-1), unit.mode, unit.tol)
+                     if len(free) else (fd, 0.0))
         per = symmetry._ryser(vals.reshape(s, s, i.size))
-        fvals, b0 = list(gf.reshape(fd.shape).T), spec.weight.beta0
-        q, q_cert, q_abs = kernels._free_excess(fvals, b0, mass + 2.0 * certf, certf)
-        F = b0 ** len(fvals) + q
-        F_abs = b0 ** len(fvals) + q_abs
-        F_cert = q_cert + _gamma(3) * F_abs if fvals else 0.0
+        fvals = list(gf.reshape(fd.shape).T)
+        q, q_cert, q_abs = kernels._free_excess(fvals, mass + 2.0 * certf, certf)
+        F = 1.0 + q
+        F_abs = 1.0 + q_abs
+        F_cert = q_cert + _gamma(1) * F_abs if fvals else 0.0
         values = per * F / fact
         # a priori: the bound of the matrix of M's, |per| <= s! M^s + it, |F| <= F_abs
         scalar = permanent_bound(np.full((s, s), mass + cert1), cert1)
@@ -443,7 +455,7 @@ def pair_list_gram(X, Y, spec):
             gram[j, i] = values
         if i.size:
             cert = max(cert, float(chunk_cert))
-    return gram, cert, pair_certs
+    return (*spec.scaled(gram, cert, mass ** spec.d), pair_certs)
 
 
 GRAM_PATTERNS = [(4, (1, 2, 3, 4)), (4, (1, 3)), (3, ())]
@@ -547,8 +559,9 @@ def gather_gram_mean(rule, spec):
     and summation order as ``lattice_gram_mean``."""
     n, inv, free, s = rule.n, spec.perm.invariant_idx, spec.perm.free_idx, spec.perm.size
     z, shift, grid = np.asarray(rule.z, dtype=np.int64), np.asarray(rule.shift), np.arange(n) / n
+    unit = spec.unit
     table, _ = spec.univariate(grid + (shift[inv][:, None] - shift[inv][None, :])[:, :, None])
-    fg = spec.zero_mean(grid)[0]
+    fg = power_kernel(unit.weight, 1, grid, unit.mode, unit.tol)[0]
     doubled = np.concatenate([table, table], axis=2).reshape(-1)
     kpart = ((z[inv][:, None, None] - z[inv][None, :, None]) * np.arange(n) % n
              + (np.arange(s * s) * 2 * n + n).reshape(s, s, 1))
@@ -557,9 +570,8 @@ def gather_gram_mean(rule, spec):
         m = np.arange(lo, min(lo + step, n // 2 + 1))
         idx = kpart[:, :, None, :] - (z[inv][:, None] * m % n)[None, :, :, None]
         per = symmetry._ryser(doubled.take(idx.reshape(s, s, len(m) * n)))
-        q, _, _ = kernels._free_excess([fg.take(m * zi % n) for zi in z[free]],
-                                       spec.weight.beta0, 0.0, 0.0)
-        F = np.reshape(spec.weight.beta0 ** len(free) + q, (-1, 1))
+        q, _, _ = kernels._free_excess([fg.take(m * zi % n) for zi in z[free]], 0.0, 0.0)
+        F = np.reshape(1.0 + q, (-1, 1))
         rows = per.reshape(len(m), n) * F / spec.perm.group_order
         total += float(np.where((m == 0) | (2 * m == n), 1.0, 2.0) @ rows.sum(axis=1))
     return total / float(n) ** 2
@@ -630,14 +642,14 @@ class TestLatticePairRoute:
     @pytest.mark.parametrize("d, inv, n", [(6, (1, 2, 3), 31), (4, (1, 2, 4), 61)])
     def test_certificate_within_long_double_reference(self, d, inv, n):
         # signed K1 with free coordinates, where the a priori |per| and |F|
-        # move the certificate most: the mean less beta0^d against the
-        # long-double sum over all node pairs and exchanges
+        # move the certificate most: the mean less beta0^d, in the space, against
+        # the long-double sum over all node pairs and exchanges
         rng = np.random.default_rng([d, n])
         rule = LatticeRule(n, tuple(int(v) for v in rng.integers(1, n, size=d)),
                            tuple(rng.uniform(size=d)))
         ps = PermStructure(d, inv)
         spec = KernelSpec(SpectralWeight(beta0=0.05, beta1=2.0), ps)
-        mean, cert, _ = lattice_gram_mean(rule, spec)
+        mean, cert = spec.scaled(*lattice_gram_mean(rule, spec)[:2])
         ref = lattice_error_sq_long_double(rule, ps, 1, 0.05, 2.0)
         assert cert < 1e-10 * abs(mean)
         assert abs(mean - 0.05 ** d - ref) <= cert + 2.0 ** -52 * (abs(ref) + 0.05 ** d)
@@ -686,8 +698,8 @@ class TestPermanentPasses:
 class TestShiftInvariantKernel:
     def test_diagonal_constant(self):
         # node 0 is the zero difference, where the profile is the
-        # multiplicity-weighted total mass less beta0^d: two independent
-        # routes, beta0^d subtracted on the exact side
+        # multiplicity-weighted total mass less 1, both of the unit space:
+        # two independent routes, 1 subtracted on the exact side
         # at alpha = 1 the series' tail bound at t = 0 is 2.8e-8 at its cap
         for alpha, perm, mode, tol in [(1.0, PermStructure.full(2), "auto", 1e-9),
                                        (2.0, PermStructure(3, (2, 3)), "auto", 1e-9),
@@ -700,8 +712,7 @@ class TestShiftInvariantKernel:
             prof, cert = shift_invariant_profile(LatticeRule(31, (1, 7, 12, 5)[:perm.d]), spec)
             enc = symmetrized_mass(spec)
             with mpmath.workdps(40):
-                b0d = mpmath.mpf(spec.weight.beta0) ** perm.d
-                assert enc.lo - b0d - cert <= prof[0] <= enc.hi - b0d + cert
+                assert enc.lo - mpmath.mpf(1) - cert <= prof[0] <= enc.hi - mpmath.mpf(1) + cert
 
     def test_brute_force_two_exchanges(self):
         w = SpectralWeight(alpha=2.0)
@@ -719,7 +730,8 @@ class TestShiftInvariantKernel:
         rule = LatticeRule(7, (1, 3, 2))
         prof, _ = shift_invariant_profile(rule, spec)
         oracle = box_kernel_shinv(rule.points(), spec, H=25)
-        assert np.max(np.abs(prof - (oracle.real - w.beta0 ** 3))) <= 5e-6
+        # the profile of the unit space, times beta0^3
+        assert np.max(np.abs(spec.scale * prof - (oracle.real - w.beta0 ** 3))) <= 5e-6
 
     def test_spectral_mode_agrees(self):
         w = SpectralWeight(alpha=1.0)
@@ -741,7 +753,7 @@ class TestMass:
         spec = KernelSpec(sobolev, PermStructure.full(2))
         n = 1 << 18
         t = np.arange(n) / n
-        k1, _ = power_kernel(sobolev, 1, t)
+        k1 = 1.0 + power_kernel(sobolev, 1, t)[0]
         quad = 0.5 * (1 + 1 / 12) ** 2 + 0.5 * np.mean(k1 ** 2)
         enc = symmetrized_mass(spec)
         assert abs(quad - enc.mid) < 1e-6
@@ -858,7 +870,7 @@ class TestPartitionEngines:
         table, certs = power_kernel_table(spec, 8)
         assert table.shape == (2, 8) and certs.shape == (2,)
         for c in (1, 2):
-            vals, cert = power_kernel(sobolev, c, np.arange(8) / 8, include_constant=False)
+            vals, cert = power_kernel(sobolev, c, np.arange(8) / 8)
             assert np.array_equal(table[c - 1], vals) and certs[c - 1] == cert
         # cached and read-only: every caller of one (space, n) shares the pair
         assert power_kernel_table(KernelSpec(sobolev, PermStructure(3, (1, 3))), 8)[0] is table

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permqmc import weights
-from permqmc.kernels import KernelSpec
+from permqmc.kernels import KernelSpec, symmetrized_mass
 from permqmc.spectrum import (
     EigenSpectrum,
     c_prime,
@@ -173,8 +173,10 @@ class TestTailConstants:
         tc = spectrum_tail_constants(spec_d2_full, tau)
         es = EigenSpectrum(spec_d2_full)
         partial = float(np.sum(stream_entries(es, 20000)[0] ** (1.0 / tau)))
-        assert partial < tc.power_sum.hi
-        assert tc.power_sum.lo - partial < 0.15  # slow tail at alpha = 1
+        power_sum = symmetrized_mass(spec_d2_full, tau)
+        assert tc.C_d.hi == power_sum.power(tau).scale(2.0 ** (tau - 1.0) / (tau - 1.0)).hi
+        assert partial < power_sum.hi
+        assert power_sum.lo - partial < 0.15  # slow tail at alpha = 1
 
     def test_small_beta1_gives_zero_offset(self):
         # the paper's tail offset U* and its rho*, at tau = 1.5

@@ -143,3 +143,22 @@ def test_numpy_fft_only_in_the_correlation_helper():
             if hit:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"numpy.fft used outside _cyclic_correlation at {offenders}"
+
+
+def test_no_engine_reads_beta0():
+    """beta0 is the unit of the space: outside ``weights.py`` and the class
+    ``KernelSpec``, which normalizes once, no code of the package reads an
+    attribute ``beta0``."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "weights.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "KernelSpec"
+                for node in ast.walk(cls)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "beta0"
+                      and id(node) not in skip]
+    assert len(list(SRC.glob("*.py"))) > 5
+    assert not offenders, f"beta0 read outside weights.py and KernelSpec at {offenders}"

@@ -252,8 +252,8 @@ def _spectral(d: int, n: int, H: int, route: str) -> dict:
 
 def _route(route: str, d: int, n: int, alpha: int = 1, z: list | None = None) -> dict:
     """``lattice-fft`` through ``worst_case_error_sq`` (its raw value,
-    certificate and FFT count), the pair route as ``lattice_gram_mean`` less
-    beta0^d; on the CBC vector of (d, n) unless z is given."""
+    certificate and FFT count), the pair route as ``lattice_gram_mean`` (the
+    unit space's mean) less 1; on the CBC vector of (d, n) unless z is given."""
     from permqmc.errors import worst_case_error_sq
     from permqmc.kernels import lattice_gram_mean
     from permqmc.lattice import LatticeRule
@@ -269,7 +269,7 @@ def _route(route: str, d: int, n: int, alpha: int = 1, z: list | None = None) ->
                "ffts": rep.details["ffts"]}
     else:
         (mean, cert, pairs), wall = _timed(lambda: lattice_gram_mean(rule, spec))
-        rec = {"value": mean - spec.weight.beta0 ** d, "certificate": cert, "pairs": pairs}
+        rec = {"value": mean - 1.0, "certificate": cert, "pairs": pairs}
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if alpha != 1:
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
