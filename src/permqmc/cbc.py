@@ -108,7 +108,9 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     if n < spec.weight.c_R:
         raise ValueError(f"n = {n} must be at least c_R = {spec.weight.c_R}")
     d, unit = spec.d, spec.unit
-    _check_step_bytes(d, sum(c < d for c in spec.perm.invariant), n)   # the largest step
+    inv = spec.perm.invariant
+    for ell in (d, max(inv, default=d)):   # the largest steps: the last, the last exchangeable
+        _check_step_bytes(ell, sum(c < ell for c in inv), n, ell in inv)
     _check_profile_bytes(spec, n)
     C = bound_constant(unit, lam)   # refuses a lambda outside [1, 2*alpha)
     z: list[int] = []

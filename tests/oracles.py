@@ -387,3 +387,33 @@ def orbit_box_bound_constant(spec, lams, H, chunk=1 << 18):
         tail = _box_tail_certificate(spec, H, inv_lambda=p)
         out.append((_rounded(inner, k) + Enclosure(0.0, tail)).power(lams[i]))
     return out
+
+
+def partition_sums_per_mask(zs, n, table):
+    """The partition sums of ``kernels._partition_sums`` by the per-mask
+    submask recurrence: for U ascending, f[U] = 0 + sum of block[B] * f[U ^ B]
+    over the submasks B of U holding its lowest bit, their remainder
+    U ^ B ascending, each product and addition one numpy call."""
+    k = len(zs)
+    j = np.arange(n, dtype=np.int64)
+    blocks = {}
+    for B in range(1, 1 << k):
+        c = B.bit_count()
+        S = sum(z for i, z in enumerate(zs) if B >> i & 1) % n
+        blocks[B] = math.factorial(c - 1) * table[c - 1].take(j * S % n)
+    f = np.empty((1 << k, n))
+    f[0] = 1.0
+    term = np.empty(n)
+    for U in range(1, 1 << k):
+        low = U & -U
+        rest = U ^ low
+        acc = f[U]
+        acc[:] = 0.0
+        sub = rest
+        while True:   # the submasks of rest, descending: U ^ B ascending
+            B = sub | low
+            acc += np.multiply(blocks[B], f[U ^ B], out=term)
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    return f

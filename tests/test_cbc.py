@@ -221,7 +221,7 @@ class TestFastStep:
     @pytest.mark.parametrize("d, inv, n", [
         (16, (1, 2), 1009), (16, (1, 2), 10007), (24, (1, 2, 3, 4), 1009),
         (12, (1, 3, 5, 7, 9, 11), 1009), (10, tuple(range(1, 11)), 127), (8, (), 1009),
-        (5, (1, 2, 3, 4, 5), 1009)])
+        (5, (1, 2, 3, 4, 5), 1009), (12, tuple(range(1, 13)), 61), (9, tuple(range(1, 10)), 127)])
     def test_step_bytes_bound_the_traced_peak(self, d, inv, n, monkeypatch):
         # _check_step_bytes predicts the last step's working set from s_l
         # alone; the step's tracemalloc peak lies below it, within a factor 2

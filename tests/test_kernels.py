@@ -34,7 +34,8 @@ from permqmc.symmetry import PERMANENT_CAP, PermStructure, _frac, _gamma, perman
 from permqmc.weights import (GeneratorSpec, SpectralWeight, r_weight_inv_factors,
                              spectral_mass)
 
-from oracles import fix_count, gram_long_double, lattice_error_sq_long_double, validate_closed_form
+from oracles import (fix_count, gram_long_double, lattice_error_sq_long_double,
+                     partition_sums_per_mask, validate_closed_form)
 
 
 def box_kernel_perminv(x, y, spec, H):
@@ -900,14 +901,45 @@ def _src_references(name):
     return refs
 
 
-def test_one_partition_recurrence_in_the_package():
-    """Partition sums over exchange fixed points have one engine,
-    kernels._partition_sums: the submask walk of its recurrence is named
-    nowhere else in the package, and called once."""
-    refs = _src_references("_submasks_with_lowest")
-    offenders = [f"{f}:{line}" for f, line, _, _ in refs if f != "kernels.py"]
-    assert not offenders, f"_submasks_with_lowest referenced at {offenders}"
-    assert sum(call for *_, call in refs) == 1
+def test_one_mask_plan_in_the_package():
+    """The masks of the exchangeable coordinates have one plan,
+    kernels._mask_plan: one builder in kernels.py, read by _partition_sums
+    and the CBC step alone, and no other walk over submasks in the package
+    (no ``(sub - 1) & mask`` step and no ``_submask_table`` outside it)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "permqmc"
+    defs = [(path.name, node.name) for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and "maskplan" in node.name.lower().replace("_", "")]
+    assert defs == [("kernels.py", "_MaskPlan"), ("kernels.py", "_mask_plan")]
+    readers = sorted({(f, owner) for f, _, owner, call in _src_references("_mask_plan") if call})
+    assert readers == [("errors.py", "cbc_step_objectives"), ("kernels.py", "_partition_sums")]
+    tables = {(f, owner) for f, _, owner, _ in _src_references("_submask_table")}
+    assert tables == {("kernels.py", "_MaskPlan")}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # sub = (sub - 1) & mask: the per-mask submask walk
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)), \
+                f"a submask walk at {path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("k", range(11))
+@pytest.mark.parametrize("n", [2, 3, 61, 127, 1009])
+def test_partition_sums_match_the_per_mask_recurrence(k, n):
+    """The level plan's partition sums equal the per-mask recurrence of
+    oracles.partition_sums_per_mask bitwise, on seeded tables and on
+    generators with zeros and repeated values."""
+    if n == 1009 and k > 7:
+        pytest.skip("k <= 7 at n = 1009")
+    rng = np.random.default_rng([k, n])
+    table = rng.normal(size=(max(1, k), n)) * 10.0 ** rng.integers(-3, 4, size=(max(1, k), 1))
+    for zs in ([int(v) for v in rng.integers(0, n, size=k)],
+               [0, *[int(v) for v in rng.integers(1, n, size=max(k - 1, 0))]][:k],
+               [int(v) % n for v in rng.choice([0, 1, 7, 1 % n], size=k)]):
+        f = _partition_sums(zs, n, table)
+        assert f.shape == (1 << k, n)
+        assert np.array_equal(f, partition_sums_per_mask(zs, n, table)), zs
 
 
 def test_cosine_series_only_on_the_series_route():

@@ -43,6 +43,13 @@ case's grid is fixed below:
                  (5, 1009), (8, 127), (3, 10007), on the CBC generating vector
                  of each space: the first call, power-kernel tables included,
                  and the median of ``E2_CALLS`` more
+  cbc-full       ``cbc_construct`` at full invariance on (d, n) = (5, 1009),
+                 (8, 127), (3, 1009), (5, 251), (10, 1009), (12, 1009),
+                 (12, 61), (13, 61), (14, 61), (16, 61): the first call's
+                 wall time (its mask plans and tables included), the median
+                 of up to ``CBC_CALLS`` more within ``CBC_SECONDS`` (one at
+                 least), one sha256 of z, the step objectives, E2 and its
+                 certificate, and one of the step certificates
   cbc-partial    ``cbc_construct`` at n = 1009 with the first s of d
                  coordinates exchangeable, (d, s) = (8, 2), (16, 2), (17, 2),
                  (18, 2), (12, 4), (24, 4), (10, 0): its largest step
@@ -115,6 +122,8 @@ E2_Z = {(1, 3, 1009): (1, 282, 635), (1, 4, 1009): (1, 282, 635, 660),
         (3, 5, 1009): (1, 132, 592, 777, 304), (3, 8, 127): (1, 29, 93, 19, 67, 24, 56, 22),
         (3, 3, 10007): (1, 220, 2059)}
 E2_CALLS = 10
+# warm calls of a cbc-full run, and the seconds they may take after the first
+CBC_CALLS, CBC_SECONDS = 5, 20.0
 # address-space cap of a bound-constant or approx-tau child, in bytes
 AS_CAP = 2 << 30
 RYSER_BATCH = 8192
@@ -144,6 +153,8 @@ CASES = {
                       + [("cbc", d, n, 16) for d, n in ((5, 251), (4, 2003))]),
     "e2": [("e2", alpha, d, n) for alpha in (1, 2, 3)
            for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
+    "cbc-full": [("cbc-full", d, n) for d, n in ((5, 1009), (8, 127), (3, 1009), (5, 251), (10, 1009),
+                                                 (12, 1009), (12, 61), (13, 61), (14, 61), (16, 61))],
     "cbc-partial": [("cbc-partial", d, s, 1009) for d, s in ((8, 2), (16, 2), (17, 2), (18, 2),
                                                              (12, 4), (24, 4), (10, 0))],
     "bound-constant": ([("bound-constant", d, None) for d in (3, 4, 5, 6, 7, 8, 12)]
@@ -294,6 +305,21 @@ def _cbc(d: int, n: int, trials: int) -> dict:
     return {"wall_s": wall, "exit_code": code, **{k: out[k] for k in keep}}
 
 
+def _cbc_full(d: int, n: int) -> dict:
+    from permqmc.cbc import cbc_construct
+
+    spec = _spec(d)
+    res, first = _timed(lambda: cbc_construct(spec, n))
+    walls, t0 = [], time.perf_counter()
+    while not walls or (len(walls) < CBC_CALLS and time.perf_counter() - t0 < CBC_SECONDS):
+        walls.append(_timed(lambda: cbc_construct(spec, n))[1])
+    values = [list(res.rule.z), res.per_step_objective, res.achieved_E2, res.achieved_E2_certificate]
+    return {"wall_s": first + sum(walls), "first_s": first, "call_s_median": float(np.median(walls)),
+            "calls": len(walls), "E2": res.achieved_E2,
+            "values_sha256": hashlib.sha256(json.dumps(values).encode()).hexdigest(),
+            "certificates_sha256": hashlib.sha256(json.dumps(res.per_step_certificate).encode()).hexdigest()}
+
+
 def _cbc_partial(d: int, s: int, n: int) -> dict:
     from permqmc import KernelSpec, PermStructure, SpectralWeight
     from permqmc.cbc import cbc_construct
@@ -409,7 +435,7 @@ def _ryser_digest() -> dict:
 
 
 RUNNERS = {"approx": _approx, "gram": _gram, "spectral": _spectral, "route": _route, "cbc": _cbc,
-           "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
+           "cbc-full": _cbc_full, "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
            "approx-tau": _approx_tau, "stream-rule": _stream_rule, "stream": _stream,
            "ryser": _ryser_timing, "digest": _ryser_digest}
 
