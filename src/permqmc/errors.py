@@ -29,6 +29,7 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .kernels import (
     KernelSpec,
@@ -36,8 +37,8 @@ from .kernels import (
     _free_excess,
     _lattice_gram_mean_fft,
     _mask_plan,
-    _mask_sums,
     _MASK_STACK,
+    _ordered_sums,
     _partition_sums,
     _stack_rows,
     _sum_depth,
@@ -352,31 +353,40 @@ def _refuse_above_cap(need: int, what: str, hint: str = "") -> None:
             f"the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB{hint}")
 
 
+def _group_stack(N: int) -> int:
+    """Groups per stack of a CBC step's correlations at padded transform
+    length N: the transforms of a group hold about 7N doubles, and a stack
+    at most four ``kernels._MASK_STACK``."""
+    return max(1, 4 * _MASK_STACK // (7 * N))
+
+
 def _check_step_bytes(ell: int, s_l: int, n: int, exchangeable: bool) -> None:
     """Refuse a CBC step whose predicted working set exceeds the cap.  In
-    doubles, with f = 2^s_l n the partition sums, R = f + n the rest rows
-    (2n at a free candidate), W = n ``_stack_rows`` and N the padded
-    transform length, the stages hold at most: the DP f, two stacks and
-    numpy's iterator buffers of the broadcast block indices (each below
-    2W); the group stage f, R and a stack with its sums; the correlations R
-    and about 5B, B = min(2^s_l N, max(N, 2^11)) the padded entries of a
-    stack of groups (its transform, padded input and inverse, and the
-    kernel's).  Eight n-vectors come on top, and 512 bytes per mask for the
-    grouping's index arrays and sort temporaries (about a quarter of that).
+    doubles, with F = 2^s_l n and N the padded transform length: the DP's
+    buffer, 2F (the partition sums and the blocks, whose half then holds
+    the group rows), lives through the step; on top, the DP holds three
+    stacks of ``_stack_rows`` n-vectors (two gathers and the sums), the
+    group stage two, and the correlations one transform per kernel order
+    and 7N for each group of a stack (``_group_stack``), at a free
+    candidate one group and one order.  Ten n-vectors come on top, and 512
+    bytes per mask for the grouping's Python objects and index arrays.
     """
-    N, W, f = 2 << (n - 2).bit_length(), _stack_rows(s_l, n) * n, n << s_l
-    R, B = (f + n, min(N << s_l, max(N, _MASK_STACK // 16))) if exchangeable else (2 * n, N)
-    _refuse_above_cap(8 * (max(f + 4 * W, f + R + 2 * W, R + 5 * B) + 8 * n) + (512 << s_l),
-                      f"CBC step {ell} (DP over s_l = {s_l}) at n = {n}")
+    N, r = 2 << (n - 2).bit_length(), _stack_rows(1 << s_l, n)
+    orders, m = (s_l + 1, _group_stack(N)) if exchangeable else (1, 1)
+    _refuse_above_cap(8 * ((2 * n << s_l) + max(3 * r * n, (orders + 7 * m) * N) + 10 * n)
+                      + (512 << s_l), f"CBC step {ell} (DP over s_l = {s_l}) at n = {n}")
 
 
 def _check_profile_bytes(spec: KernelSpec, n: int) -> None:
-    """Refuse a fixed-point E2 whose predicted working set exceeds the cap:
-    ``shift_invariant_profile`` holds the DP's f + 4W (``_check_step_bytes``
-    at the 2^s masks of the invariant coordinates), the s kernel tables and
-    a few n-vectors (the free coordinates' recursion, the value)."""
+    """Refuse a fixed-point E2 whose predicted working set exceeds the cap.
+
+    ``shift_invariant_profile`` holds the DP's partition sums, blocks and
+    three stacks (``_check_step_bytes``) over the 2^s masks of the invariant
+    coordinates, the s kernel tables and a few n-vectors (the free
+    coordinates' recursion and the value among them).
+    """
     s = spec.perm.size
-    _refuse_above_cap(8 * n * ((1 << s) + 4 * _stack_rows(s, n) + s + 8),
+    _refuse_above_cap(8 * n * ((2 << s) + 3 * _stack_rows(1 << s, n) + s + 8),
                       f"fixed-point E2 at s = {s}, n = {n}")
 
 
@@ -395,77 +405,23 @@ def _root_powers(n: int) -> np.ndarray:
     return out
 
 
-def _multiplicative_correlation(G: np.ndarray, kappa0: float, powers: np.ndarray,
-                                correlate) -> tuple[np.ndarray, np.ndarray]:
+def _multiplicative_correlation(G: np.ndarray, kappa0: np.ndarray, powers: np.ndarray,
+                                correlate, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(w) = sum_j G[r, j] * kappa[j*w mod n] for every row r of the stack G
     and every w in Z_n, prime n, and a bound on each row's rounding error.
 
-    F(0) = kappa[0] * sum(G[r]).  For w = g^b and j = g^a, g a primitive
-    root, the sum over j != 0 is the cyclic correlation sum_a G[r, g^a] *
+    F(0) = kappa[0] * sum(G[r]).  For w = g^b and j = g^a, g a primitive root,
+    the sum over j != 0 is the cyclic correlation sum_a G[r, g^a] *
     kappa[g^(a+b)] of length n - 1; ``correlate`` is
-    ``kernels._cyclic_correlation`` of kappa[powers].  Each row is computed
-    as it would be alone.
+    ``kernels._cyclic_correlation`` of the stack of kappa[powers], row r
+    against kernel ``rows[r]``, whose kappa[0] is ``kappa0[r]``.
     """
     n = G.shape[1]
-    corr, err = correlate(G.take(powers, axis=1))
+    corr, err = correlate(G.take(powers, axis=1), rows)
     F = np.empty_like(G)
     F[:, 0] = kappa0 * G.sum(axis=1)
     F[:, powers] = (G[:, 0] * kappa0)[:, None] + corr
-    return F, err + _gamma(n) * abs(kappa0) * np.abs(G).sum(axis=1)
-
-
-def _rest_rows(f: np.ndarray, plan, weights: dict, masks: int) -> np.ndarray:
-    """R (masks + 1, n), row M = rest_M = sum_t weights[|M|][t] f[U_t], U_t
-    the masks disjoint from M ascending, and a last row 0.  A chunk gathers
-    its rows (at most ``_stack_rows``) after the sums so far (weight 1), and
-    einsum adds the products in order from 0, as one per-mask einsum."""
-    n = f.shape[1]
-    R, rows = np.zeros((masks + 1, n)), _stack_rows(plan.k, n)
-    buf = np.empty(rows * n)
-    for p, wts in weights.items():
-        m = max(1, rows // (wts.size + 1))   # masks per stack, and rows
-        qc = wts.size if m > 1 else rows - 1
-        for a in range(0, plan.levels[p].size, m):
-            D, M = plan.rows(p, 2, a, a + m)
-            for i in range(0, wts.size, qc):   # after the first stack, the sums so far lead
-                Di, lead = D[i:i + qc], int(i > 0)
-                stack = buf[: (Di.shape[0] + lead) * Di.shape[1] * n].reshape(-1, Di.shape[1], n)
-                if lead:
-                    stack[0] = acc
-                np.take(f, Di, axis=0, out=stack[lead:], mode="clip")
-                # einsum, not BLAS: a gemv of length n may start a thread pool
-                acc = np.einsum("i,imj->mj", np.concatenate(([1.0], wts[i:i + qc])) if lead else wts[:qc], stack)
-            R[M] = acc
-    return R
-
-
-@lru_cache(maxsize=1)
-def _kernel_correlations(spec: KernelSpec, n: int) -> list:
-    """``kernels._cyclic_correlation`` of kappa_c[``_root_powers(n)``] for
-    every order c of ``power_kernel_table(spec, n)``: one transform per
-    order, which the steps of one construction share."""
-    table = power_kernel_table(spec, n)[0]
-    return [_cyclic_correlation(row) for row in table.take(_root_powers(n), axis=1)]
-
-
-def _correlation_total(R: np.ndarray, fm: np.ndarray, lvl: np.ndarray, S: np.ndarray,
-                       table: np.ndarray, correlations: list) -> tuple[np.ndarray, np.ndarray]:
-    """total[z] = sum over the groups g in order of F_g[(z + S[g]) mod n],
-    F_g the ``_multiplicative_correlation`` of R[fm[g]] with kappa_(lvl[g]
-    + 1) (``correlations[lvl[g]]``), and each group's bound.  A kernel
-    order's groups go in stacks of ``_MASK_STACK`` / 16 padded entries, F_g
-    back in its row, rolled; the other rows are 0 and fm descends, so the
-    total sums R's rows from the last."""
-    n, powers = R.shape[1], _root_powers(R.shape[1])
-    m = max(1, _MASK_STACK // (16 << (n - 2).bit_length()))   # groups per stack
-    err, x = np.empty(fm.size), np.arange(n)
-    for c in range(lvl.max() + 1):
-        gs = np.flatnonzero(lvl == c)
-        for a in range(0, gs.size, m):
-            g = gs[a:a + m]
-            F, err[g] = _multiplicative_correlation(R[fm[g]], table[c, 0], powers, correlations[c])
-            R[fm[g]] = F.take((x + S[g, None]) % n + n * np.arange(g.size)[:, None])
-    return np.add.reduce(R[::-1], axis=0), err
+    return F, err + _gamma(n) * np.abs(kappa0) * np.abs(G).sum(axis=1)
 
 
 def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.ndarray:
@@ -509,20 +465,22 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
        exchangeable prefix coordinates (``kernels._partition_sums``);
     2. for every set M of them sharing the candidate's block, rest_M = sum
        over U disjoint from M of f[U] / (c_u * s_u! * n) is added, times
-       |M|!, into the group of (|M| + 1, S_M), members in descending M
-       (``_rest_rows``, a popcount level of ``kernels._mask_plan(k)`` at a
-       time).  The free prefix coordinates
-       F are singletons in every partition: their subsets v give one factor
-       per node, sum_v prod_v kappa_1 = 1 + q (``kernels._free_excess``),
-       with |v| = |F| counted in c_u;
+       |M|!, into the group of (|M| + 1, S_M), members in descending M, a
+       popcount level of ``kernels._mask_plan(k)`` at a time.  The free
+       prefix coordinates F are singletons in every partition: their
+       subsets v give one factor per node, sum_v prod_v kappa_1 = 1 + q
+       (``kernels._free_excess``), with |v| = |F| counted in c_u;
     3. each group G is one multiplicative correlation
        F(w) = sum_j G[j] * kappa_{|M|+1}[j*w mod n], which a primitive root
        of n turns into a cyclic correlation of length n - 1 (Nuyens & Cools,
        Math. Comp. 75 (2006) 903-920), done by ``_cyclic_correlation``: one
-       transform of kappa_c per kernel order per construction, and a
-       zero-padded power-of-two FFT pair per group, the groups of one order
-       in stacks (``_correlation_total``); B(z) collects F((S_M + z) mod n).
-       No stage issues a numpy call per group or per (mask, block) pair.
+       transform of kappa_c per kernel order per step, and a zero-padded
+       power-of-two FFT pair per group, the groups in stacks of rows;
+       B(z) collects F((S_M + z) mod n).
+
+    Each stage issues its numpy calls per level and per stack of rows
+    (``kernels._stack_rows``, ``_group_stack``), not per group or per
+    (mask, block) pair, and every value is bitwise that of loops over them.
 
     Time O(3^k * n + 2^k * n log n + ell * n) and memory O(2^k * n) per
     step.  n must be prime.  A predicted working set (``_check_step_bytes``)
@@ -574,46 +532,63 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     s = ps.size
     nrm = np.array([1.0 / (float(math.comb(s, b)) * math.factorial(b) * n) for b in range(s + 1)])
     plan, ell_inv = _mask_plan(k), int(ell in inv)
-    pc = plan.pc
-    # the groups (|M| + 1, S_M): a stable sort of the masks, descending, by
-    # key lists each group's members in order; groups go by first member
-    Ms = np.arange((1 << k) - 1, -1, -1) if ell_inv else np.zeros(1, dtype=np.int64)
-    Sm = _mask_sums(zi, n)
-    key = pc[Ms] * n + Sm[Ms]
-    o = np.argsort(key, kind="stable")
-    lead = np.concatenate(([True], np.diff(key[o]) != 0))
-    start, grp = np.flatnonzero(lead), np.cumsum(lead) - 1
-    rank, first = np.arange(o.size) - start[grp], Ms[o[lead]]
-    order = np.argsort(first)[::-1]
-    fm, count = first[order], np.diff(start, append=o.size)[order]
-    # the masks disjoint from M of popcount p have the popcounts pc[:2^(k-p)]
-    P = np.arange(k + 1) if ell_inv else np.zeros(1, dtype=np.int64)
-    weights = {p: math.factorial(p) * nrm[pc[: 1 << (k - p)] + p + ell_inv] for p in P.tolist()}
-    sv, se = (np.array([w @ fx[pc[: w.size]] for w in weights.values()]) for fx in (fv, fe))
-    va = n * tmax[P] * sv
-    terms = np.zeros((k + 1, 2))   # per member of a level: cert, and sum |terms| of total[z]
-    terms[P] = np.stack((pmax * n * (tmax[P] * se + tcerts[P] * sv) + pf_cert * va, pmax * va), axis=1)
-    # each group's members, in order, into its first member's row of R
-    R = _rest_rows(f, plan, weights, Ms.size)
+    pc, S = plan.pc.tolist(), plan.sums(zi, n).tolist()
+    groups: dict[tuple[int, int], list[int]] = {}   # (|M|, S_M): [row of G, members]
+    rows, ranks = [0] * (1 << k), {}   # ranks[a later member, |M|]: masks M, descending
+    for M in range((1 << k) - 1, -1, -1) if ell_inv else [0]:
+        group = groups.setdefault((pc[M], S[M]), [len(groups), 0])
+        ranks.setdefault((group[1] > 0, pc[M]), []).append(M)
+        group[1] += 1
+        rows[M] = group[0]
+    # G's row of a group: 0 + rest_M over its members M in order, rest_M the
+    # sum over the masks U disjoint from M, ascending, of |M|! f[U] / (c_u *
+    # s_u! * n); the t-th of them has popcount(t).  First members are stored,
+    # then the later ones added in order (add.at).  G takes the blocks' half
+    # of the DP's buffer.
+    G = f.base.reshape(2, 1 << k, n)[1, :len(groups)]   # the DP's blocks, read already
+    rows, pc, wts, terms = np.array(rows), plan.pc, {}, {}
+    for p in range(k + 1) if ell_inv else [0]:
+        T = 1 << (k - p)
+        wts[p] = math.factorial(p) * nrm[pc[:T] + p + ell_inv]
+        sv, se = wts[p] @ fv[pc[:T]], wts[p] @ fe[pc[:T]]
+        va = n * tmax[p] * sv
+        terms[p] = (pmax * n * (tmax[p] * se + tcerts[p] * sv) + pf_cert * va, pmax * va)
+    for (later, p), level in sorted(ranks.items()):
+        level, t = np.array(level), np.arange(wts[p].size)[:, None]
+        m = max(1, _stack_rows(1 << k, n) // t.size)   # masks per stack
+        for M in (level[a:a + m] for a in range(0, level.size, m)):
+            # einsum, not BLAS: a gemv of length n may start a thread pool
+            R = _ordered_sums(f, plan.submasks(((1 << k) - 1) ^ M, k - p), wts[p][:, None], t)
+            if later:
+                np.add.at(G, rows[M], R)
+            else:
+                G[rows[M]] = R
     del f
-    for r in range(1, rank.max() + 1):
-        R[first[grp[rank == r]]] += R[Ms[o[rank == r]]]
-    R[Ms[o[rank > 0]]] = 0.0
     if kf:
-        R *= pf
-    powers = _root_powers(n)
-    total, err = _correlation_total(R, fm, pc[fm], Sm[fm], table, _kernel_correlations(spec.unit, n))
-    # the certificate in the same order: each group's members, then its correlation
-    seq = np.repeat(terms[pc[fm]], count + 1, axis=0)
-    ends = np.cumsum(count + 1) - 1
-    seq[ends, 0] = err
-    seq[ends, 1] = 0.0
-    cert, absum = np.cumsum(seq, axis=0)[-1]
+        G *= pf
+    # each group's multiplicative correlation, rolled by S_M into its row, in
+    # stacks of groups; total adds G's rows in order from 0
+    powers, (order, shift) = _root_powers(n), np.array(list(groups)).T
+    correlate = _cyclic_correlation(table[: k * ell_inv + 1].take(powers, axis=1))   # kappa_(p+1)
+    err = np.empty(len(groups))
+    m = _group_stack(2 << (n - 2).bit_length())
+    for a in range(0, len(groups), m):
+        g = slice(a, a + m)
+        F, err[g] = _multiplicative_correlation(G[g], table[order[g], 0], powers, correlate, order[g])
+        F = np.concatenate((F, F), axis=1)   # a row rolled by S_M: a window of F, F
+        G[g] = as_strided(F, (F.shape[0], n + 1, n), (F.strides[0], 8, 8))[np.arange(F.shape[0]), shift[g]]
+    total = np.add.reduce(G, axis=0, initial=0.0)
+    cert, absum, err = 0.0, 0.0, err.tolist()   # absum bounds sum |terms| of every total[z]
+    for (p, _), (g, members) in groups.items():
+        for _ in range(members):
+            cert += terms[p][0]
+            absum += terms[p][1]
+        cert += err[g]
     # a term meets the DP (k + 2^k), its weight (6: four operations, and a
     # factorial that is not exact in a double), the product with f
     # (2^k + 1), the sum over members (2^k), the free product (1), the two
     # products of F and one addition per group
-    cert += _gamma(k + 3 * (1 << k) + fm.size + 9 + (kf > 0)) * absum
+    cert += _gamma(k + 3 * (1 << k) + len(groups) + 9 + (kf > 0)) * absum
     if ell == 2 or (ell > 2 and not ell_inv):
         total = _tie_orbit_mean(total, zs[0] if ell == 2 else 0, n, powers)
         cert += _gamma(4) * float(np.max(np.abs(total)))

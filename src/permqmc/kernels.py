@@ -73,10 +73,10 @@ _SERIES_ELEMS = 1_000_000
 # pairs per permanent pass: node pairs in the Gram routes, (mode, point)
 # pairs in the eigenfunction values; bounds their memory
 _PAIR_CHUNK = 8192
-# doubles per stacked temporary of the mask plan's stages (the partition
-# DP's products, the CBC step's gathered rows and transforms): a few of them
-# fit a core's cache
-_MASK_STACK = 1 << 15
+# doubles per stack of the mask stages (the partition DP's gathered terms,
+# the CBC step's rest rows): 128 KiB, so that glibc serves a stack from its
+# heap, not from fresh pages, and a few of them fit a core's cache
+_MASK_STACK = 1 << 14
 # pi to 60 significant digits (error below 1e-59)
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
 
@@ -128,34 +128,33 @@ def _fft_rho(N: int) -> float:
 
 
 def _cyclic_correlation(y: np.ndarray):
-    """Cyclic correlation with the fixed operand y of length L, by one
-    zero-padded real FFT of power-of-two length N = 2^ceil(log2 2L).
+    """Cyclic correlation with the fixed operand y of length L, or with each
+    row of a stack y, by zero-padded real FFTs of power-of-two length
+    N = 2^ceil(log2 2L).
 
-    Returns correlate(x) -> (r, err): r(tau) = sum_p x[p] * y[(p + tau) mod L]
-    for tau = 0..L-1 and a bound on the 2-norm of its error, for x one
-    operand or a stack of them (one row each, as numpy transforms every row
-    of a stack as it would the row alone).  y is transformed once, and x
-    is not when it is y.  The linear correlation c holds lag tau at tau mod
-    N, so r = c[:L] + c[N - L:]: two disjoint parts of c's error, at most
-    rho * sqrt(N) * ||x|| ||y|| (``_fft_rho``), and one rounding, u * ||r||
-    with |r(tau)| <= ||x|| ||y|| and L <= N / 2, whose slack also covers
-    the rounding of the norms.  They come from numpy's sum: a long BLAS dot
-    may start a thread pool.
+    Returns correlate(x, rows=None) -> (r, err): r(tau) = sum_p x[p] *
+    y[(p + tau) mod L] for tau = 0..L-1 and a bound on the 2-norm of its
+    error; for a stack x, row i against y[rows[i]], each row transformed as
+    it would be alone.  y is transformed once, and x is not when it is y.
+    The linear correlation c
+    holds lag tau at tau mod N, so r = c[:L] + c[N - L:]: two disjoint parts
+    of c's error, at most rho * sqrt(N) * ||x|| ||y|| (``_fft_rho``), and
+    one rounding, u * ||r|| with |r(tau)| <= ||x|| ||y|| and L <= N / 2,
+    whose slack also covers the rounding of the norms.  They come from
+    numpy's sum: a long BLAS dot may start a thread pool.
     """
-    L = y.size
+    L = y.shape[-1]
     N = 2 << (L - 1).bit_length()
     y_hat = np.fft.rfft(y, N)
     scale = ((math.sqrt(2.0) * _fft_rho(N) + _UNIT_ROUNDOFF)
-             * math.sqrt(N * float(np.square(y).sum())))
+             * np.sqrt(N * np.square(y).sum(axis=-1)))
 
-    def correlate(x: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-        x_hat = np.conj(y_hat) if x is y else np.fft.rfft(x, N)
-        if x is not y:
-            np.conjugate(x_hat, out=x_hat)
-        x_hat *= y_hat
-        c = np.fft.irfft(x_hat, N)
-        err = scale * np.sqrt(np.square(x).sum(axis=-1))
-        return c[..., :L] + c[..., N - L:], float(err) if x.ndim == 1 else err
+    def correlate(x: np.ndarray, rows=None) -> tuple[np.ndarray, float | np.ndarray]:
+        yh, sc = (y_hat, scale) if rows is None else (y_hat[rows], scale[rows])
+        x_hat = yh if x is y else np.fft.rfft(x, N)
+        c = np.fft.irfft(np.conj(x_hat) * yh, N)
+        err = sc * np.sqrt(np.square(x).sum(axis=-1))
+        return c[..., :L] + c[..., N - L:], err if x.ndim > 1 else float(err)
 
     return correlate
 
@@ -337,74 +336,68 @@ def power_kernel_table(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray
 # partition sums over exchange fixed points
 # ---------------------------------------------------------------------------
 
-def _mask_sums(zs: Sequence[int], n: int) -> np.ndarray:
-    """S[B] = sum of zs[i] over the bits i of B, mod n, for every mask B."""
-    S = np.zeros(1 << len(zs), dtype=np.int64)
-    for i, z in enumerate(zs):
-        S[1 << i: 2 << i] = (S[: 1 << i] + z) % n
-    return S
-
-
-def _submask_table(sets: np.ndarray, q: int) -> np.ndarray:
-    """Row t: the t-th submask, ascending, of each q-bit set (bit j of t
-    picks its j-th lowest bit, so the row has popcount(t) bits)."""
-    out = np.zeros((1 << q, sets.size), dtype=np.int64)
-    rest = sets.copy()
-    for j in range(q):
-        low = rest & -rest
-        rest ^= low
-        np.add(out[: 1 << j], low, out=out[1 << j: 2 << j])
-    return out
-
-
 class _MaskPlan:
-    """The 2^k masks of k coordinates by popcount level (``pc``, ``levels``,
-    ascending) and the rows that the partition DP and the CBC step's group
-    stage gather for masks a..b-1 of level p, ``rows(p, kind, a, b)``.
-    Kinds 0 and 1, the passes of ``_partition_sums``: mask X writes row
-    2X + kind from the ascending submasks C_t of X less its lowest bit (0)
-    or of X (1), and (I, out) = ([(2X + 1) ^ 2C_t, 2C_t], 2X + kind).  Kind
-    2: (D, M) over M descending, D[t] the t-th mask disjoint from M.  Plans
-    whose 3^k entries fit ``_MASK_STACK`` keep their rows; larger ones build
-    them per chunk, never 3^k entries at once."""
+    """The 2^k masks of k coordinates by popcount: ``pc[U]``, ``levels[p]``
+    the masks of popcount p ascending, and for the blocks B >= 1 their
+    kernel order less 1, |B| - 1, and factor (|B|-1)! (``order``, ``fact``)."""
 
     def __init__(self, k: int):
-        self.k, self.pc = k, _mask_sums([1] * k, k + 1)
+        self.pc = self.sums([1] * k, k + 1)
         self.levels = np.split(np.argsort(self.pc, kind="stable"),
                                np.cumsum(np.bincount(self.pc))[:-1])
-        # a block B's table row |B| - 1 and its factor (|B| - 1)!
-        self.order = (self.pc - 1)[:, None]
+        self.order = self.pc[1:, None] - 1
         self.fact = np.array([float(math.factorial(c)) for c in range(max(k, 1))])[self.order]
-        self._kept = {} if 3 ** k <= _MASK_STACK else None
+        for a in (self.pc, self.order, self.fact, *self.levels):   # shared by every caller
+            a.flags.writeable = False
 
-    def rows(self, p: int, kind: int, a: int = 0, b: int | None = None) -> tuple:
-        kept = self._kept
-        if kept is None or (p, kind) not in kept:
-            X = self.levels[p][::-1] if kind == 2 else self.levels[p]
-            X = X if kept is not None else X[a:b]
-            if kind == 2:
-                out = _submask_table(((1 << self.k) - 1) ^ X, self.k - p), X
-            else:
-                C = 2 * _submask_table(X ^ (X & -X) if kind == 0 else X, p - 1 + kind)
-                out = np.stack((C ^ (2 * X + 1), C)), 2 * X + kind
-            if kept is None:
-                return out
-            for x in out:
-                x.flags.writeable = False
-            kept[p, kind] = out
-        return tuple(x[..., a:b] for x in kept[p, kind])
+    @staticmethod
+    def sums(zs: Sequence[int], n: int) -> np.ndarray:
+        """S[B] = sum of zs[i] over the bits i of B, mod n, for every mask B."""
+        S = np.zeros(1 << len(zs), dtype=np.int64)
+        for i, z in enumerate(zs):
+            S[1 << i: 2 << i] = (S[: 1 << i] + z) % n
+        return S
 
-
-def _stack_rows(k: int, n: int) -> int:
-    """n-vectors per stack of the mask stages: ``_MASK_STACK`` doubles, at
-    most one per two of the 2^k masks."""
-    return max(2, min(_MASK_STACK // n, 1 << k >> 1))
+    @staticmethod
+    def submasks(sets: np.ndarray, q: int) -> np.ndarray:
+        """Row t: the t-th submask, ascending, of each q-bit set (bit j of t
+        picks the set's j-th lowest bit, so row t has popcount(t) bits)."""
+        out, rest = np.zeros((1 << q, sets.size), dtype=np.int64), sets.copy()
+        for j in range(q):
+            low = rest & -rest
+            rest ^= low
+            np.add(out[: 1 << j], low, out=out[1 << j: 2 << j])
+        return out
 
 
 @lru_cache(maxsize=32)
 def _mask_plan(k: int) -> _MaskPlan:
-    """The ``_MaskPlan`` of k coordinates, built on first use of k."""
+    """The ``_MaskPlan`` of k coordinates, built on first use."""
     return _MaskPlan(k)
+
+
+def _stack_rows(masks: int, n: int) -> int:
+    """n-vectors per stack of the mask stages over ``masks`` masks: at most
+    ``_MASK_STACK`` doubles, and one per mask."""
+    return max(1, min(_MASK_STACK // n, masks))
+
+
+def _ordered_sums(f: np.ndarray, idx: np.ndarray, g: np.ndarray, gidx: np.ndarray) -> np.ndarray:
+    """Row m: 0 + sum over t = 0, 1, ... in order of g[gidx[t, m]] * f[idx[t, m]],
+    for index arrays (T, m) (gidx (T, 1) takes one factor per term).  The
+    terms go in stacks of ``_stack_rows`` rows of f, each after the first led
+    by the sums so far with factor 1, and einsum adds a stack's products in
+    order from 0: every row is bitwise the sum of a loop over its terms."""
+    tc = max(2, _stack_rows(f.shape[0], f.shape[1]) // idx.shape[1])   # terms per stack
+    X, Y = g[gidx[:tc]], f[idx[:tc]]
+    acc = np.einsum("tmj,tmj->mj", X, Y)
+    for a in range(tc, idx.shape[0], tc - 1):
+        e = min(tc - 1, idx.shape[0] - a) + 1
+        X[0], Y[0] = 1.0, acc
+        np.take(g, gidx[a:a + tc - 1], axis=0, out=X[1:e], mode="clip")
+        np.take(f, idx[a:a + tc - 1], axis=0, out=Y[1:e], mode="clip")
+        acc = np.einsum("tmj,tmj->mj", X[:e], Y[:e])
+    return acc
 
 
 def _partition_sums(zs: list[int], n: int, table: np.ndarray) -> np.ndarray:
@@ -414,56 +407,41 @@ def _partition_sums(zs: list[int], n: int, table: np.ndarray) -> np.ndarray:
     f[U, j] is the sum over partitions of U into blocks B of
     prod_B (|B|-1)! * kappa_|B|[j * S_B mod n], S_B the sum of the generators
     in B and ``table[c - 1]`` kappa_c on the grid g/n; the recurrence runs
-    over the block B = U ^ C holding U's lowest coordinate,
-    f[U] = 0 + sum_C block[B] * f[C], C over the submasks of U less its
-    lowest bit in ascending order, O(3^k * n).  Summed over
+    over the block B = U ^ C holding U's lowest coordinate, f[U] = 0 + sum
+    of block[B] * f[C] over the submasks C of U less its lowest bit,
+    ascending, O(3^k * n).  Summed over
     all permutations of U, a product of per-cycle values that depend only on
     the cycle's support is this partition sum (a free coordinate, a
     singleton in every partition, is a product factor: ``_free_excess``).
-    It runs in the (2^k, n) array it returns, a popcount level of the masks
-    X of coordinates 1..k-1 at a time (``_mask_plan(k - 1)``): U = 2X by
-    ascending level, with the blocks 2Y in rows 2Y + 1; then U = 2X + 1 by
-    descending level, each block in its own row, which no lower level
-    reads.  A chunk gathers its (block, sum) rows, at most 2 *
-    ``_stack_rows``, after the sums so far (weight 1), and einsum adds the
-    products in order from 0: every value is the per-mask recurrence's.
+    The blocks come from one gather, and the recurrence runs a popcount
+    level of ``_mask_plan(k)`` at a time, a stack of masks per
+    ``_ordered_sums``: each f[U] is bitwise the per-mask loop's.  f is the
+    first half of one buffer (``f.base``) whose second half held the
+    blocks, which a caller may reuse.
     Each term of f[U, j] meets at most |U| + 2^|U| - 1 roundings: two
     products per block and one addition per other block with the same
     lowest coordinate, over at most |U| levels.  Bounds that depend only on
     |U| come from ``permutation_power_sum``.
     """
     k = len(zs)
-    f = np.empty((1 << k, n))
+    f, blk = np.empty((2 << k, n)).reshape(2, 1 << k, n)
     f[0] = 1.0
     if not k:
         return f
-    plan, full, rows = _mask_plan(k - 1), _mask_plan(k), _stack_rows(k, n)
-    S, j, buf = _mask_sums(zs, n), np.arange(n, dtype=np.int64), np.empty(2 * rows * n)
-    for kind, levels in ((0, range(1, k)), (1, range(k - 1, -1, -1))):
-        for a in range(1 - kind, 1 << (k - 1), rows):   # row 2Y + 1: the block of 2Y + kind
-            B = 2 * np.arange(a, min(a + rows, 1 << (k - 1))) + kind
-            idx = buf.view(np.int64)[: B.size * n].reshape(B.size, n)
-            np.multiply.outer(S[B], j, out=idx)
-            idx %= n
-            idx += n * full.order[B]
-            blk = np.take(table, idx, out=buf[B.size * n: 2 * B.size * n].reshape(B.size, n), mode="clip")
-            blk *= full.fact[B]
-            f[B | 1] = blk
-        for p in levels:
-            T = 1 << (p - 1 + kind)
-            m = max(1, rows // (T + 1))   # masks per stack, and terms per stack
-            tc = T if m > 1 else rows - 1
-            for a in range(0, plan.levels[p].size, m):
-                I, U = plan.rows(p, kind, a, a + m)
-                for t in range(0, T, tc):   # after the first stack, the sums so far lead
-                    It, lead = I[:, t:t + tc], int(t > 0)
-                    stack = buf[: 2 * (It.shape[1] + lead) * It.shape[2] * n].reshape(2, -1, It.shape[2], n)
-                    if lead:
-                        stack[0, 0], stack[1, 0] = acc, 1.0
-                    np.take(f, It[0], axis=0, out=stack[0, lead:], mode="clip")
-                    np.take(f, It[1], axis=0, out=stack[1, lead:], mode="clip")
-                    acc = np.einsum("tmj,tmj->mj", stack[0], stack[1])
-                f[U] = acc
+    plan = _mask_plan(k)
+    idx = f[1:].view(np.int64)   # f's rows hold the blocks' indices until the DP writes them
+    np.multiply.outer(plan.sums(zs, n)[1:], np.arange(n, dtype=np.int64), out=idx)
+    idx %= n
+    idx += n * plan.order
+    np.take(table, idx, out=blk[1:], mode="clip")
+    blk[1:] *= plan.fact   # block[B] = (|B|-1)! * kappa_|B|[j * S_B mod n]
+    rows = _stack_rows(1 << k, n)
+    for p in range(1, k + 1):
+        m = max(1, rows >> (p - 1))   # masks per stack
+        for a in range(0, plan.levels[p].size, m):
+            U = plan.levels[p][a:a + m]
+            C = plan.submasks(U ^ (U & -U), p - 1)
+            f[U] = _ordered_sums(f, C, blk, U ^ C)
     return f
 
 

@@ -248,11 +248,12 @@ class TestFastStep:
             cbc_step_objectives([1] * 21, 2, KernelSpec(SpectralWeight(), PermStructure.full(22)))
 
     def test_refuses_oversized_profile_before_allocating(self, monkeypatch, tmp_path):
-        # the fixed-point E2 holds twice the vectors of the last CBC step; a
-        # cap between the two lets every step through but not the profile
+        # the fixed-point E2 holds twice the partition sums of the last CBC
+        # step: 110n doubles predicted for step 5 and 125n for the profile;
+        # a cap between the two lets every step through but not the profile
         spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
         n = 1009
-        monkeypatch.setattr("permqmc.errors.STEP_BYTES_CAP", 8 * n * 60)
+        monkeypatch.setattr("permqmc.errors.STEP_BYTES_CAP", 8 * n * 118)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="fixed-point E2"):
