@@ -2,8 +2,9 @@
 
 Subcommands: cbc, shift-search, error-eval, approx-build, convergence,
 integrate.  Structured inputs come from a JSON config file; flags override
-config values.  Tables are emitted as CSV, structured results as JSON with
-sorted keys, so identical configs and seeds produce byte-identical outputs.
+config values, and ``main`` reads both and builds the space once per call.
+Tables are emitted as CSV, structured results as JSON with sorted keys, so
+identical configs and seeds produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration or input error (including a search
 that runs out of budget and a refused allocation), 3 result carries an
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import math
 import sys
@@ -70,14 +72,39 @@ _INTS = (lambda v: isinstance(v, str) or isinstance(v, list) and all(type(x) is 
 _NUMS = (lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v),
          "a list of numbers")
 _APART = (lambda v: True, "")
+
+
+def _one_of(choices: tuple) -> tuple:
+    return (lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
+
+
+# Every parameter once: (JSON test, flag type, flag choices, help, the
+# subcommands whose parser takes the flag, None for every one).  A key with
+# choices has them as its test.  The flag is --key with "-" for "_"; each
+# subcommand reads its own default where it reads the value.
+_PARAMS = {
+    "n": (_INT, int, None, "prime node count", ("cbc",)),
+    "N": (_INT, int, None, "node budget", ("approx-build",)),
+    "n_list": (_INTS, None, None, "comma-separated primes", ("convergence",)),
+    "mode": (None, None, ("minimize", "better_than_average"), "CBC objective", ("cbc",)),
+    "method": (None, None, ("fixed_point", "spectral", "both"), "error routes", ("error-eval",)),
+    "half_width": (_INT, int, None, "frequency box of the spectral routes", ("error-eval",)),
+    "tau": (_NUM, float, None, "approximation exponent", ("approx-build",)),
+    "budget": (_INT, int, None, "search budget per point set", ("approx-build",)),
+    "delta": (_NUM, float, None, "acceptance slack", ("approx-build",)),
+    "trials": (_INT, int, None, "shift-search trials (cbc: 0, its default, runs no search)",
+               ("cbc", "shift-search", "convergence")),
+    "lam": (_NUM, float, None, "exponent of the bound constant and of cbc's averaging mode",
+            ("cbc", "error-eval", "convergence")),
+    "seed": (_INT, int, None, "RNG seed", None),
+    "tol": (_NUM, float, None, "spectral certificate target", None),
+}
 _KEYS = {
     "config": {"space": _APART, "structure": _APART, "params": _APART, "integrand": _APART},
     "space": {"alpha": _NUM, "beta0": _NUM, "beta1": _NUM, "c_R": _NUM, "generator": _APART},
     "generator": {"kind": _STR, "table": _NUMS, "slope": _NUM},
     "structure": {"d": _INT, "invariant": _INTS},
-    "params": {"n": _INT, "N": _INT, "trials": _INT, "seed": _INT, "budget": _INT,
-               "half_width": _INT, "tol": _NUM, "lam": _NUM, "tau": _NUM, "delta": _NUM,
-               "mode": _STR, "method": _STR, "n_list": _INTS},
+    "params": {key: test or _one_of(choices) for key, (test, _, choices, *_) in _PARAMS.items()},
     "integrand": {"family": _STR, "n_modes": _INT, "norm": _NUM, "seed": _INT,
                   "constant": _NUM, "coefficients": _APART},
 }
@@ -125,19 +152,14 @@ def _load_config(path: str | None, integrand: bool = False) -> dict:
     return cfg
 
 
-def _build_spec(cfg: dict, args) -> KernelSpec:
-    space = cfg.get("space", {})
+def _build_spec(cfg: dict, args, params: dict) -> KernelSpec:
     structure = cfg.get("structure", {})
     try:
-        w = weight_from_config(space)
-        d = getattr(args, "d", None)
-        if d is None:
-            d = int(structure.get("d", 0))
+        w = weight_from_config(cfg.get("space", {}))
+        d = args.d if args.d is not None else int(structure.get("d", 0))
         if d < 1:
             raise ConfigError("dimension d missing or invalid")
-        inv = structure.get("invariant", "full")
-        if getattr(args, "invariant", None) is not None:
-            inv = args.invariant
+        inv = structure.get("invariant", "full") if args.invariant is None else args.invariant
         if inv == "full":
             perm = PermStructure.full(d)
         elif inv in ("none", "empty"):
@@ -150,71 +172,48 @@ def _build_spec(cfg: dict, args) -> KernelSpec:
                     raise ConfigError(f"invariant {inv!r} is not 'full', 'none' or a "
                                       "comma-separated list of coordinates") from None
             perm = PermStructure(d, tuple(int(v) for v in inv))
-        return KernelSpec(w, perm, tol=float(_param(cfg, args, "tol", 1e-10)))
+        return KernelSpec(w, perm, tol=float(params.get("tol", 1e-10)))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _param(cfg: dict, args, name: str, default):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    return cfg.get("params", {}).get(name, default)
-
-
-def _emit_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_cbc(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(cfg, args)
-    n = int(_param(cfg, args, "n", 0))
+def _cmd_cbc(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
+    n = int(params.get("n", 0))
     if n < 2:
         raise ConfigError("prime n required")
-    mode = _param(cfg, args, "mode", "minimize")
-    lam = float(_param(cfg, args, "lam", 1.0))
-    trials = int(_param(cfg, args, "trials", 0))
-    seed = int(_param(cfg, args, "seed", 0))
+    mode = params.get("mode", "minimize")
+    lam = float(params.get("lam", 1.0))
+    trials = int(params.get("trials", 0))
+    seed = int(params.get("seed", 0))
     if trials:
         res = construct_shifted(spec, n, trials=trials, seed=seed, mode=mode, lam=lam)
     else:
         res = cbc_construct(spec, n, mode=mode, lam=lam)
     if args.out:
         save_lattice(res.rule, args.out)
-    _emit_json(res.to_json(), args.json)
-    return EXIT_FLAGGED if res.shift_flagged else EXIT_OK
+    return res.to_json(), EXIT_FLAGGED if res.shift_flagged else EXIT_OK
 
 
-def _cmd_shift_search(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(cfg, args)
+def _cmd_shift_search(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
     rule = load_lattice(args.rule)
-    res = shift_search(rule, spec, trials=int(_param(cfg, args, "trials", 64)),
-                       seed=int(_param(cfg, args, "seed", 0)))
+    res = shift_search(rule, spec, trials=int(params.get("trials", 64)),
+                       seed=int(params.get("seed", 0)))
     if args.out:
         save_lattice(res.rule, args.out)
     out = {k: v for k, v in vars(res).items() if k != "rule"}
-    _emit_json({**out, "shift": list(res.rule.shift)}, args.json)
-    return EXIT_OK if res.certified else EXIT_FLAGGED
+    return {**out, "shift": list(res.rule.shift)}, EXIT_OK if res.certified else EXIT_FLAGGED
 
 
-def _cmd_error_eval(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(cfg, args)
+def _cmd_error_eval(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
     out: dict = {}
     if args.rule:
         rule = load_rule(args.rule)
-        method = _param(cfg, args, "method", "fixed_point")
-        hw = _param(cfg, args, "half_width", None)
+        method = params.get("method", "fixed_point")
+        hw = params.get("half_width", None)
         lattice = isinstance(rule, LatticeRule)
         if not lattice and (method in ("spectral", "both") or hw is not None):
             raise ConfigError("the spectral routes (--method spectral|both, --half-width) "
@@ -232,32 +231,27 @@ def _cmd_error_eval(args) -> int:
                     rule, spec, "spectral", half_width=hw).to_json()
                 out["worst_case_spectral"] = worst_case_error_sq_spectral(
                     rule, spec, half_width=hw).to_json()
-    lam = float(_param(cfg, args, "lam", 1.0))
+    lam = float(params.get("lam", 1.0))
     c = bound_constant(spec, lam)
     out["bound_constant"] = {"lambda": lam, "lo": c.lo, "hi": c.hi}
-    _emit_json(out, args.json)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_approx_build(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(cfg, args)
-    N = int(_param(cfg, args, "N", 0))
+def _cmd_approx_build(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
+    N = int(params.get("N", 0))
     if N < 2:
         raise ConfigError("N >= 2 required")
-    tau = float(_param(cfg, args, "tau", min(2.0, spec.weight.alpha + 0.5)))
+    tau = float(params.get("tau", min(2.0, spec.weight.alpha + 0.5)))
     res = assemble_rule(
         spec, tau, N,
-        search_budget=int(_param(cfg, args, "budget", 32)),
-        delta=float(_param(cfg, args, "delta", 0.5)),
-        seed=int(_param(cfg, args, "seed", 0)),
+        search_budget=int(params.get("budget", 32)),
+        delta=float(params.get("delta", 0.5)),
+        seed=int(params.get("seed", 0)),
     )
     if args.out:
         save_cubature(res.cubature, args.out)
-    side = res.to_json()
-    side["bound_value"] = res.bound_value()
-    _emit_json(side, args.json)
-    return EXIT_OK if res.certified else EXIT_FLAGGED
+    side = {**res.to_json(), "bound_value": res.bound_value()}
+    return side, EXIT_OK if res.certified else EXIT_FLAGGED
 
 
 def _convergence_row(spec: KernelSpec, n: int, trials: int, seed: int, lam: float) -> dict:
@@ -276,18 +270,16 @@ def _convergence_row(spec: KernelSpec, n: int, trials: int, seed: int, lam: floa
         return {"n": n, "error": str(exc)}
 
 
-def _cmd_convergence(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(cfg, args)
-    n_list = _param(cfg, args, "n_list", [])
+def _cmd_convergence(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
+    n_list = params.get("n_list", [])
     if isinstance(n_list, str):
         n_list = [int(v) for v in n_list.split(",") if v.strip()]
     repeated = next((n for i, n in enumerate(n_list) if n in n_list[:i]), None)
     if repeated is not None:
         raise ConfigError(f"n_list repeats n = {repeated}: each row needs its own n")
-    trials = int(_param(cfg, args, "trials", 32))
-    seed = int(_param(cfg, args, "seed", 0))
-    lam = float(_param(cfg, args, "lam", 1.0))
+    trials = int(params.get("trials", 32))
+    seed = int(params.get("seed", 0))
+    lam = float(params.get("lam", 1.0))
     rows = [_convergence_row(spec, int(n), trials, seed, lam) for n in n_list]
     ok_rows = [r for r in rows if "error" not in r]
     # an E2 within its rounding certificate has no significant digit to fit
@@ -309,14 +301,11 @@ def _cmd_convergence(args) -> int:
                     f"{r['bound']:.17g},{r['ratio']:.17g},{int(r['flagged'])}"
                 )
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    _emit_json({"rows": rows, "slope": slope}, args.json)
     flagged = any(r.get("flagged") for r in ok_rows) or len(fit_rows) < len(rows)
-    return EXIT_FLAGGED if flagged else EXIT_OK
+    return {"rows": rows, "slope": slope}, EXIT_FLAGGED if flagged else EXIT_OK
 
 
-def _cmd_integrate(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_spec(cfg, args)
+def _cmd_integrate(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
     rule = load_rule(args.rule)
     if rule.d != spec.d:
         raise ConfigError(f"rule dimension {rule.d} != space dimension {spec.d}")
@@ -340,86 +329,72 @@ def _cmd_integrate(args) -> int:
     }
     if defect > 1e-8 * (1.0 + f.norm):
         out["warning"] = "integrand is not exchange-invariant"
-    _emit_json(out, args.json)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--d", type=int, help="dimension override")
-    p.add_argument("--invariant", help="invariant set: 'full', 'none', or e.g. '1,2'")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--tol", type=float, help="spectral certificate target")
-    p.add_argument("--json", help="write JSON result here (default: stdout)")
+# subcommand: (handler, help, its flags besides the common ones and the params)
+_COMMANDS = {
+    "cbc": (_cmd_cbc, "component-by-component lattice construction",
+            {"--out": {"help": "write the lattice file here"}}),
+    "shift-search": (_cmd_shift_search, "randomized shift certification",
+                     {"--rule": {"required": True, "help": "lattice file"},
+                      "--out": {"help": "write the shifted lattice file here"}}),
+    "error-eval": (_cmd_error_eval, "certified error quantities",
+                   {"--rule": {"help": "lattice or cubature file"}}),
+    "approx-build": (_cmd_approx_build, "assemble the approximation-driven rule",
+                     {"--out": {"help": "write the node/weight file here"}}),
+    "convergence": (_cmd_convergence, "error-versus-n study",
+                    {"--csv": {"help": "write the CSV table here"}}),
+    "integrate": (_cmd_integrate, "apply a rule file to a test integrand",
+                  {"--rule": {"required": True},
+                   "--integrand": {"help": "integrand spec JSON file"}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="permqmc",
                                  description="cubature for exchange-invariant periodic integrands")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cbc", help="component-by-component lattice construction")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="prime node count")
-    p.add_argument("--mode", choices=["minimize", "better_than_average"])
-    p.add_argument("--lam", type=float, help="exponent for the averaging mode")
-    p.add_argument("--trials", type=int, help="also run the shift search with this budget")
-    p.add_argument("--out", help="write the lattice file here")
-    p.set_defaults(func=_cmd_cbc)
-
-    p = sub.add_parser("shift-search", help="randomized shift certification")
-    _add_common(p)
-    p.add_argument("--rule", required=True, help="lattice file")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out", help="write the shifted lattice file here")
-    p.set_defaults(func=_cmd_shift_search)
-
-    p = sub.add_parser("error-eval", help="certified error quantities")
-    _add_common(p)
-    p.add_argument("--rule", help="lattice or cubature file")
-    p.add_argument("--method", choices=["fixed_point", "spectral", "both"])
-    p.add_argument("--half-width", dest="half_width", type=int)
-    p.add_argument("--lam", type=float)
-    p.set_defaults(func=_cmd_error_eval)
-
-    p = sub.add_parser("approx-build", help="assemble the approximation-driven rule")
-    _add_common(p)
-    p.add_argument("--N", type=int, help="node budget")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--budget", type=int, help="search budget per point set")
-    p.add_argument("--delta", type=float, help="acceptance slack")
-    p.add_argument("--out", help="write the node/weight file here")
-    p.set_defaults(func=_cmd_approx_build)
-
-    p = sub.add_parser("convergence", help="error-versus-n study")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated primes")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--csv", help="write the CSV table here")
-    p.set_defaults(func=_cmd_convergence)
-
-    p = sub.add_parser("integrate", help="apply a rule file to a test integrand")
-    _add_common(p)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--integrand", help="integrand spec JSON file")
-    p.set_defaults(func=_cmd_integrate)
-
+    for name, (func, help, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--d", type=int, help="dimension override")
+        p.add_argument("--invariant", help="invariant set: 'full', 'none', or e.g. '1,2'")
+        p.add_argument("--json", help="write JSON result here (default: stdout)")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        for key, (_, kind, choices, text, commands) in _PARAMS.items():
+            if commands is None or name in commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                               choices=choices, help=text)
     return ap
 
 
+# main's parser, built on its first call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        given = {key: v for key in _PARAMS if (v := getattr(args, key, None)) is not None}
+        params = {**cfg.get("params", {}), **given}
+        out, code = args.func(args, cfg, _build_spec(cfg, args, params), params)
+        text = json.dumps(out, sort_keys=True, indent=2) + "\n"
+        if args.json:
+            Path(args.json).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ConfigError, RuleFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,9 +35,9 @@ from .kernels import (
     KernelSpec,
     _cyclic_correlation,
     _free_excess,
+    _group_stack,
     _lattice_gram_mean_fft,
     _mask_plan,
-    _MASK_STACK,
     _ordered_sums,
     _partition_sums,
     _stack_rows,
@@ -353,13 +353,6 @@ def _refuse_above_cap(need: int, what: str, hint: str = "") -> None:
             f"the cap of {STEP_BYTES_CAP / 2**30:.0f} GiB{hint}")
 
 
-def _group_stack(N: int) -> int:
-    """Groups per stack of a CBC step's correlations at padded transform
-    length N: the transforms of a group hold about 7N doubles, and a stack
-    at most four ``kernels._MASK_STACK``."""
-    return max(1, 4 * _MASK_STACK // (7 * N))
-
-
 def _check_step_bytes(ell: int, s_l: int, n: int, exchangeable: bool) -> None:
     """Refuse a CBC step whose predicted working set exceeds the cap.  In
     doubles, with F = 2^s_l n and N the padded transform length: the DP's
@@ -479,7 +472,7 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
        B(z) collects F((S_M + z) mod n).
 
     Each stage issues its numpy calls per level and per stack of rows
-    (``kernels._stack_rows``, ``_group_stack``), not per group or per
+    (``kernels._stack_rows``, ``kernels._group_stack``), not per group or per
     (mask, block) pair, and every value is bitwise that of loops over them.
 
     Time O(3^k * n + 2^k * n log n + ell * n) and memory O(2^k * n) per

@@ -382,6 +382,13 @@ def _stack_rows(masks: int, n: int) -> int:
     return max(1, min(_MASK_STACK // n, masks))
 
 
+def _group_stack(N: int) -> int:
+    """Groups per stack of a CBC step's correlations at padded transform
+    length N: the transforms of a group hold about 7N doubles, and a stack
+    at most four ``_MASK_STACK``."""
+    return max(1, 4 * _MASK_STACK // (7 * N))
+
+
 def _ordered_sums(f: np.ndarray, idx: np.ndarray, g: np.ndarray, gidx: np.ndarray) -> np.ndarray:
     """Row m: 0 + sum over t = 0, 1, ... in order of g[gidx[t, m]] * f[idx[t, m]],
     for index arrays (T, m) (gidx (T, 1) takes one factor per term).  The

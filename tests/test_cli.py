@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import math
 import os
@@ -129,6 +131,12 @@ class TestCbcCommand:
          "invariant 'full ' is not 'full', 'none' or a comma-separated list of coordinates"),
         ({"integrand": {"coefficients": {"3": "0.5"}}},
          "coefficient '3' of the integrand must be a number, got \"0.5\""),
+        ({"params": {"method": "spectal"}},
+         "'method' in block 'params' of {path} must be one of 'fixed_point', 'spectral', "
+         "'both', got \"spectal\""),
+        ({"params": {"mode": "minimise"}},
+         "'mode' in block 'params' of {path} must be one of 'minimize', "
+         "'better_than_average', got \"minimise\""),
     ])
     def test_config_that_could_be_misread(self, tmp_path, capsys, cfg, message):
         # a misspelled key or a lossy value exits 2 with one line naming it
@@ -242,6 +250,74 @@ class TestCbcCommand:
                      ["approx-build"], ["convergence"], ["integrate", "--rule", "r.lat"]):
             assert main(argv + ["--config", str(cfg_path), "--threads", "2"]) == EXIT_CONFIG
             assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        # main builds its parser tree (the top parser and one per
+        # subcommand) on its first call and parses every later call with it
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(permqmc.cli, "_parser", functools.cache(permqmc.cli.build_parser))
+        for _ in range(2):
+            assert main(["error-eval", "--d", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.count('"bound_constant"') == 2
+        assert len(built) == 1 + 6
+
+    def test_flags_of_each_subcommand(self):
+        # argparse takes a flag's prefix: an added flag can make a working
+        # abbreviation ambiguous, so each subcommand's set is pinned
+        common = {"-h", "--help", "--config", "--d", "--invariant", "--seed", "--tol", "--json"}
+        flags = {"cbc": {"--n", "--mode", "--lam", "--trials", "--out"},
+                 "shift-search": {"--rule", "--trials", "--out"},
+                 "error-eval": {"--rule", "--method", "--half-width", "--lam"},
+                 "approx-build": {"--N", "--tau", "--budget", "--delta", "--out"},
+                 "convergence": {"--n-list", "--trials", "--lam", "--csv"},
+                 "integrate": {"--rule", "--integrand"}}
+        sub = next(a for a in permqmc.cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(flags)
+        for name, parser in sub.choices.items():
+            options = {s for action in parser._actions for s in action.option_strings}
+            assert options == common | flags[name], name
+            required = {s for action in parser._actions if action.required
+                        for s in action.option_strings}
+            assert required == ({"--rule"} if name in ("shift-search", "integrate") else set())
+
+    def test_flag_beats_its_config_key(self, cfg_path, tmp_path, monkeypatch):
+        # an int (trials), a float (lam) and a choice (method): the config's
+        # value holds until the flag is given
+        calls = []
+        construct = permqmc.cli.construct_shifted
+
+        def recording(spec, n, **kwargs):
+            calls.append((kwargs["trials"], kwargs["lam"]))
+            return construct(spec, n, **kwargs)
+
+        monkeypatch.setattr(permqmc.cli, "construct_shifted", recording)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["params"].update(lam=1.5, method="spectral", half_width=4)
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["cbc", "--config", str(cfg_path), "--json", str(tmp_path / "a.json")]) in (
+            EXIT_OK, EXIT_FLAGGED)
+        assert main(["cbc", "--config", str(cfg_path), "--trials", "4", "--lam", "1.25",
+                     "--json", str(tmp_path / "b.json")]) in (EXIT_OK, EXIT_FLAGGED)
+        assert calls == [(16, 1.5), (4, 1.25)]
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n0.3 0.7\n")
+        out = tmp_path / "e.json"
+        argv = ["error-eval", "--config", str(cfg_path), "--rule", str(rule), "--json", str(out)]
+        assert main(argv) == EXIT_OK
+        assert set(json.loads(out.read_text())) == {
+            "worst_case", "mean_shifted_spectral", "worst_case_spectral", "bound_constant"}
+        assert main(argv + ["--method", "both"]) == EXIT_OK
+        assert set(json.loads(out.read_text())) == {
+            "worst_case", "mean_shifted", "mean_shifted_spectral", "worst_case_spectral",
+            "bound_constant"}
 
     def test_missing_n(self, cfg_path, tmp_path):
         cfg = json.loads(cfg_path.read_text())

@@ -73,6 +73,12 @@ case's grid is fixed below:
                  entries in [0.9, 1.1] and of unit-modulus entries, s = 3, 5,
                  8 (best and median of 10 calls); and one sha256 of its
                  values on seeded float and complex stacks, s = 0...8
+  cli            ``cli.main`` in one process, default space: the first call
+                 (the parser built) and the median of ``CLI_CALLS`` more, of
+                 ``cbc`` at (d, n) = (3, 61), ``error-eval`` without a rule
+                 at d = 3 (the bound constant alone, so mostly the front
+                 end) and ``approx-build`` at (d, N) = (3, 16), each with its
+                 exit code and the sha256 of its JSON
 
 Equal hashes across checkouts mean bitwise-equal results.  The package is
 imported from ``PYTHONPATH``.  To compare checkouts, name each one's ``src``
@@ -134,6 +140,10 @@ STREAM_ENTRIES = 76858
 # eigenfunctions per point of the gram case, and its calls after the first
 GRAM_MODES = 100
 GRAM_CALLS = 3
+# the cli case's subcommands and their flags, and its calls after the first
+CLI_ARGV = {"cbc": ["--d", "3", "--n", "61"], "error-eval": ["--d", "3"],
+            "approx-build": ["--d", "3", "--N", "16"]}
+CLI_CALLS = 20
 
 CASES = {
     "approx": [("approx", d, N, seed) for d, N in ((3, 1024), (3, 2048), (3, 4096),
@@ -165,6 +175,7 @@ CASES = {
     "stream": [("stream-rule", d) for d in (12, 16, 24)] + [("stream", 24, STREAM_ENTRIES)],
     "ryser": ([("ryser", kind, s) for s in (3, 5, 8) for kind in ("kernel", "phase")]
               + [("digest",)]),
+    "cli": [("cli", command) for command in CLI_ARGV],
 }
 
 
@@ -305,6 +316,18 @@ def _cbc(d: int, n: int, trials: int) -> dict:
     return {"wall_s": wall, "exit_code": code, **{k: out[k] for k in keep}}
 
 
+def _cli(command: str) -> dict:
+    from permqmc.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *CLI_ARGV[command], "--json", str(Path(tmp) / "out.json")]
+        code, first = _timed(lambda: main(argv))
+        digest = hashlib.sha256((Path(tmp) / "out.json").read_bytes()).hexdigest()
+        walls = [_timed(lambda: main(argv))[1] for _ in range(CLI_CALLS)]
+    return {"wall_s": first + sum(walls), "first_s": first, "call_s_median": float(np.median(walls)),
+            "exit_code": code, "json_sha256": digest}
+
+
 def _cbc_full(d: int, n: int) -> dict:
     from permqmc.cbc import cbc_construct
 
@@ -434,7 +457,7 @@ def _ryser_digest() -> dict:
     return {"wall_s": time.perf_counter() - t0, "sha256": {"permanent_batch": digest.hexdigest()}}
 
 
-RUNNERS = {"approx": _approx, "gram": _gram, "spectral": _spectral, "route": _route, "cbc": _cbc,
+RUNNERS = {"approx": _approx, "gram": _gram, "spectral": _spectral, "route": _route, "cbc": _cbc, "cli": _cli,
            "cbc-full": _cbc_full, "cbc-partial": _cbc_partial, "e2": _e2, "bound-constant": _bound_constant,
            "approx-tau": _approx_tau, "stream-rule": _stream_rule, "stream": _stream,
            "ryser": _ryser_timing, "digest": _ryser_digest}
