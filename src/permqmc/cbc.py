@@ -128,7 +128,7 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
         per_step.append(float(vals[choice]))
         per_cert.append(cert)
     rule = LatticeRule(n, tuple(z))
-    e2 = mean_sq_error(rule, unit, method="fixed_point")
+    e2 = mean_sq_error(rule, unit)
     cbound = float((1.0 + spec.weight.c_R) ** lam * C.hi * max(1, spec.perm.size) / n ** lam)
     return CbcResult(
         rule=rule,
@@ -170,7 +170,7 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
         raise ValueError("trials must be >= 1")
     unit = spec.unit
     if E2 is None:
-        rep = mean_sq_error(rule, unit, method="fixed_point")
+        rep = mean_sq_error(rule, unit)
         E2 = (rep.value, rep.truncation_certificate)
     E2_value, E2_cert = E2
     rng = np.random.Generator(np.random.Philox(seed))

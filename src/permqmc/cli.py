@@ -210,27 +210,24 @@ def _cmd_shift_search(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[
 
 def _cmd_error_eval(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
     out: dict = {}
-    if args.rule:
-        rule = load_rule(args.rule)
-        method = params.get("method", "fixed_point")
-        hw = params.get("half_width", None)
-        lattice = isinstance(rule, LatticeRule)
-        if not lattice and (method in ("spectral", "both") or hw is not None):
-            raise ConfigError("the spectral routes (--method spectral|both, --half-width) "
-                              f"need a lattice rule; {args.rule} is a weighted rule")
-        if method == "fixed_point" and hw is not None:
-            raise ConfigError("--half-width sets the spectral routes' box; "
-                              "give it with --method spectral|both")
+    method, hw = params.get("method", "fixed_point"), params.get("half_width", None)
+    rule = load_rule(args.rule) if args.rule else None
+    lattice = isinstance(rule, LatticeRule)
+    if not lattice and (method != "fixed_point" or hw is not None):
+        raise ConfigError("the spectral routes (--method spectral|both, --half-width) need a "
+                          "lattice rule; " + (f"{args.rule} is a weighted rule" if args.rule
+                                              else "give one with --rule"))
+    if method == "fixed_point" and hw is not None:
+        raise ConfigError("--half-width sets the spectral routes' box; "
+                          "give it with --method spectral|both")
+    if rule is not None:
         out["worst_case"] = worst_case_error_sq(rule, spec).to_json()
-        if lattice:  # also report the shift average
-            if method in ("fixed_point", "both"):
-                out["mean_shifted"] = mean_sq_error(rule, spec, "fixed_point").to_json()
-            if method in ("spectral", "both"):
-                hw = int(BOX_HALF_WIDTH if hw is None else hw)
-                out["mean_shifted_spectral"] = mean_sq_error(
-                    rule, spec, "spectral", half_width=hw).to_json()
-                out["worst_case_spectral"] = worst_case_error_sq_spectral(
-                    rule, spec, half_width=hw).to_json()
+    if lattice and method != "spectral":  # also report the shift average
+        out["mean_shifted"] = mean_sq_error(rule, spec).to_json()
+    if lattice and method != "fixed_point":
+        worst, mean = worst_case_error_sq_spectral(
+            rule, spec, half_width=int(BOX_HALF_WIDTH if hw is None else hw))
+        out["worst_case_spectral"], out["mean_shifted_spectral"] = worst.to_json(), mean.to_json()
     lam = float(params.get("lam", 1.0))
     c = bound_constant(spec, lam)
     out["bound_constant"] = {"lambda": lam, "lo": c.lo, "hi": c.hi}
@@ -272,8 +269,11 @@ def _convergence_row(spec: KernelSpec, n: int, trials: int, seed: int, lam: floa
 
 def _cmd_convergence(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[dict, int]:
     n_list = params.get("n_list", [])
-    if isinstance(n_list, str):
-        n_list = [int(v) for v in n_list.split(",") if v.strip()]
+    try:
+        if isinstance(n_list, str):
+            n_list = [int(v) for v in n_list.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"n_list {n_list!r} is not a comma-separated list of integers") from None
     repeated = next((n for i, n in enumerate(n_list) if n in n_list[:i]), None)
     if repeated is not None:
         raise ConfigError(f"n_list repeats n = {repeated}: each row needs its own n")

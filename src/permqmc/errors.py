@@ -211,9 +211,9 @@ def _dual_box(rule: LatticeRule, half_width: int) -> np.ndarray:
     above ``STEP_BYTES_CAP``: first 8 bytes per entry of the two half grids
     and their index vectors; then, with the member count m known and before
     any member row is allocated, 8 * (7d + 12) more bytes per member.  That
-    bounds the tracemalloc peak of either spectral route downstream, which
+    bounds the tracemalloc peak of the spectral pass downstream, which
     reaches about 8 * (6d + 11) with no exchangeable coordinates and a
-    tabulated generator.
+    tabulated generator (``tests/test_errors.py`` checks it).
     """
     d, n, H = rule.d, rule.n, half_width
     if H < 0:
@@ -262,22 +262,23 @@ def _box_tail_certificate(spec: KernelSpec, half_width: int, inv_lambda: float =
     return (coord_tail * full).scale(spec.d).hi
 
 
-def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
-                                 half_width: int = BOX_HALF_WIDTH) -> ErrorReport:
-    """Squared worst-case error of a (shifted) lattice rule by direct
-    enumeration of the frequency box.
+def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec, half_width: int = BOX_HALF_WIDTH
+                                 ) -> tuple[ErrorReport, ErrorReport]:
+    """Squared worst-case error of a lattice rule at its shift and averaged
+    over all shifts, from one enumeration of the frequency box.
 
     The kernel sum is r^(-1)(h) |T(h)|^2 / (#S)^2 over the box, T(h) the sum
     of the shift phases e^(2 pi i h'.shift) over the exchange images h' of h
     that lie in the dual lattice.  An orbit O of s!/M(h)! members has
     T(h) = M(h)! * S_O, S_O the sum of the phases of its dual members, so
     the sum is computed by orbit grouping as
-    sum over orbits of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!.
+    sum over orbits of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!; averaged over
+    all shifts, |S_O|^2 becomes count_O, the number of dual members in O.
     The orbits are the distinct box positions (``_box_index``) of the rows
     with sorted invariant coordinates; position order is box order.
-    Independent of the kernel route; scaled as above.
-    ``details["cert_exceeds_value"]`` says whether the certificate is larger
-    than the value.
+    Independent of the kernel route; scaled as above.  Both reports carry
+    the box tail certificate and ``details["cert_exceeds_value"]``; the
+    average's ``details["degenerate"]`` says whether z = 0 mod n.
     """
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
@@ -286,58 +287,49 @@ def worst_case_error_sq_spectral(rule: LatticeRule, spec: KernelSpec,
     shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
     phase = np.exp(2j * math.pi * (hs @ shift))
     hs[:, ps.invariant_idx] = np.sort(hs[:, ps.invariant_idx], axis=1)
-    orbits, orbit_of = np.unique(_box_index(hs, half_width), return_inverse=True)
+    orbits, orbit_of, count = np.unique(_box_index(hs, half_width), return_inverse=True,
+                                        return_counts=True)
     reps = _box_rows(orbits, rule.d, half_width)
     S_O = (np.bincount(orbit_of, phase.real, len(reps))
            + 1j * np.bincount(orbit_of, phase.imag, len(reps)))
-    fac = np.prod(r_weight_inv_factors(reps, spec.unit.weight), axis=1)
-    mult = multiplicity_array(reps, ps)
-    value = float(np.sum(fac * mult * np.abs(S_O) ** 2)) / float(ps.group_order)
-    value, cert = spec.scaled(value, _box_tail_certificate(spec, half_width))
-    return ErrorReport(value, "spectral_dual_sum", cert,
-                       details={"half_width": half_width, "cert_exceeds_value": cert > value})
+    weight = np.prod(r_weight_inv_factors(reps, spec.unit.weight), axis=1) * multiplicity_array(reps, ps)
+    tail = _box_tail_certificate(spec, half_width)
+
+    def report(total: float, **details) -> ErrorReport:
+        value, cert = spec.scaled(float(total) / float(ps.group_order), tail)
+        return ErrorReport(value, "spectral_dual_sum", cert, details={
+            "half_width": half_width, **details, "cert_exceeds_value": cert > value})
+
+    return (report(np.sum(weight * np.abs(S_O) ** 2)),
+            report(np.sum(weight * count), degenerate=all(v % rule.n == 0 for v in rule.z)))
 
 
 # ---------------------------------------------------------------------------
 # mean squared error over all shifts
 # ---------------------------------------------------------------------------
 
-def mean_sq_error(rule: LatticeRule, spec: KernelSpec, method: str = "fixed_point",
-                  half_width: int = BOX_HALF_WIDTH) -> ErrorReport:
-    """Squared worst-case error averaged over all uniform shifts.
+def mean_sq_error(rule: LatticeRule, spec: KernelSpec) -> ErrorReport:
+    """Squared worst-case error averaged over all uniform shifts, exactly.
 
-    Both methods run in the unit space, then ``KernelSpec.scaled``.  method
-    "fixed_point": exact average of the shift-averaged kernel less 1 over
-    the n unshifted lattice nodes (the shift drops out of node
-    differences), ``shift_invariant_profile`` on the CBC's zero-mean tables,
-    with no term 1; its certificate is the profile's plus the a priori
-    rounding bound of the mean.  A profile whose predicted working set
-    (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises ValueError
-    before anything is allocated.  method "spectral": truncated
-    multiplicity-weighted sum over dual-lattice members of a frequency box
-    (``_dual_box``).
+    In the unit space, then ``KernelSpec.scaled``: the average of the
+    shift-averaged kernel less 1 over the n unshifted lattice nodes (the
+    shift drops out of node differences), ``shift_invariant_profile`` on the
+    CBC's zero-mean tables, with no term 1; its certificate is the profile's
+    plus the a priori rounding bound of the mean.  A profile whose predicted
+    working set (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises
+    ValueError before anything is allocated.  The spectral route of the same
+    average is ``worst_case_error_sq_spectral``'s second report.
     """
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
     degenerate = all(v % rule.n == 0 for v in rule.z)
-    if method == "fixed_point":
-        _check_profile_bytes(spec, rule.n)
-        prof, cert = shift_invariant_profile(rule, spec.unit)
-        # numpy's sum and the division
-        value, cert = spec.scaled(float(np.mean(prof)), cert + _gamma(_sum_depth(prof.size) + 1)
-                                  * float(np.mean(np.abs(prof))))
-        return ErrorReport(max(value, 0.0), "kernel_sum", cert,
-                           details={"raw_value": value, "degenerate": degenerate})
-    if method != "spectral":
-        raise ValueError(f"unknown method {method!r}")
-    hs = _dual_box(rule, half_width)
-    fac = np.prod(r_weight_inv_factors(hs, spec.unit.weight), axis=1)
-    mult = multiplicity_array(hs, spec.perm)
-    value = float(np.sum(fac * mult)) / float(spec.perm.group_order)
-    value, cert = spec.scaled(value, _box_tail_certificate(spec, half_width))
-    return ErrorReport(value, "spectral_dual_sum", cert,
-                       details={"half_width": half_width, "degenerate": degenerate,
-                                "cert_exceeds_value": cert > value})
+    _check_profile_bytes(spec, rule.n)
+    prof, cert = shift_invariant_profile(rule, spec.unit)
+    # numpy's sum and the division
+    value, cert = spec.scaled(float(np.mean(prof)), cert + _gamma(_sum_depth(prof.size) + 1)
+                              * float(np.mean(np.abs(prof))))
+    return ErrorReport(max(value, 0.0), "kernel_sum", cert,
+                       details={"raw_value": value, "degenerate": degenerate})
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,30 @@ def dual_membership(h, rule):
     return sum(int(hv) * int(zv) for hv, zv in zip(h, rule.z)) % rule.n == 0
 
 
+def spectral_sums_per_member(rule, spec, half_width):
+    """The two spectral sums of a lattice rule by their formulas over the
+    dual members of the box (box-and-filter), in the space: the error at
+    the shift, sum over orbits O of r^(-1)(h_O) * M(h_O)! * |S_O|^2 / s!,
+    S_O the sum of the shift phases of O's members and the orbits those of
+    ``np.unique(axis=0)`` on the rows with sorted invariant coordinates; and
+    the shift average, r^(-1)(h) * M(h)! / s! summed over the members h."""
+    ps, w = spec.perm, spec.unit.weight
+    hs = box_frequencies(rule.d, half_width)
+    hs = hs[(hs @ np.asarray(rule.z, dtype=np.int64)) % rule.n == 0]
+    shift = np.zeros(rule.d) if rule.shift is None else np.asarray(rule.shift)
+    phase = np.exp(2j * math.pi * (hs @ shift))
+    mean = float(np.sum(np.prod(r_weight_inv_factors(hs, w), axis=1)
+                        * multiplicity_array(hs, ps))) / float(ps.group_order)
+    hs[:, ps.invariant_idx] = np.sort(hs[:, ps.invariant_idx], axis=1)
+    reps, orbit_of = np.unique(hs, axis=0, return_inverse=True)
+    orbit_of = orbit_of.ravel()
+    S_O = (np.bincount(orbit_of, phase.real, len(reps))
+           + 1j * np.bincount(orbit_of, phase.imag, len(reps)))
+    fac = np.prod(r_weight_inv_factors(reps, w), axis=1)
+    worst = float(np.sum(fac * multiplicity_array(reps, ps) * np.abs(S_O) ** 2))
+    return (spec.scaled(worst / float(ps.group_order), 0.0)[0], spec.scaled(mean, 0.0)[0])
+
+
 def character_average(h, n):
     """Average over j of the lattice character at frequency h for prime n:
     1 if n | h, else 1/n."""

@@ -17,6 +17,7 @@ from permqmc.errors import (
     cbc_step_objectives,
     mean_sq_error,
     worst_case_error_sq,
+    worst_case_error_sq_spectral,
 )
 from permqmc.kernels import KernelSpec, kernel_perminv_gram
 from permqmc.lattice import LatticeRule
@@ -102,8 +103,8 @@ def test_criterion_03_error_identity():
                     bcert += cert
                 total *= w.beta0 ** d
                 rule = LatticeRule(n, tuple(z))
-                spectral = mean_sq_error(rule, spec, method="spectral", half_width=40)
-                exact = mean_sq_error(rule, spec, method="fixed_point")
+                spectral = worst_case_error_sq_spectral(rule, spec, half_width=40)[1]
+                exact = mean_sq_error(rule, spec)
                 combined = spectral.truncation_certificate + bcert * w.beta0 ** d
                 worst_slack = max(worst_slack, abs(total - spectral.value) - combined)
                 worst_tight = max(worst_tight,

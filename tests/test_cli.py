@@ -13,6 +13,7 @@ import pytest
 
 import permqmc.cbc
 import permqmc.cli
+import permqmc.errors
 from permqmc import KernelSpec, PermStructure, SpectralWeight, shift_search
 from permqmc.cli import EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, main
 from permqmc.lattice import LatticeRule, load_cubature, load_lattice
@@ -425,6 +426,41 @@ class TestPipelines:
         assert set(json.loads(out.read_text())) == {"worst_case", "bound_constant"}
 
     @pytest.mark.parametrize("flags, params", [
+        (["--method", "spectral"], {}), (["--method", "both"], {}), (["--half-width", "6"], {}),
+        (["--method", "fixed_point", "--half-width", "6"], {}), ([], {"method": "both"}),
+        ([], {"half_width": 6}), (["--method", "fixed_point"], {"half_width": 6}),
+    ])
+    def test_spectral_flags_without_rule_exit_code(self, cfg_path, tmp_path, capsys, flags,
+                                                   params):
+        # without a rule there is no spectral route: the flags are refused,
+        # not dropped
+        cfg = json.loads(cfg_path.read_text())
+        cfg["params"].update(params)
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "e.json"
+        assert main(["error-eval", "--config", str(cfg_path), "--json", str(out)]
+                    + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: the spectral routes (--method spectral|both, --half-width) "
+            "need a lattice rule; give one with --rule\n")
+        assert not out.exists()
+
+    def test_error_eval_enumerates_the_box_once(self, cfg_path, tmp_path, monkeypatch):
+        # both spectral reports come from one pass over the dual box
+        calls = []
+        dual_box = permqmc.errors._dual_box
+        monkeypatch.setattr(permqmc.errors, "_dual_box",
+                            lambda rule, H: calls.append(H) or dual_box(rule, H))
+        rule = tmp_path / "rule.txt"
+        rule.write_text("13 2\n1 5\n0.3 0.7\n")
+        out = tmp_path / "e.json"
+        assert main(["error-eval", "--config", str(cfg_path), "--rule", str(rule),
+                     "--method", "both", "--half-width", "6", "--json", str(out)]) == EXIT_OK
+        assert calls == [6]
+        rep = json.loads(out.read_text())
+        assert rep["worst_case_spectral"]["half_width"] == rep["mean_shifted_spectral"]["half_width"] == 6
+
+    @pytest.mark.parametrize("flags, params", [
         (["--half-width", "6"], {}),
         (["--method", "fixed_point", "--half-width", "6"], {}),
         ([], {"half_width": 6}),
@@ -678,6 +714,20 @@ class TestPipelines:
         assert code == EXIT_CONFIG and not cj.exists()
         err = capsys.readouterr().err
         assert err == "config error: n_list repeats n = 61: each row needs its own n\n"
+
+    @pytest.mark.parametrize("flag, param", [("17,a", None), (None, "17, x")])
+    def test_convergence_bad_n_list_token(self, cfg_path, tmp_path, capsys, flag, param):
+        # a token that is not an integer names n_list, from a flag or the config
+        cfg = json.loads(cfg_path.read_text())
+        if param is not None:
+            cfg["params"]["n_list"] = param
+        cfg_path.write_text(json.dumps(cfg))
+        cj = tmp_path / "c.json"
+        code = main(["convergence", "--config", str(cfg_path), "--json", str(cj)]
+                    + (["--n-list", flag] if flag else []))
+        assert code == EXIT_CONFIG and not cj.exists()
+        assert capsys.readouterr().err == (
+            f"config error: n_list {flag or param!r} is not a comma-separated list of integers\n")
 
     @pytest.mark.parametrize("beta0, beta1, d", [
         (1e-300, 1.0, 3), (1e-120, 1.0, 3), (1e120, 1.0, 3), (1.0, 1e300, 3), (1.0, 1e50, 8)])

@@ -27,7 +27,8 @@ from permqmc.symmetry import _UNIT_ROUNDOFF, PermStructure, multiplicity_array
 from permqmc.weights import GeneratorSpec, SpectralWeight, r_weight_inv_factors, tail_sum
 
 from oracles import (box_frequencies, fix_count, gram_long_double, lattice_error_sq_long_double,
-                     orbit_box_bound_constant, set_partitions, spectral_cbc_objective)
+                     orbit_box_bound_constant, set_partitions, spectral_cbc_objective,
+                     spectral_sums_per_member)
 
 
 def nabla_box_bound_constant(spec, lam, H):
@@ -84,7 +85,7 @@ class TestWorstCase:
         spec = KernelSpec(SpectralWeight(alpha=2.0), PermStructure.full(2))
         rule = LatticeRule(5, (1, 2), (0.37, 0.11))
         a = worst_case_error_sq(rule.cubature(), spec)
-        b = worst_case_error_sq_spectral(rule, spec, half_width=40)
+        b = worst_case_error_sq_spectral(rule, spec, half_width=40)[0]
         assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
 
     def test_route_agreement_sweep(self):
@@ -102,7 +103,7 @@ class TestWorstCase:
             z = tuple(range(1, d + 1))
             rule = LatticeRule(n, z, tuple((0.3 + 0.1 * i) % 1 for i in range(d)))
             a = worst_case_error_sq(rule.cubature(), spec)
-            b = worst_case_error_sq_spectral(rule, spec, half_width=hw)
+            b = worst_case_error_sq_spectral(rule, spec, half_width=hw)[0]
             assert abs(a.value - b.value) <= a.truncation_certificate + b.truncation_certificate
 
     @pytest.mark.parametrize("z", [(1, 10, 37, 55), (1, 10)])
@@ -125,15 +126,65 @@ class TestSpectralOrbitGrouping:
         spec = KernelSpec(SpectralWeight(alpha=2.0), PermStructure(d, inv))
         shift = tuple((0.37 + 0.29 * i) % 1 for i in range(d)) if shifted else None
         rule = LatticeRule(n, tuple(range(1, d + 1)), shift)
-        rep = worst_case_error_sq_spectral(rule, spec, half_width=hw)
+        rep = worst_case_error_sq_spectral(rule, spec, half_width=hw)[0]
         expect = spectral_permutation_oracle(rule, spec, hw)
         assert expect > 0
         assert abs(rep.value - expect) <= 1e-13 * expect
 
     def test_no_dual_member_in_the_box(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.full(2))
-        rep = worst_case_error_sq_spectral(LatticeRule(101, (1, 10)), spec, half_width=2)
-        assert rep.value == 0.0
+        worst, mean = worst_case_error_sq_spectral(LatticeRule(101, (1, 10)), spec, half_width=2)
+        assert worst.value == mean.value == 0.0
+
+
+class TestSpectralOnePass:
+    """Both spectral sums from one enumeration against their formulas over
+    the dual members."""
+
+    CUSTOM = SpectralWeight(generator=GeneratorSpec("custom", table=(1.5, 2.5, 3.5, 4.5), slope=1.0),
+                            c_R=2.0)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("d, inv, n, hw, weight", [
+        (4, (1, 2, 3, 4), 31, 5, SpectralWeight()), (4, (1, 3), 31, 5, SpectralWeight()),
+        (4, (), 31, 5, SpectralWeight(alpha=2.0)), (3, (2, 3), 101, 9, CUSTOM),
+        (5, (1, 2, 3, 4, 5), 251, 6, CUSTOM), (2, (1, 2), 127, 14, SpectralWeight(alpha=2.0)),
+        (3, (1, 2, 3), 13, 8, SpectralWeight(beta0=0.5, beta1=0.7)), (1, (1,), 5, 30, SpectralWeight()),
+    ])
+    def test_matches_per_member_sums(self, d, inv, n, hw, weight, shifted):
+        # the error at the shift bitwise, its average within a few ulps
+        spec = KernelSpec(weight, PermStructure(d, inv))
+        shift = tuple((0.37 + 0.29 * i) % 1 for i in range(d)) if shifted else None
+        rule = LatticeRule(n, tuple((3 * i * i + 1) % n for i in range(d)), shift)
+        worst, mean = worst_case_error_sq_spectral(rule, spec, half_width=hw)
+        want_worst, want_mean = spectral_sums_per_member(rule, spec, hw)
+        assert want_mean > 0
+        assert worst.value == want_worst
+        assert abs(mean.value - want_mean) <= 1e-14 * want_mean
+        assert worst.truncation_certificate == mean.truncation_certificate
+        assert mean.details == {"half_width": hw, "degenerate": False,
+                                "cert_exceeds_value": mean.truncation_certificate > mean.value}
+        assert worst.details == {"half_width": hw,
+                                 "cert_exceeds_value": worst.truncation_certificate > worst.value}
+
+    @pytest.mark.parametrize("d, n, H, inv, weight", [
+        (5, 251, 12, (1, 2, 3, 4, 5), SpectralWeight()), (5, 251, 12, (), SpectralWeight()),
+        (5, 251, 12, (), CUSTOM), (6, 1009, 6, (1, 2, 3, 4, 5, 6), SpectralWeight()),
+    ])
+    def test_peak_below_the_predicted_bytes(self, monkeypatch, d, n, H, inv, weight):
+        # ``_dual_box`` predicts the working set of the whole pass
+        needs = []
+        refuse = errors._refuse_above_cap
+        monkeypatch.setattr(errors, "_refuse_above_cap",
+                            lambda need, what, hint="": needs.append(need) or refuse(need, what, hint))
+        spec = KernelSpec(weight, PermStructure(d, inv))
+        rule = LatticeRule(n, tuple(pow(76, j, n) for j in range(d)), (0.3,) * d)
+        tracemalloc.start()
+        worst_case_error_sq_spectral(rule, spec, half_width=H)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(needs) == 2
+        assert peak < needs[-1]
 
 
 class TestLatticeRoute:
@@ -534,11 +585,11 @@ class TestMeanSquared:
     def test_spectral_route_within_certificate(self, sobolev):
         spec = KernelSpec(sobolev, PermStructure.empty(1))
         exact = mean_sq_error(LatticeRule(5, (1,)), spec)
-        approx = mean_sq_error(LatticeRule(5, (1,)), spec, method="spectral", half_width=500)
+        approx = worst_case_error_sq_spectral(LatticeRule(5, (1,)), spec, half_width=500)[1]
         assert abs(approx.value - exact.value) <= approx.truncation_certificate
 
     def test_degenerate_zero_vector_flagged(self, spec_d2_full):
-        rep = mean_sq_error(LatticeRule(5, (0, 0)), spec_d2_full, method="spectral", half_width=6)
+        rep = worst_case_error_sq_spectral(LatticeRule(5, (0, 0)), spec_d2_full, half_width=6)[1]
         assert rep.details["degenerate"]
         # dual lattice is everything: the box sum is the full truncated mass
         hs = [h for h in product(range(-6, 7), repeat=2) if h != (0, 0)]
@@ -748,34 +799,26 @@ class TestBoundConstants:
 
 
 class TestSpectralHelpers:
-    @pytest.mark.parametrize("method", ["worst_case", "mean"])
-    def test_oversized_box_refused_before_allocating(self, method):
+    def test_oversized_box_refused_before_allocating(self):
         # the 6589964 dual members at d = 8, H = 6 need about 3.3 GiB
         spec = KernelSpec(SpectralWeight(), PermStructure.full(8))
         rule = LatticeRule(127, (1, 2, 3, 4, 5, 6, 7, 8))
         tracemalloc.start()
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=r"frequency box \[-6, 6\]\^8 needs about"):
-            if method == "mean":
-                mean_sq_error(rule, spec, method="spectral", half_width=6)
-            else:
-                worst_case_error_sq_spectral(rule, spec, half_width=6)
+            worst_case_error_sq_spectral(rule, spec, half_width=6)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 4 << 20
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("method", ["worst_case", "mean"])
     @pytest.mark.parametrize("H", [-1, -7])
-    def test_negative_half_width_refused(self, method, H):
+    def test_negative_half_width_refused(self, H):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(3))
         rule = LatticeRule(13, (1, 5, 8), (0.1, 0.5, 0.9))
         with pytest.raises(ValueError, match=f"^half_width must be >= 0, got {H}$"):
-            if method == "mean":
-                mean_sq_error(rule, spec, method="spectral", half_width=H)
-            else:
-                worst_case_error_sq_spectral(rule, spec, half_width=H)
+            worst_case_error_sq_spectral(rule, spec, half_width=H)
 
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 13, 101, 251, 503])

@@ -18,11 +18,15 @@ case's grid is fixed below:
                  each one's first call and the best of ``GRAM_CALLS`` more,
                  the sha256 of the Gram's and of Phi's bytes, and the Gram
                  certificate
-  spectral       ``worst_case_error_sq_spectral`` and
-                 ``mean_sq_error(method="spectral")`` on shifted Korobov
-                 lattices, d = 4...8, with the sha256 of the report (less its
-                 ``cert_exceeds_value`` flag, recorded beside it) or the
-                 refusal message
+  spectral       ``worst_case_error_sq_spectral`` on shifted Korobov
+                 lattices, d = 4...8: the time of the pass and, for each of
+                 its two reports (the error at the shift and the shift
+                 average), the sha256 of the report (less its
+                 ``cert_exceeds_value`` flag, recorded beside it); or the
+                 refusal message.  On a checkout whose spectral route
+                 returns one report, the average is the second call
+                 ``mean_sq_error(rule, spec, "spectral", half_width=H)``,
+                 timed with it
   shifted-error  one shifted lattice error per route: ``lattice-fft`` at
                  d = 3 and n = 1009, 10007, 100003 and at d = 2 and n = 1009,
                  100003 (its FFT count and time), and the O(n^2) pair route
@@ -149,10 +153,8 @@ CASES = {
     "approx": [("approx", d, N, seed) for d, N in ((3, 1024), (3, 2048), (3, 4096),
                                                    (5, 512), (5, 1024), (5, 2048))
                for seed in (1, 2)],
-    "spectral": [("spectral", d, n, H, route)
-                 for d, n, H in ((4, 503, 12), (5, 251, 6), (5, 251, 12),
-                                 (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))
-                 for route in ("worst", "mean")],
+    "spectral": [("spectral", d, n, H) for d, n, H in ((4, 503, 12), (5, 251, 6), (5, 251, 12),
+                                                      (6, 1009, 6), (7, 1009, 6), (8, 1009, 6))],
     "shifted-error": ([("route", "lattice-fft", 3, n) for n in (1009, 10007, 100003)]
                       + [("route", "lattice-fft", 2, n) for n in (1009, 100003)]
                       + [("route", "lattice-fft", 3, 1009, 1, [1, 1008, 635])]
@@ -249,7 +251,7 @@ def _gram(d: int, N: int, inv: list | None) -> dict:
             "certificate": cert}
 
 
-def _spectral(d: int, n: int, H: int, route: str) -> dict:
+def _spectral(d: int, n: int, H: int) -> dict:
     from permqmc.errors import mean_sq_error, worst_case_error_sq_spectral
     from permqmc.lattice import LatticeRule
 
@@ -259,17 +261,18 @@ def _spectral(d: int, n: int, H: int, route: str) -> dict:
     spec = _spec(d)
     t0 = time.perf_counter()
     try:
-        if route == "worst":
-            rep = worst_case_error_sq_spectral(rule, spec, half_width=H).to_json()
-        else:
-            rep = mean_sq_error(rule, spec, "spectral", half_width=H).to_json()
+        reports = worst_case_error_sq_spectral(rule, spec, half_width=H)
+        if not isinstance(reports, tuple):   # one report: the average is a second call
+            reports = (reports, mean_sq_error(rule, spec, "spectral", half_width=H))
     except ValueError as exc:
         return {"wall_s": time.perf_counter() - t0, "refused": str(exc)}
-    rec = {"wall_s": time.perf_counter() - t0, "refused": None,
-           "cert_exceeds_value": rep.pop("cert_exceeds_value", None)}
-    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-    return {**rec, "report_sha256": digest,
-            "value": rep["value"], "certificate": rep["certificate"]}
+    rec = {"wall_s": time.perf_counter() - t0, "refused": None}
+    for route, rep in zip(("worst", "mean"), (r.to_json() for r in reports)):
+        flag = rep.pop("cert_exceeds_value", None)
+        rec[route] = {"cert_exceeds_value": flag, "value": rep["value"],
+                      "certificate": rep["certificate"],
+                      "report_sha256": hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()}
+    return rec
 
 
 def _route(route: str, d: int, n: int, alpha: int = 1, z: list | None = None) -> dict:
