@@ -799,26 +799,31 @@ class TestBoundConstants:
 
 
 class TestSpectralHelpers:
-    def test_oversized_box_refused_before_allocating(self):
+    # each spectral route reads its own report of the one pass
+    REPORT = {"worst_case": 0, "mean": 1}
+
+    @pytest.mark.parametrize("method", ["worst_case", "mean"])
+    def test_oversized_box_refused_before_allocating(self, method):
         # the 6589964 dual members at d = 8, H = 6 need about 3.3 GiB
         spec = KernelSpec(SpectralWeight(), PermStructure.full(8))
         rule = LatticeRule(127, (1, 2, 3, 4, 5, 6, 7, 8))
         tracemalloc.start()
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=r"frequency box \[-6, 6\]\^8 needs about"):
-            worst_case_error_sq_spectral(rule, spec, half_width=6)
+            worst_case_error_sq_spectral(rule, spec, half_width=6)[self.REPORT[method]]
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 4 << 20
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("method", ["worst_case", "mean"])
     @pytest.mark.parametrize("H", [-1, -7])
-    def test_negative_half_width_refused(self, H):
+    def test_negative_half_width_refused(self, method, H):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(3))
         rule = LatticeRule(13, (1, 5, 8), (0.1, 0.5, 0.9))
         with pytest.raises(ValueError, match=f"^half_width must be >= 0, got {H}$"):
-            worst_case_error_sq_spectral(rule, spec, half_width=H)
+            worst_case_error_sq_spectral(rule, spec, half_width=H)[self.REPORT[method]]
 
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 13, 101, 251, 503])
