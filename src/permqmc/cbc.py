@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    _check_profile_bytes,
     _check_step_bytes,
     bound_constant,
     cbc_step_objectives,
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .kernels import KernelSpec
 from .lattice import LatticeRule, is_prime
+from .symmetry import _gamma
 from .weights import _up
 
 __all__ = [
@@ -92,14 +92,18 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     before the first step).  Each step evaluates all n candidates at once by
     fast CBC (``cbc_step_objectives``): O(3^s_l * n + 2^s_l * n log n + ell * n)
     time and O(2^s_l * n) memory at step ell, s_l the number of exchangeable
-    coordinates before it, on power-kernel tables that every step and the
-    final E2 share.  The predicted working sets of the last step and of the
-    final fixed-point E2 are checked before the first step runs, so an
+    coordinates before it, on power-kernel tables that every step shares.
+    The predicted working sets of the last step and of the last
+    exchangeable one are checked before the first step runs, so an
     oversized (d, s, n) fails at once with a ValueError.  At step 2 the exact ties
     B(z) = B(-z) = B(1/z) (z not in {0, 1, -1}), and at a later free
     candidate B(z) = B(-z), get bitwise-equal values, so the smallest member
     of the best orbit is chosen, independent of rounding.  ``per_step_certificate`` holds each step's objective
-    certificate.  The steps and E2 run in the unit space, scaled once.
+    certificate.  Every nonempty coordinate set has one largest coordinate,
+    so E2 = sum_ell B_ell(z_1..z_(ell-1); z_ell): E2 sums each step's direct
+    value at its chosen z and its certificate (no FFT term), plus the d - 1
+    additions, clamped at 0 as ``mean_sq_error``; no second DP runs.  The
+    steps and E2 run in the unit space, scaled once.
     """
     if mode not in ("minimize", "better_than_average"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -111,32 +115,34 @@ def cbc_construct(spec: KernelSpec, n: int, mode: str = "minimize",
     inv = spec.perm.invariant
     for ell in (d, max(inv, default=d)):   # the largest steps: the last, the last exchangeable
         _check_step_bytes(ell, sum(c < ell for c in inv), n, ell in inv)
-    _check_profile_bytes(spec, n)
     C = bound_constant(unit, lam)   # refuses a lambda outside [1, 2*alpha)
     z: list[int] = []
-    per_step, per_cert = [], []
-    for _ell in range(d):
-        vals, cert = cbc_step_objectives(z, n, unit)
+    per_step, per_cert, steps = [], [], []
+
+    def choose(vals: np.ndarray) -> int:
         if not z:
-            choice = 1
-        elif mode == "minimize":
-            choice = int(np.argmin(vals))
-        else:
-            scaled = vals[1:] ** (1.0 / lam)
-            choice = 1 + int(np.argmax(scaled <= np.mean(scaled)))
+            return 1
+        if mode == "minimize":
+            return int(np.argmin(vals))
+        scaled = vals[1:] ** (1.0 / lam)
+        return 1 + int(np.argmax(scaled <= np.mean(scaled)))
+
+    for _ell in range(d):
+        vals, cert, (choice, value, value_cert) = cbc_step_objectives(z, n, unit, choose)
         z.append(choice)
         per_step.append(float(vals[choice]))
         per_cert.append(cert)
+        steps.append((value, value_cert))
+    values, certs = zip(*steps)
     rule = LatticeRule(n, tuple(z))
-    e2 = mean_sq_error(rule, unit)
     cbound = float((1.0 + spec.weight.c_R) ** lam * C.hi * max(1, spec.perm.size) / n ** lam)
     return CbcResult(
         rule=rule,
         per_step_objective=per_step,
         per_step_certificate=per_cert,
         certified_bound=cbound,
-        achieved_E2=e2.value,
-        achieved_E2_certificate=e2.truncation_certificate,
+        achieved_E2=max(sum(values), 0.0),
+        achieved_E2_certificate=sum(certs) + _gamma(d - 1) * sum(map(abs, values)),
         mode=mode,
         lam=lam,
     ).scaled(spec)
@@ -162,9 +168,11 @@ def shift_search(rule: LatticeRule, spec: KernelSpec, trials: int = 64,
     the unshifted rule.  If no drawn shift beats the certified shift average
     the budget is doubled up to ``MAX_DOUBLINGS`` times; failing that, the
     best candidate is returned flagged (no exception: existence is only
-    guaranteed on average).  ``E2`` is the unshifted rule's fixed-point shift
-    average and its certificate in the unit space, when the caller has them
-    already; the search compares unit errors and scales what it reports.
+    guaranteed on average).  ``E2`` is the unshifted rule's shift average
+    and its certificate in the unit space, when the caller has them already
+    (``construct_shifted`` passes the construction's sum of steps); without
+    it the search computes the fixed-point E2 (``mean_sq_error``).  The
+    search compares unit errors and scales what it reports.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

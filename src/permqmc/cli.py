@@ -277,6 +277,8 @@ def _cmd_convergence(args, cfg: dict, spec: KernelSpec, params: dict) -> tuple[d
     repeated = next((n for i, n in enumerate(n_list) if n in n_list[:i]), None)
     if repeated is not None:
         raise ConfigError(f"n_list repeats n = {repeated}: each row needs its own n")
+    if len(n_list) == 1:
+        raise ConfigError(f"n_list holds one n = {n_list[0]}: a slope needs two or more")
     trials = int(params.get("trials", 32))
     seed = int(params.get("seed", 0))
     lam = float(params.get("lam", 1.0))

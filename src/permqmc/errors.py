@@ -316,14 +316,19 @@ def mean_sq_error(rule: LatticeRule, spec: KernelSpec) -> ErrorReport:
     shift drops out of node differences), ``shift_invariant_profile`` on the
     CBC's zero-mean tables, with no term 1; its certificate is the profile's
     plus the a priori rounding bound of the mean.  A profile whose predicted
-    working set (``_check_profile_bytes``) exceeds ``STEP_BYTES_CAP`` raises
-    ValueError before anything is allocated.  The spectral route of the same
-    average is ``worst_case_error_sq_spectral``'s second report.
+    working set exceeds ``STEP_BYTES_CAP`` raises ValueError before anything
+    is allocated: the DP's partition sums, blocks and three stacks
+    (``_check_step_bytes``) over the 2^s masks of the invariant
+    coordinates, the s kernel tables and a few n-vectors.  The spectral
+    route of the same average is ``worst_case_error_sq_spectral``'s second
+    report.  ``error-eval`` and a ``cbc.shift_search`` given no E2 run it;
+    ``cbc.cbc_construct`` sums its steps instead.
     """
     if rule.d != spec.d:
         raise ValueError("rule dimension does not match the kernel")
-    degenerate = all(v % rule.n == 0 for v in rule.z)
-    _check_profile_bytes(spec, rule.n)
+    degenerate, n, s = all(v % rule.n == 0 for v in rule.z), rule.n, spec.perm.size
+    _refuse_above_cap(8 * n * ((2 << s) + 3 * _stack_rows(1 << s, n) + s + 8),
+                      f"fixed-point E2 at s = {s}, n = {n}")
     prof, cert = shift_invariant_profile(rule, spec.unit)
     # numpy's sum and the division
     value, cert = spec.scaled(float(np.mean(prof)), cert + _gamma(_sum_depth(prof.size) + 1)
@@ -353,26 +358,14 @@ def _check_step_bytes(ell: int, s_l: int, n: int, exchangeable: bool) -> None:
     stacks of ``_stack_rows`` n-vectors (two gathers and the sums), the
     group stage two, and the correlations one transform per kernel order
     and 7N for each group of a stack (``_group_stack``), at a free
-    candidate one group and one order.  Ten n-vectors come on top, and 512
+    candidate one group and one order; the direct value at the chosen z
+    two stacks.  Ten n-vectors come on top, and 512
     bytes per mask for the grouping's Python objects and index arrays.
     """
     N, r = 2 << (n - 2).bit_length(), _stack_rows(1 << s_l, n)
     orders, m = (s_l + 1, _group_stack(N)) if exchangeable else (1, 1)
     _refuse_above_cap(8 * ((2 * n << s_l) + max(3 * r * n, (orders + 7 * m) * N) + 10 * n)
                       + (512 << s_l), f"CBC step {ell} (DP over s_l = {s_l}) at n = {n}")
-
-
-def _check_profile_bytes(spec: KernelSpec, n: int) -> None:
-    """Refuse a fixed-point E2 whose predicted working set exceeds the cap.
-
-    ``shift_invariant_profile`` holds the DP's partition sums, blocks and
-    three stacks (``_check_step_bytes``) over the 2^s masks of the invariant
-    coordinates, the s kernel tables and a few n-vectors (the free
-    coordinates' recursion and the value among them).
-    """
-    s = spec.perm.size
-    _refuse_above_cap(8 * n * ((2 << s) + 3 * _stack_rows(1 << s, n) + s + 8),
-                      f"fixed-point E2 at s = {s}, n = {n}")
 
 
 @lru_cache(maxsize=8)
@@ -430,7 +423,8 @@ def _tie_orbit_mean(vals: np.ndarray, a: int, n: int, powers: np.ndarray) -> np.
     return np.where(tied, mean, vals)
 
 
-def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tuple[np.ndarray, float]:
+def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec, choose=np.argmin
+                        ) -> tuple[np.ndarray, float, tuple[int, float, float]]:
     """Objective values B(prefix, z) for every candidate z in Z_n at once.
 
     The objective has degree 0: it is computed in the unit space, where
@@ -481,14 +475,17 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     and ``argmin`` picks the smallest.  At a later step whose candidate is
     free, B(z) = B(-z) for the same reason, and the pair gets its mean.
 
-    Returns (values over z = 0..n-1, certificate).  The certificate is the
+    Returns (values over z = 0..n-1, certificate, (z, B(z), its
+    certificate)), z = ``choose(values)``.  The certificate is the
     first-order effect of the power-kernel table errors (one block at its
     table certificate, every other block at its maximum) plus a priori
     rounding bounds: of the FFT correlations (``_cyclic_correlation``), and
     gamma_k * sum |terms| of the direct sums (the DP, the rest_M products,
     the group and total accumulations), both by the size of each mask from
     ``permutation_power_sum``; the free factor scales both by its bound and
-    adds its error times sum |terms|.
+    adds its error times sum |terms|.  B(z) is sum_j G[j] * kappa_(|M|+1)[j *
+    (S_M + z) mod n] again, one gathered dot per group and no FFT, certified
+    by the same table term, G's a priori count and the dots' rounding.
     """
     ell = len(prefix) + 1
     if ell > spec.d:
@@ -529,8 +526,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     # sum over the masks U disjoint from M, ascending, of |M|! f[U] / (c_u *
     # s_u! * n); the t-th of them has popcount(t).  First members are stored,
     # then the later ones added in order (add.at).  G takes the blocks' half
-    # of the DP's buffer.
-    G = f.base.reshape(2, 1 << k, n)[1, :len(groups)]   # the DP's blocks, read already
+    # of the DP's buffer (read already), and the rolled correlations f's half.
+    rolled, G = f.base.reshape(2, 1 << k, n)[:, :len(groups)]
     rows, pc, wts, terms = np.array(rows), plan.pc, {}, {}
     for p in range(k + 1) if ell_inv else [0]:
         T = 1 << (k - p)
@@ -551,8 +548,8 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
     del f
     if kf:
         G *= pf
-    # each group's multiplicative correlation, rolled by S_M into its row, in
-    # stacks of groups; total adds G's rows in order from 0
+    # each group's multiplicative correlation, rolled by S_M into its row of
+    # ``rolled``, in stacks of groups; total adds those rows in order from 0
     powers, (order, shift) = _root_powers(n), np.array(list(groups)).T
     correlate = _cyclic_correlation(table[: k * ell_inv + 1].take(powers, axis=1))   # kappa_(p+1)
     err = np.empty(len(groups))
@@ -561,23 +558,35 @@ def cbc_step_objectives(prefix: Sequence[int], n: int, spec: KernelSpec) -> tupl
         g = slice(a, a + m)
         F, err[g] = _multiplicative_correlation(G[g], table[order[g], 0], powers, correlate, order[g])
         F = np.concatenate((F, F), axis=1)   # a row rolled by S_M: a window of F, F
-        G[g] = as_strided(F, (F.shape[0], n + 1, n), (F.strides[0], 8, 8))[np.arange(F.shape[0]), shift[g]]
-    total = np.add.reduce(G, axis=0, initial=0.0)
-    cert, absum, err = 0.0, 0.0, err.tolist()   # absum bounds sum |terms| of every total[z]
+        rolled[g] = as_strided(F, (F.shape[0], n + 1, n), (F.strides[0], 8, 8))[np.arange(F.shape[0]), shift[g]]
+    total = np.add.reduce(rolled, axis=0, initial=0.0)
+    # absum bounds sum |terms| of every total[z]; the table term is also B(z)'s
+    cert, table_term, absum, err = 0.0, 0.0, 0.0, err.tolist()
     for (p, _), (g, members) in groups.items():
         for _ in range(members):
             cert += terms[p][0]
+            table_term += terms[p][0]
             absum += terms[p][1]
         cert += err[g]
     # a term meets the DP (k + 2^k), its weight (6: four operations, and a
     # factorial that is not exact in a double), the product with f
-    # (2^k + 1), the sum over members (2^k), the free product (1), the two
-    # products of F and one addition per group
-    cert += _gamma(k + 3 * (1 << k) + len(groups) + 9 + (kf > 0)) * absum
+    # (2^k + 1), the sum over members (2^k), the free product (1): G's
+    # rows; then the two products of F and one addition per group
+    g_rows = k + 3 * (1 << k) + 7 + (kf > 0)
+    cert += _gamma(g_rows + len(groups) + 2) * absum
     if ell == 2 or (ell > 2 and not ell_inv):
         total = _tie_orbit_mean(total, zs[0] if ell == 2 else 0, n, powers)
         cert += _gamma(4) * float(np.max(np.abs(total)))
-    return total, float(cert)
+    # B(z): each group's dot of its row of G with kappa at j * (S_M + z), and
+    # its sum of |terms|, in stacks of rows
+    z, m, dots = int(choose(total)), _stack_rows(1 << k, n), np.empty((2, len(groups)))
+    for a in range(0, len(groups), m):
+        g = slice(a, a + m)
+        K = table.take(np.multiply.outer((shift[g] + z) % n, np.arange(n)) % n + n * order[g, None]) * G[g]
+        dots[:, g] = K.sum(axis=1), np.abs(K).sum(axis=1)
+    value_cert = (table_term + _gamma(g_rows) * absum + _gamma(_sum_depth(n) + 1) * dots[1].sum()
+                  + _gamma(_sum_depth(len(groups))) * np.abs(dots[0]).sum())
+    return total, float(cert), (z, float(dots[0].sum()), float(value_cert))
 
 
 # ---------------------------------------------------------------------------

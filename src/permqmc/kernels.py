@@ -319,8 +319,8 @@ def power_kernel_table(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray
     points g/n, g = 0..n-1, for c = 1..max(1, s), in the spec's mode and tol.
 
     Returns (table, certs) with table of shape (max(1, s), n).  Both are
-    read-only: the CBC steps and the fixed-point E2 of one (space, n) share
-    the cached pair, keyed on the ``KernelSpec.unit`` they pass.
+    read-only: the steps of a CBC construction, and a fixed-point E2 at the
+    same (space, n), share the cached pair, keyed on the ``KernelSpec.unit``.
     """
     grid = np.arange(n, dtype=float) / n
     c_max = max(1, spec.perm.size)

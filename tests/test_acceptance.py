@@ -98,7 +98,7 @@ def test_criterion_03_error_identity():
                 z = [1] + [(3 * i + n // 2) % n for i in range(1, d)]
                 total, bcert = 0.0, 0.0
                 for ell in range(d):
-                    vals, cert = cbc_step_objectives(z[:ell], n, spec)
+                    vals, cert, _ = cbc_step_objectives(z[:ell], n, spec)
                     total += float(vals[z[ell] % n])
                     bcert += cert
                 total *= w.beta0 ** d

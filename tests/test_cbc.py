@@ -90,17 +90,21 @@ class TestFastStep:
     def test_matches_reference_within_certificates(self, case):
         n, ps, prefix = case
         spec = KernelSpec(SpectralWeight(), ps)
-        vals, cert = cbc_step_objectives(prefix, n, spec)
+        vals, cert, (z, value, value_cert) = cbc_step_objectives(prefix, n, spec)
         ref, ref_cert = reference_step_objectives(prefix, n, spec, power_kernel_table(spec, n))
         assert vals.shape == (n,)
         assert np.max(np.abs(vals - ref)) <= cert + ref_cert
         assert cert >= ref_cert
+        # the direct value at the argmin, with no FFT term in its certificate
+        assert z == int(np.argmin(vals))
+        assert abs(value - ref[z]) <= value_cert + ref_cert
+        assert value_cert >= ref_cert
 
     @pytest.mark.parametrize("N, n", sorted(PADDED_LENGTH_PRIMES.items()))
     def test_every_padded_length(self, N, n, fft_lengths):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(3))
         prefix = [1, 2 % n]
-        vals, cert = cbc_step_objectives(prefix, n, spec)
+        vals, cert, _ = cbc_step_objectives(prefix, n, spec)
         ref, ref_cert = reference_step_objectives(prefix, n, spec, power_kernel_table(spec, n))
         assert set(fft_lengths) == {N}
         assert np.max(np.abs(vals - ref)) <= cert + ref_cert
@@ -109,7 +113,7 @@ class TestFastStep:
     def test_step_two_orbits(self, inv):
         n, a = 61, 7
         spec = KernelSpec(SpectralWeight(), PermStructure(3, inv))
-        vals, _ = cbc_step_objectives([a], n, spec)
+        vals, _, _ = cbc_step_objectives([a], n, spec)
         ref, _ = reference_step_objectives([a], n, spec, power_kernel_table(spec, n))
         z = np.arange(n)
         tied = (z != 0) & (z != a) & (z != n - a)
@@ -135,7 +139,7 @@ class TestFastStep:
         free_steps = [ell for ell in range(3, d + 1) if ell not in inv]
         assert free_steps
         for ell in free_steps:
-            vals, _ = cbc_step_objectives(z[:ell - 1], n, spec)
+            vals, _, _ = cbc_step_objectives(z[:ell - 1], n, spec)
             assert np.array_equal(vals[1:], vals[:0:-1])
             assert z[ell - 1] <= (n - 1) // 2
 
@@ -148,9 +152,10 @@ class TestFastStep:
         table, tcerts = power_kernel_table(spec, n)
         exact = (table, np.zeros_like(tcerts))
         monkeypatch.setattr("permqmc.errors.power_kernel_table", lambda *args: exact)
-        vals, cert = cbc_step_objectives(prefix, n, spec)
+        vals, cert, (z, value, value_cert) = cbc_step_objectives(prefix, n, spec)
         ref, _ = reference_step_objectives(prefix, n, spec, exact, dtype=np.longdouble)
         assert 0.0 < float(np.max(np.abs(vals - ref))) < cert
+        assert float(abs(value - ref[z])) < value_cert
 
     @pytest.mark.parametrize("inv", [(2, 4), (1,), ()])
     def test_table_certificate_through_the_free_product(self, inv, monkeypatch):
@@ -166,7 +171,7 @@ class TestFastStep:
         bumped = (table + 1e-7 * np.random.default_rng(1).choice([-1.0, 1.0], table.shape),
                   tables[1])
         for prefix in ([1], [1, 17], [1, 17, 40], [1, 17, 40, 9]):
-            vals, cert = cbc_step_objectives(prefix, n, spec)
+            vals, cert, _ = cbc_step_objectives(prefix, n, spec)
             _, ref_cert = reference_step_objectives(prefix, n, spec, tables)
             assert cert >= ref_cert
             monkeypatch.setattr("permqmc.errors.power_kernel_table", lambda *args: bumped)
@@ -224,7 +229,8 @@ class TestFastStep:
         (5, (1, 2, 3, 4, 5), 1009), (12, tuple(range(1, 13)), 61), (9, tuple(range(1, 10)), 127)])
     def test_step_bytes_bound_the_traced_peak(self, d, inv, n, monkeypatch):
         # _check_step_bytes predicts the last step's working set from s_l
-        # alone; the step's tracemalloc peak lies below it, within a factor 2
+        # alone; the step's tracemalloc peak, its direct value at the chosen
+        # z included, lies below it, within a factor 2
         spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
         prefix = [int(v) for v in np.random.default_rng(d).integers(1, n, size=d - 1)]
         cbc_step_objectives(prefix, n, spec)   # the cached tables and root powers
@@ -232,11 +238,12 @@ class TestFastStep:
         monkeypatch.setattr(errors, "_refuse_above_cap", lambda need, *args: needs.append(need))
         tracemalloc.start()
         try:
-            cbc_step_objectives(prefix, n, spec)
+            _, _, (z, value, _) = cbc_step_objectives(prefix, n, spec, lambda vals: n - 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert needs[0] / 2 < peak <= needs[0]
+        assert z == n - 1 and value > 0.0
 
     def test_refusal_names_the_exchangeable_prefix(self):
         # 19 exchangeable coordinates before step 30: 2^19 masks at n = 1009
@@ -250,7 +257,8 @@ class TestFastStep:
     def test_refuses_oversized_profile_before_allocating(self, monkeypatch, tmp_path):
         # the fixed-point E2 holds twice the partition sums of the last CBC
         # step: 110n doubles predicted for step 5 and 125n for the profile;
-        # a cap between the two lets every step through but not the profile
+        # a cap between the two refuses the profile, while the construction,
+        # whose E2 is the sum of its steps, runs no profile and finishes
         spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
         n = 1009
         monkeypatch.setattr("permqmc.errors.STEP_BYTES_CAP", 8 * n * 118)
@@ -258,16 +266,19 @@ class TestFastStep:
         try:
             with pytest.raises(ValueError, match="fixed-point E2"):
                 mean_sq_error(LatticeRule(n, (1, 2, 3, 4, 5)), spec)
-            with pytest.raises(ValueError, match="fixed-point E2"):
-                cbc_construct(spec, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        res = cbc_construct(spec, n)
+        assert 0.0 < res.achieved_E2 < res.certified_bound
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": {"alpha": 1.0},
                                    "structure": {"d": 5, "invariant": "full"}}))
-        assert main(["cbc", "--config", str(cfg), "--n", str(n), "--trials", "0"]) == EXIT_CONFIG
+        rule = tmp_path / "r.txt"
+        assert main(["cbc", "--config", str(cfg), "--n", str(n), "--out", str(rule)]) == 0
+        # the shift-search command computes the fixed-point E2 itself
+        assert main(["shift-search", "--config", str(cfg), "--rule", str(rule)]) == EXIT_CONFIG
 
     def test_large_n_memory(self):
         spec = KernelSpec(SpectralWeight(), PermStructure.full(5))
@@ -316,7 +327,7 @@ class TestConstruction:
         res = cbc_construct(spec_d3_full, 13)
         z = list(res.rule.z)
         for ell in range(1, 3):
-            vals, _ = cbc_step_objectives(z[:ell], 13, spec_d3_full)
+            vals, _, _ = cbc_step_objectives(z[:ell], 13, spec_d3_full)
             assert vals[z[ell]] == np.min(vals)
             # deterministic tie rule: no smaller candidate attains the minimum
             assert not np.any(vals[: z[ell]] == vals[z[ell]])
@@ -345,7 +356,7 @@ class TestConstruction:
         res = cbc_construct(spec, n, mode="better_than_average", lam=1.0)
         z = res.rule.z
         for ell in range(1, spec.d):
-            vals, _ = cbc_step_objectives(list(z[:ell]), n, spec)
+            vals, _, _ = cbc_step_objectives(list(z[:ell]), n, spec)
             mean = np.mean(vals[1:])
             assert vals[z[ell]] <= mean
             # first qualifying candidate is selected
@@ -355,13 +366,19 @@ class TestConstruction:
         return res
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    @pytest.mark.parametrize("beta0", [1.0, 0.7])
+    @pytest.mark.parametrize("beta0", [1.0, 0.7, 0.3, 4.0])
     @pytest.mark.parametrize("inv", [(1, 2, 3, 4), (1, 3), ()])
     def test_objective_is_the_E2_increment(self, alpha, beta0, inv):
         self._check_E2_increment(alpha, beta0, 4, inv, 251)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    @pytest.mark.parametrize("beta0", [1.0, 0.7])
+    @pytest.mark.parametrize("beta0", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("d, inv", [(5, (1, 2, 3, 4, 5)), (6, (2, 3, 5))])
+    def test_objective_is_the_E2_increment_at_n_1009(self, alpha, beta0, d, inv):
+        self._check_E2_increment(alpha, beta0, d, inv, 1009)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("beta0", [1.0, 0.7, 0.3, 4.0])
     @pytest.mark.parametrize("d, inv, n", [(12, (1, 3), 251), (24, (1, 2, 3, 4), 1009)])
     def test_objective_is_the_E2_increment_with_many_free_coordinates(self, alpha, beta0,
                                                                       d, inv, n):
@@ -373,11 +390,16 @@ class TestConstruction:
     def _check_E2_increment(alpha, beta0, d, inv, n):
         # step ell's weight 1 / (beta0^|u| C(s, s_u) s_u! n) is E2's weight
         # beta0^(d - |u|) (s - s_u)! / (s! n) over beta0^d, so beta0^d times
-        # the sum of the chosen objectives is E2: the two engines agree
-        # within both certificates and the rounding of the sum (d - 1
-        # additions of positive terms, a pow and a product)
+        # the sum of the chosen objectives is E2, which the construction
+        # reports from its steps' direct values: it agrees with the
+        # fixed-point E2 within both certificates, and with the objectives
+        # within theirs and the rounding of the sum (d - 1 additions of
+        # positive terms, a pow and a product)
         spec = KernelSpec(SpectralWeight(alpha=alpha, beta0=beta0), PermStructure(d, inv))
         res = cbc_construct(spec, n)
+        fixed_point = mean_sq_error(res.rule, spec)
+        assert abs(res.achieved_E2 - fixed_point.value) <= (
+            res.achieved_E2_certificate + fixed_point.truncation_certificate)
         b0d = beta0 ** d
         total = b0d * sum(res.per_step_objective)
         slack = (res.achieved_E2_certificate + b0d * sum(res.per_step_certificate)
@@ -450,23 +472,30 @@ class TestConvenience:
         assert res.achieved_e2_shifted <= res.achieved_E2 + 1e-10
         assert not res.shift_flagged
 
-    def test_one_fixed_point_E2(self, spec_d2_full, monkeypatch):
-        # the shift search takes the construction's E2 instead of computing it again
+    def test_one_fixed_point_E2(self, monkeypatch):
+        # the construction's E2 is the sum of its steps, and the shift
+        # search takes it: no fixed-point profile runs, unless the search
+        # is given no E2
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return mean_sq_error(*args, **kwargs)
+            return profile(*args, **kwargs)
 
-        monkeypatch.setattr("permqmc.cbc.mean_sq_error", counted)
-        res = construct_shifted(spec_d2_full, 13, trials=8, seed=5)
-        assert len(calls) == 1
-        alone = shift_search(cbc_construct(spec_d2_full, 13).rule, spec_d2_full, trials=8, seed=5)
-        assert len(calls) == 3
-        assert (alone.rule, alone.e2_shifted, alone.e2_certificate, alone.trials_used,
-                not alone.certified) == (res.rule, res.achieved_e2_shifted,
-                                         res.achieved_e2_shifted_certificate,
-                                         res.shift_trials_used, res.shift_flagged)
+        profile = errors.shift_invariant_profile
+        monkeypatch.setattr(errors, "shift_invariant_profile", counted)
+        for d, inv, n in [(2, (1, 2), 13), (4, (1, 2, 3, 4), 61), (5, (2, 4), 31)]:
+            spec = KernelSpec(SpectralWeight(), PermStructure(d, inv))
+            built = cbc_construct(spec, n)
+            res = construct_shifted(spec, n, trials=8, seed=5)
+            assert calls == []
+            alone = shift_search(built.rule, spec, trials=8, seed=5)
+            assert len(calls) == 1
+            calls.clear()
+            assert (alone.rule, alone.e2_shifted, alone.e2_certificate, alone.trials_used,
+                    not alone.certified) == (res.rule, res.achieved_e2_shifted,
+                                             res.achieved_e2_shifted_certificate,
+                                             res.shift_trials_used, res.shift_flagged)
 
     def test_json_serializable(self, spec_d2_full):
         import json

@@ -715,6 +715,21 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert err == "config error: n_list repeats n = 61: each row needs its own n\n"
 
+    @pytest.mark.parametrize("flag, param", [("61", None), (None, [61])])
+    def test_convergence_refuses_one_n(self, cfg_path, tmp_path, capsys, flag, param):
+        # one row fits no slope: refused before any row runs, from a flag
+        # or the config
+        cfg = json.loads(cfg_path.read_text())
+        if param is not None:
+            cfg["params"]["n_list"] = param
+        cfg_path.write_text(json.dumps(cfg))
+        cj = tmp_path / "c.json"
+        code = main(["convergence", "--config", str(cfg_path), "--json", str(cj)]
+                    + (["--n-list", flag] if flag else []))
+        assert code == EXIT_CONFIG and not cj.exists()
+        assert capsys.readouterr().err == (
+            "config error: n_list holds one n = 61: a slope needs two or more\n")
+
     @pytest.mark.parametrize("flag, param", [("17,a", None), (None, "17, x")])
     def test_convergence_bad_n_list_token(self, cfg_path, tmp_path, capsys, flag, param):
         # a token that is not an integer names n_list, from a flag or the config
@@ -789,7 +804,7 @@ class TestPipelines:
         return code, json.loads(cj.read_text())
 
     def test_convergence_row_below_its_certificate(self, tmp_path):
-        # alpha = 2, d = 3: at n = 10007 E2 (about 1.2e-19) does not exceed
+        # alpha = 2, d = 3: at n = 10007 E2 (about 1e-19) does not exceed
         # its certificate (3.4e-16), so the row is marked and left out of
         # the fit; one row is left, no slope is fitted, and the study exits 3
         from permqmc.cli import EXIT_FLAGGED

@@ -640,7 +640,7 @@ class TestObjectiveDecomposition:
         z = [1, (n + 2) // 3, n - 2]
         total = 0.0
         for ell in range(3):
-            vals, _ = cbc_step_objectives(z[:ell], n, spec)
+            vals, _, _ = cbc_step_objectives(z[:ell], n, spec)
             total += vals[z[ell] % n]
         total *= sobolev.beta0 ** 3
         e2 = mean_sq_error(LatticeRule(n, tuple(z)), spec)
@@ -651,7 +651,7 @@ class TestObjectiveDecomposition:
         # closed zeta tail 2 * zeta(2) / (4 pi^2 n^2), over the normalizer
         spec = KernelSpec(sobolev, PermStructure.full(3))
         n = 7
-        vals, _ = cbc_step_objectives([], n, spec)
+        vals, _, _ = cbc_step_objectives([], n, spec)
         expect = 2.0 * (math.pi ** 2 / 6.0) / (4.0 * math.pi ** 2 * n ** 2)
         c1 = sobolev.beta0 * math.comb(3, 1)
         assert vals[1] == pytest.approx(expect / c1, rel=1e-12)
@@ -660,7 +660,7 @@ class TestObjectiveDecomposition:
     def test_spectral_oracle(self):
         spec = KernelSpec(SpectralWeight(alpha=2.0), PermStructure.full(2))
         for z in [(1, 2), (1, 3), (1, 4)]:
-            vals, cert = cbc_step_objectives(list(z)[:-1], 5, spec)
+            vals, cert, _ = cbc_step_objectives(list(z)[:-1], 5, spec)
             box, box_cert = spectral_cbc_objective(list(z), 5, spec, half_width=40)
             assert abs(vals[z[-1]] - box) <= cert + box_cert
 

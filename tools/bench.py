@@ -49,15 +49,18 @@ case's grid is fixed below:
                  and the median of ``E2_CALLS`` more
   cbc-full       ``cbc_construct`` at full invariance on (d, n) = (5, 1009),
                  (8, 127), (3, 1009), (5, 251), (10, 1009), (12, 1009),
-                 (12, 61), (13, 61), (14, 61), (16, 61): the first call's
-                 wall time (its mask plans and tables included), the median
-                 of up to ``CBC_CALLS`` more within ``CBC_SECONDS`` (one at
-                 least), one sha256 of z, the step objectives, E2 and its
-                 certificate, and one of the step certificates
+                 (14, 1009), (12, 61), (13, 61), (14, 61), (16, 61): the
+                 first call's wall time (its mask plans and tables included)
+                 and the maxrss after it, the median of up to ``CBC_CALLS``
+                 more within ``CBC_SECONDS`` (one at least), one sha256 of z
+                 and the step objectives, one of E2 and its certificate, and
+                 one of the step certificates
   cbc-partial    ``cbc_construct`` at n = 1009 with the first s of d
                  coordinates exchangeable, (d, s) = (8, 2), (16, 2), (17, 2),
                  (18, 2), (12, 4), (24, 4), (10, 0): its largest step
-                 certificate, E2 and E2's certificate, or the refusal message
+                 certificate, E2 and E2's certificate, and the sha256 of z
+                 and the step objectives and of the step certificates as in
+                 ``cbc-full``; or the refusal message
   bound-constant ``bound_constant`` at lambda = 1.5, alpha = 1 and H = 16 on
                  d = 3...8 and 12 at full invariance, and on d = 8 with
                  invariant (1, 2, 3, 4): its lo and hi, or a MemoryError
@@ -166,7 +169,8 @@ CASES = {
     "e2": [("e2", alpha, d, n) for alpha in (1, 2, 3)
            for d, n in ((3, 1009), (4, 1009), (5, 1009), (8, 127), (3, 10007))],
     "cbc-full": [("cbc-full", d, n) for d, n in ((5, 1009), (8, 127), (3, 1009), (5, 251), (10, 1009),
-                                                 (12, 1009), (12, 61), (13, 61), (14, 61), (16, 61))],
+                                                 (12, 1009), (14, 1009), (12, 61), (13, 61), (14, 61),
+                                                 (16, 61))],
     "cbc-partial": [("cbc-partial", d, s, 1009) for d, s in ((8, 2), (16, 2), (17, 2), (18, 2),
                                                              (12, 4), (24, 4), (10, 0))],
     "bound-constant": ([("bound-constant", d, None) for d in (3, 4, 5, 6, 7, 8, 12)]
@@ -331,19 +335,30 @@ def _cli(command: str) -> dict:
             "exit_code": code, "json_sha256": digest}
 
 
+def _sha256(values) -> str:
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
+
+def _step_digests(res) -> dict:
+    """The sha256 of a construction's z and step objectives, and of its step
+    certificates."""
+    return {"steps_sha256": _sha256([list(res.rule.z), res.per_step_objective]),
+            "certificates_sha256": _sha256(res.per_step_certificate)}
+
+
 def _cbc_full(d: int, n: int) -> dict:
     from permqmc.cbc import cbc_construct
 
     spec = _spec(d)
     res, first = _timed(lambda: cbc_construct(spec, n))
+    maxrss_first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     walls, t0 = [], time.perf_counter()
     while not walls or (len(walls) < CBC_CALLS and time.perf_counter() - t0 < CBC_SECONDS):
         walls.append(_timed(lambda: cbc_construct(spec, n))[1])
-    values = [list(res.rule.z), res.per_step_objective, res.achieved_E2, res.achieved_E2_certificate]
     return {"wall_s": first + sum(walls), "first_s": first, "call_s_median": float(np.median(walls)),
-            "calls": len(walls), "E2": res.achieved_E2,
-            "values_sha256": hashlib.sha256(json.dumps(values).encode()).hexdigest(),
-            "certificates_sha256": hashlib.sha256(json.dumps(res.per_step_certificate).encode()).hexdigest()}
+            "calls": len(walls), "maxrss_first_mb": maxrss_first, "E2": res.achieved_E2,
+            "E2_certificate": res.achieved_E2_certificate,
+            "E2_sha256": _sha256([res.achieved_E2, res.achieved_E2_certificate]), **_step_digests(res)}
 
 
 def _cbc_partial(d: int, s: int, n: int) -> dict:
@@ -358,7 +373,7 @@ def _cbc_partial(d: int, s: int, n: int) -> dict:
         return {"wall_s": time.perf_counter() - t0, "refused": str(exc)}
     return {"wall_s": time.perf_counter() - t0, "refused": None, "z": list(res.rule.z),
             "max_step_certificate": max(res.per_step_certificate), "E2": res.achieved_E2,
-            "E2_certificate": res.achieved_E2_certificate}
+            "E2_certificate": res.achieved_E2_certificate, **_step_digests(res)}
 
 
 def _e2(alpha: int, d: int, n: int) -> dict:
